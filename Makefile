@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-json typecheck parallel-check cost-check bench-gate bench-smoke bench-parallel chaos chaos-crash check
+.PHONY: test lint lint-json typecheck cost-check bench-gate bench-smoke chaos chaos-crash check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -18,13 +18,6 @@ lint-json:
 # plan; exits 1 on any error-severity finding.
 typecheck:
 	$(PYTHON) -m repro.analysis.typecheck examples
-
-# Parallel-safety certification of every shipped example plan (exits 1
-# on any UNSAFE node), then the snapshot test pinning the expected
-# node→level certification map and its byte-for-byte determinism.
-parallel-check:
-	$(PYTHON) -m repro.analysis.parallel examples
-	$(PYTHON) -m pytest tests/analysis/test_parallel_snapshot.py -q -p no:cacheprovider
 
 # Cost & cardinality certification of every shipped example plan (exits
 # 1 on any error-severity CC finding — an over-budget or quadratic
@@ -51,7 +44,7 @@ bench-gate:
 	rm -rf benchmarks/.ratchet
 	mkdir -p benchmarks/.ratchet
 	cp benchmarks/results/BENCH_*.json benchmarks/.ratchet/
-	$(PYTHON) -m pytest benchmarks/bench_parallel.py benchmarks/bench_er_scale.py benchmarks/bench_e14_velocity.py -q -p no:cacheprovider
+	$(PYTHON) -m pytest benchmarks/bench_er_scale.py benchmarks/bench_e14_velocity.py -q -p no:cacheprovider
 	$(PYTHON) -m repro.analysis.cost --ratchet --baseline benchmarks/.ratchet --fresh benchmarks/results --tolerance 0.5 --check-baselines benchmarks
 	$(PYTHON) -m repro.analysis.lint benchmarks --select REP015
 
@@ -60,15 +53,6 @@ bench-gate:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e10_repair.py -q -p no:cacheprovider
 	$(PYTHON) -m repro.obs.report benchmarks/results/E10-repair.telemetry.json --validate-only
-
-# The parallel-executor baseline: sequential vs parallel=2/4 on the E7a
-# workload through partitioned_resolve, emitting BENCH_parallel_er.json
-# (speedup assertions are gated on the cores actually available; the
-# determinism assertions — identical clusters and stable ids across
-# backends — hold on any machine).
-bench-parallel:
-	$(PYTHON) -m pytest benchmarks/bench_parallel.py -q -p no:cacheprovider
-	$(PYTHON) -m repro.obs.report benchmarks/results/BENCH_parallel_er.telemetry.json --validate-only
 
 # The chaos harness end to end: the resilience benchmark (seeded fault
 # injection through a full Wrangler.run), its telemetry schema-checked,
@@ -88,4 +72,4 @@ chaos-crash:
 	$(PYTHON) -m pytest tests/ingest -q -p no:cacheprovider
 	$(PYTHON) -m repro.analysis.lint src/repro --select REP016
 
-check: test lint typecheck parallel-check cost-check bench-smoke bench-parallel bench-gate chaos chaos-crash
+check: test lint typecheck cost-check bench-smoke bench-gate chaos chaos-crash

@@ -62,7 +62,6 @@ def test_e7_partitioned_er(benchmark):
             lambda: partitioned_resolve(
                 table, resolver, 8,
                 blocking_key=lambda r: str(r.raw("name")).split()[-1],
-                strict=True,
             ),
             rows=n_rows,
         )
@@ -81,7 +80,6 @@ def test_e7_partitioned_er(benchmark):
         lambda: partitioned_resolve(
             table, resolver, 8,
             blocking_key=lambda r: str(r.raw("name")).split()[-1],
-            strict=True,
         ),
         rounds=1, iterations=1,
     )

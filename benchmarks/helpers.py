@@ -49,7 +49,7 @@ def check_experiment_name(experiment: str) -> str:
     ):
         raise ValueError(
             f"benchmark artifact name {experiment!r} violates the "
-            "BENCH_<snake_case> convention (e.g. 'BENCH_parallel_er')"
+            "BENCH_<snake_case> convention (e.g. 'BENCH_er_scale')"
         )
     return experiment
 

@@ -1,6 +1,6 @@
 """Static analysis for the repro framework: validate before you run.
 
-Four legs share one diagnostics engine:
+Three legs share one diagnostics engine:
 
 * :mod:`repro.analysis.validator` — static validation of wrangle plans,
   dataflow graphs, mappings, and contexts (rule ids ``PV0xx``), wired
@@ -10,11 +10,7 @@ Four legs share one diagnostics engine:
 * :mod:`repro.analysis.typecheck` — a schema-flow type checker and node
   purity certifier (rule ids ``TC0xx``) run as ``python -m
   repro.analysis.typecheck examples`` and folded into the wrangler's
-  pre-execution gate;
-* :mod:`repro.analysis.parallel` — a parallel-safety certifier (rule
-  ids ``PX0xx``) classifying every dataflow node as row-local /
-  partition-local / global / unsafe, run as ``python -m
-  repro.analysis.parallel examples`` and folded into the same gate.
+  pre-execution gate.
 
 All emit :class:`~repro.analysis.diagnostics.Diagnostic` values and
 render through :mod:`repro.analysis.report`.
@@ -58,13 +54,6 @@ __all__ = [
     "SchemaFlowChecker",
     "TYPECHECK_RULES",
     "run_preflight",
-    "ParallelAnalyser",
-    "ParallelCertificate",
-    "ParallelSafety",
-    "PARALLEL_RULES",
-    "certify_parallel",
-    "certify_dataflow_parallel",
-    "parallel_diagnostics",
 ]
 
 _LAZY_LINT_EXPORTS = ("LintResult", "lint_paths", "lint_source")
@@ -75,22 +64,13 @@ _LAZY_TYPECHECK_EXPORTS = (
     "TYPECHECK_RULES",
     "run_preflight",
 )
-_LAZY_PARALLEL_EXPORTS = (
-    "ParallelAnalyser",
-    "ParallelCertificate",
-    "ParallelSafety",
-    "PARALLEL_RULES",
-    "certify_parallel",
-    "certify_dataflow_parallel",
-    "parallel_diagnostics",
-)
 
 
 def __getattr__(name: str):
-    # The lint, typecheck, and parallel engines are imported lazily so
-    # that ``python -m repro.analysis.lint`` / ``... .typecheck`` /
-    # ``... .parallel`` do not re-execute an already-imported module
-    # (runpy's double-import warning).
+    # The lint and typecheck engines are imported lazily so that
+    # ``python -m repro.analysis.lint`` / ``... .typecheck`` do not
+    # re-execute an already-imported module (runpy's double-import
+    # warning).
     if name in _LAZY_LINT_EXPORTS:
         from repro.analysis import lint
 
@@ -99,8 +79,4 @@ def __getattr__(name: str):
         from repro.analysis import typecheck
 
         return getattr(typecheck, name)
-    if name in _LAZY_PARALLEL_EXPORTS:
-        from repro.analysis import parallel
-
-        return getattr(parallel, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,8 @@
 """Cost & cardinality certification: how much will this plan spend?
 
-The sixth leg of the analysis subsystem (after the plan validator, the
-framework linter, the schema-flow typechecker, the purity certifier,
-and the parallel-safety certifier): a static cost model that propagates
+The fifth leg of the analysis subsystem (after the plan validator, the
+framework linter, the schema-flow typechecker, and the purity
+certifier): a static cost model that propagates
 a :class:`~repro.analysis.cost.model.CardinalityEstimate` — rows,
 per-stage work, access cost in ``cost_per_access`` units — through a
 plan's dataflow topology, flags statically-predictable super-linear

@@ -29,8 +29,6 @@ Exit-code contract (identical to the other analysis CLIs):
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -39,7 +37,6 @@ from typing import Sequence
 
 from repro.analysis.diagnostics import (
     Diagnostic,
-    Location,
     Severity,
     has_errors,
     sort_diagnostics,
@@ -52,15 +49,16 @@ from repro.analysis.cost.ratchet import (
     run_ratchet,
 )
 from repro.analysis.cost.rules import COST_RULES
-from repro.analysis.report import render
+from repro.analysis.plans import (
+    DEFAULT_ENTRY,
+    check_each,
+    import_plan_module,
+    reanchor,
+)
+from repro.analysis.report import render, render_rule_catalogue
 from repro.errors import AnalysisError
 
 __all__ = ["CostCheckResult", "check_module", "check_paths", "main"]
-
-_module_counter = itertools.count(1)
-
-#: The conventional zero-argument plan-module entry point.
-DEFAULT_ENTRY = "build_wrangler"
 
 
 @dataclass(frozen=True)
@@ -82,23 +80,6 @@ class CostCheckResult:
         return 0 if self.ok else 1
 
 
-def _import_module(path: Path):
-    name = f"_repro_cost_plan_{next(_module_counter)}"
-    spec = importlib.util.spec_from_file_location(name, path)
-    if spec is None or spec.loader is None:
-        raise AnalysisError(f"cannot load module from {path}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-    # Arbitrary user plan modules can fail arbitrarily at import time;
-    # every failure becomes the CLI's misuse exit code.
-    except Exception as failure:  # repro: noqa[REP002]
-        sys.modules.pop(name, None)
-        raise AnalysisError(f"cannot import {path}: {failure}") from failure
-    return module
-
-
 def check_module(
     path: Path,
     entry: str = DEFAULT_ENTRY,
@@ -106,7 +87,7 @@ def check_module(
 ) -> CostCheckResult | None:
     """Cost-certify the plan one module builds; ``None`` when it has no
     ``entry`` callable (not a plan module)."""
-    module = _import_module(path)
+    module = import_plan_module(path)
     build = getattr(module, entry, None)
     if build is None or not callable(build):
         return None
@@ -139,18 +120,7 @@ def check_module(
             f"cost certification of {path} failed: {failure}"
         ) from failure
     findings = [
-        Diagnostic(
-            d.rule,
-            d.severity,
-            Location(
-                f"{path}::{d.location.file}",
-                line=d.location.line,
-                column=d.location.column,
-                node=d.location.node,
-            ),
-            d.message,
-            d.fix_hint,
-        )
+        reanchor(d, str(path))
         for d in report.diagnostics(min_severity=Severity.INFO)
     ]
     return CostCheckResult(
@@ -159,24 +129,6 @@ def check_module(
         checked_plans=1,
         skipped=(),
     )
-
-
-def _discover(paths: Sequence[str]) -> tuple[list[Path], list[Path]]:
-    """(explicit files, directory-discovered files) under ``paths``."""
-    explicit: list[Path] = []
-    discovered: list[Path] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            discovered.extend(
-                p for p in sorted(path.rglob("*.py"))
-                if p.stem != "__init__"
-            )
-        elif path.is_file():
-            explicit.append(path)
-        else:
-            raise AnalysisError(f"no such file or directory: {raw}")
-    return explicit, discovered
 
 
 def check_paths(
@@ -188,33 +140,20 @@ def check_paths(
     listed in ``skipped``; an explicitly named file without one is a
     usage error.
     """
-    explicit, discovered = _discover(paths)
     certifier = CostCertifier()
-    diagnostics: list[Diagnostic] = []
-    reports: list[tuple[str, PlanCostReport]] = []
-    checked = 0
-    skipped: list[str] = []
-    for path in explicit:
-        result = check_module(path, entry=entry, certifier=certifier)
-        if result is None:
-            raise AnalysisError(
-                f"{path} defines no {entry}() entry point"
-            )
-        diagnostics.extend(result.diagnostics)
-        reports.extend(result.reports)
-        checked += 1
-    for path in discovered:
-        result = check_module(path, entry=entry, certifier=certifier)
-        if result is None:
-            skipped.append(str(path))
-            continue
-        diagnostics.extend(result.diagnostics)
-        reports.extend(result.reports)
-        checked += 1
+    results, skipped = check_each(
+        paths,
+        entry,
+        lambda path: check_module(path, entry=entry, certifier=certifier),
+    )
     return CostCheckResult(
-        tuple(sort_diagnostics(diagnostics)),
-        tuple(reports),
-        checked_plans=checked,
+        tuple(
+            sort_diagnostics(
+                d for result in results for d in result.diagnostics
+            )
+        ),
+        tuple(r for result in results for r in result.reports),
+        checked_plans=len(results),
         skipped=tuple(skipped),
     )
 
@@ -263,17 +202,6 @@ def _render_json(result: CostCheckResult) -> str:
         },
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _rule_catalogue() -> str:
-    lines = []
-    for rule_id in sorted(COST_RULES):
-        registered = COST_RULES[rule_id]
-        lines.append(
-            f"{rule_id}  {registered.name:<32} "
-            f"{registered.severity.value:<8} {registered.description}"
-        )
-    return "\n".join(lines)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -340,7 +268,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.list_rules:
-        sys.stdout.write(_rule_catalogue() + "\n")
+        sys.stdout.write(render_rule_catalogue(COST_RULES, 32) + "\n")
         return 0
 
     if args.ratchet:

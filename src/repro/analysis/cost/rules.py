@@ -8,8 +8,8 @@ certifier in :mod:`repro.analysis.cost.certifier` detects them by
 propagating a :class:`~repro.analysis.cost.model.CardinalityEstimate`
 through the plan's dataflow topology and emits each finding through the
 shared :class:`~repro.analysis.diagnostics.Diagnostic` engine, so
-validator, linter, typechecker, purity, parallel, and cost findings
-render uniformly.
+validator, linter, typechecker, purity, and cost findings render
+uniformly.
 
 Severity doubles as admission pressure: ``error`` rules refuse the plan
 at the preflight gate (a quadratic resolve at scale, a plan over its

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, has_errors, sort_diagnostics
-from repro.analysis.report import render
+from repro.analysis.report import render, render_rule_catalogue
 from repro.analysis.rules import NOQA_RE, RULES, ModuleContext, run_rules
 from repro.errors import AnalysisError
 
@@ -172,17 +172,6 @@ def lint_paths(
     )
 
 
-def _rule_catalogue() -> str:
-    lines = []
-    for rule_id in sorted(RULES):
-        registered = RULES[rule_id]
-        lines.append(
-            f"{rule_id}  {registered.name:<26} {registered.severity.value:<8}"
-            f" {registered.description}"
-        )
-    return "\n".join(lines)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -207,7 +196,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.list_rules:
-        sys.stdout.write(_rule_catalogue() + "\n")
+        sys.stdout.write(render_rule_catalogue(RULES, 26) + "\n")
         return 0
     select = (
         [token.strip().upper() for token in args.select.split(",") if token.strip()]

@@ -8,7 +8,7 @@ functions from diagnostics to a string — callers own all I/O.
 from __future__ import annotations
 
 import json
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -17,7 +17,12 @@ from repro.analysis.diagnostics import (
     sort_diagnostics,
 )
 
-__all__ = ["render_text", "render_json", "render"]
+__all__ = [
+    "render_text",
+    "render_json",
+    "render",
+    "render_rule_catalogue",
+]
 
 
 def render_text(
@@ -72,3 +77,17 @@ def render(
             f"unknown report format {fmt!r}; expected one of {sorted(_FORMATS)}"
         )
     return _FORMATS[fmt](diagnostics, checked_files=checked_files)
+
+
+def render_rule_catalogue(
+    rules: Mapping[str, Any], name_width: int
+) -> str:
+    """One ``id  name  severity  description`` line per registered rule."""
+    lines = []
+    for rule_id in sorted(rules):
+        registered = rules[rule_id]
+        lines.append(
+            f"{rule_id}  {registered.name:<{name_width}} "
+            f"{registered.severity.value:<8} {registered.description}"
+        )
+    return "\n".join(lines)

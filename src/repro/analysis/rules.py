@@ -828,8 +828,7 @@ _RNG_CLASS_NAMES = {"Random", "SystemRandom"}
     Severity.ERROR,
     "Module-level `random.*` calls draw from one process-wide generator: "
     "a hidden shared-state dependency that breaks determinism the moment "
-    "work is reordered or fanned out across processes (the parallel "
-    "certifier's PX006, enforced at the source).  Construct an "
+    "work is reordered or any other caller draws from it.  Construct an "
     "explicitly seeded random.Random and thread it through; only "
     "datagen/ is exempt.",
 )

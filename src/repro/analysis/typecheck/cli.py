@@ -17,8 +17,6 @@ Exit-code contract (identical to the lint CLI, what CI keys off):
 from __future__ import annotations
 
 import argparse
-import importlib.util
-import itertools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,20 +24,20 @@ from typing import Sequence
 
 from repro.analysis.diagnostics import (
     Diagnostic,
-    Location,
     has_errors,
     sort_diagnostics,
 )
-from repro.analysis.report import render
+from repro.analysis.plans import (
+    DEFAULT_ENTRY,
+    check_each,
+    import_plan_module,
+    reanchor,
+)
+from repro.analysis.report import render, render_rule_catalogue
 from repro.analysis.typecheck.rules import TYPECHECK_RULES
 from repro.errors import AnalysisError
 
 __all__ = ["TypecheckResult", "check_module", "check_paths", "main"]
-
-_module_counter = itertools.count(1)
-
-#: The conventional zero-argument plan-module entry point.
-DEFAULT_ENTRY = "build_wrangler"
 
 
 @dataclass(frozen=True)
@@ -63,46 +61,12 @@ class TypecheckResult:
         return 0 if self.ok else 1
 
 
-def _import_module(path: Path):
-    name = f"_repro_typecheck_plan_{next(_module_counter)}"
-    spec = importlib.util.spec_from_file_location(name, path)
-    if spec is None or spec.loader is None:
-        raise AnalysisError(f"cannot load module from {path}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    try:
-        spec.loader.exec_module(module)
-    # Arbitrary user plan modules can fail arbitrarily at import time;
-    # every failure becomes the CLI's misuse exit code.
-    except Exception as failure:  # repro: noqa[REP002]
-        sys.modules.pop(name, None)
-        raise AnalysisError(f"cannot import {path}: {failure}") from failure
-    return module
-
-
-def _reanchor(diagnostic: Diagnostic, path: str) -> Diagnostic:
-    """Point a plan-artifact finding at the file that builds the plan."""
-    location = diagnostic.location
-    return Diagnostic(
-        diagnostic.rule,
-        diagnostic.severity,
-        Location(
-            f"{path}::{location.file}",
-            line=location.line,
-            column=location.column,
-            node=location.node,
-        ),
-        diagnostic.message,
-        diagnostic.fix_hint,
-    )
-
-
 def check_module(
     path: Path, entry: str = DEFAULT_ENTRY
 ) -> TypecheckResult | None:
     """Type-check the plan one module builds; ``None`` when it has no
     ``entry`` callable (not a plan module)."""
-    module = _import_module(path)
+    module = import_plan_module(path)
     build = getattr(module, entry, None)
     if build is None or not callable(build):
         return None
@@ -124,30 +88,12 @@ def check_module(
         nodes = len(purity)
         certified = sum(1 for verdict in purity.values() if verdict)
     return TypecheckResult(
-        tuple(_reanchor(d, str(path)) for d in report.diagnostics),
+        tuple(reanchor(d, str(path)) for d in report.diagnostics),
         checked_plans=1,
         skipped=(),
         nodes=nodes,
         certified=certified,
     )
-
-
-def _discover(paths: Sequence[str]) -> tuple[list[Path], list[Path]]:
-    """(explicit files, directory-discovered files) under ``paths``."""
-    explicit: list[Path] = []
-    discovered: list[Path] = []
-    for raw in paths:
-        path = Path(raw)
-        if path.is_dir():
-            discovered.extend(
-                p for p in sorted(path.rglob("*.py"))
-                if p.stem != "__init__"
-            )
-        elif path.is_file():
-            explicit.append(path)
-        else:
-            raise AnalysisError(f"no such file or directory: {raw}")
-    return explicit, discovered
 
 
 def check_paths(
@@ -159,47 +105,20 @@ def check_paths(
     listed in ``skipped``; an explicitly named file without one is a
     usage error.
     """
-    explicit, discovered = _discover(paths)
-    diagnostics: list[Diagnostic] = []
-    checked = nodes = certified = 0
-    skipped: list[str] = []
-    for path in explicit:
-        result = check_module(path, entry=entry)
-        if result is None:
-            raise AnalysisError(
-                f"{path} defines no {entry}() entry point"
-            )
-        diagnostics.extend(result.diagnostics)
-        checked += 1
-        nodes += result.nodes
-        certified += result.certified
-    for path in discovered:
-        result = check_module(path, entry=entry)
-        if result is None:
-            skipped.append(str(path))
-            continue
-        diagnostics.extend(result.diagnostics)
-        checked += 1
-        nodes += result.nodes
-        certified += result.certified
-    return TypecheckResult(
-        tuple(sort_diagnostics(diagnostics)),
-        checked_plans=checked,
-        skipped=tuple(skipped),
-        nodes=nodes,
-        certified=certified,
+    results, skipped = check_each(
+        paths, entry, lambda path: check_module(path, entry=entry)
     )
-
-
-def _rule_catalogue() -> str:
-    lines = []
-    for rule_id in sorted(TYPECHECK_RULES):
-        registered = TYPECHECK_RULES[rule_id]
-        lines.append(
-            f"{rule_id}  {registered.name:<32} "
-            f"{registered.severity.value:<8} {registered.description}"
-        )
-    return "\n".join(lines)
+    return TypecheckResult(
+        tuple(
+            sort_diagnostics(
+                d for result in results for d in result.diagnostics
+            )
+        ),
+        checked_plans=len(results),
+        skipped=tuple(skipped),
+        nodes=sum(result.nodes for result in results),
+        certified=sum(result.certified for result in results),
+    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -229,7 +148,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.list_rules:
-        sys.stdout.write(_rule_catalogue() + "\n")
+        sys.stdout.write(render_rule_catalogue(TYPECHECK_RULES, 32) + "\n")
         return 0
     try:
         result = check_paths(args.paths, entry=args.entry)

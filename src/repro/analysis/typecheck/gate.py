@@ -1,17 +1,16 @@
-"""The pre-execution gate: structure + types + purity + parallelism.
+"""The pre-execution gate: structure + types + purity + cost.
 
 ``Wrangler.run(validate=True)`` funnels through :func:`run_preflight`,
 which folds the plan validator's structural findings (``PV0xx``), the
 schema-flow checker's type findings (``TC001``–``TC009``), the purity
-certifier's node verdicts (``TC010``), the parallel-safety certifier's
-race findings (``PX0xx``), and the cost certifier's budget and
-cardinality findings (``CC0xx``) into one
+certifier's node verdicts (``TC010``), and the cost certifier's budget
+and cardinality findings (``CC0xx``) into one
 :class:`~repro.analysis.validator.ValidationReport` — so a plan is
 refused for a dangling dependency, an untypable mapping, an
-uncertifiable node, a racy node body, or an over-budget estimate
-through exactly the same machinery.  The combined report is
-deduplicated and stably ordered: five gates can flag one node, but each
-exact finding appears once.
+uncertifiable node, or an over-budget estimate through exactly the
+same machinery.  The combined report is deduplicated and stably
+ordered: four gates can flag one node, but each exact finding appears
+once.
 """
 
 from __future__ import annotations
@@ -103,7 +102,6 @@ def run_preflight(
     comparators: Sequence[Any] = (),
     certify: bool = True,
     analyser: PurityAnalyser | None = None,
-    parallel_analyser: Any = None,
     cost_budget: float | None = None,
     discover_constraints: bool = False,
 ) -> ValidationReport:
@@ -111,8 +109,8 @@ def run_preflight(
 
     Probe artifacts come from ``source_schemas``/``mappings`` when given
     explicitly, falling back to the ``probe/``-prefixed entries of
-    ``working``.  ``certify=False`` skips purity and parallel-safety
-    certification (the other two gates still run).  When both a plan and
+    ``working``.  ``certify=False`` skips purity certification (the
+    other gates still run).  When both a plan and
     a registry are supplied, the cost certifier also runs: per-node
     estimates are propagated through the dataflow (annotating it for
     telemetry) and ``CC`` findings at warning severity or worse — an
@@ -152,21 +150,6 @@ def run_preflight(
     if certify and dataflow is not None and hasattr(dataflow, "certify"):
         verdicts = dataflow.certify(analyser=analyser or PurityAnalyser())
         findings.extend(purity_diagnostics(verdicts))
-
-    if (
-        certify
-        and dataflow is not None
-        and hasattr(dataflow, "certify_parallel")
-    ):
-        from repro.analysis.parallel import (
-            ParallelAnalyser,
-            parallel_diagnostics,
-        )
-
-        certificates = dataflow.certify_parallel(
-            analyser=parallel_analyser or ParallelAnalyser()
-        )
-        findings.extend(parallel_diagnostics(certificates))
 
     if plan is not None and registry is not None:
         from repro.analysis.cost import check_plan_cost

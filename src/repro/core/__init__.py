@@ -1,7 +1,6 @@
 """The autonomic core: incremental dataflow, planner, and the Wrangler."""
 
 from repro.core.dataflow import Dataflow
-from repro.core.executor import Executor, ParallelExecutor, SequentialExecutor
 from repro.core.history import Change, ChangeReport, SnapshotHistory
 from repro.core.planner import AutonomicPlanner, WranglePlan
 from repro.core.result import WrangleResult
@@ -13,9 +12,6 @@ __all__ = [
     "ChangeReport",
     "SnapshotHistory",
     "Dataflow",
-    "Executor",
-    "ParallelExecutor",
-    "SequentialExecutor",
     "WranglePlan",
     "WrangleResult",
     "Wrangler",

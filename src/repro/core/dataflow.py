@@ -49,10 +49,6 @@ class _Node:
     #: Purity certificate for the compute callable ("pure" / "impure" /
     #: "unknown"), or ``None`` before :meth:`Dataflow.certify` has run.
     purity: str | None = None
-    #: Parallel-safety level for the compute callable ("row_local" /
-    #: "partition_local" / "global" / "unsafe"), or ``None`` before
-    #: :meth:`Dataflow.certify_parallel` has run.
-    parallel: str | None = None
     #: Predicted compute-seconds from the static cost model, or ``None``
     #: before :meth:`Dataflow.annotate_costs` has run.  A deterministic
     #: estimate (not a measurement), so telemetry scrubbing keeps it.
@@ -76,8 +72,8 @@ class Dataflow:
         #: Certify with :meth:`certify` before enabling.
         self.strict_purity = False
         #: Callbacks fired with ``(name, value)`` after a node's compute
-        #: lands (inline or worker-absorbed) — the checkpoint layer's
-        #: wave-commit hook.  Replays of memoised values do not fire.
+        #: lands — the checkpoint layer's commit hook.  Replays of
+        #: memoised values do not fire.
         self._observers: list[Callable[[str, Any], None]] = []
 
     def on_node_computed(self, callback: Callable[[str, Any], None]) -> None:
@@ -200,120 +196,13 @@ class Dataflow:
             if not (node.clean and self._replayable(node)):
                 self._recompute(node)
 
-    def _absorb(self, node: _Node, value: Any, elapsed: float) -> None:
-        """Install one worker-computed result, mirroring ``_recompute``.
-
-        Counters, the per-node span, the compute-seconds histogram, and
-        the miss counter all behave exactly as an inline recomputation —
-        the span is emitted on the coordinator (its own duration is ~0;
-        the worker's measured ``elapsed`` lands in the histogram and the
-        node's ``seconds``), so a fanned-out sweep exports the same
-        telemetry shape as a sequential one.
-        """
-        if self.telemetry is not None:
-            with self.telemetry.tracer.span(
-                f"dataflow:{node.name}",
-                node=node.name,
-                stage=node.stage,
-            ):
-                pass
-            self.telemetry.metrics.histogram(
-                "dataflow.compute_seconds"
-            ).observe(elapsed)
-            self.telemetry.metrics.counter("dataflow.misses").increment()
-        else:
-            elapsed = 0.0
-        node.value = value
-        node.seconds += elapsed
-        node.clean = True
-        node.runs += 1
-        for observer in self._observers:
-            observer(node.name, node.value)
-
-    def _parallel_sweep(self, names: Iterable[str], executor: Any) -> None:
-        """Recompute dirty nodes in dependency waves, fanning out when safe.
-
-        Each wave is the set of still-dirty nodes whose dependencies have
-        all been computed.  Within a wave, nodes whose certificate is
-        fan-out safe (ROW_LOCAL/PARTITION_LOCAL, recorded by
-        :meth:`certify_parallel`) and whose ``(compute, inputs)`` payload
-        pickles are shipped as one batch; everything else — GLOBAL,
-        UNSAFE, uncertified, or unpicklable — falls back to an inline
-        :meth:`_recompute` with a fallback note on the executor.  Results
-        are absorbed in wave order, then inline nodes run in topological
-        order, so counters and spans come out in a deterministic order
-        for any worker count.
-        """
-        from repro.core.executor import FAN_OUT_LEVELS, _invoke_node
-
-        pending = [
-            name
-            for name in names
-            if not (
-                self._nodes[name].clean
-                and self._replayable(self._nodes[name])
-            )
-        ]
-        pending_set = set(pending)
-        while pending:
-            wave = [
-                name
-                for name in pending
-                if all(
-                    dependency not in pending_set
-                    for dependency in self._nodes[name].dependencies
-                )
-            ]
-            shipped: list[tuple[_Node, Any]] = []
-            inline: list[_Node] = []
-            for name in wave:
-                node = self._nodes[name]
-                if node.parallel in FAN_OUT_LEVELS:
-                    payload = (
-                        node.compute,
-                        {
-                            dependency: self._nodes[dependency].value
-                            for dependency in node.dependencies
-                        },
-                    )
-                    if executor.ship_or_note(
-                        f"dataflow:{name}", payload
-                    ):
-                        shipped.append((node, payload))
-                        continue
-                else:
-                    executor.note_fallback(
-                        f"dataflow:{name}",
-                        f"certified {node.parallel or 'uncertified'}",
-                    )
-                inline.append(node)
-            if shipped:
-                for node, _payload in shipped:
-                    executor.note_fan_out(f"dataflow:{node.name}")
-                results = executor.map(
-                    _invoke_node, [payload for _node, payload in shipped]
-                )
-                for (node, _payload), (value, elapsed) in zip(
-                    shipped, results
-                ):
-                    self._absorb(node, value, elapsed)
-            for node in inline:
-                self._recompute(node)
-            pending_set.difference_update(wave)
-            pending = [name for name in pending if name in pending_set]
-
-    def pull(self, name: str, executor: Any = None) -> Any:
+    def pull(self, name: str) -> Any:
         """The node's current value, recomputing only the dirty cone.
 
         A clean node is a cache hit and returns immediately.  A dirty
         node derives its ancestor cone **once** and sweeps it in the
         (cached) topological order — not once per ancestor, which is what
         made full refreshes quadratic before.
-
-        With an ``executor`` (see :mod:`repro.core.executor`), the dirty
-        cone is swept in dependency waves and independent fan-out-safe
-        nodes are computed in worker processes — see
-        :meth:`_parallel_sweep` for the gate and the fallback semantics.
         """
         node = self._require(name)
         if node.clean and self._replayable(node):
@@ -323,20 +212,16 @@ class Dataflow:
         cone = nx.ancestors(self._graph, name)
         cone.add(name)
         ordered = (n for n in self._topo_order() if n in cone)
-        if executor is None:
-            self._sweep(ordered)
-        else:
-            self._parallel_sweep(ordered, executor)
+        self._sweep(ordered)
         return node.value
 
-    def pull_all(self, executor: Any = None) -> None:
+    def pull_all(self) -> None:
         """Bring every node up to date in a single topological sweep.
 
         Equivalent to pulling each node in turn — the per-node ``runs``
         and ``hits`` counters come out identical — but does one pass over
         the cached order instead of re-deriving ancestors and a fresh
-        topological sort per node.  ``executor`` fans out as in
-        :meth:`pull`.
+        topological sort per node.
         """
         dirty: list[str] = []
         for name in self._topo_order():
@@ -346,10 +231,7 @@ class Dataflow:
                 self._count("dataflow.hits")
             else:
                 dirty.append(name)
-        if executor is None:
-            self._sweep(dirty)
-        else:
-            self._parallel_sweep(dirty, executor)
+        self._sweep(dirty)
 
     def _count(self, metric: str) -> None:
         if self.telemetry is not None:
@@ -393,34 +275,6 @@ class Dataflow:
     def purity_map(self) -> dict[str, str | None]:
         """Every node's recorded purity verdict (``None`` = uncertified)."""
         return {name: node.purity for name, node in self._nodes.items()}
-
-    # -- parallel-safety certification --------------------------------------
-
-    def certify_parallel(self, analyser: Any = None) -> dict[str, Any]:
-        """Certify every node's fan-out safety and record the levels.
-
-        The parallel twin of :meth:`certify`: uses the AST-based
-        :class:`~repro.analysis.parallel.ParallelAnalyser` (an instance
-        may be passed in to share its caches across dataflows), sets each
-        node's ``parallel`` field to the certified level, and returns
-        ``{node name: ParallelCertificate}`` — the contract a
-        partitioned scheduler fans out on.
-        """
-        if analyser is None:
-            from repro.analysis.parallel import ParallelAnalyser
-
-            analyser = ParallelAnalyser()
-        certificates = {}
-        for name, node in self._nodes.items():
-            certificate = analyser.certify(node.compute, role="node")
-            node.parallel = certificate.level.value
-            certificates[name] = certificate
-        return certificates
-
-    def parallel_map(self) -> dict[str, str | None]:
-        """Every node's recorded parallel-safety level (``None`` =
-        uncertified)."""
-        return {name: node.parallel for name, node in self._nodes.items()}
 
     # -- cost annotation ----------------------------------------------------
 
@@ -506,7 +360,6 @@ class Dataflow:
                 "stage": node.stage,
                 "clean": node.clean,
                 "purity": node.purity,
-                "parallel": node.parallel,
                 "cost": node.cost,
             }
             for name, node in self._nodes.items()

@@ -19,7 +19,6 @@ from typing import Mapping, Sequence
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
 from repro.core.dataflow import Dataflow
-from repro.core.executor import Executor, ParallelExecutor, SequentialExecutor
 from repro.core.planner import AutonomicPlanner, WranglePlan
 from repro.core.result import WrangleResult
 from repro.errors import (
@@ -124,14 +123,6 @@ class Wrangler:
         self.degradation: DegradationLedger | None = None
         self._flow: Dataflow | None = None
         self._match_evidence: dict[tuple[str, str], list[bool]] = {}
-        #: The executor driving the current run (None outside runs and
-        #: for plain sequential runs); stage bodies pass it down to the
-        #: resolver and fuser so certified inner loops can fan out.
-        self._run_executor: Executor | None = None
-        #: Acquisition results prefetched by the executor's thread pool,
-        #: consumed (popped) by ``_acquire`` — errors are re-raised there
-        #: so degraded-source handling stays on the coordinator.
-        self._prefetched: dict[str, tuple[str, object]] = {}
         #: Durable-ingestion configuration, set by :meth:`checkpointing`.
         #: When a store is attached every probe and acquisition commits a
         #: checkpoint, stage nodes journal as they land, and an
@@ -436,13 +427,7 @@ class Wrangler:
         raise PlanningError(f"unsupported source type: {type(source).__name__}")
 
     def _fetched(self, source: DataSource):
-        """This run's fetch result for ``source`` — prefetched or live.
-
-        Consumes (pops) any result the acquisition prefetch produced, so
-        a later re-acquisition (``refresh_source`` on a subsequent run)
-        fetches fresh data.  A prefetched failure is re-raised here, on
-        the coordinator, so ``_acquire``'s degraded-source handling is
-        identical in sequential and parallel modes.
+        """This run's fetch result for ``source`` — restored or live.
 
         Under checkpointing the fetch is durable: a checkpoint committed
         by a prior (killed) attempt is restored without touching the
@@ -451,12 +436,6 @@ class Wrangler:
         the committed watermark allows, committed before the value is
         handed to the pipeline.
         """
-        outcome = self._prefetched.pop(source.name, None)
-        if outcome is not None:
-            status, value = outcome
-            if status == "error":
-                raise value  # type: ignore[misc]
-            return value
         log = self._ingest_log
         if log is not None:
             restored = log.restored(f"acquire:{source.name}")
@@ -579,7 +558,7 @@ class Wrangler:
             rule=rule,
             metrics=self.telemetry.metrics,
         )
-        result = resolver.resolve(translated, executor=self._run_executor)
+        result = resolver.resolve(translated)
         self.working.put("entity", "clusters", result)
         return result
 
@@ -626,9 +605,7 @@ class Wrangler:
             strategy_overrides=plan.fusion_overrides,
             recency_attribute=self.date_attribute,
         )
-        fused = fuser.fuse(
-            resolution.clusters, executor=self._run_executor
-        )
+        fused = fuser.fuse(resolution.clusters)
         fused = self._apply_value_verdicts(fused, resolution)
         self.working.put("table", "wrangled", fused)
         return fused
@@ -882,11 +859,7 @@ class Wrangler:
 
     # -- running ----------------------------------------------------------
 
-    def run(
-        self,
-        validate: bool | None = None,
-        parallel: int | None = None,
-    ) -> WrangleResult:
+    def run(self, validate: bool | None = None) -> WrangleResult:
         """Execute (or incrementally refresh) the pipeline.
 
         ``validate`` overrides the wrangler's standing :attr:`validate`
@@ -895,104 +868,21 @@ class Wrangler:
         checking, purity certification — runs against the plan this run
         executes, even when the plan node is already memoised (a fresh
         composition would be gated inside ``_compose_plan`` anyway).
-
-        ``parallel`` selects the execution backend.  ``None`` (default)
-        is the plain sequential path, untouched.  ``parallel=1`` runs the
-        orchestrated path on a :class:`SequentialExecutor` (same work,
-        inline); ``parallel=N`` fans PX-certified work out to ``N``
-        worker processes — independent dirty dataflow nodes, the
-        resolver's compare/decide shards, per-chunk fusion — and batches
-        source acquisition on a bounded thread pool through the existing
-        resilience wrappers.  Only callables whose
-        :class:`~repro.analysis.parallel.ParallelCertificate` allows it
-        fan out; everything else falls back to sequential with a
-        telemetry note.  The result is equal to the sequential run's —
-        clusters, stable entity ids, annotations, counters — modulo
-        timing fields (see ``docs/PARALLEL.md``).
         """
-        executor = self._executor_for(parallel)
+        if validate is None:
+            return self._run()
+        previous = self.validate
+        self.validate = validate
         try:
-            if validate is None:
-                return self._run(executor)
-            previous = self.validate
-            self.validate = validate
-            try:
-                if validate:
-                    flow = self.flow
-                    if flow.is_clean("plan"):
-                        self._gate(flow.value("plan")).raise_on_error()
-                return self._run(executor)
-            finally:
-                self.validate = previous
+            if validate:
+                flow = self.flow
+                if flow.is_clean("plan"):
+                    self._gate(flow.value("plan")).raise_on_error()
+            return self._run()
         finally:
-            if executor is not None:
-                executor.shutdown()
+            self.validate = previous
 
-    def _executor_for(self, parallel: int | None) -> Executor | None:
-        if parallel is None:
-            return None
-        if parallel == 1:
-            return SequentialExecutor()
-        return ParallelExecutor(parallel)
-
-    def _prefetch_sources(
-        self, plan: WranglePlan, executor: Executor
-    ) -> None:
-        """Batch this run's pending source fetches on the thread pool.
-
-        Only sources the plan selects *and* whose acquire node is dirty
-        are fetched — a memoised acquisition must not pay for (or
-        observe) a second fetch.  Each task runs the source's existing
-        ``fetch`` — resilience wrappers, retries, ledger entries and all
-        — on a pool thread, with its trace grafted under a per-source
-        ``prefetch:<name>`` span the coordinator pre-creates in registry
-        order, so the exported span tree is deterministic for any worker
-        count.  The pool is bounded by the executor's ``max_workers``:
-        that bound is the rate limit on concurrent source access.
-        """
-        pending = [
-            name
-            for name in self.registry.names()
-            if name in plan.sources
-            and not self.flow.is_clean(f"acquire:{name}")
-        ]
-        tracer = self.telemetry.tracer
-        tasks = []
-        spans = []
-        names = []
-        for name in pending:
-            source = self.registry.get(name)
-            if not executor.gate_thread(f"acquire:{name}", source.fetch):
-                continue
-            span = tracer.open(
-                f"prefetch:{name}", source=name, stage="extraction"
-            )
-
-            def task(
-                source: DataSource = source, span=span
-            ) -> tuple[str, object]:
-                with tracer.attach(span):
-                    try:
-                        return ("ok", source.fetch())
-                    except WranglingError as failure:
-                        return ("error", failure)
-
-            tasks.append(task)
-            spans.append(span)
-            names.append(name)
-        if not tasks:
-            return
-        executor.note_fan_out("acquire")
-        try:
-            outcomes = executor.map_local(tasks)
-        finally:
-            for span in spans:
-                tracer.close(span)
-        for name, span, outcome in zip(names, spans, outcomes):
-            span.set_attribute("outcome", outcome[0])
-            self._prefetched[name] = outcome
-
-    #: Stage nodes journaled as waves under checkpointing.  Table-valued
+    #: Stage nodes journaled as they land under checkpointing.  Table-valued
     #: nodes snapshot their payload (replayable by id); the others commit
     #: as progress markers — resume recomputes them deterministically
     #: from the restored acquisitions without touching any source.
@@ -1010,12 +900,8 @@ class Wrangler:
             payload = value.table
         log.commit(f"node:{name}", data={"node": name}, payload=payload)
 
-    def _run(self, executor: Executor | None = None) -> WrangleResult:
+    def _run(self) -> WrangleResult:
         flow = self.flow
-        if executor is not None and None in flow.parallel_map().values():
-            # The fan-out gate: nodes without a recorded certificate are
-            # never shipped, so certify once per (re)built flow.
-            flow.certify_parallel()
         runs_before = flow.total_runs()
         self._arm_run_deadline()
         ingest_log = None
@@ -1024,36 +910,18 @@ class Wrangler:
             self._ingest_log = ingest_log
             flow.on_node_computed(self._checkpoint_node)
         try:
-            return self._run_body(
-                flow, executor, runs_before, ingest_log
-            )
+            return self._run_body(flow, runs_before, ingest_log)
         finally:
             self._ingest_log = None
 
     def _run_body(
         self,
         flow: Dataflow,
-        executor: Executor | None,
         runs_before: int,
         ingest_log,
     ) -> WrangleResult:
         with self.telemetry.tracer.span("wrangle.run") as run_span:
-            if executor is not None:
-                flow.pull("plan", executor=executor)
-                if ingest_log is None:
-                    # Durable acquisition serialises its commits on the
-                    # coordinator; the thread-pool prefetch would bypass
-                    # the journal, so checkpointed runs fetch inline.
-                    self._prefetch_sources(flow.value("plan"), executor)
-            self._run_executor = executor
-            try:
-                repair_result = flow.pull("repair", executor=executor)
-            finally:
-                self._run_executor = None
-                # Unconsumed prefetches (a replan dropped the source, or
-                # acquisition failed upstream) must not leak into the
-                # next run's acquisitions.
-                self._prefetched.clear()
+            repair_result = flow.pull("repair")
             fused = flow.value("fuse")
             wrangled = (
                 repair_result.table if repair_result is not None else fused
@@ -1074,19 +942,6 @@ class Wrangler:
             run_span.set_attribute(
                 "nodes_recomputed", flow.total_runs() - runs_before
             )
-            if executor is not None:
-                # Record only worker-count-invariant facts: fan-out
-                # *sites* and fallback notes are identical for any
-                # parallel=N, so the scrubbed telemetry stays
-                # byte-identical across worker counts.
-                run_span.set_attribute("parallel", True)
-                run_span.set_attribute(
-                    "executor_fan_out_sites", executor.fan_out_sites()
-                )
-                run_span.set_attribute(
-                    "executor_fallback_sites", executor.fallback_notes()
-                )
-                executor.publish(self.telemetry)
         source_reports = {
             name: flow.value(f"quality:{name}")
             for name in self.registry.names()

@@ -151,17 +151,3 @@ class InjectedCrashError(Exception):
     harness raises and catches this.
     """
 
-
-class ParallelSafetyError(WranglingError):
-    """A strict consumer refused to fan out an uncertified callable.
-
-    Raised by ``map_reduce(strict=True)`` / ``partitioned_resolve(
-    strict=True)`` when a map- or reduce-side callable's
-    :class:`~repro.analysis.parallel.ParallelCertificate` says fanning it
-    out would race (see rules ``PX001``–``PX008``).  Carries the
-    certificate so callers can report the exact evidence.
-    """
-
-    def __init__(self, message: str, certificate=None) -> None:
-        super().__init__(message)
-        self.certificate = certificate

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from collections import Counter
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.fusion.strategies import Candidate, resolve
 from repro.model.provenance import Provenance, Step
@@ -19,16 +19,7 @@ from repro.model.schema import DataType, Schema
 from repro.model.values import MISSING, Value
 from repro.resolution.er import EntityCluster
 
-if TYPE_CHECKING:  # typing only: fusion must not import core at runtime
-    from repro.core.executor import Executor
-
 __all__ = ["EntityFuser"]
-
-
-def _fuse_chunk(payload: tuple["EntityFuser", Sequence[EntityCluster]]):
-    """Worker body for one shipped chunk of clusters."""
-    fuser, clusters = payload
-    return [fuser.fuse_cluster(cluster) for cluster in clusters]
 
 
 class EntityFuser:
@@ -135,35 +126,10 @@ class EntityFuser:
         )
 
     def fuse(
-        self,
-        clusters: Sequence[EntityCluster],
-        name: str = "wrangled",
-        executor: "Executor | None" = None,
+        self, clusters: Sequence[EntityCluster], name: str = "wrangled"
     ) -> Table:
-        """Fuse all clusters into the wrangled table.
-
-        With an ``executor``, clusters are fanned out in contiguous
-        chunks — gated on ``fuse_cluster``'s parallel certificate — and
-        the fused records are concatenated in chunk order, so the output
-        table is identical to the sequential loop.
-        """
+        """Fuse all clusters into the wrangled table."""
         table = Table(name, self.target_schema)
-        for record in self._fused_records(list(clusters), executor):
-            table.append(record)
+        for cluster in clusters:
+            table.append(self.fuse_cluster(cluster))
         return table
-
-    def _fused_records(
-        self,
-        clusters: list[EntityCluster],
-        executor: "Executor | None",
-    ) -> list[Record]:
-        if executor is not None and len(clusters) > 1:
-            if executor.gate_process("fuse", self.fuse_cluster):
-                payloads = [
-                    (self, chunk) for chunk in executor.chunk(clusters)
-                ]
-                if executor.ship_or_note("fuse", payloads[0]):
-                    executor.note_fan_out("fuse")
-                    shards = executor.map(_fuse_chunk, payloads)
-                    return [record for shard in shards for record in shard]
-        return [self.fuse_cluster(cluster) for cluster in clusters]

@@ -22,7 +22,6 @@ from repro.obs.telemetry import (
     SCHEMA_NAME,
     SCHEMA_VERSION,
     Telemetry,
-    scrub_timings,
     validate_telemetry,
 )
 from repro.obs.trace import Span, Tracer
@@ -40,7 +39,6 @@ __all__ = [
     "SystemClock",
     "Telemetry",
     "Tracer",
-    "scrub_timings",
     "system_clock",
     "validate_telemetry",
 ]

@@ -92,8 +92,8 @@ class ManualClock(Clock):
         self._start_datetime = _dt.datetime.combine(
             today or _dt.date(2016, 3, 15), _dt.time.min
         )
-        # Concurrent acquisition waits on this clock from worker threads;
-        # the read-modify-write in advance() must not lose updates.
+        # Callers may wait on this clock from several threads; the
+        # read-modify-write in advance() must not lose updates.
         self._lock = _threading.Lock()
 
     def current_time(self) -> float:

@@ -16,17 +16,18 @@ Snapshot schema (version 1)::
                   "histograms": {name: {count,total,mean,p50,p95,max}}},
       "spans": [{name,start,end,duration,attributes,children:[...]}],
       "dataflow": {"nodes": {name: {runs,hits,invalidations,seconds,
-                                    stage,clean,purity,parallel,cost}}}
+                                    stage,clean,purity,cost}}}
     }
 
 ``cost`` is the static cost model's predicted seconds for the node (or
-null before certification) — a deterministic estimate, so unlike
-``seconds`` it survives :func:`scrub_timings`.
+null before certification) — a deterministic estimate, not a
+measurement.  A per-node ``parallel`` key (string or null) is accepted
+but never written: committed snapshots such as
+``E6-incremental.telemetry.json`` carry it and must keep validating.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -38,7 +39,6 @@ __all__ = [
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
     "Telemetry",
-    "scrub_timings",
     "validate_telemetry",
 ]
 
@@ -83,55 +83,6 @@ class Telemetry:
         """Clear metrics and finished spans (the clock keeps running)."""
         self.metrics.reset()
         self.tracer.reset()
-
-
-def scrub_timings(snapshot: Mapping[str, Any]) -> dict[str, Any]:
-    """A deep copy of ``snapshot`` with every timing field zeroed.
-
-    The comparison form behind the determinism contract: two runs of the
-    same pipeline — sequential or fanned out to any worker count — must
-    produce *byte-identical* scrubbed snapshots.  Zeroed, never dropped,
-    so the scrubbed shape still validates against the schema:
-
-    * span ``start``/``end``/``duration`` (recursively);
-    * the value summaries (``total``/``mean``/``p50``/``p95``/``max``)
-      of histograms whose name contains ``"seconds"`` — their *counts*
-      are observation counts and stay, they are part of the contract;
-    * per-node dataflow ``seconds``.
-    """
-    scrubbed = copy.deepcopy(dict(snapshot))
-
-    metrics = scrubbed.get("metrics")
-    if isinstance(metrics, Mapping):
-        histograms = metrics.get("histograms")
-        if isinstance(histograms, Mapping):
-            for name, summary in histograms.items():
-                if "seconds" in name and isinstance(summary, dict):
-                    for key in ("total", "mean", "p50", "p95", "max"):
-                        if key in summary:
-                            summary[key] = 0.0
-
-    def scrub_span(span: Any) -> None:
-        if not isinstance(span, dict):
-            return
-        span["start"] = 0.0
-        if span.get("end") is not None:
-            span["end"] = 0.0
-        span["duration"] = 0.0
-        for child in span.get("children") or ():
-            scrub_span(child)
-
-    for span in scrubbed.get("spans") or ():
-        scrub_span(span)
-
-    dataflow = scrubbed.get("dataflow")
-    if isinstance(dataflow, Mapping):
-        nodes = dataflow.get("nodes")
-        if isinstance(nodes, Mapping):
-            for stats in nodes.values():
-                if isinstance(stats, dict) and "seconds" in stats:
-                    stats["seconds"] = 0.0
-    return scrubbed
 
 
 def _check_number(value: Any, where: str, problems: list[str]) -> None:

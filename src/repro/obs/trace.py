@@ -11,12 +11,9 @@ Spans close even when the body raises (the exception is recorded as the
 ``error`` attribute and re-raised), so a failing pipeline still exports a
 complete trace.
 
-The tracer is thread-compatible for the engine's fan-out shape: the open
--span stack is **thread-local**, so spans opened on a worker thread nest
-under that thread's context, never under another thread's.  A worker
-thread starts with an empty stack; the coordinator pre-creates one span
-per task with :meth:`Tracer.open` (deterministic order) and the task
-grafts itself under it with :meth:`Tracer.attach` — finished roots are
+The tracer is thread-compatible: the open-span stack is
+**thread-local**, so spans opened on another thread nest under that
+thread's context, never under this one's, and finished roots are
 appended under a lock.
 """
 
@@ -113,51 +110,6 @@ class Tracer:
             if not stack:
                 with self._roots_lock:
                     self.spans.append(opened)
-
-    def open(self, name: str, **attributes: Any) -> Span:
-        """Create a span under the current context without entering it.
-
-        The coordinator's half of the fan-out handshake: pre-creating one
-        span per task in submission order pins where each task's trace
-        lands — deterministically — before any worker thread runs.  The
-        caller must :meth:`close` it; a task run on another thread nests
-        its own spans under it via :meth:`attach`.
-        """
-        stack = self._stack
-        opened = Span(name, self.clock.current_time(), dict(attributes))
-        opened.adopted = bool(stack)
-        if stack:
-            stack[-1].children.append(opened)
-        return opened
-
-    def close(self, span: Span) -> None:
-        """Finish a span created with :meth:`open`."""
-        if span.end is not None:
-            raise TelemetryError(f"span {span.name!r} is already closed")
-        span.end = self.clock.current_time()
-        if not getattr(span, "adopted", False):
-            with self._roots_lock:
-                self.spans.append(span)
-
-    @contextmanager
-    def attach(self, span: Span) -> Iterator[Span]:
-        """Make ``span`` the current context on *this* thread.
-
-        The worker's half of the handshake: everything the body opens
-        nests under ``span`` (which the coordinator created and will
-        close).  The body must leave the stack balanced.
-        """
-        stack = self._stack
-        stack.append(span)
-        try:
-            yield span
-        finally:
-            popped = stack.pop()
-            if popped is not span:
-                raise TelemetryError(
-                    f"span nesting corrupted: detached {span.name!r} but "
-                    f"{popped.name!r} was on top"
-                )
 
     @property
     def active(self) -> Span | None:

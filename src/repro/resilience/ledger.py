@@ -91,8 +91,8 @@ class DegradationLedger:
 
     def __init__(self) -> None:
         self._sources: dict[str, SourceDisposition] = {}
-        # Concurrent acquisition writes from one thread per source, but
-        # the entry map itself is shared — guard its mutations.
+        # Sources may be acquired from several threads and the entry
+        # map is shared — guard its mutations.
         self._lock = threading.Lock()
 
     def _entry(self, name: str) -> SourceDisposition:

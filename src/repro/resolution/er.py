@@ -20,8 +20,7 @@ from repro.resolution.comparison import RecordComparator, default_comparator
 from repro.resolution.kernels import compile_comparator
 from repro.resolution.rules import MatchDecision, ThresholdRule
 
-if TYPE_CHECKING:  # typing only: resolution must not import core at runtime
-    from repro.core.executor import Executor
+if TYPE_CHECKING:  # typing only
     from repro.obs import MetricsRegistry
 
 __all__ = [
@@ -88,9 +87,9 @@ class EntityCluster:
         """A cluster under the content-derived stable id for ``records``.
 
         The one sanctioned way to mint a cluster id: every execution mode
-        (single-node, partitioned, process-parallel) that builds clusters
-        through this constructor assigns the same entity the same id, so
-        feedback keyed by entity id binds across modes.
+        (single-node, partitioned) that builds clusters through this
+        constructor assigns the same entity the same id, so feedback
+        keyed by entity id binds across modes.
         """
         return cls(stable_cluster_id(records), list(records))
 
@@ -162,9 +161,7 @@ class EntityResolver:
         #: kept switchable for parity testing and benchmarking.
         self.use_kernels = use_kernels
         #: Optional registry for blocking/kernel observability counters
-        #: (``blocking.dropped_*``, ``kernels.*``).  Never shipped to
-        #: workers: all counts are incremented on the coordinator, so
-        #: telemetry stays identical across executor backends.
+        #: (``blocking.dropped_*``, ``kernels.*``).
         self.metrics = metrics
 
     def _candidate_pairs(self, table: Table) -> np.ndarray:
@@ -184,21 +181,11 @@ class EntityResolver:
             )[:2]
         return token_blocking(table, attributes, metrics=self.metrics)
 
-    def resolve(
-        self, table: Table, executor: "Executor | None" = None
-    ) -> ResolutionResult:
-        """Partition ``table`` into entity clusters.
-
-        With an ``executor``, the compare/decide loop is sharded into
-        contiguous chunks of the sorted candidate pairs and fanned out —
-        gated on the comparator's and rule's parallel certificates (the
-        comparison kernel must be ROW_LOCAL/PARTITION_LOCAL).  Chunks
-        merge in submission order, so the result is identical to the
-        sequential loop whatever the worker count.
-        """
+    def resolve(self, table: Table) -> ResolutionResult:
+        """Partition ``table`` into entity clusters."""
         comparator = self.comparator or default_comparator(table.schema)
         pairs = self._candidate_pairs(table)
-        matches = self._decide(table, comparator, pairs, executor)
+        matches = self._decide(table, comparator, pairs)
 
         graph = nx.Graph()
         graph.add_nodes_from(range(len(table)))
@@ -224,9 +211,6 @@ class EntityResolver:
     ) -> np.ndarray:
         """Prune pairs the compiled kernels prove cannot match.
 
-        Runs on the coordinator *before* executor chunking, so the
-        surviving pair order — and therefore chunk contents, merge
-        order, and the final result — is identical across backends.
         Every survivor is re-decided by the exact scalar path; the
         kernels never decide, only discard the provably hopeless.
         """
@@ -255,28 +239,9 @@ class EntityResolver:
         table: Table,
         comparator: RecordComparator,
         pairs: np.ndarray,
-        executor: "Executor | None",
     ) -> list[tuple[int, int, tuple[str, str], float | None]]:
-        """Compare and decide every candidate pair, fanning out if safe."""
+        """Compare and decide every candidate pair the kernels keep."""
         ordered_pairs = self._prefilter(table, comparator, pairs).tolist()
-        if executor is not None and len(ordered_pairs) > 1:
-            if executor.gate_process(
-                "resolve.compare", comparator.vector, self.rule.decide
-            ):
-                chunks = executor.chunk(ordered_pairs)
-                payloads = []
-                for chunk in chunks:
-                    needed = sorted({i for pair in chunk for i in pair})
-                    payloads.append((
-                        comparator,
-                        self.rule,
-                        {i: table.records[i] for i in needed},
-                        chunk,
-                    ))
-                if executor.ship_or_note("resolve.compare", payloads[0]):
-                    executor.note_fan_out("resolve.compare")
-                    shards = executor.map(_decide_chunk, payloads)
-                    return [m for shard in shards for m in shard]
         records_by_index = dict(enumerate(table.records))
         return _decide_pairs(
             comparator, self.rule, records_by_index, ordered_pairs
@@ -314,8 +279,3 @@ def _decide_pairs(
             )
     return matches
 
-
-def _decide_chunk(payload):
-    """Worker body for one shipped shard of candidate pairs."""
-    comparator, rule, records_by_index, pairs = payload
-    return _decide_pairs(comparator, rule, records_by_index, pairs)

@@ -50,11 +50,9 @@ of bounds does not know) makes :func:`compile_comparator` return ``None``
 and the resolver runs the scalar loop for every pair, exactly as before.
 
 The scoring methods mutate nothing — no caches, no globals, no self
-state — so they certify ROW_LOCAL under the PX analyser
-(:mod:`repro.analysis.parallel`); the resolver runs the prefilter on the
-coordinator *before* executor chunking, which keeps kernel metrics and
-surviving-pair order identical across sequential and process-parallel
-backends.
+state; the resolver runs the prefilter once per table, ahead of the
+scalar decide loop, and hands that loop the surviving pairs in their
+original sorted order.
 """
 
 from __future__ import annotations

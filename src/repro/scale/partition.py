@@ -10,28 +10,18 @@ partition map, a cross-partition reduce — as plain deterministic Python,
 plus the two instantiations the benchmarks exercise: partitioned profiling
 and partitioned entity resolution (partition-local ER with a merge step,
 the standard blocking-respecting parallelisation).
-
-Both entry points accept ``strict=True``, the fan-out contract the
-parallel-safety certifier (:mod:`repro.analysis.parallel`) enforces: the
-map-side callables must certify ROW_LOCAL or PARTITION_LOCAL and the
-reduce-side callable must not certify UNSAFE, or the call is refused
-with :class:`~repro.errors.ParallelSafetyError` before any work starts.
-A future partitioned scheduler fans out *only* under this contract.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import networkx as nx
 
 from repro.errors import WranglingError
 from repro.model.records import Record, Table
 from repro.resolution.er import EntityCluster, EntityResolver, ResolutionResult
-
-if TYPE_CHECKING:  # typing only: scale must not import core at runtime
-    from repro.core.executor import Executor
 
 __all__ = ["hash_partition", "map_reduce", "partitioned_resolve", "stable_digest"]
 
@@ -43,42 +33,13 @@ def stable_digest(key: object) -> int:
     """A process-stable 32-bit digest of ``key``'s string form.
 
     ``hash()`` is salted per process for str, so partition assignment
-    would differ between coordinator and workers; CRC-32 over the
+    would differ from one run to the next; CRC-32 over the
     UTF-8 encoding is deterministic everywhere and mixes every byte
     (the previous hand-rolled ``digest*131 + ord(char)`` loop let the
     last character dominate the low bits — pathological skew whenever
     ``n_partitions`` divided the multiplier's cycle).
     """
     return zlib.crc32(str(key).encode("utf-8"))
-
-
-def _ensure_strict(
-    map_fn: Callable[..., object] | None,
-    reduce_fn: Callable[..., object] | None,
-    key: Callable[..., object] | None,
-) -> None:
-    """Certify the callables a strict fan-out will run, or refuse.
-
-    The analysis layer sits above the scale layer, so the certifier is
-    imported lazily and only when strict mode is requested — the default
-    (non-strict) path never touches it.
-    """
-    # Deliberate, gated inversion: certification is optional policy, the
-    # default (non-strict) path never touches the analysis layer.
-    from repro.analysis.parallel import (  # repro: noqa[REP007]
-        ParallelAnalyser,
-        ensure_certified,
-    )
-
-    analyser = ParallelAnalyser()
-    if key is not None:
-        ensure_certified(key, role="map", analyser=analyser, name="key")
-    if map_fn is not None:
-        ensure_certified(map_fn, role="map", analyser=analyser, name="map_fn")
-    if reduce_fn is not None:
-        ensure_certified(
-            reduce_fn, role="reduce", analyser=analyser, name="reduce_fn"
-        )
 
 
 def hash_partition(
@@ -109,16 +70,8 @@ def map_reduce(
     map_fn: Callable[[Table], M],
     reduce_fn: Callable[[Sequence[M]], R],
     key: Callable[[Record], object] | None = None,
-    strict: bool = False,
 ) -> R:
-    """Hash-partition, map each partition, reduce the partials.
-
-    With ``strict=True``, ``map_fn`` (and ``key``) must certify fan-out
-    safe and ``reduce_fn`` must not certify UNSAFE — see
-    :mod:`repro.analysis.parallel` — before anything runs.
-    """
-    if strict:
-        _ensure_strict(map_fn, reduce_fn, key)
+    """Hash-partition, map each partition, reduce the partials."""
     partials = [
         map_fn(partition)
         for partition in hash_partition(table, n_partitions, key)
@@ -126,19 +79,11 @@ def map_reduce(
     return reduce_fn(partials)
 
 
-def _resolve_partition(payload: tuple[EntityResolver, Table]) -> ResolutionResult:
-    """Worker body for one shipped partition."""
-    resolver, partition = payload
-    return resolver.resolve(partition)
-
-
 def partitioned_resolve(
     table: Table,
     resolver: EntityResolver,
     n_partitions: int,
     blocking_key: Callable[[Record], object],
-    strict: bool = False,
-    executor: "Executor | None" = None,
 ) -> ResolutionResult:
     """Entity resolution as partition-local ER plus a union of results.
 
@@ -154,20 +99,10 @@ def partitioned_resolve(
     mis-bound feedback the moment execution mode changed), and the merged
     cluster list is sorted by id exactly as ``EntityResolver.resolve``
     sorts its own output.
-
-    With ``strict=True`` the blocking key and the resolver's ``resolve``
-    method must certify fan-out safe (ROW_LOCAL or PARTITION_LOCAL)
-    before any partition is resolved.  With an ``executor``, non-empty
-    partitions are shipped to workers under the same certificate gate
-    (refusals fall back to the sequential loop, with a telemetry note);
-    partitioning and the merge stay on the coordinator, so the blocking
-    key itself never crosses the process boundary.
     """
-    if strict:
-        _ensure_strict(resolver.resolve, None, blocking_key)
     partitions = hash_partition(table, n_partitions, blocking_key)
     populated = [partition for partition in partitions if len(partition)]
-    results = _resolve_partitions(populated, resolver, executor)
+    results = [resolver.resolve(partition) for partition in populated]
     graph = nx.Graph()
     matched: dict[tuple[str, str], float] = {}
     compared = 0
@@ -196,17 +131,3 @@ def partitioned_resolve(
         candidate_pairs=candidate_pairs,
     )
 
-
-def _resolve_partitions(
-    populated: list[Table],
-    resolver: EntityResolver,
-    executor: "Executor | None",
-) -> list[ResolutionResult]:
-    """Resolve each partition, shipping to workers when certified safe."""
-    if executor is not None and len(populated) > 1:
-        if executor.gate_process("partitioned_resolve", resolver.resolve):
-            payloads = [(resolver, partition) for partition in populated]
-            if executor.ship_or_note("partitioned_resolve", payloads[0]):
-                executor.note_fan_out("partitioned_resolve")
-                return executor.map(_resolve_partition, payloads)
-    return [resolver.resolve(partition) for partition in populated]

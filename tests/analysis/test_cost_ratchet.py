@@ -139,7 +139,7 @@ class TestCommittedBenchmarkBaselines:
         )
         report = run_ratchet(results, results)
         assert report.ok
-        assert report.entries  # BENCH_parallel_er carries real metrics
+        assert report.entries  # BENCH_er_scale carries real metrics
 
 
 class TestOrphanBaselines:

@@ -52,9 +52,6 @@ class TestRunTelemetry:
     def test_every_node_carries_certification_verdicts(self, world):
         result = make_wrangler(world).run()
         nodes = result.telemetry["dataflow"]["nodes"]
-        levels = {stats["parallel"] for stats in nodes.values()}
-        assert None not in levels  # preflight certified every node
-        assert levels <= {"row_local", "partition_local", "global"}
         assert all(stats["purity"] is not None for stats in nodes.values())
 
     def test_run_span_wraps_per_node_spans(self, world):

@@ -1,6 +1,7 @@
 """Tests for the telemetry schema, validator, and report CLI."""
 
 import json
+from pathlib import Path
 
 from repro.obs import ManualClock, Telemetry, validate_telemetry
 from repro.obs.report import demo_snapshot, main, render_text
@@ -105,3 +106,23 @@ class TestCli:
         path.write_text("{not json")
         assert main([str(path)]) == 2
         assert "not JSON" in capsys.readouterr().err
+
+    def test_committed_snapshot_with_parallel_key_still_validates(
+        self, capsys
+    ):
+        # Snapshots written before the per-node ``parallel`` field was
+        # dropped still carry it; the validator must keep accepting a
+        # string there and keep refusing anything else.
+        path = Path(__file__).resolve().parents[2] / (
+            "benchmarks/results/E6-incremental.telemetry.json"
+        )
+        snapshot = json.loads(path.read_text(encoding="utf-8"))
+        nodes = snapshot["dataflow"]["nodes"]
+        assert nodes and all("parallel" in stats for stats in nodes.values())
+        assert main([str(path), "--validate-only"]) == 0
+        assert "valid" in capsys.readouterr().out
+        next(iter(nodes.values()))["parallel"] = 3
+        assert any(
+            ".parallel: expected a string or null" in problem
+            for problem in validate_telemetry(snapshot)
+        )

@@ -7,8 +7,7 @@ unparseable coordinates.  Hypothesis hunts for a value pair where the
 scalar loop would match but the kernel would prune; any such pair is a
 wrong *decision*, not a slow one, so these properties gate harder than
 any benchmark.  The suite also pins the fallback contract (anything but
-the plain comparator/rule classes compiles to ``None``) and the PX
-certification of the scoring methods the resolver fans out around.
+the plain comparator/rule classes compiles to ``None``).
 """
 
 import numpy as np
@@ -16,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.parallel.certifier import ParallelAnalyser
 from repro.model.records import Table
 from repro.obs import MetricsRegistry
 from repro.resolution.blocking import full_pairs
@@ -268,36 +266,3 @@ class TestCompileEligibility:
         # compared, exactly as the scalar loop reports it.
         assert result.compared == 3
 
-
-class TestParallelCertification:
-    """The scoring path must stay fan-out safe under the PX analyser."""
-
-    def test_kernel_scoring_certifies_row_local(self):
-        table = Table.from_rows(
-            "t",
-            [{"name": "alpha one", "price": 10},
-             {"name": "alpha two", "price": 12}],
-        )
-        comparator = RecordComparator(
-            fields=(
-                FieldComparator("name", measure="jaccard"),
-                FieldComparator("price", measure="numeric"),
-            )
-        )
-        compiled = compile_comparator(
-            comparator, ThresholdRule(0.9), table
-        )
-        analyser = ParallelAnalyser()
-        for method in (
-            CompiledComparator.upper_bounds,
-            CompiledComparator.survivors,
-        ):
-            certificate = analyser.certify(method)
-            assert certificate.fan_out_safe, (
-                f"{method.__name__}: {certificate.findings}"
-            )
-        for field in compiled.fields:
-            certificate = analyser.certify(type(field.kernel).upper)
-            assert certificate.fan_out_safe, (
-                f"{type(field.kernel).__name__}: {certificate.findings}"
-            )

@@ -1,5 +1,5 @@
 """Partitioning: the stable CRC-32 digest, skew, edge cases, co-location,
-map/reduce determinism, and the strict fan-out contract end to end."""
+and map/reduce determinism."""
 
 import random
 import subprocess
@@ -8,14 +8,11 @@ import zlib
 
 import pytest
 
-from repro.errors import ParallelSafetyError, WranglingError
+from repro.errors import WranglingError
 from repro.model.records import Table
-from repro.resolution.er import EntityResolver
-from repro.resolution.rules import ThresholdRule
 from repro.scale.partition import (
     hash_partition,
     map_reduce,
-    partitioned_resolve,
     stable_digest,
 )
 
@@ -147,92 +144,3 @@ class TestMapReduceDeterminism:
             )
         assert outputs[0] == outputs[1] == outputs[2] == list(range(60))
 
-
-# -- the strict fan-out contract ------------------------------------------
-
-
-def make_racy_reduce():
-    """Deliberately racy: hoards partials into a captured list (PX001)."""
-    seen: list = []
-
-    def racy_reduce(partials):
-        seen.extend(partials)
-        return len(seen)
-
-    return racy_reduce
-
-
-def make_racy_map():
-    totals: dict = {}
-
-    def racy_map(part):
-        totals[len(totals)] = len(part)
-        return len(part)
-
-    return racy_map
-
-
-class RacyResolver(EntityResolver):
-    """An EntityResolver whose resolve leaks rows into shared state."""
-
-    hoard: list = []
-
-    def resolve(self, table):
-        RacyResolver.hoard.append(table.name)
-        return super().resolve(table)
-
-
-class TestStrictMode:
-    def test_certified_builtins_pass(self):
-        assert map_reduce(OFFERS, 4, len, sum, strict=True) == len(OFFERS)
-
-    def test_racy_reduce_fn_rejected(self):
-        with pytest.raises(ParallelSafetyError) as failure:
-            map_reduce(OFFERS, 4, len, make_racy_reduce(), strict=True)
-        assert "reduce_fn" in str(failure.value)
-        assert "PX001" in str(failure.value)
-
-    def test_racy_map_fn_rejected(self):
-        with pytest.raises(ParallelSafetyError) as failure:
-            map_reduce(OFFERS, 4, make_racy_map(), sum, strict=True)
-        assert "map_fn" in str(failure.value)
-
-    def test_non_strict_mode_never_certifies(self):
-        # The default path must keep accepting what strict refuses.
-        assert map_reduce(OFFERS, 4, len, make_racy_reduce()) == len(OFFERS)
-
-    def test_partitioned_resolve_strict_accepts_certified_resolver(self):
-        rows = []
-        for name in ("alpha point", "bravo point", "charlie point"):
-            rows.append({"name": name})
-            rows.append({"name": name})
-        table = Table.from_rows("t", rows)
-        resolver = EntityResolver(
-            rule=ThresholdRule(0.95), small_table_cutoff=1000
-        )
-        result = partitioned_resolve(
-            table, resolver, 2,
-            blocking_key=lambda r: str(r.raw("name")),
-            strict=True,
-        )
-        assert len(result.non_singleton()) == 3
-
-    def test_partitioned_resolve_strict_rejects_racy_resolver(self):
-        resolver = RacyResolver(
-            rule=ThresholdRule(0.95), small_table_cutoff=1000
-        )
-        with pytest.raises(ParallelSafetyError) as failure:
-            partitioned_resolve(
-                OFFERS, resolver, 2,
-                blocking_key=lambda r: str(r.raw("product")),
-                strict=True,
-            )
-        assert "PX002" in str(failure.value)
-        assert RacyResolver.hoard == []  # refused before any work ran
-
-    def test_strict_error_carries_the_certificate(self):
-        with pytest.raises(ParallelSafetyError) as failure:
-            map_reduce(OFFERS, 4, len, make_racy_reduce(), strict=True)
-        certificate = failure.value.certificate
-        assert certificate is not None
-        assert certificate.level.value == "unsafe"

@@ -4,13 +4,11 @@ The regression this pins: merged clusters used to get positional
 ``entity-{number}`` ids, so the same entity changed identity the moment
 execution switched between single-node and partitioned mode — silently
 mis-binding every piece of feedback keyed by entity id.  Now both modes
-(and both executor backends) mint content-derived stable ids through
-``EntityCluster.from_records``.
+mint content-derived stable ids through ``EntityCluster.from_records``.
 """
 
 import pytest
 
-from repro.core.executor import ParallelExecutor, SequentialExecutor
 from repro.feedback.store import FeedbackStore
 from repro.feedback.types import RelevanceFeedback
 from repro.model.records import Table
@@ -48,8 +46,7 @@ class TestModeParity:
     def test_partitioned_ids_equal_single_node_ids(self, table):
         single = make_resolver().resolve(table)
         partitioned = partitioned_resolve(
-            table, make_resolver(), 4, blocking_key=blocking_key,
-            strict=True,
+            table, make_resolver(), 4, blocking_key=blocking_key
         )
         # Co-locating blocking keys means no cross-partition pair is
         # lost here, so the partitions' merged clusters are the same
@@ -93,30 +90,3 @@ class TestModeParity:
         for item in store:
             assert item.entity in partitioned_ids
 
-
-class TestExecutorParity:
-    def test_executor_variants_identical(self, table):
-        baseline = partitioned_resolve(
-            table, make_resolver(), 4, blocking_key=blocking_key
-        )
-        with SequentialExecutor() as sequential:
-            seq = partitioned_resolve(
-                table, make_resolver(), 4, blocking_key=blocking_key,
-                executor=sequential,
-            )
-        with ParallelExecutor(2) as parallel:
-            par = partitioned_resolve(
-                table, make_resolver(), 4, blocking_key=blocking_key,
-                executor=parallel,
-            )
-        assert id_view(seq) == id_view(baseline)
-        assert id_view(par) == id_view(baseline)
-        assert seq.compared == par.compared == baseline.compared
-
-    def test_fan_out_site_noted(self, table):
-        with SequentialExecutor() as executor:
-            partitioned_resolve(
-                table, make_resolver(), 4, blocking_key=blocking_key,
-                executor=executor,
-            )
-            assert executor.fan_out_sites() == ["partitioned_resolve"]

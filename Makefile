@@ -3,29 +3,36 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-json typecheck cost-check bench-gate bench-smoke chaos chaos-crash check
+.PHONY: test lint lint-json typecheck cost-check bench bench-gate bench-smoke chaos chaos-crash check
 
 test:
 	$(PYTHON) -m pytest -x -q
 
+# Every static pass goes through the one driver,
+# python -m repro.analysis <lint|typecheck|cost|ratchet>.
 lint:
-	$(PYTHON) -m repro.analysis.lint src/repro
+	$(PYTHON) -m repro.analysis lint src/repro
 
 lint-json:
-	$(PYTHON) -m repro.analysis.lint src/repro --format json
+	$(PYTHON) -m repro.analysis lint src/repro --format json
 
 # Schema-flow typecheck + purity certification of every shipped example
 # plan; exits 1 on any error-severity finding.
 typecheck:
-	$(PYTHON) -m repro.analysis.typecheck examples
+	$(PYTHON) -m repro.analysis typecheck examples
 
 # Cost & cardinality certification of every shipped example plan (exits
 # 1 on any error-severity CC finding — an over-budget or quadratic
 # plan), then the snapshot test pinning the expected plan→cost map and
 # its byte-for-byte determinism.
 cost-check:
-	$(PYTHON) -m repro.analysis.cost examples
+	$(PYTHON) -m repro.analysis cost examples
 	$(PYTHON) -m pytest tests/analysis/test_cost_snapshot.py -q -p no:cacheprovider
+
+# The contract benchmark (BENCHMARK.json): one workload, untraced.  Not
+# part of `check` — it reports numbers, it does not gate.
+bench:
+	python3 bench/run.py --workload cold_structured --trace 0
 
 # The perf ratchet: copy the committed BENCH_* baselines aside (so the
 # fresh run cannot overwrite what it is compared against), re-run the
@@ -38,15 +45,14 @@ cost-check:
 # machine-independently by tests/analysis/test_cost_ratchet.py over
 # the committed fixture pair.  --check-baselines fails the gate on any
 # committed baseline no bench_*.py can regenerate.  REP015 keeps every
-# benchmark on the shared telemetry helpers the ratchet and
-# calibration feed from.
+# benchmark on the shared telemetry helpers the ratchet feeds from.
 bench-gate:
 	rm -rf benchmarks/.ratchet
 	mkdir -p benchmarks/.ratchet
 	cp benchmarks/results/BENCH_*.json benchmarks/.ratchet/
 	$(PYTHON) -m pytest benchmarks/bench_er_scale.py benchmarks/bench_e14_velocity.py -q -p no:cacheprovider
-	$(PYTHON) -m repro.analysis.cost --ratchet --baseline benchmarks/.ratchet --fresh benchmarks/results --tolerance 0.5 --check-baselines benchmarks
-	$(PYTHON) -m repro.analysis.lint benchmarks --select REP015
+	$(PYTHON) -m repro.analysis ratchet --baseline benchmarks/.ratchet --fresh benchmarks/results --tolerance 0.5 --check-baselines benchmarks
+	$(PYTHON) -m repro.analysis lint benchmarks --select REP015
 
 # One small benchmark end to end, then schema-check the telemetry it
 # emitted: catches drift between the benchmarks and the repro.obs schema.
@@ -61,7 +67,7 @@ bench-smoke:
 chaos:
 	$(PYTHON) -m pytest benchmarks/bench_e11_resilience.py -q -p no:cacheprovider
 	$(PYTHON) -m repro.obs.report benchmarks/results/E11-resilience.telemetry.json --validate-only
-	$(PYTHON) -m repro.analysis.lint src/repro tests benchmarks --select REP013
+	$(PYTHON) -m repro.analysis lint src/repro tests benchmarks --select REP013
 
 # Crash chaos: the kill-at-every-checkpoint matrix (every commit point,
 # both sides of the journal write, byte-identical recovery with exact
@@ -70,6 +76,6 @@ chaos:
 # through atomic_write_bytes.
 chaos-crash:
 	$(PYTHON) -m pytest tests/ingest -q -p no:cacheprovider
-	$(PYTHON) -m repro.analysis.lint src/repro --select REP016
+	$(PYTHON) -m repro.analysis lint src/repro --select REP016
 
 check: test lint typecheck cost-check bench-smoke bench-gate chaos chaos-crash

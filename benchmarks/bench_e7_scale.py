@@ -69,8 +69,10 @@ def test_e7_partitioned_er(benchmark):
             [n_rows, f"{single_time:.2f}", f"{parted_time:.2f}",
              len(single.non_singleton()), len(parted.non_singleton())]
         )
-        assert parted_time < single_time
-        # blocking key = unique suffix: no recall loss from partitioning
+        # No timing assert: since the prune kernels a single-node resolve
+        # at these sizes takes milliseconds, so fan-out overhead decides
+        # the comparison.  Blocking key = unique suffix: no recall loss
+        # from partitioning.
         assert len(parted.non_singleton()) == len(single.non_singleton())
     table = offers_table(400, seed=400)
     comparator = profiled_comparator(table.schema, table, attributes=["name"])

@@ -1,0 +1,276 @@
+"""The analysis driver: ``python -m repro.analysis <subcommand>``.
+
+* ``lint [paths]`` — the framework linter (:mod:`repro.analysis.lint`)
+  over Python sources (default ``src/repro``);
+* ``typecheck [paths]`` — the full pre-execution gate (structure + types
+  + purity + cost, :func:`~repro.analysis.typecheck.run_preflight` via
+  ``Wrangler.preflight()``) over plan-building modules (default
+  ``examples``);
+* ``cost [paths]`` — the same preflight, rendered as the per-node
+  cost/cardinality certificate plus every ``CC`` finding;
+* ``ratchet`` — fresh ``BENCH_*.json`` records against committed
+  baselines (:mod:`repro.analysis.cost.ratchet`).
+
+Exit-code contract (what CI keys off), identical for every subcommand:
+
+* ``0`` — no error-severity finding (for ``ratchet``: no regression and
+  no orphan baseline);
+* ``1`` — at least one error-severity finding or ratchet failure;
+* ``2`` — the tool itself was misused (unknown subcommand, path or rule,
+  unimportable module, an explicitly named file without an entry point).
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from typing import Sequence
+
+from repro.analysis.cost import COST_RULES, run_ratchet
+from repro.analysis.cost.ratchet import DEFAULT_TOLERANCE, orphan_baselines
+from repro.analysis.diagnostics import has_errors
+from repro.analysis.lint import lint_paths
+from repro.analysis.plans import DEFAULT_ENTRY, PlanChecks, check_paths
+from repro.analysis.report import render, render_rule_catalogue
+from repro.analysis.rules import RULES
+from repro.analysis.typecheck import TYPECHECK_RULES
+from repro.errors import AnalysisError
+
+__all__ = ["main", "render_cost_json"]
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.analysis",
+        description="repro static analysis: lint, typecheck, cost, ratchet",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def add(name: str, description: str) -> argparse.ArgumentParser:
+        command = commands.add_parser(name, description=description)
+        command.add_argument(
+            "--format", choices=("text", "json"), default="text",
+            help="report format",
+        )
+        return command
+
+    def add_listing(command: argparse.ArgumentParser, what: str) -> None:
+        command.add_argument(
+            "--list-rules", action="store_true",
+            help=f"print the {what} rule catalogue and exit",
+        )
+
+    lint = add("lint", "repro framework linter (stdlib ast, no dependencies)")
+    lint.add_argument(
+        "paths", nargs="*", default=["src/repro"],
+        help="files or directories to lint (default: src/repro)",
+    )
+    lint.add_argument(
+        "--select", default=None,
+        help="comma-separated rule ids to run (default: all)",
+    )
+    add_listing(lint, "REP")
+
+    for name, what, description in (
+        ("typecheck", "TC",
+         "repro schema-flow type checker: runs the pre-execution gate "
+         "(structure + types + purity + cost) over plan-building modules"),
+        ("cost", "CC",
+         "repro cost & cardinality certifier: propagates row and cost "
+         "estimates through each plan's dataflow and checks them against "
+         "declared budgets"),
+    ):
+        plans = add(name, description)
+        plans.add_argument(
+            "paths", nargs="*", default=["examples"],
+            help="plan modules or directories to check (default: examples)",
+        )
+        plans.add_argument(
+            "--entry", default=DEFAULT_ENTRY,
+            help=f"plan-module entry point (default: {DEFAULT_ENTRY})",
+        )
+        add_listing(plans, what)
+
+    ratchet = add(
+        "ratchet",
+        "compare fresh BENCH_*.json records against committed baselines",
+    )
+    ratchet.add_argument(
+        "--baseline", default="benchmarks/results",
+        help="baseline directory (default: benchmarks/results)",
+    )
+    ratchet.add_argument(
+        "--fresh", default="benchmarks/results",
+        help="fresh-results directory (default: benchmarks/results)",
+    )
+    ratchet.add_argument(
+        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
+        help=(
+            "relative regression allowed before the ratchet fails "
+            f"(default: {DEFAULT_TOLERANCE})"
+        ),
+    )
+    ratchet.add_argument(
+        "--check-baselines", metavar="BENCHMARKS_DIR", default=None,
+        help=(
+            "additionally fail if any baseline under --baseline has no "
+            "generating benchmark (its experiment name appears in no "
+            "bench_*.py under BENCHMARKS_DIR)"
+        ),
+    )
+    return parser
+
+
+def _write(text: str) -> None:
+    sys.stdout.write(text + "\n")
+
+
+def _lint(args: argparse.Namespace) -> int:
+    select = None
+    if args.select:
+        select = [
+            token.strip().upper()
+            for token in args.select.split(",")
+            if token.strip()
+        ]
+    result = lint_paths(args.paths, select=select)
+    _write(
+        render(
+            result.diagnostics, args.format,
+            checked_files=result.checked_files,
+        )
+    )
+    return result.exit_code
+
+
+def _check_plans(args: argparse.Namespace) -> PlanChecks:
+    result = check_paths(args.paths, entry=args.entry)
+    for path in result.skipped:
+        sys.stderr.write(f"note: {path}: no {args.entry}(), skipped\n")
+    return result
+
+
+def _typecheck(args: argparse.Namespace) -> int:
+    result = _check_plans(args)
+    findings = result.diagnostics
+    _write(render(findings, args.format, checked_files=result.checked_plans))
+    if result.nodes:
+        _write(
+            f"purity: {result.certified}/{result.nodes} dataflow nodes "
+            "carry a verdict"
+        )
+    return 1 if has_errors(findings) else 0
+
+
+def _cost(args: argparse.Namespace) -> int:
+    result = _check_plans(args)
+    findings = result.cost_diagnostics
+    if args.format == "json":
+        _write(render_cost_json(result))
+    else:
+        _write(render(findings, "text", checked_files=result.checked_plans))
+        _write(_cost_block(result))
+    return 1 if has_errors(findings) else 0
+
+
+def _cost_block(result: PlanChecks) -> str:
+    """The per-plan node→estimate table appended to the text report."""
+    lines = ["cost certification:"]
+    for path, report in result.reports:
+        budget = (
+            "unbounded" if report.budget is None
+            else f"{report.budget:.2f}"
+        )
+        lines.append(f"  {path} (budget {budget})")
+        names = sorted(report.estimates)
+        width = max((len(name) for name in names), default=0)
+        for name in names:
+            estimate = report.estimates[name]
+            lines.append(
+                f"    {name:<{width}}  rows={estimate.rows:>8.1f}  "
+                f"work={estimate.work:>10.1f}  "
+                f"access={estimate.access_cost:>7.2f}  "
+                f"[{estimate.confidence}]"
+            )
+        verdict = "OVER BUDGET" if report.over_budget else "within budget"
+        lines.append(
+            f"    total: access={report.total_access_cost:.2f} "
+            f"work={report.total_work:.1f} "
+            f"predicted={report.predicted_seconds:.4f}s ({verdict})"
+        )
+    return "\n".join(lines)
+
+
+def render_cost_json(result: PlanChecks) -> str:
+    """The machine-readable cost certificate (stable key order)."""
+    payload = {
+        "plans": [
+            {"path": path, **report.to_dict()}
+            for path, report in result.reports
+        ],
+        "diagnostics": [d.to_dict() for d in result.cost_diagnostics],
+        "summary": {
+            "checked_plans": result.checked_plans,
+            "over_budget": [
+                path for path, report in result.reports
+                if report.over_budget
+            ],
+        },
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def _ratchet(args: argparse.Namespace) -> int:
+    report = run_ratchet(args.fresh, args.baseline, tolerance=args.tolerance)
+    orphans = (
+        orphan_baselines(args.baseline, args.check_baselines)
+        if args.check_baselines is not None
+        else []
+    )
+    if args.format == "json":
+        payload = report.to_dict()
+        if args.check_baselines is not None:
+            payload["orphan_baselines"] = orphans
+            payload["ok"] = report.ok and not orphans
+        _write(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        _write(report.render())
+        for orphan in orphans:
+            _write(
+                f"orphan baseline: {orphan} has no generating "
+                f"benchmark under {args.check_baselines}"
+            )
+    return 1 if orphans else report.exit_code
+
+
+_COMMANDS = {
+    "lint": _lint,
+    "typecheck": _typecheck,
+    "cost": _cost,
+    "ratchet": _ratchet,
+}
+
+#: What ``--list-rules`` prints per subcommand: catalogue, name width.
+_CATALOGUES = {
+    "lint": (RULES, 26),
+    "typecheck": (TYPECHECK_RULES, 32),
+    "cost": (COST_RULES, 32),
+}
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Driver entry point; returns the process exit code."""
+    args = _parser().parse_args(argv)
+    if getattr(args, "list_rules", False):
+        _write(render_rule_catalogue(*_CATALOGUES[args.command]))
+        return 0
+    try:
+        return _COMMANDS[args.command](args)
+    except AnalysisError as failure:
+        sys.stderr.write(f"error: {failure}\n")
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

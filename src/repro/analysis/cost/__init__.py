@@ -1,6 +1,6 @@
 """Cost & cardinality certification: how much will this plan spend?
 
-The fifth leg of the analysis subsystem (after the plan validator, the
+The cost leg of the analysis subsystem (beside the plan validator, the
 framework linter, the schema-flow typechecker, and the purity
 certifier): a static cost model that propagates
 a :class:`~repro.analysis.cost.model.CardinalityEstimate` — rows,
@@ -11,21 +11,15 @@ joins), and refuses plans whose estimated spend exceeds the budget
 declared via ``Wrangler.budget(...)``.  Rule ids are ``CC0xx``;
 findings flow through the shared
 :class:`~repro.analysis.diagnostics.Diagnostic` engine and into
-``run_preflight``.
+``run_preflight``, whose single plan walk
+(:mod:`repro.analysis.typecheck.operators`) runs the cost halves defined
+here next to the schema halves.
 
-Two feedback loops keep the model honest: ``--calibrate`` fits
-per-operator unit costs from committed telemetry snapshots and reports
-their prediction error, and ``--ratchet`` gates fresh ``BENCH_*.json``
-runs against committed baselines.
-
-Run it standalone as ``python -m repro.analysis.cost examples``.
+``python -m repro.analysis cost examples`` renders the certificate;
+``python -m repro.analysis ratchet`` gates fresh ``BENCH_*.json`` runs
+against committed baselines (:mod:`~repro.analysis.cost.ratchet`).
 """
 
-from repro.analysis.cost.calibration import (
-    CalibrationReport,
-    StageFit,
-    calibrate,
-)
 from repro.analysis.cost.certifier import (
     CostCertifier,
     PlanCostReport,
@@ -33,7 +27,6 @@ from repro.analysis.cost.certifier import (
 )
 from repro.analysis.cost.model import (
     CardinalityEstimate,
-    CostSignature,
     ResolutionProfile,
     UNIT_COSTS,
     estimated_pairs,
@@ -43,22 +36,17 @@ from repro.analysis.cost.ratchet import (
     RatchetReport,
     run_ratchet,
 )
-from repro.analysis.cost.rules import COST_RULES, CostRule
+from repro.analysis.cost.rules import COST_RULES
 
 __all__ = [
-    "CalibrationReport",
     "CardinalityEstimate",
     "CostCertifier",
-    "CostRule",
-    "CostSignature",
     "COST_RULES",
     "PlanCostReport",
     "RatchetEntry",
     "RatchetReport",
     "ResolutionProfile",
-    "StageFit",
     "UNIT_COSTS",
-    "calibrate",
     "check_plan_cost",
     "estimated_pairs",
     "run_ratchet",

@@ -1,15 +1,16 @@
-"""The cost & cardinality certifier.
+"""The cost & cardinality certifier: the cost half of the plan walk.
 
-Walks a wrangle plan's dataflow topology — reusing the
-:class:`~repro.core.dataflow.Dataflow` graph when one is supplied, never
-re-deriving it — and threads a
+:func:`~repro.analysis.typecheck.operators.walk_plan` threads a
 :class:`~repro.analysis.cost.model.CardinalityEstimate` from node to
-node, exactly as :mod:`repro.analysis.typecheck.checker` threads
-:class:`~repro.model.schema.Schema`.  Each node is dispatched to its
-:class:`~repro.analysis.cost.model.CostSignature`, so a quadratic
-resolve, a degenerate blocking configuration, or a plan whose estimated
-access cost exceeds its declared budget all surface as ``CC``
-diagnostics *before* any source is fully accessed.
+node of a plan's dataflow topology, exactly as it threads
+:class:`~repro.model.schema.Schema`; each node's
+:class:`~repro.analysis.typecheck.operators.Operator` row estimates and
+checks it.  This module turns that walk into the certificate: the
+plan-level budget rules (``CC005``–``CC007``) and the
+:class:`PlanCostReport`, so a quadratic resolve, a degenerate blocking
+configuration, or a plan whose estimated access cost exceeds its
+declared budget all surface as ``CC`` diagnostics *before* any source is
+fully accessed.
 
 Everything is duck-typed (plans, registries, dataflows), matching the
 plan validator's contract: tests can feed hand-built stand-ins, and this
@@ -19,7 +20,7 @@ module never imports :mod:`repro.core`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -27,7 +28,6 @@ from repro.analysis.diagnostics import (
     sort_diagnostics,
 )
 from repro.analysis.cost.model import (
-    COST_SIGNATURES,
     PROBE_BUDGET_FRACTION_LIMIT,
     CardinalityEstimate,
     CostContext,
@@ -36,7 +36,12 @@ from repro.analysis.cost.model import (
     source_facts,
 )
 
-__all__ = ["CostCertifier", "PlanCostReport", "check_plan_cost"]
+__all__ = [
+    "CostCertifier",
+    "PlanCostReport",
+    "certify_walk",
+    "check_plan_cost",
+]
 
 
 @dataclass(frozen=True)
@@ -105,6 +110,99 @@ class PlanCostReport:
         }
 
 
+def _budget_findings(
+    context: CostContext,
+    estimates: Mapping[str, CardinalityEstimate],
+) -> list[Diagnostic]:
+    findings: list[Diagnostic] = []
+    total = sum(e.access_cost for e in estimates.values())
+    probe_cost = sum(
+        e.access_cost
+        for name, e in estimates.items()
+        if name.partition(":")[0] == "probe"
+    )
+    budget = context.budget
+    if budget is not None and total > budget:
+        findings.append(
+            cc(
+                "CC005",
+                "plan",
+                None,
+                f"estimated access cost {total:.2f} exceeds the "
+                f"declared budget {budget:.2f} "
+                f"(probe overhead {probe_cost:.2f} + "
+                f"{len(context.planned_sources)} acquisitions)",
+                "raise Wrangler.budget(), drop sources from the "
+                "registry, or let the planner select fewer sources",
+            )
+        )
+    if (
+        budget is not None
+        and budget > 0
+        and probe_cost >= PROBE_BUDGET_FRACTION_LIMIT * budget
+    ):
+        findings.append(
+            cc(
+                "CC007",
+                "plan",
+                None,
+                f"probe overhead {probe_cost:.2f} consumes "
+                f"{100.0 * probe_cost / budget:.0f}% of the declared "
+                f"budget {budget:.2f}",
+                "trim the registry before planning, or raise the "
+                "budget",
+            )
+        )
+    if (
+        budget is None
+        and context.user_budget == float("inf")
+        and total > 0
+    ):
+        findings.append(
+            cc(
+                "CC006",
+                "plan",
+                None,
+                f"estimated access cost {total:.2f} is bounded by no "
+                f"budget (no Wrangler.budget() declaration, user "
+                f"budget unbounded)",
+                "declare a plan budget via Wrangler.budget() so "
+                "admission control can gate the tenant",
+            )
+        )
+    return findings
+
+
+def certify_walk(
+    context: CostContext, walk: Any, dataflow: Any = None
+) -> PlanCostReport:
+    """The ``CC`` certificate for a walk that ran the cost half: its
+    per-node findings plus the plan-level budget rules, with predicted
+    per-node seconds written onto the dataflow (when it supports cost
+    annotation) so telemetry exports carry them."""
+    report = PlanCostReport(
+        estimates=walk.estimates,
+        stages=walk.stages,
+        findings=tuple(
+            sort_diagnostics(
+                [
+                    *walk.cost_findings,
+                    *_budget_findings(context, walk.estimates),
+                ]
+            )
+        ),
+        budget=context.budget,
+    )
+    if dataflow is not None and hasattr(dataflow, "annotate_costs"):
+        dataflow.annotate_costs(
+            {
+                name: round(estimate.seconds(report.stages.get(name)), 6)
+                for name, estimate in report.estimates.items()
+            }
+        )
+    return report
+
+
 class CostCertifier:
     """Static cost propagation over a plan's dataflow topology."""
 
@@ -122,11 +220,14 @@ class CostCertifier:
 
         ``registry`` supplies per-source row hints and access costs;
         ``dataflow`` supplies the walk order (without one, the
-        wrangler's canonical pipeline shape is synthesised from the
-        plan's sources); ``budget`` is the declared plan/tenant budget
-        (``Wrangler.budget(...)``) the estimated access cost is checked
-        against.
+        wrangler's canonical pipeline shape is used); ``budget`` is the
+        declared plan/tenant budget (``Wrangler.budget(...)``) the
+        estimated access cost is checked against.
         """
+        # The walk sits above this package (it joins the cost halves
+        # with the schema halves), so it is imported when called.
+        from repro.analysis.typecheck.operators import walk_plan
+
         context = CostContext(
             plan=plan,
             user=user,
@@ -135,214 +236,8 @@ class CostCertifier:
             discover_constraints=discover_constraints,
             resolution=resolution or ResolutionProfile(),
         )
-        order, dependencies = self._topology(dataflow, context)
-        estimates: dict[str, CardinalityEstimate] = {}
-        stages: dict[str, str | None] = {}
-        findings: list[Diagnostic] = []
-        for name in order:
-            kind, _, suffix = name.partition(":")
-            signature = COST_SIGNATURES.get(kind)
-            incoming = self._first_input_estimate(
-                name, dependencies, estimates
-            )
-            if signature is None:
-                findings.append(
-                    cc(
-                        "CC009",
-                        "dataflow",
-                        name,
-                        f"node kind {kind!r} has no cost signature; the "
-                        f"estimate cannot propagate through {name!r}",
-                        "register a CostSignature for the kind, or "
-                        "accept assumed downstream cardinalities",
-                    )
-                )
-                estimates[name] = CardinalityEstimate(
-                    rows=incoming.rows, confidence="assumed"
-                )
-                stages[name] = None
-                continue
-            sub = suffix or None
-            outgoing = signature.estimate(context, sub, incoming)
-            findings.extend(signature.check(context, sub, outgoing))
-            estimates[name] = outgoing
-            stages[name] = signature.stage
-        findings.extend(self._budget_findings(context, estimates))
-        report = PlanCostReport(
-            estimates=estimates,
-            stages=stages,
-            findings=tuple(sort_diagnostics(findings)),
-            budget=budget,
-        )
-        self._annotate(dataflow, report)
-        return report
-
-    # -- plan-level checks ------------------------------------------------
-
-    @staticmethod
-    def _budget_findings(
-        context: CostContext,
-        estimates: Mapping[str, CardinalityEstimate],
-    ) -> list[Diagnostic]:
-        findings: list[Diagnostic] = []
-        total = sum(e.access_cost for e in estimates.values())
-        probe_cost = sum(
-            e.access_cost
-            for name, e in estimates.items()
-            if name.partition(":")[0] == "probe"
-        )
-        budget = context.budget
-        if budget is not None and total > budget:
-            findings.append(
-                cc(
-                    "CC005",
-                    "plan",
-                    None,
-                    f"estimated access cost {total:.2f} exceeds the "
-                    f"declared budget {budget:.2f} "
-                    f"(probe overhead {probe_cost:.2f} + "
-                    f"{len(context.planned_sources)} acquisitions)",
-                    "raise Wrangler.budget(), drop sources from the "
-                    "registry, or let the planner select fewer sources",
-                )
-            )
-        if (
-            budget is not None
-            and budget > 0
-            and probe_cost >= PROBE_BUDGET_FRACTION_LIMIT * budget
-        ):
-            findings.append(
-                cc(
-                    "CC007",
-                    "plan",
-                    None,
-                    f"probe overhead {probe_cost:.2f} consumes "
-                    f"{100.0 * probe_cost / budget:.0f}% of the declared "
-                    f"budget {budget:.2f}",
-                    "trim the registry before planning, or raise the "
-                    "budget",
-                )
-            )
-        if (
-            budget is None
-            and context.user_budget == float("inf")
-            and total > 0
-        ):
-            findings.append(
-                cc(
-                    "CC006",
-                    "plan",
-                    None,
-                    f"estimated access cost {total:.2f} is bounded by no "
-                    f"budget (no Wrangler.budget() declaration, user "
-                    f"budget unbounded)",
-                    "declare a plan budget via Wrangler.budget() so "
-                    "admission control can gate the tenant",
-                )
-            )
-        return findings
-
-    # -- topology (mirrors the schema checker's walk) ---------------------
-
-    def _topology(
-        self, dataflow: Any, context: CostContext
-    ) -> tuple[list[str], dict[str, tuple[str, ...]]]:
-        if dataflow is not None and hasattr(dataflow, "dependency_map"):
-            dependencies = {
-                name: tuple(deps)
-                for name, deps in dataflow.dependency_map().items()
-            }
-            if hasattr(dataflow, "nodes"):
-                order = list(dataflow.nodes())
-            else:
-                order = self._toposort(dependencies)
-            return order, dependencies
-        return self._synthetic_topology(context)
-
-    @staticmethod
-    def _synthetic_topology(
-        context: CostContext,
-    ) -> tuple[list[str], dict[str, tuple[str, ...]]]:
-        dependencies: dict[str, tuple[str, ...]] = {
-            "probe": (),
-            "plan": ("probe",),
-        }
-        mapped_nodes = []
-        for name in context.planned_sources:
-            dependencies[f"acquire:{name}"] = ("plan",)
-            dependencies[f"match:{name}"] = (f"acquire:{name}",)
-            dependencies[f"mapping:{name}"] = (f"match:{name}",)
-            dependencies[f"mapped:{name}"] = (
-                f"acquire:{name}",
-                f"mapping:{name}",
-            )
-            dependencies[f"quality:{name}"] = (f"mapped:{name}",)
-            mapped_nodes.append(f"mapped:{name}")
-        dependencies["select"] = tuple(
-            f"quality:{name}" for name in context.planned_sources
-        ) or ("plan",)
-        dependencies["translate"] = ("select", *mapped_nodes)
-        dependencies["resolve"] = ("translate",)
-        dependencies["fuse"] = ("resolve",)
-        dependencies["repair"] = ("fuse",)
-        return CostCertifier._toposort(dependencies), dependencies
-
-    @staticmethod
-    def _toposort(
-        dependencies: Mapping[str, Sequence[str]],
-    ) -> list[str]:
-        order: list[str] = []
-        visiting: set[str] = set()
-        done: set[str] = set()
-
-        def visit(name: str) -> None:
-            if name in done or name in visiting:
-                return  # cycles/dangling edges are PV001/PV002's business
-            visiting.add(name)
-            for dep in dependencies.get(name, ()):
-                if dep in dependencies:
-                    visit(dep)
-            visiting.discard(name)
-            done.add(name)
-            order.append(name)
-
-        for name in sorted(dependencies):
-            visit(name)
-        return order
-
-    @staticmethod
-    def _first_input_estimate(
-        name: str,
-        dependencies: Mapping[str, Sequence[str]],
-        estimates: Mapping[str, CardinalityEstimate],
-    ) -> CardinalityEstimate:
-        """The estimate flowing into ``name``: its first dependency that
-        carries rows, else its first estimated dependency at all."""
-        first: CardinalityEstimate | None = None
-        for dep in dependencies.get(name, ()):
-            estimate = estimates.get(dep)
-            if estimate is None:
-                continue
-            if first is None:
-                first = estimate
-            if estimate.rows > 0:
-                return estimate
-        return first or CardinalityEstimate()
-
-    # -- dataflow annotation ----------------------------------------------
-
-    @staticmethod
-    def _annotate(dataflow: Any, report: PlanCostReport) -> None:
-        """Write predicted per-node seconds onto the dataflow (when it
-        supports cost annotation), so telemetry exports carry them."""
-        if dataflow is None or not hasattr(dataflow, "annotate_costs"):
-            return
-        dataflow.annotate_costs(
-            {
-                name: round(estimate.seconds(report.stages.get(name)), 6)
-                for name, estimate in report.estimates.items()
-            }
-        )
+        walk = walk_plan(plan, dataflow, costs=context)
+        return certify_walk(context, walk, dataflow)
 
 
 def check_plan_cost(**artifacts: Any) -> PlanCostReport:

@@ -1,4 +1,4 @@
-"""The cost model: cardinality estimates and per-operator cost signatures.
+"""The cost model: cardinality estimates and the per-operator cost halves.
 
 The static mirror of the runtime's cost accounting.  A
 :class:`CardinalityEstimate` carries three numbers through the dataflow
@@ -7,41 +7,56 @@ units the node performs (row scans, attribute-pair scores, candidate-
 pair comparisons, cell fusions), and **access cost** spent at the node in
 the same ``cost_per_access`` units as
 :class:`~repro.sources.base.SourceMetadata` and the user context's
-budget.  Each dataflow node kind the wrangler composes gets a
-:class:`CostSignature` declaring — *without executing anything* — how it
-transforms an incoming estimate, exactly as
-:mod:`repro.analysis.typecheck.signatures` declares schema transforms.
+budget.  Each dataflow node kind the wrangler composes gets an
+``*_estimate`` function declaring — *without executing anything* — how it
+transforms an incoming estimate (and, where a ``CC`` rule guards the
+kind, a ``*_check``), exactly as
+:mod:`repro.analysis.typecheck.signatures` declares schema transforms;
+:data:`repro.analysis.typecheck.operators.OPERATORS` joins the two
+halves into one row per kind.
 
 Work units convert to predicted compute-seconds through per-stage
-:data:`UNIT_COSTS`; the defaults are order-of-magnitude fits from the
-committed telemetry snapshots and the calibration pass in
-:mod:`repro.analysis.cost.calibration` re-fits them from observed
-per-node seconds.
+:data:`UNIT_COSTS`, order-of-magnitude constants pinned by the committed
+plan→cost snapshot.
 
 Everything is duck-typed like the plan validator and schema checker:
-signatures read declared structure (plans, registries, user contexts)
-and never touch live data — probing is the caller's business.
+the estimators read declared structure (plans, registries, user
+contexts) and never touch live data — probing is the caller's business.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Mapping
+from functools import partial
+from typing import Any, Mapping
 
-from repro.analysis.diagnostics import Diagnostic, Location, Severity
+from repro.analysis.diagnostics import Diagnostic, finding
 from repro.analysis.cost.rules import COST_RULES
 
 __all__ = [
     "CardinalityEstimate",
     "CostContext",
-    "CostSignature",
     "ResolutionProfile",
     "SourceFacts",
-    "COST_SIGNATURES",
     "UNIT_COSTS",
     "cc",
     "estimated_pairs",
     "source_facts",
+    # the per-kind cost halves the operator table joins
+    "acquire_check",
+    "acquire_estimate",
+    "fuse_estimate",
+    "mapping_estimate",
+    "match_estimate",
+    "per_cell_estimate",
+    "plan_estimate",
+    "probe_estimate",
+    "repair_check",
+    "repair_estimate",
+    "resolve_check",
+    "resolve_estimate",
+    "select_estimate",
+    "translate_estimate",
 ]
 
 # -- tunable thresholds (documented in docs/ANALYSIS.md) ------------------
@@ -67,8 +82,7 @@ PROBE_BUDGET_FRACTION_LIMIT = 0.5
 
 #: Default seconds per work unit, per pipeline stage — order-of-magnitude
 #: fits from the committed telemetry snapshots (the resolution figure is
-#: the ROADMAP wall: ~43.5s for ~3.2e5 pairs x 1 field).  The calibration
-#: pass re-fits these from observed per-node seconds.
+#: the ROADMAP wall: ~43.5s for ~3.2e5 pairs x 1 field).
 UNIT_COSTS: Mapping[str, float] = {
     "probe": 2e-4,
     "planning": 1e-4,
@@ -83,23 +97,8 @@ UNIT_COSTS: Mapping[str, float] = {
 }
 
 
-def cc(
-    rule: str,
-    artifact: str,
-    node: str | None,
-    message: str,
-    fix_hint: str = "",
-    severity: Severity | None = None,
-) -> Diagnostic:
-    """A ``CC`` diagnostic with the catalogue severity (overridable)."""
-    registered = COST_RULES[rule]
-    return Diagnostic(
-        rule,
-        severity or registered.severity,
-        Location(artifact, node=node),
-        message,
-        fix_hint,
-    )
+#: A ``CC`` diagnostic with the catalogue severity (overridable).
+cc = partial(finding, COST_RULES)
 
 
 @dataclass(frozen=True)
@@ -152,7 +151,6 @@ class SourceFacts:
     name: str
     rows: float | None  # size hint; None when the source publishes none
     cost_per_access: float = 1.0
-    kind: str = "structured"
 
 
 def _peek_rows(source: Any) -> float | None:
@@ -205,8 +203,7 @@ def source_facts(registry: Any) -> dict[str, SourceFacts]:
         source = registry.get(name)
         metadata = getattr(source, "metadata", None)
         cost = float(getattr(metadata, "cost_per_access", 1.0) or 0.0)
-        kind = str(getattr(metadata, "kind", "structured"))
-        facts[name] = SourceFacts(name, _peek_rows(source), cost, kind)
+        facts[name] = SourceFacts(name, _peek_rows(source), cost)
     return facts
 
 
@@ -297,32 +294,10 @@ class CostContext:
         return facts.rows, "exact"
 
 
-@dataclass(frozen=True)
-class CostSignature:
-    """One dataflow node kind's static cost contract.
-
-    ``estimate`` maps the estimate flowing into a node of this kind to
-    the estimate flowing out; ``check`` returns the ``CC`` diagnostics
-    for the node given that outgoing estimate.  Both receive the
-    context, the node's qualifying suffix (the source name for
-    per-source nodes), and the relevant estimate.
-    """
-
-    kind: str
-    stage: str
-    work_unit: str
-    estimate: Callable[
-        [CostContext, str | None, CardinalityEstimate], CardinalityEstimate
-    ] = lambda ctx, sub, incoming: incoming
-    check: Callable[
-        [CostContext, str | None, CardinalityEstimate], list[Diagnostic]
-    ] = lambda ctx, sub, estimate: []
-
-
 # -- per-kind estimators --------------------------------------------------
 
 
-def _probe_estimate(
+def probe_estimate(
     ctx: CostContext, sub: str | None, incoming: CardinalityEstimate
 ) -> CardinalityEstimate:
     # Every registered source is sampled at PROBE_COST_FRACTION,
@@ -343,7 +318,13 @@ def _probe_estimate(
     )
 
 
-def _acquire_estimate(
+def plan_estimate(
+    ctx: CostContext, sub: str | None, incoming: CardinalityEstimate
+) -> CardinalityEstimate:
+    return CardinalityEstimate(rows=0.0, work=1.0, confidence="exact")
+
+
+def acquire_estimate(
     ctx: CostContext, sub: str | None, incoming: CardinalityEstimate
 ) -> CardinalityEstimate:
     if sub is None or sub not in ctx.planned_sources:
@@ -357,7 +338,7 @@ def _acquire_estimate(
     )
 
 
-def _acquire_check(
+def acquire_check(
     ctx: CostContext, sub: str | None, estimate: CardinalityEstimate
 ) -> list[Diagnostic]:
     if sub is None or sub not in ctx.planned_sources:
@@ -376,7 +357,7 @@ def _acquire_check(
     ]
 
 
-def _match_estimate(
+def match_estimate(
     ctx: CostContext, sub: str | None, incoming: CardinalityEstimate
 ) -> CardinalityEstimate:
     width = ctx.target_width
@@ -388,7 +369,7 @@ def _match_estimate(
     )
 
 
-def _per_cell_estimate(
+def per_cell_estimate(
     ctx: CostContext, sub: str | None, incoming: CardinalityEstimate
 ) -> CardinalityEstimate:
     return replace(
@@ -399,13 +380,13 @@ def _per_cell_estimate(
     )
 
 
-def _mapping_estimate(
+def mapping_estimate(
     ctx: CostContext, sub: str | None, incoming: CardinalityEstimate
 ) -> CardinalityEstimate:
     return replace(incoming, work=ctx.target_width, access_cost=0.0)
 
 
-def _select_estimate(
+def select_estimate(
     ctx: CostContext, sub: str | None, incoming: CardinalityEstimate
 ) -> CardinalityEstimate:
     return CardinalityEstimate(
@@ -415,7 +396,7 @@ def _select_estimate(
     )
 
 
-def _translate_estimate(
+def translate_estimate(
     ctx: CostContext, sub: str | None, incoming: CardinalityEstimate
 ) -> CardinalityEstimate:
     # The union of every selected source's mapped rows; scope filtering
@@ -432,7 +413,7 @@ def _translate_estimate(
     )
 
 
-def _resolve_estimate(
+def resolve_estimate(
     ctx: CostContext, sub: str | None, incoming: CardinalityEstimate
 ) -> CardinalityEstimate:
     pairs, full = estimated_pairs(incoming.rows, ctx.resolution)
@@ -445,7 +426,7 @@ def _resolve_estimate(
     )
 
 
-def _resolve_check(
+def resolve_check(
     ctx: CostContext, sub: str | None, estimate: CardinalityEstimate
 ) -> list[Diagnostic]:
     findings: list[Diagnostic] = []
@@ -508,7 +489,7 @@ def _resolve_check(
     return findings
 
 
-def _fuse_estimate(
+def fuse_estimate(
     ctx: CostContext, sub: str | None, incoming: CardinalityEstimate
 ) -> CardinalityEstimate:
     # Fusion touches every claim of every cluster: rows x width cells.
@@ -523,7 +504,7 @@ def _fuse_estimate(
     )
 
 
-def _repair_estimate(
+def repair_estimate(
     ctx: CostContext, sub: str | None, incoming: CardinalityEstimate
 ) -> CardinalityEstimate:
     width = ctx.target_width
@@ -533,7 +514,7 @@ def _repair_estimate(
     return replace(incoming, rows=incoming.rows, work=work, access_cost=0.0)
 
 
-def _repair_check(
+def repair_check(
     ctx: CostContext, sub: str | None, estimate: CardinalityEstimate
 ) -> list[Diagnostic]:
     if not ctx.discover_constraints:
@@ -554,37 +535,3 @@ def _repair_check(
             "discover_constraints for this plan",
         )
     ]
-
-
-#: Signature registry, keyed on the node-kind prefix (before ``:``).
-COST_SIGNATURES: Mapping[str, CostSignature] = {
-    s.kind: s
-    for s in (
-        CostSignature("probe", "probe", "sampled rows",
-                      estimate=_probe_estimate),
-        CostSignature("plan", "planning", "plans",
-                      estimate=lambda ctx, sub, incoming:
-                      CardinalityEstimate(rows=0.0, work=1.0,
-                                          confidence="exact")),
-        CostSignature("acquire", "extraction", "rows",
-                      estimate=_acquire_estimate, check=_acquire_check),
-        CostSignature("match", "matching", "attribute pairs",
-                      estimate=_match_estimate),
-        CostSignature("mapping", "mapping", "attributes",
-                      estimate=_mapping_estimate),
-        CostSignature("mapped", "mapping", "cells",
-                      estimate=_per_cell_estimate),
-        CostSignature("quality", "quality", "cells",
-                      estimate=_per_cell_estimate),
-        CostSignature("select", "selection", "sources",
-                      estimate=_select_estimate),
-        CostSignature("translate", "mapping", "rows",
-                      estimate=_translate_estimate),
-        CostSignature("resolve", "resolution", "pair comparisons",
-                      estimate=_resolve_estimate, check=_resolve_check),
-        CostSignature("fuse", "fusion", "cells",
-                      estimate=_fuse_estimate),
-        CostSignature("repair", "repair", "cells",
-                      estimate=_repair_estimate, check=_repair_check),
-    )
-}

@@ -20,31 +20,15 @@ assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from repro.analysis.diagnostics import Severity
+from repro.analysis.diagnostics import Rule, Severity, catalogue
 
-__all__ = ["CostRule", "COST_RULES"]
-
-
-@dataclass(frozen=True)
-class CostRule:
-    """One registered cost/cardinality invariant."""
-
-    rule_id: str
-    name: str
-    severity: Severity
-    description: str
-
-
-def _catalogue(*rules: CostRule) -> Mapping[str, CostRule]:
-    return {r.rule_id: r for r in rules}
-
+__all__ = ["COST_RULES"]
 
 #: Rule catalogue for the cost certifier (mirrored in docs/ANALYSIS.md).
-COST_RULES: Mapping[str, CostRule] = _catalogue(
-    CostRule(
+COST_RULES: Mapping[str, Rule] = catalogue(
+    Rule(
         "CC001",
         "unknown-cardinality",
         Severity.INFO,
@@ -53,7 +37,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "default cardinality — the certificate is still issued, but its "
         "confidence is degraded and every derived bound inherits it.",
     ),
-    CostRule(
+    Rule(
         "CC002",
         "quadratic-resolution",
         Severity.ERROR,
@@ -65,7 +49,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "generation).  Token, sorted-neighbourhood, or MinHash-LSH "
         "blocking caps the candidate set to ~linear in rows.",
     ),
-    CostRule(
+    Rule(
         "CC003",
         "degenerate-blocking",
         Severity.WARNING,
@@ -78,7 +62,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "the blocking.dropped_* telemetry counters on oversized "
         "buckets.)",
     ),
-    CostRule(
+    Rule(
         "CC004",
         "cross-source-join",
         Severity.WARNING,
@@ -87,7 +71,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "cost ~k^2 single-source resolves — partition per source (or by "
         "a blocking key) before resolving.",
     ),
-    CostRule(
+    Rule(
         "CC005",
         "plan-over-budget",
         Severity.ERROR,
@@ -96,7 +80,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "declared via Wrangler.budget(): admission control refuses the "
         "plan before any source is fully accessed.",
     ),
-    CostRule(
+    Rule(
         "CC006",
         "unbounded-budget",
         Severity.INFO,
@@ -104,7 +88,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "declared plan budget (Wrangler.budget()) nor a finite user-"
         "context budget — so admission control cannot gate this tenant.",
     ),
-    CostRule(
+    Rule(
         "CC007",
         "probe-dominates-budget",
         Severity.WARNING,
@@ -114,7 +98,7 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "sources instead of acquiring them — trim the registry or raise "
         "the budget.",
     ),
-    CostRule(
+    Rule(
         "CC008",
         "superlinear-repair",
         Severity.WARNING,
@@ -123,22 +107,12 @@ COST_RULES: Mapping[str, CostRule] = _catalogue(
         "candidate dependencies) dominates the repair stage — mine "
         "constraints offline or cap the discovery scope.",
     ),
-    CostRule(
+    Rule(
         "CC009",
         "unestimable-node",
         Severity.WARNING,
         "A dataflow node's kind has no registered cost signature, so no "
         "estimate can propagate through it: everything downstream of the "
         "node inherits an assumed cardinality.",
-    ),
-    CostRule(
-        "CC010",
-        "calibration-drift",
-        Severity.WARNING,
-        "The calibration pass found a stage whose fitted unit cost "
-        "predicts observed compute-seconds with a relative error above "
-        "the drift limit: the static model and the runtime have diverged "
-        "for that operator and its estimates should not be trusted until "
-        "re-fitted.",
     ),
 )

@@ -4,24 +4,26 @@ Both halves of :mod:`repro.analysis` — the static plan validator and the
 AST framework linter — emit the same currency: a :class:`Diagnostic`
 carrying a rule id, a severity, a location, a human-readable message, and
 (where one exists) a fix hint.  Reporters render collections of them;
-callers decide policy from :func:`has_errors` / :func:`worst_severity`.
+callers decide policy from :func:`has_errors`.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 __all__ = [
     "Severity",
     "Location",
     "Diagnostic",
+    "Rule",
+    "catalogue",
     "count_by_severity",
+    "finding",
     "dedupe_diagnostics",
     "has_errors",
     "sort_diagnostics",
-    "worst_severity",
 ]
 
 
@@ -41,17 +43,6 @@ class Severity(enum.Enum):
     def rank(self) -> int:
         """Numeric badness (higher is worse), for sorting and thresholds."""
         return {"info": 0, "warning": 1, "error": 2}[self.value]
-
-    @classmethod
-    def parse(cls, text: str) -> "Severity":
-        """The severity named by ``text`` (case-insensitive)."""
-        try:
-            return cls(text.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown severity {text!r}; expected one of "
-                f"{[s.value for s in cls]}"
-            ) from None
 
 
 @dataclass(frozen=True)
@@ -110,6 +101,45 @@ class Diagnostic:
         }
 
 
+@dataclass(frozen=True)
+class Rule:
+    """One registered invariant of any rule family (REP/PV/TC/CC).
+
+    ``check`` is the AST check a lint rule carries; plan-artifact rules
+    are detected by their pass and leave it ``None``.
+    """
+
+    rule_id: str
+    name: str
+    severity: Severity
+    description: str
+    check: Callable[[Any], Iterable[Diagnostic]] | None = None
+
+
+def catalogue(*rules: Rule) -> Mapping[str, Rule]:
+    """The id-keyed catalogue of one rule family."""
+    return {rule.rule_id: rule for rule in rules}
+
+
+def finding(
+    rules: Mapping[str, Rule],
+    rule_id: str,
+    artifact: str,
+    node: str | None,
+    message: str,
+    fix_hint: str = "",
+    severity: Severity | None = None,
+) -> Diagnostic:
+    """A plan-artifact diagnostic at the catalogue severity (overridable)."""
+    return Diagnostic(
+        rule_id,
+        severity or rules[rule_id].severity,
+        Location(artifact, node=node),
+        message,
+        fix_hint,
+    )
+
+
 def sort_diagnostics(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
     """Stable order: by file, line, column, then rule id."""
     return sorted(
@@ -128,7 +158,7 @@ def dedupe_diagnostics(
 ) -> list[Diagnostic]:
     """Drop exact duplicates, keeping first occurrence order.
 
-    Four gates (``PV``, ``TC``, purity, ``PX``) can legitimately find the
+    Several gates (``PV``, ``TC``, purity, ``CC``) can legitimately find the
     same defect on the same node; a combined report should say it once.
     Diagnostics are frozen dataclasses, so "exact duplicate" is full
     field equality — two findings differing only in message or hint both
@@ -150,12 +180,3 @@ def count_by_severity(
 def has_errors(diagnostics: Sequence[Diagnostic]) -> bool:
     """Whether any finding is error-severity."""
     return any(d.severity is Severity.ERROR for d in diagnostics)
-
-
-def worst_severity(diagnostics: Sequence[Diagnostic]) -> Severity | None:
-    """The most severe finding present, or ``None`` when clean."""
-    worst: Severity | None = None
-    for diagnostic in diagnostics:
-        if worst is None or diagnostic.severity.rank > worst.rank:
-            worst = diagnostic.severity
-    return worst

@@ -1,31 +1,25 @@
-"""The framework linter engine and CLI: ``python -m repro.analysis.lint``.
+"""The framework linter engine behind ``python -m repro.analysis lint``.
 
 Discovers Python files, runs every registered rule from
-:mod:`repro.analysis.rules`, honours ``# repro: noqa[...]`` line
-suppressions, and renders text or JSON via the shared reporters.
-
-Exit-code contract (what CI keys off):
-
-* ``0`` — no error-severity findings (warnings/infos may be present);
-* ``1`` — at least one error-severity finding survived suppression;
-* ``2`` — the linter itself was misused (unknown path, unknown rule).
+:mod:`repro.analysis.rules` and honours ``# repro: noqa[...]`` line
+suppressions; the driver (:mod:`repro.analysis.__main__`) renders the
+result and maps it to the shared exit-code contract (``0`` clean, ``1``
+an error-severity finding survived suppression, ``2`` misuse — unknown
+path or rule).
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, has_errors, sort_diagnostics
-from repro.analysis.report import render, render_rule_catalogue
 from repro.analysis.rules import NOQA_RE, RULES, ModuleContext, run_rules
 from repro.errors import AnalysisError
 
-__all__ = ["LintResult", "lint_source", "lint_paths", "main"]
+__all__ = ["LintResult", "lint_source", "lint_paths"]
 
 
 @dataclass(frozen=True)
@@ -170,50 +164,3 @@ def lint_paths(
     return LintResult(
         tuple(sort_diagnostics(diagnostics)), len(files), suppressed
     )
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.lint",
-        description="repro framework linter (stdlib ast, no dependencies)",
-    )
-    parser.add_argument(
-        "paths", nargs="*", default=["src/repro"],
-        help="files or directories to lint (default: src/repro)",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format",
-    )
-    parser.add_argument(
-        "--select", default=None,
-        help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--list-rules", action="store_true",
-        help="print the rule catalogue and exit",
-    )
-    args = parser.parse_args(argv)
-    if args.list_rules:
-        sys.stdout.write(render_rule_catalogue(RULES, 26) + "\n")
-        return 0
-    select = (
-        [token.strip().upper() for token in args.select.split(",") if token.strip()]
-        if args.select
-        else None
-    )
-    try:
-        result = lint_paths(args.paths, select=select)
-    except AnalysisError as failure:
-        sys.stderr.write(f"error: {failure}\n")
-        return 2
-    report = render(
-        result.diagnostics, args.format, checked_files=result.checked_files
-    )
-    sys.stdout.write(report + "\n")
-    return result.exit_code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,10 +1,14 @@
-"""Plan-module plumbing shared by the typecheck and cost CLIs.
+"""Plan-module checking behind the driver's ``typecheck`` and ``cost``.
 
-Both CLIs take files or directories of plan-building Python modules
-(each exposing a zero-argument entry point, ``build_wrangler()`` by
-convention), import them, check the plan each builds, and re-anchor the
-plan-artifact findings to the file that built the plan.  What a *check*
-is differs per CLI; finding, importing and walking the modules does not.
+Both subcommands take files or directories of plan-building Python
+modules (each exposing a zero-argument entry point, ``build_wrangler()``
+by convention).  Each module is imported, its wrangler built, and
+``Wrangler.preflight()`` run once — the probe is the only data access,
+estimates are computed, never measured, so output is deterministic over
+an unchanged tree — and the plan-artifact findings are re-anchored to
+the file that built the plan.  ``typecheck`` renders the gate's findings,
+``cost`` the :class:`~repro.analysis.cost.PlanCostReport` the same
+preflight carries.
 """
 
 from __future__ import annotations
@@ -12,20 +16,31 @@ from __future__ import annotations
 import importlib.util
 import itertools
 import sys
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
-from repro.analysis.diagnostics import Diagnostic, Location
+from repro.analysis.cost import PlanCostReport
+from repro.analysis.diagnostics import (
+    Diagnostic,
+    Location,
+    Severity,
+    has_errors,
+    sort_diagnostics,
+)
+from repro.analysis.validator import ValidationReport
 from repro.errors import AnalysisError
 
 __all__ = [
     "DEFAULT_ENTRY",
-    "check_each",
+    "PlanCheck",
+    "PlanChecks",
+    "check_module",
+    "check_paths",
     "import_plan_module",
     "reanchor",
 ]
-
-R = TypeVar("R")
 
 _module_counter = itertools.count(1)
 
@@ -86,32 +101,127 @@ def _discover(paths: Sequence[str]) -> tuple[list[Path], list[Path]]:
     return explicit, discovered
 
 
-def check_each(
-    paths: Sequence[str],
-    entry: str,
-    check_module: Callable[[Path], R | None],
-) -> tuple[list[R], list[str]]:
-    """Run ``check_module`` over every plan module under ``paths``.
+@dataclass(frozen=True)
+class PlanCheck:
+    """One plan module's preflight, plus its purity coverage."""
 
-    ``check_module`` returns ``None`` for a module without the ``entry``
-    callable.  Directory-discovered files without it are skipped and
-    returned as the second element; an explicitly named file without one
-    is a usage error.
+    path: str
+    report: ValidationReport
+    nodes: int = 0
+    certified: int = 0
+
+
+@dataclass(frozen=True)
+class PlanChecks:
+    """Every checked plan module, and the views the driver renders
+    (each computed once: re-anchoring and sorting are per-finding work)."""
+
+    checks: tuple[PlanCheck, ...]
+    skipped: tuple[str, ...] = ()
+
+    @property
+    def checked_plans(self) -> int:
+        return len(self.checks)
+
+    @property
+    def nodes(self) -> int:
+        return sum(check.nodes for check in self.checks)
+
+    @property
+    def certified(self) -> int:
+        return sum(check.certified for check in self.checks)
+
+    @cached_property
+    def diagnostics(self) -> tuple[Diagnostic, ...]:
+        """The gate's findings (PV + TC + purity + CC at warning or
+        worse), re-anchored to the plan modules."""
+        return _anchored(
+            (check.path, check.report.diagnostics) for check in self.checks
+        )
+
+    @cached_property
+    def reports(self) -> tuple[tuple[str, PlanCostReport], ...]:
+        """``(path, PlanCostReport)`` per plan whose preflight priced it."""
+        return tuple(
+            (check.path, check.report.cost)
+            for check in self.checks
+            if check.report.cost is not None
+        )
+
+    @cached_property
+    def cost_diagnostics(self) -> tuple[Diagnostic, ...]:
+        """Every ``CC`` finding, info-severity included, re-anchored."""
+        return _anchored(
+            (path, report.diagnostics(min_severity=Severity.INFO))
+            for path, report in self.reports
+        )
+
+    @property
+    def ok(self) -> bool:
+        """Whether every plan passes the gate (no error finding)."""
+        return not has_errors(self.diagnostics)
+
+
+def _anchored(
+    findings: Iterable[tuple[str, Iterable[Diagnostic]]],
+) -> tuple[Diagnostic, ...]:
+    return tuple(
+        sort_diagnostics(
+            reanchor(d, path) for path, found in findings for d in found
+        )
+    )
+
+
+def check_module(path: Path, entry: str = DEFAULT_ENTRY) -> PlanCheck | None:
+    """Preflight the plan one module builds; ``None`` when it has no
+    ``entry`` callable (not a plan module)."""
+    module = import_plan_module(path)
+    build = getattr(module, entry, None)
+    if build is None or not callable(build):
+        return None
+    try:
+        wrangler = build()
+        report = wrangler.preflight()
+    except AnalysisError:
+        raise
+    # A user-supplied build_wrangler() can fail arbitrarily; fold it
+    # into the driver's misuse exit code rather than a traceback.
+    except Exception as failure:  # repro: noqa[REP002]
+        raise AnalysisError(
+            f"preflight of {path} failed: {failure}"
+        ) from failure
+    nodes = certified = 0
+    flow = getattr(wrangler, "_flow", None)
+    if flow is not None and hasattr(flow, "purity_map"):
+        purity = flow.purity_map()
+        nodes = len(purity)
+        certified = sum(1 for verdict in purity.values() if verdict)
+    return PlanCheck(str(path), report, nodes, certified)
+
+
+def check_paths(
+    paths: Sequence[str], entry: str = DEFAULT_ENTRY
+) -> PlanChecks:
+    """Preflight every plan module under ``paths``.
+
+    Directory-discovered files without the ``entry`` callable are
+    skipped and listed in ``skipped``; an explicitly named file without
+    one is a usage error.
     """
     explicit, discovered = _discover(paths)
-    results: list[R] = []
+    checks: list[PlanCheck] = []
     skipped: list[str] = []
     for path in explicit:
-        result = check_module(path)
-        if result is None:
+        check = check_module(path, entry)
+        if check is None:
             raise AnalysisError(
                 f"{path} defines no {entry}() entry point"
             )
-        results.append(result)
+        checks.append(check)
     for path in discovered:
-        result = check_module(path)
-        if result is None:
+        check = check_module(path, entry)
+        if check is None:
             skipped.append(str(path))
-            continue
-        results.append(result)
-    return results, skipped
+        else:
+            checks.append(check)
+    return PlanChecks(tuple(checks), tuple(skipped))

@@ -4,8 +4,9 @@ Each rule inspects one module's AST (stdlib :mod:`ast` only — the linter
 adds no runtime dependencies) and yields
 :class:`~repro.analysis.diagnostics.Diagnostic` findings.  Rules register
 themselves in :data:`RULES` via the :func:`rule` decorator; the engine in
-:mod:`repro.analysis.lint` handles file discovery, ``# repro: noqa``
-suppression, reporting, and exit codes.
+:mod:`repro.analysis.lint` handles file discovery and ``# repro: noqa``
+suppression, the driver (``python -m repro.analysis lint``) reporting
+and exit codes.
 
 The invariants are the framework's, not generic style: confidences are
 probabilities, the model/quality layers are deterministic, provenance-
@@ -21,9 +22,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from repro.analysis.diagnostics import Diagnostic, Location, Severity
+from repro.analysis.diagnostics import Diagnostic, Location, Rule, Severity
 
-__all__ = ["LintRule", "ModuleContext", "NOQA_RE", "RULES", "rule", "run_rules"]
+__all__ = ["ModuleContext", "NOQA_RE", "RULES", "rule", "run_rules"]
 
 #: The ``# repro: noqa[RULE,...]`` pragma grammar.  Lives here (not in the
 #: engine) so REP012 can audit pragmas against the same grammar the
@@ -66,18 +67,7 @@ class ModuleContext:
         )
 
 
-@dataclass(frozen=True)
-class LintRule:
-    """One registered framework invariant."""
-
-    rule_id: str
-    name: str
-    severity: Severity
-    description: str
-    check: Callable[[ModuleContext], Iterable[Diagnostic]]
-
-
-RULES: dict[str, LintRule] = {}
+RULES: dict[str, Rule] = {}
 
 
 def rule(
@@ -88,7 +78,7 @@ def rule(
     def decorate(check: Callable[[ModuleContext], Iterable[Diagnostic]]):
         if rule_id in RULES:
             raise ValueError(f"duplicate lint rule id {rule_id!r}")
-        RULES[rule_id] = LintRule(rule_id, name, severity, description, check)
+        RULES[rule_id] = Rule(rule_id, name, severity, description, check)
         return check
 
     return decorate
@@ -907,8 +897,8 @@ def _is_benchmark_module(context: ModuleContext) -> bool:
     Severity.ERROR,
     "A benchmark script under benchmarks/ that never calls "
     "helpers.emit_telemetry or helpers.timed reports ad-hoc numbers the "
-    "perf ratchet and calibration loop cannot see: every benchmark must "
-    "route measurement through the observability layer, and raw print() "
+    "perf ratchet cannot see: every benchmark must route measurement "
+    "through the observability layer, and raw print() "
     "calls must go through helpers.emit so results land under "
     "benchmarks/results/.",
 )

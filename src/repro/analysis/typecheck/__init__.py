@@ -1,22 +1,24 @@
-"""Schema-flow type checking and purity certification for wrangle plans.
+"""Plan-level static analysis: schema flow, purity, cost, and the gate.
 
-The third leg of :mod:`repro.analysis`, alongside the plan validator and
+The plan leg of :mod:`repro.analysis`, alongside the plan validator and
 the framework linter:
 
-* :mod:`~repro.analysis.typecheck.signatures` — the operator-signature
-  registry: what every pipeline stage consumes and produces, schema-wise;
-* :mod:`~repro.analysis.typecheck.checker` — propagates
-  :class:`~repro.model.schema.Schema` objects through a plan's dataflow
-  topology without executing it (rule ids ``TC001``–``TC009``);
+* :mod:`~repro.analysis.typecheck.operators` — the operator table (one
+  row per dataflow node kind: stage, schema half, cost half) and the one
+  walk that threads schemas and cost estimates through a plan's dataflow
+  topology without executing it;
+* :mod:`~repro.analysis.typecheck.signatures` — the schema halves (rule
+  ids ``TC001``–``TC009``); the cost halves live in
+  :mod:`repro.analysis.cost.model`;
+* :mod:`~repro.analysis.typecheck.checker` — the types-only entry over
+  that walk;
 * :mod:`~repro.analysis.typecheck.purity` — AST-based certification of
   dataflow node callables as pure (``TC010``), so the engine can refuse
   to cache or replay what it cannot certify;
 * :mod:`~repro.analysis.typecheck.gate` — :func:`run_preflight`, the
-  combined structure + types + purity gate behind
-  ``Wrangler.run(validate=True)``;
-* :mod:`~repro.analysis.typecheck.cli` — ``python -m
-  repro.analysis.typecheck``, the lint CLI's exit-code contract over
-  plan-building modules.
+  combined structure + types + purity + cost gate behind
+  ``Wrangler.run(validate=True)`` and ``python -m repro.analysis
+  typecheck`` / ``cost``.
 """
 
 from repro.analysis.typecheck.checker import (
@@ -28,17 +30,14 @@ from repro.analysis.typecheck.gate import (
     purity_diagnostics,
     run_preflight,
 )
+from repro.analysis.typecheck.operators import OPERATORS, Operator
 from repro.analysis.typecheck.purity import (
     PurityAnalyser,
     PurityVerdict,
     certify_callable,
 )
-from repro.analysis.typecheck.rules import TYPECHECK_RULES, TypeRule
-from repro.analysis.typecheck.signatures import (
-    SIGNATURES,
-    CheckContext,
-    OperatorSignature,
-)
+from repro.analysis.typecheck.rules import TYPECHECK_RULES
+from repro.analysis.typecheck.signatures import CheckContext
 
 __all__ = [
     "SchemaFlowChecker",
@@ -50,8 +49,7 @@ __all__ = [
     "PurityVerdict",
     "certify_callable",
     "TYPECHECK_RULES",
-    "TypeRule",
-    "SIGNATURES",
+    "OPERATORS",
+    "Operator",
     "CheckContext",
-    "OperatorSignature",
 ]

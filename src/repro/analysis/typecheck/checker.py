@@ -1,18 +1,15 @@
-"""The schema-flow type checker.
+"""The schema-flow type checker: the schema half of the plan walk.
 
-Walks a wrangle plan's dataflow topology — reusing the
-:class:`~repro.core.dataflow.Dataflow` graph when one is supplied, never
-re-deriving it — and threads statically inferred
-:class:`~repro.model.schema.Schema` objects from node to node.  Each
-node is dispatched to its :class:`~repro.analysis.typecheck.signatures.
-OperatorSignature`, which checks the boundary and infers the outgoing
-schema, so a mapping that reads a column its source never exposes, an ER
-rule keyed on a transient type, or a fusion override no mapping can feed
-all surface as ``TC`` diagnostics *before* any record flows.
-
-Everything is duck-typed (plans, schemas, mappings, dataflows), matching
-the plan validator's contract: tests can feed hand-built stand-ins, and
-this module never imports :mod:`repro.core`.
+:func:`~repro.analysis.typecheck.operators.walk_plan` threads statically
+inferred :class:`~repro.model.schema.Schema` objects from node to node
+of a plan's dataflow topology; each node's
+:class:`~repro.analysis.typecheck.operators.Operator` row checks the
+boundary and infers the outgoing schema, so a mapping that reads a
+column its source never exposes, an ER rule keyed on a transient type,
+or a fusion override no mapping can feed all surface as ``TC``
+diagnostics *before* any record flows.  This module builds the
+:class:`~repro.analysis.typecheck.signatures.CheckContext` that walk
+consults and keeps the types-only entry point.
 """
 
 from __future__ import annotations
@@ -20,12 +17,63 @@ from __future__ import annotations
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, sort_diagnostics
-from repro.analysis.typecheck.signatures import (
-    SIGNATURES,
-    CheckContext,
-)
+from repro.analysis.typecheck.operators import walk_plan
+from repro.analysis.typecheck.signatures import CheckContext
 
-__all__ = ["SchemaFlowChecker", "check_schema_flow"]
+__all__ = ["SchemaFlowChecker", "check_context", "check_schema_flow"]
+
+
+def check_context(
+    plan: Any,
+    user: Any = None,
+    source_schemas: Mapping[str, Any] | None = None,
+    mappings: Mapping[str, Any] | Iterable[Any] | None = None,
+    date_attribute: str | None = None,
+    comparators: Sequence[Any] = (),
+) -> CheckContext:
+    """What the schema halves may consult while checking one plan.
+
+    ``source_schemas`` maps source name to its probed schema and
+    ``mappings`` source name to its probe mapping (an iterable of
+    mapping objects is also accepted and keyed by ``source_name``).
+    """
+    source_schemas = dict(source_schemas or {})
+    if mappings is None:
+        mappings = {}
+    elif not isinstance(mappings, Mapping):
+        mappings = {
+            getattr(m, "source_name", f"mapping-{i}"): m
+            for i, m in enumerate(mappings)
+        }
+    target_schema = getattr(user, "target_schema", None)
+    planned = tuple(getattr(plan, "sources", ()) or ())
+    produced: set[str] = set()
+    coverage_complete = bool(planned)
+    for name in planned:
+        mapping = mappings.get(name)
+        schema = source_schemas.get(name)
+        if mapping is None or schema is None:
+            coverage_complete = False
+            continue
+        for attribute_map in getattr(mapping, "attribute_maps", ()):
+            if attribute_map.source not in schema:
+                continue
+            if (
+                target_schema is not None
+                and attribute_map.target not in target_schema
+            ):
+                continue
+            produced.add(attribute_map.target)
+    return CheckContext(
+        plan=plan,
+        target_schema=target_schema,
+        source_schemas=source_schemas,
+        mappings=dict(mappings),
+        date_attribute=date_attribute,
+        comparators=tuple(comparators),
+        produced=frozenset(produced),
+        coverage_complete=coverage_complete,
+    )
 
 
 class SchemaFlowChecker:
@@ -38,191 +86,20 @@ class SchemaFlowChecker:
         dataflow: Any = None,
         source_schemas: Mapping[str, Any] | None = None,
         mappings: Mapping[str, Any] | Iterable[Any] | None = None,
-        registry: Any = None,
         date_attribute: str | None = None,
         comparators: Sequence[Any] = (),
     ) -> list[Diagnostic]:
         """All ``TC001``–``TC009`` findings for one plan.
 
-        ``source_schemas`` maps source name to its probed schema and
-        ``mappings`` source name to its probe mapping (an iterable of
-        mapping objects is also accepted and keyed by ``source_name``).
-        ``dataflow`` supplies the walk order; without one, the wrangler's
-        canonical pipeline shape is synthesised from the plan's sources.
+        The probe artifacts are :func:`check_context`'s; ``dataflow``
+        supplies the walk order (without one, the wrangler's canonical
+        pipeline shape is used).
         """
-        context = self._build_context(
-            plan,
-            user,
-            source_schemas or {},
-            self._keyed_mappings(mappings),
-            registry,
-            date_attribute,
-            comparators,
+        context = check_context(
+            plan, user, source_schemas, mappings, date_attribute, comparators
         )
-        order, dependencies = self._topology(dataflow, context)
-        schemas: dict[str, Any] = {}
-        findings: list[Diagnostic] = []
-        for name in order:
-            kind, _, suffix = name.partition(":")
-            signature = SIGNATURES.get(kind)
-            if signature is None:
-                schemas[name] = self._first_input_schema(
-                    name, dependencies, schemas
-                )
-                continue
-            sub = suffix or None
-            input_schema = self._first_input_schema(
-                name, dependencies, schemas
-            )
-            findings.extend(signature.check(context, sub, input_schema))
-            schemas[name] = signature.infer(context, sub, input_schema)
-        return sort_diagnostics(findings)
-
-    # -- context ---------------------------------------------------------
-
-    @staticmethod
-    def _keyed_mappings(
-        mappings: Mapping[str, Any] | Iterable[Any] | None,
-    ) -> dict[str, Any]:
-        if mappings is None:
-            return {}
-        if isinstance(mappings, Mapping):
-            return dict(mappings)
-        return {
-            getattr(m, "source_name", f"mapping-{i}"): m
-            for i, m in enumerate(mappings)
-        }
-
-    @staticmethod
-    def _build_context(
-        plan: Any,
-        user: Any,
-        source_schemas: Mapping[str, Any],
-        mappings: Mapping[str, Any],
-        registry: Any,
-        date_attribute: str | None,
-        comparators: Sequence[Any],
-    ) -> CheckContext:
-        target_schema = getattr(user, "target_schema", None)
-        planned = tuple(getattr(plan, "sources", ()) or ())
-        produced: set[str] = set()
-        coverage_complete = bool(planned)
-        for name in planned:
-            mapping = mappings.get(name)
-            schema = source_schemas.get(name)
-            if mapping is None or schema is None:
-                coverage_complete = False
-                continue
-            for attribute_map in getattr(mapping, "attribute_maps", ()):
-                if attribute_map.source not in schema:
-                    continue
-                if (
-                    target_schema is not None
-                    and attribute_map.target not in target_schema
-                ):
-                    continue
-                produced.add(attribute_map.target)
-        names: frozenset[str] = frozenset()
-        if registry is not None:
-            names = frozenset(
-                registry.names() if hasattr(registry, "names") else registry
-            )
-        return CheckContext(
-            plan=plan,
-            target_schema=target_schema,
-            source_schemas=dict(source_schemas),
-            mappings=dict(mappings),
-            registry_names=names,
-            date_attribute=date_attribute,
-            comparators=tuple(comparators),
-            produced=frozenset(produced),
-            coverage_complete=coverage_complete,
-        )
-
-    # -- topology --------------------------------------------------------
-
-    def _topology(
-        self, dataflow: Any, context: CheckContext
-    ) -> tuple[list[str], dict[str, tuple[str, ...]]]:
-        """The walk order and dependency map: the dataflow's own graph
-        when available, the wrangler's canonical shape otherwise."""
-        if dataflow is not None and hasattr(dataflow, "dependency_map"):
-            dependencies = {
-                name: tuple(deps)
-                for name, deps in dataflow.dependency_map().items()
-            }
-            if hasattr(dataflow, "nodes"):
-                order = list(dataflow.nodes())
-            else:
-                order = self._toposort(dependencies)
-            return order, dependencies
-        return self._synthetic_topology(context)
-
-    @staticmethod
-    def _synthetic_topology(
-        context: CheckContext,
-    ) -> tuple[list[str], dict[str, tuple[str, ...]]]:
-        dependencies: dict[str, tuple[str, ...]] = {
-            "probe": (),
-            "plan": ("probe",),
-        }
-        mapped_nodes = []
-        for name in context.planned_sources:
-            dependencies[f"acquire:{name}"] = ("plan",)
-            dependencies[f"match:{name}"] = (f"acquire:{name}",)
-            dependencies[f"mapping:{name}"] = (f"match:{name}",)
-            dependencies[f"mapped:{name}"] = (
-                f"acquire:{name}",
-                f"mapping:{name}",
-            )
-            dependencies[f"quality:{name}"] = (f"mapped:{name}",)
-            mapped_nodes.append(f"mapped:{name}")
-        dependencies["select"] = tuple(
-            f"quality:{name}" for name in context.planned_sources
-        ) or ("plan",)
-        dependencies["translate"] = ("select", *mapped_nodes)
-        dependencies["resolve"] = ("translate",)
-        dependencies["fuse"] = ("resolve",)
-        dependencies["repair"] = ("fuse",)
-        return SchemaFlowChecker._toposort(dependencies), dependencies
-
-    @staticmethod
-    def _toposort(
-        dependencies: Mapping[str, Sequence[str]],
-    ) -> list[str]:
-        order: list[str] = []
-        visiting: set[str] = set()
-        done: set[str] = set()
-
-        def visit(name: str) -> None:
-            if name in done or name in visiting:
-                return  # cycles/dangling edges are PV001/PV002's business
-            visiting.add(name)
-            for dep in dependencies.get(name, ()):
-                if dep in dependencies:
-                    visit(dep)
-            visiting.discard(name)
-            done.add(name)
-            order.append(name)
-
-        for name in sorted(dependencies):
-            visit(name)
-        return order
-
-    @staticmethod
-    def _first_input_schema(
-        name: str,
-        dependencies: Mapping[str, Sequence[str]],
-        schemas: Mapping[str, Any],
-    ) -> Any:
-        """The schema flowing into ``name``: its first dependency that
-        inferred one (the wrangler wires exactly one table-bearing edge
-        per node)."""
-        for dep in dependencies.get(name, ()):
-            schema = schemas.get(dep)
-            if schema is not None:
-                return schema
-        return None
+        walk = walk_plan(plan, dataflow, types=context)
+        return sort_diagnostics(walk.type_findings)
 
 
 def check_schema_flow(**artifacts: Any) -> list[Diagnostic]:

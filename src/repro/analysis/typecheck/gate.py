@@ -2,10 +2,11 @@
 
 ``Wrangler.run(validate=True)`` funnels through :func:`run_preflight`,
 which folds the plan validator's structural findings (``PV0xx``), the
-schema-flow checker's type findings (``TC001``–``TC009``), the purity
-certifier's node verdicts (``TC010``), and the cost certifier's budget
-and cardinality findings (``CC0xx``) into one
-:class:`~repro.analysis.validator.ValidationReport` — so a plan is
+purity certifier's node verdicts (``TC010``), and — from one walk over
+the plan's dataflow (:func:`~repro.analysis.typecheck.operators.
+walk_plan`) — the schema-flow type findings (``TC001``–``TC009``) and
+the cost certifier's budget and cardinality findings (``CC0xx``) into
+one :class:`~repro.analysis.validator.ValidationReport` — so a plan is
 refused for a dangling dependency, an untypable mapping, an
 uncertifiable node, or an over-budget estimate through exactly the
 same machinery.  The combined report is deduplicated and stably
@@ -17,13 +18,16 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Sequence
 
+from repro.analysis.cost.certifier import certify_walk
+from repro.analysis.cost.model import CostContext, source_facts
 from repro.analysis.diagnostics import (
     Diagnostic,
     Severity,
     dedupe_diagnostics,
     sort_diagnostics,
 )
-from repro.analysis.typecheck.checker import SchemaFlowChecker
+from repro.analysis.typecheck.checker import check_context
+from repro.analysis.typecheck.operators import walk_plan
 from repro.analysis.typecheck.purity import PurityAnalyser, PurityVerdict
 from repro.analysis.typecheck.signatures import tc
 from repro.analysis.validator import PlanValidator, ValidationReport
@@ -111,11 +115,12 @@ def run_preflight(
     explicitly, falling back to the ``probe/``-prefixed entries of
     ``working``.  ``certify=False`` skips purity certification (the
     other gates still run).  When both a plan and
-    a registry are supplied, the cost certifier also runs: per-node
-    estimates are propagated through the dataflow (annotating it for
-    telemetry) and ``CC`` findings at warning severity or worse — an
+    a registry are supplied, the walk also runs the cost halves:
+    per-node estimates are propagated through the dataflow (annotating
+    it for telemetry), ``CC`` findings at warning severity or worse — an
     estimate over the ``cost_budget`` declared via ``Wrangler.budget()``
-    is an error — join the report.
+    is an error — join the report, and the full
+    :class:`~repro.analysis.cost.PlanCostReport` rides on its ``cost``.
     """
     filed_schemas, filed_mappings = probe_artifacts(working)
     if source_schemas is None:
@@ -134,38 +139,32 @@ def run_preflight(
     )
     findings: list[Diagnostic] = list(validator_report.diagnostics)
 
-    findings.extend(
-        SchemaFlowChecker().check(
+    types = check_context(
+        plan, user, source_schemas, mappings, date_attribute, comparators
+    )
+    costs = None
+    if plan is not None and registry is not None:
+        costs = CostContext(
             plan=plan,
             user=user,
-            dataflow=dataflow,
-            source_schemas=source_schemas,
-            mappings=mappings,
-            registry=registry,
-            date_attribute=date_attribute,
-            comparators=comparators,
+            sources=source_facts(registry),
+            budget=cost_budget,
+            discover_constraints=discover_constraints,
         )
-    )
+    walk = walk_plan(plan, dataflow, types=types, costs=costs)
+    findings.extend(walk.type_findings)
+    cost_report = None
+    if costs is not None:
+        cost_report = certify_walk(costs, walk, dataflow)
+        findings.extend(
+            cost_report.diagnostics(min_severity=Severity.WARNING)
+        )
 
     if certify and dataflow is not None and hasattr(dataflow, "certify"):
         verdicts = dataflow.certify(analyser=analyser or PurityAnalyser())
         findings.extend(purity_diagnostics(verdicts))
 
-    if plan is not None and registry is not None:
-        from repro.analysis.cost import check_plan_cost
-
-        cost_report = check_plan_cost(
-            plan=plan,
-            user=user,
-            registry=registry,
-            dataflow=dataflow,
-            budget=cost_budget,
-            discover_constraints=discover_constraints,
-        )
-        findings.extend(
-            cost_report.diagnostics(min_severity=Severity.WARNING)
-        )
-
     return ValidationReport(
-        tuple(sort_diagnostics(dedupe_diagnostics(findings)))
+        tuple(sort_diagnostics(dedupe_diagnostics(findings))),
+        cost=cost_report,
     )

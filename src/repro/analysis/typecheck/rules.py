@@ -10,31 +10,15 @@ linter, and typechecker findings render uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
-from repro.analysis.diagnostics import Severity
+from repro.analysis.diagnostics import Rule, Severity, catalogue
 
-__all__ = ["TypeRule", "TYPECHECK_RULES"]
-
-
-@dataclass(frozen=True)
-class TypeRule:
-    """One registered schema-flow invariant."""
-
-    rule_id: str
-    name: str
-    severity: Severity
-    description: str
-
-
-def _catalogue(*rules: TypeRule) -> Mapping[str, TypeRule]:
-    return {r.rule_id: r for r in rules}
-
+__all__ = ["TYPECHECK_RULES"]
 
 #: Rule catalogue for the typechecker (mirrored in docs/ANALYSIS.md).
-TYPECHECK_RULES: Mapping[str, TypeRule] = _catalogue(
-    TypeRule(
+TYPECHECK_RULES: Mapping[str, Rule] = catalogue(
+    Rule(
         "TC001",
         "source-schema-unknown",
         Severity.WARNING,
@@ -42,14 +26,14 @@ TYPECHECK_RULES: Mapping[str, TypeRule] = _catalogue(
         "probe failed or never ran): downstream checks for that source "
         "are suppressed rather than guessed.",
     ),
-    TypeRule(
+    Rule(
         "TC002",
         "mapping-reads-missing-attribute",
         Severity.ERROR,
         "A mapping reads a source attribute absent from the inferred "
         "input schema: the mapped column would be all-missing.",
     ),
-    TypeRule(
+    Rule(
         "TC003",
         "matched-types-never-coercible",
         Severity.ERROR,
@@ -57,7 +41,7 @@ TYPECHECK_RULES: Mapping[str, TypeRule] = _catalogue(
         "(e.g. BOOLEAN into INTEGER): every mapped value is a guaranteed "
         "TypeInferenceError at runtime.",
     ),
-    TypeRule(
+    Rule(
         "TC004",
         "transform-type-mismatch",
         Severity.ERROR,
@@ -65,14 +49,14 @@ TYPECHECK_RULES: Mapping[str, TypeRule] = _catalogue(
         "declared input domain, or produces a DataType that can never "
         "coerce to the target attribute's type.",
     ),
-    TypeRule(
+    Rule(
         "TC005",
         "er-attribute-missing",
         Severity.ERROR,
         "An entity-resolution comparison is keyed on an attribute absent "
         "from the resolved (translated) schema.",
     ),
-    TypeRule(
+    Rule(
         "TC006",
         "er-attribute-type-incompatible",
         Severity.ERROR,
@@ -81,7 +65,7 @@ TYPECHECK_RULES: Mapping[str, TypeRule] = _catalogue(
         "evidence, or a measure whose domain excludes the attribute's "
         "DataType.",
     ),
-    TypeRule(
+    Rule(
         "TC007",
         "fusion-attribute-unproduced",
         Severity.ERROR,
@@ -89,7 +73,7 @@ TYPECHECK_RULES: Mapping[str, TypeRule] = _catalogue(
         "recency attribute) that no upstream mapping of any selected "
         "source produces: the configuration can never take effect.",
     ),
-    TypeRule(
+    Rule(
         "TC008",
         "fusion-strategy-unsatisfiable",
         Severity.ERROR,
@@ -97,14 +81,14 @@ TYPECHECK_RULES: Mapping[str, TypeRule] = _catalogue(
         "fusion with no numeric-capable attribute in scope, or recency "
         "fusion keyed on a non-DATE attribute.",
     ),
-    TypeRule(
+    Rule(
         "TC009",
         "required-attribute-unproduced",
         Severity.WARNING,
         "A required target attribute is produced by no mapping of any "
         "selected source: the wrangled column will be entirely missing.",
     ),
-    TypeRule(
+    Rule(
         "TC010",
         "node-purity-uncertified",
         Severity.ERROR,

@@ -1,56 +1,51 @@
-"""The operator-signature registry: what each pipeline stage consumes
-and produces, schema-wise.
+"""The schema halves of the operator table: what each pipeline stage
+consumes and produces, schema-wise.
 
 Every dataflow node kind the wrangler composes (``acquire``, ``match``,
 ``mapping``, ``mapped``, ``translate``, ``resolve``, ``fuse``, ...) gets
-an :class:`OperatorSignature` declaring — *without executing anything* —
-which attributes and :class:`~repro.model.schema.DataType`\\ s the stage
-consumes from its input schema, what schema it emits, and which ``TC``
-rules guard the boundary.  The checker in
-:mod:`repro.analysis.typecheck.checker` walks the plan's dataflow
-topology and dispatches each node to its signature, threading inferred
-schemas stage to stage.
+a ``check_*`` function returning the ``TC`` diagnostics for one node of
+the kind and an ``infer`` function returning the schema the node emits
+(``None`` when it carries control state rather than a table) — both
+*without executing anything*.  Each receives the context, the node's
+qualifying suffix (the source name for per-source nodes), and the schema
+inferred for the node's table-bearing input.
+:data:`repro.analysis.typecheck.operators.OPERATORS` joins them with the
+cost halves of :mod:`repro.analysis.cost.model` into one row per kind,
+and the walk there threads inferred schemas stage to stage.
 
-Signatures are duck-typed like the plan validator: they read declared
+The halves are duck-typed like the plan validator: they read declared
 structure (plans, schemas, probe mappings) and never touch live data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Sequence
+from functools import partial
+from typing import Any, Mapping, Sequence
 
-from repro.analysis.diagnostics import Diagnostic, Location, Severity
+from repro.analysis.diagnostics import Diagnostic, Severity, finding
 from repro.analysis.typecheck.rules import TYPECHECK_RULES
 from repro.fusion.strategies import STRATEGY_VALUE_DOMAINS
-from repro.model.schema import (
-    Coercibility,
-    DataType,
-    Schema,
-    static_coercibility,
-)
+from repro.model.schema import Coercibility, DataType, static_coercibility
 from repro.resolution.comparison import MEASURE_DOMAINS, TRANSIENT_DTYPES
 
-__all__ = ["CheckContext", "OperatorSignature", "SIGNATURES", "tc"]
+__all__ = [
+    "CheckContext",
+    "tc",
+    # the per-kind schema halves the operator table joins
+    "check_acquire",
+    "check_fuse",
+    "check_mapping",
+    "check_match",
+    "check_resolve",
+    "infer_acquire",
+    "infer_target",
+    "passthrough",
+]
 
 
-def tc(
-    rule: str,
-    artifact: str,
-    node: str,
-    message: str,
-    fix_hint: str = "",
-    severity: Severity | None = None,
-) -> Diagnostic:
-    """A ``TC`` diagnostic with the catalogue severity (overridable)."""
-    registered = TYPECHECK_RULES[rule]
-    return Diagnostic(
-        rule,
-        severity or registered.severity,
-        Location(artifact, node=node),
-        message,
-        fix_hint,
-    )
+#: A ``TC`` diagnostic with the catalogue severity (overridable).
+tc = partial(finding, TYPECHECK_RULES)
 
 
 @dataclass
@@ -69,7 +64,6 @@ class CheckContext:
     target_schema: Any = None
     source_schemas: Mapping[str, Any] = field(default_factory=dict)
     mappings: Mapping[str, Any] = field(default_factory=dict)
-    registry_names: frozenset[str] = frozenset()
     date_attribute: str | None = None
     comparators: Sequence[Any] = ()
     produced: frozenset[str] = frozenset()
@@ -85,34 +79,10 @@ class CheckContext:
         return attribute.dtype if attribute is not None else None
 
 
-@dataclass(frozen=True)
-class OperatorSignature:
-    """One dataflow node kind's static contract.
-
-    ``check`` returns the diagnostics for one node of this kind;
-    ``infer`` returns the schema the node emits (``None`` when the node
-    carries control state rather than a table).  Both receive the
-    context, the node's qualifying suffix (the source name for per-source
-    nodes), and the schema inferred for the node's table-bearing input.
-    """
-
-    kind: str
-    stage: str
-    consumes: str
-    produces: str
-    rules: tuple[str, ...] = ()
-    check: Callable[
-        [CheckContext, str | None, Any], list[Diagnostic]
-    ] = lambda ctx, sub, input_schema: []
-    infer: Callable[
-        [CheckContext, str | None, Any], Any
-    ] = lambda ctx, sub, input_schema: None
-
-
 # -- per-kind checks ------------------------------------------------------
 
 
-def _check_acquire(
+def check_acquire(
     ctx: CheckContext, sub: str | None, input_schema: Any
 ) -> list[Diagnostic]:
     if sub is None or sub not in ctx.planned_sources:
@@ -131,13 +101,13 @@ def _check_acquire(
     ]
 
 
-def _infer_acquire(
+def infer_acquire(
     ctx: CheckContext, sub: str | None, input_schema: Any
 ) -> Any:
     return ctx.source_schemas.get(sub) if sub is not None else None
 
 
-def _check_match(
+def check_match(
     ctx: CheckContext, sub: str | None, input_schema: Any
 ) -> list[Diagnostic]:
     """TC003: matched attribute pairs whose DataTypes can never coerce."""
@@ -173,7 +143,7 @@ def _check_match(
     return findings
 
 
-def _check_mapping(
+def check_mapping(
     ctx: CheckContext, sub: str | None, input_schema: Any
 ) -> list[Diagnostic]:
     """TC002 (reads missing attribute) and TC004 (transform types)."""
@@ -265,15 +235,15 @@ def _check_transform(
     return findings
 
 
-def _infer_target(ctx: CheckContext, sub: str | None, input_schema: Any) -> Any:
+def infer_target(ctx: CheckContext, sub: str | None, input_schema: Any) -> Any:
     return ctx.target_schema
 
 
-def _passthrough(ctx: CheckContext, sub: str | None, input_schema: Any) -> Any:
+def passthrough(ctx: CheckContext, sub: str | None, input_schema: Any) -> Any:
     return input_schema
 
 
-def _check_resolve(
+def check_resolve(
     ctx: CheckContext, sub: str | None, input_schema: Any
 ) -> list[Diagnostic]:
     """TC005/TC006: ER comparison keys against the resolved schema."""
@@ -346,7 +316,7 @@ def _check_resolve(
     return findings
 
 
-def _check_fuse(
+def check_fuse(
     ctx: CheckContext, sub: str | None, input_schema: Any
 ) -> list[Diagnostic]:
     """TC007/TC008/TC009: fusion configuration against produced attrs."""
@@ -450,112 +420,3 @@ def _check_fuse(
                     )
                 )
     return findings
-
-
-def _infer_empty(ctx: CheckContext, sub: str | None, input_schema: Any) -> Any:
-    return Schema(())
-
-
-#: The registry: dataflow node-name prefix -> signature.  Node names are
-#: ``kind`` or ``kind:source`` (the wrangler's convention), so dispatch
-#: is on the prefix before ``:``.
-SIGNATURES: Mapping[str, OperatorSignature] = {
-    sig.kind: sig
-    for sig in (
-        OperatorSignature(
-            "probe",
-            "probe",
-            consumes="registered source samples",
-            produces="probe artifacts (no table)",
-        ),
-        OperatorSignature(
-            "plan",
-            "planning",
-            consumes="probe artifacts + contexts",
-            produces="a WranglePlan (no table)",
-        ),
-        OperatorSignature(
-            "acquire",
-            "extraction",
-            consumes="one registered source's raw rows",
-            produces="the source's own schema",
-            rules=("TC001",),
-            check=_check_acquire,
-            infer=_infer_acquire,
-        ),
-        OperatorSignature(
-            "match",
-            "matching",
-            consumes="the source schema + target schema",
-            produces="the source schema (correspondences ride alongside)",
-            rules=("TC003",),
-            check=_check_match,
-            infer=_passthrough,
-        ),
-        OperatorSignature(
-            "mapping",
-            "mapping",
-            consumes="correspondences for one source",
-            produces="an executable Mapping (no table)",
-            rules=("TC002", "TC004"),
-            check=_check_mapping,
-        ),
-        OperatorSignature(
-            "mapped",
-            "mapping",
-            consumes="one source table + its mapping",
-            produces="the target schema",
-            infer=_infer_target,
-        ),
-        OperatorSignature(
-            "quality",
-            "quality",
-            consumes="one mapped table",
-            produces="quality report (no table)",
-        ),
-        OperatorSignature(
-            "select",
-            "selection",
-            consumes="quality reports + plan",
-            produces="the selected source names (no table)",
-        ),
-        OperatorSignature(
-            "translate",
-            "mapping",
-            consumes="all selected mapped tables",
-            produces="the target schema (union of mapped rows)",
-            infer=_infer_target,
-        ),
-        OperatorSignature(
-            "resolve",
-            "resolution",
-            consumes="ER comparison attributes of the translated table",
-            produces="the target schema (clustered rows)",
-            rules=("TC005", "TC006"),
-            check=_check_resolve,
-            infer=_passthrough,
-        ),
-        OperatorSignature(
-            "fuse",
-            "fusion",
-            consumes="strategy-specific attribute values per cluster",
-            produces="the target schema (one row per entity)",
-            rules=("TC007", "TC008", "TC009"),
-            check=_check_fuse,
-            infer=_passthrough,
-        ),
-        OperatorSignature(
-            "repair",
-            "repair",
-            consumes="the fused table + feedback",
-            produces="the target schema (repaired rows)",
-            infer=_passthrough,
-        ),
-        OperatorSignature(
-            "input",
-            "input",
-            consumes="an externally set value",
-            produces="whatever was set (no static schema)",
-        ),
-    )
-}

@@ -18,12 +18,15 @@ dicts and hand-built plans.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Iterable, Mapping, Sequence
 
 from repro.analysis.diagnostics import (
     Diagnostic,
-    Location,
+    Rule,
     Severity,
+    catalogue,
+    finding,
     has_errors,
     sort_diagnostics,
 )
@@ -34,23 +37,42 @@ from repro.fusion.strategies import STRATEGIES
 __all__ = ["ValidationReport", "PlanValidator", "validate_plan"]
 
 #: Rule catalogue for the validator half (mirrored in docs/ANALYSIS.md).
-VALIDATOR_RULES: Mapping[str, str] = {
-    "PV001": "dataflow dependency on an undefined node",
-    "PV002": "dataflow dependency cycle",
-    "PV003": "plan selects a source that is not registered",
-    "PV004": "mapping references an attribute absent from its schema",
-    "PV005": "plan threshold outside [0, 1]",
-    "PV006": "confidence or criteria weight outside [0, 1]",
-    "PV007": "fusion strategy unknown or its prerequisite is missing",
-    "PV008": "budget/floor contradiction in the user context",
-}
+#: Every rule is an error by default; the degraded-but-runnable cases of
+#: PV007/PV008 override to warning at the call site.
+VALIDATOR_RULES: Mapping[str, Rule] = catalogue(
+    Rule("PV001", "dangling-dependency", Severity.ERROR,
+         "dataflow dependency on an undefined node"),
+    Rule("PV002", "dependency-cycle", Severity.ERROR,
+         "dataflow dependency cycle"),
+    Rule("PV003", "unregistered-source", Severity.ERROR,
+         "plan selects a source that is not registered"),
+    Rule("PV004", "mapping-attribute-missing", Severity.ERROR,
+         "mapping references an attribute absent from its schema"),
+    Rule("PV005", "threshold-out-of-range", Severity.ERROR,
+         "plan threshold outside [0, 1]"),
+    Rule("PV006", "weight-out-of-range", Severity.ERROR,
+         "confidence or criteria weight outside [0, 1]"),
+    Rule("PV007", "fusion-prerequisite-missing", Severity.ERROR,
+         "fusion strategy unknown or its prerequisite is missing"),
+    Rule("PV008", "budget-contradiction", Severity.ERROR,
+         "budget/floor contradiction in the user context"),
+)
+
+pv = partial(finding, VALIDATOR_RULES)
 
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """The outcome of one static validation pass."""
+    """The outcome of one static validation pass.
+
+    ``cost`` is the :class:`~repro.analysis.cost.PlanCostReport` the
+    preflight walk produced (``None`` when no cost pass ran): per-node
+    estimates and every ``CC`` finding, including the info-severity ones
+    the gate's ``diagnostics`` leave out.
+    """
 
     diagnostics: tuple[Diagnostic, ...]
+    cost: Any = None
 
     @property
     def ok(self) -> bool:
@@ -83,19 +105,6 @@ class ValidationReport:
                 diagnostics=fatal,
             )
         return self
-
-
-def _diag(
-    rule: str,
-    severity: Severity,
-    artifact: str,
-    node: str,
-    message: str,
-    fix_hint: str = "",
-) -> Diagnostic:
-    return Diagnostic(
-        rule, severity, Location(artifact, node=node), message, fix_hint
-    )
 
 
 def _in_unit_interval(value: object) -> bool:
@@ -131,9 +140,8 @@ class PlanValidator:
             for dep in deps:
                 if dep not in dependencies:
                     findings.append(
-                        _diag(
+                        pv(
                             "PV001",
-                            Severity.ERROR,
                             "dataflow",
                             name,
                             f"node {name!r} depends on undefined node {dep!r}",
@@ -144,9 +152,8 @@ class PlanValidator:
         if cycle:
             path = " -> ".join(cycle)
             findings.append(
-                _diag(
+                pv(
                     "PV002",
-                    Severity.ERROR,
                     "dataflow",
                     cycle[0],
                     f"dataflow contains a dependency cycle: {path}",
@@ -199,9 +206,8 @@ class PlanValidator:
         for name in getattr(plan, "sources", ()):
             if name not in registered:
                 findings.append(
-                    _diag(
+                    pv(
                         "PV003",
-                        Severity.ERROR,
                         "plan",
                         name,
                         f"plan selects unregistered source {name!r} "
@@ -228,9 +234,8 @@ class PlanValidator:
                 continue
             if not _in_unit_interval(value):
                 findings.append(
-                    _diag(
+                    pv(
                         "PV005",
-                        Severity.ERROR,
                         "plan",
                         field_name,
                         f"{field_name} must be in [0, 1], got {value!r}",
@@ -255,9 +260,8 @@ class PlanValidator:
         known = set(STRATEGIES)
         if strategy is not None and strategy not in known:
             findings.append(
-                _diag(
+                pv(
                     "PV007",
-                    Severity.ERROR,
                     "plan",
                     "fusion_strategy",
                     f"unknown fusion strategy {strategy!r} "
@@ -271,9 +275,8 @@ class PlanValidator:
         ):
             if override not in known:
                 findings.append(
-                    _diag(
+                    pv(
                         "PV007",
-                        Severity.ERROR,
                         "plan",
                         f"fusion_overrides.{attribute}",
                         f"fusion override for {attribute!r} names unknown "
@@ -283,9 +286,8 @@ class PlanValidator:
                 )
             if target_schema is not None and attribute not in target_schema:
                 findings.append(
-                    _diag(
+                    pv(
                         "PV007",
-                        Severity.ERROR,
                         "plan",
                         f"fusion_overrides.{attribute}",
                         f"fusion override targets attribute {attribute!r} "
@@ -297,15 +299,15 @@ class PlanValidator:
                 attr = target_schema.get(attribute)
                 if attr is not None and not attr.dtype.is_numeric():
                     findings.append(
-                        _diag(
+                        pv(
                             "PV007",
-                            Severity.WARNING,
                             "plan",
                             f"fusion_overrides.{attribute}",
                             f"median fusion on non-numeric attribute "
                             f"{attribute!r} ({attr.dtype.value}) degrades to "
                             "majority vote",
                             "use a categorical strategy for this attribute",
+                            severity=Severity.WARNING,
                         )
                     )
         if strategy == "recent" and date_attribute is None:
@@ -314,23 +316,22 @@ class PlanValidator:
             )
             if not has_date:
                 findings.append(
-                    _diag(
+                    pv(
                         "PV007",
-                        Severity.WARNING,
                         "plan",
                         "fusion_strategy",
                         "recency fusion selected but no date attribute is "
                         "declared anywhere: all claims tie at default recency",
                         "declare date_attribute or add a DATE column",
+                        severity=Severity.WARNING,
                     )
                 )
         if master_key is not None:
             master_data = getattr(data, "master_data", {}) if data else {}
             if master_key not in master_data:
                 findings.append(
-                    _diag(
+                    pv(
                         "PV007",
-                        Severity.ERROR,
                         "data-context",
                         master_key,
                         f"master-data key {master_key!r} is declared but the "
@@ -354,9 +355,8 @@ class PlanValidator:
         ):
             if not _in_unit_interval(weight):
                 findings.append(
-                    _diag(
+                    pv(
                         "PV006",
-                        Severity.ERROR,
                         "user-context",
                         getattr(dimension, "value", str(dimension)),
                         f"criteria weight for {getattr(dimension, 'value', dimension)} "
@@ -372,9 +372,8 @@ class PlanValidator:
             name = getattr(dimension, "value", str(dimension))
             if not _in_unit_interval(floor):
                 findings.append(
-                    _diag(
+                    pv(
                         "PV006",
-                        Severity.ERROR,
                         "user-context",
                         name,
                         f"floor for {name} must be in [0, 1], got {floor!r}",
@@ -383,15 +382,15 @@ class PlanValidator:
                 )
             elif floor > 0 and weights.get(dimension, 0.0) == 0.0:
                 findings.append(
-                    _diag(
+                    pv(
                         "PV008",
-                        Severity.WARNING,
                         "user-context",
                         name,
                         f"hard floor {floor:.2f} on {name} but the dimension "
                         "carries zero weight: candidates are filtered on a "
                         "criterion the ranking never optimises",
                         "give the dimension a non-zero weight",
+                        severity=Severity.WARNING,
                     )
                 )
         budget = getattr(user, "budget", None)
@@ -399,9 +398,8 @@ class PlanValidator:
             selected = list(getattr(plan, "sources", ()) or ())
             if budget == 0 and selected:
                 findings.append(
-                    _diag(
+                    pv(
                         "PV008",
-                        Severity.ERROR,
                         "user-context",
                         "budget",
                         f"budget is 0 but the plan selects "
@@ -414,9 +412,8 @@ class PlanValidator:
                 cost = self._plan_cost(selected, registry)
                 if cost is not None and cost > budget:
                     findings.append(
-                        _diag(
+                        pv(
                             "PV008",
-                            Severity.ERROR,
                             "user-context",
                             "budget",
                             f"plan's acquisition cost {cost:.1f} exceeds the "
@@ -461,9 +458,8 @@ class PlanValidator:
             source_name = getattr(mapping, "source_name", "?")
             if not _in_unit_interval(getattr(mapping, "confidence", 0.0)):
                 findings.append(
-                    _diag(
+                    pv(
                         "PV006",
-                        Severity.ERROR,
                         "mapping",
                         source_name,
                         f"mapping {getattr(mapping, 'mapping_id', '?')} has "
@@ -478,9 +474,8 @@ class PlanValidator:
                     getattr(attribute_map, "confidence", 0.0)
                 ):
                     findings.append(
-                        _diag(
+                        pv(
                             "PV006",
-                            Severity.ERROR,
                             "mapping",
                             f"{source_name}.{attribute_map.target}",
                             f"attribute map {attribute_map.target!r} has "
@@ -494,9 +489,8 @@ class PlanValidator:
                     and attribute_map.target not in target_schema
                 ):
                     findings.append(
-                        _diag(
+                        pv(
                             "PV004",
-                            Severity.ERROR,
                             "mapping",
                             f"{source_name}.{attribute_map.target}",
                             f"mapping produces {attribute_map.target!r} which "
@@ -506,9 +500,8 @@ class PlanValidator:
                     )
                 if schema is not None and attribute_map.source not in schema:
                     findings.append(
-                        _diag(
+                        pv(
                             "PV004",
-                            Severity.ERROR,
                             "mapping",
                             f"{source_name}.{attribute_map.source}",
                             f"mapping reads {attribute_map.source!r} which "

@@ -283,10 +283,9 @@ class Dataflow:
 
         The cost certifier (see :mod:`repro.analysis.cost`) calls this
         after propagating estimates through the topology, so telemetry
-        exports carry the prediction next to the observed ``seconds``
-        and the calibration loop can compare them.  Unknown names are
-        ignored — a synthetic topology may estimate nodes this graph
-        does not carry.
+        exports carry the prediction next to the observed ``seconds``.
+        Unknown names are ignored — a synthetic topology may estimate
+        nodes this graph does not carry.
         """
         for name, predicted in costs.items():
             node = self._nodes.get(name)

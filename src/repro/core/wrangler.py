@@ -742,8 +742,9 @@ class Wrangler:
         Probes the sources (the cheap sample pass) and composes a plan,
         then runs structure validation, schema-flow type checking, and
         purity certification over it.  Returns the
-        :class:`~repro.analysis.validator.ValidationReport` instead of
-        raising, so callers (e.g. ``python -m repro.analysis.typecheck``)
+        :class:`~repro.analysis.validator.ValidationReport` (its ``cost``
+        carries the plan's cost certificate) instead of raising, so
+        callers (e.g. ``python -m repro.analysis typecheck`` / ``cost``)
         can render every finding.
         """
         flow = self.flow

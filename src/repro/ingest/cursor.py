@@ -88,10 +88,21 @@ class DeltaBatch:
     table: Any = None
 
 
+def _number(text: str) -> int | float | None:
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            continue
+    return None
+
+
 def cursor_after(value: Any, boundary: Any) -> bool:
     """Whether a row's cursor value lies strictly past the boundary.
 
     ``None`` boundaries admit everything; ``None`` values never pass.
+    Text cursors that both read as numbers compare numerically — a CSV
+    delivers every cell as a string, and ``"10" > "9"`` is false.
     Mixed-type cursors (a source that switched from ints to strings)
     fall back to string ordering rather than raising mid-fetch.
     """
@@ -99,6 +110,10 @@ def cursor_after(value: Any, boundary: Any) -> bool:
         return True
     if value is None:
         return False
+    if isinstance(value, str) and isinstance(boundary, str):
+        numbers = _number(value), _number(boundary)
+        if None not in numbers:
+            return numbers[0] > numbers[1]
     try:
         return bool(value > boundary)
     except TypeError:

@@ -1,12 +1,13 @@
-"""The cost CLI: discovery, certify/calibrate/ratchet modes, formats,
-and the shared analysis exit-code contract."""
+"""The driver's ``cost`` and ``ratchet`` subcommands: discovery,
+formats, and the shared analysis exit-code contract."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.cost.cli import check_paths, main
+from repro.analysis.__main__ import main
+from repro.analysis.plans import check_paths
 
 FIXTURES = Path(__file__).with_name("ratchet_fixtures")
 BASELINE = FIXTURES / "baseline"
@@ -58,13 +59,13 @@ def over_budget_module(tmp_path):
 
 class TestCertifyMode:
     def test_affordable_plan_exits_zero(self, plan_module, capsys):
-        assert main([str(plan_module)]) == 0
+        assert main(["cost", str(plan_module)]) == 0
         out = capsys.readouterr().out
         assert "cost certification:" in out
         assert "within budget" in out
 
     def test_over_budget_plan_exits_one(self, over_budget_module, capsys):
-        assert main([str(over_budget_module)]) == 1
+        assert main(["cost", str(over_budget_module)]) == 1
         out = capsys.readouterr().out
         assert "CC005" in out
         assert "OVER BUDGET" in out
@@ -72,28 +73,28 @@ class TestCertifyMode:
     def test_findings_are_reanchored_to_the_plan_module(
         self, over_budget_module, capsys
     ):
-        main([str(over_budget_module)])
+        main(["cost", str(over_budget_module)])
         assert "over_budget_plan.py::" in capsys.readouterr().out
 
     def test_unknown_path_exits_two(self, capsys):
-        assert main(["does/not/exist.py"]) == 2
+        assert main(["cost", "does/not/exist.py"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_explicit_file_without_entry_exits_two(self, tmp_path, capsys):
         target = tmp_path / "not_a_plan.py"
         target.write_text("x = 1\n")
-        assert main([str(target)]) == 2
+        assert main(["cost", str(target)]) == 2
         assert "build_wrangler" in capsys.readouterr().err
 
     def test_directory_skips_non_plan_modules(self, tmp_path, capsys):
         (tmp_path / "helper.py").write_text("x = 1\n")
         (tmp_path / "plan.py").write_text(PLAN)
-        assert main([str(tmp_path)]) == 0
+        assert main(["cost", str(tmp_path)]) == 0
         err = capsys.readouterr().err
         assert "helper.py" in err and "skipped" in err
 
     def test_json_report_shape(self, over_budget_module, capsys):
-        assert main([str(over_budget_module), "--format", "json"]) == 1
+        assert main(["cost", str(over_budget_module), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         (plan,) = payload["plans"]
         assert plan["over_budget"] is True
@@ -107,7 +108,7 @@ class TestCertifyMode:
     def test_custom_entry_point(self, tmp_path):
         target = tmp_path / "named.py"
         target.write_text(PLAN.replace("build_wrangler", "make_it"))
-        assert main([str(target), "--entry", "make_it"]) == 0
+        assert main(["cost", str(target), "--entry", "make_it"]) == 0
 
     def test_check_paths_counts_and_reports(self, plan_module):
         result = check_paths([str(plan_module)])
@@ -117,16 +118,16 @@ class TestCertifyMode:
         assert report.total_access_cost > 0.0
 
     def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
+        assert main(["cost", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (f"CC{n:03d}" for n in range(1, 11)):
+        for rule_id in (f"CC{n:03d}" for n in range(1, 10)):
             assert rule_id in out
 
 
 class TestRatchetMode:
     def test_passing_ratchet_exits_zero(self, capsys):
         code = main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(BASELINE)]
         )
         assert code == 0
@@ -134,7 +135,7 @@ class TestRatchetMode:
 
     def test_regression_exits_one(self, capsys):
         code = main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(REGRESSED)]
         )
         assert code == 1
@@ -142,20 +143,20 @@ class TestRatchetMode:
 
     def test_tolerance_flag_loosens_the_gate(self):
         assert main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(REGRESSED), "--tolerance", "0.25"]
         ) == 0
 
     def test_missing_baseline_dir_exits_two(self, tmp_path, capsys):
         assert main(
-            ["--ratchet", "--baseline", str(tmp_path / "nope"),
+            ["ratchet", "--baseline", str(tmp_path / "nope"),
              "--fresh", str(tmp_path)]
         ) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_json_format(self, capsys):
         main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(REGRESSED), "--format", "json"]
         )
         payload = json.loads(capsys.readouterr().out)
@@ -170,7 +171,7 @@ class TestRatchetMode:
             'emit("BENCH_synthetic", "...")\n', encoding="utf-8"
         )
         assert main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(BASELINE),
              "--check-baselines", str(benches)]
         ) == 0
@@ -179,7 +180,7 @@ class TestRatchetMode:
         benches = tmp_path / "benchmarks"
         benches.mkdir()  # no bench_*.py mentions BENCH_synthetic
         code = main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(BASELINE),
              "--check-baselines", str(benches)]
         )
@@ -190,7 +191,7 @@ class TestRatchetMode:
         benches = tmp_path / "benchmarks"
         benches.mkdir()
         main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(BASELINE),
              "--check-baselines", str(benches),
              "--format", "json"]
@@ -203,42 +204,8 @@ class TestRatchetMode:
         self, tmp_path, capsys
     ):
         assert main(
-            ["--ratchet", "--baseline", str(BASELINE),
+            ["ratchet", "--baseline", str(BASELINE),
              "--fresh", str(BASELINE),
              "--check-baselines", str(tmp_path / "nowhere")]
         ) == 2
-        assert "error:" in capsys.readouterr().err
-
-
-class TestCalibrateMode:
-    def test_calibrates_from_a_snapshot(self, tmp_path, capsys):
-        snapshot = tmp_path / "run.telemetry.json"
-        snapshot.write_text(json.dumps({
-            "dataflow": {"nodes": {
-                "resolve": {"stage": "resolution", "runs": 4,
-                            "seconds": 2.0},
-                "fuse": {"stage": "fusion", "runs": 4, "seconds": 0.4},
-            }},
-        }))
-        assert main(["--calibrate", str(snapshot)]) == 0
-        out = capsys.readouterr().out
-        assert "resolution" in out
-        assert "s/run" in out
-
-    def test_committed_snapshots_calibrate(self, capsys):
-        # The repo's own telemetry is always a valid calibration corpus.
-        import os
-        from pathlib import Path
-
-        repo = Path(__file__).resolve().parents[2]
-        cwd = os.getcwd()
-        os.chdir(repo)
-        try:
-            assert main(["--calibrate"]) == 0
-        finally:
-            os.chdir(cwd)
-        assert "node observation(s)" in capsys.readouterr().out
-
-    def test_unknown_snapshot_path_exits_two(self, capsys):
-        assert main(["--calibrate", "no/such/file.telemetry.json"]) == 2
         assert "error:" in capsys.readouterr().err

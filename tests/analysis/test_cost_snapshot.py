@@ -8,7 +8,7 @@ Regenerate the snapshot after a deliberate cost-model change with::
 
     PYTHONPATH=src python - <<'PY'
     import json
-    from repro.analysis.cost.cli import check_paths
+    from repro.analysis.plans import check_paths
     result = check_paths(["examples"])
     snapshot = {
         path: report.to_dict() for path, report in result.reports
@@ -25,7 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cost.cli import _render_json, check_paths
+from repro.analysis.__main__ import render_cost_json
+from repro.analysis.plans import check_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SNAPSHOT = Path(__file__).with_name("cost_certification.json")
@@ -79,4 +80,4 @@ class TestExamplesCostCertification:
             again = check_paths(["examples"])
         finally:
             os.chdir(cwd)
-        assert _render_json(examples_result) == _render_json(again)
+        assert render_cost_json(examples_result) == render_cost_json(again)

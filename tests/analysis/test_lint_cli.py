@@ -1,10 +1,11 @@
-"""The lint CLI: formats, rule selection, and the exit-code contract."""
+"""The driver's ``lint`` subcommand: formats, rule selection, and the
+exit-code contract."""
 
 import json
 
 import pytest
 
-from repro.analysis.lint import main
+from repro.analysis.__main__ import main
 from repro.errors import AnalysisError
 
 
@@ -30,27 +31,33 @@ def clean_module(tmp_path):
 
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, clean_module, capsys):
-        assert main([str(clean_module)]) == 0
+        assert main(["lint", str(clean_module)]) == 0
         assert "clean" in capsys.readouterr().out
 
     def test_errors_exit_one(self, bad_module, capsys):
-        assert main([str(bad_module)]) == 1
+        assert main(["lint", str(bad_module)]) == 1
         out = capsys.readouterr().out
         for rule_id in ("REP001", "REP003", "REP010"):
             assert rule_id in out
 
     def test_unknown_path_exits_two(self, capsys):
-        assert main(["/no/such/path-at-all"]) == 2
+        assert main(["lint", "/no/such/path-at-all"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_unknown_rule_exits_two(self, clean_module, capsys):
-        assert main([str(clean_module), "--select", "REP999"]) == 2
+        assert main(["lint", str(clean_module), "--select", "REP999"]) == 2
         assert "unknown rule" in capsys.readouterr().err
+
+    def test_unknown_subcommand_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            main(["calibrate"])
+        assert usage.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestFormats:
     def test_json_report_shape(self, bad_module, capsys):
-        assert main([str(bad_module), "--format", "json"]) == 1
+        assert main(["lint", str(bad_module), "--format", "json"]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["errors"] >= 3
         assert payload["summary"]["checked_files"] == 1
@@ -60,19 +67,19 @@ class TestFormats:
         assert {"rule", "severity", "file", "line", "message", "fix_hint"} <= set(first)
 
     def test_text_report_has_locations_and_summary(self, bad_module, capsys):
-        main([str(bad_module)])
+        main(["lint", str(bad_module)])
         out = capsys.readouterr().out
         assert "bad.py:2:" in out  # file:line:col anchors
         assert "found" in out and "error" in out
 
     def test_select_restricts_rules(self, bad_module, capsys):
-        assert main([str(bad_module), "--select", "REP010"]) == 1
+        assert main(["lint", str(bad_module), "--select", "REP010"]) == 1
         out = capsys.readouterr().out
         assert "REP010" in out
         assert "REP001" not in out
 
     def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
+        assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (f"REP{n:03d}" for n in range(1, 11)):
             assert rule_id in out
@@ -91,5 +98,5 @@ class TestEngineEdgeCases:
         nested = tmp_path / "pkg" / "sub"
         nested.mkdir(parents=True)
         (nested / "mod.py").write_text("assert True\n")
-        assert main([str(tmp_path)]) == 1
+        assert main(["lint", str(tmp_path)]) == 1
         assert "REP001" in capsys.readouterr().out

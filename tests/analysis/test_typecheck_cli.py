@@ -1,10 +1,12 @@
-"""The typecheck CLI: discovery, formats, and the exit-code contract."""
+"""The driver's ``typecheck`` subcommand: discovery, formats, and the
+exit-code contract."""
 
 import json
 
 import pytest
 
-from repro.analysis.typecheck.cli import check_paths, main
+from repro.analysis.__main__ import main
+from repro.analysis.plans import check_paths
 from repro.errors import AnalysisError
 
 CLEAN_PLAN = """\
@@ -52,29 +54,29 @@ def broken_plan(tmp_path):
 
 class TestExitCodes:
     def test_clean_plan_exits_zero(self, clean_plan, capsys):
-        assert main([str(clean_plan)]) == 0
+        assert main(["typecheck", str(clean_plan)]) == 0
         out = capsys.readouterr().out
         assert "clean" in out
         assert "purity:" in out  # node-coverage line
 
     def test_gate_errors_exit_one(self, broken_plan, capsys):
-        assert main([str(broken_plan)]) == 1
+        assert main(["typecheck", str(broken_plan)]) == 1
         assert "PV007" in capsys.readouterr().out
 
     def test_unknown_path_exits_two(self, capsys):
-        assert main(["/no/such/path-at-all"]) == 2
+        assert main(["typecheck", "/no/such/path-at-all"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_explicit_file_without_entry_exits_two(self, tmp_path, capsys):
         target = tmp_path / "not_a_plan.py"
         target.write_text("VALUE = 1\n")
-        assert main([str(target)]) == 2
+        assert main(["typecheck", str(target)]) == 2
         assert "build_wrangler" in capsys.readouterr().err
 
     def test_unimportable_module_exits_two(self, tmp_path, capsys):
         target = tmp_path / "exploding.py"
         target.write_text("raise RuntimeError('boom')\n")
-        assert main([str(target)]) == 2
+        assert main(["typecheck", str(target)]) == 2
         assert "boom" in capsys.readouterr().err
 
 
@@ -82,7 +84,7 @@ class TestDiscovery:
     def test_directory_skips_non_plan_modules(self, tmp_path, capsys):
         (tmp_path / "clean_plan.py").write_text(CLEAN_PLAN)
         (tmp_path / "helper.py").write_text("VALUE = 1\n")
-        assert main([str(tmp_path)]) == 0
+        assert main(["typecheck", str(tmp_path)]) == 0
         captured = capsys.readouterr()
         assert "helper.py" in captured.err and "skipped" in captured.err
 
@@ -103,7 +105,7 @@ class TestDiscovery:
 
 class TestFormats:
     def test_json_report_shape(self, broken_plan, capsys):
-        assert main([str(broken_plan), "--format", "json"]) == 1
+        assert main(["typecheck", str(broken_plan), "--format", "json"]) == 1
         out = capsys.readouterr().out
         payload = json.loads(out.split("\npurity:")[0])
         assert payload["summary"]["errors"] >= 1
@@ -111,11 +113,11 @@ class TestFormats:
         assert "PV007" in rules
 
     def test_findings_reanchored_to_plan_module(self, broken_plan, capsys):
-        main([str(broken_plan)])
+        main(["typecheck", str(broken_plan)])
         assert "broken_plan.py::" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
+        assert main(["typecheck", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule_id in (f"TC{n:03d}" for n in range(1, 11)):
             assert rule_id in out

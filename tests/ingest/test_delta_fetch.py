@@ -44,6 +44,12 @@ class TestCursorPrimitives:
         assert cursor_after("b", "a")
         assert cursor_after(2, "11")  # "2" > "11" lexicographically
 
+    def test_numeric_text_cursors_compare_as_numbers(self):
+        assert cursor_after("10", "9")
+        assert not cursor_after("9", "10")
+        assert cursor_after("2.5", "2")
+        assert cursor_after("2024-01-10", "2024-01-09")  # not numbers
+
     def test_watermark_never_regresses(self):
         rows = [{"seq": 5}, {"seq": 3}]
         first = watermark_for("feed", [{"seq": 9}], "seq")
@@ -104,6 +110,27 @@ class TestFetchDelta:
         assert not source.supports_delta()
         batch = source.fetch_delta(None)
         assert batch.mode == "full" and batch.fraction == 1.0
+
+    def test_unpadded_integer_csv_cursor_stays_on_the_delta_path(
+        self, tmp_path
+    ):
+        # CSV cells are strings: a string comparison puts "10" before
+        # "9", so the delta came back empty, the merge failed, and every
+        # tick past the tenth row fell back to a full refetch.
+        path = tmp_path / "feed.csv"
+        path.write_text("product,seq\nlaptop,8\nphone,9\n")
+        source = CSVSource("feed", path, cursor="seq")
+        first = source.fetch_delta(None)
+        path.write_text(
+            "product,seq\nlaptop,8\nphone,9\ntablet,10\nwatch,11\n"
+        )
+        batch = source.fetch_delta(first.watermark)
+        assert batch.mode == "delta"
+        assert [row["seq"] for row in batch.rows] == ["10", "11"]
+        assert batch.watermark.cursor == "11"
+        merged = merge_delta([dict(row) for row in first.rows], batch)
+        assert merged is not None  # no fallback-full
+        assert [row["seq"] for row in merged] == ["8", "9", "10", "11"]
 
 
 class TestMergeDelta:

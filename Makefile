@@ -36,7 +36,8 @@ bench:
 
 # The perf ratchet: copy the committed BENCH_* baselines aside (so the
 # fresh run cannot overwrite what it is compared against), re-run the
-# ratcheted benchmark, and fail on any lower-is-better metric
+# ratcheted benchmarks (ER scale, incremental ingestion, the type-
+# inference load path), and fail on any lower-is-better metric
 # regressing past the tolerance.  The live gate runs at 50% rather
 # than the CLI's 15% default: wall-clock minima on a shared runner
 # still swing ~30% run-to-run even best-of-3, while a real algorithmic
@@ -50,7 +51,7 @@ bench-gate:
 	rm -rf benchmarks/.ratchet
 	mkdir -p benchmarks/.ratchet
 	cp benchmarks/results/BENCH_*.json benchmarks/.ratchet/
-	$(PYTHON) -m pytest benchmarks/bench_er_scale.py benchmarks/bench_e14_velocity.py -q -p no:cacheprovider
+	$(PYTHON) -m pytest benchmarks/bench_er_scale.py benchmarks/bench_e14_velocity.py benchmarks/bench_type_inference.py -q -p no:cacheprovider
 	$(PYTHON) -m repro.analysis ratchet --baseline benchmarks/.ratchet --fresh benchmarks/results --tolerance 0.5 --check-baselines benchmarks
 	$(PYTHON) -m repro.analysis lint benchmarks --select REP015
 

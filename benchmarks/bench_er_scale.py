@@ -37,6 +37,7 @@ from bench_e7_scale import offers_table
 from helpers import (
     RESULTS_DIR,
     bench_telemetry,
+    best_of,
     emit,
     emit_telemetry,
     format_table,
@@ -95,15 +96,6 @@ def true_pairs(table: Table):
     """The known duplicate index pairs: the generator emits each entity
     twice, back to back."""
     return [(i, i + 1) for i in range(0, len(table), 2)]
-
-
-def best_of(telemetry, label, thunk, reps, **attributes):
-    result, best = None, None
-    for __ in range(reps):
-        value, elapsed = timed(telemetry, label, thunk, **attributes)
-        if best is None or elapsed < best:
-            result, best = value, elapsed
-    return result, best
 
 
 def test_bench_er_scale():

@@ -82,6 +82,18 @@ def timed(
     return value, span.duration
 
 
+def best_of(
+    telemetry: Telemetry, label: str, work: Callable[[], T], reps: int, **attributes
+) -> tuple[T, float]:
+    """:func:`timed` ``reps`` times; the quickest run's ``(value, seconds)``."""
+    result, best = None, None
+    for __ in range(reps):
+        value, elapsed = timed(telemetry, label, work, **attributes)
+        if best is None or elapsed < best:
+            result, best = value, elapsed
+    return result, best
+
+
 def emit_telemetry(experiment: str, snapshot: dict) -> Path:
     """Persist a benchmark's telemetry snapshot, schema-checked.
 

@@ -113,9 +113,9 @@ class PurityAnalyser:
     """Certify callables as pure without executing them.
 
     One analyser instance may certify many callables; parsed module ASTs
-    are cached per source path and verdicts per ``(code, self type)``
-    pair, so re-certifying the node lambdas of every wrangler in a
-    process parses each defining file once.
+    and their definition indexes are cached per source path and verdicts
+    per ``(code, self type)`` pair, so re-certifying the node lambdas of
+    every wrangler in a process parses and walks each defining file once.
     """
 
     #: How many ``self.<method>`` hops to follow from the node lambda.
@@ -123,6 +123,7 @@ class PurityAnalyser:
 
     def __init__(self) -> None:
         self._ast_cache: dict[str, ast.Module | None] = {}
+        self._def_index: dict[str, dict[tuple[str, int], list[ast.AST]]] = {}
         self._verdicts: dict[tuple[CodeType, type | None], PurityVerdict] = {}
 
     # -- entry point -----------------------------------------------------
@@ -193,25 +194,32 @@ class PurityAnalyser:
         self._ast_cache[filename] = tree
         return tree
 
+    def _definitions(
+        self, filename: str
+    ) -> dict[tuple[str, int], list[ast.AST]]:
+        """``(co_name, first line) -> nodes`` of one file, walked once.
+
+        A decorated function is filed under its ``def`` line and under
+        its first decorator's line (where ``co_firstlineno`` points).
+        """
+        index = self._def_index.get(filename)
+        if index is None:
+            index = self._def_index[filename] = {}
+            tree = self._module_tree(filename)
+            for node in ast.walk(tree) if tree is not None else ():
+                if isinstance(node, ast.Lambda):
+                    index.setdefault(("<lambda>", node.lineno), []).append(node)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    decorated = {d.lineno for d in node.decorator_list[:1]}
+                    for line in {node.lineno} | decorated:
+                        index.setdefault((node.name, line), []).append(node)
+        return index
+
     def _locate(self, code: CodeType) -> ast.AST | None:
         """The AST node whose compilation produced ``code``, or ``None``."""
-        tree = self._module_tree(code.co_filename)
-        if tree is None:
-            return None
-        line = code.co_firstlineno
-        matches: list[ast.AST] = []
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Lambda):
-                if code.co_name == "<lambda>" and node.lineno == line:
-                    matches.append(node)
-            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node.name != code.co_name:
-                    continue
-                first = node.lineno
-                if node.decorator_list:
-                    first = min(first, node.decorator_list[0].lineno)
-                if first == line or node.lineno == line:
-                    matches.append(node)
+        matches = self._definitions(code.co_filename).get(
+            (code.co_name, code.co_firstlineno), ()
+        )
         if len(matches) != 1:
             return None  # ambiguous (two lambdas on one line) or missing
         return matches[0]

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 from repro.context.data_context import DataContext
 from repro.errors import TypeInferenceError
 from repro.model.records import Table
-from repro.model.schema import Attribute, DataType, Schema, coerce, infer_type
+from repro.model.schema import Attribute, DataType, Schema, coerce, infer_types
 from repro.model.uncertainty import Evidence, pool_evidence
 from repro.matching.similarity import name_similarity, token_set, jaccard
 
@@ -94,13 +94,24 @@ class SchemaMatcher:
         # never a veto (the other channels may know better).
         return Evidence("name", 0.05 + 0.9 * score, weight=1.0)
 
-    def _instance_evidence(
-        self, column: list[object], target: Attribute
-    ) -> Evidence | None:
-        values = [v for v in column if v is not None and str(v).strip()]
-        if not values:
+    def _instance_sample(
+        self, table: Table, source_attribute: str
+    ) -> tuple[list[object], set[DataType]] | None:
+        """A column's first 50 populated values and the dtypes among them
+        (``None`` when the channel is off); every target attribute of a
+        match is scored against the one sample."""
+        if "instance" not in self.channels:
             return None
-        sample = values[:50]
+        raws = (v.raw for v in table.column(source_attribute))
+        populated = (v for v in raws if v is not None and str(v).strip())
+        sample = list(itertools.islice(populated, 50))
+        return sample, set(infer_types(sample)[1])
+
+    def _instance_evidence(
+        self, sample: list[object], inferred: set[DataType], target: Attribute
+    ) -> Evidence | None:
+        if not sample:
+            return None
         coercible = 0
         for raw in sample:
             try:
@@ -111,7 +122,6 @@ class SchemaMatcher:
         type_score = coercible / len(sample)
         if target.dtype is DataType.STRING:
             # Everything coerces to string; look at the inferred type instead.
-            inferred = {infer_type(raw) for raw in sample}
             type_score = 0.7 if inferred == {DataType.STRING} else 0.4
         score = type_score
         if self.context is not None:
@@ -155,14 +165,23 @@ class SchemaMatcher:
         self, table: Table, source_attribute: str, target: Attribute
     ) -> Correspondence:
         """Score one candidate correspondence with all enabled channels."""
+        return self._score(
+            source_attribute, target, self._instance_sample(table, source_attribute)
+        )
+
+    def _score(
+        self,
+        source_attribute: str,
+        target: Attribute,
+        instance: tuple[list[object], set[DataType]] | None,
+    ) -> Correspondence:
         evidence: list[Evidence] = []
         if "name" in self.channels:
             item = self._name_evidence(source_attribute, target)
             if item is not None:
                 evidence.append(item)
-        if "instance" in self.channels:
-            raws = [v.raw for v in table.column(source_attribute)]
-            item = self._instance_evidence(raws, target)
+        if instance is not None:
+            item = self._instance_evidence(*instance, target)
             if item is not None:
                 evidence.append(item)
         if "ontology" in self.channels:
@@ -189,10 +208,9 @@ class SchemaMatcher:
         for source_attribute in table.schema.names:
             if source_attribute.startswith("_"):
                 continue
+            instance = self._instance_sample(table, source_attribute)
             for target in target_schema:
-                candidates.append(
-                    self.score_pair(table, source_attribute, target)
-                )
+                candidates.append(self._score(source_attribute, target, instance))
         candidates.sort(key=lambda c: -c.confidence)
         chosen: list[Correspondence] = []
         used_sources: set[str] = set()
@@ -227,8 +245,9 @@ class SchemaMatcher:
                     if not v.is_missing
                 )
             ) if len(source) else frozenset()
+            instance = self._instance_sample(source, source_attribute)
             for target_attr in target.schema:
-                base = self.score_pair(source, source_attribute, target_attr)
+                base = self._score(source_attribute, target_attr, instance)
                 target_tokens = frozenset().union(
                     *(
                         token_set(str(v.raw))

@@ -10,12 +10,13 @@ preserves per-cell confidence and provenance.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError
 from repro.model.provenance import Provenance
-from repro.model.schema import Attribute, DataType, Schema, infer_type
+from repro.model.schema import Attribute, DataType, Schema, infer_types
 from repro.model.values import MISSING, Value
 
 __all__ = ["Record", "Table"]
@@ -129,12 +130,24 @@ class Table:
         source: str | None = None,
         confidence: float = 1.0,
     ) -> "Table":
-        """Build a table from dict rows, inferring the schema when absent."""
-        if schema is None:
-            schema = Schema.from_rows(rows)
+        """Build a table from dict rows, inferring the schema when absent.
+
+        Cells take their dtypes from the same per-column pass that votes
+        the schema (:meth:`Schema.infer`): nothing is typed twice.
+        """
+        inferred, dtypes = Schema.infer(rows)
         src = source or name
-        records = [Record.of(row, source=src, confidence=confidence) for row in rows]
-        return cls(name, schema, records)
+        records = []
+        for index, row in enumerate(rows):
+            provenance = Provenance.source(src)
+            cells = {
+                key: value if isinstance(value, Value) else Value(
+                    value, dtypes[key][index] or DataType.STRING, confidence, provenance
+                )
+                for key, value in row.items()
+            }
+            records.append(Record(_next_rid(src), src, cells))
+        return cls(name, inferred if schema is None else schema, records)
 
     def __len__(self) -> int:
         return len(self.records)
@@ -284,19 +297,19 @@ class Table:
         return f"{header}\n{rule}\n{body}{suffix}"
 
     def infer_schema(self) -> "Table":
-        """Re-infer attribute dtypes from the current records."""
+        """Re-infer attribute dtypes from the current records.
+
+        Plurality vote over each column's non-``None`` cells (a blank
+        string votes ``STRING``); an all-``None`` column keeps its type.
+        """
         attrs = []
-        for name in self.schema.names:
-            raws = [r.raw(name) for r in self.records]
-            non_null = [raw for raw in raws if raw is not None]
-            declared = self.schema[name]
-            if non_null:
-                counts: dict[DataType, int] = {}
-                for raw in non_null:
-                    dtype = infer_type(raw)
-                    counts[dtype] = counts.get(dtype, 0) + 1
-                best = max(counts, key=lambda d: counts[d])
-                attrs.append(Attribute(name, best, declared.required, declared.description))
-            else:
-                attrs.append(declared)
+        for declared in self.schema:
+            raws = [record.raw(declared.name) for record in self.records]
+            counts = Counter(
+                dtype or DataType.STRING
+                for raw, dtype in zip(raws, infer_types(raws)[0])
+                if raw is not None
+            )
+            best = max(counts, key=counts.__getitem__) if counts else declared.dtype
+            attrs.append(replace(declared, dtype=best))
         return Table(self.name, Schema(tuple(attrs)), list(self.records))

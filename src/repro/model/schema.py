@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Iterable, Iterator, Mapping, Sequence
@@ -23,6 +24,7 @@ __all__ = [
     "Attribute",
     "Schema",
     "infer_type",
+    "infer_types",
     "infer_column_type",
     "coerce",
     "Coercibility",
@@ -84,8 +86,39 @@ _GEO_RE = re.compile(
 )
 
 
+#: The shape a string must have for each date format to possibly parse
+#: it: every alternative is a superset of the regex ``strptime`` builds
+#: for the formats it names (``%d`` admits ``" 5"``, format whitespace is
+#: ``\\s+``, ``\\d`` admits Unicode digits, nothing may trail ``%Y``).
+#: Month names are the locale's — some spell them with digits — so they
+#: stay ``.*`` and the day-first shape also tries the month-first format.
+_DATE_SHAPE = re.compile(
+    r"(?P<iso>\d{4}-\d{1,2}-[\d ]\d?)"
+    r"|(?P<ymd>\d{4}/\d{1,2}/[\d ]\d?)"
+    r"|(?P<slash>[\d ]\d?/[\d ]\d?/\d{4})"
+    r"|(?P<day_first>[\d ]\d?\s.*\s\d{4})"
+    r"|(?P<month_first>.*\s[\d ]?\d,\s+\d{4})",
+    re.DOTALL,
+)
+_SHAPE_FORMATS = {
+    "iso": _DATE_FORMATS[0:1],
+    "slash": _DATE_FORMATS[1:3],
+    "ymd": _DATE_FORMATS[3:4],
+    "day_first": _DATE_FORMATS[4:7],
+    "month_first": _DATE_FORMATS[6:7],
+}
+
+
 def _parse_date(text: str) -> _dt.date | None:
-    for fmt in _DATE_FORMATS:
+    """Parse stripped ``text`` with the first of ``_DATE_FORMATS`` that fits.
+
+    Only the formats whose shape ``text`` has are handed to ``strptime``,
+    in their ``_DATE_FORMATS`` order: a non-date costs one regex miss.
+    """
+    shape = _DATE_SHAPE.fullmatch(text)
+    if shape is None:
+        return None
+    for fmt in _SHAPE_FORMATS[shape.lastgroup]:
         try:
             return _dt.datetime.strptime(text, fmt).date()
         except ValueError:
@@ -98,7 +131,7 @@ def infer_type(value: Any) -> DataType:
 
     Python-native values map directly; strings are probed against literal
     grammars in decreasing order of specificity (URL, geo pair, date,
-    currency, boolean, integer, float) and fall back to ``STRING``.
+    boolean, integer, float, currency) and fall back to ``STRING``.
     """
     if isinstance(value, bool):
         return DataType.BOOLEAN
@@ -135,22 +168,37 @@ def infer_type(value: Any) -> DataType:
     return DataType.STRING
 
 
-def infer_column_type(values: Iterable[Any], threshold: float = 0.8) -> DataType:
-    """Infer the type of a whole column by majority vote over non-null cells.
+def infer_types(
+    values: Iterable[Any],
+) -> tuple[list[DataType | None], dict[DataType, int]]:
+    """Type a whole column in one pass, each distinct string only once.
+
+    Returns the dtype of every cell (``None`` for missing cells: ``None``
+    and blank strings) and the histogram of the others, in first-seen
+    order so a plurality tie breaks as in a cell-by-cell count.
+    """
+    typed: dict[str, DataType | None] = {}
+    dtypes: list[DataType | None] = []
+    for value in values:
+        if not isinstance(value, str):
+            dtype = None if value is None else infer_type(value)
+        elif value in typed:
+            dtype = typed[value]
+        else:
+            dtype = typed[value] = infer_type(value) if value.strip() else None
+        dtypes.append(dtype)
+    return dtypes, dict(Counter(d for d in dtypes if d is not None))
+
+
+def _majority_type(counts: Mapping[DataType, int], threshold: float = 0.8) -> DataType:
+    """The column type a dtype histogram of non-null cells votes for.
 
     A specific type is adopted only if at least ``threshold`` of the
-    non-null values agree on it (numeric types are pooled: a column that is
+    cells agree on it (numeric types are pooled: a column that is
     mostly ``INTEGER`` with some ``FLOAT`` becomes ``FLOAT``).  Otherwise
     the column degrades to ``STRING`` — the safe supertype.
     """
-    counts: dict[DataType, int] = {}
-    total = 0
-    for value in values:
-        if value is None or (isinstance(value, str) and not value.strip()):
-            continue
-        total += 1
-        dtype = infer_type(value)
-        counts[dtype] = counts.get(dtype, 0) + 1
+    total = sum(counts.values())
     if total == 0:
         return DataType.STRING
     best = max(counts, key=lambda d: counts[d])
@@ -162,6 +210,11 @@ def infer_column_type(values: Iterable[Any], threshold: float = 0.8) -> DataType
     if (numeric + counts.get(DataType.CURRENCY, 0)) / total >= threshold:
         return DataType.CURRENCY
     return DataType.STRING
+
+
+def infer_column_type(values: Iterable[Any], threshold: float = 0.8) -> DataType:
+    """Infer the type of a whole column: the vote of its cells' dtype histogram."""
+    return _majority_type(infer_types(values)[1], threshold)
 
 
 def coerce(value: Any, dtype: DataType) -> Any:
@@ -342,18 +395,20 @@ class Schema:
     @classmethod
     def from_rows(cls, rows: Sequence[Mapping[str, Any]]) -> "Schema":
         """Infer a schema from raw dict rows using column-level type voting."""
-        if not rows:
-            return cls(())
-        names: list[str] = []
-        for row in rows:
-            for name in row:
-                if name not in names:
-                    names.append(name)
-        attrs = tuple(
-            Attribute(name, infer_column_type(row.get(name) for row in rows))
-            for name in names
-        )
-        return cls(attrs)
+        return cls.infer(rows)[0]
+
+    @classmethod
+    def infer(
+        cls, rows: Sequence[Mapping[str, Any]]
+    ) -> tuple["Schema", dict[str, list[DataType | None]]]:
+        """The voted schema of dict rows and the dtype of every cell, from
+        one :func:`infer_types` pass per column (an absent key is ``None``)."""
+        columns = {
+            name: infer_types(row.get(name) for row in rows)
+            for name in dict.fromkeys(name for row in rows for name in row)
+        }
+        attrs = (Attribute(n, _majority_type(c)) for n, (_, c) in columns.items())
+        return cls(tuple(attrs)), {n: dtypes for n, (dtypes, _) in columns.items()}
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.model.records import Table
-from repro.model.schema import DataType, infer_type
+from repro.model.schema import DataType, infer_types
 
 __all__ = ["ColumnProfile", "TableProfile", "profile_table", "profile_column"]
 
@@ -80,7 +80,7 @@ def profile_column(table: Table, attribute: str) -> ColumnProfile:
     values = table.column(attribute)
     raws = [v.raw for v in values if not v.is_missing]
     nulls = len(values) - len(raws)
-    type_counts: Counter[DataType] = Counter(infer_type(raw) for raw in raws)
+    type_counts = infer_types(raws)[1]
     counts = Counter(raws)
     numeric = []
     for raw in raws:
@@ -100,7 +100,7 @@ def profile_column(table: Table, attribute: str) -> ColumnProfile:
         total=len(values),
         nulls=nulls,
         distinct=len(counts),
-        type_counts=dict(type_counts),
+        type_counts=type_counts,
         most_common=tuple(counts.most_common(5)),
         min_value=min_value,
         max_value=max_value,

@@ -4,21 +4,23 @@ The plan leg of :mod:`repro.analysis`, alongside the plan validator and
 the framework linter:
 
 * :mod:`~repro.analysis.typecheck.operators` — the operator table (one
-  row per dataflow node kind: stage, schema half, cost half) and the one
-  walk that threads schemas and cost estimates through a plan's dataflow
-  topology without executing it;
+  row per dataflow node kind: stage, schema half, cost half),
+  :func:`pipeline_shape` (the one declaration of the pipeline's wiring,
+  which the wrangler composes its dataflow from) and the one walk that
+  threads schemas and cost estimates through a plan's dataflow topology
+  without executing it;
 * :mod:`~repro.analysis.typecheck.signatures` — the schema halves (rule
   ids ``TC001``–``TC009``); the cost halves live in
   :mod:`repro.analysis.cost.model`;
 * :mod:`~repro.analysis.typecheck.checker` — the types-only entry over
   that walk;
 * :mod:`~repro.analysis.typecheck.purity` — AST-based certification of
-  dataflow node callables as pure (``TC010``), so the engine can refuse
-  to cache or replay what it cannot certify;
+  dataflow node callables as pure (``TC010``), so the gate refuses a
+  plan whose memoised values could not be trusted;
 * :mod:`~repro.analysis.typecheck.gate` — :func:`run_preflight`, the
   combined structure + types + purity + cost gate behind
-  ``Wrangler.run(validate=True)`` and ``python -m repro.analysis
-  typecheck`` / ``cost``.
+  ``Wrangler.run()`` / ``Wrangler.preflight()`` and ``python -m
+  repro.analysis typecheck`` / ``cost``.
 """
 
 from repro.analysis.typecheck.checker import (
@@ -30,7 +32,11 @@ from repro.analysis.typecheck.gate import (
     purity_diagnostics,
     run_preflight,
 )
-from repro.analysis.typecheck.operators import OPERATORS, Operator
+from repro.analysis.typecheck.operators import (
+    OPERATORS,
+    Operator,
+    pipeline_shape,
+)
 from repro.analysis.typecheck.purity import (
     PurityAnalyser,
     PurityVerdict,
@@ -51,5 +57,6 @@ __all__ = [
     "TYPECHECK_RULES",
     "OPERATORS",
     "Operator",
+    "pipeline_shape",
     "CheckContext",
 ]

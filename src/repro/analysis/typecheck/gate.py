@@ -1,13 +1,14 @@
 """The pre-execution gate: structure + types + purity + cost.
 
-``Wrangler.run(validate=True)`` funnels through :func:`run_preflight`,
-which folds the plan validator's structural findings (``PV0xx``), the
+Every ``Wrangler.run()`` that composes a plan, and every
+``Wrangler.preflight()``, funnels through :func:`run_preflight`, which
+folds the plan validator's structural findings (``PV0xx``), the
 purity certifier's node verdicts (``TC010``), and — from one walk over
 the plan's dataflow (:func:`~repro.analysis.typecheck.operators.
 walk_plan`) — the schema-flow type findings (``TC001``–``TC009``) and
 the cost certifier's budget and cardinality findings (``CC0xx``) into
 one :class:`~repro.analysis.validator.ValidationReport` — so a plan is
-refused for a dangling dependency, an untypable mapping, an
+refused for an unregistered source, an untypable mapping, an
 uncertifiable node, or an over-budget estimate through exactly the
 same machinery.  The combined report is deduplicated and stably
 ordered: four gates can flag one node, but each exact finding appears
@@ -133,7 +134,6 @@ def run_preflight(
         user=user,
         data=data,
         registry=registry,
-        dataflow=dataflow,
         master_key=master_key,
         date_attribute=date_attribute,
     )

@@ -7,8 +7,9 @@ node kind the wrangler composes has exactly one :class:`Operator` row in
 half (``estimate`` / ``cost_check`` from
 :mod:`repro.analysis.cost.model`).  :func:`walk_plan` visits each node of
 the plan's topology once — the :class:`~repro.core.dataflow.Dataflow`'s
-own graph when one is supplied, the wrangler's canonical shape otherwise
-— threading the inferred :class:`~repro.model.schema.Schema` and the
+own graph when one is supplied, :func:`pipeline_shape` (the one
+declaration of the wiring, which the wrangler composes) otherwise —
+threading the inferred :class:`~repro.model.schema.Schema` and the
 :class:`~repro.analysis.cost.model.CardinalityEstimate` from node to
 node and collecting the ``TC`` and ``CC`` findings together.
 
@@ -28,7 +29,14 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.typecheck import signatures as schema
 from repro.analysis.typecheck.signatures import CheckContext
 
-__all__ = ["Operator", "OPERATORS", "PlanWalk", "topology", "walk_plan"]
+__all__ = [
+    "Operator",
+    "OPERATORS",
+    "PlanWalk",
+    "pipeline_shape",
+    "topology",
+    "walk_plan",
+]
 
 
 def _no_findings(ctx: Any, sub: str | None, value: Any) -> list[Diagnostic]:
@@ -118,36 +126,26 @@ OPERATORS: Mapping[str, Operator] = {
 }
 
 
-# -- topology -------------------------------------------------------------
+# -- the shape ------------------------------------------------------------
 
 
-def topology(
-    dataflow: Any, planned_sources: Sequence[str]
-) -> tuple[list[str], dict[str, tuple[str, ...]]]:
-    """The walk order and dependency map: the dataflow's own graph when
-    available, the wrangler's canonical shape otherwise."""
-    if dataflow is None or not hasattr(dataflow, "dependency_map"):
-        dependencies = _canonical_shape(planned_sources)
-        return _toposort(dependencies), dependencies
-    dependencies = {
-        name: tuple(deps)
-        for name, deps in dataflow.dependency_map().items()
-    }
-    if hasattr(dataflow, "nodes"):
-        return list(dataflow.nodes()), dependencies
-    return _toposort(dependencies), dependencies
-
-
-def _canonical_shape(
-    sources: Sequence[str],
+def pipeline_shape(
+    source_names: Sequence[str],
 ) -> dict[str, tuple[str, ...]]:
-    """``Wrangler._build_flow``'s graph over ``sources`` (pinned against
-    the real thing by ``tests/analysis/test_operator_table.py``)."""
+    """Figure 1's wiring over ``source_names``: ``{node: dependencies}``.
+
+    The one declaration of the pipeline's shape.  ``Wrangler`` composes
+    its dataflow by adding these nodes in this (insertion, and already
+    topological) order, binding each node's kind to its stage body and
+    its :data:`OPERATORS` row; :func:`topology` walks the same map when
+    no dataflow is at hand.  A new stage is one entry here, one
+    ``Operator`` row and one stage body.
+    """
     dependencies: dict[str, tuple[str, ...]] = {
         "probe": (),
         "plan": ("probe",),
     }
-    for name in sources:
+    for name in source_names:
         dependencies[f"acquire:{name}"] = ("plan",)
         dependencies[f"match:{name}"] = (f"acquire:{name}", "plan")
         dependencies[f"mapping:{name}"] = (
@@ -161,12 +159,12 @@ def _canonical_shape(
         dependencies[f"quality:{name}"] = (f"mapped:{name}",)
     dependencies["select"] = (
         "plan",
-        *(f"mapping:{name}" for name in sources),
-        *(f"quality:{name}" for name in sources),
+        *(f"mapping:{name}" for name in source_names),
+        *(f"quality:{name}" for name in source_names),
     )
     dependencies["translate"] = (
         "select",
-        *(f"mapped:{name}" for name in sources),
+        *(f"mapped:{name}" for name in source_names),
     )
     dependencies["resolve"] = ("translate", "plan")
     dependencies["fuse"] = ("resolve", "plan")
@@ -174,25 +172,19 @@ def _canonical_shape(
     return dependencies
 
 
-def _toposort(dependencies: Mapping[str, Sequence[str]]) -> list[str]:
-    order: list[str] = []
-    visiting: set[str] = set()
-    done: set[str] = set()
-
-    def visit(name: str) -> None:
-        if name in done or name in visiting:
-            return  # cycles/dangling edges are PV001/PV002's business
-        visiting.add(name)
-        for dep in dependencies.get(name, ()):
-            if dep in dependencies:
-                visit(dep)
-        visiting.discard(name)
-        done.add(name)
-        order.append(name)
-
-    for name in sorted(dependencies):
-        visit(name)
-    return order
+def topology(
+    dataflow: Any, planned_sources: Sequence[str]
+) -> tuple[list[str], dict[str, tuple[str, ...]]]:
+    """The walk order and dependency map: the dataflow's own graph when
+    one is given, :func:`pipeline_shape` over the planned sources
+    otherwise."""
+    if dataflow is None:
+        dependencies = pipeline_shape(planned_sources)
+        return list(dependencies), dependencies
+    return list(dataflow.nodes()), {
+        name: tuple(deps)
+        for name, deps in dataflow.dependency_map().items()
+    }
 
 
 # -- the walk -------------------------------------------------------------

@@ -22,9 +22,10 @@ of the dataflow's state, not an ambient side channel.
 
 The analyser never executes the callable.  It parses the defining source
 file (cached per path), locates the function's AST node via its code
-object, resolves ``self`` from the closure when the body is the usual
-``lambda inputs: self._stage(...)`` shape, and follows ``self.<method>``
-calls one hop deep.  Verdicts are conservative three-valued:
+object, resolves ``self`` from the method binding (the wrangler's node
+bodies are bound stage methods) or from the closure of a ``lambda
+inputs: self._stage(...)``, and follows ``self.<method>`` calls one hop
+deep.  Verdicts are conservative three-valued:
 
 * ``pure`` — no trigger found in the body or its followed callees;
 * ``impure`` — at least one trigger found, with reasons;
@@ -130,11 +131,12 @@ class PurityAnalyser:
 
     def analyse(self, fn: Callable[..., Any]) -> PurityVerdict:
         """The purity verdict for ``fn``."""
-        fn = self._unwrap(fn)
+        fn, self_obj = self._unwrap(fn)
         code = getattr(fn, "__code__", None)
         if not isinstance(code, CodeType):
             return _unknown("no Python code object (builtin or C callable)")
-        self_obj = self._resolve_self(fn)
+        if self_obj is None:
+            self_obj = self._closure_self(fn)
         key = (code, type(self_obj) if self_obj is not None else None)
         cached = self._verdicts.get(key)
         if cached is not None:
@@ -146,26 +148,27 @@ class PurityAnalyser:
     # -- callable plumbing ----------------------------------------------
 
     @staticmethod
-    def _unwrap(fn: Callable[..., Any]) -> Callable[..., Any]:
+    def _unwrap(fn: Callable[..., Any]) -> tuple[Callable[..., Any], Any]:
+        """The plain function under partials and method binding, and the
+        object a bound method carried as its ``self`` (else ``None``)."""
+        bound = None
         while True:
             if hasattr(fn, "func") and not hasattr(fn, "__code__"):
                 fn = fn.func  # functools.partial
             elif inspect.ismethod(fn):
-                fn = fn.__func__
+                bound, fn = fn.__self__, fn.__func__
             else:
-                return fn
+                return fn, bound
 
     @staticmethod
-    def _resolve_self(fn: Callable[..., Any]) -> Any:
-        """The object ``self`` refers to inside ``fn``, when decidable.
+    def _closure_self(fn: Callable[..., Any]) -> Any:
+        """The object ``self`` refers to inside a closure, when decidable.
 
-        Node bodies are typically ``lambda inputs: self._stage(...)``
-        closures created inside a method, so ``self`` lives in a closure
-        cell; bound methods carry it as ``__self__``.
+        The wrangler's node bodies are bound stage methods (resolved by
+        :meth:`_unwrap`); a hand-added ``lambda inputs:
+        self._stage(...)`` created inside a method keeps ``self`` in a
+        closure cell instead.
         """
-        bound = getattr(fn, "__self__", None)
-        if bound is not None:
-            return bound
         code = getattr(fn, "__code__", None)
         closure = getattr(fn, "__closure__", None)
         if code is None or not closure:

@@ -1,14 +1,16 @@
-"""Static validation of wrangle plans, dataflows, and contexts.
+"""Static validation of wrangle plans, mappings, and contexts.
 
 The autonomic planner composes the pipeline; this module checks the
 composition *before* any data is touched, in the spirit of Koehler et
 al.'s context-informed validation: a plan derived from contexts must be
 checkable against the contexts that produced it.  Defects that would
-otherwise surface at runtime deep inside ``Dataflow.pull`` — dangling
-dependencies, cycles, unregistered sources, out-of-range thresholds,
-fusion strategies whose data-context prerequisites are absent, budget
-contradictions — become :class:`~repro.analysis.diagnostics.Diagnostic`
-findings with stable rule ids (``PV0xx``).
+otherwise surface at runtime deep inside ``Dataflow.pull`` —
+unregistered sources, out-of-range thresholds, fusion strategies whose
+data-context prerequisites are absent, budget contradictions — become
+:class:`~repro.analysis.diagnostics.Diagnostic` findings with stable
+rule ids (``PV0xx``).  The graph itself needs no rule: ``Dataflow.add``
+refuses a dependency on an undefined node, so every dataflow is a DAG
+by construction.
 
 Inputs are duck-typed on purpose: the validator never executes plan
 machinery, it only reads declared structure, so tests can feed it plain
@@ -40,10 +42,6 @@ __all__ = ["ValidationReport", "PlanValidator", "validate_plan"]
 #: Every rule is an error by default; the degraded-but-runnable cases of
 #: PV007/PV008 override to warning at the call site.
 VALIDATOR_RULES: Mapping[str, Rule] = catalogue(
-    Rule("PV001", "dangling-dependency", Severity.ERROR,
-         "dataflow dependency on an undefined node"),
-    Rule("PV002", "dependency-cycle", Severity.ERROR,
-         "dataflow dependency cycle"),
     Rule("PV003", "unregistered-source", Severity.ERROR,
          "plan selects a source that is not registered"),
     Rule("PV004", "mapping-attribute-missing", Severity.ERROR,
@@ -112,88 +110,12 @@ def _in_unit_interval(value: object) -> bool:
 
 
 class PlanValidator:
-    """Static checker for plans, dataflow graphs, mappings, and contexts.
+    """Static checker for plans, mappings, and contexts.
 
     Every ``check_*`` method returns diagnostics; :meth:`validate` runs
     all checks applicable to the artifacts it was given and folds the
     findings into one :class:`ValidationReport`.
     """
-
-    # -- dataflow structure (PV001, PV002) ------------------------------
-
-    def check_dataflow(self, dataflow: Any) -> list[Diagnostic]:
-        """Dangling dependencies and cycles in a dataflow graph.
-
-        Accepts a :class:`~repro.core.dataflow.Dataflow` (anything with a
-        ``dependency_map()``) or a plain ``{node: (dependencies, ...)}``
-        mapping, so defective graphs can be described without having to
-        construct one past the engine's own guards.
-        """
-        if hasattr(dataflow, "dependency_map"):
-            dependencies = dataflow.dependency_map()
-        else:
-            dependencies = {
-                name: tuple(deps) for name, deps in dict(dataflow).items()
-            }
-        findings: list[Diagnostic] = []
-        for name, deps in sorted(dependencies.items()):
-            for dep in deps:
-                if dep not in dependencies:
-                    findings.append(
-                        pv(
-                            "PV001",
-                            "dataflow",
-                            name,
-                            f"node {name!r} depends on undefined node {dep!r}",
-                            "define the node or drop the dependency",
-                        )
-                    )
-        cycle = self._find_cycle(dependencies)
-        if cycle:
-            path = " -> ".join(cycle)
-            findings.append(
-                pv(
-                    "PV002",
-                    "dataflow",
-                    cycle[0],
-                    f"dataflow contains a dependency cycle: {path}",
-                    "break the cycle by removing one of these edges",
-                )
-            )
-        return findings
-
-    @staticmethod
-    def _find_cycle(
-        dependencies: Mapping[str, Sequence[str]],
-    ) -> list[str] | None:
-        """One dependency cycle as a closed path, or ``None``."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {name: WHITE for name in dependencies}
-        stack: list[str] = []
-
-        def visit(name: str) -> list[str] | None:
-            colour[name] = GREY
-            stack.append(name)
-            for dep in dependencies.get(name, ()):
-                if dep not in colour:
-                    continue  # dangling: PV001's business, not a cycle
-                if colour[dep] == GREY:
-                    start = stack.index(dep)
-                    return stack[start:] + [dep]
-                if colour[dep] == WHITE:
-                    found = visit(dep)
-                    if found:
-                        return found
-            stack.pop()
-            colour[name] = BLACK
-            return None
-
-        for name in sorted(dependencies):
-            if colour[name] == WHITE:
-                found = visit(name)
-                if found:
-                    return found
-        return None
 
     # -- plan vs registry (PV003, PV005) --------------------------------
 
@@ -520,7 +442,6 @@ class PlanValidator:
         user: Any = None,
         data: Any = None,
         registry: Any = None,
-        dataflow: Any = None,
         mappings: Iterable[Any] = (),
         source_schemas: Mapping[str, Any] | None = None,
         master_key: str | None = None,
@@ -528,8 +449,6 @@ class PlanValidator:
     ) -> ValidationReport:
         """Run every check applicable to the artifacts provided."""
         findings: list[Diagnostic] = []
-        if dataflow is not None:
-            findings.extend(self.check_dataflow(dataflow))
         if plan is not None:
             findings.extend(self.check_plan_thresholds(plan))
             if registry is not None:

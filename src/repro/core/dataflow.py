@@ -67,10 +67,6 @@ class Dataflow:
         #: regression guard for pull_all's single-sweep contract).
         self.topo_derivations = 0
         self.telemetry = telemetry
-        #: When True, the engine refuses to replay memoised values of
-        #: nodes not certified ``pure``: every pull recomputes them.
-        #: Certify with :meth:`certify` before enabling.
-        self.strict_purity = False
         #: Callbacks fired with ``(name, value)`` after a node's compute
         #: lands — the checkpoint layer's commit hook.  Replays of
         #: memoised values do not fire.
@@ -193,7 +189,7 @@ class Dataflow:
         """Recompute the dirty nodes among ``names`` (topological order)."""
         for name in names:
             node = self._nodes[name]
-            if not (node.clean and self._replayable(node)):
+            if not node.clean:
                 self._recompute(node)
 
     def pull(self, name: str) -> Any:
@@ -205,7 +201,7 @@ class Dataflow:
         made full refreshes quadratic before.
         """
         node = self._require(name)
-        if node.clean and self._replayable(node):
+        if node.clean:
             node.hits += 1
             self._count("dataflow.hits")
             return node.value
@@ -226,7 +222,7 @@ class Dataflow:
         dirty: list[str] = []
         for name in self._topo_order():
             node = self._nodes[name]
-            if node.clean and self._replayable(node):
+            if node.clean:
                 node.hits += 1
                 self._count("dataflow.hits")
             else:
@@ -237,18 +233,6 @@ class Dataflow:
         if self.telemetry is not None:
             self.telemetry.metrics.counter(metric).increment()
 
-    def _replayable(self, node: _Node) -> bool:
-        """Whether a clean node's memoised value may be handed out.
-
-        Always, unless :attr:`strict_purity` is on — then only nodes
-        certified ``pure`` replay; everything else recomputes on every
-        pull.  Input nodes are exempt: they hold externally supplied
-        state, there is no computation to re-run.
-        """
-        if not self.strict_purity or not node.dependencies:
-            return True
-        return node.purity == "pure"
-
     # -- purity certification ---------------------------------------------
 
     def certify(self, analyser: Any = None) -> dict[str, Any]:
@@ -258,7 +242,8 @@ class Dataflow:
         :class:`~repro.analysis.typecheck.purity.PurityAnalyser` (an
         instance may be passed in to share its caches across dataflows).
         Each node's ``purity`` field is set to the verdict status, so
-        :attr:`strict_purity` and telemetry exports can act on it.
+        telemetry exports carry it; the preflight gate turns a non-pure
+        verdict into a ``TC010`` finding.
         Returns ``{node name: PurityVerdict}``.
         """
         if analyser is None:
@@ -367,8 +352,8 @@ class Dataflow:
     def dependency_map(self) -> dict[str, tuple[str, ...]]:
         """Every node's declared dependencies — the static-analysis view.
 
-        The plan validator consumes this to check the graph (dangling
-        dependencies, cycles) without executing any node.
+        The preflight walk consumes this to thread schemas and cost
+        estimates through the graph without executing any node.
         """
         return {
             name: node.dependencies for name, node in self._nodes.items()

@@ -9,16 +9,25 @@ the middle and the user/data contexts informing every step:
 * every component reads and writes the shared working data;
 * feedback propagates to all components and invalidates exactly the
   dataflow nodes it affects — re-running is cheap, as Section 2.4 demands.
+
+The pipeline's *shape* is declared once, by
+:func:`~repro.analysis.typecheck.operators.pipeline_shape` next to the
+``OPERATORS`` row of every node kind; the ``Wrangler`` only composes it,
+binding each kind ``k`` to its stage body ``Wrangler._stage_k``.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Any, Sequence
 
+from repro.analysis import typecheck
+from repro.analysis.typecheck.operators import OPERATORS, pipeline_shape
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
 from repro.core.dataflow import Dataflow
+from repro.core.history import SnapshotHistory
 from repro.core.planner import AutonomicPlanner, WranglePlan
 from repro.core.result import WrangleResult
 from repro.errors import (
@@ -32,14 +41,7 @@ from repro.extraction.induction import ExampleAnnotation, auto_induce, induce_wr
 from repro.extraction.repair import WrapperRepairer
 from repro.feedback.propagation import FeedbackPropagator
 from repro.feedback.store import FeedbackStore
-from repro.feedback.types import (
-    DuplicateFeedback,
-    ExtractionFeedback,
-    Feedback,
-    MatchFeedback,
-    RelevanceFeedback,
-    ValueFeedback,
-)
+from repro.feedback.types import DIRTIES, Feedback
 from repro.fusion.fuse import EntityFuser
 from repro.mapping.mapping import Mapping
 from repro.mapping.selection import MappingSelector
@@ -59,12 +61,16 @@ from repro.resilience.wrap import (
 from repro.resolution.comparison import profiled_comparator
 from repro.resolution.er import EntityResolver
 from repro.resolution.rules import ThresholdRule, fit_threshold
-from repro.sources.base import DataSource, DocumentSource, StructuredSource
+from repro.sources.base import (
+    PROBE_COST_FRACTION,
+    DataSource,
+    DocumentSource,
+    StructuredSource,
+)
 from repro.sources.registry import SourceRegistry
-from repro.model.workingdata import WorkingData
+from repro.model.workingdata import WorkingData, content_digest
 
 __all__ = ["Wrangler"]
-
 
 class Wrangler:
     """Context-aware, pay-as-you-go wrangling over registered sources."""
@@ -79,17 +85,12 @@ class Wrangler:
         date_attribute: str | None = None,
         today: _dt.date | None = None,
         discover_constraints: bool = False,
-        validate: bool = True,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.user = user
         self.data = data or DataContext()
         self.constraints = list(constraints)
         self.discover_constraints = discover_constraints
-        #: Pre-flight static validation of every composed plan (see
-        #: :mod:`repro.analysis.validator`).  ``validate=False`` is the
-        #: escape hatch for deliberately running an unchecked pipeline.
-        self.validate = validate
         self.master_key = master_key
         self.join_attribute = join_attribute
         if date_attribute is None and "updated" in user.target_schema:
@@ -131,8 +132,6 @@ class Wrangler:
         #: The open :class:`~repro.ingest.checkpoint.RunLog` while a
         #: checkpointed run executes (None otherwise).
         self._ingest_log = None
-        from repro.core.history import SnapshotHistory
-
         self.history = SnapshotHistory()
         self._recorded_fuse_runs = -1
 
@@ -185,7 +184,7 @@ class Wrangler:
                     ledger=self.degradation,
                 )
             )
-        self._flow = None  # node bodies close over the wrapped sources
+        self._flow = None  # acquisition re-runs through the wrapped sources
         return self
 
     def add_sources(self, sources: Sequence[DataSource]) -> "Wrangler":
@@ -234,8 +233,6 @@ class Wrangler:
         run's checkpoints are only trusted by a successor asking for the
         same wrangle.
         """
-        from repro.model.workingdata import content_digest
-
         return content_digest({
             "sources": sorted(self.registry.names()),
             "target": [a.name for a in self.user.target_schema],
@@ -255,50 +252,136 @@ class Wrangler:
                 pass  # node not built yet; examples apply on first run
         return self
 
-    # -- pipeline stages (dataflow node bodies) -----------------------------
+    # -- per-layer helpers (shared by the probe and the per-source nodes) ---
 
-    def _probe_all(self) -> dict[str, object]:
+    def _payload(self, source: DataSource, step: str):
+        """This run's ``probe`` or ``acquire`` payload of ``source`` —
+        restored or live.
+
+        Under checkpointing every access is durable: a step committed by
+        a prior (killed) attempt is restored without touching (or
+        re-charging) the source; a live probe commits as its own step; a
+        live fetch goes through
+        :func:`~repro.ingest.incremental.acquire_durable` — delta when
+        the committed watermark allows, committed before the value is
+        handed to the pipeline.
+        """
+        log = self._ingest_log
+        if log is None:
+            return source.probe() if step == "probe" else source.fetch()
+        restored = log.restored(f"{step}:{source.name}")
+        if restored is not None:
+            return restored
+        if step == "probe":
+            value = source.probe()
+            log.commit(
+                f"probe:{source.name}",
+                data={"fraction": PROBE_COST_FRACTION},
+                payload=value,
+            )
+            return value
+        from repro.ingest.incremental import acquire_durable
+
+        return acquire_durable(source, log, self.telemetry)
+
+    def _extract(self, source: DataSource, step: str) -> Table | None:
+        """One access of ``source`` as a typed table (``None`` for a
+        source that is neither structured nor a document source).
+
+        ``step`` is ``"acquire"`` (the full fetch: every example, the
+        wrapper repaired against the data context and filed) or
+        ``"probe"``.  Probing must stay cheap: the bootstrap wrapper is
+        induced from the documents the probe already paid for — examples
+        pointing at pages outside the sample simply don't constrain it.
+        """
+        if isinstance(source, StructuredSource):
+            return self._payload(source, step).infer_schema()
+        if not isinstance(source, DocumentSource):
+            return None
+        documents = self._payload(source, step)
+        examples = self._examples.get(source.name, [])
+        if step == "probe":
+            sampled = {doc.url for doc in documents}
+            examples = [e for e in examples if e.url in sampled]
+        if examples:
+            wrapper = induce_wrapper(documents, examples, source=source.name)
+        else:
+            wrapper = auto_induce(documents, source=source.name)
+        if step == "probe":
+            return wrapper.extract(documents).infer_schema()
+        wrapper, table, report = WrapperRepairer(self.data).repair(
+            wrapper, documents
+        )
+        self.working.put("wrapper", source.name, wrapper)
+        self.working.put("report", f"wrapper-repair/{source.name}", report)
+        return table.infer_schema()
+
+    def _correspond(self, table: Table, plan: WranglePlan | None = None) -> list:
+        """``table``'s correspondences to the target schema: by the
+        plan's matcher, or — probing, before any plan exists — by the
+        bootstrap matcher (every channel, threshold 0.5)."""
+        if plan is None:
+            matcher = SchemaMatcher(self.data, threshold=0.5)
+        else:
+            matcher = SchemaMatcher(
+                self.data,
+                channels=plan.matcher_channels,
+                threshold=plan.match_threshold,
+                feedback=self._match_evidence,
+            )
+        return matcher.match(table, self.user.target_schema)
+
+    def _assess(self, table: Table, annotate_as: str, constraints=None):
+        """The quality report of one table in the target schema, its
+        scores annotated onto ``annotate_as`` in the working data."""
+        return self.analyser.analyse(
+            table,
+            user=self.user,
+            master_key=self.master_key,
+            join_attribute=self.join_attribute,
+            date_attribute=self.date_attribute,
+            constraints=constraints,
+            annotate_as=annotate_as,
+        )
+
+    def _annotate_source(
+        self, name: str, dimension: Dimension, score: float,
+        confidence: float, origin: str,
+    ) -> None:
+        """Write one quality belief about a source into the working data."""
+        self.working.annotations.add(
+            QualityAnnotation(
+                f"source:{name}", dimension, score,
+                confidence=confidence, origin=origin,
+            )
+        )
+
+    # -- stage bodies: ``_stage_<kind>`` computes one node of that kind -----
+    #
+    # from ``inputs`` — the values of the dependencies
+    # :func:`pipeline_shape` declares for it — and files the result in the
+    # working data; per-source kinds take the source name first.
+
+    def _stage_probe(self, inputs: dict[str, Any]) -> dict[str, object]:
         """Cheaply sample every source and annotate what the sample shows.
 
         Section 2.3's "use all the available information": before spending
         budget, each source is probed (a fraction of a full access), the
-        sample is bootstrap-matched and mapped, and its quality — accuracy
+        sample is run through the same extract / match / map / assess
+        bodies the per-source nodes use, and its quality — accuracy
         against master data, timeliness, completeness — is written into
         the working data so that source selection is informed rather than
         cost-blind.
         """
         reports: dict[str, object] = {}
-        matcher = SchemaMatcher(self.data, threshold=0.5)
         for name in self.registry.names():
             source = self.registry.get(name)
             try:
-                if isinstance(source, StructuredSource):
-                    sample = self._probed(source).infer_schema()
-                elif isinstance(source, DocumentSource):
-                    documents = self._probed(source)
-                    # Probing must stay cheap: induce the bootstrap wrapper
-                    # from the documents the probe already paid for, never
-                    # from a full fetch.  Examples pointing at pages outside
-                    # the sample simply don't constrain the bootstrap; the
-                    # real acquisition pass uses them all.
-                    probed_urls = {doc.url for doc in documents}
-                    examples = [
-                        example
-                        for example in self._examples.get(name, [])
-                        if example.url in probed_urls
-                    ]
-                    if examples:
-                        wrapper = induce_wrapper(
-                            documents, examples, source=name
-                        )
-                    else:
-                        wrapper = auto_induce(documents, source=name)
-                    sample = wrapper.extract(documents).infer_schema()
-                else:
+                sample = self._extract(source, "probe")
+                if sample is None:
                     continue
-                correspondences = matcher.match(sample, self.user.target_schema)
                 mapping = Mapping.from_correspondences(
-                    name, self.user.target_schema, correspondences
+                    name, self.user.target_schema, self._correspond(sample)
                 )
                 # File the statically usable probe artifacts: the schema
                 # the sample exposed and the bootstrap mapping.  The
@@ -306,17 +389,8 @@ class Wrangler:
                 # schemas through the plan without touching any source.
                 self.working.put("schema", f"probe/{name}", sample.schema)
                 self.working.put("mapping", f"probe/{name}", mapping)
-                mapped = Mapping(
-                    sample.name, mapping.target_schema, mapping.attribute_maps
-                ).apply(sample)
-                reports[name] = self.analyser.analyse(
-                    mapped,
-                    user=self.user,
-                    master_key=self.master_key,
-                    join_attribute=self.join_attribute,
-                    date_attribute=self.date_attribute,
-                    annotate_as=f"source:{name}",
-                )
+                mapped = mapping.apply(sample)
+                reports[name] = self._assess(mapped, f"source:{name}")
                 # Catalog coverage: the source's advertised size against the
                 # master catalog, scaled by observed field completeness.
                 if (
@@ -328,54 +402,29 @@ class Wrangler:
                     coverage = min(
                         1.0, source.size_hint() / max(1, master_size)
                     ) * mapped.completeness()
-                    self.working.annotations.add(
-                        QualityAnnotation(
-                            f"source:{name}",
-                            Dimension.COMPLETENESS,
-                            coverage,
-                            confidence=1.0,
-                            origin="probe-coverage",
-                        )
+                    self._annotate_source(
+                        name, Dimension.COMPLETENESS, coverage, 1.0,
+                        "probe-coverage",
                     )
             except WranglingError:
                 # A source whose sample cannot even be parsed or matched is
                 # itself a quality signal.
-                self.working.annotations.add(
-                    QualityAnnotation(
-                        f"source:{name}",
-                        Dimension.ACCURACY,
-                        0.1,
-                        confidence=0.5,
-                        origin="probe-failure",
-                    )
+                self._annotate_source(
+                    name, Dimension.ACCURACY, 0.1, 0.5, "probe-failure"
                 )
         self.working.put("report", "probes", reports)
         return reports
 
-    def _probed(self, source: DataSource):
-        """This run's probe result for ``source`` — restored or live.
+    def _stage_plan(self, inputs: dict[str, Any]) -> WranglePlan:
+        """Compose the plan and refuse it on any error-severity finding
+        (:class:`~repro.errors.PlanValidationError`) — before any source
+        is fully accessed."""
+        plan, report = self._compose()
+        report.raise_on_error()
+        return plan
 
-        Under checkpointing each probe commits as its own step, so a run
-        killed mid-probe resumes past the sources already sampled without
-        re-charging their probe fraction.
-        """
-        log = self._ingest_log
-        if log is None:
-            return source.probe()
-        step = f"probe:{source.name}"
-        restored = log.restored(step)
-        if restored is not None:
-            return restored
-        from repro.sources.base import PROBE_COST_FRACTION
-
-        value = source.probe()
-        log.commit(
-            step, data={"fraction": PROBE_COST_FRACTION}, payload=value
-        )
-        return value
-
-    def _acquire(self, source: DataSource) -> Table:
-        """Fetch one source, degrading gracefully when it breaks.
+    def _stage_acquire(self, name: str, inputs: dict[str, Any]) -> Table:
+        """Fetch one planned source, degrading gracefully when it breaks.
 
         "Veracity represents the uncertainty that is inevitable" — and
         with thousands of sources, some will be down, malformed, or
@@ -383,124 +432,62 @@ class Wrangler:
         table, a near-zero reliability annotation, and a failure record in
         the working data; the rest of the pipeline proceeds.
         """
+        if name not in inputs["plan"].sources:
+            return Table(name, Schema(()))
+        source = self.registry.get(name)
         try:
-            if isinstance(source, StructuredSource):
-                table = self._fetched(source).infer_schema()
-                self.working.put("table", f"raw/{source.name}", table)
-                self._record_degradation(source.name)
-                return table
-            if isinstance(source, DocumentSource):
-                documents = self._fetched(source)
-                examples = self._examples.get(source.name)
-                if examples:
-                    wrapper = induce_wrapper(
-                        documents, examples, source=source.name
-                    )
-                else:
-                    wrapper = auto_induce(documents, source=source.name)
-                repairer = WrapperRepairer(self.data)
-                wrapper, table, report = repairer.repair(wrapper, documents)
-                self.working.put("wrapper", source.name, wrapper)
-                self.working.put(
-                    "report", f"wrapper-repair/{source.name}", report
-                )
-                table = table.infer_schema()
-                self.working.put("table", f"raw/{source.name}", table)
-                self._record_degradation(source.name)
-                return table
+            table = self._extract(source, "acquire")
         except WranglingError as failure:
-            self.working.put("failure", source.name, str(failure))
-            self._record_degradation(source.name)
-            self.working.annotations.add(
-                QualityAnnotation(
-                    f"source:{source.name}",
-                    Dimension.ACCURACY,
-                    0.05,
-                    confidence=0.9,
-                    origin="acquisition-failure",
-                )
+            self.working.put("failure", name, str(failure))
+            self._annotate_source(
+                name, Dimension.ACCURACY, 0.05, 0.9, "acquisition-failure"
             )
-            self.registry.observe(source.name, False, weight=2.0)
-            empty = Table(source.name, Schema(()))
-            self.working.put("table", f"raw/{source.name}", empty)
-            return empty
-        raise PlanningError(f"unsupported source type: {type(source).__name__}")
+            self.registry.observe(name, False, weight=2.0)
+            table = Table(name, Schema(()))
+        if table is None:
+            raise PlanningError(
+                f"unsupported source type: {type(source).__name__}"
+            )
+        self.working.put("table", f"raw/{name}", table)
+        # Acquisition provenance, as Section 4.2 stores every intermediate:
+        # what it took (retries, backoff, breaker state) to get — or fail
+        # to get — this source's data this run.
+        if self.degradation is not None:
+            entry = self.degradation.disposition(name)
+            if entry is not None:
+                self.working.put("resilience", name, entry.to_dict())
+        return table
 
-    def _fetched(self, source: DataSource):
-        """This run's fetch result for ``source`` — restored or live.
-
-        Under checkpointing the fetch is durable: a checkpoint committed
-        by a prior (killed) attempt is restored without touching the
-        source, and a live fetch goes through
-        :func:`~repro.ingest.incremental.acquire_durable` — delta when
-        the committed watermark allows, committed before the value is
-        handed to the pipeline.
-        """
-        log = self._ingest_log
-        if log is not None:
-            restored = log.restored(f"acquire:{source.name}")
-            if restored is not None:
-                return restored
-            from repro.ingest.incremental import acquire_durable
-
-            return acquire_durable(source, log, self.telemetry)
-        return source.fetch()
-
-    def _record_degradation(self, source_name: str) -> None:
-        """File one source's attempt/outcome ledger in the working data.
-
-        Acquisition provenance, as Section 4.2 stores every intermediate:
-        what it took (retries, backoff, breaker state) to get — or fail to
-        get — each source's data this run.
-        """
-        if self.degradation is None:
-            return
-        entry = self.degradation.disposition(source_name)
-        if entry is not None:
-            self.working.put("resilience", source_name, entry.to_dict())
-
-    def _match(self, table: Table, plan: WranglePlan) -> list:
-        matcher = SchemaMatcher(
-            self.data,
-            channels=plan.matcher_channels,
-            threshold=plan.match_threshold,
-            feedback=self._match_evidence,
-        )
-        correspondences = matcher.match(table, self.user.target_schema)
+    def _stage_match(self, name: str, inputs: dict[str, Any]) -> list:
+        table = inputs[f"acquire:{name}"]
+        correspondences = self._correspond(table, inputs["plan"])
         self.working.put("match", table.name, correspondences)
         return correspondences
 
-    def _mapping(
-        self, source_name: str, correspondences: list, table: Table
-    ) -> Mapping:
+    def _stage_mapping(self, name: str, inputs: dict[str, Any]) -> Mapping:
         mapping = Mapping.from_correspondences(
-            source_name, self.user.target_schema, correspondences,
-            sample_table=table,
+            name, self.user.target_schema, inputs[f"match:{name}"],
+            sample_table=inputs[f"acquire:{name}"],
         )
-        self.working.put("mapping", source_name, mapping)
+        self.working.put("mapping", name, mapping)
         return mapping
 
-    def _mapped(self, mapping: Mapping, table: Table) -> Table:
-        mapped = mapping.apply(table)
-        self.working.put("table", f"mapped/{mapping.source_name}", mapped)
+    def _stage_mapped(self, name: str, inputs: dict[str, Any]) -> Table:
+        mapped = inputs[f"mapping:{name}"].apply(inputs[f"acquire:{name}"])
+        self.working.put("table", f"mapped/{name}", mapped)
         return mapped
 
-    def _source_quality(self, source_name: str, mapped: Table) -> object:
-        report = self.analyser.analyse(
-            mapped,
-            user=self.user,
-            master_key=self.master_key,
-            join_attribute=self.join_attribute,
-            date_attribute=self.date_attribute,
-            annotate_as=f"source:{source_name}",
-        )
-        self.working.put("report", f"source/{source_name}", report)
+    def _stage_quality(self, name: str, inputs: dict[str, Any]) -> object:
+        report = self._assess(inputs[f"mapped:{name}"], f"source:{name}")
+        self.working.put("report", f"source/{name}", report)
         return report
 
-    def _select(self, plan: WranglePlan, mappings: Mapping | dict) -> list:
+    def _stage_select(self, inputs: dict[str, Any]) -> list:
         selector = MappingSelector(self.registry, self.working.annotations)
         candidates = [
-            mappings[name] for name in plan.sources if name in mappings
+            inputs[f"mapping:{name}"]
+            for name in inputs["plan"].sources
+            if f"mapping:{name}" in inputs
         ]
         # Acquisition already spent the budget; selection filters on
         # floors and ranks by the context's weights.
@@ -509,12 +496,10 @@ class Wrangler:
         self.working.put("mapping", "selected", [s.mapping.mapping_id for s in selected])
         return selected
 
-    def _translate(
-        self, selected: list, mapped_tables: dict[str, Table]
-    ) -> Table:
+    def _stage_translate(self, inputs: dict[str, Any]) -> Table:
         translated = Table("translated", self.user.target_schema)
-        for scored in selected:
-            table = mapped_tables.get(scored.mapping.source_name)
+        for scored in inputs["select"]:
+            table = inputs.get(f"mapped:{scored.mapping.source_name}")
             if table is None:
                 continue
             for record in table:
@@ -523,16 +508,15 @@ class Wrangler:
         self.working.put("table", "translated", translated)
         return translated
 
-    def _resolve(self, translated: Table, plan: WranglePlan):
+    def _stage_resolve(self, inputs: dict[str, Any]):
+        translated, plan = inputs["translate"], inputs["plan"]
         comparator = profiled_comparator(
             self.user.target_schema,
             translated,
             attributes=list(plan.er_attributes) or None,
         )
         rule = ThresholdRule(plan.er_threshold)
-        similarities, vectors, labels = self._er_labelled_pairs(
-            translated, comparator
-        )
+        similarities, labels = self._er_labelled_pairs(translated, comparator)
         if len(labels) >= 4:
             # Threshold fitting is monotone by construction, so judgments
             # collected on *borderline* pairs (where active acquisition
@@ -563,7 +547,7 @@ class Wrangler:
         return result
 
     def _er_labelled_pairs(self, translated: Table, comparator):
-        """Labelled similarities + field vectors from duplicate feedback.
+        """Labelled pair similarities from duplicate feedback.
 
         The pooled similarity must be the same weighted score the resolver
         thresholds — fitting on any other scale would learn a threshold in
@@ -571,7 +555,6 @@ class Wrangler:
         """
         records = {record.rid: record for record in translated}
         similarities = []
-        vectors = []
         labels = []
         for pair, items in self.feedback.duplicate_verdicts().items():
             left, right = records.get(pair[0]), records.get(pair[1])
@@ -581,9 +564,8 @@ class Wrangler:
             verdict = sum(votes) * 2 > len(votes)
             vector = comparator.vector(left, right)
             similarities.append(comparator.similarity_from_vector(vector))
-            vectors.append(vector)
             labels.append(verdict)
-        return similarities, vectors, labels
+        return similarities, labels
 
     def _source_reliabilities(self) -> dict[str, float]:
         """Per-source trust for fusion: the feedback-driven posterior
@@ -597,7 +579,8 @@ class Wrangler:
             scores[name] = 0.5 * posterior + 0.5 * annotated
         return scores
 
-    def _fuse(self, resolution, plan: WranglePlan) -> Table:
+    def _stage_fuse(self, inputs: dict[str, Any]) -> Table:
+        resolution, plan = inputs["resolve"], inputs["plan"]
         fuser = EntityFuser(
             self.user.target_schema,
             reliabilities=self._source_reliabilities(),
@@ -675,7 +658,8 @@ class Wrangler:
 
         return fused.map_records(fix)
 
-    def _repair(self, fused: Table, plan: WranglePlan):
+    def _stage_repair(self, inputs: dict[str, Any]):
+        fused, plan = inputs["fuse"], inputs["plan"]
         constraints = list(self.constraints)
         if plan.run_repair and self.discover_constraints:
             # Hand-written constraints do not scale to many sources:
@@ -700,153 +684,59 @@ class Wrangler:
 
     # -- dataflow assembly ----------------------------------------------------
 
-    def _compose_plan(self) -> WranglePlan:
-        """Run the planner, then statically gate its output.
+    def _compose(self):
+        """Plan from the current beliefs and statically gate the plan:
+        ``(plan, report)`` — the one gate call site.
 
-        Every ``wrangle`` run gets a pre-execution check: structure
-        validation (``PV0xx``), schema-flow type checking over the probe
-        artifacts (``TC001``–``TC009``), and node purity certification
-        (``TC010``) run as one gate — see
-        :func:`repro.analysis.typecheck.run_preflight` — before any
-        source is fully accessed.  Error-severity findings raise
-        :class:`~repro.errors.PlanValidationError`; construct the
-        Wrangler with ``validate=False`` to skip the gate.
+        Structure validation (``PV0xx``), schema-flow type checking over
+        the probe artifacts (``TC001``–``TC009``), node purity
+        certification (``TC010``) and cost certification (``CC0xx``) run
+        as one gate: :func:`repro.analysis.typecheck.run_preflight`.
         """
         plan = self.planner.plan(
             self.user, self.data, self.registry, self.working.annotations
         )
-        if self.validate:
-            self._gate(plan).raise_on_error()
-        return plan
-
-    def _gate(self, plan: WranglePlan):
-        """The combined static gate for one composed plan."""
-        from repro.analysis.typecheck import run_preflight
-
-        return run_preflight(
+        report = typecheck.run_preflight(
             plan=plan,
             user=self.user,
             data=self.data,
             registry=self.registry,
-            dataflow=self._flow,
+            dataflow=self.flow,
             working=self.working,
             master_key=self.master_key,
             date_attribute=self.date_attribute,
             cost_budget=self._cost_budget,
             discover_constraints=self.discover_constraints,
         )
+        return plan, report
 
     def preflight(self):
         """The full static gate's report, without executing the pipeline.
 
-        Probes the sources (the cheap sample pass) and composes a plan,
-        then runs structure validation, schema-flow type checking, and
-        purity certification over it.  Returns the
-        :class:`~repro.analysis.validator.ValidationReport` (its ``cost``
-        carries the plan's cost certificate) instead of raising, so
-        callers (e.g. ``python -m repro.analysis typecheck`` / ``cost``)
-        can render every finding.
+        Probes the sources (the cheap sample pass), composes a plan and
+        gates it exactly as :meth:`run` gates the plans it composes.
+        Returns the :class:`~repro.analysis.validator.ValidationReport`
+        (its ``cost`` carries the plan's cost certificate) instead of
+        raising, so callers (e.g. ``python -m repro.analysis typecheck`` /
+        ``cost``) can render every finding.  The one way to inspect the
+        gate, or — ``preflight().raise_on_error()`` — to re-gate after
+        changing :attr:`flow` by hand under a memoised plan.
         """
-        flow = self.flow
-        flow.pull("probe")
-        plan = self.planner.plan(
-            self.user, self.data, self.registry, self.working.annotations
-        )
-        return self._gate(plan)
+        self.flow.pull("probe")
+        return self._compose()[1]
 
     def _build_flow(self) -> Dataflow:
+        """Compose the declared pipeline: one node per entry of
+        :func:`pipeline_shape`, computed by its kind's ``_stage_<kind>``
+        body and labelled with its kind's ``OPERATORS`` stage."""
         flow = Dataflow(telemetry=self.telemetry)
-        flow.add("probe", lambda inputs: self._probe_all(), stage="probe")
-        flow.add(
-            "plan", lambda inputs: self._compose_plan(), ("probe",),
-            stage="planning",
-        )
-        source_names = self.registry.names()
-        for name in source_names:
-            source = self.registry.get(name)
-            flow.add(
-                f"acquire:{name}",
-                lambda inputs, s=source: (
-                    self._acquire(s)
-                    if s.name in inputs["plan"].sources
-                    else Table(s.name, Schema(()))
-                ),
-                ("plan",),
-                stage="extraction",
-            )
-            flow.add(
-                f"match:{name}",
-                lambda inputs, n=name: self._match(
-                    inputs[f"acquire:{n}"], inputs["plan"]
-                ),
-                (f"acquire:{name}", "plan"),
-                stage="matching",
-            )
-            flow.add(
-                f"mapping:{name}",
-                lambda inputs, n=name: self._mapping(
-                    n, inputs[f"match:{n}"], inputs[f"acquire:{n}"]
-                ),
-                (f"match:{name}", f"acquire:{name}"),
-                stage="mapping",
-            )
-            flow.add(
-                f"mapped:{name}",
-                lambda inputs, n=name: self._mapped(
-                    inputs[f"mapping:{n}"], inputs[f"acquire:{n}"]
-                ),
-                (f"mapping:{name}", f"acquire:{name}"),
-                stage="mapping",
-            )
-            flow.add(
-                f"quality:{name}",
-                lambda inputs, n=name: self._source_quality(
-                    n, inputs[f"mapped:{n}"]
-                ),
-                (f"mapped:{name}",),
-                stage="quality",
-            )
-        mapping_deps = tuple(f"mapping:{n}" for n in source_names)
-        quality_deps = tuple(f"quality:{n}" for n in source_names)
-        flow.add(
-            "select",
-            lambda inputs: self._select(
-                inputs["plan"],
-                {
-                    name: inputs[f"mapping:{name}"]
-                    for name in source_names
-                },
-            ),
-            ("plan",) + mapping_deps + quality_deps,
-            stage="selection",
-        )
-        flow.add(
-            "translate",
-            lambda inputs: self._translate(
-                inputs["select"],
-                {name: inputs[f"mapped:{name}"] for name in source_names},
-            ),
-            ("select",) + tuple(f"mapped:{n}" for n in source_names),
-            stage="mapping",
-        )
-        flow.add(
-            "resolve",
-            lambda inputs: self._resolve(inputs["translate"], inputs["plan"]),
-            ("translate", "plan"),
-            stage="resolution",
-        )
-        flow.add(
-            "fuse",
-            lambda inputs: self._fuse(inputs["resolve"], inputs["plan"]),
-            ("resolve", "plan"),
-            stage="fusion",
-        )
-        flow.add(
-            "repair",
-            lambda inputs: self._repair(inputs["fuse"], inputs["plan"]),
-            ("fuse", "plan"),
-            stage="repair",
-        )
+        shape = pipeline_shape(self.registry.names())
+        for node, dependencies in shape.items():
+            kind, _, source_name = node.partition(":")
+            body = getattr(self, f"_stage_{kind}")
+            if source_name:
+                body = partial(body, source_name)
+            flow.add(node, body, dependencies, stage=OPERATORS[kind].stage)
         return flow
 
     @property
@@ -859,29 +749,6 @@ class Wrangler:
         return self._flow
 
     # -- running ----------------------------------------------------------
-
-    def run(self, validate: bool | None = None) -> WrangleResult:
-        """Execute (or incrementally refresh) the pipeline.
-
-        ``validate`` overrides the wrangler's standing :attr:`validate`
-        flag for this run only.  ``run(validate=True)`` guarantees the
-        full pre-execution gate — structure validation, schema-flow type
-        checking, purity certification — runs against the plan this run
-        executes, even when the plan node is already memoised (a fresh
-        composition would be gated inside ``_compose_plan`` anyway).
-        """
-        if validate is None:
-            return self._run()
-        previous = self.validate
-        self.validate = validate
-        try:
-            if validate:
-                flow = self.flow
-                if flow.is_clean("plan"):
-                    self._gate(flow.value("plan")).raise_on_error()
-            return self._run()
-        finally:
-            self.validate = previous
 
     #: Stage nodes journaled as they land under checkpointing.  Table-valued
     #: nodes snapshot their payload (replayable by id); the others commit
@@ -901,72 +768,62 @@ class Wrangler:
             payload = value.table
         log.commit(f"node:{name}", data={"node": name}, payload=payload)
 
-    def _run(self) -> WrangleResult:
+    def run(self) -> WrangleResult:
+        """Execute (or incrementally refresh) the pipeline.
+
+        Every plan the run composes is gated before any source is fully
+        accessed (see :meth:`_compose`); a memoised plan was gated when
+        it was composed — :meth:`preflight` re-gates on demand.
+        """
         flow = self.flow
         runs_before = flow.total_runs()
         self._arm_run_deadline()
-        ingest_log = None
         if self._checkpoints is not None:
-            ingest_log = self._checkpoints.begin_run(self._plan_signature())
-            self._ingest_log = ingest_log
+            self._ingest_log = self._checkpoints.begin_run(
+                self._plan_signature()
+            )
             flow.on_node_computed(self._checkpoint_node)
         try:
-            return self._run_body(flow, runs_before, ingest_log)
+            with self.telemetry.tracer.span("wrangle.run") as run_span:
+                repair_result = flow.pull("repair")
+                fused = flow.value("fuse")
+                wrangled = (
+                    repair_result.table if repair_result is not None else fused
+                )
+                with self.telemetry.tracer.span(
+                    "quality:wrangled", stage="quality"
+                ):
+                    quality = self._assess(
+                        wrangled, "table:wrangled", self.constraints or None
+                    )
+                run_span.set_attribute(
+                    "nodes_recomputed", flow.total_runs() - runs_before
+                )
+            # Velocity monitoring: snapshot the wrangled data whenever it
+            # was actually recomputed, so consecutive runs are diffable.
+            produced = flow.runs("fuse") + flow.runs("repair")
+            if produced != self._recorded_fuse_runs:
+                self.history.record(wrangled)
+                self._recorded_fuse_runs = produced
+            self._enforce_quorum()
+            ingest_export = None
+            if self._ingest_log is not None:
+                self._ingest_log.complete(payload=wrangled)
+                ingest_export = self._ingest_log.export()
         finally:
             self._ingest_log = None
-
-    def _run_body(
-        self,
-        flow: Dataflow,
-        runs_before: int,
-        ingest_log,
-    ) -> WrangleResult:
-        with self.telemetry.tracer.span("wrangle.run") as run_span:
-            repair_result = flow.pull("repair")
-            fused = flow.value("fuse")
-            wrangled = (
-                repair_result.table if repair_result is not None else fused
-            )
-            plan = flow.value("plan")
-            with self.telemetry.tracer.span(
-                "quality:wrangled", stage="quality"
-            ):
-                quality = self.analyser.analyse(
-                    wrangled,
-                    user=self.user,
-                    master_key=self.master_key,
-                    join_attribute=self.join_attribute,
-                    date_attribute=self.date_attribute,
-                    constraints=self.constraints or None,
-                    annotate_as="table:wrangled",
-                )
-            run_span.set_attribute(
-                "nodes_recomputed", flow.total_runs() - runs_before
-            )
-        source_reports = {
-            name: flow.value(f"quality:{name}")
-            for name in self.registry.names()
-            if flow.is_clean(f"quality:{name}")
-        }
-        # Velocity monitoring: snapshot the wrangled data whenever it was
-        # actually recomputed, so consecutive runs are diffable.
-        produced = flow.runs("fuse") + flow.runs("repair")
-        if produced != self._recorded_fuse_runs:
-            self.history.record(wrangled)
-            self._recorded_fuse_runs = produced
-        self._enforce_quorum()
-        ingest_export = None
-        if ingest_log is not None:
-            ingest_log.complete(payload=wrangled)
-            ingest_export = ingest_log.export()
         return WrangleResult(
             table=wrangled,
-            plan=plan,
+            plan=flow.value("plan"),
             quality=quality,
             mappings=flow.value("select") or [],
             resolution=flow.value("resolve"),
             repair=repair_result,
-            source_reports=source_reports,
+            source_reports={
+                name: flow.value(f"quality:{name}")
+                for name in self.registry.names()
+                if flow.is_clean(f"quality:{name}")
+            },
             access_cost=self.registry.total_cost(),
             feedback_cost=self.feedback.total_cost(),
             telemetry=self.telemetry.snapshot(dataflow=flow.node_stats()),
@@ -1018,9 +875,9 @@ class Wrangler:
     def apply_feedback(self, items: Sequence[Feedback]) -> None:
         """Record feedback, propagate it everywhere, invalidate precisely.
 
-        Each feedback type dirties only the dataflow nodes it can affect;
-        the next :meth:`run` recomputes just that cone (experiment E6
-        measures the savings).
+        Each feedback type dirties only the dataflow nodes it can affect
+        (:data:`~repro.feedback.types.DIRTIES`); the next :meth:`run` recomputes just
+        that cone (experiment E6 measures the savings).
         """
         flow = self.flow
         self.feedback.extend(list(items))
@@ -1040,23 +897,18 @@ class Wrangler:
 
         invalidated: set[str] = set()
         for item in items:
-            if isinstance(item, ValueFeedback):
-                # Reliabilities moved: fusion weights and source scores.
-                invalidated.update(("fuse", "select"))
-            elif isinstance(item, MatchFeedback):
-                if item.source_name and item.source_name in self.registry:
-                    invalidated.add(f"match:{item.source_name}")
-                else:
-                    for name in self.registry.names():
-                        invalidated.add(f"match:{name}")
-            elif isinstance(item, DuplicateFeedback):
-                invalidated.add("resolve")
-            elif isinstance(item, RelevanceFeedback):
-                invalidated.add("select")
-            elif isinstance(item, ExtractionFeedback):
-                for name in self.registry.names():
-                    if isinstance(self.registry.get(name), DocumentSource):
-                        invalidated.add(f"acquire:{name}")
+            kinds, shape = DIRTIES.get(type(item), ((), None))
+            if shape is None:
+                invalidated.update(kinds)
+                continue
+            named = self._named_source(item)
+            names = [named] if named else [
+                source.name for source in self.registry
+                if isinstance(source, shape)
+            ]
+            invalidated.update(
+                f"{kind}:{name}" for kind in kinds for name in names
+            )
         # Feedback also informs *source selection* (Section 2.4): if the
         # shifted beliefs say a materially better source set exists,
         # replan — acquisition of newly selected sources is then a
@@ -1096,6 +948,16 @@ class Wrangler:
         self.telemetry.metrics.counter(
             "feedback.nodes_invalidated"
         ).increment(len(invalidated))
+
+    def _named_source(self, item: Feedback) -> str | None:
+        """The registered source ``item`` is about, when it says which:
+        by ``source_name``, or as the owner of the filed wrapper whose id
+        it judges."""
+        named = getattr(item, "source_name", None)
+        if named is None:
+            owners = {w.wrapper_id: n for n, w in self.working.items("wrapper")}
+            named = owners.get(item.wrapper_id)
+        return named if named in self.registry else None
 
     def refresh_source(self, source_name: str) -> None:
         """Re-acquire one (volatile) source on the next run — Velocity.

@@ -10,7 +10,8 @@ The propagator turns the feedback store into updates for every component:
 * value verdicts → per-source reliability observations (via the fused
   cell's provenance) and source accuracy annotations → which steer
   **source selection**, **mapping selection**, and **fusion weights**;
-* duplicate verdicts → labelled training pairs → retrained **ER rules**;
+* duplicate verdicts → labelled training pairs → retrained **ER rules**
+  (the wrangler's resolve stage reads them straight from the store);
 * match verdicts → the evidence channel of the **schema matcher**;
 * relevance verdicts → relevance annotations → **source selection**;
 * extraction verdicts → wrapper reliability → **extraction repair**.
@@ -25,18 +26,11 @@ from dataclasses import dataclass, field
 
 from repro.feedback.reliability import Judgment, estimate_reliability
 from repro.feedback.store import FeedbackStore
-from repro.feedback.types import (
-    DuplicateFeedback,
-    ExtractionFeedback,
-    MatchFeedback,
-    RelevanceFeedback,
-    ValueFeedback,
-)
+from repro.feedback.types import ExtractionFeedback, MatchFeedback
 from repro.model.annotations import AnnotationStore, Dimension, QualityAnnotation
-from repro.model.records import Record, Table
+from repro.model.records import Table
 from repro.model.uncertainty import log_odds_pool
 from repro.obs.metrics import MetricsRegistry
-from repro.resolution.comparison import RecordComparator
 from repro.sources.registry import SourceRegistry
 
 __all__ = ["PropagationReport", "FeedbackPropagator"]
@@ -48,7 +42,6 @@ class PropagationReport:
 
     source_observations: dict[str, list[bool]] = field(default_factory=dict)
     match_evidence: dict[tuple[str, str], list[bool]] = field(default_factory=dict)
-    er_pairs: int = 0
     relevance_annotations: int = 0
     wrapper_observations: dict[str, list[bool]] = field(default_factory=dict)
     worker_accuracy: dict[str, float] = field(default_factory=dict)
@@ -74,30 +67,16 @@ class FeedbackPropagator:
     def worker_accuracies(self) -> dict[str, float]:
         """Estimated reliability per worker, from overlapping judgments.
 
-        Every binary feedback item is a judgment on a question keyed by its
-        type and target; workers who contradict the consensus lose weight.
+        Every binary feedback item is a judgment (its ``answer``) on a
+        ``question`` keyed by its type and target; workers who contradict
+        the consensus lose weight.
         Workers with no overlap keep a neutral 0.8.
         """
-        judgments = []
-        for item in self.store:
-            if isinstance(item, ValueFeedback):
-                key = f"value:{item.entity}:{item.attribute}"
-                answer = item.is_correct
-            elif isinstance(item, DuplicateFeedback):
-                key = f"dup:{item.pair[0]}:{item.pair[1]}"
-                answer = item.is_duplicate
-            elif isinstance(item, MatchFeedback):
-                key = f"match:{item.source_attribute}:{item.target_attribute}"
-                answer = item.is_correct
-            elif isinstance(item, RelevanceFeedback):
-                key = f"rel:{item.source_name or item.entity}"
-                answer = item.is_relevant
-            elif isinstance(item, ExtractionFeedback):
-                key = f"ext:{item.wrapper_id}:{item.attribute}"
-                answer = item.is_correct
-            else:
-                continue
-            judgments.append(Judgment(item.worker, key, answer))
+        judgments = [
+            Judgment(item.worker, question, item.answer)
+            for item in self.store
+            if (question := item.question) is not None
+        ]
         if not judgments:
             return {}
         estimate = estimate_reliability(judgments)
@@ -120,12 +99,7 @@ class FeedbackPropagator:
 
     # -- propagation passes ------------------------------------------------
 
-    def propagate(
-        self,
-        wrangled: Table | None = None,
-        comparator: RecordComparator | None = None,
-        records_by_rid: dict[str, Record] | None = None,
-    ) -> PropagationReport:
+    def propagate(self, wrangled: Table | None = None) -> PropagationReport:
         """Run every propagation pass and return what changed."""
         report = PropagationReport()
         report.worker_accuracy = self.worker_accuracies()
@@ -135,8 +109,6 @@ class FeedbackPropagator:
         self._propagate_matches(report)
         self._propagate_relevance(report)
         self._propagate_wrappers(report)
-        if comparator is not None and records_by_rid:
-            self._collect_er_pairs(comparator, records_by_rid, report)
         if self.metrics is not None:
             self.metrics.counter("feedback.propagations").increment()
             self.metrics.counter("feedback.source_observations").increment(
@@ -150,9 +122,6 @@ class FeedbackPropagator:
             )
             self.metrics.counter("feedback.wrapper_observations").increment(
                 sum(len(v) for v in report.wrapper_observations.values())
-            )
-            self.metrics.counter("feedback.er_pairs").increment(
-                report.er_pairs
             )
         return report
 
@@ -238,35 +207,3 @@ class FeedbackPropagator:
             report.wrapper_observations.setdefault(item.wrapper_id, []).append(
                 item.is_correct
             )
-
-    def _collect_er_pairs(
-        self,
-        comparator: RecordComparator,
-        records_by_rid: dict[str, Record],
-        report: PropagationReport,
-    ) -> None:
-        self._er_vectors: list[list[float | None]] = []
-        self._er_labels: list[bool] = []
-        accuracy = report.worker_accuracy
-        for pair, items in self.store.duplicate_verdicts().items():
-            left = records_by_rid.get(pair[0])
-            right = records_by_rid.get(pair[1])
-            if left is None or right is None:
-                continue
-            probability = self._consolidate(
-                [item.is_duplicate for item in items],
-                [item.worker for item in items],
-                accuracy,
-            )
-            if abs(probability - 0.5) < 0.05:
-                continue
-            self._er_vectors.append(comparator.vector(left, right))
-            self._er_labels.append(probability > 0.5)
-        report.er_pairs = len(self._er_labels)
-
-    def er_training_data(self) -> tuple[list[list[float | None]], list[bool]]:
-        """The labelled pairs collected by the last propagation pass."""
-        return (
-            getattr(self, "_er_vectors", []),
-            getattr(self, "_er_labels", []),
-        )

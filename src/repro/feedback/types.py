@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.errors import FeedbackError
+from repro.sources.base import DataSource, DocumentSource
 
 __all__ = [
     "Feedback",
@@ -21,6 +22,7 @@ __all__ = [
     "MatchFeedback",
     "RelevanceFeedback",
     "ExtractionFeedback",
+    "DIRTIES",
 ]
 
 _feedback_counter = itertools.count(1)
@@ -37,6 +39,19 @@ class Feedback:
     def __post_init__(self) -> None:
         if self.cost < 0:
             raise FeedbackError("feedback cost must be non-negative")
+
+    @property
+    def question(self) -> str | None:
+        """What the item judges, keyed so that two workers judging the
+        same thing collide (``None``: the bare envelope judges nothing).
+        Worker reliability is estimated from answers to shared questions.
+        """
+        return None
+
+    @property
+    def answer(self) -> bool:
+        """The worker's binary verdict on :attr:`question`."""
+        return False
 
 
 @dataclass(frozen=True)
@@ -57,6 +72,14 @@ class ValueFeedback(Feedback):
         if not self.entity or not self.attribute:
             raise FeedbackError("value feedback needs an entity and attribute")
 
+    @property
+    def question(self) -> str:
+        return f"value:{self.entity}:{self.attribute}"
+
+    @property
+    def answer(self) -> bool:
+        return self.is_correct
+
 
 @dataclass(frozen=True)
 class DuplicateFeedback(Feedback):
@@ -76,6 +99,14 @@ class DuplicateFeedback(Feedback):
         """The record pair, order-normalised."""
         return tuple(sorted((self.rid_a, self.rid_b)))  # type: ignore[return-value]
 
+    @property
+    def question(self) -> str:
+        return "dup:{}:{}".format(*self.pair)
+
+    @property
+    def answer(self) -> bool:
+        return self.is_duplicate
+
 
 @dataclass(frozen=True)
 class MatchFeedback(Feedback):
@@ -90,6 +121,14 @@ class MatchFeedback(Feedback):
         super().__post_init__()
         if not self.source_attribute or not self.target_attribute:
             raise FeedbackError("match feedback needs both attribute names")
+
+    @property
+    def question(self) -> str:
+        return f"match:{self.source_attribute}:{self.target_attribute}"
+
+    @property
+    def answer(self) -> bool:
+        return self.is_correct
 
 
 @dataclass(frozen=True)
@@ -107,6 +146,14 @@ class RelevanceFeedback(Feedback):
                 "relevance feedback needs an entity or a source"
             )
 
+    @property
+    def question(self) -> str:
+        return f"rel:{self.source_name or self.entity}"
+
+    @property
+    def answer(self) -> bool:
+        return self.is_relevant
+
 
 @dataclass(frozen=True)
 class ExtractionFeedback(Feedback):
@@ -120,3 +167,28 @@ class ExtractionFeedback(Feedback):
         super().__post_init__()
         if not self.wrapper_id:
             raise FeedbackError("extraction feedback needs a wrapper id")
+
+    @property
+    def question(self) -> str:
+        return f"ext:{self.wrapper_id}:{self.attribute}"
+
+    @property
+    def answer(self) -> bool:
+        return self.is_correct
+
+
+#: The invalidation policy ``Wrangler.apply_feedback`` reads: feedback
+#: type → (the dataflow node kinds one item of it dirties, the source
+#: shape a per-source kind concerns).  ``None`` marks global nodes.
+#: Otherwise the item dirties ``kind:<source>`` for the one source it
+#: names — by ``source_name``, or as the owner of the wrapper it judges —
+#: and, when it names none, for every registered source of that shape.
+#: A new feedback type is its class above and one row here.
+DIRTIES: dict[type, tuple[tuple[str, ...], type | None]] = {
+    # Reliabilities moved: fusion weights and source scores.
+    ValueFeedback: (("fuse", "select"), None),
+    MatchFeedback: (("match",), DataSource),
+    DuplicateFeedback: (("resolve",), None),
+    RelevanceFeedback: (("select",), None),
+    ExtractionFeedback: (("acquire",), DocumentSource),
+}

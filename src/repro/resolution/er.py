@@ -70,11 +70,6 @@ def stable_cluster_id(records: Sequence[Record]) -> str:
     return f"entity-{digest.hexdigest()[:10]}"
 
 
-#: Backwards-compatible alias; the id scheme is public API now that
-#: partitioned execution must mint the very same ids as single-node ER.
-_stable_cluster_id = stable_cluster_id
-
-
 @dataclass
 class EntityCluster:
     """One resolved entity: the records claimed to be the same thing."""

@@ -1,17 +1,18 @@
-"""The operator table is complete and agrees with the wrangler's dataflow.
+"""The operator table and the pipeline shape are the one declaration.
 
-One row per node kind ``Wrangler._build_flow`` emits, carrying the stage
-label the dataflow node itself carries; the canonical fallback shape is
-that same graph; and ``input`` — the one kind with a schema half only —
-still surfaces as ``CC009``.
+``pipeline_shape`` spells the wiring (pinned here as a literal, in
+insertion order); every kind it emits has one ``OPERATORS`` row and one
+``Wrangler._stage_<kind>`` body, and vice versa; each node of the
+dataflow the wrangler composes from it carries its row's stage label;
+and ``input`` — the one kind with a schema half only — still surfaces
+as ``CC009``.
 """
 
 from types import SimpleNamespace
 
 from repro import DataContext, UserContext, Wrangler
 from repro.analysis.cost import check_plan_cost
-from repro.analysis.typecheck import OPERATORS
-from repro.analysis.typecheck.operators import topology
+from repro.analysis.typecheck import OPERATORS, pipeline_shape
 from repro.core.dataflow import Dataflow
 from repro.model.annotations import Dimension
 from repro.model.schema import Attribute, DataType, Schema
@@ -48,11 +49,46 @@ class TestTableCompleteness:
         for name, node in stats.items():
             assert OPERATORS[name.partition(":")[0]].stage == node["stage"]
 
-    def test_canonical_shape_is_the_graph_build_flow_composes(self):
-        flow = mixed_flow()
-        order, dependencies = topology(None, ["shop", "site"])
-        assert dependencies == flow.dependency_map()
-        assert sorted(order) == sorted(flow.nodes())
+    def test_pipeline_shape_is_this_literal_in_insertion_order(self):
+        shape = pipeline_shape(["shop", "site"])
+        expected = {
+            "probe": (),
+            "plan": ("probe",),
+            "acquire:shop": ("plan",),
+            "match:shop": ("acquire:shop", "plan"),
+            "mapping:shop": ("match:shop", "acquire:shop"),
+            "mapped:shop": ("mapping:shop", "acquire:shop"),
+            "quality:shop": ("mapped:shop",),
+            "acquire:site": ("plan",),
+            "match:site": ("acquire:site", "plan"),
+            "mapping:site": ("match:site", "acquire:site"),
+            "mapped:site": ("mapping:site", "acquire:site"),
+            "quality:site": ("mapped:site",),
+            "select": (
+                "plan", "mapping:shop", "mapping:site",
+                "quality:shop", "quality:site",
+            ),
+            "translate": ("select", "mapped:shop", "mapped:site"),
+            "resolve": ("translate", "plan"),
+            "fuse": ("resolve", "plan"),
+            "repair": ("fuse", "plan"),
+        }
+        assert shape == expected
+        assert list(shape) == list(expected)
+
+    def test_every_emitted_kind_has_a_row_and_a_stage_body_and_back(self):
+        emitted = {
+            node.partition(":")[0] for node in pipeline_shape(["shop"])
+        }
+        # ``input`` is the one row the shape never emits: an externally
+        # set value a user adds to the flow by hand.
+        assert emitted == set(OPERATORS) - {"input"}
+        bodies = {
+            name[len("_stage_"):]
+            for name in vars(Wrangler)
+            if name.startswith("_stage_")
+        }
+        assert bodies == emitted
 
     def test_input_kind_has_a_schema_half_only_and_yields_cc009(self):
         row = OPERATORS["input"]

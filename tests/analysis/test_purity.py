@@ -168,29 +168,3 @@ class TestDataflowCertification:
         flow = self.build_flow()
         flow.certify()
         assert flow.node_stats()["clean"]["purity"] == "pure"
-
-    def test_strict_purity_refuses_to_replay_uncertified_nodes(self):
-        flow = Dataflow()
-        flow.add("a", lambda inputs: object())
-        flow.add("b", lambda inputs: object(), ("a",))
-        flow.pull("b")
-        runs = flow.total_runs()
-        flow.pull("b")  # memoised: no recomputation
-        assert flow.total_runs() == runs
-
-        flow.certify()
-        flow._nodes["b"].purity = "unknown"  # simulate an uncertifiable node
-        flow.strict_purity = True
-        flow.pull("b")
-        # 'a' is certified pure and replays; 'b' must recompute.
-        assert flow.runs("a") == 1
-        assert flow.runs("b") == 2
-
-    def test_strict_purity_exempts_input_nodes(self):
-        flow = Dataflow()
-        flow.add_input("seed", 41)
-        flow.add("next", lambda inputs: inputs["seed"] + 1, ("seed",))
-        flow.certify()
-        flow.strict_purity = True
-        assert flow.pull("next") == 42
-        assert flow.pull("next") == 42  # the input survived strict mode

@@ -1,5 +1,5 @@
 """The pre-execution gate end to end: structure + types + purity as one
-report, wired through ``Wrangler.preflight()`` and ``run(validate=True)``.
+report, wired through ``Wrangler.preflight()`` and every ``Wrangler.run()``.
 """
 
 import pytest
@@ -115,24 +115,20 @@ class TestRunValidateGate:
         flow = wrangler.flow
         flow.add("leak", lambda inputs: print(inputs), ("fuse",))
         with pytest.raises(PlanValidationError) as failure:
-            wrangler.run(validate=True)
+            wrangler.run()
         assert any(d.rule == "TC010" for d in failure.value.diagnostics)
-
-    def test_validate_false_overrides_the_standing_flag(self):
-        wrangler = make_wrangler()
-        wrangler.flow.add("leak", lambda inputs: print(inputs), ("fuse",))
-        result = wrangler.run(validate=False)
-        assert len(result.table) == 2
 
     def test_validate_true_rechecks_a_memoised_plan(self):
         wrangler = make_wrangler()
         result = wrangler.run()
         assert len(result.table) == 2
         wrangler.flow.add("leak", lambda inputs: print(inputs), ("fuse",))
-        # The plan node is clean, so only the explicit re-gate can see
-        # the defective node added after the first run.
-        with pytest.raises(PlanValidationError):
-            wrangler.run(validate=True)
+        # The plan node is clean, so run() has nothing to compose or
+        # gate; preflight() is the way to re-gate the changed flow.
+        assert len(wrangler.run().table) == 2
+        with pytest.raises(PlanValidationError) as failure:
+            wrangler.preflight().raise_on_error()
+        assert any(d.rule == "TC010" for d in failure.value.diagnostics)
 
     def test_default_run_still_gates_fresh_plans(self):
         wrangler = make_wrangler()

@@ -8,7 +8,7 @@ from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
 from repro.core.dataflow import Dataflow
 from repro.core.planner import WranglePlan
-from repro.errors import PlanValidationError
+from repro.errors import DataflowError, PlanValidationError
 from repro.mapping.mapping import AttributeMap, Mapping
 from repro.model.annotations import Dimension
 from repro.model.schema import Attribute, DataType, Schema
@@ -48,36 +48,18 @@ def fired(report, rule_id):
 
 
 class TestDataflowChecks:
-    def test_dangling_dependency_pv001(self):
-        report = validate_plan(
-            dataflow={"fuse": ("resolve",), "repair": ("fuse", "plan")}
-        )
-        findings = fired(report, "PV001")
-        assert findings, report.render()
-        assert all(d.severity is Severity.ERROR for d in findings)
-        dangling = {d.location.node for d in findings}
-        assert dangling == {"fuse", "repair"}
-
-    def test_cycle_pv002_reports_offending_path(self):
-        report = validate_plan(
-            dataflow={"a": ("c",), "b": ("a",), "c": ("b",)}
-        )
-        (finding,) = fired(report, "PV002")
-        assert finding.severity is Severity.ERROR
-        # The closed path appears in the message, e.g. "a -> c -> b -> a".
-        assert " -> " in finding.message
-        path = finding.message.split(": ")[-1].split(" -> ")
-        assert path[0] == path[-1]
-        assert set(path) == {"a", "b", "c"}
-
     def test_real_dataflow_is_clean(self):
+        """No graph rule exists (PV001/PV002 are retired) because a real
+        ``Dataflow`` cannot be built dangling or cyclic: a dependency
+        must already be defined when its dependant is added."""
         flow = Dataflow()
         flow.add("probe", lambda inputs: None)
         flow.add("plan", lambda inputs: None, ("probe",))
-        flow.add("acquire", lambda inputs: None, ("plan",))
-        report = validate_plan(dataflow=flow)
-        assert report.ok
-        assert report.diagnostics == ()
+        with pytest.raises(DataflowError):
+            flow.add("fuse", lambda inputs: None, ("resolve",))
+        with pytest.raises(DataflowError):
+            flow.add("loop", lambda inputs: None, ("loop",))
+        assert flow.dependency_map() == {"probe": (), "plan": ("probe",)}
 
 
 class TestPlanChecks:
@@ -276,13 +258,9 @@ class TestReportBehaviour:
         """Validation is static: no source access, no node computation."""
         registry = registry_with("shop")
         source = registry.get("shop")
-        flow = Dataflow()
-        flow.add("probe", lambda inputs: 1 / 0)  # would raise if pulled
         PlanValidator().validate(
             plan=good_plan(),
             registry=registry,
-            dataflow=flow,
             user=UserContext("u", TARGET),
         )
         assert source.accesses == 0
-        assert flow.runs("probe") == 0

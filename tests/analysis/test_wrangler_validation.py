@@ -1,8 +1,7 @@
-"""Pre-flight validation wired into the Wrangler (validate=True default)."""
+"""Pre-flight validation wired into the Wrangler: every composed plan is gated."""
 
 import pytest
 
-from repro.analysis.validator import PlanValidator
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
 from repro.core.planner import AutonomicPlanner, WranglePlan
@@ -80,20 +79,11 @@ class TestDefaultPreFlight:
         assert any(d.rule == "PV007" for d in failure.value.diagnostics)
 
 
-class TestEscapeHatch:
-    def test_validate_false_skips_the_check(self):
-        wrangler = make_wrangler(validate=False)
-        wrangler.planner = BrokenPlanner()
-        result = wrangler.run()  # unchecked pipeline still executes
-        assert "ghost" in result.plan.sources
-        assert len(result.table) == 2  # the phantom source changed nothing
-
-    def test_validate_flag_is_mutable_per_run(self):
+class TestReplanning:
+    def test_invalidated_plan_is_gated_again(self):
         wrangler = make_wrangler()
+        wrangler.run()  # a healthy plan, gated and memoised
         wrangler.planner = BrokenPlanner()
-        wrangler.validate = False
-        wrangler.run()
-        wrangler.validate = True
         wrangler.flow.invalidate("plan")
         with pytest.raises(PlanValidationError):
             wrangler.run()
@@ -101,7 +91,8 @@ class TestEscapeHatch:
 
 class TestBuiltFlowIsValid:
     def test_wrangler_dataflow_passes_graph_checks(self):
-        wrangler = make_wrangler()
-        report = PlanValidator().validate(dataflow=wrangler.flow)
-        assert report.ok
-        assert report.diagnostics == ()
+        flow = make_wrangler().flow
+        order = flow.nodes()
+        for node, dependencies in flow.dependency_map().items():
+            for dependency in dependencies:
+                assert order.index(dependency) < order.index(node)

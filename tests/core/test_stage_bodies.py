@@ -1,0 +1,244 @@
+"""Each Figure-1 layer on its own: stage bodies without a ``run()``.
+
+A stage body computes one dataflow node from an ``inputs`` dict (the
+values of the dependencies ``pipeline_shape`` declares for it), so every
+layer can be driven with hand-built inputs; the probe runs the same
+extract / match / assess helpers on a sample; and one extraction verdict
+dirties one source's acquisition, not every document source's.
+"""
+
+import datetime
+
+import pytest
+
+from repro.context.data_context import DataContext
+from repro.context.user_context import UserContext
+from repro.core.planner import WranglePlan
+from repro.core.wrangler import Wrangler
+from repro.datagen.htmlgen import render_site
+from repro.datagen.products import TARGET_SCHEMA
+from repro.feedback.types import ExtractionFeedback
+from repro.mapping.mapping import Mapping
+from repro.model.annotations import Dimension
+from repro.model.records import Table
+from repro.model.schema import Attribute, DataType, Schema
+from repro.sources.memory import MemoryDocumentSource, MemorySource
+
+SCHEMA = Schema(
+    (
+        Attribute("product", DataType.STRING, required=True),
+        Attribute("price", DataType.CURRENCY),
+    )
+)
+
+ROWS = [
+    {"product": "anvil", "cost": "$12.00"},
+    {"product": "rope", "cost": "$3.50"},
+]
+
+PLAN = WranglePlan(
+    sources=["shop"],
+    matcher_channels=("name", "instance"),
+    match_threshold=0.5,
+    er_threshold=0.9,
+    fusion_strategy="weighted",
+)
+
+
+def make_wrangler():
+    user = UserContext("u", SCHEMA, weights={Dimension.ACCURACY: 1.0})
+    wrangler = Wrangler(user, DataContext())
+    wrangler.add_source(MemorySource("shop", ROWS))
+    return wrangler
+
+
+def raw_table():
+    return Table.from_rows("shop", ROWS, source="shop").infer_schema()
+
+
+class TestPerSourceStages:
+    def test_acquire_fetches_a_planned_source_and_files_the_raw_table(self):
+        wrangler = make_wrangler()
+        table = wrangler._stage_acquire("shop", {"plan": PLAN})
+        assert [r.raw("product") for r in table] == ["anvil", "rope"]
+        assert wrangler.working.get("table", "raw/shop") is table
+        assert wrangler.registry.get("shop").accesses == 1.0
+
+    def test_acquire_skips_a_source_the_plan_left_out(self):
+        wrangler = make_wrangler()
+        unplanned = WranglePlan(
+            sources=[],
+            matcher_channels=PLAN.matcher_channels,
+            match_threshold=0.5,
+            er_threshold=0.9,
+            fusion_strategy="weighted",
+        )
+        table = wrangler._stage_acquire("shop", {"plan": unplanned})
+        assert len(table) == 0
+        assert wrangler.registry.get("shop").accesses == 0
+
+    def test_match_mapping_mapped_quality_chain_on_hand_built_inputs(self):
+        wrangler = make_wrangler()
+        inputs = {"plan": PLAN, "acquire:shop": raw_table()}
+        inputs["match:shop"] = wrangler._stage_match("shop", inputs)
+        pairs = {
+            (c.source_attribute, c.target_attribute)
+            for c in inputs["match:shop"]
+        }
+        assert ("product", "product") in pairs
+        assert wrangler.working.get("match", "shop") == inputs["match:shop"]
+
+        inputs["mapping:shop"] = wrangler._stage_mapping("shop", inputs)
+        assert isinstance(inputs["mapping:shop"], Mapping)
+        assert wrangler.working.get("mapping", "shop") is inputs["mapping:shop"]
+
+        inputs["mapped:shop"] = wrangler._stage_mapped("shop", inputs)
+        assert inputs["mapped:shop"].schema == SCHEMA
+        assert [r.raw("product") for r in inputs["mapped:shop"]] == [
+            "anvil", "rope",
+        ]
+
+        report = wrangler._stage_quality("shop", inputs)
+        assert wrangler.working.get("report", "source/shop") is report
+        assert 0.0 <= report.scores[Dimension.COMPLETENESS] <= 1.0
+
+
+class TestGlobalStages:
+    def test_select_translate_resolve_fuse_repair_on_hand_built_inputs(self):
+        wrangler = make_wrangler()
+        inputs = {"plan": PLAN, "acquire:shop": raw_table()}
+        for kind in ("match", "mapping", "mapped", "quality"):
+            body = getattr(wrangler, f"_stage_{kind}")
+            inputs[f"{kind}:shop"] = body("shop", inputs)
+
+        inputs["select"] = wrangler._stage_select(inputs)
+        assert [s.mapping for s in inputs["select"]] == [inputs["mapping:shop"]]
+
+        inputs["translate"] = wrangler._stage_translate(inputs)
+        assert len(inputs["translate"]) == 2
+
+        inputs["resolve"] = wrangler._stage_resolve(inputs)
+        assert len(inputs["resolve"].clusters) == 2
+
+        inputs["fuse"] = wrangler._stage_fuse(inputs)
+        assert sorted(r.raw("product") for r in inputs["fuse"]) == [
+            "anvil", "rope",
+        ]
+        assert wrangler.working.get("table", "wrangled") is inputs["fuse"]
+
+        # No constraints declared or discovered: nothing to repair.
+        assert wrangler._stage_repair(inputs) is None
+
+    def test_plan_stage_gates_what_it_composes(self):
+        wrangler = make_wrangler()
+        wrangler._stage_probe({})
+        plan = wrangler._stage_plan({"probe": {}})
+        assert plan.sources == ["shop"]
+        assert all(v == "pure" for v in wrangler.flow.purity_map().values())
+
+
+class TestProbeRunsTheSameStagesOnASample:
+    def test_filed_probe_artifacts_equal_the_shared_helpers_output(self):
+        probing, reference = make_wrangler(), make_wrangler()
+        reports = probing._stage_probe({})
+
+        sample = reference._extract(reference.registry.get("shop"), "probe")
+        correspondences = reference._correspond(sample)
+        mapping = Mapping.from_correspondences("shop", SCHEMA, correspondences)
+
+        assert probing.working.get("schema", "probe/shop") == sample.schema
+        filed = probing.working.get("mapping", "probe/shop")
+        assert filed.source_name == mapping.source_name
+        assert filed.attribute_maps == mapping.attribute_maps
+        assert filed.confidence == mapping.confidence
+        assessed = reference._assess(mapping.apply(sample), "source:shop")
+        assert reports["shop"].scores == assessed.scores
+        # A probe is a fraction of an access, for either wrangler.
+        assert probing.registry.get("shop").accesses == pytest.approx(
+            reference.registry.get("shop").accesses
+        )
+
+    def test_bootstrap_matcher_is_the_plan_matcher_without_a_plan(self):
+        wrangler = make_wrangler()
+        table = raw_table()
+        everything_at_half = WranglePlan(
+            sources=["shop"],
+            matcher_channels=("name", "instance", "ontology", "feedback"),
+            match_threshold=0.5,
+            er_threshold=0.9,
+            fusion_strategy="weighted",
+        )
+
+        def facts(correspondences):
+            return [
+                (c.source_attribute, c.target_attribute, c.confidence)
+                for c in correspondences
+            ]
+
+        assert facts(wrangler._correspond(table)) == facts(
+            wrangler._correspond(table, everything_at_half)
+        )
+
+
+def site_source(name, products):
+    listings = [
+        {
+            "product": product,
+            "brand": "acme",
+            "price": f"${price:.2f}",
+            "url": f"http://{name}/{index}",
+            "updated": "2016-03-15",
+        }
+        for index, (product, price) in enumerate(products)
+    ]
+    return MemoryDocumentSource(name, render_site(name, listings).pages)
+
+
+class TestExtractionFeedbackInvalidatesPrecisely:
+    def make(self):
+        user = UserContext.precision_first("u", TARGET_SCHEMA)
+        wrangler = Wrangler(
+            user, DataContext("products"), today=datetime.date(2016, 3, 15)
+        )
+        wrangler.add_source(
+            site_source("north", [("anvil", 12.0), ("rope", 3.5), ("saw", 9.0)])
+        )
+        wrangler.add_source(
+            site_source("south", [("anvil", 12.5), ("nail", 0.1), ("axe", 20.0)])
+        )
+        wrangler.run()
+        return wrangler
+
+    def test_one_verdict_dirties_one_acquisition(self):
+        wrangler = self.make()
+        before = {
+            name: wrangler.registry.get(name).accesses
+            for name in ("north", "south")
+        }
+        judged = wrangler.working.get("wrapper", "south").wrapper_id
+        wrangler.apply_feedback(
+            [ExtractionFeedback(wrapper_id=judged, attribute="price",
+                                is_correct=False)]
+        )
+        dirty = [
+            node for node in wrangler.flow.dirty_nodes()
+            if node.startswith("acquire:")
+        ]
+        assert dirty == ["acquire:south"]
+        wrangler.run()
+        grown = {
+            name for name in before
+            if wrangler.registry.get(name).accesses > before[name]
+        }
+        assert grown == {"south"}
+
+    def test_a_verdict_on_an_unknown_wrapper_falls_back_to_every_site(self):
+        wrangler = self.make()
+        wrangler.apply_feedback(
+            [ExtractionFeedback(wrapper_id="wrapper-nobody-filed")]
+        )
+        dirty = {
+            node for node in wrangler.flow.dirty_nodes()
+            if node.startswith("acquire:")
+        }
+        assert dirty == {"acquire:north", "acquire:south"}

@@ -21,7 +21,6 @@ from repro.model.provenance import Provenance, Step
 from repro.model.records import Record, Table
 from repro.model.schema import Schema
 from repro.model.values import Value
-from repro.resolution.comparison import FieldComparator, RecordComparator
 from repro.sources.memory import MemorySource
 from repro.sources.registry import SourceRegistry
 
@@ -199,25 +198,6 @@ class TestPropagation:
         report = FeedbackPropagator(store, registry, annotations).propagate()
         assert report.relevance_annotations == 1
         assert annotations.score("source:src-b", Dimension.RELEVANCE) < 0.5
-
-    def test_duplicate_feedback_yields_training_pairs(self, setup):
-        registry, store, annotations = setup
-        records = {
-            "r1": Record.of({"name": "Acme TV"}, rid="r1"),
-            "r2": Record.of({"name": "Acme TV!"}, rid="r2"),
-            "r3": Record.of({"name": "Globex Radio"}, rid="r3"),
-        }
-        store.add(DuplicateFeedback(rid_a="r1", rid_b="r2", is_duplicate=True))
-        store.add(DuplicateFeedback(rid_a="r1", rid_b="r3", is_duplicate=False))
-        comparator = RecordComparator((FieldComparator("name"),))
-        propagator = FeedbackPropagator(store, registry, annotations)
-        report = propagator.propagate(
-            comparator=comparator, records_by_rid=records
-        )
-        vectors, labels = propagator.er_training_data()
-        assert report.er_pairs == 2
-        assert labels == [True, False]
-        assert vectors[0][0] > vectors[1][0]
 
     def test_wrapper_observations_collected(self, setup):
         registry, store, annotations = setup

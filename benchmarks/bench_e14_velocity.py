@@ -19,9 +19,9 @@ import pytest
 
 from repro.errors import InjectedCrashError
 from repro.ingest.checkpoint import CheckpointStore, CrashPlan
-from repro.ingest.cursor import DELTA_COST_FLOOR
 from repro.ingest.incremental import acquire_durable, merge_delta
 from repro.selection.refresh import expected_staleness, plan_refresh
+from repro.sources.cursor import DELTA_COST_FLOOR
 from repro.sources.memory import MemorySource
 from repro.sources.registry import SourceRegistry
 

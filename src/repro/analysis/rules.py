@@ -437,10 +437,7 @@ LAYER_RANKS: Mapping[str, int] = {
     "context": 2,
     "sources": 2,
     "io": 2,
-    # Same rank as sources/io: durable acquisition state is the sources'
-    # peer (sources call into ingest cursors, ingest decodes source
-    # shapes), and same-rank imports are legal in both directions.
-    "ingest": 2,
+    "ingest": 3,
     "matching": 3,
     "extraction": 3,
     "kb": 3,

@@ -56,7 +56,7 @@ class _Node:
 
 
 class Dataflow:
-    """A pull-based, memoising dataflow DAG."""
+    """A pull-based, memoising dataflow DAG (it takes no compute observers)."""
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
         self._nodes: dict[str, _Node] = {}
@@ -67,15 +67,6 @@ class Dataflow:
         #: regression guard for pull_all's single-sweep contract).
         self.topo_derivations = 0
         self.telemetry = telemetry
-        #: Callbacks fired with ``(name, value)`` after a node's compute
-        #: lands — the checkpoint layer's commit hook.  Replays of
-        #: memoised values do not fire.
-        self._observers: list[Callable[[str, Any], None]] = []
-
-    def on_node_computed(self, callback: Callable[[str, Any], None]) -> None:
-        """Register a compute observer (idempotent per callback)."""
-        if callback not in self._observers:
-            self._observers.append(callback)
 
     # -- construction -----------------------------------------------------
 
@@ -182,8 +173,6 @@ class Dataflow:
         node.seconds += elapsed
         node.clean = True
         node.runs += 1
-        for observer in self._observers:
-            observer(node.name, node.value)
 
     def _sweep(self, names: Iterable[str]) -> None:
         """Recompute the dirty nodes among ``names`` (topological order)."""

@@ -126,8 +126,8 @@ class Wrangler:
         self._match_evidence: dict[tuple[str, str], list[bool]] = {}
         #: Durable-ingestion configuration, set by :meth:`checkpointing`.
         #: When a store is attached every probe and acquisition commits a
-        #: checkpoint, stage nodes journal as they land, and an
-        #: interrupted run resumes from the last committed step.
+        #: checkpoint and an interrupted run resumes from the last
+        #: committed step.
         self._checkpoints = None
         #: The open :class:`~repro.ingest.checkpoint.RunLog` while a
         #: checkpointed run executes (None otherwise).
@@ -215,10 +215,10 @@ class Wrangler:
         ``store`` is a :class:`~repro.ingest.checkpoint.CheckpointStore`.
         With it attached, every probe and acquisition commits (payload
         snapshot + per-source watermark), sources with a declared delta
-        cursor re-fetch only rows past the committed watermark, stage
-        nodes journal as they compute, and the next run under the same
-        plan signature resumes from the last committed checkpoint — no
-        source access is ever paid for twice.  The run's summary lands on
+        cursor re-fetch only rows past the committed watermark, and the
+        next run under the same plan signature restores every committed
+        step and recomputes the dataflow from them — no source access is
+        ever paid for twice.  The run's summary lands on
         ``WrangleResult.ingest``; see ``docs/INCREMENTAL.md``.
         """
         self._checkpoints = store
@@ -750,24 +750,6 @@ class Wrangler:
 
     # -- running ----------------------------------------------------------
 
-    #: Stage nodes journaled as they land under checkpointing.  Table-valued
-    #: nodes snapshot their payload (replayable by id); the others commit
-    #: as progress markers — resume recomputes them deterministically
-    #: from the restored acquisitions without touching any source.
-    _DURABLE_NODES = ("select", "translate", "resolve", "fuse", "repair")
-
-    def _checkpoint_node(self, name: str, value) -> None:
-        """Dataflow observer: journal one landed stage node."""
-        log = self._ingest_log
-        if log is None or name not in self._DURABLE_NODES:
-            return
-        payload = None
-        if isinstance(value, Table):
-            payload = value
-        elif name == "repair" and value is not None:
-            payload = value.table
-        log.commit(f"node:{name}", data={"node": name}, payload=payload)
-
     def run(self) -> WrangleResult:
         """Execute (or incrementally refresh) the pipeline.
 
@@ -782,7 +764,6 @@ class Wrangler:
             self._ingest_log = self._checkpoints.begin_run(
                 self._plan_signature()
             )
-            flow.on_node_computed(self._checkpoint_node)
         try:
             with self.telemetry.tracer.span("wrangle.run") as run_span:
                 repair_result = flow.pull("repair")

@@ -1,46 +1,43 @@
 """Crash-safe incremental ingestion: the durable edge of the pipeline.
 
 ROADMAP item 3 made concrete: acquisition becomes incremental and
-recoverable.  :mod:`repro.ingest.cursor` holds per-source
-``Watermark``/delta state so a fetch can ask only for rows past the last
-committed high-water mark; :mod:`repro.ingest.checkpoint` journals run
-progress durably (atomic write-temp-then-rename, versioned JSON,
-corruption-detecting checksums) so an interrupted run resumes instead of
-restarting; :mod:`repro.ingest.snapshots` stores every committed payload
-content-addressed, so any past run replays byte-for-byte from its
-snapshot id.  ``docs/INCREMENTAL.md`` is the contract.
+recoverable.  :mod:`repro.ingest.checkpoint` journals exactly what a
+resume reads — each ``probe:`` / ``acquire:`` payload with its watermark
+advance, then ``complete`` — durably (atomic write-temp-then-rename,
+versioned JSON, corruption-detecting checksums) so an interrupted run
+resumes instead of restarting; :mod:`repro.ingest.snapshots` stores
+every committed payload content-addressed, so any past run replays
+byte-for-byte from its snapshot id; :mod:`repro.ingest.incremental`
+merges a delta fetch into the committed view.  ``docs/INCREMENTAL.md``
+is the contract.
 
-Exports resolve lazily (PEP 562): :mod:`repro.sources.base` imports the
-cursor types from inside ``fetch_delta`` while :mod:`repro.ingest.
-incremental` imports the source shapes, and deferring the submodule
-imports keeps that same-rank coupling acyclic at import time.
+The cursor types (``Watermark``, ``DeltaBatch``, …) are re-exported from
+:mod:`repro.sources.cursor`; nothing under ``sources`` imports ``ingest``.
 """
 
-from __future__ import annotations
+from repro.ingest.checkpoint import CheckpointStore, CrashPlan, RunLog
+from repro.ingest.incremental import acquire_durable, merge_delta
+from repro.ingest.snapshots import SnapshotStore, decode_payload, encode_payload
+from repro.sources.cursor import (
+    DELTA_COST_FLOOR,
+    DeltaBatch,
+    Watermark,
+    cursor_after,
+    watermark_for,
+)
 
-_EXPORTS = {
-    "DELTA_COST_FLOOR": "repro.ingest.cursor",
-    "DeltaBatch": "repro.ingest.cursor",
-    "Watermark": "repro.ingest.cursor",
-    "cursor_after": "repro.ingest.cursor",
-    "watermark_for": "repro.ingest.cursor",
-    "SnapshotStore": "repro.ingest.snapshots",
-    "decode_payload": "repro.ingest.snapshots",
-    "encode_payload": "repro.ingest.snapshots",
-    "CheckpointStore": "repro.ingest.checkpoint",
-    "CrashPlan": "repro.ingest.checkpoint",
-    "RunLog": "repro.ingest.checkpoint",
-    "acquire_durable": "repro.ingest.incremental",
-    "merge_delta": "repro.ingest.incremental",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
+__all__ = [
+    "CheckpointStore",
+    "CrashPlan",
+    "DELTA_COST_FLOOR",
+    "DeltaBatch",
+    "RunLog",
+    "SnapshotStore",
+    "Watermark",
+    "acquire_durable",
+    "cursor_after",
+    "decode_payload",
+    "encode_payload",
+    "merge_delta",
+    "watermark_for",
+]

@@ -2,13 +2,14 @@
 
 One ``journal.json`` per store holds everything that must survive a
 process death: how many runs completed, each source's committed
-:class:`~repro.ingest.cursor.Watermark` (with the snapshot id of the
-view it describes), and the current run's committed steps.  Every commit
-rewrites the journal atomically (payload snapshots first, then one
-``os.replace``), so at any instant the file on disk describes a
-consistent prefix of the run — the recovery invariant the
-kill-at-every-checkpoint matrix in ``tests/ingest/test_crash_recovery.py``
-proves.
+:class:`~repro.sources.cursor.Watermark` (with the snapshot id of the
+view it describes), and the current run's committed steps — exactly the
+``probe:`` / ``acquire:`` payloads a resume reads back through
+:meth:`RunLog.restored`, then ``complete``.  Every commit rewrites the
+journal atomically (payload snapshots first, then one ``os.replace``),
+so at any instant the file on disk describes a consistent prefix of the
+run — the recovery invariant the kill-at-every-checkpoint matrix in
+``tests/ingest/test_crash_recovery.py`` proves.
 
 A journal whose checksum does not match its body is *quarantined*, never
 trusted: the store restarts from the watermark-free state rather than
@@ -23,15 +24,16 @@ durable, resume must not redo) — the two sides of every crash window.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro.errors import CheckpointError, InjectedCrashError
-from repro.ingest.cursor import Watermark
 from repro.ingest.snapshots import SnapshotStore, decode_payload, encode_payload
 from repro.io import atomic_write_bytes
 from repro.model.workingdata import canonical_bytes, content_digest
+from repro.sources.cursor import Watermark
 
 __all__ = ["CheckpointStore", "CrashPlan", "JOURNAL_VERSION", "RunLog"]
 
@@ -82,6 +84,11 @@ def _fresh_body() -> dict[str, Any]:
     return {"runs_completed": 0, "watermarks": {}, "current": None}
 
 
+def _count(telemetry: Any, name: str, amount: int = 1) -> None:
+    if telemetry is not None:
+        telemetry.metrics.counter(name).increment(amount)
+
+
 class CheckpointStore:
     """Durable per-run progress plus committed per-source watermarks.
 
@@ -107,10 +114,6 @@ class CheckpointStore:
     def _journal_path(self) -> Path:
         return self.root / "journal.json"
 
-    def _count(self, name: str, amount: int = 1) -> None:
-        if self.telemetry is not None:
-            self.telemetry.metrics.counter(name).increment(amount)
-
     def _crash(self, phase: str, step: str) -> None:
         if self.crash_plan is not None:
             self.crash_plan.check(phase, step)
@@ -134,7 +137,7 @@ class CheckpointStore:
             body = None
         if not ok:
             quarantined = self.snapshots.quarantine(path)
-            self._count("ingest.checkpoint.quarantined")
+            _count(self.telemetry, "ingest.checkpoint.quarantined")
             raise CheckpointError(
                 f"journal failed its integrity check; quarantined at "
                 f"{quarantined} — restart ingestion from scratch or "
@@ -143,17 +146,24 @@ class CheckpointStore:
         return body
 
     def _store_state(self, body: Mapping[str, Any], step: str) -> None:
-        self._crash("before", step)
-        envelope = {
-            "schema": _JOURNAL_SCHEMA,
-            "version": JOURNAL_VERSION,
-            "body": body,
-            "checksum": content_digest(body),
-        }
-        self.root.mkdir(parents=True, exist_ok=True)
-        atomic_write_bytes(self._journal_path, canonical_bytes(envelope))
-        self._count("ingest.commits")
-        self._crash("after", step)
+        """One atomic journal write, under its ``ingest.checkpoint`` span."""
+        span = (
+            self.telemetry.tracer.span("ingest.checkpoint", step=step)
+            if self.telemetry is not None
+            else nullcontext()
+        )
+        with span:
+            self._crash("before", step)
+            envelope = {
+                "schema": _JOURNAL_SCHEMA,
+                "version": JOURNAL_VERSION,
+                "body": body,
+                "checksum": content_digest(body),
+            }
+            self.root.mkdir(parents=True, exist_ok=True)
+            atomic_write_bytes(self._journal_path, canonical_bytes(envelope))
+            _count(self.telemetry, "ingest.commits")
+            self._crash("after", step)
 
     # -- run lifecycle ----------------------------------------------------
 
@@ -175,14 +185,14 @@ class CheckpointStore:
             current["resumed"] = int(current.get("resumed", 0)) + 1
             log = RunLog(self, body, resumed=True)
             self._store_state(body, "resume")
-            self._count("ingest.resumes")
+            _count(self.telemetry, "ingest.resumes")
             return log
         if (
             current is not None
             and not current.get("complete")
             and current.get("signature") != signature
         ):
-            self._count("ingest.resume.signature_mismatch")
+            _count(self.telemetry, "ingest.resume.signature_mismatch")
         run_id = f"run-{int(body.get('runs_completed', 0)) + 1:03d}"
         body["current"] = {
             "run_id": run_id,
@@ -217,11 +227,11 @@ class RunLog:
     """One run's committed progress, bound to its store.
 
     Commit points are named steps (``probe:<src>``, ``acquire:<src>``,
-    ``node:<name>``, ``complete``); :meth:`commit` snapshots the step's
-    payload, records its metadata, and rewrites the journal atomically.
-    On resume, :meth:`restored` hands back the committed payload so the
-    step is *skipped*, not redone — that is what keeps the access ledger
-    free of double charges.
+    ``complete``); :meth:`commit` snapshots the step's payload, records
+    its metadata, and rewrites the journal atomically.  On resume,
+    :meth:`restored` hands back the committed payload so the step is
+    *skipped*, not redone — that is what keeps the access ledger free of
+    double charges.
     """
 
     def __init__(
@@ -260,19 +270,10 @@ class RunLog:
         try:
             payload = self._store.replay(entry["snapshot"])
         except CheckpointError:
-            self._store._count("ingest.restore.corrupt")
+            _count(self._store.telemetry, "ingest.restore.corrupt")
             return None
-        self._store._count("ingest.restores")
+        _count(self._store.telemetry, "ingest.restores")
         return payload
-
-    def restored_data(self, step: str) -> dict[str, Any] | None:
-        """The metadata a prior attempt committed for ``step``."""
-        entry = self._committed.get(step)
-        return None if entry is None else dict(entry.get("data") or {})
-
-    def has(self, step: str) -> bool:
-        """Whether ``step`` was committed (payload or not)."""
-        return step in self._committed
 
     def watermark(self, source: str) -> Watermark | None:
         """The committed watermark for ``source``, if any."""
@@ -291,23 +292,22 @@ class RunLog:
         try:
             table = self._store.replay(entry["snapshot"])
         except CheckpointError:
-            self._store._count("ingest.restore.corrupt")
+            _count(self._store.telemetry, "ingest.restore.corrupt")
             return None
         return table.to_rows()
 
     # -- writing ----------------------------------------------------------
 
-    def commit(
+    def _write(
         self,
         step: str,
-        data: Mapping[str, Any] | None = None,
-        payload: Any = None,
+        data: Mapping[str, Any] | None,
+        payload: Any,
         watermark: Watermark | None = None,
     ) -> str | None:
-        """Durably commit one step; returns the payload's snapshot id.
-
-        The snapshot object lands first, then one atomic journal rewrite
-        makes the step (and any watermark advance) visible — a crash
+        """Record one step, then store the journal: the snapshot object
+        lands first, then one atomic rewrite makes the step (with any
+        watermark advance; ``complete`` closes the run) visible — a crash
         between the two leaves an unreferenced object, never a dangling
         reference.
         """
@@ -332,29 +332,27 @@ class RunLog:
                 "watermark": watermark.to_dict(),
                 "snapshot": snapshot_id,
             }
-        if self._store.telemetry is not None:
-            with self._store.telemetry.tracer.span(
-                "ingest.checkpoint", step=step
-            ):
-                self._store._store_state(self._body, step)
-        else:
-            self._store._store_state(self._body, step)
+        if step == "complete":
+            self._current["complete"] = True
+            self._current["output_snapshot"] = snapshot_id
+            self._body["runs_completed"] = int(self._body["runs_completed"]) + 1
+        self._store._store_state(self._body, step)
         return snapshot_id
+
+    def commit(
+        self,
+        step: str,
+        data: Mapping[str, Any] | None = None,
+        payload: Any = None,
+        watermark: Watermark | None = None,
+    ) -> str | None:
+        """Durably commit one step; returns the payload's snapshot id."""
+        return self._write(step, data, payload, watermark)
 
     def complete(self, payload: Any = None) -> str | None:
         """Mark the run complete (one atomic write with the final step)."""
-        snapshot_id = None
-        if payload is not None:
-            snapshot_id = self._store.snapshots.put(encode_payload(payload))
-        entry = {"step": "complete", "snapshot": snapshot_id, "data": {}}
-        if "complete" not in self._committed:
-            self._current["steps"].append(entry)
-            self._committed["complete"] = entry
-        self._current["complete"] = True
-        self._current["output_snapshot"] = snapshot_id
-        self._body["runs_completed"] = int(self._body["runs_completed"]) + 1
-        self._store._store_state(self._body, "complete")
-        self._store._count("ingest.runs_completed")
+        snapshot_id = self._write("complete", None, payload)
+        _count(self._store.telemetry, "ingest.runs_completed")
         return snapshot_id
 
     def export(self) -> dict[str, Any]:

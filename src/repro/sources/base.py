@@ -21,6 +21,14 @@ from typing import Sequence
 
 from repro.errors import SourceError
 from repro.model.records import Table
+from repro.model.workingdata import row_digest
+from repro.sources.cursor import (
+    DELTA_COST_FLOOR,
+    DeltaBatch,
+    Watermark,
+    cursor_after,
+    watermark_for,
+)
 
 __all__ = ["SourceMetadata", "Document", "DataSource", "StructuredSource", "DocumentSource"]
 
@@ -141,67 +149,50 @@ class StructuredSource(DataSource):
             table = Table(self.name, table.schema, list(table.records))
         return table
 
-    def fetch_delta(self, watermark=None):
+    def fetch_delta(self, watermark: Watermark | None = None) -> DeltaBatch:
         """Fetch only what changed since ``watermark``.
 
-        Returns a :class:`~repro.ingest.cursor.DeltaBatch`.  Without a
-        watermark or a declared cursor this is a full fetch (full access
-        charged, ``table`` populated).  With both, the source is read
-        locally and only rows past the watermark cursor are returned,
-        charged pro rata with a :data:`~repro.ingest.cursor.
-        DELTA_COST_FLOOR` floor; a matching content fingerprint short-
-        circuits to ``"unchanged"`` at the floor price.
+        Without a watermark or a declared cursor this is a full fetch
+        (full access charged, ``table`` populated).  With both, the
+        source is read locally and only rows past the watermark cursor
+        are returned, charged pro rata with a
+        :data:`~repro.sources.cursor.DELTA_COST_FLOOR` floor; a matching
+        content fingerprint short-circuits to ``"unchanged"`` at the
+        floor price.  Each current row is digested once: the digests are
+        the batch's ``order`` and the watermark's fingerprint input.
         """
-        from repro.ingest.cursor import (
-            DELTA_COST_FLOOR,
-            DeltaBatch,
-            cursor_after,
-            watermark_for,
-        )
-        from repro.model.workingdata import row_digest
-
         cursor_attribute = self.delta_cursor()
-        if watermark is None or cursor_attribute is None:
-            table = self.fetch()
-            rows = table.to_rows()
-            return DeltaBatch(
-                source=self.name,
-                mode="full",
-                rows=tuple(rows),
-                order=tuple(row_digest(row) for row in rows),
-                watermark=watermark_for(self.name, rows, cursor_attribute),
-                fraction=1.0,
-                table=table,
-            )
-        current = self._load()
-        rows = current.to_rows()
+        full = watermark is None or cursor_attribute is None
+        table = self.fetch() if full else self._load()
+        rows = table.to_rows()
         order = tuple(row_digest(row) for row in rows)
         advanced = watermark_for(
-            self.name, rows, cursor_attribute, previous=watermark
+            self.name, rows, cursor_attribute,
+            previous=None if full else watermark, digests=order,
         )
-        if advanced.fingerprint == watermark.fingerprint:
-            mode = "unchanged"
-            delta_rows: tuple[dict, ...] = ()
-            fraction = DELTA_COST_FLOOR
+        if full:
+            mode, moved, fraction = "full", tuple(rows), 1.0
+        elif advanced.fingerprint == watermark.fingerprint:
+            mode, moved, fraction = "unchanged", (), DELTA_COST_FLOOR
         else:
             mode = "delta"
-            delta_rows = tuple(
+            moved = tuple(
                 row
                 for row in rows
                 if cursor_after(row.get(cursor_attribute), watermark.cursor)
             )
-            fraction = max(
-                DELTA_COST_FLOOR, len(delta_rows) / max(1, len(rows))
-            )
-        self._record_access(fraction)
-        self._memoise_size(len(rows))
+            fraction = max(DELTA_COST_FLOOR, len(moved) / max(1, len(rows)))
+        if not full:  # fetch() has already charged and memoised a full one
+            self._record_access(fraction)
+            self._memoise_size(len(rows))
         return DeltaBatch(
             source=self.name,
             mode=mode,
-            rows=delta_rows,
+            rows=moved,
             order=order,
             watermark=advanced,
             fraction=fraction,
+            table=table if full else None,
         )
 
     def probe(self, limit: int = 25) -> Table:

@@ -125,6 +125,7 @@ def watermark_for(
     rows: Sequence[Mapping[str, Any]],
     cursor_attribute: str | None,
     previous: Watermark | None = None,
+    digests: Sequence[str] | None = None,
 ) -> Watermark:
     """The watermark a committed view of ``rows`` establishes.
 
@@ -132,7 +133,8 @@ def watermark_for(
     advances over every row's cursor value under :func:`cursor_after`
     ordering.  The fingerprint digests the row-digest sequence in source
     order, so it is sensitive to edits, deletions, and reordering — not
-    just appends.
+    just appends.  ``digests`` are the rows' ``row_digest`` values when
+    the caller already holds them (``fetch_delta``: the batch ``order``).
     """
     cursor = previous.cursor if previous is not None else None
     if cursor_attribute is not None:
@@ -140,7 +142,8 @@ def watermark_for(
             candidate = row.get(cursor_attribute)
             if candidate is not None and cursor_after(candidate, cursor):
                 cursor = candidate
-    digests = [row_digest(row) for row in rows]
+    if digests is None:
+        digests = [row_digest(row) for row in rows]
     return Watermark(
         source=source,
         cursor=cursor,

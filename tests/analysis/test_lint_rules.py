@@ -189,6 +189,21 @@ class TestRep007LayerImportOrder:
         )
         assert "REP007" not in rule_ids(result)
 
+    def test_sources_importing_ingest_is_an_inversion(self):
+        # The dependency runs sources → ingest only: fetch_delta's cursor
+        # types live in sources/, the journal that stores them above it.
+        assert_fires_then_suppresses(
+            "from repro.ingest import Watermark\n",
+            "REP007",
+            "from repro.ingest import Watermark  # repro: noqa[REP007]\n",
+            path="src/repro/sources/example.py",
+        )
+        result = lint_source(
+            "from repro.sources.cursor import Watermark\n",
+            path="src/repro/ingest/example.py",
+        )
+        assert "REP007" not in rule_ids(result)
+
     def test_rank_table_covers_every_package(self):
         for layer in (
             "errors", "model", "context", "sources", "core", "analysis",

@@ -11,7 +11,6 @@ import pytest
 
 from repro.errors import CheckpointError, InjectedCrashError
 from repro.ingest.checkpoint import CheckpointStore, CrashPlan
-from repro.ingest.cursor import watermark_for
 from repro.ingest.snapshots import SnapshotStore, decode_payload, encode_payload
 from repro.model.records import Table
 from repro.model.workingdata import (
@@ -20,6 +19,7 @@ from repro.model.workingdata import (
     table_fingerprint,
 )
 from repro.sources.base import Document
+from repro.sources.cursor import watermark_for
 
 ROWS = [
     {"product": "laptop", "price": 999.0, "updated": datetime.date(2016, 3, 1)},
@@ -128,7 +128,9 @@ class TestJournal:
         assert resumed.resumed_from == "acquire:catalog"
         restored = resumed.restored("acquire:catalog")
         assert table_fingerprint(restored) == table_fingerprint(table)
-        assert resumed.restored_data("acquire:catalog") == {"mode": "full"}
+        assert resumed.export()["acquisitions"] == {
+            "catalog": {"mode": "full"}
+        }
 
     def test_signature_mismatch_starts_fresh(self, tmp_path):
         store = CheckpointStore(tmp_path)

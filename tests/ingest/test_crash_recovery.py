@@ -19,7 +19,7 @@ from repro.core.wrangler import Wrangler
 from repro.datagen.ontologies import product_ontology
 from repro.datagen.products import TARGET_SCHEMA, generate_world
 from repro.errors import CheckpointError, InjectedCrashError
-from repro.ingest.checkpoint import CheckpointStore, CrashPlan
+from repro.ingest.checkpoint import CheckpointStore, CrashPlan, RunLog
 from repro.model.workingdata import table_fingerprint
 from repro.obs import Telemetry
 from repro.resilience import ChaosSource, FaultPlan
@@ -34,7 +34,10 @@ def world():
     return generate_world(n_products=10, n_sources=2, seed=77)
 
 
-def make_wrangler(world, store=None, fault_plans=None):
+def make_wrangler(
+    world, store=None, fault_plans=None, source_rows=None, cursor=None
+):
+    source_rows = source_rows or world.source_rows
     user = UserContext.precision_first("analyst", TARGET_SCHEMA, budget=50.0)
     data = DataContext("products").with_ontology(product_ontology())
     data.add_master("catalog", world.ground_truth)
@@ -48,11 +51,12 @@ def make_wrangler(world, store=None, fault_plans=None):
         telemetry=telemetry,
     )
     sources = {}
-    for name in sorted(world.source_rows):
+    for name in sorted(source_rows):
         source = MemorySource(
             name,
-            world.source_rows[name],
+            source_rows[name],
             cost_per_access=world.specs[name].cost,
+            cursor=cursor,
         )
         if fault_plans and name in fault_plans:
             source = ChaosSource(
@@ -169,8 +173,7 @@ class TestKillAtEveryCheckpoint:
 class TestTwoCrashesTwoResumes:
     def test_double_death_still_converges(self, world, baseline, tmp_path):
         steps = baseline["steps"]
-        first = next(s for s in steps if s.startswith("acquire:"))
-        second = next(s for s in steps if s.startswith("node:"))
+        first, second = [s for s in steps if s.startswith("acquire:")][:2]
         root = tmp_path / "twice"
 
         store = CheckpointStore(root, crash_plan=CrashPlan.at(first))
@@ -201,7 +204,9 @@ class TestCorruptJournal:
         self, world, baseline, tmp_path
     ):
         root = tmp_path / "rot"
-        step = next(s for s in baseline["steps"] if s.startswith("node:"))
+        step = [
+            s for s in baseline["steps"] if s.startswith("acquire:")
+        ][1]
         store = CheckpointStore(root, crash_plan=CrashPlan.at(step))
         w1, _ = make_wrangler(world, store=store)
         with pytest.raises(InjectedCrashError):
@@ -250,3 +255,74 @@ class TestProcessDeathMidAcquisition:
         expected = dict(baseline["accesses"])
         expected[victim] += 1.0  # the one fetch whose commit never landed
         assert totals == pytest.approx(expected)
+
+
+class TestJournalHoldsWhatRecoveryReads:
+    """Every step a run commits other than ``complete`` is one a resume
+    reads back — nothing is journaled that recovery never asks for."""
+
+    def test_every_committed_step_is_restored_on_resume(
+        self, world, baseline, tmp_path, monkeypatch
+    ):
+        store = CheckpointStore(
+            tmp_path, crash_plan=CrashPlan.at("complete", when="before")
+        )
+        crashed, _ = make_wrangler(world, store=store)
+        with pytest.raises(InjectedCrashError):
+            crashed.run()
+        committed = [s for s in baseline["steps"] if s != "complete"]
+
+        served = {}
+        restored = RunLog.restored
+
+        def spy(log, step):
+            payload = restored(log, step)
+            served[step] = payload is not None
+            return payload
+
+        monkeypatch.setattr(RunLog, "restored", spy)
+        _, sources, result = run_to_completion(world, tmp_path)
+        assert result.ingest["resumed"] is True
+        assert result.ingest["restored_steps"] == sorted(committed)
+        assert served == dict.fromkeys(committed, True)
+        assert access_totals(sources) == dict.fromkeys(sources, 0.0)
+        assert table_fingerprint(result.table) == baseline["final"]
+
+    def test_refresh_tick_commits_three_times(self, world, tmp_path):
+        rows = {
+            name: [dict(row, seq=seq) for seq, row in enumerate(source_rows)]
+            for name, source_rows in world.source_rows.items()
+        }
+        store = CheckpointStore(tmp_path)
+        wrangler, sources = make_wrangler(
+            world,
+            store=store,
+            source_rows={name: full[:-2] for name, full in rows.items()},
+            cursor="seq",
+        )
+        first = wrangler.run()
+        commits = wrangler.telemetry.metrics.counter("ingest.commits")
+        commits_before, objects_before = commits.value, len(store.snapshots)
+
+        name = first.plan.sources[0]
+        sources[name].replace_rows(rows[name])
+        wrangler.refresh_source(name)
+        result = wrangler.run()
+        assert result.ingest["steps"] == [f"acquire:{name}", "complete"]
+        assert result.ingest["acquisitions"][name]["mode"] == "delta"
+        # begin, the refreshed acquisition, complete — and at most the
+        # refreshed source's view plus the run's output as new objects.
+        assert commits.value - commits_before == 3
+        assert len(store.snapshots) - objects_before <= 2
+
+    def test_every_journal_write_runs_under_a_checkpoint_span(
+        self, world, tmp_path
+    ):
+        wrangler, _, result = run_to_completion(world, tmp_path)
+        spans = wrangler.telemetry.tracer.find("ingest.checkpoint")
+        assert [span.attributes["step"] for span in spans] == (
+            ["begin"] + result.ingest["steps"]
+        )
+        assert result.ingest["steps"][-1] == "complete"
+        commits = wrangler.telemetry.metrics.counter("ingest.commits").value
+        assert len(spans) == commits

@@ -2,7 +2,7 @@
 
 The contract under test: ``fetch_delta(watermark)`` charges the access
 ledger for the rows it actually moves (floored at
-:data:`~repro.ingest.cursor.DELTA_COST_FLOOR`), ``merge_delta``
+:data:`~repro.sources.cursor.DELTA_COST_FLOOR`), ``merge_delta``
 reconstructs the full current view byte-for-byte or refuses (returns
 ``None``) when an edit slipped behind the cursor, and memoised size
 hints go stale the moment the backing content changes.
@@ -10,17 +10,21 @@ hints go stale the moment the backing content changes.
 
 import pytest
 
+import repro.sources.base
+import repro.sources.cursor
 from repro.errors import InjectedCrashError
-from repro.ingest.cursor import (
-    DELTA_COST_FLOOR,
-    cursor_after,
-    watermark_for,
-)
-from repro.ingest.incremental import merge_delta
+from repro.ingest.checkpoint import CheckpointStore
+from repro.ingest.incremental import acquire_durable, merge_delta
 from repro.model.workingdata import row_digest
 from repro.resilience.chaos import ChaosSource, FaultPlan
 from repro.resilience.policy import RetryPolicy
 from repro.resilience.wrap import ResilientStructuredSource
+from repro.sources.cursor import (
+    DELTA_COST_FLOOR,
+    Watermark,
+    cursor_after,
+    watermark_for,
+)
 from repro.sources.files import CSVSource, file_token
 from repro.sources.memory import MemorySource
 
@@ -68,8 +72,6 @@ class TestCursorPrimitives:
 
     def test_watermark_dict_round_trip(self):
         mark = watermark_for("feed", BASE_ROWS, "seq")
-        from repro.ingest.cursor import Watermark
-
         assert Watermark.from_dict(mark.to_dict()) == mark
 
 
@@ -131,6 +133,45 @@ class TestFetchDelta:
         merged = merge_delta([dict(row) for row in first.rows], batch)
         assert merged is not None  # no fallback-full
         assert [row["seq"] for row in merged] == ["8", "9", "10", "11"]
+
+
+class TestOneDigestPassPerFetch:
+    """Every current row is hashed once per ``fetch_delta``: the same
+    digests are the batch's ``order`` and the watermark's fingerprint."""
+
+    APPENDED = BASE_ROWS + [{"product": "watch", "price": 199.0, "seq": 4}]
+
+    @pytest.fixture
+    def digest_calls(self, monkeypatch):
+        calls = []
+
+        def counting(row):
+            calls.append(row)
+            return row_digest(row)
+
+        monkeypatch.setattr(repro.sources.base, "row_digest", counting)
+        monkeypatch.setattr(repro.sources.cursor, "row_digest", counting)
+        return calls
+
+    @pytest.mark.parametrize("cursor", ["seq", None])
+    def test_full_fetch(self, digest_calls, cursor):
+        batch = make_source(cursor=cursor).fetch_delta(None)
+        assert len(digest_calls) == len(BASE_ROWS)
+        assert batch.order == tuple(row_digest(r) for r in BASE_ROWS)
+        assert batch.watermark == watermark_for("feed", BASE_ROWS, cursor)
+
+    @pytest.mark.parametrize("rows", [APPENDED, BASE_ROWS])
+    def test_delta_and_unchanged_fetch(self, digest_calls, rows):
+        source = make_source()
+        mark = source.fetch_delta(None).watermark
+        source.replace_rows(rows)
+        del digest_calls[:]
+        batch = source.fetch_delta(mark)
+        assert len(digest_calls) == len(rows)
+        assert batch.order == tuple(row_digest(r) for r in rows)
+        assert batch.watermark == watermark_for(
+            "feed", rows, "seq", previous=mark
+        )
 
 
 class TestMergeDelta:
@@ -222,3 +263,59 @@ class TestWrapperPassthrough:
         with pytest.raises(InjectedCrashError):
             chaotic.fetch()  # load #2 is the scripted death
         chaotic.fetch()  # the "restarted process" sails through
+
+
+class TestAcquireDurableParity:
+    """``acquire_durable`` makes one ``fetch_delta`` call per source
+    shape; what it commits and charges is pinned to the values the
+    four-branch version produced, for every wrapper the registry uses."""
+
+    APPENDED = BASE_ROWS + [{"product": "watch", "price": 199.0, "seq": 4}]
+    EDITED = [dict(APPENDED[0], price=1.0)] + APPENDED[1:]
+    TICKS = [BASE_ROWS, APPENDED, APPENDED, EDITED]
+    #: Per tick: (mode, rows_fetched, fraction, cumulative accesses).
+    EXPECTED = {
+        "seq": [
+            ("full", 3, 1.0, 1.0),
+            ("delta", 1, 0.25, 1.25),
+            ("unchanged", 0, DELTA_COST_FLOOR, 1.3),
+            # The refused delta is paid for (floor), then the refetch.
+            ("fallback-full", 4, 1.0, 2.35),
+        ],
+        None: [
+            ("full", 3, 1.0, 1.0),
+            ("full", 4, 1.0, 2.0),
+            ("full", 4, 1.0, 3.0),
+            ("full", 4, 1.0, 4.0),
+        ],
+    }
+    WRAPPERS = {
+        "bare": lambda source: source,
+        "resilient": lambda source: ResilientStructuredSource(
+            source, RetryPolicy()
+        ),
+        "chaos": lambda source: ChaosSource(source, FaultPlan()),
+    }
+
+    @pytest.mark.parametrize("wrapper", sorted(WRAPPERS))
+    @pytest.mark.parametrize("cursor", ["seq", None])
+    def test_mode_charge_and_watermark(self, tmp_path, cursor, wrapper):
+        inner = make_source(cursor=cursor)
+        source = self.WRAPPERS[wrapper](inner)
+        for rows, expected in zip(self.TICKS, self.EXPECTED[cursor]):
+            inner.replace_rows(rows)
+            store = CheckpointStore(tmp_path)
+            log = store.begin_run("sig")
+            table = acquire_durable(source, log)
+            log.complete()
+            mode, fetched, fraction, accesses = expected
+            assert log.export()["acquisitions"]["feed"] == {
+                "mode": mode,
+                "rows_fetched": fetched,
+                "fraction": pytest.approx(fraction),
+            }
+            assert source.accesses == pytest.approx(accesses)
+            assert table.to_rows() == rows
+            assert store.watermarks()["feed"] == watermark_for(
+                "feed", rows, cursor
+            )

@@ -1,4 +1,4 @@
-"""Static validation of wrangle plans, mappings, and contexts.
+"""Static validation of wrangle plans and contexts.
 
 The autonomic planner composes the pipeline; this module checks the
 composition *before* any data is touched, in the spirit of Koehler et
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -44,12 +44,10 @@ __all__ = ["ValidationReport", "PlanValidator", "validate_plan"]
 VALIDATOR_RULES: Mapping[str, Rule] = catalogue(
     Rule("PV003", "unregistered-source", Severity.ERROR,
          "plan selects a source that is not registered"),
-    Rule("PV004", "mapping-attribute-missing", Severity.ERROR,
-         "mapping references an attribute absent from its schema"),
     Rule("PV005", "threshold-out-of-range", Severity.ERROR,
          "plan threshold outside [0, 1]"),
     Rule("PV006", "weight-out-of-range", Severity.ERROR,
-         "confidence or criteria weight outside [0, 1]"),
+         "criteria weight or floor outside [0, 1]"),
     Rule("PV007", "fusion-prerequisite-missing", Severity.ERROR,
          "fusion strategy unknown or its prerequisite is missing"),
     Rule("PV008", "budget-contradiction", Severity.ERROR,
@@ -110,7 +108,7 @@ def _in_unit_interval(value: object) -> bool:
 
 
 class PlanValidator:
-    """Static checker for plans, mappings, and contexts.
+    """Static checker for plans and contexts.
 
     Every ``check_*`` method returns diagnostics; :meth:`validate` runs
     all checks applicable to the artifacts it was given and folds the
@@ -361,79 +359,6 @@ class PlanValidator:
             total += metadata.cost_per_access
         return total
 
-    # -- mappings vs schemas (PV004, PV006) -----------------------------
-
-    def check_mappings(
-        self,
-        mappings: Iterable[Any],
-        source_schemas: Mapping[str, Any] | None = None,
-    ) -> list[Diagnostic]:
-        """Attribute references and confidences of executable mappings.
-
-        ``source_schemas`` maps source name to the schema its raw table
-        exposes; when provided, every attribute map's source attribute is
-        resolved against it.  Target attributes always resolve against the
-        mapping's own target schema.
-        """
-        findings = []
-        for mapping in mappings:
-            source_name = getattr(mapping, "source_name", "?")
-            if not _in_unit_interval(getattr(mapping, "confidence", 0.0)):
-                findings.append(
-                    pv(
-                        "PV006",
-                        "mapping",
-                        source_name,
-                        f"mapping {getattr(mapping, 'mapping_id', '?')} has "
-                        f"confidence {mapping.confidence!r} outside [0, 1]",
-                        "confidences are probabilities",
-                    )
-                )
-            schema = (source_schemas or {}).get(source_name)
-            target_schema = getattr(mapping, "target_schema", None)
-            for attribute_map in getattr(mapping, "attribute_maps", ()):
-                if not _in_unit_interval(
-                    getattr(attribute_map, "confidence", 0.0)
-                ):
-                    findings.append(
-                        pv(
-                            "PV006",
-                            "mapping",
-                            f"{source_name}.{attribute_map.target}",
-                            f"attribute map {attribute_map.target!r} has "
-                            f"confidence {attribute_map.confidence!r} outside "
-                            "[0, 1]",
-                            "confidences are probabilities",
-                        )
-                    )
-                if (
-                    target_schema is not None
-                    and attribute_map.target not in target_schema
-                ):
-                    findings.append(
-                        pv(
-                            "PV004",
-                            "mapping",
-                            f"{source_name}.{attribute_map.target}",
-                            f"mapping produces {attribute_map.target!r} which "
-                            "is not in the target schema",
-                            "align the mapping with the user context's schema",
-                        )
-                    )
-                if schema is not None and attribute_map.source not in schema:
-                    findings.append(
-                        pv(
-                            "PV004",
-                            "mapping",
-                            f"{source_name}.{attribute_map.source}",
-                            f"mapping reads {attribute_map.source!r} which "
-                            f"source {source_name!r} does not provide "
-                            f"(schema: {sorted(a.name for a in schema)})",
-                            "re-match the source or fix the attribute name",
-                        )
-                    )
-        return findings
-
     # -- the one-call entry point ----------------------------------------
 
     def validate(
@@ -442,8 +367,6 @@ class PlanValidator:
         user: Any = None,
         data: Any = None,
         registry: Any = None,
-        mappings: Iterable[Any] = (),
-        source_schemas: Mapping[str, Any] | None = None,
         master_key: str | None = None,
         date_attribute: str | None = None,
     ) -> ValidationReport:
@@ -466,9 +389,6 @@ class PlanValidator:
             findings.extend(
                 self.check_user_context(user, plan=plan, registry=registry)
             )
-        mappings = list(mappings)
-        if mappings:
-            findings.extend(self.check_mappings(mappings, source_schemas))
         return ValidationReport(tuple(sort_diagnostics(findings)))
 
 

@@ -200,3 +200,34 @@ class AutonomicPlanner:
             run_repair=run_repair,
             rationale=rationale,
         )
+
+    def replan_pays(
+        self,
+        current: WranglePlan,
+        fresh: WranglePlan,
+        registry: SourceRegistry,
+        annotations: AnnotationStore,
+    ) -> bool:
+        """Whether shifted beliefs make ``fresh`` worth re-acquiring for.
+
+        Feedback also informs *source selection* (Section 2.4): a plan
+        over a different source set replaces the one the current outputs
+        were computed with only when its profit (selector gain minus
+        access cost, under the current beliefs) beats the old plan's by
+        10% plus one unit — the hysteresis keeps near-tie oscillations
+        from thrashing the pipeline.
+        """
+        if set(fresh.sources) == set(current.sources):
+            return False
+        profiles = {
+            profile.name: profile
+            for profile in SourceSelector.profiles_from_registry(
+                registry, annotations
+            )
+        }
+
+        def profit(names: list[str]) -> float:
+            chosen = [profiles[n] for n in names if n in profiles]
+            return self.selector.gain(chosen) - sum(p.cost for p in chosen)
+
+        return profit(fresh.sources) > 1.1 * profit(current.sources) + 1.0

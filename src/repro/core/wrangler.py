@@ -14,6 +14,14 @@ The pipeline's *shape* is declared once, by
 :func:`~repro.analysis.typecheck.operators.pipeline_shape` next to the
 ``OPERATORS`` row of every node kind; the ``Wrangler`` only composes it,
 binding each kind ``k`` to its stage body ``Wrangler._stage_k``.
+
+Stage bodies compose, layers decide: a body gathers its inputs, calls the
+layer that owns the algorithm and files the result.  The policies — ER
+threshold refit (:func:`repro.resolution.er.refit_rule`), value-verdict
+re-fusion (``EntityFuser.apply_verdicts``), replan profit
+(``AutonomicPlanner.replan_pays``), quorum and run deadline
+(:mod:`repro.resilience`), majority votes (``FeedbackStore``) — live, and
+are unit-tested, behind those layers.
 """
 
 from __future__ import annotations
@@ -30,12 +38,7 @@ from repro.core.dataflow import Dataflow
 from repro.core.history import SnapshotHistory
 from repro.core.planner import AutonomicPlanner, WranglePlan
 from repro.core.result import WrangleResult
-from repro.errors import (
-    DataflowError,
-    DegradedRunError,
-    PlanningError,
-    WranglingError,
-)
+from repro.errors import DataflowError, PlanningError, WranglingError
 from repro.model.annotations import Dimension, QualityAnnotation
 from repro.extraction.induction import ExampleAnnotation, auto_induce, induce_wrapper
 from repro.extraction.repair import WrapperRepairer
@@ -46,21 +49,21 @@ from repro.fusion.fuse import EntityFuser
 from repro.mapping.mapping import Mapping
 from repro.mapping.selection import MappingSelector
 from repro.matching.schema_matching import SchemaMatcher
-from repro.model.records import Record, Table
+from repro.model.records import Table
 from repro.model.schema import Schema
 from repro.obs import Telemetry
 from repro.quality.constraints import Constraint
+from repro.quality.discovery import discover_fds
 from repro.quality.metrics import QualityAnalyser
 from repro.quality.repair import repair_table
-from repro.resilience import DegradationLedger, RetryPolicy, resilient
-from repro.resilience.policy import Deadline
-from repro.resilience.wrap import (
-    ResilientDocumentSource,
-    ResilientStructuredSource,
+from repro.resilience import (
+    DegradationLedger,
+    RetryPolicy,
+    arm_run_deadline,
+    resilient,
 )
 from repro.resolution.comparison import profiled_comparator
-from repro.resolution.er import EntityResolver
-from repro.resolution.rules import ThresholdRule, fit_threshold
+from repro.resolution.er import EntityResolver, refit_rule
 from repro.sources.base import (
     PROBE_COST_FRACTION,
     DataSource,
@@ -515,28 +518,12 @@ class Wrangler:
             translated,
             attributes=list(plan.er_attributes) or None,
         )
-        rule = ThresholdRule(plan.er_threshold)
-        similarities, labels = self._er_labelled_pairs(translated, comparator)
-        if len(labels) >= 4:
-            # Threshold fitting is monotone by construction, so judgments
-            # collected on *borderline* pairs (where active acquisition
-            # sends the crowd) generalise safely to the easy mass of
-            # pairs.  A per-field logistic rule is strictly more
-            # expressive but extrapolates disastrously from
-            # borderline-only training data — measured, not speculated
-            # (it drove pair precision to 0.02 on the jobs world).
-            if len(set(labels)) == 2:
-                rule = fit_threshold(similarities, labels)
-            elif not any(labels):
-                # Everything the crowd saw near the threshold was junk:
-                # the cut belongs above the highest rejected pair.
-                floor = min(0.99, max(similarities) + 0.01)
-                rule = ThresholdRule(max(plan.er_threshold, floor))
-            else:
-                # Everything seen was a true duplicate: merging may relax
-                # down to the lowest confirmed pair.
-                ceiling = max(0.5, min(similarities) - 0.01)
-                rule = ThresholdRule(min(plan.er_threshold, ceiling))
+        # Duplicate feedback refits the plan's threshold on the pairs it
+        # labelled, scored by the comparator the resolver decides with.
+        rule = refit_rule(
+            plan.er_threshold, comparator, translated,
+            self.feedback.duplicate_labels(),
+        )
         resolver = EntityResolver(
             comparator=comparator,
             rule=rule,
@@ -545,27 +532,6 @@ class Wrangler:
         result = resolver.resolve(translated)
         self.working.put("entity", "clusters", result)
         return result
-
-    def _er_labelled_pairs(self, translated: Table, comparator):
-        """Labelled pair similarities from duplicate feedback.
-
-        The pooled similarity must be the same weighted score the resolver
-        thresholds — fitting on any other scale would learn a threshold in
-        the wrong units.
-        """
-        records = {record.rid: record for record in translated}
-        similarities = []
-        labels = []
-        for pair, items in self.feedback.duplicate_verdicts().items():
-            left, right = records.get(pair[0]), records.get(pair[1])
-            if left is None or right is None:
-                continue
-            votes = [item.is_duplicate for item in items]
-            verdict = sum(votes) * 2 > len(votes)
-            vector = comparator.vector(left, right)
-            similarities.append(comparator.similarity_from_vector(vector))
-            labels.append(verdict)
-        return similarities, labels
 
     def _source_reliabilities(self) -> dict[str, float]:
         """Per-source trust for fusion: the feedback-driven posterior
@@ -588,75 +554,16 @@ class Wrangler:
             strategy_overrides=plan.fusion_overrides,
             recency_attribute=self.date_attribute,
         )
-        fused = fuser.fuse(resolution.clusters)
-        fused = self._apply_value_verdicts(fused, resolution)
+        # Value feedback is folded into the fused data itself: a cell its
+        # judges rejected takes their correction, or is re-fused without
+        # the rejected claims.
+        fused = fuser.apply_verdicts(
+            fuser.fuse(resolution.clusters),
+            resolution.clusters,
+            self.feedback.rejected_values(),
+        )
         self.working.put("table", "wrangled", fused)
         return fused
-
-    def _apply_value_verdicts(self, fused: Table, resolution) -> Table:
-        """Fold consolidated value feedback into the fused data itself.
-
-        A rejected cell takes the user's correction when one was supplied;
-        otherwise the rejected value's candidates are excluded and the
-        attribute is re-fused from the remaining claims.  (Cluster ids are
-        stable under value feedback because it never invalidates the
-        resolve node, so entity references stay valid.)
-        """
-        verdicts = self.feedback.value_verdicts()
-        if not verdicts:
-            return fused
-        from collections import Counter
-
-        from repro.fusion.strategies import Candidate, resolve as fuse_resolve
-        from repro.model.provenance import Step
-
-        clusters = {c.cluster_id: c for c in resolution.clusters}
-        reliabilities = self._source_reliabilities()
-
-        def fix(record: Record) -> Record:
-            updates = {}
-            for (entity, attribute), items in verdicts.items():
-                if entity != record.rid or attribute not in record.cells:
-                    continue
-                votes = [item.is_correct for item in items]
-                if 2 * sum(votes) >= len(votes):
-                    continue  # not rejected
-                current = record.get(attribute)
-                if current.is_missing:
-                    continue
-                corrections = [
-                    item.correction for item in items
-                    if item.correction is not None
-                ]
-                if corrections:
-                    best = Counter(corrections).most_common(1)[0][0]
-                    updates[attribute] = current.with_raw(
-                        best, Step.FEEDBACK, "user-correction"
-                    )
-                    continue
-                cluster = clusters.get(record.rid)
-                if cluster is None:
-                    continue
-                alternatives = [
-                    Candidate(
-                        value,
-                        member.source,
-                        reliabilities.get(member.source, 0.5),
-                    )
-                    for member in cluster.records
-                    for value in (member.get(attribute),)
-                    if not value.is_missing and value.raw != current.raw
-                ]
-                if alternatives:
-                    choice = fuse_resolve("weighted", alternatives)
-                    updates[attribute] = current.with_raw(
-                        choice.value.raw, Step.FEEDBACK, "rejected-value"
-                    )
-            if updates:
-                return record.with_cells(updates)
-            return record
-
-        return fused.map_records(fix)
 
     def _stage_repair(self, inputs: dict[str, Any]):
         fused, plan = inputs["fuse"], inputs["plan"]
@@ -666,8 +573,6 @@ class Wrangler:
             # mine near-exact dependencies from the fused data itself and
             # repair their few violations (approximate FDs are exactly
             # what dirty-but-mostly-regular data exhibits).
-            from repro.quality.discovery import discover_fds
-
             mined = discover_fds(fused, max_lhs=1, max_error=0.05)
             for discovered in mined:
                 if not discovered.is_exact:
@@ -759,7 +664,9 @@ class Wrangler:
         """
         flow = self.flow
         runs_before = flow.total_runs()
-        self._arm_run_deadline()
+        arm_run_deadline(
+            self.registry, self._resilience_policy, self.telemetry.clock
+        )
         if self._checkpoints is not None:
             self._ingest_log = self._checkpoints.begin_run(
                 self._plan_signature()
@@ -786,7 +693,10 @@ class Wrangler:
             if produced != self._recorded_fuse_runs:
                 self.history.record(wrangled)
                 self._recorded_fuse_runs = produced
-            self._enforce_quorum()
+            if self.degradation is not None:
+                self.degradation.require_quorum(
+                    self.registry.names(), self._quorum
+                )
             ingest_export = None
             if self._ingest_log is not None:
                 self._ingest_log.complete(payload=wrangled)
@@ -815,41 +725,6 @@ class Wrangler:
             ),
             ingest=ingest_export,
         )
-
-    def _arm_run_deadline(self) -> None:
-        """Start the per-run time budget on every resilient source."""
-        policy = self._resilience_policy
-        if policy is None or policy.run_deadline is None:
-            return
-        deadline = Deadline(
-            self.telemetry.clock, policy.run_deadline, label="wrangle run"
-        )
-        for name in self.registry.names():
-            source = self.registry.get(name)
-            if isinstance(
-                source, (ResilientStructuredSource, ResilientDocumentSource)
-            ):
-                source.engine.run_deadline = deadline
-
-    def _enforce_quorum(self) -> None:
-        """Raise :class:`DegradedRunError` when too few sources survived."""
-        if self.degradation is None or self._quorum <= 0:
-            return
-        names = self.registry.names()
-        survivors = self.degradation.survivors(names)
-        required = (
-            self._quorum
-            if self._quorum >= 1
-            else self._quorum * len(names)
-        )
-        if len(survivors) < required:
-            dead = self.degradation.dead(names)
-            raise DegradedRunError(
-                f"only {len(survivors)}/{len(names)} sources survived "
-                f"acquisition (quorum {self._quorum:g}); dead: "
-                f"{', '.join(dead)}",
-                dead=tuple(dead),
-            )
 
     # -- pay-as-you-go --------------------------------------------------------
 
@@ -890,38 +765,21 @@ class Wrangler:
             invalidated.update(
                 f"{kind}:{name}" for kind in kinds for name in names
             )
-        # Feedback also informs *source selection* (Section 2.4): if the
-        # shifted beliefs say a materially better source set exists,
-        # replan — acquisition of newly selected sources is then a
-        # legitimate, paid-for recomputation.  The 10% profit hysteresis
-        # keeps near-tie oscillations from thrashing the pipeline.
-        # The previous run's plan is genuinely what is wanted here: the
-        # comparison asks whether feedback moved the beliefs enough to
-        # beat the plan the current outputs were computed with.
+        # Feedback also informs *source selection* (Section 2.4): replan
+        # when the shifted beliefs beat the plan the current outputs were
+        # computed with (the previous run's, stale or not) by enough to
+        # pay — acquisition of newly selected sources is then a
+        # legitimate, paid-for recomputation.
         current_plan = flow.value("plan", allow_stale=True)
         if current_plan is not None:
             fresh_plan = self.planner.plan(
                 self.user, self.data, self.registry, self.working.annotations
             )
-            if set(fresh_plan.sources) != set(current_plan.sources):
-                from repro.selection.source_selection import SourceSelector
-
-                profiles = {
-                    p.name: p
-                    for p in SourceSelector.profiles_from_registry(
-                        self.registry, self.working.annotations
-                    )
-                }
-                selector = self.planner.selector
-
-                def profit(names: Sequence[str]) -> float:
-                    chosen = [profiles[n] for n in names if n in profiles]
-                    return selector.gain(chosen) - sum(p.cost for p in chosen)
-
-                if profit(fresh_plan.sources) > 1.1 * profit(
-                    current_plan.sources
-                ) + 1.0:
-                    invalidated.add("plan")
+            if self.planner.replan_pays(
+                current_plan, fresh_plan,
+                self.registry, self.working.annotations,
+            ):
+                invalidated.add("plan")
 
         for node in sorted(invalidated):
             flow.invalidate(node)

@@ -11,7 +11,8 @@ The propagator turns the feedback store into updates for every component:
   cell's provenance) and source accuracy annotations → which steer
   **source selection**, **mapping selection**, and **fusion weights**;
 * duplicate verdicts → labelled training pairs → retrained **ER rules**
-  (the wrangler's resolve stage reads them straight from the store);
+  (the resolve stage refits its threshold on the store's
+  ``duplicate_labels()``);
 * match verdicts → the evidence channel of the **schema matcher**;
 * relevance verdicts → relevance annotations → **source selection**;
 * extraction verdicts → wrapper reliability → **extraction repair**.
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.feedback.reliability import Judgment, estimate_reliability
 from repro.feedback.store import FeedbackStore
-from repro.feedback.types import ExtractionFeedback, MatchFeedback
+from repro.feedback.types import ExtractionFeedback
 from repro.model.annotations import AnnotationStore, Dimension, QualityAnnotation
 from repro.model.records import Table
 from repro.model.uncertainty import log_odds_pool
@@ -160,9 +161,7 @@ class FeedbackPropagator:
 
     def _propagate_matches(self, report: PropagationReport) -> None:
         accuracy = report.worker_accuracy
-        for key, items in (
-            self._group_match_items().items()
-        ):
+        for key, items in self.store.match_verdicts().items():
             probability = self._consolidate(
                 [item.is_correct for item in items],
                 [item.worker for item in items],
@@ -172,13 +171,6 @@ class FeedbackPropagator:
             # consumes plain verdict lists.
             count = max(1, round(len(items) * abs(probability - 0.5) * 2))
             report.match_evidence[key] = [probability > 0.5] * count
-
-    def _group_match_items(self) -> dict[tuple[str, str], list[MatchFeedback]]:
-        grouped: dict[tuple[str, str], list[MatchFeedback]] = {}
-        for item in self.store.of_type(MatchFeedback):
-            key = (item.source_attribute, item.target_attribute)
-            grouped.setdefault(key, []).append(item)
-        return grouped
 
     def _propagate_relevance(self, report: PropagationReport) -> None:
         accuracy = report.worker_accuracy

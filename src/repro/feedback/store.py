@@ -71,12 +71,12 @@ class FeedbackStore:
             grouped.setdefault(item.pair, []).append(item)
         return grouped
 
-    def match_verdicts(self) -> dict[tuple[str, str], list[bool]]:
-        """Match feedback as the mapping the SchemaMatcher consumes."""
-        grouped: dict[tuple[str, str], list[bool]] = {}
+    def match_verdicts(self) -> dict[tuple[str, str], list[MatchFeedback]]:
+        """Match feedback grouped by (source attribute, target attribute)."""
+        grouped: dict[tuple[str, str], list[MatchFeedback]] = {}
         for item in self.of_type(MatchFeedback):
             key = (item.source_attribute, item.target_attribute)
-            grouped.setdefault(key, []).append(item.is_correct)
+            grouped.setdefault(key, []).append(item)
         return grouped
 
     def relevance_verdicts(self) -> dict[str, list[RelevanceFeedback]]:
@@ -86,3 +86,26 @@ class FeedbackStore:
             if item.source_name:
                 grouped.setdefault(item.source_name, []).append(item)
         return grouped
+
+    # -- majority votes: what the judges of one question decided ----------
+
+    def duplicate_labels(self) -> dict[tuple[str, str], bool]:
+        """Each judged record pair's majority verdict (a tie is "not a
+        duplicate") — the labels entity resolution refits its rule on."""
+        return {
+            pair: 2 * sum(item.is_duplicate for item in items) > len(items)
+            for pair, items in self.duplicate_verdicts().items()
+        }
+
+    def rejected_values(self) -> dict[tuple[str, str], list[object]]:
+        """Each (entity, attribute) cell a strict majority judged wrong (a
+        tie is not a rejection), with the corrections its judges
+        supplied — what fusion folds back into the wrangled data."""
+        return {
+            key: [
+                item.correction for item in items
+                if item.correction is not None
+            ]
+            for key, items in self.value_verdicts().items()
+            if 2 * sum(item.is_correct for item in items) < len(items)
+        }

@@ -73,24 +73,31 @@ class EntityFuser:
             for d in dates
         ]
 
+    def _candidates(
+        self, records: Sequence[Record], recencies: Sequence[float],
+        attribute: str,
+    ) -> list[Candidate]:
+        """Every non-missing claim for ``attribute`` among ``records``."""
+        return [
+            Candidate(
+                value,
+                record.source,
+                self.reliabilities.get(record.source, 0.5),
+                recency,
+            )
+            for record, recency in zip(records, recencies)
+            for value in (record.get(attribute),)
+            if not value.is_missing
+        ]
+
     def fuse_cluster(self, cluster: EntityCluster) -> Record:
         """Fuse one cluster into a single record."""
         recencies = self._recencies(cluster.records)
         cells: dict[str, Value] = {}
         for attribute in self.target_schema:
-            candidates = []
-            for record, recency in zip(cluster.records, recencies):
-                value = record.get(attribute.name)
-                if value.is_missing:
-                    continue
-                candidates.append(
-                    Candidate(
-                        value,
-                        record.source,
-                        self.reliabilities.get(record.source, 0.5),
-                        recency,
-                    )
-                )
+            candidates = self._candidates(
+                cluster.records, recencies, attribute.name
+            )
             if not candidates:
                 cells[attribute.name] = MISSING
                 continue
@@ -133,3 +140,62 @@ class EntityFuser:
         for cluster in clusters:
             table.append(self.fuse_cluster(cluster))
         return table
+
+    def apply_verdicts(
+        self,
+        fused: Table,
+        clusters: Sequence[EntityCluster],
+        rejections: Mapping[tuple[str, str], Sequence[object]],
+    ) -> Table:
+        """Fold consolidated value feedback into the fused data itself.
+
+        ``rejections`` maps each rejected ``(entity id, attribute)`` cell
+        to the corrections its judges supplied
+        (:meth:`~repro.feedback.store.FeedbackStore.rejected_values`).  A
+        rejected cell takes the most common correction when one was
+        supplied; otherwise the rejected value's claims are excluded and
+        the attribute is re-fused ("weighted") from the remaining ones.
+
+        Entity ids are the fused records' ids, and they are
+        content-derived (:func:`~repro.resolution.er.stable_cluster_id`):
+        value feedback dirties ``select`` and so re-resolves, but an
+        entity whose membership is unchanged keeps its id through the
+        re-resolve, so a verdict filed against it still binds.
+        """
+        if not rejections:
+            return fused
+        by_entity: dict[str, dict[str, Sequence[object]]] = {}
+        for (entity, attribute), corrections in rejections.items():
+            by_entity.setdefault(entity, {})[attribute] = corrections
+        members = {c.cluster_id: c.records for c in clusters}
+
+        def fix(record: Record) -> Record:
+            updates = {}
+            for attribute, corrections in by_entity.get(record.rid, {}).items():
+                if attribute not in record.cells:
+                    continue
+                current = record.get(attribute)
+                if current.is_missing:
+                    continue
+                if corrections:
+                    best = Counter(corrections).most_common(1)[0][0]
+                    updates[attribute] = current.with_raw(
+                        best, Step.FEEDBACK, "user-correction"
+                    )
+                    continue
+                records = members.get(record.rid, ())
+                alternatives = [
+                    candidate
+                    for candidate in self._candidates(
+                        records, self._recencies(records), attribute
+                    )
+                    if candidate.value.raw != current.raw
+                ]
+                if alternatives:
+                    choice = resolve("weighted", alternatives)
+                    updates[attribute] = current.with_raw(
+                        choice.value.raw, Step.FEEDBACK, "rejected-value"
+                    )
+            return record.with_cells(updates) if updates else record
+
+        return fused.map_records(fix)

@@ -10,10 +10,12 @@ pieces:
   (per-fetch / per-run budgets), :class:`CircuitBreaker`
   (closed/open/half-open per source).
 * :mod:`repro.resilience.wrap` — :func:`resilient`, the transparent
-  source wrapper applying the policy around every physical access.
+  source wrapper applying the policy around every physical access, and
+  :func:`arm_run_deadline`, which starts a run's shared time budget.
 * :mod:`repro.resilience.ledger` — the :class:`DegradationLedger`
   recording every attempt/outcome, surfaced as
-  ``WrangleResult.degradation``.
+  ``WrangleResult.degradation``; its ``require_quorum`` is the run's
+  survival policy.
 * :mod:`repro.resilience.chaos` — :class:`ChaosSource`, deterministic
   seeded fault injection for tests and the E11 benchmark.
 
@@ -39,6 +41,7 @@ from repro.resilience.policy import (
 from repro.resilience.wrap import (
     ResilientDocumentSource,
     ResilientStructuredSource,
+    arm_run_deadline,
     is_transient,
     resilient,
 )
@@ -59,6 +62,7 @@ __all__ = [
     "ResilientStructuredSource",
     "RetryPolicy",
     "SourceDisposition",
+    "arm_run_deadline",
     "is_transient",
     "resilient",
 ]

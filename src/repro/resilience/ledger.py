@@ -16,6 +16,8 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from repro.errors import DegradedRunError
+
 __all__ = [
     "AttemptRecord",
     "DegradationLedger",
@@ -134,6 +136,26 @@ class DegradationLedger:
         """The subset of ``names`` that did not survive."""
         surviving = set(self.survivors(names))
         return [name for name in names if name not in surviving]
+
+    def require_quorum(self, names: list[str], quorum: float) -> None:
+        """Raise :class:`DegradedRunError` when too few of ``names``
+        survived acquisition.
+
+        ``quorum`` is a fraction of ``names`` when below 1, an absolute
+        count otherwise; 0 (or less) never raises.
+        """
+        if quorum <= 0:
+            return
+        survivors = self.survivors(names)
+        required = quorum if quorum >= 1 else quorum * len(names)
+        if len(survivors) < required:
+            dead = self.dead(names)
+            raise DegradedRunError(
+                f"only {len(survivors)}/{len(names)} sources survived "
+                f"acquisition (quorum {quorum:g}); dead: "
+                f"{', '.join(dead)}",
+                dead=tuple(dead),
+            )
 
     def clear(self) -> None:
         """Forget everything (a fresh measurement window)."""

@@ -19,7 +19,7 @@ shared :class:`~repro.resilience.ledger.DegradationLedger` and in
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from repro.errors import (
     CircuitOpenError,
@@ -28,7 +28,7 @@ from repro.errors import (
     TransientSourceError,
     WranglingError,
 )
-from repro.obs import Telemetry
+from repro.obs import Clock, Telemetry
 from repro.resilience.ledger import (
     DISPOSITION_FAILED,
     DISPOSITION_OK,
@@ -44,6 +44,7 @@ from repro.model.records import Table
 __all__ = [
     "ResilientDocumentSource",
     "ResilientStructuredSource",
+    "arm_run_deadline",
     "is_transient",
     "resilient",
 ]
@@ -314,6 +315,9 @@ class ResilientDocumentSource(DocumentSource):
         return self.engine.execute("probe", lambda: self.inner.probe(limit))
 
 
+_RESILIENT = (ResilientStructuredSource, ResilientDocumentSource)
+
+
 def resilient(
     source: DataSource,
     policy: RetryPolicy,
@@ -325,7 +329,7 @@ def resilient(
     Idempotent: an already-wrapped source is returned unchanged, so a
     registry can be re-wrapped safely.
     """
-    if isinstance(source, (ResilientStructuredSource, ResilientDocumentSource)):
+    if isinstance(source, _RESILIENT):
         return source
     if isinstance(source, StructuredSource):
         return ResilientStructuredSource(source, policy, telemetry, ledger)
@@ -335,3 +339,16 @@ def resilient(
         f"cannot wrap source of type {type(source).__name__}: expected a "
         "StructuredSource or DocumentSource"
     )
+
+
+def arm_run_deadline(
+    sources: Iterable[DataSource], policy: RetryPolicy | None, clock: Clock
+) -> None:
+    """Start ``policy``'s per-run time budget, shared by every resilient
+    source among ``sources`` (a no-op without a ``run_deadline``)."""
+    if policy is None or policy.run_deadline is None:
+        return
+    deadline = Deadline(clock, policy.run_deadline, label="wrangle run")
+    for source in sources:
+        if isinstance(source, _RESILIENT):
+            source.engine.run_deadline = deadline

@@ -9,7 +9,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Hashable,
+    Iterable,
+    Mapping,
+    Protocol,
+    Sequence,
+)
 
 import networkx as nx
 import numpy as np
@@ -18,7 +26,7 @@ from repro.model.records import Record, Table
 from repro.resolution.blocking import full_pairs, pair_array, token_blocking
 from repro.resolution.comparison import RecordComparator, default_comparator
 from repro.resolution.kernels import compile_comparator
-from repro.resolution.rules import MatchDecision, ThresholdRule
+from repro.resolution.rules import MatchDecision, ThresholdRule, refit_threshold
 
 if TYPE_CHECKING:  # typing only
     from repro.obs import MetricsRegistry
@@ -27,6 +35,8 @@ __all__ = [
     "EntityCluster",
     "EntityResolver",
     "ResolutionResult",
+    "clusters_of",
+    "refit_rule",
     "stable_cluster_id",
 ]
 
@@ -124,6 +134,30 @@ class ResolutionResult:
         return pairs
 
 
+def clusters_of(
+    records: Mapping[Hashable, Record],
+    edges: Iterable[tuple[Hashable, Hashable]],
+) -> list[EntityCluster]:
+    """Close matches under transitivity: the connected components of the
+    match graph over ``records`` (node → record) as clusters sorted by
+    their content-derived id.
+
+    The one cluster builder: single-node and partitioned ER both end
+    here, so an entity gets the same id in every execution mode.
+    """
+    graph = nx.Graph()
+    graph.add_nodes_from(records)
+    graph.add_edges_from(edges)
+    clusters = [
+        EntityCluster.from_records(
+            [records[node] for node in sorted(component)]
+        )
+        for component in nx.connected_components(graph)
+    ]
+    clusters.sort(key=lambda c: c.cluster_id)
+    return clusters
+
+
 class EntityResolver:
     """A configurable block → compare → decide → cluster pipeline.
 
@@ -182,21 +216,14 @@ class EntityResolver:
         pairs = self._candidate_pairs(table)
         matches = self._decide(table, comparator, pairs)
 
-        graph = nx.Graph()
-        graph.add_nodes_from(range(len(table)))
-        matched: dict[tuple[str, str], float] = {}
-        for left_index, right_index, key, confidence in matches:
-            graph.add_edge(left_index, right_index)
-            matched[key] = confidence
-
-        clusters = []
-        for component in nx.connected_components(graph):
-            records = [table.records[index] for index in sorted(component)]
-            clusters.append(EntityCluster.from_records(records))
-        clusters.sort(key=lambda c: c.cluster_id)
         return ResolutionResult(
-            clusters,
-            matched_pairs=matched,
+            clusters_of(
+                dict(enumerate(table.records)),
+                [(left, right) for left, right, __, __ in matches],
+            ),
+            matched_pairs={
+                key: confidence for __, __, key, confidence in matches
+            },
             compared=int(pairs.shape[0]),
             candidate_pairs=int(pairs.shape[0]),
         )
@@ -243,29 +270,39 @@ class EntityResolver:
         )
 
 
+def _score_pair(
+    comparator: RecordComparator, left: Record, right: Record
+) -> tuple[list[float | None], float]:
+    """One pair's field vector and the pooled similarity it pools to.
+
+    The one scoring function: candidate pairs (:func:`_decide_pairs`) and
+    feedback-labelled pairs (:func:`refit_rule`) both go through it, so a
+    threshold is always fitted on the scale the resolver decides on.  The
+    similarity is derived from the vector the learned rules need anyway
+    (``similarity_from_vector``), so each ``field.compare`` runs exactly
+    once per pair.
+    """
+    vector = comparator.vector(left, right)
+    from_vector = getattr(comparator, "similarity_from_vector", None)
+    if from_vector is not None:
+        return vector, from_vector(vector)
+    # custom comparator predating similarity_from_vector
+    return vector, comparator.similarity(left, right)
+
+
 def _decide_pairs(
     comparator: RecordComparator,
     rule: _Rule,
     records_by_index: dict[int, Record],
     pairs: Sequence[tuple[int, int]],
 ) -> list[tuple[int, int, tuple[str, str], float | None]]:
-    """The compare/decide kernel: one field vector per pair, not two.
-
-    The pooled similarity is derived from the vector the learned rules
-    need anyway (``similarity_from_vector``), so each ``field.compare``
-    runs exactly once per candidate pair — this loop is the quadratic
-    hot path of the whole pipeline.
-    """
-    from_vector = getattr(comparator, "similarity_from_vector", None)
+    """The compare/decide kernel: one :func:`_score_pair` per candidate —
+    this loop is the quadratic hot path of the whole pipeline."""
     matches: list[tuple[int, int, tuple[str, str], float | None]] = []
     for left_index, right_index in pairs:
         left = records_by_index[left_index]
         right = records_by_index[right_index]
-        vector = comparator.vector(left, right)
-        if from_vector is not None:
-            similarity = from_vector(vector)
-        else:  # custom comparator predating similarity_from_vector
-            similarity = comparator.similarity(left, right)
+        vector, similarity = _score_pair(comparator, left, right)
         decision = rule.decide(similarity, vector)
         if decision.is_match:
             key = tuple(sorted((left.rid, right.rid)))
@@ -274,3 +311,27 @@ def _decide_pairs(
             )
     return matches
 
+
+def refit_rule(
+    prior: float,
+    comparator: RecordComparator,
+    table: Table,
+    labels: Mapping[tuple[str, str], bool],
+) -> ThresholdRule:
+    """The threshold rule duplicate feedback leaves ``prior`` at.
+
+    ``labels`` maps record-id pairs to their consolidated verdict
+    (:meth:`~repro.feedback.store.FeedbackStore.duplicate_labels`); pairs
+    with a record outside ``table`` are skipped, the rest are scored by
+    :func:`_score_pair` and handed to
+    :func:`~repro.resolution.rules.refit_threshold`.
+    """
+    records = {record.rid: record for record in table}
+    similarities, verdicts = [], []
+    for (left_rid, right_rid), verdict in labels.items():
+        left, right = records.get(left_rid), records.get(right_rid)
+        if left is None or right is None:
+            continue
+        similarities.append(_score_pair(comparator, left, right)[1])
+        verdicts.append(verdict)
+    return refit_threshold(prior, similarities, verdicts)

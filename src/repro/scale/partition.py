@@ -17,11 +17,9 @@ from __future__ import annotations
 import zlib
 from typing import Callable, Sequence, TypeVar
 
-import networkx as nx
-
 from repro.errors import WranglingError
 from repro.model.records import Record, Table
-from repro.resolution.er import EntityCluster, EntityResolver, ResolutionResult
+from repro.resolution.er import EntityResolver, ResolutionResult, clusters_of
 
 __all__ = ["hash_partition", "map_reduce", "partitioned_resolve", "stable_digest"]
 
@@ -96,38 +94,24 @@ def partitioned_resolve(
     Merged clusters carry the same content-derived
     :func:`~repro.resolution.er.stable_cluster_id` single-node ER mints
     (they used to get positional ``entity-{number}`` ids, which silently
-    mis-bound feedback the moment execution mode changed), and the merged
-    cluster list is sorted by id exactly as ``EntityResolver.resolve``
-    sorts its own output.
+    mis-bound feedback the moment execution mode changed): both modes
+    build their clusters with :func:`~repro.resolution.er.clusters_of`.
     """
     partitions = hash_partition(table, n_partitions, blocking_key)
     populated = [partition for partition in partitions if len(partition)]
     results = [resolver.resolve(partition) for partition in populated]
-    graph = nx.Graph()
     matched: dict[tuple[str, str], float] = {}
-    compared = 0
-    candidate_pairs = 0
-    rid_to_record: dict[str, Record] = {}
+    records: dict[str, Record] = {}
+    edges: list[tuple[str, str]] = []
     for result in results:
-        compared += result.compared
-        candidate_pairs += result.candidate_pairs
         matched.update(result.matched_pairs)
         for cluster in result.clusters:
             rids = [record.rid for record in cluster.records]
-            for record in cluster.records:
-                rid_to_record[record.rid] = record
-                graph.add_node(record.rid)
-            for left, right in zip(rids, rids[1:]):
-                graph.add_edge(left, right)
-    clusters = []
-    for component in nx.connected_components(graph):
-        records = [rid_to_record[rid] for rid in sorted(component)]
-        clusters.append(EntityCluster.from_records(records))
-    clusters.sort(key=lambda c: c.cluster_id)
+            records.update(zip(rids, cluster.records))
+            edges.extend(zip(rids, rids[1:]))
     return ResolutionResult(
-        clusters,
+        clusters_of(records, edges),
         matched_pairs=matched,
-        compared=compared,
-        candidate_pairs=candidate_pairs,
+        compared=sum(result.compared for result in results),
+        candidate_pairs=sum(result.candidate_pairs for result in results),
     )
-

@@ -9,7 +9,6 @@ from repro.context.user_context import UserContext
 from repro.core.dataflow import Dataflow
 from repro.core.planner import WranglePlan
 from repro.errors import DataflowError, PlanValidationError
-from repro.mapping.mapping import AttributeMap, Mapping
 from repro.model.annotations import Dimension
 from repro.model.schema import Attribute, DataType, Schema
 from repro.sources.memory import MemorySource
@@ -187,51 +186,6 @@ class TestUserContextChecks:
         )
         findings = fired(report, "PV008")
         assert any("exceeds the budget" in d.message for d in findings)
-
-
-class TestMappingChecks:
-    def test_mapping_reads_absent_source_attribute_pv004(self):
-        mapping = Mapping(
-            "shop",
-            TARGET,
-            (AttributeMap("price", "cost"),),
-        )
-        source_schema = Schema((Attribute("product", DataType.STRING),))
-        report = validate_plan(
-            mappings=[mapping], source_schemas={"shop": source_schema}
-        )
-        (finding,) = fired(report, "PV004")
-        assert finding.severity is Severity.ERROR
-        assert "cost" in finding.message
-        # The finding names the offending attribute, not just the source.
-        assert finding.location.node == "shop.cost"
-
-    def test_mapping_produces_unknown_target_pv004(self):
-        mapping = Mapping("shop", TARGET, (AttributeMap("colour", "product"),))
-        report = validate_plan(mappings=[mapping])
-        (finding,) = fired(report, "PV004")
-        assert "colour" in finding.message
-        assert finding.location.node == "shop.colour"
-
-    def test_out_of_range_mapping_confidence_pv006(self):
-        mapping = Mapping(
-            "shop",
-            TARGET,
-            (AttributeMap("price", "price", confidence=1.7),),
-            confidence=2.0,
-        )
-        report = validate_plan(mappings=[mapping])
-        findings = fired(report, "PV006")
-        assert len(findings) == 2  # mapping-level and attribute-level
-        assert {d.location.node for d in findings} == {"shop", "shop.price"}
-
-    def test_consistent_mapping_clean(self):
-        mapping = Mapping("shop", TARGET, (AttributeMap("price", "price"),))
-        source_schema = Schema((Attribute("price", DataType.CURRENCY),))
-        report = validate_plan(
-            mappings=[mapping], source_schemas={"shop": source_schema}
-        )
-        assert report.ok
 
 
 class TestReportBehaviour:

@@ -7,9 +7,13 @@ extract / match / assess helpers on a sample; and one extraction verdict
 dirties one source's acquisition, not every document source's.
 """
 
+import ast
 import datetime
+from pathlib import Path
 
 import pytest
+
+import repro.core.wrangler as wrangler_module
 
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
@@ -17,9 +21,14 @@ from repro.core.planner import WranglePlan
 from repro.core.wrangler import Wrangler
 from repro.datagen.htmlgen import render_site
 from repro.datagen.products import TARGET_SCHEMA
-from repro.feedback.types import ExtractionFeedback
+from repro.feedback.types import (
+    ExtractionFeedback,
+    RelevanceFeedback,
+    ValueFeedback,
+)
 from repro.mapping.mapping import Mapping
 from repro.model.annotations import Dimension
+from repro.model.provenance import Step
 from repro.model.records import Table
 from repro.model.schema import Attribute, DataType, Schema
 from repro.sources.memory import MemoryDocumentSource, MemorySource
@@ -242,3 +251,86 @@ class TestExtractionFeedbackInvalidatesPrecisely:
             if node.startswith("acquire:")
         }
         assert dirty == {"acquire:north", "acquire:south"}
+
+
+class TestStageBodiesComposeLayersDecide:
+    """The resolve / fuse / feedback / run bodies call into the layer
+    that owns the algorithm; none of its arithmetic lives in
+    ``core/wrangler.py``.  A PR that puts it back fails here."""
+
+    LAYER_NAMES = (
+        "fit_threshold", "ThresholdRule", "Candidate", "SourceSelector",
+        "Counter", "Step", "Deadline", "ResilientStructuredSource",
+        "ResilientDocumentSource",
+    )
+
+    def test_the_wrangler_module_binds_no_layer_internals(self):
+        bound = vars(wrangler_module)
+        assert [name for name in self.LAYER_NAMES if name in bound] == []
+
+    def test_exactly_one_function_level_import_remains(self):
+        tree = ast.parse(Path(wrangler_module.__file__).read_text())
+        nested = [
+            alias.name
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        # bench/spans.py patches it by module attribute, so it is looked
+        # up at call time.
+        assert nested == ["acquire_durable"]
+
+
+class TestValueFeedbackBindsAcrossReResolves:
+    """``DIRTIES[ValueFeedback]`` is ``("fuse", "select")`` and ``select →
+    translate → resolve``, so a value verdict *does* re-resolve.  It
+    still binds because entity ids are content-derived
+    (``stable_cluster_id``), not because resolve is left alone."""
+
+    def make(self):
+        # Completeness-leaning, so the plan keeps both sources whatever
+        # the verdict does to their reliabilities: membership is stable.
+        user = UserContext("u", SCHEMA, weights={
+            Dimension.ACCURACY: 0.5, Dimension.COMPLETENESS: 0.5,
+        })
+        wrangler = Wrangler(user, DataContext())
+        wrangler.add_source(MemorySource("shop", [
+            {"product": "anvil", "price": "$12.00"},
+            {"product": "rope", "price": "$3.50"},
+        ]))
+        wrangler.add_source(MemorySource("mart", [
+            {"product": "anvil", "price": "$12.00"},
+            {"product": "saw", "price": "$8.00"},
+        ]))
+        return wrangler
+
+    def corrected(self, result, entity):
+        (record,) = [r for r in result.table if r.rid == entity]
+        cell = record["price"]
+        return (cell.raw, cell.provenance.step, cell.provenance.ref)
+
+    def test_a_correction_survives_its_own_tick_and_an_unrelated_one(self):
+        wrangler = self.make()
+        first = wrangler.run()
+        anvil = next(r for r in first.table if r.raw("product") == "anvil")
+        assert anvil.raw("price") == 12.0
+
+        wrangler.apply_feedback([ValueFeedback(
+            entity=anvil.rid, attribute="price",
+            is_correct=False, correction=11.0,
+        )])
+        resolves = wrangler.flow.runs("resolve")
+        second = wrangler.run()
+        assert wrangler.flow.runs("resolve") == resolves + 1   # re-resolved
+        assert [r.rid for r in second.table] == [r.rid for r in first.table]
+        expected = (11.0, Step.FEEDBACK, "user-correction")
+        assert self.corrected(second, anvil.rid) == expected
+
+        wrangler.apply_feedback(
+            [RelevanceFeedback(source_name="mart", is_relevant=True)]
+        )
+        third = wrangler.run()
+        assert wrangler.flow.runs("resolve") == resolves + 2
+        assert self.corrected(third, anvil.rid) == expected

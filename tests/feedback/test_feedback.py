@@ -63,7 +63,8 @@ class TestStore:
         assert len(store.of_type(ValueFeedback)) == 2
         verdicts = store.value_verdicts()[("e1", "price")]
         assert [v.is_correct for v in verdicts] == [True, False]
-        assert store.match_verdicts()[("cost", "price")] == [True]
+        matches = store.match_verdicts()[("cost", "price")]
+        assert [m.is_correct for m in matches] == [True]
 
     def test_by_worker(self):
         store = FeedbackStore()
@@ -71,6 +72,37 @@ class TestStore:
         store.add(ValueFeedback(entity="e", attribute="b", worker="w2"))
         grouped = store.by_worker()
         assert set(grouped) == {"w1", "w2"}
+
+    def test_duplicate_labels_are_majority_votes_and_a_tie_is_no(self):
+        store = FeedbackStore()
+        for rid_a, rid_b, verdict in [
+            ("a", "b", True), ("b", "a", True), ("a", "b", False),
+            ("c", "d", True), ("c", "d", False),
+            ("e", "f", False),
+        ]:
+            store.add(DuplicateFeedback(
+                rid_a=rid_a, rid_b=rid_b, is_duplicate=verdict
+            ))
+        assert store.duplicate_labels() == {
+            ("a", "b"): True, ("c", "d"): False, ("e", "f"): False,
+        }
+        assert list(store.duplicate_labels()) == list(store.duplicate_verdicts())
+
+    def test_rejected_values_need_a_strict_majority(self):
+        store = FeedbackStore()
+        for entity, is_correct, correction in [
+            ("e1", False, 9.0), ("e1", False, None), ("e1", True, None),
+            ("e2", False, 5.0), ("e2", True, None),
+            ("e3", True, None),
+            ("e4", False, None),
+        ]:
+            store.add(ValueFeedback(
+                entity=entity, attribute="price",
+                is_correct=is_correct, correction=correction,
+            ))
+        assert store.rejected_values() == {
+            ("e1", "price"): [9.0], ("e4", "price"): [],
+        }
 
 
 class TestWorkers:

@@ -62,7 +62,7 @@ from repro.resilience import (
     arm_run_deadline,
     resilient,
 )
-from repro.resolution.comparison import profiled_comparator
+from repro.resolution.comparison import ScoringContext, profiled_comparator
 from repro.resolution.er import EntityResolver, refit_rule
 from repro.sources.base import (
     PROBE_COST_FRACTION,
@@ -519,13 +519,15 @@ class Wrangler:
             attributes=list(plan.er_attributes) or None,
         )
         # Duplicate feedback refits the plan's threshold on the pairs it
-        # labelled, scored by the comparator the resolver decides with.
+        # labelled, scored by the comparator the resolver decides with —
+        # and off the same score tables, which go when this stage returns.
+        scores = ScoringContext(comparator)
         rule = refit_rule(
-            plan.er_threshold, comparator, translated,
+            plan.er_threshold, scores, translated,
             self.feedback.duplicate_labels(),
         )
         resolver = EntityResolver(
-            comparator=comparator,
+            comparator=scores,
             rule=rule,
             metrics=self.telemetry.metrics,
         )

@@ -1,8 +1,10 @@
 """String and value similarity measures used across matching and resolution.
 
-All measures return scores in ``[0, 1]``, are symmetric, and score 1.0 on
-identical non-empty inputs — properties the test suite enforces — so they
-can be pooled as evidence (Section 2.3) without per-measure calibration.
+All measures return scores in ``[0, 1]``, score 1.0 on identical non-empty
+inputs, and are symmetric — the first two the test suite enforces exactly,
+symmetry only to ``approx`` (greedy Jaro alignment can differ in the last
+bits between ``(a, b)`` and ``(b, a)``) — so they can be pooled as evidence
+(Section 2.3) without per-measure calibration.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ __all__ = [
     "token_set",
     "tfidf_cosine",
     "monge_elkan",
+    "NameScores",
     "numeric_similarity",
     "name_similarity",
 ]
@@ -33,15 +36,16 @@ _STOPWORDS = frozenset(
     {"the", "a", "an", "of", "and", "at", "in", "on", "for", "ltd", "inc", "co"}
 )
 
-#: Bounded memo caches keyed by the raw string — the tokenisation
+#: Bounded memo cache keyed by the raw string — the tokenisation
 #: identity of a record attribute value.  Entity resolution compares
-#: each record against many candidates, so without these every record's
+#: each record against many candidates, so without it every record's
 #: value is re-tokenised once *per pair* instead of once per resolver
 #: pass (the regression test pins the once-per-record contract).  FIFO
-#: eviction at a fixed bound keeps long-running processes flat.
+#: eviction at a fixed bound keeps long-running processes flat.  (The
+#: Monge–Elkan name tokens are not cached here: one resolve owns them,
+#: unbounded and for its own lifetime only, in :class:`NameScores`.)
 _CACHE_LIMIT = 4096
 _token_set_cache: dict[str, frozenset[str]] = {}
-_name_token_cache: dict[str, tuple[str, ...]] = {}
 
 
 def _cache_put(cache: dict, key: str, value) -> None:
@@ -85,19 +89,15 @@ def token_set(text: str) -> frozenset[str]:
 
 
 def _name_tokens(text: str) -> tuple[str, ...]:
-    """Ordered, stopword-stripped name tokens of ``text`` (memoised).
+    """Ordered, stopword-stripped name tokens of ``text``.
 
     The Monge–Elkan tokenisation: order preserved (unlike
     :func:`token_set`), stopwords dropped unless the name is made only
     of them.
     """
-    cached = _name_token_cache.get(text)
-    if cached is None:
-        tokens = _TOKEN_RE.findall(text.lower())
-        kept = [t for t in tokens if t not in _STOPWORDS]
-        cached = tuple(kept or tokens)
-        _cache_put(_name_token_cache, text, cached)
-    return cached
+    tokens = _TOKEN_RE.findall(text.lower())
+    kept = [t for t in tokens if t not in _STOPWORDS]
+    return tuple(kept or tokens)
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -239,6 +239,90 @@ def tfidf_cosine(
     return max(0.0, min(1.0, dot / (norm_a * norm_b)))
 
 
+class NameScores:
+    """Monge–Elkan behind lazily filled tables, for whoever compares many
+    names drawn from one small vocabulary (one entity-resolution pass).
+
+    Product titles share brand, category and unit words, and
+    :meth:`score` aligns every token of one name against every token of
+    the other in both directions — so the same ``(token, token)`` pair
+    is scored thousands of times per pass.  An instance tokenises each
+    distinct name once, digit-classifies each distinct token once, and
+    scores each **ordered** token pair once: greedy Jaro alignment is
+    only symmetric to the last few bits, and every score must stay the
+    float the unshared computation returns, so ``(a, b)`` never answers
+    for ``(b, a)``.  The tables only ever grow; their owner decides how
+    long they live (the resolver drops them with the resolve call —
+    there is deliberately no module-level instance).
+    """
+
+    def __init__(self) -> None:
+        self._tokens: dict[str, tuple[str, ...]] = {}
+        self._codes: dict[str, bool] = {}
+        self._pairs: dict[tuple[str, str], float] = {}
+
+    def tokens(self, text: str) -> tuple[str, ...]:
+        """The name tokens of ``text`` (see :func:`_name_tokens`)."""
+        tokens = self._tokens.get(text)
+        if tokens is None:
+            tokens = self._tokens[text] = _name_tokens(text)
+        return tokens
+
+    def is_code(self, token: str) -> bool:
+        """Whether ``token`` carries a digit (a model number, a house
+        number, a postcode fragment) and so only ever matches itself."""
+        code = self._codes.get(token)
+        if code is None:
+            code = self._codes[token] = any(c.isdigit() for c in token)
+        return code
+
+    def token_score(self, left: str, right: str) -> float:
+        """How far ``left`` accounts for ``right``, token to token."""
+        pair = (left, right)
+        score = self._pairs.get(pair)
+        if score is None:
+            if self.is_code(left) or self.is_code(right):
+                # Two different codes are different things, however
+                # many characters they share.
+                score = 1.0 if left == right else 0.0
+            else:
+                score = jaro_winkler(left, right)
+                # A word either IS the other word (with typos — scores
+                # near 1) or it is a different word; mid-range Jaro
+                # between distinct words ("engineer"/"scientist" ≈ 0.55)
+                # is noise, not half a match.
+                if score < 0.85:
+                    score = 0.3 * score
+            self._pairs[pair] = score
+        return score
+
+    def score(self, a: str, b: str, combine: str = "mean") -> float:
+        """:func:`monge_elkan` of ``a`` and ``b`` off the shared tables."""
+        if combine not in ("mean", "min"):
+            raise ValueError(
+                f"unknown combine {combine!r}; known: 'mean', 'min'"
+            )
+        tokens_a = self.tokens(a)
+        tokens_b = self.tokens(b)
+        if not tokens_a and not tokens_b:
+            return 1.0
+        if not tokens_a or not tokens_b:
+            return 0.0
+        token_score = self.token_score
+
+        def directed(src: Sequence[str], dst: Sequence[str]) -> float:
+            return sum(
+                max(token_score(token, other) for other in dst)
+                for token in src
+            ) / len(src)
+
+        forward = directed(tokens_a, tokens_b)
+        backward = directed(tokens_b, tokens_a)
+        if combine == "min":
+            return min(forward, backward)
+        return (forward + backward) / 2.0
+
+
 def monge_elkan(a: str, b: str, combine: str = "mean") -> float:
     """Symmetric Monge–Elkan similarity: tokens aligned by best Jaro–Winkler.
 
@@ -252,37 +336,16 @@ def monge_elkan(a: str, b: str, combine: str = "mean") -> float:
     well); ``"min"`` demands that *both* names account for each other's
     tokens, which separates "QA Analyst" from "Junior QA Analyst" — use it
     for low-cardinality identity fields where one extra word means a
-    different entity.
+    different entity.  Anything else raises ``ValueError``.
+
+    One pair off fresh tables: nothing is remembered between calls, so
+    a loop over this function (or over ``comparator.similarity`` /
+    ``vector`` with a ``tokens`` measure, outside a resolve's
+    ``ScoringContext``) tokenises both names again for every pair.  A
+    caller comparing many names holds a :class:`NameScores` and asks it
+    instead.
     """
-    tokens_a = _name_tokens(a)
-    tokens_b = _name_tokens(b)
-    if not tokens_a and not tokens_b:
-        return 1.0
-    if not tokens_a or not tokens_b:
-        return 0.0
-
-    def token_sim(left: str, right: str) -> float:
-        # Tokens carrying digits are codes (model numbers, house numbers,
-        # postcode fragments): two different codes are different things,
-        # however many characters they share.
-        if any(c.isdigit() for c in left) or any(c.isdigit() for c in right):
-            return 1.0 if left == right else 0.0
-        score = jaro_winkler(left, right)
-        # A word either IS the other word (with typos — scores near 1) or
-        # it is a different word; mid-range Jaro between distinct words
-        # ("engineer"/"scientist" ≈ 0.55) is noise, not half a match.
-        return score if score >= 0.85 else 0.3 * score
-
-    def directed(src: Sequence[str], dst: Sequence[str]) -> float:
-        return sum(
-            max(token_sim(token, other) for other in dst) for token in src
-        ) / len(src)
-
-    forward = directed(tokens_a, tokens_b)
-    backward = directed(tokens_b, tokens_a)
-    if combine == "min":
-        return min(forward, backward)
-    return (forward + backward) / 2.0
+    return NameScores().score(a, b, combine)
 
 
 def numeric_similarity(a: float, b: float) -> float:

@@ -12,6 +12,7 @@ from repro.resolution.blocking import (
 from repro.resolution.comparison import (
     FieldComparator,
     RecordComparator,
+    ScoringContext,
     default_comparator,
     geo_similarity,
     profiled_comparator,
@@ -39,6 +40,7 @@ __all__ = [
     "MatchDecision",
     "RecordComparator",
     "ResolutionResult",
+    "ScoringContext",
     "ThresholdRule",
     "as_pair_set",
     "compile_comparator",

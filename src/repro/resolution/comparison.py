@@ -8,6 +8,7 @@ from typing import Callable, Sequence
 
 from repro.errors import ResolutionError
 from repro.matching.similarity import (
+    NameScores,
     dice,
     jaccard,
     jaro_winkler,
@@ -22,6 +23,7 @@ from repro.model.schema import DataType, Schema
 __all__ = [
     "FieldComparator",
     "RecordComparator",
+    "ScoringContext",
     "GEO_SCALE_DEGREES",
     "MEASURE_DOMAINS",
     "TRANSIENT_DTYPES",
@@ -197,6 +199,93 @@ class RecordComparator:
     def attribute_names(self) -> tuple[str, ...]:
         """The attributes this comparator inspects."""
         return tuple(field.attribute for field in self.fields)
+
+
+class ScoringContext:
+    """One resolve's score tables around a comparator: the scalar compare
+    loop computes each thing once and looks it up after.
+
+    Candidate pairs are scored field by field, but the *values* repeat
+    far more than the pairs do (duplicate offers carry the identical
+    title, ``brand`` has a handful of values, titles share a small token
+    vocabulary).  So the context keeps, per string measure, a table
+    keyed by the **ordered** pair of ``str()`` forms the measure sees
+    (``1``, ``1.0`` and ``True`` hash alike but ``exact`` compares
+    ``"1"``, ``"1.0"``, ``"true"``; ``numeric`` and ``geo`` read their
+    operands' types, are cheap, and are not tabled), and one
+    :class:`~repro.matching.similarity.NameScores` under both Monge–Elkan
+    measures, which the prune kernels' compile step fills and the scalar
+    loop then reads.  Every float comes from the expression
+    ``comparator.vector`` evaluates, only fewer times — decisions stay
+    bit-identical; keys are ordered because the string measures are
+    symmetric only to ``approx``.
+
+    Whoever builds the context owns its lifetime: ``EntityResolver.
+    resolve`` wraps a plain comparator in a fresh one per call; a caller
+    scoring more pairs for the same resolve (the feedback threshold
+    refit) builds it first and passes it wherever the comparator goes.
+    Nothing is module-level.  Only the plain classes are tabled (the
+    rule the kernels compile by): a ``RecordComparator`` subclass or
+    duck-typed comparator keeps its own ``vector``, a ``FieldComparator``
+    subclass its own ``compare``.
+
+    The tables never evict: a value-pair table gains one key (about
+    200 bytes) per *distinct* value pair scored, so it is bounded by the
+    pairs the scalar loop sees — the prune kernels' survivors on the
+    default path, every candidate with ``use_kernels=False`` — and pays
+    back only when value pairs repeat.
+    """
+
+    def __init__(self, comparator: RecordComparator) -> None:
+        self.comparator = comparator
+        self.names = NameScores()
+        self._fields: list[tuple] | None = None
+        if type(comparator) is RecordComparator:
+            names = self.names
+            measures = dict(
+                _MEASURES,
+                tokens=names.score,
+                tokens_strict=lambda a, b: names.score(a, b, "min"),
+            )
+            tables: dict[str, dict[tuple[str, str], float]] = {}
+            self._fields = [
+                (
+                    field,
+                    measures[field.measure],
+                    tables.setdefault(field.measure, {})
+                    if type(field) is FieldComparator
+                    and MEASURE_DOMAINS[field.measure] is None
+                    else None,
+                )
+                for field in comparator.fields
+            ]
+
+    @classmethod
+    def around(cls, comparator: "RecordComparator | ScoringContext"):
+        """``comparator`` itself when it already is a context (its
+        builder shares it), else a fresh context around it."""
+        return comparator if isinstance(comparator, cls) else cls(comparator)
+
+    def vector(self, left: Record, right: Record) -> list[float | None]:
+        """``comparator.vector(left, right)``, off the tables."""
+        if self._fields is None:
+            return self.comparator.vector(left, right)
+        vector: list[float | None] = []
+        for field, measure, table in self._fields:
+            if table is None:
+                vector.append(field.compare(left, right))
+                continue
+            value_left = left.get(field.attribute)
+            value_right = right.get(field.attribute)
+            if value_left.is_missing or value_right.is_missing:
+                vector.append(None)
+                continue
+            pair = (str(value_left.raw), str(value_right.raw))
+            score = table.get(pair)
+            if score is None:
+                score = table[pair] = measure(*pair)
+            vector.append(score)
+        return vector
 
 
 _MEASURE_FOR_DTYPE = {

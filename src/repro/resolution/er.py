@@ -24,7 +24,11 @@ import numpy as np
 
 from repro.model.records import Record, Table
 from repro.resolution.blocking import full_pairs, pair_array, token_blocking
-from repro.resolution.comparison import RecordComparator, default_comparator
+from repro.resolution.comparison import (
+    RecordComparator,
+    ScoringContext,
+    default_comparator,
+)
 from repro.resolution.kernels import compile_comparator
 from repro.resolution.rules import MatchDecision, ThresholdRule, refit_threshold
 
@@ -169,7 +173,7 @@ class EntityResolver:
 
     def __init__(
         self,
-        comparator: RecordComparator | None = None,
+        comparator: RecordComparator | ScoringContext | None = None,
         rule: _Rule | None = None,
         blocking_attributes: Sequence[str] | None = None,
         blocker: Callable[[Table], object] | None = None,
@@ -211,10 +215,18 @@ class EntityResolver:
         return token_blocking(table, attributes, metrics=self.metrics)
 
     def resolve(self, table: Table) -> ResolutionResult:
-        """Partition ``table`` into entity clusters."""
-        comparator = self.comparator or default_comparator(table.schema)
+        """Partition ``table`` into entity clusters.
+
+        One call scores off one :class:`ScoringContext`: a fresh one
+        around the comparator, dropped on return — unless the resolver
+        was built on a context, whose builder then shares it with the
+        other pairs it scores for this resolve (:func:`refit_rule`).
+        """
+        scores = ScoringContext.around(
+            self.comparator or default_comparator(table.schema)
+        )
         pairs = self._candidate_pairs(table)
-        matches = self._decide(table, comparator, pairs)
+        matches = self._decide(table, scores, pairs)
 
         return ResolutionResult(
             clusters_of(
@@ -229,7 +241,7 @@ class EntityResolver:
         )
 
     def _prefilter(
-        self, table: Table, comparator: RecordComparator, pairs: np.ndarray
+        self, table: Table, scores: ScoringContext, pairs: np.ndarray
     ) -> np.ndarray:
         """Prune pairs the compiled kernels prove cannot match.
 
@@ -239,7 +251,7 @@ class EntityResolver:
         if not self.use_kernels or pairs.shape[0] == 0:
             return pairs
         compiled = compile_comparator(
-            comparator, self.rule, table, metrics=self.metrics
+            scores, self.rule, table, metrics=self.metrics
         )
         if compiled is None:
             return pairs
@@ -259,30 +271,32 @@ class EntityResolver:
     def _decide(
         self,
         table: Table,
-        comparator: RecordComparator,
+        scores: ScoringContext,
         pairs: np.ndarray,
     ) -> list[tuple[int, int, tuple[str, str], float | None]]:
         """Compare and decide every candidate pair the kernels keep."""
-        ordered_pairs = self._prefilter(table, comparator, pairs).tolist()
+        ordered_pairs = self._prefilter(table, scores, pairs).tolist()
         records_by_index = dict(enumerate(table.records))
         return _decide_pairs(
-            comparator, self.rule, records_by_index, ordered_pairs
+            scores, self.rule, records_by_index, ordered_pairs
         )
 
 
 def _score_pair(
-    comparator: RecordComparator, left: Record, right: Record
+    scores: ScoringContext, left: Record, right: Record
 ) -> tuple[list[float | None], float]:
     """One pair's field vector and the pooled similarity it pools to.
 
     The one scoring function: candidate pairs (:func:`_decide_pairs`) and
     feedback-labelled pairs (:func:`refit_rule`) both go through it, so a
-    threshold is always fitted on the scale the resolver decides on.  The
-    similarity is derived from the vector the learned rules need anyway
-    (``similarity_from_vector``), so each ``field.compare`` runs exactly
-    once per pair.
+    threshold is always fitted on the scale the resolver decides on —
+    and off the one context, so a value pair or token pair either of
+    them has scored is not scored again.  The similarity is derived from
+    the vector the learned rules need anyway (``similarity_from_vector``),
+    so each field is compared exactly once per pair.
     """
-    vector = comparator.vector(left, right)
+    vector = scores.vector(left, right)
+    comparator = scores.comparator
     from_vector = getattr(comparator, "similarity_from_vector", None)
     if from_vector is not None:
         return vector, from_vector(vector)
@@ -291,7 +305,7 @@ def _score_pair(
 
 
 def _decide_pairs(
-    comparator: RecordComparator,
+    scores: ScoringContext,
     rule: _Rule,
     records_by_index: dict[int, Record],
     pairs: Sequence[tuple[int, int]],
@@ -302,7 +316,7 @@ def _decide_pairs(
     for left_index, right_index in pairs:
         left = records_by_index[left_index]
         right = records_by_index[right_index]
-        vector, similarity = _score_pair(comparator, left, right)
+        vector, similarity = _score_pair(scores, left, right)
         decision = rule.decide(similarity, vector)
         if decision.is_match:
             key = tuple(sorted((left.rid, right.rid)))
@@ -314,7 +328,7 @@ def _decide_pairs(
 
 def refit_rule(
     prior: float,
-    comparator: RecordComparator,
+    comparator: RecordComparator | ScoringContext,
     table: Table,
     labels: Mapping[tuple[str, str], bool],
 ) -> ThresholdRule:
@@ -324,14 +338,17 @@ def refit_rule(
     (:meth:`~repro.feedback.store.FeedbackStore.duplicate_labels`); pairs
     with a record outside ``table`` are skipped, the rest are scored by
     :func:`_score_pair` and handed to
-    :func:`~repro.resolution.rules.refit_threshold`.
+    :func:`~repro.resolution.rules.refit_threshold`.  Pass the
+    :class:`ScoringContext` the resolver will decide with and the
+    labelled pairs fill the tables its candidates then read.
     """
+    scores = ScoringContext.around(comparator)
     records = {record.rid: record for record in table}
     similarities, verdicts = [], []
     for (left_rid, right_rid), verdict in labels.items():
         left, right = records.get(left_rid), records.get(right_rid)
         if left is None or right is None:
             continue
-        similarities.append(_score_pair(comparator, left, right)[1])
+        similarities.append(_score_pair(scores, left, right)[1])
         verdicts.append(verdict)
     return refit_threshold(prior, similarities, verdicts)

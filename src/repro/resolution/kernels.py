@@ -40,7 +40,8 @@ measure                   upper bound
                           is ``(matched digit tokens + non-digit tokens if
                           the other side has any)/|tokens|``, counted with
                           multiplicity via a digit-token CSR matrix off the
-                          memoised ``_name_tokens``
+                          scoring context's name tokens and digit classes
+                          (tokenised here once, read by the scalar loop)
 ========================  ====================================================
 
 Compilation is conservative: anything but a plain ``ThresholdRule`` over a
@@ -62,12 +63,13 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.matching.similarity import _name_tokens, token_set
+from repro.matching.similarity import NameScores, token_set
 from repro.model.records import Table
 from repro.resolution.comparison import (
     GEO_SCALE_DEGREES,
     FieldComparator,
     RecordComparator,
+    ScoringContext,
     _is_number,
     parse_point,
 )
@@ -371,7 +373,7 @@ def _column(table: Table, attribute: str) -> tuple[list, np.ndarray]:
     return raws, np.asarray(flags, dtype=bool)
 
 
-def _compile_field(field: FieldComparator, table: Table):
+def _compile_field(field: FieldComparator, table: Table, names: NameScores):
     """The measure kernel + missing mask for one field, or ``None``."""
     raws, missing = _column(table, field.attribute)
     measure = field.measure
@@ -386,15 +388,11 @@ def _compile_field(field: FieldComparator, table: Table):
 
     if measure in ("tokens", "tokens_strict"):
         token_lists = [
-            _name_tokens(str(raw)) if raw is not None else ()
+            names.tokens(str(raw)) if raw is not None else ()
             for raw in raws
         ]
         digit_counters = [
-            Counter(
-                token
-                for token in tokens
-                if any(c.isdigit() for c in token)
-            )
+            Counter(token for token in tokens if names.is_code(token))
             for tokens in token_lists
         ]
         totals = np.asarray(
@@ -474,7 +472,13 @@ def compile_comparator(
     (returning ``None``).  Ineligibility is counted on ``metrics``
     (``kernels.fallback``) so a silently-scalar resolver is visible in
     telemetry.
+
+    ``comparator`` may be the resolve's :class:`ScoringContext`: the
+    name tokens compiled here then stay in its tables for the scalar
+    loop that re-decides the survivors.
     """
+    scores = ScoringContext.around(comparator)
+    comparator = scores.comparator
     eligible = (
         _sparse is not None
         and type(rule) is ThresholdRule
@@ -484,7 +488,7 @@ def compile_comparator(
     compiled_fields: list[_FieldKernel] = []
     if eligible:
         for field in comparator.fields:
-            compiled = _compile_field(field, table)
+            compiled = _compile_field(field, table, scores.names)
             if compiled is None:
                 eligible = False
                 break

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import repro.core.wrangler as wrangler_module
+import repro.resolution.er as er
 
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
@@ -22,6 +23,7 @@ from repro.core.wrangler import Wrangler
 from repro.datagen.htmlgen import render_site
 from repro.datagen.products import TARGET_SCHEMA
 from repro.feedback.types import (
+    DuplicateFeedback,
     ExtractionFeedback,
     RelevanceFeedback,
     ValueFeedback,
@@ -31,6 +33,7 @@ from repro.model.annotations import Dimension
 from repro.model.provenance import Step
 from repro.model.records import Table
 from repro.model.schema import Attribute, DataType, Schema
+from repro.resolution.comparison import ScoringContext
 from repro.sources.memory import MemoryDocumentSource, MemorySource
 
 SCHEMA = Schema(
@@ -281,6 +284,51 @@ class TestStageBodiesComposeLayersDecide:
         # bench/spans.py patches it by module attribute, so it is looked
         # up at call time.
         assert nested == ["acquire_durable"]
+
+
+class TestResolveStageSharesOneScoringContext:
+    """``_stage_resolve`` scores two sets of pairs — the labelled ones
+    the threshold is refitted on, then the candidates — and both go off
+    the one :class:`ScoringContext` it builds, which nothing keeps."""
+
+    def test_refit_and_resolve_score_off_the_one_context(self, monkeypatch):
+        built, scored = [], []
+        real_init, real_score = ScoringContext.__init__, er._score_pair
+
+        def init(self, comparator):
+            built.append(self)
+            real_init(self, comparator)
+
+        def score(scores, left, right):
+            scored.append((scores, left.rid, right.rid))
+            return real_score(scores, left, right)
+
+        monkeypatch.setattr(ScoringContext, "__init__", init)
+        monkeypatch.setattr(er, "_score_pair", score)
+
+        wrangler = make_wrangler()
+        inputs = {"plan": PLAN, "acquire:shop": raw_table()}
+        for kind in ("match", "mapping", "mapped", "quality"):
+            inputs[f"{kind}:shop"] = getattr(wrangler, f"_stage_{kind}")(
+                "shop", inputs
+            )
+        inputs["select"] = wrangler._stage_select(inputs)
+        inputs["translate"] = wrangler._stage_translate(inputs)
+        anvil, rope = (record.rid for record in inputs["translate"])
+        wrangler.feedback.add(
+            DuplicateFeedback(rid_a=anvil, rid_b=rope, is_duplicate=False)
+        )
+        del built[:], scored[:]
+
+        result = wrangler._stage_resolve(inputs)
+
+        assert len(result.clusters) == 2
+        assert len(built) == 1
+        # the labelled pair, then the one candidate pair
+        assert [pair[1:] for pair in scored] == [(anvil, rope)] * 2
+        assert all(pair[0] is built[0] for pair in scored)
+        # the comparator's only string field: scored once, read once
+        assert [len(table) for __, __, table in built[0]._fields if table] == [1]
 
 
 class TestValueFeedbackBindsAcrossReResolves:

@@ -185,18 +185,18 @@ class TestTokenisationMemoised:
         """Token sets are memoised per value, not recomputed per pair.
 
         A full-pairs resolve over n records evaluates O(n^2) candidate
-        pairs; without the similarity-module memo caches every pair
-        re-tokenised both sides, so tokenisation ran O(n^2) times per
-        pass.  This pins the fixed contract: at most once per distinct
-        value per cache (token_set + Monge-Elkan name tokens) while the
-        pair count stays quadratic.
+        pairs; without a memo every pair re-tokenised both sides, so
+        tokenisation ran O(n^2) times per pass.  This pins the fixed
+        contract: at most once per distinct value per tokenisation (the
+        module's token_set cache + the Monge-Elkan name tokens the
+        resolve's scoring context owns) while the pair count stays
+        quadratic.
         """
         from repro.matching import similarity
 
         counting = _CountingPattern(similarity._TOKEN_RE)
         monkeypatch.setattr(similarity, "_TOKEN_RE", counting)
         monkeypatch.setattr(similarity, "_token_set_cache", {})
-        monkeypatch.setattr(similarity, "_name_token_cache", {})
         rows = [
             {"name": f"Acme Widget Model {i:03d}", "price": float(i)}
             for i in range(28)
@@ -222,7 +222,7 @@ class TestTokenisationMemoised:
         from repro.matching import similarity
 
         monkeypatch.setattr(similarity, "_token_set_cache", {})
-        monkeypatch.setattr(similarity, "_name_token_cache", {})
+        names = similarity.NameScores()
         pairs = [
             ("Acme Laptop Pro 15", "Acme Lptop Pro 15"),
             ("The Acme Co", "Acme"),
@@ -230,9 +230,42 @@ class TestTokenisationMemoised:
         ]
         for a, b in pairs:
             cold_tokens = similarity.token_set(a)
-            cold_score = similarity.monge_elkan(a, b)
+            cold_score = names.score(a, b)
             assert similarity.token_set(a) == cold_tokens  # cache hit
+            assert names.score(a, b) == cold_score          # table hit
             assert similarity.monge_elkan(a, b) == cold_score
+
+    def test_name_tokens_survive_more_titles_than_any_bounded_cache(
+        self, monkeypatch
+    ):
+        """Name tokens belong to the resolve, not to a bounded module
+        cache: the old 4,096-entry FIFO evicted what the kernel compile
+        had just filled once a table had more distinct titles than
+        that, and the scalar loop silently re-tokenised per pair."""
+        from repro.matching import similarity
+
+        n_titles = similarity._CACHE_LIMIT + 200
+        rows = [
+            {"name": f"Acme Widget {i % 7} Model {i:05d}"}
+            for i in range(n_titles)
+        ]
+        table = Table.from_rows("offers", rows)
+        # Neighbouring titles only: the kernel compile tokenises every
+        # row first, so by the time the scalar loop walked the survivors
+        # the FIFO had wrapped and evicted each title just before use.
+        neighbours = [(i, i + 1) for i in range(n_titles - 1)]
+        counting = _CountingPattern(similarity._TOKEN_RE)
+        monkeypatch.setattr(similarity, "_TOKEN_RE", counting)
+        resolver = EntityResolver(
+            comparator=RecordComparator((
+                FieldComparator("name", measure="tokens"),
+            )),
+            rule=ThresholdRule(0.5),
+            blocker=lambda table: neighbours,
+        )
+        result = resolver.resolve(table)
+        assert result.compared == n_titles - 1
+        assert counting.calls == n_titles
 
     def test_cache_stays_bounded(self, monkeypatch):
         from repro.matching import similarity

@@ -16,15 +16,15 @@ lint:
 lint-json:
 	$(PYTHON) -m repro.analysis lint src/repro --format json
 
-# Schema-flow typecheck + purity certification of every shipped example
-# plan; exits 1 on any error-severity finding.
+# The pre-execution gate (structure + schema-flow types + cost) over
+# every shipped example plan; exits 1 on any error-severity finding.
 typecheck:
 	$(PYTHON) -m repro.analysis typecheck examples
 
 # Cost & cardinality certification of every shipped example plan (exits
-# 1 on any error-severity CC finding — an over-budget or quadratic
-# plan), then the snapshot test pinning the expected plan→cost map and
-# its byte-for-byte determinism.
+# 1 on any error-severity CC finding — an over-budget plan), then the
+# snapshot test pinning the expected plan→cost map and its byte-for-byte
+# determinism.
 cost-check:
 	$(PYTHON) -m repro.analysis cost examples
 	$(PYTHON) -m pytest tests/analysis/test_cost_snapshot.py -q -p no:cacheprovider

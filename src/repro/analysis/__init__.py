@@ -9,11 +9,10 @@ Three legs share one diagnostics engine and one driver,
 * :mod:`repro.analysis.lint` — an AST-based framework linter (rule ids
   ``REP0xx``), the driver's ``lint src/repro``;
 * :mod:`repro.analysis.typecheck` — the operator table and the one plan
-  walk behind the schema-flow type checker, the node purity certifier
-  (rule ids ``TC0xx``) and the cost certifier of
-  :mod:`repro.analysis.cost` (``CC0xx``), folded into the wrangler's
-  pre-execution gate and rendered by the driver's ``typecheck
-  examples`` / ``cost examples``.
+  walk behind the schema-flow type checker (rule ids ``TC0xx``) and the
+  cost certifier of :mod:`repro.analysis.cost` (``CC0xx``), folded into
+  the wrangler's pre-execution gate and rendered by the driver's
+  ``typecheck examples`` / ``cost examples``.
 
 All emit :class:`~repro.analysis.diagnostics.Diagnostic` values and
 render through :mod:`repro.analysis.report`.
@@ -30,18 +29,8 @@ from repro.analysis.diagnostics import (
 from repro.analysis.lint import LintResult, lint_paths, lint_source
 from repro.analysis.report import render, render_json, render_text
 from repro.analysis.rules import RULES, ModuleContext
-from repro.analysis.typecheck import (
-    TYPECHECK_RULES,
-    PurityAnalyser,
-    PurityVerdict,
-    SchemaFlowChecker,
-    run_preflight,
-)
-from repro.analysis.validator import (
-    PlanValidator,
-    ValidationReport,
-    validate_plan,
-)
+from repro.analysis.typecheck import TYPECHECK_RULES, run_preflight
+from repro.analysis.validator import PlanValidator, ValidationReport
 
 __all__ = [
     "Diagnostic",
@@ -60,10 +49,6 @@ __all__ = [
     "ModuleContext",
     "PlanValidator",
     "ValidationReport",
-    "validate_plan",
-    "PurityAnalyser",
-    "PurityVerdict",
-    "SchemaFlowChecker",
     "TYPECHECK_RULES",
     "run_preflight",
 ]

@@ -3,7 +3,7 @@
 * ``lint [paths]`` — the framework linter (:mod:`repro.analysis.lint`)
   over Python sources (default ``src/repro``);
 * ``typecheck [paths]`` — the full pre-execution gate (structure + types
-  + purity + cost, :func:`~repro.analysis.typecheck.run_preflight` via
+  + cost, :func:`~repro.analysis.typecheck.run_preflight` via
   ``Wrangler.preflight()``) over plan-building modules (default
   ``examples``);
 * ``cost [paths]`` — the same preflight, rendered as the per-node
@@ -75,7 +75,7 @@ def _parser() -> argparse.ArgumentParser:
     for name, what, description in (
         ("typecheck", "TC",
          "repro schema-flow type checker: runs the pre-execution gate "
-         "(structure + types + purity + cost) over plan-building modules"),
+         "(structure + types + cost) over plan-building modules"),
         ("cost", "CC",
          "repro cost & cardinality certifier: propagates row and cost "
          "estimates through each plan's dataflow and checks them against "
@@ -155,11 +155,6 @@ def _typecheck(args: argparse.Namespace) -> int:
     result = _check_plans(args)
     findings = result.diagnostics
     _write(render(findings, args.format, checked_files=result.checked_plans))
-    if result.nodes:
-        _write(
-            f"purity: {result.certified}/{result.nodes} dataflow nodes "
-            "carry a verdict"
-        )
     return 1 if has_errors(findings) else 0
 
 

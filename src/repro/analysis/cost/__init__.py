@@ -1,13 +1,12 @@
 """Cost & cardinality certification: how much will this plan spend?
 
 The cost leg of the analysis subsystem (beside the plan validator, the
-framework linter, the schema-flow typechecker, and the purity
-certifier): a static cost model that propagates
-a :class:`~repro.analysis.cost.model.CardinalityEstimate` — rows,
-per-stage work, access cost in ``cost_per_access`` units — through a
-plan's dataflow topology, flags statically-predictable super-linear
-stages (the quadratic ER wall, degenerate blocking, cross-source
-joins), and refuses plans whose estimated spend exceeds the budget
+framework linter and the schema-flow typechecker): a static cost model
+that propagates a :class:`~repro.analysis.cost.model.CardinalityEstimate`
+— rows, per-stage work, access cost in ``cost_per_access`` units —
+through a plan's dataflow topology, flags statically-predictable
+super-linear stages (cross-source joins, constraint discovery), and
+refuses plans whose estimated spend exceeds the budget
 declared via ``Wrangler.budget(...)``.  Rule ids are ``CC0xx``;
 findings flow through the shared
 :class:`~repro.analysis.diagnostics.Diagnostic` engine and into
@@ -20,14 +19,9 @@ here next to the schema halves.
 against committed baselines (:mod:`~repro.analysis.cost.ratchet`).
 """
 
-from repro.analysis.cost.certifier import (
-    CostCertifier,
-    PlanCostReport,
-    check_plan_cost,
-)
+from repro.analysis.cost.certifier import PlanCostReport
 from repro.analysis.cost.model import (
     CardinalityEstimate,
-    ResolutionProfile,
     UNIT_COSTS,
     estimated_pairs,
 )
@@ -40,14 +34,11 @@ from repro.analysis.cost.rules import COST_RULES
 
 __all__ = [
     "CardinalityEstimate",
-    "CostCertifier",
     "COST_RULES",
     "PlanCostReport",
     "RatchetEntry",
     "RatchetReport",
-    "ResolutionProfile",
     "UNIT_COSTS",
-    "check_plan_cost",
     "estimated_pairs",
     "run_ratchet",
 ]

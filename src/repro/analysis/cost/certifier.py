@@ -7,10 +7,9 @@ node of a plan's dataflow topology, exactly as it threads
 :class:`~repro.analysis.typecheck.operators.Operator` row estimates and
 checks it.  This module turns that walk into the certificate: the
 plan-level budget rules (``CC005``–``CC007``) and the
-:class:`PlanCostReport`, so a quadratic resolve, a degenerate blocking
-configuration, or a plan whose estimated access cost exceeds its
-declared budget all surface as ``CC`` diagnostics *before* any source is
-fully accessed.
+:class:`PlanCostReport`, so a pooled cross-source resolve or a plan
+whose estimated access cost exceeds its declared budget surfaces as
+``CC`` diagnostics *before* any source is fully accessed.
 
 Everything is duck-typed (plans, registries, dataflows), matching the
 plan validator's contract: tests can feed hand-built stand-ins, and this
@@ -31,17 +30,10 @@ from repro.analysis.cost.model import (
     PROBE_BUDGET_FRACTION_LIMIT,
     CardinalityEstimate,
     CostContext,
-    ResolutionProfile,
     cc,
-    source_facts,
 )
 
-__all__ = [
-    "CostCertifier",
-    "PlanCostReport",
-    "certify_walk",
-    "check_plan_cost",
-]
+__all__ = ["PlanCostReport", "certify_walk"]
 
 
 @dataclass(frozen=True)
@@ -174,12 +166,12 @@ def _budget_findings(
 
 
 def certify_walk(
-    context: CostContext, walk: Any, dataflow: Any = None
+    context: CostContext, walk: Any, dataflow: Any
 ) -> PlanCostReport:
     """The ``CC`` certificate for a walk that ran the cost half: its
     per-node findings plus the plan-level budget rules, with predicted
-    per-node seconds written onto the dataflow (when it supports cost
-    annotation) so telemetry exports carry them."""
+    per-node seconds written onto the dataflow so telemetry exports
+    carry them."""
     report = PlanCostReport(
         estimates=walk.estimates,
         stages=walk.stages,
@@ -193,53 +185,10 @@ def certify_walk(
         ),
         budget=context.budget,
     )
-    if dataflow is not None and hasattr(dataflow, "annotate_costs"):
-        dataflow.annotate_costs(
-            {
-                name: round(estimate.seconds(report.stages.get(name)), 6)
-                for name, estimate in report.estimates.items()
-            }
-        )
+    dataflow.annotate_costs(
+        {
+            name: round(estimate.seconds(report.stages.get(name)), 6)
+            for name, estimate in report.estimates.items()
+        }
+    )
     return report
-
-
-class CostCertifier:
-    """Static cost propagation over a plan's dataflow topology."""
-
-    def check(
-        self,
-        plan: Any,
-        user: Any = None,
-        registry: Any = None,
-        dataflow: Any = None,
-        budget: float | None = None,
-        discover_constraints: bool = False,
-        resolution: ResolutionProfile | None = None,
-    ) -> PlanCostReport:
-        """The full ``CC`` certificate for one plan.
-
-        ``registry`` supplies per-source row hints and access costs;
-        ``dataflow`` supplies the walk order (without one, the
-        wrangler's canonical pipeline shape is used); ``budget`` is the
-        declared plan/tenant budget (``Wrangler.budget(...)``) the
-        estimated access cost is checked against.
-        """
-        # The walk sits above this package (it joins the cost halves
-        # with the schema halves), so it is imported when called.
-        from repro.analysis.typecheck.operators import walk_plan
-
-        context = CostContext(
-            plan=plan,
-            user=user,
-            sources=source_facts(registry),
-            budget=budget,
-            discover_constraints=discover_constraints,
-            resolution=resolution or ResolutionProfile(),
-        )
-        walk = walk_plan(plan, dataflow, costs=context)
-        return certify_walk(context, walk, dataflow)
-
-
-def check_plan_cost(**artifacts: Any) -> PlanCostReport:
-    """Convenience wrapper: ``CostCertifier().check(**artifacts)``."""
-    return CostCertifier().check(**artifacts)

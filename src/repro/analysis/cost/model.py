@@ -32,11 +32,12 @@ from typing import Any, Mapping
 
 from repro.analysis.diagnostics import Diagnostic, finding
 from repro.analysis.cost.rules import COST_RULES
+from repro.resolution.blocking import MAX_BLOCK_SIZE
+from repro.resolution.er import SMALL_TABLE_CUTOFF
 
 __all__ = [
     "CardinalityEstimate",
     "CostContext",
-    "ResolutionProfile",
     "SourceFacts",
     "UNIT_COSTS",
     "cc",
@@ -68,9 +69,7 @@ DEFAULT_WIDTH = 8.0
 #: Fields the resolver compares per candidate pair when the plan does
 #: not pin ``er_attributes``.
 DEFAULT_ER_FIELDS = 3.0
-#: Candidate pairs above which an unblocked resolve is a CC002 error.
-QUADRATIC_PAIR_LIMIT = 100_000.0
-#: Candidate pairs above which blocking smells (CC003/CC004) warn.
+#: Candidate pairs above which a pooled resolve (CC004) warns.
 PAIR_WARNING_LIMIT = 50_000.0
 #: Sources pooled into one resolve before CC004 considers it a
 #: cross-source join.
@@ -207,50 +206,20 @@ def source_facts(registry: Any) -> dict[str, SourceFacts]:
     return facts
 
 
-@dataclass(frozen=True)
-class ResolutionProfile:
-    """The blocking configuration the resolve stage is expected to run.
-
-    Mirrors :class:`~repro.resolution.er.EntityResolver`'s defaults: the
-    full-pairs path below ``small_table_cutoff`` rows, token blocking
-    (blocks capped at ``max_block_size``) above it.  ``strategy`` may be
-    ``"token"``, ``"sorted_neighbourhood"`` (then ``window`` applies),
-    ``"minhash_lsh"`` (then ``bands`` applies), or ``"full_pairs"`` for
-    an explicit unblocked resolver.
-    """
-
-    strategy: str = "token"
-    small_table_cutoff: int = 30
-    max_block_size: int = 50
-    window: int = 10
-    bands: int = 16
-
-
-def estimated_pairs(
-    rows: float, profile: ResolutionProfile
-) -> tuple[float, bool]:
+def estimated_pairs(rows: float) -> tuple[float, bool]:
     """(estimated candidate pairs, whether the full-pairs path is taken).
 
-    Upper bounds, not expectations: token blocking can emit at most
-    ``rows x (max_block_size - 1) / 2`` pairs (every row in a full
-    block), a sorted neighbourhood at most ``rows x (window - 1)``.
-    MinHash-LSH has no hard structural cap — a degenerate band bucket can
-    reach full pairs — so its estimate is the well-behaved expectation:
-    each record collides in at most its ``bands`` band buckets with a
-    handful of genuine near-duplicates, ~``rows x bands`` pairs overall.
+    Mirrors the resolver ``Wrangler._stage_resolve`` builds — an
+    :class:`~repro.resolution.er.EntityResolver` on its defaults: every
+    pair at or below ``SMALL_TABLE_CUTOFF`` rows, token blocking above
+    it.  An upper bound, not an expectation: token blocking can emit at
+    most ``rows x (MAX_BLOCK_SIZE - 1) / 2`` pairs (every row in a full
+    block), and a table no larger than one block is all pairs.
     """
     full = rows * max(rows - 1.0, 0.0) / 2.0
-    if profile.strategy == "full_pairs" or rows <= profile.small_table_cutoff:
+    if rows <= SMALL_TABLE_CUTOFF or rows <= MAX_BLOCK_SIZE:
         return full, True
-    if profile.strategy == "sorted_neighbourhood":
-        if profile.window >= rows:
-            return full, True
-        return min(full, rows * max(profile.window - 1.0, 1.0)), False
-    if profile.strategy == "minhash_lsh":
-        return min(full, rows * max(profile.bands, 1.0)), False
-    if profile.max_block_size >= rows:
-        return full, True
-    return min(full, rows * (profile.max_block_size - 1.0) / 2.0), False
+    return min(full, rows * (MAX_BLOCK_SIZE - 1.0) / 2.0), False
 
 
 @dataclass
@@ -262,7 +231,6 @@ class CostContext:
     sources: Mapping[str, SourceFacts] = field(default_factory=dict)
     budget: float | None = None  # declared via Wrangler.budget()
     discover_constraints: bool = False
-    resolution: ResolutionProfile = field(default_factory=ResolutionProfile)
 
     @property
     def planned_sources(self) -> tuple[str, ...]:
@@ -416,8 +384,8 @@ def translate_estimate(
 def resolve_estimate(
     ctx: CostContext, sub: str | None, incoming: CardinalityEstimate
 ) -> CardinalityEstimate:
-    pairs, full = estimated_pairs(incoming.rows, ctx.resolution)
-    label = "full pairs" if full else ctx.resolution.strategy
+    pairs, full = estimated_pairs(incoming.rows)
+    label = "full pairs" if full else "token"
     return CardinalityEstimate(
         rows=incoming.rows,
         work=pairs * ctx.er_fields,
@@ -429,64 +397,23 @@ def resolve_estimate(
 def resolve_check(
     ctx: CostContext, sub: str | None, estimate: CardinalityEstimate
 ) -> list[Diagnostic]:
-    findings: list[Diagnostic] = []
     rows = estimate.rows
-    profile = ctx.resolution
-    pairs, full = estimated_pairs(rows, profile)
-    node = "resolve" if sub is None else f"resolve:{sub}"
-    if full and pairs > QUADRATIC_PAIR_LIMIT:
-        seconds = pairs * ctx.er_fields * UNIT_COSTS["resolution"]
-        findings.append(
-            cc(
-                "CC002",
-                "dataflow",
-                node,
-                f"unblocked resolve over ~{rows:.0f} rows compares "
-                f"~{pairs:.0f} candidate pairs (n^2/2 blow-up, "
-                f"~{seconds:.0f}s at the calibrated unit cost)",
-                "enable blocking (token, sorted-neighbourhood, or "
-                "minhash_lsh) or partition the table before resolving",
-            )
-        )
-    degenerate = (
-        profile.strategy != "full_pairs"
-        and rows > 0
-        and (
-            profile.small_table_cutoff >= rows
-            or (profile.strategy == "sorted_neighbourhood"
-                and profile.window >= rows)
-            or (profile.strategy == "token"
-                and profile.max_block_size >= rows)
-        )
-    )
-    if degenerate and pairs > PAIR_WARNING_LIMIT:
-        findings.append(
-            cc(
-                "CC003",
-                "dataflow",
-                node,
-                f"blocking is configured but degenerates to full pairs at "
-                f"~{rows:.0f} rows (~{pairs:.0f} candidate pairs): the "
-                f"cutoff/window/block-size bound never binds",
-                "lower small_table_cutoff / window / max_block_size "
-                "below the expected table size",
-            )
-        )
+    pairs, _ = estimated_pairs(rows)
     pooled = len(ctx.planned_sources)
-    if pooled >= CROSS_SOURCE_MIN and pairs > PAIR_WARNING_LIMIT:
-        findings.append(
-            cc(
-                "CC004",
-                "dataflow",
-                node,
-                f"{pooled} sources pool ~{rows:.0f} rows into one "
-                f"resolve (~{pairs:.0f} candidate pairs): cross-source "
-                f"pair growth is quadratic in the union",
-                "resolve per source or per blocking key "
-                "(scale.partitioned_resolve) and merge clusters",
-            )
+    if pooled < CROSS_SOURCE_MIN or pairs <= PAIR_WARNING_LIMIT:
+        return []
+    return [
+        cc(
+            "CC004",
+            "dataflow",
+            "resolve" if sub is None else f"resolve:{sub}",
+            f"{pooled} sources pool ~{rows:.0f} rows into one "
+            f"resolve (~{pairs:.0f} candidate pairs): cross-source "
+            f"pair growth is quadratic in the union",
+            "resolve per source or per blocking key "
+            "(scale.partitioned_resolve) and merge clusters",
         )
-    return findings
+    ]
 
 
 def fuse_estimate(

@@ -1,21 +1,20 @@
 """The cost & cardinality rules: the ``CC`` catalogue.
 
 Each rule names one class of plan that is statically predictable to be
-more expensive than it should be — super-linear stages (the quadratic ER
-wall), plans whose estimated access cost exceeds a declared budget, and
-estimates the certifier could not ground in a real cardinality.  The
+more expensive than it should be — super-linear stages (a pooled
+cross-source resolve), plans whose estimated access cost exceeds a
+declared budget, and estimates the certifier could not ground in a real
+cardinality.  The
 certifier in :mod:`repro.analysis.cost.certifier` detects them by
 propagating a :class:`~repro.analysis.cost.model.CardinalityEstimate`
 through the plan's dataflow topology and emits each finding through the
 shared :class:`~repro.analysis.diagnostics.Diagnostic` engine, so
-validator, linter, typechecker, purity, and cost findings render
-uniformly.
+validator, linter, typechecker, and cost findings render uniformly.
 
 Severity doubles as admission pressure: ``error`` rules refuse the plan
-at the preflight gate (a quadratic resolve at scale, a plan over its
-declared budget); ``warning`` rules flag cost smells worth fixing but
-admit the plan; ``info`` rules record where the estimate degraded to an
-assumption.
+at the preflight gate (a plan over its declared budget); ``warning``
+rules flag cost smells worth fixing but admit the plan; ``info`` rules
+record where the estimate degraded to an assumption.
 """
 
 from __future__ import annotations
@@ -36,31 +35,6 @@ COST_RULES: Mapping[str, Rule] = catalogue(
         "probe artifact), so downstream estimates fall back to an assumed "
         "default cardinality — the certificate is still issued, but its "
         "confidence is degraded and every derived bound inherits it.",
-    ),
-    Rule(
-        "CC002",
-        "quadratic-resolution",
-        Severity.ERROR,
-        "Entity resolution is on the full-pairs path (no blocking caps "
-        "the candidate set) at a scale where the estimated pair count "
-        "exceeds the quadratic limit: cost grows as n^2/2 and the stage "
-        "will dominate the run even with the vectorised prune kernels "
-        "engaged (pruning cuts the per-pair constant, not the n^2 pair "
-        "generation).  Token, sorted-neighbourhood, or MinHash-LSH "
-        "blocking caps the candidate set to ~linear in rows.",
-    ),
-    Rule(
-        "CC003",
-        "degenerate-blocking",
-        Severity.WARNING,
-        "A blocking configuration that cannot cap candidate-pair growth: "
-        "a small-table cutoff at or above the estimated table size, a "
-        "sorted-neighbourhood window spanning the table, or a token "
-        "block size bound that no block can exceed — blocking is "
-        "configured but degenerates to (near-)full pairs.  (MinHash-LSH "
-        "has no structural cap to degenerate; its runtime counterpart is "
-        "the blocking.dropped_* telemetry counters on oversized "
-        "buckets.)",
     ),
     Rule(
         "CC004",

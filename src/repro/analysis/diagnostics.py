@@ -158,7 +158,7 @@ def dedupe_diagnostics(
 ) -> list[Diagnostic]:
     """Drop exact duplicates, keeping first occurrence order.
 
-    Several gates (``PV``, ``TC``, purity, ``CC``) can legitimately find the
+    Several gates (``PV``, ``TC``, ``CC``) can legitimately find the
     same defect on the same node; a combined report should say it once.
     Diagnostics are frozen dataclasses, so "exact duplicate" is full
     field equality — two findings differing only in message or hint both

@@ -103,12 +103,10 @@ def _discover(paths: Sequence[str]) -> tuple[list[Path], list[Path]]:
 
 @dataclass(frozen=True)
 class PlanCheck:
-    """One plan module's preflight, plus its purity coverage."""
+    """One plan module's preflight."""
 
     path: str
     report: ValidationReport
-    nodes: int = 0
-    certified: int = 0
 
 
 @dataclass(frozen=True)
@@ -123,18 +121,10 @@ class PlanChecks:
     def checked_plans(self) -> int:
         return len(self.checks)
 
-    @property
-    def nodes(self) -> int:
-        return sum(check.nodes for check in self.checks)
-
-    @property
-    def certified(self) -> int:
-        return sum(check.certified for check in self.checks)
-
     @cached_property
     def diagnostics(self) -> tuple[Diagnostic, ...]:
-        """The gate's findings (PV + TC + purity + CC at warning or
-        worse), re-anchored to the plan modules."""
+        """The gate's findings (PV + TC + CC at warning or worse),
+        re-anchored to the plan modules."""
         return _anchored(
             (check.path, check.report.diagnostics) for check in self.checks
         )
@@ -180,8 +170,7 @@ def check_module(path: Path, entry: str = DEFAULT_ENTRY) -> PlanCheck | None:
     if build is None or not callable(build):
         return None
     try:
-        wrangler = build()
-        report = wrangler.preflight()
+        report = build().preflight()
     except AnalysisError:
         raise
     # A user-supplied build_wrangler() can fail arbitrarily; fold it
@@ -190,13 +179,7 @@ def check_module(path: Path, entry: str = DEFAULT_ENTRY) -> PlanCheck | None:
         raise AnalysisError(
             f"preflight of {path} failed: {failure}"
         ) from failure
-    nodes = certified = 0
-    flow = getattr(wrangler, "_flow", None)
-    if flow is not None and hasattr(flow, "purity_map"):
-        purity = flow.purity_map()
-        nodes = len(purity)
-        certified = sum(1 for verdict in purity.values() if verdict)
-    return PlanCheck(str(path), report, nodes, certified)
+    return PlanCheck(str(path), report)
 
 
 def check_paths(

@@ -1,23 +1,22 @@
-"""The pre-execution gate: structure + types + purity + cost.
+"""The pre-execution gate: structure + types + cost.
 
 Every ``Wrangler.run()`` that composes a plan, and every
-``Wrangler.preflight()``, funnels through :func:`run_preflight`, which
-folds the plan validator's structural findings (``PV0xx``), the
-purity certifier's node verdicts (``TC010``), and — from one walk over
-the plan's dataflow (:func:`~repro.analysis.typecheck.operators.
-walk_plan`) — the schema-flow type findings (``TC001``–``TC009``) and
-the cost certifier's budget and cardinality findings (``CC0xx``) into
-one :class:`~repro.analysis.validator.ValidationReport` — so a plan is
-refused for an unregistered source, an untypable mapping, an
-uncertifiable node, or an over-budget estimate through exactly the
-same machinery.  The combined report is deduplicated and stably
-ordered: four gates can flag one node, but each exact finding appears
-once.
+``Wrangler.preflight()``, funnels through :func:`run_preflight` — the
+only way into the plan walk — which folds the plan validator's
+structural findings (``PV0xx``) and — from one walk over the plan's
+dataflow (:func:`~repro.analysis.typecheck.operators.walk_plan`) — the
+schema-flow type findings (``TC001``–``TC009``) and the cost
+certifier's budget and cardinality findings (``CC0xx``) into one
+:class:`~repro.analysis.validator.ValidationReport` — so a plan is
+refused for an unregistered source, an untypable mapping, or an
+over-budget estimate through exactly the same machinery.  The combined
+report is deduplicated and stably ordered: three gates can flag one
+node, but each exact finding appears once.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any
 
 from repro.analysis.cost.certifier import certify_walk
 from repro.analysis.cost.model import CostContext, source_facts
@@ -29,11 +28,9 @@ from repro.analysis.diagnostics import (
 )
 from repro.analysis.typecheck.checker import check_context
 from repro.analysis.typecheck.operators import walk_plan
-from repro.analysis.typecheck.purity import PurityAnalyser, PurityVerdict
-from repro.analysis.typecheck.signatures import tc
 from repro.analysis.validator import PlanValidator, ValidationReport
 
-__all__ = ["run_preflight", "purity_diagnostics", "probe_artifacts"]
+__all__ = ["run_preflight", "probe_artifacts"]
 
 #: WorkingData key prefix under which the wrangler files probe artifacts.
 PROBE_PREFIX = "probe/"
@@ -62,60 +59,23 @@ def probe_artifacts(
     return schemas, mappings
 
 
-def purity_diagnostics(
-    verdicts: Mapping[str, PurityVerdict],
-) -> list[Diagnostic]:
-    """``TC010`` findings for the non-pure entries of a verdict map.
-
-    Impure nodes are errors (the engine must not cache or replay them);
-    unlocatable (``unknown``) nodes are warnings — no certificate could
-    be issued, which is worth hearing about but not fatal.
-    """
-    findings = []
-    for name, verdict in sorted(verdicts.items()):
-        if verdict.is_pure:
-            continue
-        severity = (
-            Severity.ERROR if verdict.status == "impure" else Severity.WARNING
-        )
-        detail = "; ".join(verdict.reasons) or "no reason recorded"
-        findings.append(
-            tc(
-                "TC010",
-                "dataflow",
-                name,
-                f"node {name!r} failed purity certification "
-                f"({verdict.status}): {detail}",
-                "route side effects through repro.obs or working data",
-                severity=severity,
-            )
-        )
-    return findings
-
-
 def run_preflight(
-    plan: Any = None,
-    user: Any = None,
-    data: Any = None,
-    registry: Any = None,
-    dataflow: Any = None,
-    working: Any = None,
-    source_schemas: Mapping[str, Any] | None = None,
-    mappings: Mapping[str, Any] | Iterable[Any] | None = None,
+    plan: Any,
+    user: Any,
+    data: Any,
+    registry: Any,
+    dataflow: Any,
+    working: Any,
     master_key: str | None = None,
     date_attribute: str | None = None,
-    comparators: Sequence[Any] = (),
-    certify: bool = True,
-    analyser: PurityAnalyser | None = None,
     cost_budget: float | None = None,
     discover_constraints: bool = False,
 ) -> ValidationReport:
     """Run the full pre-execution gate and fold findings into one report.
 
-    Probe artifacts come from ``source_schemas``/``mappings`` when given
-    explicitly, falling back to the ``probe/``-prefixed entries of
-    ``working``.  ``certify=False`` skips purity certification (the
-    other gates still run).  When both a plan and
+    The parameters are exactly what ``Wrangler._compose`` hands over:
+    probe artifacts are the ``probe/``-prefixed entries of ``working``,
+    and ``dataflow`` supplies the walk order.  When both a plan and
     a registry are supplied, the walk also runs the cost halves:
     per-node estimates are propagated through the dataflow (annotating
     it for telemetry), ``CC`` findings at warning severity or worse — an
@@ -123,11 +83,7 @@ def run_preflight(
     is an error — join the report, and the full
     :class:`~repro.analysis.cost.PlanCostReport` rides on its ``cost``.
     """
-    filed_schemas, filed_mappings = probe_artifacts(working)
-    if source_schemas is None:
-        source_schemas = filed_schemas
-    if mappings is None:
-        mappings = filed_mappings
+    source_schemas, mappings = probe_artifacts(working)
 
     validator_report = PlanValidator().validate(
         plan=plan,
@@ -139,9 +95,7 @@ def run_preflight(
     )
     findings: list[Diagnostic] = list(validator_report.diagnostics)
 
-    types = check_context(
-        plan, user, source_schemas, mappings, date_attribute, comparators
-    )
+    types = check_context(plan, user, source_schemas, mappings, date_attribute)
     costs = None
     if plan is not None and registry is not None:
         costs = CostContext(
@@ -151,7 +105,7 @@ def run_preflight(
             budget=cost_budget,
             discover_constraints=discover_constraints,
         )
-    walk = walk_plan(plan, dataflow, types=types, costs=costs)
+    walk = walk_plan(dataflow, types=types, costs=costs)
     findings.extend(walk.type_findings)
     cost_report = None
     if costs is not None:
@@ -159,10 +113,6 @@ def run_preflight(
         findings.extend(
             cost_report.diagnostics(min_severity=Severity.WARNING)
         )
-
-    if certify and dataflow is not None and hasattr(dataflow, "certify"):
-        verdicts = dataflow.certify(analyser=analyser or PurityAnalyser())
-        findings.extend(purity_diagnostics(verdicts))
 
     return ValidationReport(
         tuple(sort_diagnostics(dedupe_diagnostics(findings))),

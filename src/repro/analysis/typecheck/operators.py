@@ -6,9 +6,8 @@ node kind the wrangler composes has exactly one :class:`Operator` row in
 ``infer`` from :mod:`~repro.analysis.typecheck.signatures`) and its cost
 half (``estimate`` / ``cost_check`` from
 :mod:`repro.analysis.cost.model`).  :func:`walk_plan` visits each node of
-the plan's topology once — the :class:`~repro.core.dataflow.Dataflow`'s
-own graph when one is supplied, :func:`pipeline_shape` (the one
-declaration of the wiring, which the wrangler composes) otherwise —
+the :class:`~repro.core.dataflow.Dataflow` the wrangler composed from
+:func:`pipeline_shape` (the one declaration of the wiring) once,
 threading the inferred :class:`~repro.model.schema.Schema` and the
 :class:`~repro.analysis.cost.model.CardinalityEstimate` from node to
 node and collecting the ``TC`` and ``CC`` findings together.
@@ -34,7 +33,6 @@ __all__ = [
     "OPERATORS",
     "PlanWalk",
     "pipeline_shape",
-    "topology",
     "walk_plan",
 ]
 
@@ -137,8 +135,7 @@ def pipeline_shape(
     The one declaration of the pipeline's shape.  ``Wrangler`` composes
     its dataflow by adding these nodes in this (insertion, and already
     topological) order, binding each node's kind to its stage body and
-    its :data:`OPERATORS` row; :func:`topology` walks the same map when
-    no dataflow is at hand.  A new stage is one entry here, one
+    its :data:`OPERATORS` row.  A new stage is one entry here, one
     ``Operator`` row and one stage body.
     """
     dependencies: dict[str, tuple[str, ...]] = {
@@ -172,21 +169,6 @@ def pipeline_shape(
     return dependencies
 
 
-def topology(
-    dataflow: Any, planned_sources: Sequence[str]
-) -> tuple[list[str], dict[str, tuple[str, ...]]]:
-    """The walk order and dependency map: the dataflow's own graph when
-    one is given, :func:`pipeline_shape` over the planned sources
-    otherwise."""
-    if dataflow is None:
-        dependencies = pipeline_shape(planned_sources)
-        return list(dependencies), dependencies
-    return list(dataflow.nodes()), {
-        name: tuple(deps)
-        for name, deps in dataflow.dependency_map().items()
-    }
-
-
 # -- the walk -------------------------------------------------------------
 
 
@@ -201,36 +183,33 @@ class PlanWalk:
 
 
 def walk_plan(
-    plan: Any,
-    dataflow: Any = None,
-    types: CheckContext | None = None,
+    dataflow: Any,
+    types: CheckContext,
     costs: CostContext | None = None,
 ) -> PlanWalk:
-    """Visit every node once, running the halves a context was given for.
+    """Visit every node of ``dataflow`` once, in its topological order.
 
-    ``types`` switches on the schema half (``TC001``–``TC009``), ``costs``
-    the cost half (per-node estimates, ``CC001``–``CC004``, ``CC008``,
-    ``CC009``); the plan-level budget rules are the certifier's.
+    The schema half (``TC001``–``TC009``) always runs; ``costs``
+    switches on the cost half (per-node estimates, ``CC001``, ``CC004``,
+    ``CC008``, ``CC009``); the plan-level budget rules are the
+    certifier's.
     """
-    order, dependencies = topology(
-        dataflow, tuple(getattr(plan, "sources", ()) or ())
-    )
+    dependencies = dataflow.dependency_map()
     walk = PlanWalk()
     schemas: dict[str, Any] = {}
-    for name in order:
+    for name in dataflow.nodes():
         kind, _, suffix = name.partition(":")
         operator = OPERATORS.get(kind)
         sub = suffix or None
-        inputs = dependencies.get(name, ())
-        if types is not None:
-            input_schema = _first_input_schema(inputs, schemas)
-            if operator is None:
-                schemas[name] = input_schema
-            else:
-                walk.type_findings.extend(
-                    operator.check(types, sub, input_schema)
-                )
-                schemas[name] = operator.infer(types, sub, input_schema)
+        inputs = dependencies[name]
+        input_schema = _first_input_schema(inputs, schemas)
+        if operator is None:
+            schemas[name] = input_schema
+        else:
+            walk.type_findings.extend(
+                operator.check(types, sub, input_schema)
+            )
+            schemas[name] = operator.infer(types, sub, input_schema)
         if costs is None:
             continue
         incoming = _first_input_estimate(inputs, walk.estimates)

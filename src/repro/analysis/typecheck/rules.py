@@ -2,8 +2,8 @@
 
 Each rule names one class of composition defect the type checker can
 prove statically — a data shape flowing between pipeline stages that the
-receiving stage cannot interpret.  The checker in
-:mod:`repro.analysis.typecheck.checker` emits them through the shared
+receiving stage cannot interpret.  The schema halves in
+:mod:`repro.analysis.typecheck.signatures` emit them through the shared
 :class:`~repro.analysis.diagnostics.Diagnostic` engine, so validator,
 linter, and typechecker findings render uniformly.
 """
@@ -62,8 +62,7 @@ TYPECHECK_RULES: Mapping[str, Rule] = catalogue(
         Severity.ERROR,
         "An entity-resolution comparison is keyed on a type-incompatible "
         "attribute: a transient type (URL/DATE/CURRENCY) used as identity "
-        "evidence, or a measure whose domain excludes the attribute's "
-        "DataType.",
+        "evidence.",
     ),
     Rule(
         "TC007",
@@ -87,13 +86,5 @@ TYPECHECK_RULES: Mapping[str, Rule] = catalogue(
         Severity.WARNING,
         "A required target attribute is produced by no mapping of any "
         "selected source: the wrangled column will be entirely missing.",
-    ),
-    Rule(
-        "TC010",
-        "node-purity-uncertified",
-        Severity.ERROR,
-        "A dataflow node failed purity certification (impure: error; "
-        "unknown: warning): the engine cannot safely cache or replay its "
-        "memoised value.",
     ),
 )

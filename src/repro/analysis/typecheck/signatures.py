@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.analysis.diagnostics import Diagnostic, Severity, finding
 from repro.analysis.typecheck.rules import TYPECHECK_RULES
 from repro.fusion.strategies import STRATEGY_VALUE_DOMAINS
 from repro.model.schema import Coercibility, DataType, static_coercibility
-from repro.resolution.comparison import MEASURE_DOMAINS, TRANSIENT_DTYPES
+from repro.resolution.comparison import TRANSIENT_DTYPES
 
 __all__ = [
     "CheckContext",
@@ -65,7 +65,6 @@ class CheckContext:
     source_schemas: Mapping[str, Any] = field(default_factory=dict)
     mappings: Mapping[str, Any] = field(default_factory=dict)
     date_attribute: str | None = None
-    comparators: Sequence[Any] = ()
     produced: frozenset[str] = frozenset()
     coverage_complete: bool = False
 
@@ -276,43 +275,6 @@ def check_resolve(
                     "exclude transient attributes from identity evidence",
                 )
             )
-    for comparator in ctx.comparators:
-        fields = getattr(comparator, "fields", None)
-        if fields is None and hasattr(comparator, "attribute"):
-            fields = (comparator,)
-        for comparator_field in fields or ():
-            name = getattr(comparator_field, "attribute", None)
-            measure = getattr(comparator_field, "measure", None)
-            if name is None:
-                continue
-            attribute = schema.get(name)
-            if attribute is None:
-                findings.append(
-                    tc(
-                        "TC005",
-                        "resolution",
-                        name,
-                        f"field comparator reads attribute {name!r} absent "
-                        f"from the resolved schema "
-                        f"(has: {sorted(schema.names)})",
-                        "compare attributes the translation emits",
-                    )
-                )
-                continue
-            domain = MEASURE_DOMAINS.get(measure) if measure else None
-            if domain is not None and attribute.dtype not in domain:
-                findings.append(
-                    tc(
-                        "TC006",
-                        "resolution",
-                        f"{name}:{measure}",
-                        f"measure {measure!r} on attribute {name!r} "
-                        f"({attribute.dtype.value}) is outside its domain "
-                        f"{sorted(d.value for d in domain)}: it scores 0.0 "
-                        "on every pair",
-                        "pick a measure whose domain covers the type",
-                    )
-                )
     return findings
 
 

@@ -36,7 +36,7 @@ from repro.analysis.report import render_text
 from repro.errors import PlanValidationError, WranglingError
 from repro.fusion.strategies import STRATEGIES
 
-__all__ = ["ValidationReport", "PlanValidator", "validate_plan"]
+__all__ = ["ValidationReport", "PlanValidator"]
 
 #: Rule catalogue for the validator half (mirrored in docs/ANALYSIS.md).
 #: Every rule is an error by default; the degraded-but-runnable cases of
@@ -390,8 +390,3 @@ class PlanValidator:
                 self.check_user_context(user, plan=plan, registry=registry)
             )
         return ValidationReport(tuple(sort_diagnostics(findings)))
-
-
-def validate_plan(**artifacts: Any) -> ValidationReport:
-    """Convenience wrapper: ``PlanValidator().validate(**artifacts)``."""
-    return PlanValidator().validate(**artifacts)

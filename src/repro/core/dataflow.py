@@ -46,9 +46,6 @@ class _Node:
     hits: int = 0
     invalidations: int = 0
     seconds: float = 0.0
-    #: Purity certificate for the compute callable ("pure" / "impure" /
-    #: "unknown"), or ``None`` before :meth:`Dataflow.certify` has run.
-    purity: str | None = None
     #: Predicted compute-seconds from the static cost model, or ``None``
     #: before :meth:`Dataflow.annotate_costs` has run.  A deterministic
     #: estimate (not a measurement), so telemetry scrubbing keeps it.
@@ -222,34 +219,6 @@ class Dataflow:
         if self.telemetry is not None:
             self.telemetry.metrics.counter(metric).increment()
 
-    # -- purity certification ---------------------------------------------
-
-    def certify(self, analyser: Any = None) -> dict[str, Any]:
-        """Certify every node's compute callable and record the verdicts.
-
-        Uses the AST-based
-        :class:`~repro.analysis.typecheck.purity.PurityAnalyser` (an
-        instance may be passed in to share its caches across dataflows).
-        Each node's ``purity`` field is set to the verdict status, so
-        telemetry exports carry it; the preflight gate turns a non-pure
-        verdict into a ``TC010`` finding.
-        Returns ``{node name: PurityVerdict}``.
-        """
-        if analyser is None:
-            from repro.analysis.typecheck.purity import PurityAnalyser
-
-            analyser = PurityAnalyser()
-        verdicts = {}
-        for name, node in self._nodes.items():
-            verdict = analyser.analyse(node.compute)
-            node.purity = verdict.status
-            verdicts[name] = verdict
-        return verdicts
-
-    def purity_map(self) -> dict[str, str | None]:
-        """Every node's recorded purity verdict (``None`` = uncertified)."""
-        return {name: node.purity for name, node in self._nodes.items()}
-
     # -- cost annotation ----------------------------------------------------
 
     def annotate_costs(self, costs: Mapping[str, float]) -> None:
@@ -269,12 +238,6 @@ class Dataflow:
     def cost_map(self) -> dict[str, float | None]:
         """Every node's predicted seconds (``None`` = unannotated)."""
         return {name: node.cost for name, node in self._nodes.items()}
-
-    def node_callables(self) -> list[tuple[str, Callable[..., Any]]]:
-        """Every node's compute callable — the purity analyser's view."""
-        return [
-            (name, node.compute) for name, node in self._nodes.items()
-        ]
 
     # -- introspection ----------------------------------------------------
 
@@ -332,7 +295,6 @@ class Dataflow:
                 "seconds": node.seconds,
                 "stage": node.stage,
                 "clean": node.clean,
-                "purity": node.purity,
                 "cost": node.cost,
             }
             for name, node in self._nodes.items()

@@ -596,9 +596,9 @@ class Wrangler:
         ``(plan, report)`` — the one gate call site.
 
         Structure validation (``PV0xx``), schema-flow type checking over
-        the probe artifacts (``TC001``–``TC009``), node purity
-        certification (``TC010``) and cost certification (``CC0xx``) run
-        as one gate: :func:`repro.analysis.typecheck.run_preflight`.
+        the probe artifacts (``TC001``–``TC009``) and cost certification
+        (``CC0xx``) run as one gate:
+        :func:`repro.analysis.typecheck.run_preflight`.
         """
         plan = self.planner.plan(
             self.user, self.data, self.registry, self.working.annotations

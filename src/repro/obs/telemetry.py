@@ -16,14 +16,13 @@ Snapshot schema (version 1)::
                   "histograms": {name: {count,total,mean,p50,p95,max}}},
       "spans": [{name,start,end,duration,attributes,children:[...]}],
       "dataflow": {"nodes": {name: {runs,hits,invalidations,seconds,
-                                    stage,clean,purity,cost}}}
+                                    stage,clean,cost}}}
     }
 
 ``cost`` is the static cost model's predicted seconds for the node (or
 null before certification) — a deterministic estimate, not a
-measurement.  A per-node ``parallel`` key (string or null) is accepted
-but never written: committed snapshots such as
-``E6-incremental.telemetry.json`` carry it and must keep validating.
+measurement.  Unknown per-node keys are ignored, so snapshots written
+by older versions, whose nodes carried more keys, keep validating.
 """
 
 from __future__ import annotations
@@ -181,14 +180,6 @@ def validate_telemetry(payload: Any) -> list[str]:
             stage = stats.get("stage")
             if stage is not None and not isinstance(stage, str):
                 problems.append(f"{where}.stage: expected a string or null")
-            purity = stats.get("purity")
-            if purity is not None and not isinstance(purity, str):
-                problems.append(f"{where}.purity: expected a string or null")
-            parallel = stats.get("parallel")
-            if parallel is not None and not isinstance(parallel, str):
-                problems.append(
-                    f"{where}.parallel: expected a string or null"
-                )
             cost = stats.get("cost")
             if cost is not None and (
                 not isinstance(cost, (int, float)) or isinstance(cost, bool)

@@ -30,6 +30,7 @@ if TYPE_CHECKING:  # typing only: blocking never requires a live registry
     from repro.obs import MetricsRegistry
 
 __all__ = [
+    "MAX_BLOCK_SIZE",
     "as_pair_set",
     "full_pairs",
     "minhash_lsh",
@@ -38,6 +39,10 @@ __all__ = [
     "sorted_neighbourhood",
     "token_blocking",
 ]
+
+#: Members above which :func:`token_blocking` drops a block as a stop word
+#: (its default, and what the static cost model bounds pairs with).
+MAX_BLOCK_SIZE = 50
 
 #: The empty candidate set, shaped so callers can index unconditionally.
 _EMPTY_PAIRS = np.empty((0, 2), dtype=np.intp)
@@ -49,9 +54,9 @@ def pair_array(pairs: object) -> np.ndarray:
     Accepts an ``(n, 2)`` array, any iterable of index pairs, or a legacy
     ``set[tuple[int, int]]`` (custom blockers predating the array form).
     Rows come back oriented ``(low, high)``, deduplicated, and
-    lexicographically sorted — the canonical order the resolver's chunked
-    fan-out and the kernels both rely on.  Self-pairs ``(i, i)`` are
-    dropped: a record is trivially its own entity, never a candidate.
+    lexicographically sorted — the canonical order the kernels rely on.
+    Self-pairs ``(i, i)`` are dropped: a record is trivially its own
+    entity, never a candidate.
     """
     if isinstance(pairs, np.ndarray):
         array = pairs
@@ -76,8 +81,6 @@ def as_pair_set(pairs: object) -> set[tuple[int, int]]:
     The interop shim for callers that still want set algebra (recall
     evaluation, tests); the hot path never expands the array.
     """
-    if isinstance(pairs, np.ndarray):
-        return {(int(i), int(j)) for i, j in pairs}
     return {(int(i), int(j)) for i, j in pairs}
 
 
@@ -104,10 +107,9 @@ def _emit_dropped(
 ) -> None:
     """Record silently-discarded candidates where telemetry can see them.
 
-    CC003's static "degenerate blocking" finding has a runtime
-    counterpart here: a block dropped for being oversized is recall
-    traded away, and a run that sheds thousands of members should say so
-    in its snapshot rather than quietly return fewer duplicates.
+    A block dropped for being oversized is recall traded away, and a
+    run that sheds thousands of members should say so in its snapshot
+    rather than quietly return fewer duplicates.
     """
     if metrics is None or blocks == 0:
         return
@@ -119,7 +121,7 @@ def token_blocking(
     table: Table,
     attributes: Sequence[str],
     min_token_length: int = 3,
-    max_block_size: int = 50,
+    max_block_size: int = MAX_BLOCK_SIZE,
     metrics: "MetricsRegistry | None" = None,
 ) -> np.ndarray:
     """Candidate pairs sharing at least one token in a blocking attribute.

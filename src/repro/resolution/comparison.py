@@ -98,9 +98,9 @@ def _is_number(value: object) -> bool:
 
 
 #: The DataTypes each measure is meaningful on (``None`` = any type: the
-#: string measures stringify their operands).  The static type checker
-#: flags comparators whose measure cannot interpret the attribute's type —
-#: ``numeric`` on a GEO column silently scores 0.0 at runtime, which is a
+#: string measures stringify their operands, which is what lets a
+#: :class:`ScoringContext` table them by ``str()`` value pair).  Outside
+#: its domain a measure scores 0.0 — ``numeric`` on a GEO column is a
 #: configuration defect, not evidence.
 MEASURE_DOMAINS: dict[str, frozenset[DataType] | None] = {
     "jaro": None,

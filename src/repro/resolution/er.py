@@ -25,6 +25,7 @@ import numpy as np
 from repro.model.records import Record, Table
 from repro.resolution.blocking import full_pairs, pair_array, token_blocking
 from repro.resolution.comparison import (
+    TRANSIENT_DTYPES,
     RecordComparator,
     ScoringContext,
     default_comparator,
@@ -36,6 +37,7 @@ if TYPE_CHECKING:  # typing only
     from repro.obs import MetricsRegistry
 
 __all__ = [
+    "SMALL_TABLE_CUTOFF",
     "EntityCluster",
     "EntityResolver",
     "ResolutionResult",
@@ -43,6 +45,11 @@ __all__ = [
     "refit_rule",
     "stable_cluster_id",
 ]
+
+
+#: Rows at or below which :class:`EntityResolver` compares every pair
+#: instead of blocking (its default, and what the static cost model reads).
+SMALL_TABLE_CUTOFF = 30
 
 
 class _Rule(Protocol):
@@ -59,9 +66,6 @@ def stable_cluster_id(records: Sequence[Record]) -> str:
     old judgments.  Hashing the members' source + leading field keeps ids
     stable whenever the entity's membership is unchanged.
     """
-    from repro.model.schema import DataType
-
-    transient = (DataType.URL, DataType.DATE, DataType.CURRENCY)
 
     def signature(record: Record) -> str:
         # Identity-bearing cells only: prices, dates, and URLs are the
@@ -73,7 +77,7 @@ def stable_cluster_id(records: Sequence[Record]) -> str:
             for name in sorted(record.cells)
             if not name.startswith("_")
             and not record.cells[name].is_missing
-            and record.cells[name].dtype not in transient
+            and record.cells[name].dtype not in TRANSIENT_DTYPES
         )
         return f"{record.source}|{cells}"
 
@@ -177,7 +181,7 @@ class EntityResolver:
         rule: _Rule | None = None,
         blocking_attributes: Sequence[str] | None = None,
         blocker: Callable[[Table], object] | None = None,
-        small_table_cutoff: int = 30,
+        small_table_cutoff: int = SMALL_TABLE_CUTOFF,
         use_kernels: bool = True,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:

@@ -1,9 +1,8 @@
 """The cost certifier folded into the pre-execution gate: over-budget
-plans are refused through the same machinery as PV/TC/PX findings."""
+plans are refused through the same machinery as PV/TC findings."""
 
 import pytest
 
-from repro.analysis.typecheck import run_preflight
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
 from repro.core.planner import WranglePlan
@@ -73,7 +72,7 @@ class TestPreflightFoldsCostFindings:
         assert "CC006" not in report.rule_ids()
         assert report.ok
 
-    def test_cost_certifier_needs_plan_and_registry(self):
+    def test_cost_certifier_needs_plan_and_registry(self, gate):
         # Gate callers that validate bare plans (no registry) get the
         # PV/TC checks only — no cost estimates can exist without
         # registered sources to estimate from.
@@ -85,7 +84,7 @@ class TestPreflightFoldsCostFindings:
             fusion_strategy="weighted",
         )
         user = UserContext("u", SCHEMA)
-        report = run_preflight(plan=plan, user=user, cost_budget=0.0)
+        report = gate(plan=plan, user=user, cost_budget=0.0)
         assert not any(r.startswith("CC") for r in report.rule_ids())
 
     def test_preflight_annotates_dataflow_with_predicted_seconds(self):

@@ -7,10 +7,11 @@ from repro.analysis.cost.model import (
     DEFAULT_ROWS,
     UNIT_COSTS,
     CardinalityEstimate,
-    ResolutionProfile,
     estimated_pairs,
     source_facts,
 )
+from repro.resolution.blocking import MAX_BLOCK_SIZE
+from repro.resolution.er import SMALL_TABLE_CUTOFF
 from repro.sources.memory import MemorySource
 from repro.sources.registry import SourceRegistry
 
@@ -37,62 +38,29 @@ class TestCardinalityEstimate:
 
 class TestEstimatedPairs:
     def test_small_table_takes_the_full_pairs_path(self):
-        pairs, full = estimated_pairs(20.0, ResolutionProfile())
+        pairs, full = estimated_pairs(20.0)
         assert full
         assert pairs == pytest.approx(20.0 * 19.0 / 2.0)
 
     def test_token_blocking_caps_pairs_per_row(self):
-        profile = ResolutionProfile(max_block_size=50)
-        pairs, full = estimated_pairs(10_000.0, profile)
+        pairs, full = estimated_pairs(10_000.0)
         assert not full
-        assert pairs == pytest.approx(10_000.0 * 49.0 / 2.0)
-        assert pairs < 10_000.0 * 9_999.0 / 2.0
-
-    def test_sorted_neighbourhood_caps_pairs_by_window(self):
-        profile = ResolutionProfile(
-            strategy="sorted_neighbourhood", window=10
+        assert pairs == pytest.approx(
+            10_000.0 * (MAX_BLOCK_SIZE - 1) / 2.0
         )
-        pairs, full = estimated_pairs(5_000.0, profile)
-        assert not full
-        assert pairs == pytest.approx(5_000.0 * 9.0)
-
-    def test_explicit_full_pairs_strategy_never_blocks(self):
-        profile = ResolutionProfile(strategy="full_pairs")
-        pairs, full = estimated_pairs(100_000.0, profile)
-        assert full
-        assert pairs == pytest.approx(100_000.0 * 99_999.0 / 2.0)
+        assert pairs < 10_000.0 * 9_999.0 / 2.0
 
     def test_degenerate_bounds_fall_back_to_full_pairs(self):
-        # A window or block size at or above the table size never binds.
-        profile = ResolutionProfile(max_block_size=500)
-        pairs, full = estimated_pairs(400.0, profile)
+        # A block size at or above the table size never binds.
+        rows = float(MAX_BLOCK_SIZE)
+        assert rows > SMALL_TABLE_CUTOFF
+        pairs, full = estimated_pairs(rows)
         assert full
-        assert pairs == pytest.approx(400.0 * 399.0 / 2.0)
+        assert pairs == pytest.approx(rows * (rows - 1.0) / 2.0)
 
     def test_zero_rows_is_zero_pairs(self):
-        pairs, _ = estimated_pairs(0.0, ResolutionProfile())
+        pairs, _ = estimated_pairs(0.0)
         assert pairs == 0.0
-
-    def test_minhash_lsh_estimates_rows_times_bands(self):
-        profile = ResolutionProfile(strategy="minhash_lsh", bands=16)
-        pairs, full = estimated_pairs(10_000.0, profile)
-        assert not full
-        assert pairs == pytest.approx(10_000.0 * 16.0)
-        assert pairs < 10_000.0 * 9_999.0 / 2.0
-
-    def test_minhash_lsh_estimate_never_exceeds_full_pairs(self):
-        # 40 rows x 16 bands = 640 would exceed the 780 full pairs only
-        # with wildly degenerate buckets; the estimate stays capped.
-        profile = ResolutionProfile(strategy="minhash_lsh", bands=50)
-        pairs, full = estimated_pairs(40.0, profile)
-        assert not full
-        assert pairs == pytest.approx(40.0 * 39.0 / 2.0)
-
-    def test_minhash_lsh_small_table_still_goes_full(self):
-        profile = ResolutionProfile(strategy="minhash_lsh", bands=16)
-        pairs, full = estimated_pairs(10.0, profile)
-        assert full
-        assert pairs == pytest.approx(45.0)
 
 
 class TestSourceFacts:

@@ -11,7 +11,6 @@ import datetime
 
 import pytest
 
-from repro.analysis.cost import ResolutionProfile, check_plan_cost
 from repro.analysis.cost.model import estimated_pairs
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
@@ -45,14 +44,8 @@ def executed(world):
             MemorySource(name, rows,
                          cost_per_access=world.specs[name].cost)
         )
-    wrangler.preflight()  # probes, plans, and cost-annotates the flow
-    plan = wrangler.flow.pull("plan")
-    report = check_plan_cost(
-        plan=plan,
-        user=wrangler.user,
-        registry=wrangler.registry,
-        dataflow=wrangler.flow,
-    )
+    # Probes, plans, and certifies the plan the run below executes.
+    report = wrangler.preflight().cost
     result = wrangler.run()
     translated = wrangler.working.get("table", "translated")
     return wrangler, report, result, translated
@@ -74,9 +67,7 @@ class TestEstimatesBoundReality:
 
     def test_pair_estimate_bounds_actual_comparisons(self, executed):
         _, report, result, translated = executed
-        bound, _ = estimated_pairs(
-            float(len(translated)), ResolutionProfile()
-        )
+        bound, _ = estimated_pairs(float(len(translated)))
         assert result.resolution.compared <= bound
         # And the certified resolve work already reflects that bound.
         assert report.estimates["resolve"].work >= (
@@ -102,10 +93,10 @@ class TestEstimatesBoundReality:
 class TestBoundTightness:
     def test_pair_bound_is_not_vacuous(self, executed):
         # The blocking-aware bound must beat the quadratic worst case,
-        # or CC002 could never distinguish blocked from unblocked plans.
+        # or CC004 would warn about every pooled resolve.
         _, _, result, translated = executed
         rows = float(len(translated))
-        blocked, _ = estimated_pairs(rows, ResolutionProfile())
+        blocked, _ = estimated_pairs(rows)
         full = rows * (rows - 1.0) / 2.0
         assert blocked < full
         assert result.resolution.compared < full

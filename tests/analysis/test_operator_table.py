@@ -11,12 +11,12 @@ as ``CC009``.
 from types import SimpleNamespace
 
 from repro import DataContext, UserContext, Wrangler
-from repro.analysis.cost import check_plan_cost
 from repro.analysis.typecheck import OPERATORS, pipeline_shape
 from repro.core.dataflow import Dataflow
 from repro.model.annotations import Dimension
 from repro.model.schema import Attribute, DataType, Schema
 from repro.sources.memory import MemoryDocumentSource, MemorySource
+from repro.sources.registry import SourceRegistry
 
 SCHEMA = Schema(
     (
@@ -90,15 +90,17 @@ class TestTableCompleteness:
         }
         assert bodies == emitted
 
-    def test_input_kind_has_a_schema_half_only_and_yields_cc009(self):
+    def test_input_kind_has_a_schema_half_only_and_yields_cc009(self, gate):
         row = OPERATORS["input"]
         assert row.stage == "input"
         assert row.estimate is None
         flow = Dataflow()
         flow.add_input("feedback", value=[])
-        report = check_plan_cost(
-            plan=SimpleNamespace(sources=[]), dataflow=flow
-        )
+        report = gate(
+            plan=SimpleNamespace(sources=[]),
+            registry=SourceRegistry(),
+            dataflow=flow,
+        ).cost
         (finding,) = report.findings
         assert finding.rule == "CC009"
         assert finding.location.node == "feedback"

@@ -57,7 +57,6 @@ class TestExitCodes:
         assert main(["typecheck", str(clean_plan)]) == 0
         out = capsys.readouterr().out
         assert "clean" in out
-        assert "purity:" in out  # node-coverage line
 
     def test_gate_errors_exit_one(self, broken_plan, capsys):
         assert main(["typecheck", str(broken_plan)]) == 1
@@ -88,12 +87,6 @@ class TestDiscovery:
         captured = capsys.readouterr()
         assert "helper.py" in captured.err and "skipped" in captured.err
 
-    def test_check_paths_counts_nodes_and_certificates(self, clean_plan):
-        result = check_paths([str(clean_plan)])
-        assert result.checked_plans == 1
-        assert result.nodes > 0
-        assert result.certified == result.nodes
-
     def test_custom_entry_point(self, tmp_path):
         target = tmp_path / "named.py"
         target.write_text(CLEAN_PLAN.replace("build_wrangler", "make_it"))
@@ -106,8 +99,7 @@ class TestDiscovery:
 class TestFormats:
     def test_json_report_shape(self, broken_plan, capsys):
         assert main(["typecheck", str(broken_plan), "--format", "json"]) == 1
-        out = capsys.readouterr().out
-        payload = json.loads(out.split("\npurity:")[0])
+        payload = json.loads(capsys.readouterr().out)
         assert payload["summary"]["errors"] >= 1
         rules = {row["rule"] for row in payload["diagnostics"]}
         assert "PV007" in rules
@@ -119,5 +111,5 @@ class TestFormats:
     def test_list_rules(self, capsys):
         assert main(["typecheck", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (f"TC{n:03d}" for n in range(1, 11)):
+        for rule_id in (f"TC{n:03d}" for n in range(1, 10)):
             assert rule_id in out

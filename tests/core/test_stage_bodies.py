@@ -146,7 +146,7 @@ class TestGlobalStages:
         wrangler._stage_probe({})
         plan = wrangler._stage_plan({"probe": {}})
         assert plan.sources == ["shop"]
-        assert all(v == "pure" for v in wrangler.flow.purity_map().values())
+        assert all(v is not None for v in wrangler.flow.cost_map().values())
 
 
 class TestProbeRunsTheSameStagesOnASample:

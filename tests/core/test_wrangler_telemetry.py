@@ -52,7 +52,7 @@ class TestRunTelemetry:
     def test_every_node_carries_certification_verdicts(self, world):
         result = make_wrangler(world).run()
         nodes = result.telemetry["dataflow"]["nodes"]
-        assert all(stats["purity"] is not None for stats in nodes.values())
+        assert all(stats["cost"] is not None for stats in nodes.values())
 
     def test_run_span_wraps_per_node_spans(self, world):
         result = make_wrangler(world).run()

@@ -29,10 +29,12 @@ cost-check:
 	$(PYTHON) -m repro.analysis cost examples
 	$(PYTHON) -m pytest tests/analysis/test_cost_snapshot.py -q -p no:cacheprovider
 
-# The contract benchmark (BENCHMARK.json): one workload, untraced.  Not
-# part of `check` — it reports numbers, it does not gate.
+# The contract benchmark (BENCHMARK.json): one workload, untraced —
+# `make bench WORKLOAD=cold_documents` for the extraction front end.
+# Not part of `check` — it reports numbers, it does not gate.
+WORKLOAD ?= cold_structured
 bench:
-	python3 bench/run.py --workload cold_structured --trace 0
+	python3 bench/run.py --workload $(WORKLOAD) --trace 0
 
 # The perf ratchet: copy the committed BENCH_* baselines aside (so the
 # fresh run cannot overwrite what it is compared against), re-run the

@@ -22,6 +22,7 @@ from repro.datagen.ontologies import product_ontology
 from repro.extraction.induction import auto_induce, induce_wrapper
 from repro.extraction.patterns import recogniser
 from repro.extraction.repair import WrapperRepairer
+from repro.extraction.wrapper import Pages
 
 from helpers import bench_telemetry, emit, emit_telemetry, format_table, timed
 
@@ -70,7 +71,7 @@ def price_accuracy(table, site) -> float:
 def run_mode(sites, mode: str) -> float:
     scores = []
     for site in sites:
-        documents = site.documents()
+        documents = Pages.of(site.documents())
         try:
             if mode == "auto":
                 wrapper = auto_induce(documents, source=site.name)

@@ -16,6 +16,7 @@ from typing import Sequence
 from repro.context.user_context import UserContext
 from repro.errors import PlanningError
 from repro.extraction.induction import auto_induce
+from repro.extraction.wrapper import Pages
 from repro.fusion.fuse import EntityFuser
 from repro.mapping.mapping import Mapping
 from repro.matching.schema_matching import SchemaMatcher
@@ -64,7 +65,7 @@ class StaticETL:
             if isinstance(source, StructuredSource):
                 table = source.fetch().infer_schema()
             elif isinstance(source, DocumentSource):
-                documents = source.fetch()
+                documents = Pages.of(source.fetch())
                 wrapper = auto_induce(documents, source=source.name)
                 table = wrapper.extract(documents).infer_schema()
             else:

@@ -42,6 +42,7 @@ from repro.errors import DataflowError, PlanningError, WranglingError
 from repro.model.annotations import Dimension, QualityAnnotation
 from repro.extraction.induction import ExampleAnnotation, auto_induce, induce_wrapper
 from repro.extraction.repair import WrapperRepairer
+from repro.extraction.wrapper import Pages
 from repro.feedback.propagation import FeedbackPropagator
 from repro.feedback.store import FeedbackStore
 from repro.feedback.types import DIRTIES, Feedback
@@ -301,7 +302,10 @@ class Wrangler:
             return self._payload(source, step).infer_schema()
         if not isinstance(source, DocumentSource):
             return None
-        documents = self._payload(source, step)
+        # One page set for the call: induction, extraction and repair
+        # parse each page inside their own spans, once between them, and
+        # the parsed pages go when this returns.
+        documents = Pages.of(self._payload(source, step))
         examples = self._examples.get(source.name, [])
         if step == "probe":
             sampled = {doc.url for doc in documents}

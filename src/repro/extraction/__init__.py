@@ -11,12 +11,13 @@ from repro.extraction.patterns import (
     recogniser,
 )
 from repro.extraction.repair import RepairAction, RepairReport, WrapperRepairer
-from repro.extraction.wrapper import FieldRule, Wrapper
+from repro.extraction.wrapper import FieldRule, Pages, Wrapper
 
 __all__ = [
     "DomNode",
     "ExampleAnnotation",
     "FieldRule",
+    "Pages",
     "RECOGNISERS",
     "Recogniser",
     "RepairAction",

@@ -22,49 +22,64 @@ _VOID_TAGS = {
 }
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class DomNode:
-    """One element (or text run) in the parsed document tree."""
+    """One element (or text run) in the parsed document tree.
+
+    Immutable once :func:`parse_html` returns: the builder is the only
+    writer, so ``classes`` / ``signature`` are computed at construction
+    and ``text()`` / ``path()`` are memoised on the node.  Nodes compare
+    by identity (two same-shaped siblings are different nodes) and are
+    hashable.
+    """
 
     tag: str
     attrs: dict[str, str] = field(default_factory=dict)
     children: list["DomNode"] = field(default_factory=list)
     parent: "DomNode | None" = None
     text_content: str = ""
+    #: The element's CSS classes.
+    classes: tuple[str, ...] = field(init=False)
+    #: ``tag.first-class`` — the shape used to align nodes across pages.
+    signature: str = field(init=False)
+    _text: str | None = field(init=False, default=None, repr=False)
+    _path: tuple[str, ...] | None = field(init=False, default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        self.classes = tuple(self.attrs.get("class", "").split())
+        self.signature = (
+            f"{self.tag}.{self.classes[0]}" if self.classes else self.tag
+        )
 
     @property
     def is_text(self) -> bool:
         """Whether this node is a text run rather than an element."""
         return self.tag == "#text"
 
-    @property
-    def classes(self) -> tuple[str, ...]:
-        """The element's CSS classes."""
-        return tuple(self.attrs.get("class", "").split())
-
-    @property
-    def signature(self) -> str:
-        """``tag.first-class`` — the shape used to align nodes across pages."""
-        classes = self.classes
-        return f"{self.tag}.{classes[0]}" if classes else self.tag
-
     def text(self) -> str:
         """All text beneath this node, whitespace-normalised."""
-        if self.is_text:
-            return " ".join(self.text_content.split())
-        parts = [child.text() for child in self.children]
-        return " ".join(part for part in parts if part)
+        text = self._text
+        if text is None:
+            if self.tag == "#text":
+                text = " ".join(self.text_content.split())
+            else:
+                parts = [child.text() for child in self.children]
+                text = " ".join(part for part in parts if part)
+            self._text = text
+        return text
 
     def walk(self) -> Iterator["DomNode"]:
         """This node and all descendants, pre-order."""
-        yield self
-        for child in self.children:
-            yield from child.walk()
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def elements(self) -> Iterator["DomNode"]:
         """All element (non-text) nodes beneath and including this one."""
         for node in self.walk():
-            if not node.is_text:
+            if node.tag != "#text":
                 yield node
 
     def find_all(
@@ -87,29 +102,52 @@ class DomNode:
         found = self.find_all(tag, class_)
         return found[0] if found else None
 
-    def child_index(self) -> int:
-        """This node's position among same-signature siblings."""
-        if self.parent is None:
-            return 0
-        same = [
-            child
-            for child in self.parent.children
-            if not child.is_text and child.signature == self.signature
-        ]
-        for index, node in enumerate(same):
-            if node is self:
-                return index
-        return 0
-
     def path(self) -> tuple[str, ...]:
         """Absolute signature path from the root to this node."""
+        path = self._path
+        if path is None:
+            if self.tag == "#document":
+                path = ()
+            else:
+                path = self.parent.path() if self.parent is not None else ()
+                if self.tag != "#text":
+                    path += (self.signature,)
+            self._path = path
+        return path
+
+    def path_below(self, ancestor: "DomNode") -> tuple[str, ...]:
+        """Signature path from just below ``ancestor`` down to this node."""
         steps: list[str] = []
         node: DomNode | None = self
-        while node is not None and node.tag != "#document":
-            if not node.is_text:
+        while node is not None and node is not ancestor:
+            if node.tag != "#text":
                 steps.append(node.signature)
             node = node.parent
         return tuple(reversed(steps))
+
+    def ends_path(
+        self, suffix: tuple[str, ...], below: "DomNode | None" = None
+    ) -> bool:
+        """Whether this element's signature path ends with ``suffix`` —
+        the path below ``below``, or the absolute one."""
+        node: DomNode | None = self
+        for step in reversed(suffix):
+            if node is None or node is below or node.signature != step:
+                return False
+            node = node.parent
+        return True
+
+    def descendants_at(self, rel_path: tuple[str, ...]) -> list["DomNode"]:
+        """The descendant elements whose path below this node ends with
+        ``rel_path``, in document order."""
+        last = rel_path[-1]
+        return [
+            node
+            for node in self.elements()
+            if node.signature == last
+            and node is not self
+            and node.ends_path(rel_path, self)
+        ]
 
     def ancestors(self) -> Iterator["DomNode"]:
         """All ancestors, nearest first."""

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.errors import ExtractionError
-from repro.extraction.dom import DomNode, parse_html
+from repro.extraction.dom import DomNode
 from repro.extraction.patterns import best_recogniser
-from repro.extraction.wrapper import FieldRule, Wrapper
+from repro.extraction.wrapper import FieldRule, Pages, Wrapper
 from repro.model.schema import DataType
 from repro.sources.base import Document
 
@@ -38,9 +38,12 @@ def _normalise(text: str) -> str:
     return " ".join(text.split()).lower()
 
 
-def _find_value_candidates(root: DomNode, value: str) -> list[DomNode]:
+def _find_value_candidates(
+    texts: Sequence[tuple[DomNode, str]], value: str
+) -> list[DomNode]:
     """All tight elements whose text carries ``value``, best first.
 
+    ``texts`` pairs each element of the page with its normalised text.
     A value like a date may occur in *every* record of a listing page;
     the caller disambiguates by affinity to the other annotated fields.
     """
@@ -49,8 +52,7 @@ def _find_value_candidates(root: DomNode, value: str) -> list[DomNode]:
         return []
     exact: list[DomNode] = []
     containing: list[DomNode] = []
-    for node in root.elements():
-        text = _normalise(node.text())
+    for node, text in texts:
         if not text:
             continue
         if text == wanted:
@@ -77,18 +79,6 @@ def _lowest_common_ancestor(nodes: Sequence[DomNode]) -> DomNode:
         else:
             break
     return lca
-
-
-def _relative_signature_path(
-    node: DomNode, ancestor: DomNode
-) -> tuple[str, ...]:
-    steps: list[str] = []
-    current: DomNode | None = node
-    while current is not None and current is not ancestor:
-        if not current.is_text:
-            steps.append(current.signature)
-        current = current.parent
-    return tuple(reversed(steps))
 
 
 def _common_suffix(paths: Sequence[tuple[str, ...]]) -> tuple[str, ...]:
@@ -126,17 +116,21 @@ def induce_wrapper(
     """
     if not examples:
         raise ExtractionError("wrapper induction needs at least one example")
-    pages = {doc.url: doc for doc in documents}
+    pages = Pages.of(documents)
+    page_of = {doc.url: page for page, doc in enumerate(pages)}
     record_paths: list[tuple[str, ...]] = []
     field_observations: dict[str, list[tuple[tuple[str, ...], int, str, str]]] = {}
 
     for example in examples:
-        if example.url not in pages:
+        if example.url not in page_of:
             raise ExtractionError(f"no document for example url {example.url!r}")
-        root = parse_html(pages[example.url].html)
+        texts = [
+            (node, _normalise(node.text()))
+            for node in pages.root(page_of[example.url]).elements()
+        ]
         candidates: dict[str, list[DomNode]] = {}
         for attribute, value in example.fields.items():
-            found = _find_value_candidates(root, value)
+            found = _find_value_candidates(texts, value)
             if found:
                 candidates[attribute] = found
         if not candidates:
@@ -164,16 +158,8 @@ def induce_wrapper(
             record_node = record_node.parent
         record_paths.append(record_node.path())
         for attribute, node in nodes.items():
-            rel = _relative_signature_path(node, record_node)
-            siblings = []
-            for candidate in record_node.elements():
-                if candidate is record_node or not rel:
-                    continue
-                if candidate.signature != rel[-1]:
-                    continue
-                rel_c = _relative_signature_path(candidate, record_node)
-                if rel_c[len(rel_c) - len(rel):] == rel:
-                    siblings.append(candidate)
+            rel = node.path_below(record_node)
+            siblings = record_node.descendants_at(rel) if rel else []
             index = next(
                 (i for i, cand in enumerate(siblings) if cand is node), 0
             )
@@ -215,31 +201,33 @@ def induce_wrapper(
         )
 
     wrapper = Wrapper(
-        source or (documents[0].source if documents else "unknown"),
+        source or (pages[0].source if pages else "unknown"),
         record_path,
         tuple(sorted(rules, key=lambda r: r.attribute)),
     )
-    return wrapper.with_confidence(_induction_confidence(wrapper, pages, examples))
+    return wrapper.with_confidence(
+        _induction_confidence(wrapper, pages, page_of, examples)
+    )
 
 
 def _induction_confidence(
     wrapper: Wrapper,
-    pages: Mapping[str, Document],
+    pages: Pages,
+    page_of: Mapping[str, int],
     examples: Sequence[ExampleAnnotation],
 ) -> float:
     """Fraction of annotated fields the induced wrapper reproduces."""
     checked = 0
     correct = 0
     for example in examples:
-        document = pages.get(example.url)
-        if document is None:
-            continue
-        extracted = wrapper.extract_document(document)
+        nodes = pages.record_nodes(wrapper, page_of[example.url])
         for attribute, value in example.fields.items():
             checked += 1
+            rule = wrapper.rule_for(attribute)
+            if rule is None:
+                continue
             wanted = _normalise(value)
-            for record in extracted:
-                raw = record.raw(attribute)
+            for raw in pages.column(rule, nodes):
                 if raw is None:
                     continue
                 got = _normalise(str(raw))
@@ -266,7 +254,8 @@ def auto_induce(
     """
     if not documents:
         raise ExtractionError("auto induction needs at least one document")
-    root = parse_html(documents[0].html)
+    pages = Pages.of(documents)
+    root = pages.root(0)
     groups: dict[tuple[str, ...], list[DomNode]] = {}
     for node in root.elements():
         if node.tag in ("html", "body", "head", "#document"):
@@ -308,7 +297,7 @@ def auto_induce(
             )
             if not has_own_text:
                 continue
-            rel = _relative_signature_path(descendant, node)
+            rel = descendant.path_below(node)
             index = occurrence.get(rel, 0)
             occurrence[rel] = index + 1
             slot = (rel, index)
@@ -350,9 +339,9 @@ def auto_induce(
     )
     fires = 0
     slots = 0
-    for node in record_nodes:
-        for rule in rules:
+    for rule in rules:
+        for raw in pages.column(rule, record_nodes):
             slots += 1
-            if rule.extract(node) is not None:
+            if raw is not None:
                 fires += 1
     return wrapper.with_confidence(fires / slots if slots else 0.0)

@@ -11,13 +11,15 @@ right), recording every change.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from repro.context.data_context import DataContext
 from repro.errors import TypeInferenceError
 from repro.extraction.patterns import recognise, recogniser
-from repro.extraction.wrapper import FieldRule, Wrapper
+from repro.extraction.dom import DomNode
+from repro.extraction.wrapper import FieldRule, Pages, Wrapper
 from repro.model.provenance import Step
 from repro.model.records import Table
 from repro.model.schema import DataType, coerce
@@ -35,11 +37,19 @@ _RECOGNISER_FOR_DTYPE = {
 }
 
 
+def _present(raws: Sequence[object]) -> list[object]:
+    """The raws a :class:`~repro.model.values.Value` would not call missing."""
+    return [
+        raw for raw in raws
+        if raw is not None and not (isinstance(raw, str) and not raw.strip())
+    ]
+
+
 @dataclass(frozen=True)
 class RepairAction:
     """One repair applied to a wrapper or to extracted data."""
 
-    kind: str  # "segment" | "swap" | "value"
+    kind: str  # "segment" | "swap" | "discover" | "value"
     attribute: str
     detail: str
 
@@ -94,18 +104,32 @@ class WrapperRepairer:
 
     def validity(self, table: Table) -> dict[str, float]:
         """Per-attribute fraction of values consistent with the context."""
-        scores: dict[str, float] = {}
-        for attribute in table.schema.names:
-            expected = self.expected_dtype(attribute, table.schema[attribute].dtype)
-            values = [v.raw for v in table.column(attribute) if not v.is_missing]
-            if not values:
-                scores[attribute] = 1.0
-                continue
-            valid = sum(
-                1 for raw in values if self._value_valid(attribute, raw, expected)
+        return {
+            attribute: self._column_validity(
+                attribute,
+                table.schema[attribute].dtype,
+                table.raw_column(attribute),
             )
-            scores[attribute] = valid / len(values)
-        return scores
+            for attribute in table.schema.names
+        }
+
+    def _column_validity(
+        self, attribute: str, declared: DataType, raws: Sequence[object]
+    ) -> float:
+        """:meth:`validity` of one column; each distinct value is
+        checked against the context once."""
+        expected = self.expected_dtype(attribute, declared)
+        values = _present(raws)
+        if not values:
+            return 1.0
+        # 1, 1.0 and True are equal and hash alike but do not coerce alike.
+        counts = Counter((type(raw), raw) for raw in values)
+        valid = sum(
+            count
+            for (__, raw), count in counts.items()
+            if self._value_valid(attribute, raw, expected)
+        )
+        return valid / len(values)
 
     # -- repair -----------------------------------------------------------
 
@@ -116,16 +140,26 @@ class WrapperRepairer:
 
         Returns the (possibly) repaired wrapper, the table extracted with
         it (with residual bad values value-repaired), and the report.
+
+        A candidate repair changes one or two rules, and a column's
+        validity depends on nothing but that column: candidates are
+        scored from the columns they change, read off the record nodes,
+        and only ``before`` and the result are built as tables.
         """
-        table = wrapper.extract(documents)
+        pages = Pages.of(documents)
+        given = wrapper
+        table = wrapper.extract(pages)
         before = self.validity(table)
+        nodes = pages.site_record_nodes(wrapper)
         actions: list[RepairAction] = []
 
-        wrapper = self._repair_segmentation(wrapper, documents, before, actions)
-        wrapper = self._repair_swaps(wrapper, documents, actions)
-        wrapper = self._discover_embedded_fields(wrapper, documents, actions)
+        validity = dict(before)
+        wrapper = self._repair_segmentation(wrapper, pages, nodes, validity, actions)
+        wrapper = self._repair_swaps(wrapper, pages, nodes, validity, actions)
+        wrapper = self._discover_embedded_fields(wrapper, pages, nodes, actions)
 
-        table = wrapper.extract(documents)
+        if wrapper is not given:
+            table = wrapper.extract(pages)
         table, value_actions = self._repair_values(table)
         actions.extend(value_actions)
 
@@ -135,11 +169,13 @@ class WrapperRepairer:
     def _repair_segmentation(
         self,
         wrapper: Wrapper,
-        documents: Sequence[Document],
+        pages: Pages,
+        nodes: Sequence[DomNode],
         validity: dict[str, float],
         actions: list[RepairAction],
     ) -> Wrapper:
-        """Attach recognisers to rules whose values embed the real field."""
+        """Attach recognisers to rules whose values embed the real field,
+        keeping ``validity`` in step with the wrapper returned."""
         for rule in list(wrapper.rules):
             score = validity.get(rule.attribute, 1.0)
             if score >= self.min_validity:
@@ -148,38 +184,30 @@ class WrapperRepairer:
             rec_name = _RECOGNISER_FOR_DTYPE.get(expected)
             if rec_name is None or rule.recogniser_name == rec_name:
                 continue
-            candidate = wrapper.with_rule(
-                FieldRule(
-                    rule.attribute,
-                    rule.rel_path,
-                    rule.index,
-                    recogniser_name=rec_name,
-                    attr_source=rule.attr_source,
-                    dtype=expected,
-                )
+            candidate = FieldRule(
+                rule.attribute,
+                rule.rel_path,
+                rule.index,
+                recogniser_name=rec_name,
+                attr_source=rule.attr_source,
+                dtype=expected,
             )
-            old_table = wrapper.extract(documents)
-            new_table = candidate.extract(documents)
-            old_yield = sum(
-                1 for v in old_table.column(rule.attribute) if not v.is_missing
-            )
-            new_yield = sum(
-                1 for v in new_table.column(rule.attribute) if not v.is_missing
-            )
-            new_validity = self.validity(new_table)
+            column = pages.column(candidate, nodes)
+            old_yield = len(_present(pages.column(rule, nodes)))
             # A repair that silences the column is not a repair: require the
             # recogniser to keep at least half of the previous yield.
-            if new_yield < max(1, old_yield // 2):
+            if len(_present(column)) < max(1, old_yield // 2):
                 continue
-            if new_validity.get(rule.attribute, 0.0) > score:
-                wrapper = candidate
+            new_score = self._column_validity(rule.attribute, expected, column)
+            if new_score > score:
+                wrapper = wrapper.with_rule(candidate)
+                validity[rule.attribute] = new_score
                 actions.append(
                     RepairAction(
                         "segment",
                         rule.attribute,
                         f"attached recogniser {rec_name!r} "
-                        f"(validity {score:.2f} -> "
-                        f"{new_validity[rule.attribute]:.2f})",
+                        f"(validity {score:.2f} -> {new_score:.2f})",
                     )
                 )
         return wrapper
@@ -187,12 +215,12 @@ class WrapperRepairer:
     def _repair_swaps(
         self,
         wrapper: Wrapper,
-        documents: Sequence[Document],
+        pages: Pages,
+        nodes: Sequence[DomNode],
+        validity: dict[str, float],
         actions: list[RepairAction],
     ) -> Wrapper:
         """Swap rule paths when two attributes validate better crosswise."""
-        table = wrapper.extract(documents)
-        validity = self.validity(table)
         attributes = [
             rule.attribute
             for rule in wrapper.rules
@@ -204,23 +232,26 @@ class WrapperRepairer:
                 rule_b = wrapper.rule_for(attr_b)
                 if rule_a is None or rule_b is None:
                     continue
-                swapped = wrapper.with_rule(
-                    FieldRule(
-                        attr_a, rule_b.rel_path, rule_b.index,
-                        rule_b.recogniser_name, rule_b.attr_source, rule_a.dtype,
-                    )
-                ).with_rule(
-                    FieldRule(
-                        attr_b, rule_a.rel_path, rule_a.index,
-                        rule_a.recogniser_name, rule_a.attr_source, rule_b.dtype,
-                    )
+                swapped_a = FieldRule(
+                    attr_a, rule_b.rel_path, rule_b.index,
+                    rule_b.recogniser_name, rule_b.attr_source, rule_a.dtype,
                 )
-                new_validity = self.validity(swapped.extract(documents))
+                swapped_b = FieldRule(
+                    attr_b, rule_a.rel_path, rule_a.index,
+                    rule_a.recogniser_name, rule_a.attr_source, rule_b.dtype,
+                )
+                # The two columns as already read, under each other's name.
+                new_a = self._column_validity(
+                    attr_a, rule_a.dtype, pages.column(swapped_a, nodes)
+                )
+                new_b = self._column_validity(
+                    attr_b, rule_b.dtype, pages.column(swapped_b, nodes)
+                )
                 old = validity.get(attr_a, 0.0) + validity.get(attr_b, 0.0)
-                new = new_validity.get(attr_a, 0.0) + new_validity.get(attr_b, 0.0)
+                new = new_a + new_b
                 if new > old:
-                    wrapper = swapped
-                    validity = new_validity
+                    wrapper = wrapper.with_rule(swapped_a).with_rule(swapped_b)
+                    validity[attr_a], validity[attr_b] = new_a, new_b
                     actions.append(
                         RepairAction(
                             "swap",
@@ -233,7 +264,8 @@ class WrapperRepairer:
     def _discover_embedded_fields(
         self,
         wrapper: Wrapper,
-        documents: Sequence[Document],
+        pages: Pages,
+        nodes: Sequence[DomNode],
         actions: list[RepairAction],
         min_hit_rate: float = 0.7,
     ) -> Wrapper:
@@ -246,7 +278,6 @@ class WrapperRepairer:
         on the same path.  This is the "identify previously unknown
         [fields]" half of context-informed extraction (Example 3).
         """
-        table = wrapper.extract(documents)
         existing = {
             rule.recogniser_name for rule in wrapper.rules
             if rule.recogniser_name
@@ -256,11 +287,7 @@ class WrapperRepairer:
         for rule in list(wrapper.rules):
             if rule.dtype is not DataType.STRING or rule.attr_source:
                 continue
-            values = [
-                str(v.raw)
-                for v in table.column(rule.attribute)
-                if not v.is_missing
-            ]
+            values = [str(raw) for raw in _present(pages.column(rule, nodes))]
             if len(values) < 3:
                 continue
             found = [recognise(value) for value in values]
@@ -277,16 +304,13 @@ class WrapperRepairer:
                     continue
                 if rec_name not in _RECOGNISER_FOR_DTYPE.values():
                     continue  # only promote high-precision field types
-                from repro.extraction.patterns import recogniser as get_rec
-
-                rec = get_rec(rec_name)
                 wrapper = wrapper.with_rule(
                     FieldRule(
                         rec_name,
                         rule.rel_path,
                         rule.index,
                         recogniser_name=rec_name,
-                        dtype=rec.dtype,
+                        dtype=recogniser(rec_name).dtype,
                     )
                 )
                 existing.add(rec_name)
@@ -304,42 +328,45 @@ class WrapperRepairer:
         self, table: Table
     ) -> tuple[Table, list[RepairAction]]:
         """Last-resort per-value repair for residual violations."""
-        actions: list[RepairAction] = []
-        repaired_counts: dict[str, int] = {}
-
-        expected_types = {
-            attribute: self.expected_dtype(attribute, table.schema[attribute].dtype)
-            for attribute in table.schema.names
-        }
+        # Per attribute a recogniser can re-segment: what it finds in
+        # each distinct value the context rejects.
+        fixes: dict[str, tuple[str, dict[tuple[type, object], object]]] = {}
+        for attribute in table.schema.names:
+            expected = self.expected_dtype(attribute, table.schema[attribute].dtype)
+            rec_name = _RECOGNISER_FOR_DTYPE.get(expected)
+            if rec_name is None:
+                continue
+            found = {}
+            for raw in _present(table.raw_column(attribute)):
+                key = (type(raw), raw)
+                if key not in found:
+                    found[key] = (
+                        None
+                        if self._value_valid(attribute, raw, expected)
+                        else recogniser(rec_name).find(str(raw))
+                    )
+            if any(segment is not None for segment in found.values()):
+                fixes[attribute] = (rec_name, found)
+        repaired_counts = dict.fromkeys(fixes, 0)
 
         def fix(record):  # type: ignore[no-untyped-def]
             updates = {}
-            for attribute in table.schema.names:
+            for attribute, (rec_name, found) in fixes.items():
                 value = record.get(attribute)
-                if value.is_missing:
-                    continue
-                expected = expected_types[attribute]
-                if self._value_valid(attribute, value.raw, expected):
-                    continue
-                rec_name = _RECOGNISER_FOR_DTYPE.get(expected)
-                if rec_name is None:
-                    continue
-                found = recogniser(rec_name).find(str(value.raw))
-                if found is None:
+                segment = found.get((type(value.raw), value.raw))
+                if segment is None:
                     continue
                 updates[attribute] = value.with_raw(
-                    found, Step.REPAIR, f"value-repair:{rec_name}"
+                    segment, Step.REPAIR, f"value-repair:{rec_name}"
                 )
-                repaired_counts[attribute] = repaired_counts.get(attribute, 0) + 1
+                repaired_counts[attribute] += 1
             if updates:
                 return record.with_cells(updates)
             return record
 
-        repaired = table.map_records(fix)
-        for attribute, count in sorted(repaired_counts.items()):
-            actions.append(
-                RepairAction(
-                    "value", attribute, f"re-segmented {count} stored values"
-                )
-            )
+        repaired = table.map_records(fix) if fixes else table
+        actions = [
+            RepairAction("value", attribute, f"re-segmented {count} stored values")
+            for attribute, count in sorted(repaired_counts.items())
+        ]
         return repaired, actions

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.extraction.dom import DomNode, parse_html
 from repro.extraction.patterns import Recogniser, recogniser
@@ -23,27 +23,9 @@ from repro.model.schema import Attribute, DataType, Schema
 from repro.model.values import Value
 from repro.sources.base import Document
 
-__all__ = ["FieldRule", "Wrapper"]
+__all__ = ["FieldRule", "Pages", "Wrapper"]
 
 _wrapper_counter = itertools.count(1)
-
-
-def _path_ends_with(path: tuple[str, ...], suffix: tuple[str, ...]) -> bool:
-    if len(suffix) > len(path):
-        return False
-    return path[len(path) - len(suffix):] == suffix
-
-
-def _relative_path(node: DomNode, ancestor: DomNode) -> tuple[str, ...] | None:
-    steps: list[str] = []
-    current: DomNode | None = node
-    while current is not None and current is not ancestor:
-        if not current.is_text:
-            steps.append(current.signature)
-        current = current.parent
-    if current is None:
-        return None
-    return tuple(reversed(steps))
 
 
 @dataclass(frozen=True)
@@ -69,22 +51,14 @@ class FieldRule:
         """The DOM node this rule reads within ``record_node``."""
         if not self.rel_path:
             return record_node
-        matches = []
-        for node in record_node.elements():
-            if node is record_node:
-                continue
-            if node.signature != self.rel_path[-1]:
-                continue
-            rel = _relative_path(node, record_node)
-            if rel is not None and _path_ends_with(rel, self.rel_path):
-                matches.append(node)
+        matches = record_node.descendants_at(self.rel_path)
         if self.index < len(matches):
             return matches[self.index]
         return None
 
-    def extract(self, record_node: DomNode) -> object | None:
-        """The normalised raw value for this attribute, or ``None``."""
-        node = self.select(record_node)
+    def read(self, node: DomNode | None) -> object | None:
+        """The normalised raw value of this attribute off the node
+        :meth:`select` found, or ``None``."""
         if node is None:
             return None
         if self.attr_source is not None:
@@ -120,41 +94,33 @@ class Wrapper:
 
     def record_nodes(self, root: DomNode) -> list[DomNode]:
         """All record nodes in a parsed page."""
+        last = self.record_path[-1]
         return [
             node
             for node in root.elements()
-            if node.signature == self.record_path[-1]
-            and _path_ends_with(node.path(), self.record_path)
+            if node.signature == last and node.ends_path(self.record_path)
         ]
-
-    def extract_document(self, document: Document) -> list[Record]:
-        """Extract all records from one document."""
-        root = parse_html(document.html)
-        provenance = Provenance.source(self.source).derive(
-            Step.EXTRACTION, self.wrapper_id
-        )
-        records = []
-        for node in self.record_nodes(root):
-            cells: dict[str, Value] = {}
-            for rule in self.rules:
-                raw = rule.extract(node)
-                cells[rule.attribute] = Value(
-                    raw,
-                    rule.dtype,
-                    min(self.confidence, rule.confidence),
-                    provenance,
-                )
-            if any(not value.is_missing for value in cells.values()):
-                records.append(
-                    Record.of(cells, source=self.source)
-                )
-        return records
 
     def extract(self, documents: Sequence[Document]) -> Table:
         """Extract a table from a batch of documents."""
+        pages = Pages.of(documents)
+        provenance = Provenance.source(self.source).derive(
+            Step.EXTRACTION, self.wrapper_id
+        )
+        confidences = [
+            min(self.confidence, rule.confidence) for rule in self.rules
+        ]
         table = Table(self.source, self.schema())
-        for document in documents:
-            table.extend(self.extract_document(document))
+        for page in range(len(pages)):
+            nodes = pages.record_nodes(self, page)
+            columns = [pages.column(rule, nodes) for rule in self.rules]
+            for raws in zip(*columns):
+                cells = {
+                    rule.attribute: Value(raw, rule.dtype, confidence, provenance)
+                    for rule, raw, confidence in zip(self.rules, raws, confidences)
+                }
+                if any(not value.is_missing for value in cells.values()):
+                    table.append(Record.of(cells, source=self.source))
         return table
 
     def with_rule(self, rule: FieldRule) -> "Wrapper":
@@ -172,3 +138,78 @@ class Wrapper:
     def with_confidence(self, confidence: float) -> "Wrapper":
         """A copy carrying a revised overall confidence."""
         return replace(self, confidence=confidence)
+
+
+class Pages(Sequence[Document]):
+    """One source's fetched pages for the length of one extraction call.
+
+    Induction, extraction and repair of one source all read the same
+    pages, and a parsed page never changes (:class:`DomNode`), so each
+    ``Document`` is parsed on first use and exactly once, its record
+    nodes are listed once per record path, and each field column is read
+    once per record node.  Whoever makes the page set decides how long
+    the parsed pages live: hand it on to share them, drop it and they go.
+    """
+
+    def __init__(self, documents: Iterable[Document]) -> None:
+        self._documents = tuple(documents)
+        self._roots: dict[int, DomNode] = {}
+        self._record_nodes: dict[tuple[tuple[str, ...], int], list[DomNode]] = {}
+        #: ``(rel_path, index)`` → what ``FieldRule.select`` found, by
+        #: record node; with the recogniser and attribute source added,
+        #: what ``FieldRule.read`` made of it.
+        self._selected: dict[tuple, dict[DomNode, DomNode | None]] = {}
+        self._values: dict[tuple, dict[DomNode, object | None]] = {}
+
+    @classmethod
+    def of(cls, documents: Sequence[Document]) -> "Pages":
+        """``documents`` itself when it already is a page set (its maker
+        shares it), else a fresh one over them."""
+        return documents if isinstance(documents, cls) else cls(documents)
+
+    def __len__(self) -> int:
+        return len(self._documents)
+
+    def __getitem__(self, page: int) -> Document:  # type: ignore[override]
+        return self._documents[page]
+
+    def root(self, page: int) -> DomNode:
+        """The parsed DOM of page number ``page``."""
+        root = self._roots.get(page)
+        if root is None:
+            root = self._roots[page] = parse_html(self._documents[page].html)
+        return root
+
+    def record_nodes(self, wrapper: Wrapper, page: int) -> list[DomNode]:
+        """``wrapper``'s record nodes on page number ``page``."""
+        key = (wrapper.record_path, page)
+        nodes = self._record_nodes.get(key)
+        if nodes is None:
+            nodes = self._record_nodes[key] = wrapper.record_nodes(self.root(page))
+        return nodes
+
+    def site_record_nodes(self, wrapper: Wrapper) -> list[DomNode]:
+        """``wrapper``'s record nodes on every page, in page order."""
+        return [
+            node
+            for page in range(len(self))
+            for node in self.record_nodes(wrapper, page)
+        ]
+
+    def column(
+        self, rule: FieldRule, record_nodes: Sequence[DomNode]
+    ) -> list[object | None]:
+        """What ``rule`` reads off each of ``record_nodes``."""
+        where = (rule.rel_path, rule.index)
+        selected = self._selected.setdefault(where, {})
+        values = self._values.setdefault(
+            where + (rule.recogniser_name, rule.attr_source), {}
+        )
+        column = []
+        for node in record_nodes:
+            if node not in values:
+                if node not in selected:
+                    selected[node] = rule.select(node)
+                values[node] = rule.read(selected[node])
+            column.append(values[node])
+        return column

@@ -68,11 +68,6 @@ class TestNavigation:
         assert "div.product" in path
         assert path[0] == "html"
 
-    def test_child_index_counts_same_signature_siblings(self, root):
-        products = root.find_all(class_="product")
-        assert products[0].child_index() == 0
-        assert products[1].child_index() == 1
-
     def test_depth_and_ancestors(self, root):
         title = root.find("h2")
         ancestors = list(title.ancestors())

@@ -22,9 +22,8 @@ typecheck:
 	$(PYTHON) -m repro.analysis typecheck examples
 
 # Cost & cardinality certification of every shipped example plan (exits
-# 1 on any error-severity CC finding — an over-budget plan), then the
-# snapshot test pinning the expected plan→cost map and its byte-for-byte
-# determinism.
+# 1 on any error-severity CC finding), then the snapshot test pinning the
+# expected plan→cost map and its byte-for-byte determinism.
 cost-check:
 	$(PYTHON) -m repro.analysis cost examples
 	$(PYTHON) -m pytest tests/analysis/test_cost_snapshot.py -q -p no:cacheprovider
@@ -74,11 +73,10 @@ chaos:
 
 # Crash chaos: the kill-at-every-checkpoint matrix (every commit point,
 # both sides of the journal write, byte-identical recovery with exact
-# ledger accounting), then REP016 over the source tree — every
-# durability-relevant write outside repro.io/repro.ingest must go
-# through atomic_write_bytes.
+# ledger accounting).  REP016 — every durability-relevant write outside
+# repro.io/repro.ingest goes through atomic_write_bytes — runs with every
+# other rule in `make lint` and in the tier-1 self-hosting lint test.
 chaos-crash:
 	$(PYTHON) -m pytest tests/ingest -q -p no:cacheprovider
-	$(PYTHON) -m repro.analysis lint src/repro --select REP016
 
 check: test lint typecheck cost-check bench-smoke bench-gate chaos chaos-crash

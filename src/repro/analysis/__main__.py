@@ -78,8 +78,7 @@ def _parser() -> argparse.ArgumentParser:
          "(structure + types + cost) over plan-building modules"),
         ("cost", "CC",
          "repro cost & cardinality certifier: propagates row and cost "
-         "estimates through each plan's dataflow and checks them against "
-         "declared budgets"),
+         "estimates through each plan's dataflow"),
     ):
         plans = add(name, description)
         plans.add_argument(
@@ -173,11 +172,7 @@ def _cost_block(result: PlanChecks) -> str:
     """The per-plan node→estimate table appended to the text report."""
     lines = ["cost certification:"]
     for path, report in result.reports:
-        budget = (
-            "unbounded" if report.budget is None
-            else f"{report.budget:.2f}"
-        )
-        lines.append(f"  {path} (budget {budget})")
+        lines.append(f"  {path}")
         names = sorted(report.estimates)
         width = max((len(name) for name in names), default=0)
         for name in names:
@@ -188,11 +183,10 @@ def _cost_block(result: PlanChecks) -> str:
                 f"access={estimate.access_cost:>7.2f}  "
                 f"[{estimate.confidence}]"
             )
-        verdict = "OVER BUDGET" if report.over_budget else "within budget"
         lines.append(
             f"    total: access={report.total_access_cost:.2f} "
             f"work={report.total_work:.1f} "
-            f"predicted={report.predicted_seconds:.4f}s ({verdict})"
+            f"predicted={report.predicted_seconds:.4f}s"
         )
     return "\n".join(lines)
 
@@ -205,13 +199,7 @@ def render_cost_json(result: PlanChecks) -> str:
             for path, report in result.reports
         ],
         "diagnostics": [d.to_dict() for d in result.cost_diagnostics],
-        "summary": {
-            "checked_plans": result.checked_plans,
-            "over_budget": [
-                path for path, report in result.reports
-                if report.over_budget
-            ],
-        },
+        "summary": {"checked_plans": result.checked_plans},
     }
     return json.dumps(payload, indent=2, sort_keys=True)
 

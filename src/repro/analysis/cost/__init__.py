@@ -6,8 +6,8 @@ that propagates a :class:`~repro.analysis.cost.model.CardinalityEstimate`
 — rows, per-stage work, access cost in ``cost_per_access`` units —
 through a plan's dataflow topology, flags statically-predictable
 super-linear stages (cross-source joins, constraint discovery), and
-refuses plans whose estimated spend exceeds the budget
-declared via ``Wrangler.budget(...)``.  Rule ids are ``CC0xx``;
+notes a plan whose spend the user context's budget leaves unbounded.
+Rule ids are ``CC0xx``;
 findings flow through the shared
 :class:`~repro.analysis.diagnostics.Diagnostic` engine and into
 ``run_preflight``, whose single plan walk

@@ -6,10 +6,11 @@ node of a plan's dataflow topology, exactly as it threads
 :class:`~repro.model.schema.Schema`; each node's
 :class:`~repro.analysis.typecheck.operators.Operator` row estimates and
 checks it.  This module turns that walk into the certificate: the
-plan-level budget rules (``CC005``–``CC007``) and the
-:class:`PlanCostReport`, so a pooled cross-source resolve or a plan
-whose estimated access cost exceeds its declared budget surfaces as
-``CC`` diagnostics *before* any source is fully accessed.
+plan-level budget rule (``CC006``) and the :class:`PlanCostReport`, so a
+pooled cross-source resolve or a plan no budget bounds surfaces as
+``CC`` diagnostics *before* any source is fully accessed.  The budget
+itself is the user context's, and ``PV008`` is the rule that refuses a
+plan whose acquisitions exceed it.
 
 Everything is duck-typed (plans, registries, dataflows), matching the
 plan validator's contract: tests can feed hand-built stand-ins, and this
@@ -26,12 +27,7 @@ from repro.analysis.diagnostics import (
     Severity,
     sort_diagnostics,
 )
-from repro.analysis.cost.model import (
-    PROBE_BUDGET_FRACTION_LIMIT,
-    CardinalityEstimate,
-    CostContext,
-    cc,
-)
+from repro.analysis.cost.model import CardinalityEstimate, CostContext, cc
 
 __all__ = ["PlanCostReport", "certify_walk"]
 
@@ -43,7 +39,6 @@ class PlanCostReport:
     estimates: Mapping[str, CardinalityEstimate]
     stages: Mapping[str, str | None]
     findings: tuple[Diagnostic, ...]
-    budget: float | None = None
 
     @property
     def total_access_cost(self) -> float:
@@ -60,13 +55,6 @@ class PlanCostReport:
         return sum(
             estimate.seconds(self.stages.get(name))
             for name, estimate in self.estimates.items()
-        )
-
-    @property
-    def over_budget(self) -> bool:
-        return (
-            self.budget is not None
-            and self.total_access_cost > self.budget
         )
 
     @property
@@ -97,8 +85,6 @@ class PlanCostReport:
                 "work": round(self.total_work, 2),
                 "predicted_seconds": round(self.predicted_seconds, 4),
             },
-            "budget": self.budget,
-            "over_budget": self.over_budget,
         }
 
 
@@ -106,70 +92,27 @@ def _budget_findings(
     context: CostContext,
     estimates: Mapping[str, CardinalityEstimate],
 ) -> list[Diagnostic]:
-    findings: list[Diagnostic] = []
     total = sum(e.access_cost for e in estimates.values())
-    probe_cost = sum(
-        e.access_cost
-        for name, e in estimates.items()
-        if name.partition(":")[0] == "probe"
-    )
-    budget = context.budget
-    if budget is not None and total > budget:
-        findings.append(
-            cc(
-                "CC005",
-                "plan",
-                None,
-                f"estimated access cost {total:.2f} exceeds the "
-                f"declared budget {budget:.2f} "
-                f"(probe overhead {probe_cost:.2f} + "
-                f"{len(context.planned_sources)} acquisitions)",
-                "raise Wrangler.budget(), drop sources from the "
-                "registry, or let the planner select fewer sources",
-            )
-        )
-    if (
-        budget is not None
-        and budget > 0
-        and probe_cost >= PROBE_BUDGET_FRACTION_LIMIT * budget
-    ):
-        findings.append(
-            cc(
-                "CC007",
-                "plan",
-                None,
-                f"probe overhead {probe_cost:.2f} consumes "
-                f"{100.0 * probe_cost / budget:.0f}% of the declared "
-                f"budget {budget:.2f}",
-                "trim the registry before planning, or raise the "
-                "budget",
-            )
-        )
-    if (
-        budget is None
-        and context.user_budget == float("inf")
-        and total > 0
-    ):
-        findings.append(
+    if context.user_budget == float("inf") and total > 0:
+        return [
             cc(
                 "CC006",
                 "plan",
                 None,
                 f"estimated access cost {total:.2f} is bounded by no "
-                f"budget (no Wrangler.budget() declaration, user "
-                f"budget unbounded)",
-                "declare a plan budget via Wrangler.budget() so "
-                "admission control can gate the tenant",
+                "budget (the user context's budget is unbounded)",
+                "give the user context a budget: source selection spends "
+                "against it and PV008 refuses a plan over it",
             )
-        )
-    return findings
+        ]
+    return []
 
 
 def certify_walk(
     context: CostContext, walk: Any, dataflow: Any
 ) -> PlanCostReport:
     """The ``CC`` certificate for a walk that ran the cost half: its
-    per-node findings plus the plan-level budget rules, with predicted
+    per-node findings plus the plan-level budget rule, with predicted
     per-node seconds written onto the dataflow so telemetry exports
     carry them."""
     report = PlanCostReport(
@@ -183,7 +126,6 @@ def certify_walk(
                 ]
             )
         ),
-        budget=context.budget,
     )
     dataflow.annotate_costs(
         {

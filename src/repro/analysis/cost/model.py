@@ -76,8 +76,6 @@ PAIR_WARNING_LIMIT = 50_000.0
 CROSS_SOURCE_MIN = 4
 #: rows x width^2 above which FD discovery dominates repair (CC008).
 FD_WORK_LIMIT = 1_000_000.0
-#: Fraction of the declared budget the probe pass may consume (CC007).
-PROBE_BUDGET_FRACTION_LIMIT = 0.5
 
 #: Default seconds per work unit, per pipeline stage — order-of-magnitude
 #: fits from the committed telemetry snapshots (the resolution figure is
@@ -229,7 +227,6 @@ class CostContext:
     plan: Any = None
     user: Any = None
     sources: Mapping[str, SourceFacts] = field(default_factory=dict)
-    budget: float | None = None  # declared via Wrangler.budget()
     discover_constraints: bool = False
 
     @property

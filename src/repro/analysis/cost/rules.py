@@ -2,19 +2,18 @@
 
 Each rule names one class of plan that is statically predictable to be
 more expensive than it should be — super-linear stages (a pooled
-cross-source resolve), plans whose estimated access cost exceeds a
-declared budget, and estimates the certifier could not ground in a real
-cardinality.  The
+cross-source resolve), plans whose access cost no budget bounds, and
+estimates the certifier could not ground in a real cardinality.  The
 certifier in :mod:`repro.analysis.cost.certifier` detects them by
 propagating a :class:`~repro.analysis.cost.model.CardinalityEstimate`
 through the plan's dataflow topology and emits each finding through the
 shared :class:`~repro.analysis.diagnostics.Diagnostic` engine, so
 validator, linter, typechecker, and cost findings render uniformly.
 
-Severity doubles as admission pressure: ``error`` rules refuse the plan
-at the preflight gate (a plan over its declared budget); ``warning``
-rules flag cost smells worth fixing but admit the plan; ``info`` rules
-record where the estimate degraded to an assumption.
+Severity doubles as admission pressure: ``warning`` rules flag cost
+smells worth fixing but admit the plan; ``info`` rules record where the
+estimate degraded to an assumption.  Refusing a plan over budget is
+``PV008``'s job: the one budget is the user context's.
 """
 
 from __future__ import annotations
@@ -46,31 +45,12 @@ COST_RULES: Mapping[str, Rule] = catalogue(
         "a blocking key) before resolving.",
     ),
     Rule(
-        "CC005",
-        "plan-over-budget",
-        Severity.ERROR,
-        "The plan's estimated total access cost (probes plus full "
-        "acquisitions, in cost_per_access units) exceeds the budget "
-        "declared via Wrangler.budget(): admission control refuses the "
-        "plan before any source is fully accessed.",
-    ),
-    Rule(
         "CC006",
         "unbounded-budget",
         Severity.INFO,
-        "The plan spends access cost but no budget bounds it — neither a "
-        "declared plan budget (Wrangler.budget()) nor a finite user-"
-        "context budget — so admission control cannot gate this tenant.",
-    ),
-    Rule(
-        "CC007",
-        "probe-dominates-budget",
-        Severity.WARNING,
-        "The fixed probe overhead (every registered source is sampled at "
-        "PROBE_COST_FRACTION before selection) consumes at least half the "
-        "declared budget: the plan spends its budget learning about "
-        "sources instead of acquiring them — trim the registry or raise "
-        "the budget.",
+        "The plan spends access cost but the user context's budget is "
+        "unbounded, so source selection spends against no limit and no "
+        "plan can be refused for its spend.",
     ),
     Rule(
         "CC008",

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, has_errors, sort_diagnostics
-from repro.analysis.rules import NOQA_RE, RULES, ModuleContext, run_rules
+from repro.analysis.rules import RULES, ModuleContext, noqa_pragmas, run_rules
 from repro.errors import AnalysisError
 
 __all__ = ["LintResult", "lint_source", "lint_paths"]
@@ -43,21 +43,10 @@ class LintResult:
 
 def _suppressions(source: str) -> dict[int, set[str] | None]:
     """Per-line suppressions: line -> rule ids, or ``None`` for all rules."""
-    table: dict[int, set[str] | None] = {}
-    for number, line in enumerate(source.splitlines(), start=1):
-        match = NOQA_RE.search(line)
-        if not match:
-            continue
-        rules = match.group("rules")
-        if rules is None:
-            table[number] = None
-        else:
-            table[number] = {
-                token.strip().upper()
-                for token in rules.split(",")
-                if token.strip()
-            }
-    return table
+    return {
+        line: None if rules is None else set(rules)
+        for line, _, rules in noqa_pragmas(source)
+    }
 
 
 def _apply_suppressions(
@@ -77,8 +66,8 @@ def _apply_suppressions(
     return kept, suppressed
 
 
-def _module_identity(path: Path) -> tuple[str, str, bool]:
-    """Dotted module name, architectural layer, and CLI-ness of a file."""
+def _module_identity(path: Path) -> tuple[str, bool]:
+    """Architectural layer and CLI-ness of a file."""
     parts = list(path.parts)
     if "repro" in parts:
         index = len(parts) - 1 - parts[::-1].index("repro")
@@ -98,27 +87,24 @@ def _module_identity(path: Path) -> tuple[str, str, bool]:
     is_main = path.stem == "__main__"
     if is_main:
         layer = "__main__"
-    return dotted, layer, is_main
+    return layer, is_main
 
 
 def lint_source(
     source: str,
     path: str = "<string>",
-    module: str | None = None,
-    layer: str | None = None,
     select: Iterable[str] | None = None,
 ) -> LintResult:
-    """Lint one module given as a string (the unit-test entry point)."""
-    pseudo = Path(path)
-    dotted, derived_layer, is_main = _module_identity(pseudo)
+    """Lint one module given as a string (the unit-test entry point); its
+    layer comes from ``path``."""
+    layer, is_main = _module_identity(Path(path))
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as failure:
         raise AnalysisError(f"cannot parse {path}: {failure}") from failure
     context = ModuleContext(
         path=path,
-        module=module or dotted,
-        layer=layer if layer is not None else derived_layer,
+        layer=layer,
         tree=tree,
         source=source,
         is_main=is_main,

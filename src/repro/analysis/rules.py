@@ -20,18 +20,34 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.analysis.diagnostics import Diagnostic, Location, Rule, Severity
 
-__all__ = ["ModuleContext", "NOQA_RE", "RULES", "rule", "run_rules"]
+__all__ = ["ModuleContext", "RULES", "noqa_pragmas", "rule", "run_rules"]
 
-#: The ``# repro: noqa[RULE,...]`` pragma grammar.  Lives here (not in the
-#: engine) so REP012 can audit pragmas against the same grammar the
-#: suppression machinery in :mod:`repro.analysis.lint` parses.
-NOQA_RE = re.compile(
+#: The ``# repro: noqa[RULE,...]`` pragma grammar.
+_NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<rules>[A-Z0-9,\s]+)\])?", re.IGNORECASE
 )
+
+
+def noqa_pragmas(
+    source: str,
+) -> Iterator[tuple[int, int, tuple[str, ...] | None]]:
+    """Every ``# repro: noqa`` pragma in ``source``, parsed once for both
+    its readers — the suppression machinery in :mod:`repro.analysis.lint`
+    and REP012's audit: ``(line, column, rule ids)``, the ids upper-cased
+    in written order, ``None`` for a blanket pragma."""
+    for number, line in enumerate(source.splitlines(), start=1):
+        match = _NOQA_RE.search(line)
+        if match is None:
+            continue
+        rules = match.group("rules")
+        yield number, match.start() + 1, None if rules is None else tuple(
+            token.strip().upper() for token in rules.split(",") if token.strip()
+        )
 
 
 @dataclass(frozen=True)
@@ -39,24 +55,66 @@ class ModuleContext:
     """Everything a rule may inspect about one module."""
 
     path: str  # display path, e.g. "src/repro/core/wrangler.py"
-    module: str  # dotted name, e.g. "repro.core.wrangler"
     layer: str  # architectural layer, e.g. "core" or "errors"
     tree: ast.Module
     source: str
     is_main: bool  # a ``__main__.py`` CLI module
 
+    @cached_property
+    def imports(self) -> tuple[tuple[ast.stmt, str, str], ...]:
+        """Every name the module's absolute imports bind, resolved once
+        for every rule that asks what a name refers to: ``(statement,
+        name, dotted target)``.  ``import datetime as _dt`` binds ``_dt``
+        to ``datetime``, ``from time import sleep`` binds ``sleep`` to
+        ``time.sleep`` and ``import os.path`` binds ``os`` to ``os``.
+        Relative imports bind only the module's own package: left out."""
+        bindings: list[tuple[ast.stmt, str, str]] = []
+        for node in ast.walk(self.tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    root = alias.name.split(".")[0]
+                    target = alias.name if alias.asname else root
+                    bindings.append((node, alias.asname or root, target))
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                for alias in node.names:
+                    target = f"{node.module}.{alias.name}"
+                    bindings.append((node, alias.asname or alias.name, target))
+        return tuple(bindings)
+
+    @cached_property
+    def calls(self) -> tuple[tuple[ast.Call, str], ...]:
+        """Every call whose callee is an imported name, or a chain of
+        attributes on one, with the dotted name it resolves to:
+        ``_dt.date.today()`` after ``import datetime as _dt`` resolves to
+        ``datetime.date.today``."""
+        targets = {name: target for _, name, target in self.imports}
+        resolved: list[tuple[ast.Call, str]] = []
+        for node in ast.walk(self.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            attributes: list[str] = []
+            func = node.func
+            while isinstance(func, ast.Attribute):
+                attributes.append(func.attr)
+                func = func.value
+            if isinstance(func, ast.Name) and func.id in targets:
+                dotted = [targets[func.id], *reversed(attributes)]
+                resolved.append((node, ".".join(dotted)))
+        return tuple(resolved)
+
     def diagnostic(
         self,
         rule_id: str,
-        severity: Severity,
         node: ast.AST,
         message: str,
         fix_hint: str = "",
+        severity: Severity | None = None,
     ) -> Diagnostic:
-        """A diagnostic anchored at ``node``'s source position."""
+        """A diagnostic anchored at ``node``'s source position, at the
+        rule's registered severity unless ``severity`` overrides it."""
         return Diagnostic(
             rule_id,
-            severity,
+            severity or RULES[rule_id].severity,
             Location(
                 self.path,
                 getattr(node, "lineno", 1),
@@ -164,7 +222,6 @@ def _check_no_bare_assert(context: ModuleContext) -> Iterator[Diagnostic]:
         if isinstance(node, ast.Assert):
             yield context.diagnostic(
                 "REP001",
-                Severity.ERROR,
                 node,
                 "bare `assert` in library code is stripped under -O",
                 "raise a repro error type (WranglingError subclass) instead",
@@ -185,9 +242,7 @@ def _broad_handler_name(handler: ast.ExceptHandler) -> str | None:
         else [handler.type]
     )
     for candidate in candidates:
-        name = _call_name(candidate) or (
-            candidate.id if isinstance(candidate, ast.Name) else None
-        )
+        name = _call_name(candidate)
         if name in _BROAD_EXCEPTIONS:
             return name
     return None
@@ -207,7 +262,6 @@ def _check_no_broad_except(context: ModuleContext) -> Iterator[Diagnostic]:
             if broad is not None:
                 yield context.diagnostic(
                     "REP002",
-                    Severity.ERROR,
                     node,
                     f"over-broad exception handler ({broad})",
                     "catch the precise WranglingError subclass",
@@ -246,7 +300,6 @@ def _check_no_mutable_default(context: ModuleContext) -> Iterator[Diagnostic]:
             if _is_mutable_literal(default):
                 yield context.diagnostic(
                     "REP003",
-                    Severity.ERROR,
                     default,
                     f"mutable default argument in {node.name}()",
                     "default to None and create the value in the body",
@@ -278,7 +331,6 @@ def _check_evidence_confidence(context: ModuleContext) -> Iterator[Diagnostic]:
         if literal is not None and not 0.0 <= literal <= 1.0:
             yield context.diagnostic(
                 "REP004",
-                Severity.ERROR,
                 node,
                 f"Evidence confidence literal {literal} outside [0, 1]",
                 "confidences are probabilities; rescale the literal",
@@ -288,58 +340,32 @@ def _check_evidence_confidence(context: ModuleContext) -> Iterator[Diagnostic]:
 # -- REP005 ---------------------------------------------------------------
 
 _PURE_LAYERS = {"model", "quality"}
-_CLOCK_ATTRS = {"now", "utcnow", "today"}
 
 
 @rule(
     "REP005",
     "pure-layer-determinism",
     Severity.ERROR,
-    "The model and quality layers must be deterministic: no wall-clock "
-    "reads (datetime.now/today) and no `random` — time and randomness "
-    "enter the system only as explicit inputs.",
+    "The model and quality layers must be deterministic: no `random` — "
+    "randomness enters the system only as an explicit, seeded input.  "
+    "Their wall-clock reads are REP011's, as everywhere outside repro.obs.",
 )
 def _check_pure_layer_determinism(
     context: ModuleContext,
 ) -> Iterator[Diagnostic]:
     if context.layer not in _PURE_LAYERS:
         return
-    for node in ast.walk(context.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "random":
-                    yield context.diagnostic(
-                        "REP005",
-                        Severity.ERROR,
-                        node,
-                        f"`random` imported in pure layer {context.layer!r}",
-                        "accept a seeded random.Random as a parameter",
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] == "random":
-                yield context.diagnostic(
-                    "REP005",
-                    Severity.ERROR,
-                    node,
-                    f"`random` imported in pure layer {context.layer!r}",
-                    "accept a seeded random.Random as a parameter",
-                )
-        elif isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _CLOCK_ATTRS
-                and not node.args
-                and not node.keywords
-            ):
-                yield context.diagnostic(
-                    "REP005",
-                    Severity.ERROR,
-                    node,
-                    f"wall-clock read `.{func.attr}()` in pure layer "
-                    f"{context.layer!r}",
-                    "pass `today`/`now` in as an argument",
-                )
+    for node in dict.fromkeys(
+        node
+        for node, _, target in context.imports
+        if target.split(".")[0] == "random"
+    ):
+        yield context.diagnostic(
+            "REP005",
+            node,
+            f"`random` imported in pure layer {context.layer!r}",
+            "accept a seeded random.Random as a parameter",
+        )
 
 
 # -- REP006 ---------------------------------------------------------------
@@ -406,7 +432,6 @@ def _check_all_consistency(context: ModuleContext) -> Iterator[Diagnostic]:
         if name not in defined and not has_module_getattr:
             yield context.diagnostic(
                 "REP006",
-                Severity.ERROR,
                 node,
                 f"__all__ exports undefined name {name!r}",
                 "define the name or remove it from __all__",
@@ -420,10 +445,10 @@ def _check_all_consistency(context: ModuleContext) -> Iterator[Diagnostic]:
             if body_node.name not in exported:
                 yield context.diagnostic(
                     "REP006",
-                    Severity.INFO,
                     body_node,
                     f"public {body_node.name!r} is not exported by __all__",
                     "add it to __all__ or prefix it with an underscore",
+                    severity=Severity.INFO,
                 )
 
 
@@ -493,7 +518,6 @@ def _check_layer_import_order(context: ModuleContext) -> Iterator[Diagnostic]:
             if target_rank is not None and target_rank > own_rank:
                 yield context.diagnostic(
                     "REP007",
-                    Severity.ERROR,
                     node,
                     f"layer {context.layer!r} (rank {own_rank}) imports from "
                     f"higher layer {target_layer!r} (rank {target_rank}): "
@@ -522,7 +546,6 @@ def _check_public_class_docstring(
         if ast.get_docstring(node) is None:
             yield context.diagnostic(
                 "REP008",
-                Severity.WARNING,
                 node,
                 f"public class {node.name} has no docstring",
                 "state what the class models and its invariants",
@@ -566,7 +589,6 @@ def _check_no_discarded_result(context: ModuleContext) -> Iterator[Diagnostic]:
         if name in _MUST_USE_CALLS:
             yield context.diagnostic(
                 "REP009",
-                Severity.ERROR,
                 node,
                 f"result of {name}() is discarded: these are pure "
                 "functions returning new provenance/uncertainty values",
@@ -594,7 +616,6 @@ def _check_no_print(context: ModuleContext) -> Iterator[Diagnostic]:
         ):
             yield context.diagnostic(
                 "REP010",
-                Severity.ERROR,
                 node,
                 "print() in library code",
                 "return/log the value, or move output to a __main__ module",
@@ -604,21 +625,8 @@ def _check_no_print(context: ModuleContext) -> Iterator[Diagnostic]:
 
 #: Modules whose members constitute wall-clock reads.
 _TIME_MODULES = {"time", "datetime"}
-#: Attribute calls that read the clock when rooted at a time/datetime
-#: alias (``time.perf_counter()``, ``_dt.date.today()``, ...).
-_CLOCK_CALL_ATTRS = {
-    "time",
-    "perf_counter",
-    "perf_counter_ns",
-    "monotonic",
-    "monotonic_ns",
-    "process_time",
-    "process_time_ns",
-    "now",
-    "utcnow",
-    "today",
-}
-#: ``from time import ...`` names that are themselves clock reads.
+#: ``time`` functions that read the clock: ``from time import`` of one is
+#: itself a clock read.
 _CLOCK_FUNCTION_IMPORTS = {
     "time",
     "perf_counter",
@@ -628,65 +636,45 @@ _CLOCK_FUNCTION_IMPORTS = {
     "process_time",
     "process_time_ns",
 }
-
-
-def _attribute_root(node: ast.AST) -> str | None:
-    """The base ``Name`` id of a (possibly nested) attribute chain."""
-    while isinstance(node, ast.Attribute):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
+#: Attribute calls that read the clock when rooted at a name imported from
+#: a time module (``time.perf_counter()``, ``_dt.date.today()``, ...).
+_CLOCK_CALL_ATTRS = _CLOCK_FUNCTION_IMPORTS | {"now", "utcnow", "today"}
 
 
 @rule(
     "REP011",
     "clock-reads-via-obs",
     Severity.ERROR,
-    "Builds on REP005: wall-clock reads (time.time/perf_counter/"
-    "monotonic, datetime.now/utcnow/today) are confined to repro.obs — "
-    "everywhere else time enters through an injected Clock, so timings "
-    "and timeliness scores stay deterministic under a ManualClock.",
+    "Wall-clock reads (time.time/perf_counter/monotonic, datetime.now/"
+    "utcnow/today) are confined to repro.obs — everywhere else, the "
+    "model and quality layers included, time enters through an injected "
+    "Clock, so timings and timeliness scores stay deterministic under a "
+    "ManualClock.",
 )
 def _check_clock_reads_via_obs(context: ModuleContext) -> Iterator[Diagnostic]:
     if context.layer == "obs":
         return
-    aliases: set[str] = set()
-    for node in ast.walk(context.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] in _TIME_MODULES:
-                    aliases.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] in _TIME_MODULES:
-                for alias in node.names:
-                    if (
-                        node.module.split(".")[0] == "time"
-                        and alias.name in _CLOCK_FUNCTION_IMPORTS
-                    ):
-                        yield context.diagnostic(
-                            "REP011",
-                            Severity.ERROR,
-                            node,
-                            f"clock function `{alias.name}` imported from "
-                            "`time` outside repro.obs",
-                            "inject a repro.obs Clock and call "
-                            "current_time() instead",
-                        )
-                    elif alias.name in {"datetime", "date", "time"}:
-                        aliases.add(alias.asname or alias.name)
-    for node in ast.walk(context.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
+    for node, _, target in context.imports:
+        module, _, name = target.partition(".")
+        if module == "time" and name in _CLOCK_FUNCTION_IMPORTS:
+            yield context.diagnostic(
+                "REP011",
+                node,
+                f"clock function `{name}` imported from `time` outside "
+                "repro.obs",
+                "inject a repro.obs Clock and call current_time() instead",
+            )
+    for node, target in context.calls:
+        # A bare-name clock call is reported at its `from time import`.
         if (
-            isinstance(func, ast.Attribute)
-            and func.attr in _CLOCK_CALL_ATTRS
-            and _attribute_root(func.value) in aliases
+            isinstance(node.func, ast.Attribute)
+            and node.func.attr in _CLOCK_CALL_ATTRS
+            and target.split(".")[0] in _TIME_MODULES
         ):
             yield context.diagnostic(
                 "REP011",
-                Severity.ERROR,
                 node,
-                f"wall-clock read `.{func.attr}()` outside repro.obs",
+                f"wall-clock read `.{node.func.attr}()` outside repro.obs",
                 "inject a repro.obs Clock (current_time/current_date/"
                 "current_datetime) instead of reading the clock directly",
             )
@@ -704,17 +692,13 @@ def _check_clock_reads_via_obs(context: ModuleContext) -> Iterator[Diagnostic]:
     "finding live.",
 )
 def _check_unknown_noqa_rule(context: ModuleContext) -> Iterator[Diagnostic]:
-    for number, line in enumerate(context.source.splitlines(), start=1):
-        match = NOQA_RE.search(line)
-        if match is None or match.group("rules") is None:
-            continue
-        for token in match.group("rules").split(","):
-            name = token.strip().upper()
-            if name and name not in RULES:
+    for line, column, rules in noqa_pragmas(context.source):
+        for name in rules or ():
+            if name not in RULES:
                 yield Diagnostic(
                     "REP012",
                     Severity.WARNING,
-                    Location(context.path, number, match.start() + 1),
+                    Location(context.path, line, column),
                     f"noqa pragma names unknown rule id {name!r} "
                     "(nothing is suppressed)",
                     "fix the rule id or drop the pragma",
@@ -750,48 +734,27 @@ def _is_spin_loop(node: ast.While) -> bool:
 def _check_no_raw_sleep(context: ModuleContext) -> Iterator[Diagnostic]:
     if context.layer in _SLEEP_EXEMPT_LAYERS:
         return
-    time_aliases: set[str] = set()
-    sleep_names: set[str] = set()
-    for node in ast.walk(context.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "time":
-                    time_aliases.add(alias.asname or "time")
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] == "time":
-                for alias in node.names:
-                    if alias.name == "sleep":
-                        sleep_names.add(alias.asname or "sleep")
-                        yield context.diagnostic(
-                            "REP013",
-                            Severity.ERROR,
-                            node,
-                            "`sleep` imported from `time` outside "
-                            "repro.resilience",
-                            "inject a repro.obs Clock and call wait() "
-                            "instead of sleeping for real",
-                        )
-    for node in ast.walk(context.tree):
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr == "sleep"
-                and _attribute_root(func.value) in time_aliases
-            ) or (
-                isinstance(func, ast.Name) and func.id in sleep_names
-            ):
-                yield context.diagnostic(
-                    "REP013",
-                    Severity.ERROR,
-                    node,
-                    "wall-clock sleep outside repro.resilience",
-                    "inject a repro.obs Clock and call wait() instead",
-                )
-        elif isinstance(node, ast.While) and _is_spin_loop(node):
+    for node, _, target in context.imports:
+        if target == "time.sleep":
             yield context.diagnostic(
                 "REP013",
-                Severity.ERROR,
+                node,
+                "`sleep` imported from `time` outside repro.resilience",
+                "inject a repro.obs Clock and call wait() instead of "
+                "sleeping for real",
+            )
+    for node, target in context.calls:
+        if target == "time.sleep":
+            yield context.diagnostic(
+                "REP013",
+                node,
+                "wall-clock sleep outside repro.resilience",
+                "inject a repro.obs Clock and call wait() instead",
+            )
+    for node in ast.walk(context.tree):
+        if isinstance(node, ast.While) and _is_spin_loop(node):
+            yield context.diagnostic(
+                "REP013",
                 node,
                 "busy-wait spin loop (body does nothing)",
                 "wait on the injected Clock, or on a real condition",
@@ -809,6 +772,18 @@ _RNG_EXEMPT_LAYERS = {"datagen"}
 _RNG_CLASS_NAMES = {"Random", "SystemRandom"}
 
 
+def _shared_rng_member(target: str) -> bool:
+    """Whether a resolved dotted name is a member of the ``random`` module
+    that draws from (or reseeds) its one process-wide generator."""
+    module, _, member = target.partition(".")
+    return (
+        module == "random"
+        and member != ""
+        and "." not in member
+        and member not in _RNG_CLASS_NAMES
+    )
+
+
 @rule(
     "REP014",
     "no-shared-rng",
@@ -822,53 +797,23 @@ _RNG_CLASS_NAMES = {"Random", "SystemRandom"}
 def _check_no_shared_rng(context: ModuleContext) -> Iterator[Diagnostic]:
     if context.layer in _RNG_EXEMPT_LAYERS:
         return
-    random_aliases: set[str] = set()
-    shared_fn_names: set[str] = set()
-    for node in ast.walk(context.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "random":
-                    random_aliases.add(alias.asname or "random")
-        elif isinstance(node, ast.ImportFrom):
-            if node.module and node.module.split(".")[0] == "random":
-                for alias in node.names:
-                    if alias.name in _RNG_CLASS_NAMES:
-                        continue
-                    shared_fn_names.add(alias.asname or alias.name)
-                    yield context.diagnostic(
-                        "REP014",
-                        Severity.ERROR,
-                        node,
-                        f"`{alias.name}` imported from `random` binds the "
-                        "shared module-level generator",
-                        "import random.Random, seed it explicitly, and "
-                        "thread the instance through",
-                    )
-    for node in ast.walk(context.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr not in _RNG_CLASS_NAMES
-            and isinstance(func.value, ast.Name)
-            and func.value.id in random_aliases
-        ):
+    for node, _, target in context.imports:
+        if _shared_rng_member(target):
             yield context.diagnostic(
                 "REP014",
-                Severity.ERROR,
                 node,
-                f"call to shared module-level RNG "
-                f"`{func.value.id}.{func.attr}()`",
-                "construct a seeded random.Random and call the method "
-                "on the instance",
+                f"`{target.partition('.')[2]}` imported from "
+                "`random` binds the shared module-level generator",
+                "import random.Random, seed it explicitly, and thread the "
+                "instance through",
             )
-        elif isinstance(func, ast.Name) and func.id in shared_fn_names:
+    for node, target in context.calls:
+        if _shared_rng_member(target):
             yield context.diagnostic(
                 "REP014",
-                Severity.ERROR,
                 node,
-                f"call to shared module-level RNG `{func.id}()`",
+                "call to shared module-level RNG "
+                f"`{ast.unparse(node.func)}()`",
                 "construct a seeded random.Random and call the method "
                 "on the instance",
             )
@@ -916,7 +861,6 @@ def _check_bench_telemetry_required(
     if not (_BENCH_TELEMETRY_HELPERS & called):
         yield context.diagnostic(
             "REP015",
-            Severity.ERROR,
             context.tree,
             "benchmark emits no telemetry: neither emit_telemetry() nor "
             "timed() is ever called",
@@ -931,7 +875,6 @@ def _check_bench_telemetry_required(
         ):
             yield context.diagnostic(
                 "REP015",
-                Severity.ERROR,
                 node,
                 "raw print() in a benchmark bypasses benchmarks/results/",
                 "report through helpers.emit() so the table is persisted "
@@ -995,7 +938,6 @@ def _check_atomic_writes_only(context: ModuleContext) -> Iterator[Diagnostic]:
         ):
             yield context.diagnostic(
                 "REP016",
-                Severity.ERROR,
                 node,
                 f"raw .{func.attr}() persistence outside the io/ingest "
                 "layers is not crash-atomic",
@@ -1008,7 +950,6 @@ def _check_atomic_writes_only(context: ModuleContext) -> Iterator[Diagnostic]:
         ) and _open_write_mode(node):
             yield context.diagnostic(
                 "REP016",
-                Severity.ERROR,
                 node,
                 "raw open() in a write mode outside the io/ingest layers "
                 "is not crash-atomic",

@@ -6,10 +6,11 @@ only way into the plan walk — which folds the plan validator's
 structural findings (``PV0xx``) and — from one walk over the plan's
 dataflow (:func:`~repro.analysis.typecheck.operators.walk_plan`) — the
 schema-flow type findings (``TC001``–``TC009``) and the cost
-certifier's budget and cardinality findings (``CC0xx``) into one
+certifier's cardinality findings (``CC0xx``) into one
 :class:`~repro.analysis.validator.ValidationReport` — so a plan is
-refused for an unregistered source, an untypable mapping, or an
-over-budget estimate through exactly the same machinery.  The combined
+refused for an unregistered source, an untypable mapping, or
+acquisitions over the user's budget through exactly the same
+machinery.  The combined
 report is deduplicated and stably ordered: three gates can flag one
 node, but each exact finding appears once.
 """
@@ -68,19 +69,18 @@ def run_preflight(
     working: Any,
     master_key: str | None = None,
     date_attribute: str | None = None,
-    cost_budget: float | None = None,
     discover_constraints: bool = False,
 ) -> ValidationReport:
     """Run the full pre-execution gate and fold findings into one report.
 
     The parameters are exactly what ``Wrangler._compose`` hands over:
     probe artifacts are the ``probe/``-prefixed entries of ``working``,
-    and ``dataflow`` supplies the walk order.  When both a plan and
-    a registry are supplied, the walk also runs the cost halves:
-    per-node estimates are propagated through the dataflow (annotating
-    it for telemetry), ``CC`` findings at warning severity or worse — an
-    estimate over the ``cost_budget`` declared via ``Wrangler.budget()``
-    is an error — join the report, and the full
+    and ``dataflow`` supplies the walk order.  The one budget is the user
+    context's: a plan whose acquisitions exceed it is refused by
+    ``PV008``.  When both a plan and a registry are supplied, the walk
+    also runs the cost halves: per-node estimates are propagated through
+    the dataflow (annotating it for telemetry), ``CC`` findings at
+    warning severity or worse join the report, and the full
     :class:`~repro.analysis.cost.PlanCostReport` rides on its ``cost``.
     """
     source_schemas, mappings = probe_artifacts(working)
@@ -102,7 +102,6 @@ def run_preflight(
             plan=plan,
             user=user,
             sources=source_facts(registry),
-            budget=cost_budget,
             discover_constraints=discover_constraints,
         )
     walk = walk_plan(dataflow, types=types, costs=costs)

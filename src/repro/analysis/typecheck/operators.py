@@ -191,7 +191,7 @@ def walk_plan(
 
     The schema half (``TC001``–``TC009``) always runs; ``costs``
     switches on the cost half (per-node estimates, ``CC001``, ``CC004``,
-    ``CC008``, ``CC009``); the plan-level budget rules are the
+    ``CC008``, ``CC009``); the plan-level budget rule (``CC006``) is the
     certifier's.
     """
     dependencies = dataflow.dependency_map()

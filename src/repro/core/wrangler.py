@@ -120,11 +120,6 @@ class Wrangler:
         #: source will be) wrapped, and the ledger records acquisition.
         self._resilience_policy: RetryPolicy | None = None
         self._quorum: float = 0.0
-        #: Declared plan/tenant cost budget (in ``cost_per_access``
-        #: units), set by :meth:`budget`.  ``None`` means unbounded: the
-        #: cost certifier still estimates, but admission control cannot
-        #: refuse the plan on spend.
-        self._cost_budget: float | None = None
         self.degradation: DegradationLedger | None = None
         self._flow: Dataflow | None = None
         self._match_evidence: dict[tuple[str, str], list[bool]] = {}
@@ -195,22 +190,6 @@ class Wrangler:
         """Register several sources."""
         for source in sources:
             self.add_source(source)
-        return self
-
-    def budget(self, total: float | None) -> "Wrangler":
-        """Declare the plan/tenant cost budget for admission control.
-
-        ``total`` is in ``cost_per_access`` units — the same currency as
-        :attr:`~repro.sources.base.SourceMetadata.cost_per_access` and
-        the planner's pay-as-you-go accounting.  The cost certifier (see
-        :mod:`repro.analysis.cost`) estimates every composed plan's
-        total access spend *statically* and the preflight gate refuses
-        plans whose estimate exceeds this declaration (``CC005``).
-        Pass ``None`` to clear the declaration.
-        """
-        if total is not None and total < 0:
-            raise ValueError(f"budget must be non-negative, got {total}")
-        self._cost_budget = None if total is None else float(total)
         return self
 
     def checkpointing(self, store) -> "Wrangler":
@@ -543,13 +522,12 @@ class Wrangler:
         """Per-source trust for fusion: the feedback-driven posterior
         blended with whatever the quality analyses (probes included) have
         annotated — all the available information, not just one channel."""
-        scores = {}
-        for name, posterior in self.registry.reliability_scores().items():
-            annotated = self.working.annotations.score(
-                f"source:{name}", Dimension.ACCURACY, default=posterior
+        return {
+            source.name: self.registry.trust(
+                source.name, self.working.annotations
             )
-            scores[name] = 0.5 * posterior + 0.5 * annotated
-        return scores
+            for source in self.registry
+        }
 
     def _stage_fuse(self, inputs: dict[str, Any]) -> Table:
         resolution, plan = inputs["resolve"], inputs["plan"]
@@ -616,7 +594,6 @@ class Wrangler:
             working=self.working,
             master_key=self.master_key,
             date_attribute=self.date_attribute,
-            cost_budget=self._cost_budget,
             discover_constraints=self.discover_constraints,
         )
         return plan, report
@@ -754,7 +731,7 @@ class Wrangler:
         with self.telemetry.tracer.span(
             "feedback.apply", items=len(items)
         ) as feedback_span:
-            report = propagator.propagate(wrangled=wrangled)
+            report = propagator.propagate(wrangled=wrangled, items=items)
         self._match_evidence = dict(report.match_evidence)
 
         invalidated: set[str] = set()

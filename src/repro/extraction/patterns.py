@@ -58,10 +58,6 @@ class Recogniser:
         return match is not None
 
 
-def _parse_price(match: re.Match[str]) -> float:
-    return float(match.group("amount").replace(",", ""))
-
-
 def _parse_rating(match: re.Match[str]) -> float:
     return float(match.group("score"))
 

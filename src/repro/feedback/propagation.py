@@ -23,11 +23,18 @@ EM) so crowd noise is discounted before it moves anything.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.feedback.reliability import Judgment, estimate_reliability
 from repro.feedback.store import FeedbackStore
-from repro.feedback.types import ExtractionFeedback
+from repro.feedback.types import (
+    ExtractionFeedback,
+    Feedback,
+    RelevanceFeedback,
+    ValueFeedback,
+)
 from repro.model.annotations import AnnotationStore, Dimension, QualityAnnotation
 from repro.model.records import Table
 from repro.model.uncertainty import log_odds_pool
@@ -49,7 +56,7 @@ class PropagationReport:
 
 
 class FeedbackPropagator:
-    """Routes everything in the feedback store to every consumer."""
+    """Routes each item of the feedback store, once, to every consumer."""
 
     def __init__(
         self,
@@ -100,16 +107,31 @@ class FeedbackPropagator:
 
     # -- propagation passes ------------------------------------------------
 
-    def propagate(self, wrangled: Table | None = None) -> PropagationReport:
-        """Run every propagation pass and return what changed."""
+    def propagate(
+        self,
+        wrangled: Table | None = None,
+        items: Sequence[Feedback] | None = None,
+    ) -> PropagationReport:
+        """Fold ``items`` — feedback just added to the store; the whole
+        store when ``None`` — into every consumer and return what changed.
+
+        Each item is folded once: only the value cells and sources the
+        items judge are re-consolidated (over all their verdicts so far)
+        and observed, and each relevance item adds one annotation, so
+        propagating nothing new changes no belief.  Match evidence is
+        recomputed from the whole store: the matcher's channel replaces
+        it, it does not accumulate.
+        """
+        if items is None:
+            items = list(self.store)
         report = PropagationReport()
         report.worker_accuracy = self.worker_accuracies()
 
         if wrangled is not None:
-            self._propagate_values(wrangled, report)
+            self._propagate_values(wrangled, items, report)
         self._propagate_matches(report)
-        self._propagate_relevance(report)
-        self._propagate_wrappers(report)
+        self._propagate_relevance(items, report)
+        self._propagate_wrappers(items, report)
         if self.metrics is not None:
             self.metrics.counter("feedback.propagations").increment()
             self.metrics.counter("feedback.source_observations").increment(
@@ -126,10 +148,22 @@ class FeedbackPropagator:
             )
         return report
 
-    def _propagate_values(self, wrangled: Table, report: PropagationReport) -> None:
+    def _propagate_values(
+        self,
+        wrangled: Table,
+        fresh: Sequence[Feedback],
+        report: PropagationReport,
+    ) -> None:
         accuracy = report.worker_accuracy
+        touched = {
+            (item.entity, item.attribute)
+            for item in fresh
+            if isinstance(item, ValueFeedback)
+        }
         fused_by_rid = {record.rid: record for record in wrangled}
         for (entity, attribute), items in self.store.value_verdicts().items():
+            if (entity, attribute) not in touched:
+                continue
             record = fused_by_rid.get(entity)
             if record is None:
                 continue
@@ -172,9 +206,18 @@ class FeedbackPropagator:
             count = max(1, round(len(items) * abs(probability - 0.5) * 2))
             report.match_evidence[key] = [probability > 0.5] * count
 
-    def _propagate_relevance(self, report: PropagationReport) -> None:
+    def _propagate_relevance(
+        self, fresh: Sequence[Feedback], report: PropagationReport
+    ) -> None:
         accuracy = report.worker_accuracy
+        judged = Counter(
+            item.source_name
+            for item in fresh
+            if isinstance(item, RelevanceFeedback)
+        )
         for source, items in self.store.relevance_verdicts().items():
+            if source not in judged:
+                continue
             probability = self._consolidate(
                 [item.is_relevant for item in items],
                 [item.worker for item in items],
@@ -182,7 +225,7 @@ class FeedbackPropagator:
             )
             # One annotation per judgment: repeated feedback must be able to
             # outweigh the optimistic defaults other analyses wrote.
-            for __ in items:
+            for __ in range(judged[source]):
                 self.annotations.add(
                     QualityAnnotation(
                         f"source:{source}",
@@ -194,8 +237,11 @@ class FeedbackPropagator:
                 )
             report.relevance_annotations += 1
 
-    def _propagate_wrappers(self, report: PropagationReport) -> None:
-        for item in self.store.of_type(ExtractionFeedback):
-            report.wrapper_observations.setdefault(item.wrapper_id, []).append(
-                item.is_correct
-            )
+    def _propagate_wrappers(
+        self, fresh: Sequence[Feedback], report: PropagationReport
+    ) -> None:
+        for item in fresh:
+            if isinstance(item, ExtractionFeedback):
+                report.wrapper_observations.setdefault(
+                    item.wrapper_id, []
+                ).append(item.is_correct)

@@ -81,10 +81,6 @@ class Value:
             self.provenance.derive(step, ref),
         )
 
-    def same_raw(self, other: "Value") -> bool:
-        """Payload equality, ignoring annotations."""
-        return self.raw == other.raw
-
     def __str__(self) -> str:
         return "" if self.raw is None else str(self.raw)
 

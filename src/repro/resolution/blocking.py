@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.errors import ResolutionError
 from repro.matching.similarity import token_set
-from repro.model.records import Table
+from repro.model.records import Record, Table
 
 if TYPE_CHECKING:  # typing only: blocking never requires a live registry
     from repro.obs import MetricsRegistry
@@ -117,6 +117,24 @@ def _emit_dropped(
     metrics.counter("blocking.dropped_members").increment(members)
 
 
+def _blocking_tokens(
+    record: Record, attributes: Sequence[str], min_token_length: int
+) -> set[str]:
+    """The tokens a record is blocked on: every token of at least
+    ``min_token_length`` characters in its non-missing blocking values."""
+    tokens: set[str] = set()
+    for attribute in attributes:
+        value = record.get(attribute)
+        if value.is_missing:
+            continue
+        tokens |= {
+            token
+            for token in token_set(str(value.raw))
+            if len(token) >= min_token_length
+        }
+    return tokens
+
+
 def token_blocking(
     table: Table,
     attributes: Sequence[str],
@@ -134,17 +152,7 @@ def token_blocking(
     """
     blocks: dict[str, list[int]] = {}
     for index, record in enumerate(table.records):
-        tokens: set[str] = set()
-        for attribute in attributes:
-            value = record.get(attribute)
-            if value.is_missing:
-                continue
-            tokens |= {
-                token
-                for token in token_set(str(value.raw))
-                if len(token) >= min_token_length
-            }
-        for token in tokens:
+        for token in _blocking_tokens(record, attributes, min_token_length):
             blocks.setdefault(token, []).append(index)
 
     chunks: list[np.ndarray] = []
@@ -230,24 +238,16 @@ def _token_ids(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-record token hashes as (flat ids, CSR-style indptr).
 
-    Tokens are drawn exactly as in :func:`token_blocking` and hashed to
-    stable 64-bit ids with blake2b — deterministic across processes and
-    platforms, unlike the salted builtin ``hash``.
+    Tokens are :func:`_blocking_tokens`, as in :func:`token_blocking`,
+    hashed to stable 64-bit ids with blake2b — deterministic across
+    processes and platforms, unlike the salted builtin ``hash``.
     """
     flat: list[int] = []
     indptr = np.zeros(len(table) + 1, dtype=np.intp)
     for index, record in enumerate(table.records):
-        tokens: set[str] = set()
-        for attribute in attributes:
-            value = record.get(attribute)
-            if value.is_missing:
-                continue
-            tokens |= {
-                token
-                for token in token_set(str(value.raw))
-                if len(token) >= min_token_length
-            }
-        for token in sorted(tokens):
+        for token in sorted(
+            _blocking_tokens(record, attributes, min_token_length)
+        ):
             digest = hashlib.blake2b(
                 token.encode("utf-8"), digest_size=8
             ).digest()

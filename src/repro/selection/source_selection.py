@@ -215,19 +215,16 @@ class SourceSelector:
         """
         profiles = []
         for source in registry:
-            target = f"source:{source.name}"
-            reliability = registry.reliability(source.name).mean
-            accuracy = 0.5 * reliability + 0.5 * annotations.score(
-                target, Dimension.ACCURACY, default=reliability
-            )
             coverage = annotations.score(
-                target, Dimension.COMPLETENESS, default=coverage_default
+                f"source:{source.name}",
+                Dimension.COMPLETENESS,
+                default=coverage_default,
             )
             profiles.append(
                 SourceProfile(
                     source.name,
                     coverage,
-                    accuracy,
+                    registry.trust(source.name, annotations),
                     source.metadata.cost_per_access,
                 )
             )

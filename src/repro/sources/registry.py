@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import SourceError
+from repro.model.annotations import AnnotationStore, Dimension
 from repro.model.uncertainty import BetaReliability
 from repro.sources.base import DataSource, DocumentSource, StructuredSource
 
@@ -97,6 +98,17 @@ class SourceRegistry:
             name: posterior.mean
             for name, posterior in self._reliability.items()
         }
+
+    def trust(self, name: str, annotations: AnnotationStore) -> float:
+        """How far source ``name`` is trusted: its reliability posterior
+        blended half and half with its annotated accuracy (feedback and
+        quality analyses; the posterior when nothing is annotated).
+        Fusion weighs claims by it and source selection ranks by it."""
+        posterior = self.reliability(name).mean
+        annotated = annotations.score(
+            f"source:{name}", Dimension.ACCURACY, default=posterior
+        )
+        return 0.5 * posterior + 0.5 * annotated
 
     # -- accounting ---------------------------------------------------------
 

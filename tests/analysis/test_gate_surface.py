@@ -22,11 +22,12 @@ ANALYSIS_MD = Path(__file__).resolve().parents[2] / "docs" / "ANALYSIS.md"
 
 GATE_PARAMETERS = [
     "plan", "user", "data", "registry", "dataflow", "working",
-    "master_key", "date_attribute", "cost_budget", "discover_constraints",
+    "master_key", "date_attribute", "discover_constraints",
 ]
 
 RETIRED = {
-    "PV001", "PV002", "PV004", "TC010", "CC002", "CC003", "CC010",
+    "PV001", "PV002", "PV004", "TC010",
+    "CC002", "CC003", "CC005", "CC007", "CC010",
 }
 
 

@@ -125,11 +125,28 @@ class TestRep005PureLayerDeterminism:
         )
 
     def test_wall_clock_fires_in_quality(self):
+        # The clock read is REP011's, in the pure layers as everywhere.
         result = lint_source(
             "import datetime\nnow = datetime.datetime.now()\n",
             path="src/repro/quality/example.py",
         )
-        assert "REP005" in rule_ids(result)
+        assert rule_ids(result) == ["REP011"]
+
+    @pytest.mark.parametrize("layer", ["model", "quality"])
+    def test_no_line_carries_both_rep005_and_rep011(self, layer):
+        result = lint_source(
+            "import datetime\nimport random\n"
+            "now = datetime.datetime.now()\ntoday = datetime.date.today()\n",
+            path=f"src/repro/{layer}/example.py",
+        )
+        rules_by_line = {}
+        for finding in result.diagnostics:
+            rules_by_line.setdefault(finding.location.line, set()).add(
+                finding.rule
+            )
+        assert rules_by_line == {
+            2: {"REP005"}, 3: {"REP011"}, 4: {"REP011"},
+        }
 
     def test_random_fine_outside_pure_layers(self):
         result = lint_source("import random\n", path="src/repro/datagen/x.py")
@@ -460,6 +477,59 @@ class TestRep014NoSharedRng:
             path="src/repro/datagen/worlds.py",
         )
         assert "REP014" not in rule_ids(result)
+
+
+class TestImportForms:
+    """Each import form the clock, sleep and RNG rules resolve: the
+    ``(rule, line)`` findings are the ones the rules reported when each
+    built its own alias table."""
+
+    @pytest.mark.parametrize(
+        "path, source, expected",
+        [
+            (
+                "src/repro/core/example.py",
+                "import time as t\nt.sleep(1)\nstart = t.perf_counter()\n",
+                {("REP013", 2), ("REP011", 3)},
+            ),
+            (
+                "src/repro/core/example.py",
+                "from time import sleep as nap\nnap(1)\n",
+                {("REP013", 1), ("REP013", 2)},
+            ),
+            (
+                "src/repro/core/example.py",
+                "import datetime as _dt\ntoday = _dt.date.today()\n",
+                {("REP011", 2)},
+            ),
+            (
+                "src/repro/core/example.py",
+                "from datetime import datetime\nnow = datetime.now()\n",
+                {("REP011", 2)},
+            ),
+            (
+                "src/repro/core/example.py",
+                "import random as r\nx = r.choice([1, 2])\n",
+                {("REP014", 2)},
+            ),
+            (
+                "src/repro/core/example.py",
+                "from random import Random\nx = Random(7).choice([1, 2])\n",
+                set(),
+            ),
+            (
+                "src/repro/model/example.py",
+                "from random import Random\nx = Random(7).choice([1, 2])\n",
+                {("REP005", 1)},
+            ),
+        ],
+    )
+    def test_findings_per_import_form(self, path, source, expected):
+        result = lint_source(source, path=path)
+        assert {
+            (finding.rule, finding.location.line)
+            for finding in result.diagnostics
+        } == expected
 
 
 class TestSuppressionSyntax:

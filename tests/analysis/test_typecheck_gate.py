@@ -82,13 +82,15 @@ class TestRunValidateGate:
     def test_validate_true_rechecks_a_memoised_plan(self):
         wrangler = make_wrangler()
         assert len(wrangler.run().table) == 2
-        wrangler.budget(0.1)  # the memoised plan is now over budget
+        # A master-data key the data context holds no table for: the
+        # memoised plan's fusion prerequisite is now missing (PV007).
+        wrangler.master_key = "catalog"
         # The plan node is clean, so run() has nothing to compose or
         # gate; preflight() is the way to re-gate.
         assert len(wrangler.run().table) == 2
         with pytest.raises(PlanValidationError) as failure:
             wrangler.preflight().raise_on_error()
-        assert any(d.rule == "CC005" for d in failure.value.diagnostics)
+        assert any(d.rule == "PV007" for d in failure.value.diagnostics)
 
     def test_default_run_still_gates_fresh_plans(self):
         wrangler = make_wrangler()

@@ -1,12 +1,12 @@
 """A 16-tick feedback session, pinned end to end.
 
-The literals below were recorded at the commit *before* the ER threshold
-refit, value-verdict re-fusion, replan-profit check and quorum/deadline
-policy moved out of ``core/wrangler.py`` behind their layers: per tick
-the matched pairs with their confidences (they move whenever the fitted
-threshold does), the nodes the feedback invalidated and the running
-recompute count; at the end the wrangled table's fingerprint.  A move
-that changes any decision changes a literal.
+The literals below were recorded when ``apply_feedback`` began folding
+each feedback item into the source beliefs once (it used to re-observe
+every past value verdict and re-annotate every past relevance verdict on
+each call): per tick the matched pairs with their confidences (they move
+whenever the fitted threshold does), the nodes the feedback invalidated
+and the running recompute count; at the end the wrangled table's
+fingerprint.  A move that changes any decision changes a literal.
 
 The session is the quickstart world driven the way
 ``bench/workloads.py::FeedbackTicks`` drives it: one item per tick,
@@ -41,45 +41,46 @@ TICKS = 16
 
 #: Per pick seed: (matched-pairs digest, invalidated nodes,
 #: ``recompute_count()``) per tick, the final table fingerprint, and the
-#: ``Step.FEEDBACK`` refs on the final table.  Between them the seeds take
-#: every arm of the threshold ladder (0: all-negative, 7: mixed labels,
-#: 29: all-positive), both refs, and a replan that pays (9).
+#: ``Step.FEEDBACK`` refs on the final table.  Seed 0 refits the ER
+#: threshold on four mixed labels and ends with both refs; 7, 9 and 29
+#: reach a replan that pays (its re-acquisition gives the records new
+#: ids, so the duplicate labels judged before it no longer refit).
 EXPECTED = {0: {'ticks': [('0b96518e282f', ['fuse', 'select'], 42),
                ('0b96518e282f', ['resolve'], 45),
                ('0b96518e282f', ['match:retailer-02'], 54),
                ('0b96518e282f', ['select'], 59),
-               ('0b96518e282f', ['fuse', 'select'], 64),
-               ('0b96518e282f', ['resolve'], 67),
-               ('d89c091c9078', ['match:retailer-00'], 76),
-               ('d89c091c9078', ['select'], 81),
+               ('1dc7b7eccd9c', ['fuse', 'select'], 64),
+               ('1dc7b7eccd9c', ['resolve'], 67),
+               ('1dc7b7eccd9c', ['match:retailer-00'], 76),
+               ('1dc7b7eccd9c', ['select'], 81),
                ('8a1ffbd0e80b', ['fuse', 'select'], 86),
                ('8a1ffbd0e80b', ['resolve'], 89),
                ('8a1ffbd0e80b', ['match:retailer-04'], 98),
                ('8a1ffbd0e80b', ['select'], 103),
-               ('c47202f6a3bf', ['fuse', 'select'], 108),
-               ('006bce0cf912', ['resolve'], 111),
+               ('d89c091c9078', ['fuse', 'select'], 108),
+               ('04497ff1feb6', ['resolve'], 111),
                ('04497ff1feb6', ['match:retailer-05'], 120),
                ('04497ff1feb6', ['select'], 125)],
-     'fingerprint': '4b75ec8a4d8347ef69b34115243a4a3470ef054239f271f3662764d246c67d79',
+     'fingerprint': '346fe4a7480d22f6f19ba69d74537523c613e4a70baeb632abfa0451afff724f',
      'feedback_refs': ['rejected-value', 'user-correction']},
  7: {'ticks': [('0b96518e282f', ['fuse', 'select'], 42),
                ('0b96518e282f', ['resolve'], 45),
                ('0b96518e282f', ['match:retailer-02'], 54),
                ('0b96518e282f', ['select'], 59),
-               ('0b96518e282f', ['fuse', 'select'], 64),
-               ('0b96518e282f', ['resolve'], 67),
-               ('d89c091c9078', ['match:retailer-00'], 76),
-               ('d89c091c9078', ['select'], 81),
-               ('d89c091c9078', ['fuse', 'select'], 86),
-               ('d89c091c9078', ['resolve'], 89),
-               ('d89c091c9078', ['match:retailer-04'], 98),
-               ('d89c091c9078', ['select'], 103),
-               ('d89c091c9078', ['fuse', 'select'], 108),
-               ('09ed2a4efffc', ['resolve'], 111),
-               ('15d3c1a32349', ['match:retailer-05'], 120),
-               ('15d3c1a32349', ['select'], 125)],
-     'fingerprint': '5885baf74238b512b553448c34bd3b5197dbb6138f3ff9d1376dc9d0432cad48',
-     'feedback_refs': ['rejected-value', 'user-correction']},
+               ('1dc7b7eccd9c', ['fuse', 'select'], 64),
+               ('1dc7b7eccd9c', ['resolve'], 67),
+               ('1dc7b7eccd9c', ['match:retailer-00'], 76),
+               ('1dc7b7eccd9c', ['select'], 81),
+               ('a2e120142fb0', ['fuse', 'select'], 86),
+               ('a2e120142fb0', ['resolve'], 89),
+               ('a2e120142fb0', ['match:retailer-04'], 98),
+               ('a2e120142fb0', ['select'], 103),
+               ('a4ad09d3eec3', ['fuse', 'plan', 'select'], 139),
+               ('a4ad09d3eec3', ['resolve'], 142),
+               ('a4ad09d3eec3', ['match:retailer-05'], 151),
+               ('a4ad09d3eec3', ['select'], 156)],
+     'fingerprint': 'd2f7cbc1572b36e4b048f7c3f8093e206f67a58878b3a37bf6627b87eb2b78d1',
+     'feedback_refs': []},
  9: {'ticks': [('bcb08fa842dd', ['fuse', 'select'], 42),
                ('bcb08fa842dd', ['resolve'], 45),
                ('bcb08fa842dd', ['match:retailer-02'], 54),
@@ -92,30 +93,30 @@ EXPECTED = {0: {'ticks': [('0b96518e282f', ['fuse', 'select'], 42),
                ('7df59ed67346', ['resolve'], 120),
                ('7df59ed67346', ['match:retailer-01'], 129),
                ('7df59ed67346', ['select'], 134),
-               ('7df59ed67346', ['fuse', 'select'], 139),
-               ('7df59ed67346', ['resolve'], 142),
+               ('b6bffe816ecb', ['fuse', 'select'], 139),
+               ('b6bffe816ecb', ['resolve'], 142),
                ('b6bffe816ecb', ['match:retailer-02'], 151),
                ('b6bffe816ecb', ['select'], 156)],
-     'fingerprint': '9b89e5b229900abb2ee63a0fc3d3bff4f58fbf69fdc1ba5e4973465f5e5f2bb5',
+     'fingerprint': '976714e6490873eb666f5971cac4c409a24e0a61405fe7ee42436c69f303da2e',
      'feedback_refs': ['rejected-value']},
  29: {'ticks': [('d89c091c9078', ['fuse', 'select'], 42),
                 ('d89c091c9078', ['resolve'], 45),
                 ('d89c091c9078', ['match:retailer-02'], 54),
                 ('d89c091c9078', ['select'], 59),
-                ('d89c091c9078', ['fuse', 'select'], 64),
-                ('d89c091c9078', ['resolve'], 67),
-                ('d89c091c9078', ['match:retailer-00'], 76),
-                ('d89c091c9078', ['select'], 81),
-                ('d89c091c9078', ['fuse', 'select'], 86),
-                ('d89c091c9078', ['resolve'], 89),
-                ('d89c091c9078', ['match:retailer-04'], 98),
-                ('d89c091c9078', ['select'], 103),
-                ('d89c091c9078', ['fuse', 'select'], 108),
-                ('70851250f7c5', ['resolve'], 111),
-                ('0fdd863c2135', ['match:retailer-05'], 120),
-                ('0fdd863c2135', ['select'], 125)],
-      'fingerprint': '48fbe0d755ef417e342290110522ff3f145d31eef05a232cf71dab2ed785da65',
-      'feedback_refs': ['user-correction']}}
+                ('1dc7b7eccd9c', ['fuse', 'select'], 64),
+                ('1dc7b7eccd9c', ['resolve'], 67),
+                ('1dc7b7eccd9c', ['match:retailer-00'], 76),
+                ('1dc7b7eccd9c', ['select'], 81),
+                ('56760a284b1c', ['fuse', 'select'], 86),
+                ('56760a284b1c', ['resolve'], 89),
+                ('56760a284b1c', ['match:retailer-04'], 98),
+                ('56760a284b1c', ['select'], 103),
+                ('a4ad09d3eec3', ['fuse', 'plan', 'select'], 139),
+                ('a4ad09d3eec3', ['resolve'], 142),
+                ('a4ad09d3eec3', ['match:retailer-05'], 151),
+                ('a4ad09d3eec3', ['select'], 156)],
+      'fingerprint': '200c8d7a6c9100abf681ffdb6ddf5c91602bd1b631974bc15e00463a7a06ad6e',
+      'feedback_refs': []}}
 
 
 def _quickstart():

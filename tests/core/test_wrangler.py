@@ -272,6 +272,27 @@ class TestPayAsYouGo:
         )
         assert score < 0.5
 
+    def test_each_feedback_item_is_folded_once(self, world):
+        wrangler = make_wrangler(world)
+        result = wrangler.run()
+        record = result.table[0]
+        wrangler.apply_feedback(
+            [
+                ValueFeedback(entity=record.rid, attribute="price",
+                              is_correct=False),
+                RelevanceFeedback(source_name=next(iter(world.source_rows)),
+                                  is_relevant=True),
+            ]
+        )
+        wrangler.run()
+        beliefs = wrangler.registry.reliability_scores()
+        annotations = len(wrangler.working.annotations)
+        # Nothing new to propagate: no source is re-observed and no
+        # relevance judgment is annotated a second time.
+        wrangler.apply_feedback([])
+        assert wrangler.registry.reliability_scores() == beliefs
+        assert len(wrangler.working.annotations) == annotations
+
 
 class TestPlanner:
     def test_planner_rationale_covers_decisions(self, world):

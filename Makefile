@@ -56,11 +56,14 @@ bench-gate:
 	$(PYTHON) -m repro.analysis ratchet --baseline benchmarks/.ratchet --fresh benchmarks/results --tolerance 0.5 --check-baselines benchmarks
 	$(PYTHON) -m repro.analysis lint benchmarks --select REP015
 
-# One small benchmark end to end, then schema-check the telemetry it
+# Two small benchmarks end to end, then schema-check the telemetry they
 # emitted: catches drift between the benchmarks and the repro.obs schema.
+# E6 also asserts that relevance and duplicate feedback which move
+# nothing are cut off after at most three recomputed nodes.
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_e10_repair.py -q -p no:cacheprovider
+	$(PYTHON) -m pytest benchmarks/bench_e10_repair.py benchmarks/bench_e6_incremental.py -q -p no:cacheprovider
 	$(PYTHON) -m repro.obs.report benchmarks/results/E10-repair.telemetry.json --validate-only
+	$(PYTHON) -m repro.obs.report benchmarks/results/E6-incremental.telemetry.json --validate-only
 
 # The chaos harness end to end: the resilience benchmark (seeded fault
 # injection through a full Wrangler.run), its telemetry schema-checked,

@@ -104,6 +104,9 @@ OPERATORS: Mapping[str, Operator] = {
             "translate", "mapping",
             infer=schema.infer_target, estimate=cost.translate_estimate,
         ),
+        # The ER rule duplicate feedback leaves the plan's threshold at:
+        # control state, estimated like the plan itself.
+        Operator("refit", "resolution", estimate=cost.plan_estimate),
         Operator(
             "resolve", "resolution",
             schema.check_resolve, schema.passthrough,
@@ -163,7 +166,8 @@ def pipeline_shape(
         "select",
         *(f"mapped:{name}" for name in source_names),
     )
-    dependencies["resolve"] = ("translate", "plan")
+    dependencies["refit"] = ("translate", "plan")
+    dependencies["resolve"] = ("translate", "plan", "refit")
     dependencies["fuse"] = ("resolve", "plan")
     dependencies["repair"] = ("fuse", "plan")
     return dependencies

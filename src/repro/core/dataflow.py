@@ -9,8 +9,19 @@ The engine is a DAG of named nodes.  Each node's compute function reads
 the values of its dependencies; results are memoised and only recomputed
 when a dependency (or the node itself) has been invalidated.  Feedback
 handlers invalidate exactly the nodes a feedback type touches, and the
-next ``pull`` re-runs only the dirty cone — the recompute counter is what
-experiment E6 reports.
+next ``pull`` re-runs only what that changes — the recompute counter is
+what experiment E6 reports.
+
+**Early cutoff.**  ``invalidate(name)`` *forces* ``name`` and merely
+dirties its downstream cone.  A sweep keeps a revision counter; every
+node records the revision its value last changed at (``changed_at``) and
+the one it was last brought up to date at (``verified_at``).  A forced
+node always runs.  A dirty, unforced node runs only if some dependency
+changed after its ``verified_at``; otherwise it is marked clean without
+running — a *cutoff* (``dataflow.nodes_cutoff``).  A recomputed node
+counts as changed unless its new value is the old object or equals it
+type-strictly (:func:`same_value`), so propagation stops where a node's
+output stops changing.
 
 Every evaluation is observable: nodes carry hit/run/invalidation counters
 and accumulated compute seconds, and a :class:`~repro.obs.Telemetry`
@@ -23,6 +34,8 @@ requested — silent stale reads were a bug, not a feature.
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
@@ -31,7 +44,48 @@ import networkx as nx
 from repro.errors import DataflowError, StaleValueError
 from repro.obs import Telemetry
 
-__all__ = ["Dataflow"]
+__all__ = ["Dataflow", "same_value"]
+
+
+def same_value(old: Any, new: Any) -> bool:
+    """Whether ``new`` may stand in for ``old`` without re-running anything
+    that read ``old``: the same object, or equal *type-strictly*.
+
+    Plain ``==`` is not enough — ``1 == 1.0 == True`` and ``0.0 == -0.0``
+    in Python, and :class:`~repro.model.values.Value` equality inherits
+    that — so types must match at every level, floats must agree in sign,
+    and NaN is never the same as anything (itself included).  Lists,
+    tuples, dicts (in order), sets and dataclasses are compared element
+    by element, field by field; any other object by its own ``==``
+    (identity, unless its type says otherwise).  Identity short-circuits
+    every level, which keeps a table of memoised records as cheap to
+    compare as its record list.
+    """
+    if type(old) is not type(new):
+        return False
+    if isinstance(old, float):
+        return old == new and math.copysign(1.0, old) == math.copysign(1.0, new)
+    if old is new:
+        return True
+    if isinstance(old, (list, tuple)):
+        return len(old) == len(new) and all(
+            same_value(a, b) for a, b in zip(old, new)
+        )
+    if isinstance(old, dict):
+        return len(old) == len(new) and all(
+            same_value(ka, kb) and same_value(va, vb)
+            for (ka, va), (kb, vb) in zip(old.items(), new.items())
+        )
+    if isinstance(old, (set, frozenset)):
+        return len(old) == len(new) and all(
+            any(same_value(a, b) for b in new if a == b) for a in old
+        )
+    if dataclasses.is_dataclass(old):
+        return all(
+            same_value(getattr(old, f.name), getattr(new, f.name))
+            for f in dataclasses.fields(old)
+        )
+    return bool(old == new)
 
 
 @dataclass
@@ -42,8 +96,16 @@ class _Node:
     stage: str | None = None
     value: Any = None
     clean: bool = False
+    #: Must run on its next sweep (never computed, or invalidated itself);
+    #: a node that is merely downstream of a change is dirty, not forced.
+    forced: bool = True
+    #: The revision the value last changed at, and the one the node was
+    #: last brought up to date at (run or cut off).
+    changed_at: int = 0
+    verified_at: int = 0
     runs: int = 0
     hits: int = 0
+    cutoffs: int = 0
     invalidations: int = 0
     seconds: float = 0.0
     #: Predicted compute-seconds from the static cost model, or ``None``
@@ -53,10 +115,12 @@ class _Node:
 
 
 class Dataflow:
-    """A pull-based, memoising dataflow DAG (it takes no compute observers)."""
+    """A pull-based, memoising dataflow DAG with early cutoff."""
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
         self._nodes: dict[str, _Node] = {}
+        #: Bumped whenever a node's value changes (see :meth:`_settle`).
+        self._revision = 0
         self._graph = nx.DiGraph()
         #: Cached topological order; recomputed lazily after ``add``.
         self._order: list[str] | None = None
@@ -96,23 +160,23 @@ class Dataflow:
     def add_input(self, name: str, value: Any = None) -> str:
         """Add a leaf node holding an externally supplied value."""
         self.add(name, lambda inputs: None, stage="input")
-        node = self._nodes[name]
-        node.value = value
-        node.clean = True
+        self._settle(self._nodes[name], value)
         return name
 
     def set_input(self, name: str, value: Any) -> None:
-        """Replace an input's value, dirtying everything downstream."""
-        node = self._require(name)
-        node.value = value
-        node.clean = True
+        """Replace an input's value and dirty everything downstream; the
+        dependents re-run on their next pull only if ``value`` differs
+        from the old one (:func:`same_value`)."""
+        self._settle(self._require(name), value)
         self._dirty_descendants(name)
 
     # -- invalidation ------------------------------------------------------
 
     def invalidate(self, name: str) -> None:
-        """Mark a node (and its downstream cone) as needing recomputation."""
+        """Force a node to recompute on its next pull; its downstream cone
+        becomes dirty and re-runs only where an input actually changed."""
         node = self._require(name)
+        node.forced = True
         if node.clean:
             node.clean = False
             node.invalidations += 1
@@ -128,12 +192,14 @@ class Dataflow:
                 self._count("dataflow.invalidations")
 
     def invalidate_all(self) -> None:
-        """Mark every non-input node stale (full recompute on next pull)."""
+        """Force every non-input node (full recompute on next pull)."""
         for node in self._nodes.values():
-            if node.dependencies and node.clean:
-                node.clean = False
-                node.invalidations += 1
-                self._count("dataflow.invalidations")
+            if node.dependencies:
+                node.forced = True
+                if node.clean:
+                    node.clean = False
+                    node.invalidations += 1
+                    self._count("dataflow.invalidations")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -143,6 +209,17 @@ class Dataflow:
             self._order = list(nx.topological_sort(self._graph))
             self.topo_derivations += 1
         return self._order
+
+    def _settle(self, node: _Node, value: Any) -> None:
+        """Store a node's up-to-date value, recording a change (a new
+        revision) unless it is the :func:`same_value` as the old one."""
+        if not same_value(node.value, value):
+            self._revision += 1
+            node.changed_at = self._revision
+        node.value = value
+        node.verified_at = self._revision
+        node.clean = True
+        node.forced = False
 
     def _recompute(self, node: _Node) -> None:
         """Run one dirty node's compute function, timed and counted."""
@@ -158,7 +235,7 @@ class Dataflow:
                 stage=node.stage,
             ):
                 started = clock.current_time()
-                node.value = node.compute(inputs)
+                value = node.compute(inputs)
                 elapsed = clock.current_time() - started
             self.telemetry.metrics.histogram(
                 "dataflow.compute_seconds"
@@ -166,17 +243,29 @@ class Dataflow:
             self.telemetry.metrics.counter("dataflow.misses").increment()
         else:
             elapsed = 0.0
-            node.value = node.compute(inputs)
+            value = node.compute(inputs)
         node.seconds += elapsed
-        node.clean = True
         node.runs += 1
+        self._settle(node, value)
 
     def _sweep(self, names: Iterable[str]) -> None:
-        """Recompute the dirty nodes among ``names`` (topological order)."""
+        """Bring the dirty nodes among ``names`` (topological order) up to
+        date: run the forced ones and those an input changed under, cut
+        off the rest."""
         for name in names:
             node = self._nodes[name]
-            if not node.clean:
+            if node.clean:
+                continue
+            if node.forced or any(
+                self._nodes[dependency].changed_at > node.verified_at
+                for dependency in node.dependencies
+            ):
                 self._recompute(node)
+            else:
+                node.clean = True
+                node.verified_at = self._revision
+                node.cutoffs += 1
+                self._count("dataflow.nodes_cutoff")
 
     def pull(self, name: str) -> Any:
         """The node's current value, recomputing only the dirty cone.
@@ -200,10 +289,10 @@ class Dataflow:
     def pull_all(self) -> None:
         """Bring every node up to date in a single topological sweep.
 
-        Equivalent to pulling each node in turn — the per-node ``runs``
-        and ``hits`` counters come out identical — but does one pass over
-        the cached order instead of re-deriving ancestors and a fresh
-        topological sort per node.
+        Equivalent to pulling each node in turn — the per-node ``runs``,
+        ``hits`` and ``cutoffs`` counters come out identical — but does
+        one pass over the cached order instead of re-deriving ancestors
+        and a fresh topological sort per node.
         """
         dirty: list[str] = []
         for name in self._topo_order():
@@ -271,6 +360,11 @@ class Dataflow:
         """How many times the node has been computed."""
         return self._require(name).runs
 
+    def verifications(self, name: str) -> int:
+        """How many times the node was brought up to date: run or cut off."""
+        node = self._require(name)
+        return node.runs + node.cutoffs
+
     def total_runs(self) -> int:
         """Total node computations across the graph's lifetime."""
         return sum(node.runs for node in self._nodes.values())
@@ -291,6 +385,7 @@ class Dataflow:
             name: {
                 "runs": node.runs,
                 "hits": node.hits,
+                "cutoffs": node.cutoffs,
                 "invalidations": node.invalidations,
                 "seconds": node.seconds,
                 "stage": node.stage,

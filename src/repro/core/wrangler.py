@@ -63,7 +63,7 @@ from repro.resilience import (
     arm_run_deadline,
     resilient,
 )
-from repro.resolution.comparison import ScoringContext, profiled_comparator
+from repro.resolution.comparison import profiled_comparator
 from repro.resolution.er import EntityResolver, refit_rule
 from repro.sources.base import (
     PROBE_COST_FRACTION,
@@ -75,6 +75,13 @@ from repro.sources.registry import SourceRegistry
 from repro.model.workingdata import WorkingData, content_digest
 
 __all__ = ["Wrangler"]
+
+#: The nodes whose bodies read source beliefs — annotations and registry
+#: trust — outside their ``inputs``.  A stage body that writes a belief
+#: forces them (:meth:`Wrangler._beliefs_moved`), so early cutoff never
+#: leaves them on beliefs that have since moved.
+BELIEF_READERS = ("select", "fuse")
+
 
 class Wrangler:
     """Context-aware, pay-as-you-go wrangling over registered sources."""
@@ -132,7 +139,7 @@ class Wrangler:
         #: checkpointed run executes (None otherwise).
         self._ingest_log = None
         self.history = SnapshotHistory()
-        self._recorded_fuse_runs = -1
+        self._recorded_verifications = -1
 
     # -- source management ------------------------------------------------
 
@@ -341,6 +348,13 @@ class Wrangler:
                 confidence=confidence, origin=origin,
             )
         )
+        self._beliefs_moved()
+
+    def _beliefs_moved(self) -> None:
+        """Force the :data:`BELIEF_READERS`: a source belief was written."""
+        if self._flow is not None:
+            for node in BELIEF_READERS:
+                self._flow.invalidate(node)
 
     # -- stage bodies: ``_stage_<kind>`` computes one node of that kind -----
     #
@@ -399,6 +413,7 @@ class Wrangler:
                     name, Dimension.ACCURACY, 0.1, 0.5, "probe-failure"
                 )
         self.working.put("report", "probes", reports)
+        self._beliefs_moved()
         return reports
 
     def _stage_plan(self, inputs: dict[str, Any]) -> WranglePlan:
@@ -466,6 +481,7 @@ class Wrangler:
     def _stage_quality(self, name: str, inputs: dict[str, Any]) -> object:
         report = self._assess(inputs[f"mapped:{name}"], f"source:{name}")
         self.working.put("report", f"source/{name}", report)
+        self._beliefs_moved()
         return report
 
     def _stage_select(self, inputs: dict[str, Any]) -> list:
@@ -494,24 +510,32 @@ class Wrangler:
         self.working.put("table", "translated", translated)
         return translated
 
-    def _stage_resolve(self, inputs: dict[str, Any]):
-        translated, plan = inputs["translate"], inputs["plan"]
-        comparator = profiled_comparator(
+    def _comparator(self, translated: Table, plan: WranglePlan):
+        """The comparator ER decides with over ``translated``."""
+        return profiled_comparator(
             self.user.target_schema,
             translated,
             attributes=list(plan.er_attributes) or None,
         )
-        # Duplicate feedback refits the plan's threshold on the pairs it
-        # labelled, scored by the comparator the resolver decides with —
-        # and off the same score tables, which go when this stage returns.
-        scores = ScoringContext(comparator)
-        rule = refit_rule(
-            plan.er_threshold, scores, translated,
+
+    def _stage_refit(self, inputs: dict[str, Any]):
+        """The plan's ER threshold refitted on the duplicate-labelled
+        pairs, scored by the comparator the resolver decides with.  Its
+        own node, so a verdict that leaves the rule where it was stops
+        here instead of re-resolving."""
+        translated, plan = inputs["translate"], inputs["plan"]
+        return refit_rule(
+            plan.er_threshold,
+            self._comparator(translated, plan),
+            translated,
             self.feedback.duplicate_labels(),
         )
+
+    def _stage_resolve(self, inputs: dict[str, Any]):
+        translated, plan = inputs["translate"], inputs["plan"]
         resolver = EntityResolver(
-            comparator=scores,
-            rule=rule,
+            comparator=self._comparator(translated, plan),
+            rule=inputs["refit"],
             metrics=self.telemetry.metrics,
         )
         result = resolver.resolve(translated)
@@ -541,13 +565,11 @@ class Wrangler:
         # Value feedback is folded into the fused data itself: a cell its
         # judges rejected takes their correction, or is re-fused without
         # the rejected claims.
-        fused = fuser.apply_verdicts(
+        return fuser.apply_verdicts(
             fuser.fuse(resolution.clusters),
             resolution.clusters,
             self.feedback.rejected_values(),
         )
-        self.working.put("table", "wrangled", fused)
-        return fused
 
     def _stage_repair(self, inputs: dict[str, Any]):
         fused, plan = inputs["fuse"], inputs["plan"]
@@ -567,9 +589,7 @@ class Wrangler:
             )
         if not plan.run_repair or not constraints:
             return None
-        result = repair_table(fused, constraints)
-        self.working.put("table", "wrangled", result.table)
-        return result
+        return repair_table(fused, constraints)
 
     # -- dataflow assembly ----------------------------------------------------
 
@@ -661,6 +681,9 @@ class Wrangler:
                 wrangled = (
                     repair_result.table if repair_result is not None else fused
                 )
+                # Filed here, not by fuse or repair: either may be cut off
+                # while the other re-runs.
+                self.working.put("table", "wrangled", wrangled)
                 with self.telemetry.tracer.span(
                     "quality:wrangled", stage="quality"
                 ):
@@ -670,12 +693,13 @@ class Wrangler:
                 run_span.set_attribute(
                     "nodes_recomputed", flow.total_runs() - runs_before
                 )
-            # Velocity monitoring: snapshot the wrangled data whenever it
-            # was actually recomputed, so consecutive runs are diffable.
-            produced = flow.runs("fuse") + flow.runs("repair")
-            if produced != self._recorded_fuse_runs:
+            # Velocity monitoring: snapshot the wrangled data whenever this
+            # run brought it up to date — recomputed or cut off as
+            # unchanged — so the latest diff is always this run's.
+            verified = flow.verifications("fuse") + flow.verifications("repair")
+            if verified != self._recorded_verifications:
                 self.history.record(wrangled)
-                self._recorded_fuse_runs = produced
+                self._recorded_verifications = verified
             if self.degradation is not None:
                 self.degradation.require_quorum(
                     self.registry.names(), self._quorum

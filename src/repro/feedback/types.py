@@ -188,7 +188,7 @@ DIRTIES: dict[type, tuple[tuple[str, ...], type | None]] = {
     # Reliabilities moved: fusion weights and source scores.
     ValueFeedback: (("fuse", "select"), None),
     MatchFeedback: (("match",), DataSource),
-    DuplicateFeedback: (("resolve",), None),
+    DuplicateFeedback: (("refit",), None),
     RelevanceFeedback: (("select",), None),
     ExtractionFeedback: (("acquire",), DocumentSource),
 }

@@ -64,6 +64,7 @@ def render_text(snapshot: Mapping[str, Any]) -> str:
             lines.append(
                 f"{name}  stage={stage} runs={stats.get('runs', 0)} "
                 f"hits={stats.get('hits', 0)} "
+                f"cutoffs={stats.get('cutoffs', 0)} "
                 f"invalidations={stats.get('invalidations', 0)} "
                 f"seconds={stats.get('seconds', 0.0):.6f}"
             )

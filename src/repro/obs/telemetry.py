@@ -15,14 +15,16 @@ Snapshot schema (version 1)::
       "metrics": {"counters": {...}, "gauges": {...},
                   "histograms": {name: {count,total,mean,p50,p95,max}}},
       "spans": [{name,start,end,duration,attributes,children:[...]}],
-      "dataflow": {"nodes": {name: {runs,hits,invalidations,seconds,
-                                    stage,clean,cost}}}
+      "dataflow": {"nodes": {name: {runs,hits,cutoffs,invalidations,
+                                    seconds,stage,clean,cost}}}
     }
 
-``cost`` is the static cost model's predicted seconds for the node (or
-null before certification) — a deterministic estimate, not a
-measurement.  Unknown per-node keys are ignored, so snapshots written
-by older versions, whose nodes carried more keys, keep validating.
+``cutoffs`` counts the sweeps that marked the node clean without
+running it (nothing it reads had changed).  ``cost`` is the static cost
+model's predicted seconds for the node (or null before certification) —
+a deterministic estimate, not a measurement.  Unknown per-node keys are
+ignored, so snapshots written by older versions, whose nodes carried
+more keys, keep validating.
 """
 
 from __future__ import annotations

@@ -222,8 +222,9 @@ class ScoringContext:
 
     Whoever builds the context owns its lifetime: ``EntityResolver.
     resolve`` wraps a plain comparator in a fresh one per call; a caller
-    scoring more pairs for the same resolve (the feedback threshold
-    refit) builds it first and passes it wherever the comparator goes.
+    scoring more pairs for the same resolve builds it first and passes it
+    wherever the comparator goes.  The wrangler's ``refit`` and
+    ``resolve`` nodes each get a fresh one: they run on different ticks.
     Nothing is module-level.  Only the plain classes are tabled (the
     rule the kernels compile by): a ``RecordComparator`` subclass or
     duck-typed comparator keeps its own ``vector``, a ``FieldComparator``

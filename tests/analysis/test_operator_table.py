@@ -69,7 +69,8 @@ class TestTableCompleteness:
                 "quality:shop", "quality:site",
             ),
             "translate": ("select", "mapped:shop", "mapped:site"),
-            "resolve": ("translate", "plan"),
+            "refit": ("translate", "plan"),
+            "resolve": ("translate", "plan", "refit"),
             "fuse": ("resolve", "plan"),
             "repair": ("fuse", "plan"),
         }

@@ -1,9 +1,13 @@
 """Tests for the incremental dataflow engine."""
 
+import math
+
 import pytest
 
-from repro.core.dataflow import Dataflow
+from repro.core.dataflow import Dataflow, same_value
 from repro.errors import DataflowError, StaleValueError
+from repro.model.schema import DataType
+from repro.model.values import Value
 from repro.obs import ManualClock, Telemetry
 
 
@@ -57,14 +61,31 @@ class TestEvaluation:
         assert flow.runs("d") == 2
 
     def test_invalidate_single_node_recomputes_cone_only(self):
-        flow = build_diamond()
+        scale = {"c": 10}
+        flow = Dataflow()
+        flow.add_input("a", 1)
+        flow.add("b", lambda inputs: inputs["a"] + 1, ("a",))
+        flow.add("c", lambda inputs: inputs["a"] * scale["c"], ("a",))
+        flow.add("d", lambda inputs: inputs["b"] + inputs["c"], ("b", "c"))
         flow.pull("d")
+        scale["c"] = 20
         flow.invalidate("c")
-        flow.pull("d")
+        assert flow.pull("d") == 2 + 20
         # b untouched, c and d recomputed
         assert flow.runs("b") == 1
         assert flow.runs("c") == 2
         assert flow.runs("d") == 2
+
+    def test_invalidate_cuts_off_where_the_value_does_not_change(self):
+        flow = build_diamond()
+        flow.pull("d")
+        flow.invalidate("c")
+        assert flow.pull("d") == 12
+        # c re-ran to the value it had, so d is marked clean unrun
+        assert flow.runs("c") == 2
+        assert flow.runs("d") == 1
+        assert flow.node_stats()["d"]["cutoffs"] == 1
+        assert flow.is_clean("d")
 
     def test_pull_all_and_dirty_nodes(self):
         flow = build_diamond()
@@ -219,3 +240,112 @@ class TestSweepComplexity:
         for name in pulled.nodes():
             pulled.pull(name)
         assert swept.node_stats() == pulled.node_stats()
+
+
+def build_echo(value):
+    """a -> b (echoes a) -> c (wraps b), with run counters."""
+    flow = Dataflow()
+    flow.add_input("a", value)
+    flow.add("b", lambda inputs: inputs["a"], ("a",))
+    flow.add("c", lambda inputs: ("seen", inputs["b"]), ("b",))
+    flow.pull("c")
+    return flow
+
+
+class TestEarlyCutoff:
+    """A node is cut off only when nothing it reads changed type-strictly."""
+
+    @pytest.mark.parametrize("old, new", [
+        (1, 1.0), (1, True), (0.0, -0.0), (1.0, 1), (True, 1),
+    ])
+    def test_a_cell_moving_only_in_type_or_sign_is_not_cut_off(
+        self, old, new
+    ):
+        assert old == new  # plain equality would have cut it off
+        flow = build_echo(old)
+        flow.set_input("a", new)
+        assert flow.pull("c") == ("seen", new)
+        assert flow.runs("b") == 2
+        assert flow.runs("c") == 2
+
+    def test_the_same_moves_inside_a_value_cell_are_changes(self):
+        assert Value(1, DataType.INTEGER) == Value(1.0, DataType.INTEGER)
+        flow = build_echo([Value(1, DataType.INTEGER)])
+        flow.set_input("a", [Value(1.0, DataType.INTEGER)])
+        flow.pull("c")
+        assert flow.runs("c") == 2
+
+    def test_nan_always_recomputes(self):
+        flow = build_echo(math.nan)
+        for runs in (2, 3):
+            flow.set_input("a", math.nan)   # the very same object
+            flow.pull("c")
+            assert flow.runs("c") == runs
+
+    def test_an_equal_value_is_cut_off(self):
+        flow = build_echo([1, "x", {"k": 2.5}])
+        flow.set_input("a", [1, "x", {"k": 2.5}])
+        flow.pull("c")
+        stats = flow.node_stats()
+        assert [stats[n]["runs"] for n in "bc"] == [1, 1]
+        assert [stats[n]["cutoffs"] for n in "bc"] == [1, 1]
+        flow.invalidate("b")      # forced, re-runs to the same value
+        flow.pull("c")
+        assert flow.runs("b") == 2
+        assert flow.runs("c") == 1
+
+    def test_a_forced_node_runs_though_nothing_it_reads_changed(self):
+        flow = build_echo(1)
+        flow.invalidate("c")
+        flow.pull("c")
+        assert flow.runs("b") == 1
+        assert flow.runs("c") == 2
+
+    def test_a_change_pulled_earlier_still_reaches_a_node_pulled_later(self):
+        flow = build_diamond()
+        flow.pull("d")
+        flow.set_input("a", 2)
+        assert flow.pull("b") == 3     # a's change is consumed here ...
+        assert flow.pull("d") == 3 + 20  # ... and still re-runs c and d
+        assert flow.runs("c") == 2
+        assert flow.runs("d") == 2
+        assert flow.node_stats()["d"]["cutoffs"] == 0
+
+    def test_pull_all_and_pull_cut_off_the_same_nodes(self):
+        swept, pulled = build_diamond(), build_diamond()
+        swept.pull_all()
+        for name in pulled.nodes():
+            pulled.pull(name)
+        for flow in (swept, pulled):
+            flow.invalidate("b")
+            flow.invalidate("c")
+        swept.pull_all()
+        for name in pulled.nodes():
+            pulled.pull(name)
+        assert swept.node_stats() == pulled.node_stats()
+        assert swept.node_stats()["d"]["cutoffs"] == 1
+
+    def test_cutoffs_are_counted_in_telemetry(self):
+        telemetry = Telemetry(clock=ManualClock())
+        flow = Dataflow(telemetry=telemetry)
+        flow.add_input("a", 1)
+        flow.add("b", lambda inputs: inputs["a"] % 2, ("a",))
+        flow.add("c", lambda inputs: inputs["b"] + 1, ("b",))
+        flow.pull("c")
+        flow.set_input("a", 3)
+        assert flow.pull("c") == 2
+        counters = telemetry.metrics.snapshot()["counters"]
+        assert counters["dataflow.nodes_cutoff"] == 1
+        assert len(telemetry.tracer.find("dataflow:c")) == 1
+
+    @pytest.mark.parametrize("old, new, same", [
+        ((1, 2), (1, 2), True),
+        ((1, 2), [1, 2], False),
+        ({"a": 1, "b": 2}, {"b": 2, "a": 1}, False),   # order is content
+        ({1, 2}, {2, 1}, True),
+        ({1}, {1.0}, False),
+        (None, None, True),
+        ("x", "x", True),
+    ])
+    def test_same_value(self, old, new, same):
+        assert same_value(old, new) is same

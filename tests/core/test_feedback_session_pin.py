@@ -6,7 +6,10 @@ every past value verdict and re-annotate every past relevance verdict on
 each call): per tick the matched pairs with their confidences (they move
 whenever the fitted threshold does), the nodes the feedback invalidated
 and the running recompute count; at the end the wrangled table's
-fingerprint.  A move that changes any decision changes a literal.
+fingerprint.  A move that changes any decision changes a literal.  The
+invalidated lists and recompute counts were re-recorded when the
+dataflow gained early cutoff and duplicate feedback its own ``refit``
+node; every digest, fingerprint and ref stayed as recorded.
 
 The session is the quickstart world driven the way
 ``bench/workloads.py::FeedbackTicks`` drives it: one item per tick,
@@ -45,76 +48,76 @@ TICKS = 16
 #: threshold on four mixed labels and ends with both refs; 7, 9 and 29
 #: reach a replan that pays (its re-acquisition gives the records new
 #: ids, so the duplicate labels judged before it no longer refit).
-EXPECTED = {0: {'ticks': [('0b96518e282f', ['fuse', 'select'], 42),
-               ('0b96518e282f', ['resolve'], 45),
-               ('0b96518e282f', ['match:retailer-02'], 54),
-               ('0b96518e282f', ['select'], 59),
-               ('1dc7b7eccd9c', ['fuse', 'select'], 64),
-               ('1dc7b7eccd9c', ['resolve'], 67),
-               ('1dc7b7eccd9c', ['match:retailer-00'], 76),
-               ('1dc7b7eccd9c', ['select'], 81),
-               ('8a1ffbd0e80b', ['fuse', 'select'], 86),
-               ('8a1ffbd0e80b', ['resolve'], 89),
-               ('8a1ffbd0e80b', ['match:retailer-04'], 98),
-               ('8a1ffbd0e80b', ['select'], 103),
-               ('d89c091c9078', ['fuse', 'select'], 108),
-               ('04497ff1feb6', ['resolve'], 111),
-               ('04497ff1feb6', ['match:retailer-05'], 120),
-               ('04497ff1feb6', ['select'], 125)],
+EXPECTED = {0: {'ticks': [('0b96518e282f', ['fuse', 'select'], 44),
+               ('0b96518e282f', ['refit'], 45),
+               ('0b96518e282f', ['match:retailer-02'], 55),
+               ('0b96518e282f', ['select'], 57),
+               ('1dc7b7eccd9c', ['fuse', 'select'], 63),
+               ('1dc7b7eccd9c', ['refit'], 64),
+               ('1dc7b7eccd9c', ['match:retailer-00'], 74),
+               ('1dc7b7eccd9c', ['select'], 76),
+               ('8a1ffbd0e80b', ['fuse', 'select'], 82),
+               ('8a1ffbd0e80b', ['refit'], 83),
+               ('8a1ffbd0e80b', ['match:retailer-04'], 93),
+               ('8a1ffbd0e80b', ['select'], 95),
+               ('d89c091c9078', ['fuse', 'select'], 101),
+               ('04497ff1feb6', ['refit'], 105),
+               ('04497ff1feb6', ['match:retailer-05'], 115),
+               ('04497ff1feb6', ['select'], 117)],
      'fingerprint': '346fe4a7480d22f6f19ba69d74537523c613e4a70baeb632abfa0451afff724f',
      'feedback_refs': ['rejected-value', 'user-correction']},
- 7: {'ticks': [('0b96518e282f', ['fuse', 'select'], 42),
-               ('0b96518e282f', ['resolve'], 45),
-               ('0b96518e282f', ['match:retailer-02'], 54),
-               ('0b96518e282f', ['select'], 59),
-               ('1dc7b7eccd9c', ['fuse', 'select'], 64),
-               ('1dc7b7eccd9c', ['resolve'], 67),
-               ('1dc7b7eccd9c', ['match:retailer-00'], 76),
-               ('1dc7b7eccd9c', ['select'], 81),
-               ('a2e120142fb0', ['fuse', 'select'], 86),
-               ('a2e120142fb0', ['resolve'], 89),
-               ('a2e120142fb0', ['match:retailer-04'], 98),
-               ('a2e120142fb0', ['select'], 103),
-               ('a4ad09d3eec3', ['fuse', 'plan', 'select'], 139),
-               ('a4ad09d3eec3', ['resolve'], 142),
-               ('a4ad09d3eec3', ['match:retailer-05'], 151),
-               ('a4ad09d3eec3', ['select'], 156)],
+ 7: {'ticks': [('0b96518e282f', ['fuse', 'select'], 44),
+               ('0b96518e282f', ['refit'], 45),
+               ('0b96518e282f', ['match:retailer-02'], 55),
+               ('0b96518e282f', ['select'], 57),
+               ('1dc7b7eccd9c', ['fuse', 'select'], 63),
+               ('1dc7b7eccd9c', ['refit'], 64),
+               ('1dc7b7eccd9c', ['match:retailer-00'], 74),
+               ('1dc7b7eccd9c', ['select'], 76),
+               ('a2e120142fb0', ['fuse', 'select'], 82),
+               ('a2e120142fb0', ['refit'], 83),
+               ('a2e120142fb0', ['match:retailer-04'], 93),
+               ('a2e120142fb0', ['select'], 95),
+               ('a4ad09d3eec3', ['fuse', 'plan', 'select'], 132),
+               ('a4ad09d3eec3', ['refit'], 133),
+               ('a4ad09d3eec3', ['match:retailer-05'], 143),
+               ('a4ad09d3eec3', ['select'], 145)],
      'fingerprint': 'd2f7cbc1572b36e4b048f7c3f8093e206f67a58878b3a37bf6627b87eb2b78d1',
      'feedback_refs': []},
- 9: {'ticks': [('bcb08fa842dd', ['fuse', 'select'], 42),
-               ('bcb08fa842dd', ['resolve'], 45),
-               ('bcb08fa842dd', ['match:retailer-02'], 54),
-               ('bcb08fa842dd', ['select'], 59),
-               ('7df59ed67346', ['fuse', 'plan', 'select'], 95),
-               ('7df59ed67346', ['resolve'], 98),
-               ('7df59ed67346', ['match:retailer-00'], 107),
-               ('7df59ed67346', ['select'], 112),
-               ('7df59ed67346', ['fuse', 'select'], 117),
-               ('7df59ed67346', ['resolve'], 120),
-               ('7df59ed67346', ['match:retailer-01'], 129),
-               ('7df59ed67346', ['select'], 134),
-               ('b6bffe816ecb', ['fuse', 'select'], 139),
-               ('b6bffe816ecb', ['resolve'], 142),
-               ('b6bffe816ecb', ['match:retailer-02'], 151),
-               ('b6bffe816ecb', ['select'], 156)],
+ 9: {'ticks': [('bcb08fa842dd', ['fuse', 'select'], 44),
+               ('bcb08fa842dd', ['refit'], 45),
+               ('bcb08fa842dd', ['match:retailer-02'], 55),
+               ('bcb08fa842dd', ['select'], 57),
+               ('7df59ed67346', ['fuse', 'plan', 'select'], 94),
+               ('7df59ed67346', ['refit'], 95),
+               ('7df59ed67346', ['match:retailer-00'], 105),
+               ('7df59ed67346', ['select'], 107),
+               ('7df59ed67346', ['fuse', 'select'], 111),
+               ('7df59ed67346', ['refit'], 112),
+               ('7df59ed67346', ['match:retailer-01'], 122),
+               ('7df59ed67346', ['select'], 124),
+               ('b6bffe816ecb', ['fuse', 'select'], 130),
+               ('b6bffe816ecb', ['refit'], 131),
+               ('b6bffe816ecb', ['match:retailer-02'], 141),
+               ('b6bffe816ecb', ['select'], 143)],
      'fingerprint': '976714e6490873eb666f5971cac4c409a24e0a61405fe7ee42436c69f303da2e',
      'feedback_refs': ['rejected-value']},
  29: {'ticks': [('d89c091c9078', ['fuse', 'select'], 42),
-                ('d89c091c9078', ['resolve'], 45),
-                ('d89c091c9078', ['match:retailer-02'], 54),
-                ('d89c091c9078', ['select'], 59),
-                ('1dc7b7eccd9c', ['fuse', 'select'], 64),
-                ('1dc7b7eccd9c', ['resolve'], 67),
-                ('1dc7b7eccd9c', ['match:retailer-00'], 76),
-                ('1dc7b7eccd9c', ['select'], 81),
-                ('56760a284b1c', ['fuse', 'select'], 86),
-                ('56760a284b1c', ['resolve'], 89),
-                ('56760a284b1c', ['match:retailer-04'], 98),
-                ('56760a284b1c', ['select'], 103),
-                ('a4ad09d3eec3', ['fuse', 'plan', 'select'], 139),
-                ('a4ad09d3eec3', ['resolve'], 142),
-                ('a4ad09d3eec3', ['match:retailer-05'], 151),
-                ('a4ad09d3eec3', ['select'], 156)],
+                ('d89c091c9078', ['refit'], 43),
+                ('d89c091c9078', ['match:retailer-02'], 53),
+                ('d89c091c9078', ['select'], 55),
+                ('1dc7b7eccd9c', ['fuse', 'select'], 61),
+                ('1dc7b7eccd9c', ['refit'], 62),
+                ('1dc7b7eccd9c', ['match:retailer-00'], 72),
+                ('1dc7b7eccd9c', ['select'], 74),
+                ('56760a284b1c', ['fuse', 'select'], 80),
+                ('56760a284b1c', ['refit'], 81),
+                ('56760a284b1c', ['match:retailer-04'], 91),
+                ('56760a284b1c', ['select'], 93),
+                ('a4ad09d3eec3', ['fuse', 'plan', 'select'], 130),
+                ('a4ad09d3eec3', ['refit'], 131),
+                ('a4ad09d3eec3', ['match:retailer-05'], 141),
+                ('a4ad09d3eec3', ['select'], 143)],
       'fingerprint': '200c8d7a6c9100abf681ffdb6ddf5c91602bd1b631974bc15e00463a7a06ad6e',
       'feedback_refs': []}}
 
@@ -222,3 +225,46 @@ def test_sixteen_tick_session_is_bit_identical_to_the_recording(seed):
     assert refs == EXPECTED[seed]["feedback_refs"]
     assert ticks == EXPECTED[seed]["ticks"]
     assert fingerprint == EXPECTED[seed]["fingerprint"]
+
+
+#: What the cutoff oracle forces after each tick: every global node whose
+#: body reads state outside its ``inputs`` (annotations, registry trust,
+#: the feedback store), and what lies between them.
+FORCED = ("select", "translate", "refit", "resolve", "fuse", "repair")
+
+
+def _observed(wrangler, result):
+    return (
+        table_fingerprint(result.table),
+        _pairs_digest(wrangler, result),
+        wrangler.working.table_fingerprints(),
+    )
+
+
+def test_cut_off_ticks_equal_a_forced_recomputation():
+    """The oracle for early cutoff.  A stage body that reads state
+    outside ``inputs`` is sound only while ``DIRTIES`` forces it whenever
+    that state moves; over-invalidation used to hide a missing row.
+    After each of eight cycling ticks, force every such node, re-run,
+    and require the very same table, matched pairs and working data."""
+    world = generate_world(n_products=60, n_sources=6, seed=2016)
+    wrangler = _quickstart().build_wrangler(world)
+    rng = random.Random(0)
+    result = wrangler.run()
+    cutoffs = 0
+    for index in range(8):
+        item = _item(
+            KINDS[index % len(KINDS)], index // len(KINDS),
+            rng, world, wrangler, result,
+        )
+        wrangler.apply_feedback([item])
+        result = wrangler.run()
+        cutoffs += sum(
+            stats["cutoffs"] for stats in wrangler.flow.node_stats().values()
+        )
+        cut_off = _observed(wrangler, result)
+        for node in FORCED:
+            wrangler.flow.invalidate(node)
+        result = wrangler.run()
+        assert _observed(wrangler, result) == cut_off, (index, item)
+    assert cutoffs > 0

@@ -117,3 +117,39 @@ class TestWranglerIntegration:
         report = wrangler.changes_since_last_run()
         moves = report.numeric_moves("price")
         assert moves and moves[0][1] == pytest.approx(-0.2)
+
+    def test_a_tick_that_leaves_the_table_unchanged_reports_no_changes(self):
+        from repro.context.data_context import DataContext
+        from repro.context.user_context import UserContext
+        from repro.core.wrangler import Wrangler
+        from repro.datagen.products import TARGET_SCHEMA
+        from repro.feedback.types import RelevanceFeedback
+        from repro.sources.memory import VolatileSource
+
+        state = {"price": 100.0}
+
+        def producer(index):
+            return [
+                {"product": "Acme Widget 1", "brand": "Acme",
+                 "category": "widget",
+                 "price": f"${state['price']:.2f}",
+                 "updated": "2016-03-15"}
+            ]
+
+        user = UserContext.completeness_first("u", TARGET_SCHEMA)
+        wrangler = Wrangler(user, DataContext("p"))
+        wrangler.add_source(VolatileSource("shop", producer))
+        wrangler.run()
+        state["price"] = 80.0
+        wrangler.refresh_source("shop")
+        wrangler.run()
+        assert len(wrangler.changes_since_last_run()) > 0
+        # The verdict re-selects the same mapping: fuse is cut off, and
+        # the diff is this run's (empty), not the refresh's again.
+        wrangler.apply_feedback(
+            [RelevanceFeedback(source_name="shop", is_relevant=True)]
+        )
+        fuses = wrangler.flow.runs("fuse")
+        wrangler.run()
+        assert wrangler.flow.runs("fuse") == fuses
+        assert len(wrangler.changes_since_last_run()) == 0

@@ -9,6 +9,8 @@ dirties one source's acquisition, not every document source's.
 
 import ast
 import datetime
+import gc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -34,6 +36,7 @@ from repro.model.provenance import Step
 from repro.model.records import Table
 from repro.model.schema import Attribute, DataType, Schema
 from repro.resolution.comparison import ScoringContext
+from repro.resolution.rules import ThresholdRule
 from repro.sources.memory import MemoryDocumentSource, MemorySource
 
 SCHEMA = Schema(
@@ -129,6 +132,10 @@ class TestGlobalStages:
         inputs["translate"] = wrangler._stage_translate(inputs)
         assert len(inputs["translate"]) == 2
 
+        # No duplicate labels: the rule is the plan's threshold.
+        inputs["refit"] = wrangler._stage_refit(inputs)
+        assert inputs["refit"] == ThresholdRule(PLAN.er_threshold)
+
         inputs["resolve"] = wrangler._stage_resolve(inputs)
         assert len(inputs["resolve"].clusters) == 2
 
@@ -136,7 +143,9 @@ class TestGlobalStages:
         assert sorted(r.raw("product") for r in inputs["fuse"]) == [
             "anvil", "rope",
         ]
-        assert wrangler.working.get("table", "wrangled") is inputs["fuse"]
+        # ``run()`` files the wrangled table, not fuse or repair: either
+        # may be cut off while the other re-runs.
+        assert wrangler.working.get("table", "wrangled") is None
 
         # No constraints declared or discovered: nothing to repair.
         assert wrangler._stage_repair(inputs) is None
@@ -256,6 +265,24 @@ class TestExtractionFeedbackInvalidatesPrecisely:
         assert dirty == {"acquire:north", "acquire:south"}
 
 
+class TestBeliefWritersForceTheirReaders:
+    """``select`` and ``fuse`` read source annotations and trust outside
+    their ``inputs``.  A quality node re-run to an equal report still
+    appends its scores, so it forces them rather than letting early
+    cutoff keep them on the beliefs they last read."""
+
+    def test_a_rerun_quality_node_forces_select_and_fuse(self):
+        wrangler = make_wrangler()
+        wrangler.run()
+        runs = {n: wrangler.flow.runs(n) for n in ("select", "fuse")}
+        wrangler.flow.invalidate("quality:shop")
+        wrangler.run()
+        assert wrangler.flow.node_stats()["translate"]["cutoffs"] == 1
+        assert {n: wrangler.flow.runs(n) for n in runs} == {
+            n: r + 1 for n, r in runs.items()
+        }
+
+
 class TestStageBodiesComposeLayersDecide:
     """The resolve / fuse / feedback / run bodies call into the layer
     that owns the algorithm; none of its arithmetic lives in
@@ -286,21 +313,24 @@ class TestStageBodiesComposeLayersDecide:
         assert nested == ["acquire_durable"]
 
 
-class TestResolveStageSharesOneScoringContext:
-    """``_stage_resolve`` scores two sets of pairs — the labelled ones
-    the threshold is refitted on, then the candidates — and both go off
-    the one :class:`ScoringContext` it builds, which nothing keeps."""
+class TestRefitAndResolveEachBuildOneScoringContext:
+    """``_stage_refit`` scores the labelled pairs the threshold is
+    refitted on and ``_stage_resolve`` the candidates; each builds one
+    :class:`ScoringContext` for its own pairs, and neither keeps it."""
 
-    def test_refit_and_resolve_score_off_the_one_context(self, monkeypatch):
+    def test_each_stage_scores_off_its_own_context_and_drops_it(
+        self, monkeypatch
+    ):
         built, scored = [], []
         real_init, real_score = ScoringContext.__init__, er._score_pair
 
         def init(self, comparator):
-            built.append(self)
+            built.append(weakref.ref(self))
             real_init(self, comparator)
 
         def score(scores, left, right):
-            scored.append((scores, left.rid, right.rid))
+            which = [ref() for ref in built].index(scores)
+            scored.append((which, left.rid, right.rid))
             return real_score(scores, left, right)
 
         monkeypatch.setattr(ScoringContext, "__init__", init)
@@ -320,22 +350,25 @@ class TestResolveStageSharesOneScoringContext:
         )
         del built[:], scored[:]
 
-        result = wrangler._stage_resolve(inputs)
-
-        assert len(result.clusters) == 2
+        inputs["refit"] = wrangler._stage_refit(inputs)
         assert len(built) == 1
-        # the labelled pair, then the one candidate pair
-        assert [pair[1:] for pair in scored] == [(anvil, rope)] * 2
-        assert all(pair[0] is built[0] for pair in scored)
-        # the comparator's only string field: scored once, read once
-        assert [len(table) for __, __, table in built[0]._fields if table] == [1]
+        assert scored == [(0, anvil, rope)]   # the labelled pair
+
+        result = wrangler._stage_resolve(inputs)
+        assert len(result.clusters) == 2
+        assert len(built) == 2
+        # then the one candidate pair, off the resolve's own context
+        assert scored == [(0, anvil, rope), (1, anvil, rope)]
+        gc.collect()
+        assert [ref() for ref in built] == [None, None]
 
 
 class TestValueFeedbackBindsAcrossReResolves:
-    """``DIRTIES[ValueFeedback]`` is ``("fuse", "select")`` and ``select →
-    translate → resolve``, so a value verdict *does* re-resolve.  It
-    still binds because entity ids are content-derived
-    (``stable_cluster_id``), not because resolve is left alone."""
+    """``DIRTIES[ValueFeedback]`` is ``("fuse", "select")``; a verdict
+    that leaves the selection where it was is cut off at ``translate``
+    and does not re-resolve.  A correction still survives a re-resolve,
+    because entity ids are content-derived (``stable_cluster_id``), not
+    because resolve is left alone."""
 
     def make(self):
         # Completeness-leaning, so the plan keeps both sources whatever
@@ -371,7 +404,8 @@ class TestValueFeedbackBindsAcrossReResolves:
         )])
         resolves = wrangler.flow.runs("resolve")
         second = wrangler.run()
-        assert wrangler.flow.runs("resolve") == resolves + 1   # re-resolved
+        assert wrangler.flow.runs("resolve") == resolves   # cut off
+        assert wrangler.flow.node_stats()["resolve"]["cutoffs"] == 1
         assert [r.rid for r in second.table] == [r.rid for r in first.table]
         expected = (11.0, Step.FEEDBACK, "user-correction")
         assert self.corrected(second, anvil.rid) == expected
@@ -379,6 +413,8 @@ class TestValueFeedbackBindsAcrossReResolves:
         wrangler.apply_feedback(
             [RelevanceFeedback(source_name="mart", is_relevant=True)]
         )
+        wrangler.flow.invalidate("resolve")
         third = wrangler.run()
-        assert wrangler.flow.runs("resolve") == resolves + 2
+        assert wrangler.flow.runs("resolve") == resolves + 1   # re-resolved
+        assert [r.rid for r in third.table] == [r.rid for r in first.table]
         assert self.corrected(third, anvil.rid) == expected

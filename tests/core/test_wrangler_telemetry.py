@@ -9,7 +9,11 @@ from repro.context.user_context import UserContext
 from repro.core.wrangler import Wrangler
 from repro.datagen.ontologies import product_ontology
 from repro.datagen.products import TARGET_SCHEMA, generate_world
-from repro.feedback.types import ValueFeedback
+from repro.feedback.types import (
+    DuplicateFeedback,
+    RelevanceFeedback,
+    ValueFeedback,
+)
 from repro.obs import validate_telemetry
 from repro.sources.memory import MemorySource
 
@@ -85,9 +89,10 @@ class TestRunTelemetry:
 
 class TestFeedbackTelemetry:
     def test_feedback_invalidates_exactly_the_affected_cone(self, world):
-        """E6 in miniature: value feedback dirties fuse+select, whose
-        downstream cone is select/translate/resolve/fuse/repair — and
-        acquisition stays memoised."""
+        """E6 in miniature: value feedback forces fuse+select.  A verdict
+        on no known entity moves no belief, so select and fuse re-run to
+        the values they had and the rest of their cone is cut off —
+        and acquisition stays memoised."""
         wrangler = make_wrangler(world)
         wrangler.run()
         wrangler.apply_feedback(
@@ -101,9 +106,9 @@ class TestFeedbackTelemetry:
         result = wrangler.run()
         nodes = result.telemetry["dataflow"]["nodes"]
         recomputed = {n for n, s in nodes.items() if s["runs"] == 2}
-        assert recomputed == {
-            "select", "translate", "resolve", "fuse", "repair",
-        }
+        assert recomputed == {"select", "fuse"}
+        cut_off = {n for n, s in nodes.items() if s["cutoffs"] == 1}
+        assert cut_off == {"translate", "refit", "resolve", "repair"}
         for name in world.source_rows:
             assert nodes[f"acquire:{name}"]["runs"] == 1
             assert nodes[f"acquire:{name}"]["invalidations"] == 0
@@ -111,8 +116,37 @@ class TestFeedbackTelemetry:
         assert counters["feedback.items"] == 1
         assert counters["feedback.nodes_invalidated"] == 2
         assert counters["feedback.propagations"] == 1
+        assert counters["dataflow.nodes_cutoff"] == 4
         # The recomputed nodes were re-timed under fresh spans.
         assert len(wrangler.telemetry.tracer.find("dataflow:fuse")) == 2
+
+    def test_feedback_that_moves_nothing_stops_where_it_entered(self, world):
+        """A relevance verdict re-selects the same mappings and stops at
+        ``translate``; a duplicate verdict too few to refit the threshold
+        stops at ``refit``."""
+        wrangler = make_wrangler(world)
+        first = wrangler.run()
+        translated = wrangler.working.get("table", "translated")
+
+        def recomputed_by(items):
+            before = {
+                name: stats["runs"]
+                for name, stats in wrangler.flow.node_stats().items()
+            }
+            wrangler.apply_feedback(items)
+            wrangler.run()
+            return {
+                name for name, stats in wrangler.flow.node_stats().items()
+                if stats["runs"] > before[name]
+            }
+
+        assert recomputed_by([RelevanceFeedback(
+            source_name=first.plan.sources[0], is_relevant=True,
+        )]) == {"select", "translate"}
+        assert recomputed_by([DuplicateFeedback(
+            rid_a=translated[0].rid, rid_b=translated[1].rid,
+            is_duplicate=False,
+        )]) == {"refit"}
 
     def test_bounded_evaluator_reports_against_budget(self, world):
         from repro.model.records import Table

@@ -100,6 +100,9 @@ OPERATORS: Mapping[str, Operator] = {
         ),
         Operator("quality", "quality", estimate=cost.per_cell_estimate),
         Operator("select", "selection", estimate=cost.select_estimate),
+        # The selected sources in rank order: control state, estimated
+        # like the plan itself.
+        Operator("rank", "selection", estimate=cost.plan_estimate),
         Operator(
             "translate", "mapping",
             infer=schema.infer_target, estimate=cost.translate_estimate,
@@ -162,13 +165,14 @@ def pipeline_shape(
         *(f"mapping:{name}" for name in source_names),
         *(f"quality:{name}" for name in source_names),
     )
+    dependencies["rank"] = ("select",)
     dependencies["translate"] = (
-        "select",
+        "rank",
         *(f"mapped:{name}" for name in source_names),
     )
     dependencies["refit"] = ("translate", "plan")
     dependencies["resolve"] = ("translate", "plan", "refit")
-    dependencies["fuse"] = ("resolve", "plan")
+    dependencies["fuse"] = ("resolve", "plan", "rank")
     dependencies["repair"] = ("fuse", "plan")
     return dependencies
 

@@ -498,11 +498,21 @@ class Wrangler:
         self.working.put("mapping", "selected", [s.mapping.mapping_id for s in selected])
         return selected
 
+    def _stage_rank(self, inputs: dict[str, Any]) -> tuple[str, ...]:
+        """The selected sources, best first.  Its own node, so a verdict
+        that moves utilities but not the order stops here."""
+        return tuple(scored.mapping.source_name for scored in inputs["select"])
+
     def _stage_translate(self, inputs: dict[str, Any]) -> Table:
+        # The selected sources' rows in registry order (the order of the
+        # ``mapped:`` inputs), not rank order: a verdict that only
+        # re-ranks the selection leaves the table, and so ER, unchanged.
+        # The rank reaches fusion directly (``precedence``).
+        selected = set(inputs["rank"])
         translated = Table("translated", self.user.target_schema)
-        for scored in inputs["select"]:
-            table = inputs.get(f"mapped:{scored.mapping.source_name}")
-            if table is None:
+        for key, table in inputs.items():
+            kind, __, name = key.partition(":")
+            if kind != "mapped" or name not in selected or table is None:
                 continue
             for record in table:
                 if self.user.in_scope(record):
@@ -561,6 +571,7 @@ class Wrangler:
             default_strategy=plan.fusion_strategy,
             strategy_overrides=plan.fusion_overrides,
             recency_attribute=self.date_attribute,
+            precedence=inputs["rank"],
         )
         # Value feedback is folded into the fused data itself: a cell its
         # judges rejected takes their correction, or is re-fused without

@@ -29,7 +29,10 @@ class EntityFuser:
     different one for an attribute; ``reliabilities`` are per-source trust
     scores (from the registry's posteriors or a truth-discovery run);
     ``recency_attribute`` names the DATE attribute used to compute claim
-    freshness for the ``recent`` strategy.
+    freshness for the ``recent`` strategy.  ``precedence`` lists sources
+    best first: a cluster's claims are weighed in that order, so a tie
+    goes to the earlier source (records of unlisted sources follow, in
+    cluster order).
     """
 
     def __init__(
@@ -39,12 +42,21 @@ class EntityFuser:
         default_strategy: str = "weighted",
         strategy_overrides: Mapping[str, str] | None = None,
         recency_attribute: str | None = None,
+        precedence: Sequence[str] = (),
     ) -> None:
         self.target_schema = target_schema
         self.reliabilities = dict(reliabilities or {})
         self.default_strategy = default_strategy
         self.strategy_overrides = dict(strategy_overrides or {})
         self.recency_attribute = recency_attribute
+        self.precedence = {source: i for i, source in enumerate(precedence)}
+
+    def _ordered(self, records: Sequence[Record]) -> list[Record]:
+        """``records`` by source precedence, stably."""
+        last = len(self.precedence)
+        return sorted(
+            records, key=lambda record: self.precedence.get(record.source, last)
+        )
 
     def _strategy_for(self, attribute: str) -> str:
         return self.strategy_overrides.get(attribute, self.default_strategy)
@@ -92,12 +104,11 @@ class EntityFuser:
 
     def fuse_cluster(self, cluster: EntityCluster) -> Record:
         """Fuse one cluster into a single record."""
-        recencies = self._recencies(cluster.records)
+        records = self._ordered(cluster.records)
+        recencies = self._recencies(records)
         cells: dict[str, Value] = {}
         for attribute in self.target_schema:
-            candidates = self._candidates(
-                cluster.records, recencies, attribute.name
-            )
+            candidates = self._candidates(records, recencies, attribute.name)
             if not candidates:
                 cells[attribute.name] = MISSING
                 continue
@@ -122,7 +133,7 @@ class EntityFuser:
         # Evaluation-only lineage: carry the majority truth id, if present.
         truth_ids = [
             record.raw("_truth")
-            for record in cluster.records
+            for record in records
             if record.raw("_truth") is not None
         ]
         if truth_ids:
@@ -158,16 +169,17 @@ class EntityFuser:
 
         Entity ids are the fused records' ids, and they are
         content-derived (:func:`~repro.resolution.er.stable_cluster_id`):
-        value feedback dirties ``select`` and so re-resolves, but an
-        entity whose membership is unchanged keeps its id through the
-        re-resolve, so a verdict filed against it still binds.
+        value feedback dirties ``select`` and re-resolves when it changes
+        the selected sources, but an entity whose membership is unchanged
+        keeps its id through the re-resolve, so a verdict filed against
+        it still binds.
         """
         if not rejections:
             return fused
         by_entity: dict[str, dict[str, Sequence[object]]] = {}
         for (entity, attribute), corrections in rejections.items():
             by_entity.setdefault(entity, {})[attribute] = corrections
-        members = {c.cluster_id: c.records for c in clusters}
+        members = {c.cluster_id: self._ordered(c.records) for c in clusters}
 
         def fix(record: Record) -> Record:
             updates = {}

@@ -68,10 +68,11 @@ class TestTableCompleteness:
                 "plan", "mapping:shop", "mapping:site",
                 "quality:shop", "quality:site",
             ),
-            "translate": ("select", "mapped:shop", "mapped:site"),
+            "rank": ("select",),
+            "translate": ("rank", "mapped:shop", "mapped:site"),
             "refit": ("translate", "plan"),
             "resolve": ("translate", "plan", "refit"),
-            "fuse": ("resolve", "plan"),
+            "fuse": ("resolve", "plan", "rank"),
             "repair": ("fuse", "plan"),
         }
         assert shape == expected

@@ -9,14 +9,17 @@ and the running recompute count; at the end the wrangled table's
 fingerprint.  A move that changes any decision changes a literal.  The
 invalidated lists and recompute counts were re-recorded when the
 dataflow gained early cutoff and duplicate feedback its own ``refit``
-node; every digest, fingerprint and ref stayed as recorded.
+node; every digest, fingerprint and ref stayed as recorded.  Everything
+was re-recorded when ``translate`` began emitting rows in registry order
+rather than rank order: the digests index pairs by position in that
+table, and the session draws its duplicate pairs from it by position.
 
 The session is the quickstart world driven the way
 ``bench/workloads.py::FeedbackTicks`` drives it: one item per tick,
 cycling value / duplicate / match / relevance, seeded picks, verdicts
 from the generator's ground truth.  Odd value cycles reject the cell
 outright (alternating with and without a correction) so both
-``Step.FEEDBACK`` refs occur.  Four pick seeds, chosen at the recording
+``Step.FEEDBACK`` refs occur.  Five pick seeds, chosen at the recording
 commit for what they reach (see ``EXPECTED``).
 """
 
@@ -44,80 +47,99 @@ TICKS = 16
 
 #: Per pick seed: (matched-pairs digest, invalidated nodes,
 #: ``recompute_count()``) per tick, the final table fingerprint, and the
-#: ``Step.FEEDBACK`` refs on the final table.  Seed 0 refits the ER
-#: threshold on four mixed labels and ends with both refs; 7, 9 and 29
-#: reach a replan that pays (its re-acquisition gives the records new
-#: ids, so the duplicate labels judged before it no longer refit).
-EXPECTED = {0: {'ticks': [('0b96518e282f', ['fuse', 'select'], 44),
-               ('0b96518e282f', ['refit'], 45),
-               ('0b96518e282f', ['match:retailer-02'], 55),
-               ('0b96518e282f', ['select'], 57),
-               ('1dc7b7eccd9c', ['fuse', 'select'], 63),
-               ('1dc7b7eccd9c', ['refit'], 64),
-               ('1dc7b7eccd9c', ['match:retailer-00'], 74),
-               ('1dc7b7eccd9c', ['select'], 76),
-               ('8a1ffbd0e80b', ['fuse', 'select'], 82),
-               ('8a1ffbd0e80b', ['refit'], 83),
-               ('8a1ffbd0e80b', ['match:retailer-04'], 93),
-               ('8a1ffbd0e80b', ['select'], 95),
-               ('d89c091c9078', ['fuse', 'select'], 101),
-               ('04497ff1feb6', ['refit'], 105),
-               ('04497ff1feb6', ['match:retailer-05'], 115),
-               ('04497ff1feb6', ['select'], 117)],
-     'fingerprint': '346fe4a7480d22f6f19ba69d74537523c613e4a70baeb632abfa0451afff724f',
+#: ``Step.FEEDBACK`` refs on the final table.  Seeds 0 and 5 refit the ER
+#: threshold on four mixed labels — 0 to 1.0, which splits the corrected
+#: entity, 5 to 0.9935, ending with both refs; 7, 9 and 29 reach a replan
+#: that pays (its re-acquisition gives the records new ids, so the
+#: duplicate labels judged before it no longer refit).
+EXPECTED = {0: {'ticks': [('980b0d1a3a63', ['fuse', 'select'], 44),
+               ('980b0d1a3a63', ['refit'], 45),
+               ('980b0d1a3a63', ['match:retailer-02'], 56),
+               ('980b0d1a3a63', ['select'], 58),
+               ('980b0d1a3a63', ['fuse', 'select'], 63),
+               ('980b0d1a3a63', ['refit'], 64),
+               ('980b0d1a3a63', ['match:retailer-00'], 75),
+               ('980b0d1a3a63', ['select'], 77),
+               ('980b0d1a3a63', ['fuse', 'select'], 82),
+               ('980b0d1a3a63', ['refit'], 83),
+               ('980b0d1a3a63', ['match:retailer-04'], 94),
+               ('980b0d1a3a63', ['select'], 96),
+               ('980b0d1a3a63', ['fuse', 'select'], 101),
+               ('3f91c9f8eec8', ['refit'], 105),
+               ('3f91c9f8eec8', ['match:retailer-05'], 116),
+               ('3f91c9f8eec8', ['select'], 118)],
+     'fingerprint': 'cc7ca204e689a1bf44fce6910225e06e0acc9d05e32a72f22c3be3b2ea81d575',
+     'feedback_refs': ['rejected-value']},
+ 5: {'ticks': [('980b0d1a3a63', ['fuse', 'select'], 44),
+               ('980b0d1a3a63', ['refit'], 45),
+               ('980b0d1a3a63', ['match:retailer-02'], 56),
+               ('980b0d1a3a63', ['select'], 58),
+               ('980b0d1a3a63', ['fuse', 'select'], 63),
+               ('980b0d1a3a63', ['refit'], 64),
+               ('980b0d1a3a63', ['match:retailer-00'], 75),
+               ('980b0d1a3a63', ['select'], 77),
+               ('980b0d1a3a63', ['fuse', 'select'], 82),
+               ('980b0d1a3a63', ['refit'], 83),
+               ('980b0d1a3a63', ['match:retailer-04'], 94),
+               ('980b0d1a3a63', ['select'], 96),
+               ('980b0d1a3a63', ['fuse', 'select'], 101),
+               ('7237dda34f98', ['refit'], 105),
+               ('7237dda34f98', ['match:retailer-05'], 116),
+               ('7237dda34f98', ['select'], 118)],
+     'fingerprint': '3d9da39dc3dda4b9852bdcb45cd0d073a58d4f03c04eb2cb78e041246aa80ae9',
      'feedback_refs': ['rejected-value', 'user-correction']},
- 7: {'ticks': [('0b96518e282f', ['fuse', 'select'], 44),
-               ('0b96518e282f', ['refit'], 45),
-               ('0b96518e282f', ['match:retailer-02'], 55),
-               ('0b96518e282f', ['select'], 57),
-               ('1dc7b7eccd9c', ['fuse', 'select'], 63),
-               ('1dc7b7eccd9c', ['refit'], 64),
-               ('1dc7b7eccd9c', ['match:retailer-00'], 74),
-               ('1dc7b7eccd9c', ['select'], 76),
-               ('a2e120142fb0', ['fuse', 'select'], 82),
-               ('a2e120142fb0', ['refit'], 83),
-               ('a2e120142fb0', ['match:retailer-04'], 93),
-               ('a2e120142fb0', ['select'], 95),
-               ('a4ad09d3eec3', ['fuse', 'plan', 'select'], 132),
-               ('a4ad09d3eec3', ['refit'], 133),
-               ('a4ad09d3eec3', ['match:retailer-05'], 143),
-               ('a4ad09d3eec3', ['select'], 145)],
+ 7: {'ticks': [('980b0d1a3a63', ['fuse', 'select'], 44),
+               ('980b0d1a3a63', ['refit'], 45),
+               ('980b0d1a3a63', ['match:retailer-02'], 56),
+               ('980b0d1a3a63', ['select'], 58),
+               ('980b0d1a3a63', ['fuse', 'select'], 63),
+               ('980b0d1a3a63', ['refit'], 64),
+               ('980b0d1a3a63', ['match:retailer-00'], 75),
+               ('980b0d1a3a63', ['select'], 77),
+               ('889ed9be3121', ['fuse', 'select'], 84),
+               ('889ed9be3121', ['refit'], 85),
+               ('889ed9be3121', ['match:retailer-04'], 96),
+               ('889ed9be3121', ['select'], 98),
+               ('3e3b7f695b39', ['fuse', 'plan', 'select'], 136),
+               ('3e3b7f695b39', ['refit'], 137),
+               ('3e3b7f695b39', ['match:retailer-05'], 148),
+               ('3e3b7f695b39', ['select'], 150)],
      'fingerprint': 'd2f7cbc1572b36e4b048f7c3f8093e206f67a58878b3a37bf6627b87eb2b78d1',
      'feedback_refs': []},
- 9: {'ticks': [('bcb08fa842dd', ['fuse', 'select'], 44),
-               ('bcb08fa842dd', ['refit'], 45),
-               ('bcb08fa842dd', ['match:retailer-02'], 55),
-               ('bcb08fa842dd', ['select'], 57),
-               ('7df59ed67346', ['fuse', 'plan', 'select'], 94),
-               ('7df59ed67346', ['refit'], 95),
-               ('7df59ed67346', ['match:retailer-00'], 105),
-               ('7df59ed67346', ['select'], 107),
-               ('7df59ed67346', ['fuse', 'select'], 111),
-               ('7df59ed67346', ['refit'], 112),
-               ('7df59ed67346', ['match:retailer-01'], 122),
-               ('7df59ed67346', ['select'], 124),
-               ('b6bffe816ecb', ['fuse', 'select'], 130),
-               ('b6bffe816ecb', ['refit'], 131),
-               ('b6bffe816ecb', ['match:retailer-02'], 141),
-               ('b6bffe816ecb', ['select'], 143)],
+ 9: {'ticks': [('9bc1b970a637', ['fuse', 'select'], 46),
+               ('9bc1b970a637', ['refit'], 47),
+               ('9bc1b970a637', ['match:retailer-02'], 58),
+               ('9bc1b970a637', ['select'], 60),
+               ('608281455d09', ['fuse', 'plan', 'select'], 98),
+               ('608281455d09', ['refit'], 99),
+               ('608281455d09', ['match:retailer-00'], 110),
+               ('608281455d09', ['select'], 112),
+               ('608281455d09', ['fuse', 'select'], 116),
+               ('608281455d09', ['refit'], 117),
+               ('608281455d09', ['match:retailer-01'], 128),
+               ('608281455d09', ['select'], 130),
+               ('608281455d09', ['fuse', 'select'], 135),
+               ('608281455d09', ['refit'], 136),
+               ('608281455d09', ['match:retailer-02'], 147),
+               ('608281455d09', ['select'], 149)],
      'fingerprint': '976714e6490873eb666f5971cac4c409a24e0a61405fe7ee42436c69f303da2e',
      'feedback_refs': ['rejected-value']},
- 29: {'ticks': [('d89c091c9078', ['fuse', 'select'], 42),
-                ('d89c091c9078', ['refit'], 43),
-                ('d89c091c9078', ['match:retailer-02'], 53),
-                ('d89c091c9078', ['select'], 55),
-                ('1dc7b7eccd9c', ['fuse', 'select'], 61),
-                ('1dc7b7eccd9c', ['refit'], 62),
-                ('1dc7b7eccd9c', ['match:retailer-00'], 72),
-                ('1dc7b7eccd9c', ['select'], 74),
-                ('56760a284b1c', ['fuse', 'select'], 80),
-                ('56760a284b1c', ['refit'], 81),
-                ('56760a284b1c', ['match:retailer-04'], 91),
-                ('56760a284b1c', ['select'], 93),
-                ('a4ad09d3eec3', ['fuse', 'plan', 'select'], 130),
-                ('a4ad09d3eec3', ['refit'], 131),
-                ('a4ad09d3eec3', ['match:retailer-05'], 141),
-                ('a4ad09d3eec3', ['select'], 143)],
+ 29: {'ticks': [('980b0d1a3a63', ['fuse', 'select'], 43),
+                ('980b0d1a3a63', ['refit'], 44),
+                ('980b0d1a3a63', ['match:retailer-02'], 55),
+                ('980b0d1a3a63', ['select'], 57),
+                ('980b0d1a3a63', ['fuse', 'select'], 62),
+                ('980b0d1a3a63', ['refit'], 63),
+                ('980b0d1a3a63', ['match:retailer-00'], 74),
+                ('980b0d1a3a63', ['select'], 76),
+                ('4fe14306c62f', ['fuse', 'select'], 83),
+                ('4fe14306c62f', ['refit'], 84),
+                ('4fe14306c62f', ['match:retailer-04'], 95),
+                ('4fe14306c62f', ['select'], 97),
+                ('3e3b7f695b39', ['fuse', 'plan', 'select'], 135),
+                ('3e3b7f695b39', ['refit'], 136),
+                ('3e3b7f695b39', ['match:retailer-05'], 147),
+                ('3e3b7f695b39', ['select'], 149)],
       'fingerprint': '200c8d7a6c9100abf681ffdb6ddf5c91602bd1b631974bc15e00463a7a06ad6e',
       'feedback_refs': []}}
 
@@ -230,7 +252,9 @@ def test_sixteen_tick_session_is_bit_identical_to_the_recording(seed):
 #: What the cutoff oracle forces after each tick: every global node whose
 #: body reads state outside its ``inputs`` (annotations, registry trust,
 #: the feedback store), and what lies between them.
-FORCED = ("select", "translate", "refit", "resolve", "fuse", "repair")
+FORCED = (
+    "select", "rank", "translate", "refit", "resolve", "fuse", "repair",
+)
 
 
 def _observed(wrangler, result):

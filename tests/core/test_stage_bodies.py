@@ -128,6 +128,8 @@ class TestGlobalStages:
 
         inputs["select"] = wrangler._stage_select(inputs)
         assert [s.mapping for s in inputs["select"]] == [inputs["mapping:shop"]]
+        inputs["rank"] = wrangler._stage_rank(inputs)
+        assert inputs["rank"] == ("shop",)
 
         inputs["translate"] = wrangler._stage_translate(inputs)
         assert len(inputs["translate"]) == 2
@@ -149,6 +151,43 @@ class TestGlobalStages:
 
         # No constraints declared or discovered: nothing to repair.
         assert wrangler._stage_repair(inputs) is None
+
+    def test_rank_orders_fusion_ties_but_not_the_translated_rows(self):
+        """``translate`` emits the selected rows in registry order, so a
+        verdict that only re-ranks the selection leaves it — and ER —
+        as it was; the rank reaches fusion, whose ties it breaks."""
+        user = UserContext("u", SCHEMA, weights={Dimension.ACCURACY: 1.0})
+        wrangler = Wrangler(user, DataContext())
+        wrangler.add_source(MemorySource("shop", [
+            {"product": "anvil", "price": "$12.00"},
+            {"product": "rope", "price": "$3.50"},
+        ]))
+        wrangler.add_source(MemorySource("mart", [
+            {"product": "anvil", "price": "$11.00"},
+        ]))
+        plan = WranglePlan(
+            sources=["shop", "mart"], matcher_channels=("name", "instance"),
+            match_threshold=0.5, er_threshold=0.9, fusion_strategy="weighted",
+        )
+        inputs = {"plan": plan}
+        for name in ("shop", "mart"):
+            inputs[f"acquire:{name}"] = wrangler._stage_acquire(name, inputs)
+            for kind in ("match", "mapping", "mapped"):
+                body = getattr(wrangler, f"_stage_{kind}")
+                inputs[f"{kind}:{name}"] = body(name, inputs)
+
+        def anvil_price(rank):
+            inputs["rank"] = rank
+            translated = wrangler._stage_translate(inputs)
+            inputs["translate"] = translated
+            inputs["refit"] = wrangler._stage_refit(inputs)
+            inputs["resolve"] = wrangler._stage_resolve(inputs)
+            fused = wrangler._stage_fuse(inputs)
+            (anvil,) = [r for r in fused if r.raw("product") == "anvil"]
+            return [r.source for r in translated], anvil.raw("price")
+
+        assert anvil_price(("shop", "mart")) == (["shop", "shop", "mart"], 12.0)
+        assert anvil_price(("mart", "shop")) == (["shop", "shop", "mart"], 11.0)
 
     def test_plan_stage_gates_what_it_composes(self):
         wrangler = make_wrangler()
@@ -343,6 +382,7 @@ class TestRefitAndResolveEachBuildOneScoringContext:
                 "shop", inputs
             )
         inputs["select"] = wrangler._stage_select(inputs)
+        inputs["rank"] = wrangler._stage_rank(inputs)
         inputs["translate"] = wrangler._stage_translate(inputs)
         anvil, rope = (record.rid for record in inputs["translate"])
         wrangler.feedback.add(

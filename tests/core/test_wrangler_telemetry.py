@@ -108,7 +108,7 @@ class TestFeedbackTelemetry:
         recomputed = {n for n, s in nodes.items() if s["runs"] == 2}
         assert recomputed == {"select", "fuse"}
         cut_off = {n for n, s in nodes.items() if s["cutoffs"] == 1}
-        assert cut_off == {"translate", "refit", "resolve", "repair"}
+        assert cut_off == {"rank", "translate", "refit", "resolve", "repair"}
         for name in world.source_rows:
             assert nodes[f"acquire:{name}"]["runs"] == 1
             assert nodes[f"acquire:{name}"]["invalidations"] == 0
@@ -116,14 +116,14 @@ class TestFeedbackTelemetry:
         assert counters["feedback.items"] == 1
         assert counters["feedback.nodes_invalidated"] == 2
         assert counters["feedback.propagations"] == 1
-        assert counters["dataflow.nodes_cutoff"] == 4
+        assert counters["dataflow.nodes_cutoff"] == 5
         # The recomputed nodes were re-timed under fresh spans.
         assert len(wrangler.telemetry.tracer.find("dataflow:fuse")) == 2
 
     def test_feedback_that_moves_nothing_stops_where_it_entered(self, world):
-        """A relevance verdict re-selects the same mappings and stops at
-        ``translate``; a duplicate verdict too few to refit the threshold
-        stops at ``refit``."""
+        """A relevance verdict re-selects the same mappings in the same
+        order and stops at ``rank``; a duplicate verdict too few to refit
+        the threshold stops at ``refit``."""
         wrangler = make_wrangler(world)
         first = wrangler.run()
         translated = wrangler.working.get("table", "translated")
@@ -142,7 +142,7 @@ class TestFeedbackTelemetry:
 
         assert recomputed_by([RelevanceFeedback(
             source_name=first.plan.sources[0], is_relevant=True,
-        )]) == {"select", "translate"}
+        )]) == {"select", "rank"}
         assert recomputed_by([DuplicateFeedback(
             rid_a=translated[0].rid, rid_b=translated[1].rid,
             is_duplicate=False,

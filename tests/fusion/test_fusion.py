@@ -244,3 +244,20 @@ class TestEntityFuser:
         assert len(table) == 2
         assert table.name == "wrangled"
         assert {r.rid for r in table} == {"e1", "e2"}
+
+    def test_precedence_breaks_ties_whatever_the_cluster_order(self):
+        # Equal reliability, equal weight: the tie goes to the source
+        # listed first, not to the record that happens to come first.
+        cluster = EntityCluster(
+            "e1",
+            [
+                record("a", "Acme TV", 300.0, "2016-01-01"),
+                record("b", "Acme TV", 350.0, "2016-01-01"),
+            ],
+        )
+        assert EntityFuser(SCHEMA).fuse_cluster(cluster).raw("price") == 300.0
+        fuser = EntityFuser(SCHEMA, precedence=("b", "a"))
+        assert fuser.fuse_cluster(cluster).raw("price") == 350.0
+        # Unlisted sources follow the listed ones, in cluster order.
+        fuser = EntityFuser(SCHEMA, precedence=("b",))
+        assert fuser.fuse_cluster(cluster).raw("price") == 350.0

@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-json typecheck cost-check bench bench-gate bench-smoke chaos chaos-crash check
+.PHONY: test lint lint-json typecheck cost-check bench bench-pairs bench-gate bench-smoke chaos chaos-crash check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -34,6 +34,17 @@ cost-check:
 WORKLOAD ?= cold_structured
 bench:
 	python3 bench/run.py --workload $(WORKLOAD) --trace 0
+
+# A performance claim, measured: PAIRS alternating gate runs of REF (the
+# parent, checked out into a temporary git worktree) and this working
+# tree, one run at a time, first side flipped every pair; prints each
+# side's median and quartiles per end-to-end metric and the change's
+# win count.  `make bench-pairs WORKLOAD=refresh_durable SEED=7`.
+SEED ?= 2016
+PAIRS ?= 10
+REF ?= HEAD
+bench-pairs:
+	python3 tools/bench_pairs.py --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS) --ref $(REF)
 
 # The perf ratchet: copy the committed BENCH_* baselines aside (so the
 # fresh run cannot overwrite what it is compared against), re-run the

@@ -63,7 +63,7 @@ from repro.resilience import (
     arm_run_deadline,
     resilient,
 )
-from repro.resolution.comparison import profiled_comparator
+from repro.resolution.comparison import ScoringContext, profiled_comparator
 from repro.resolution.er import EntityResolver, refit_rule
 from repro.sources.base import (
     PROBE_COST_FRACTION,
@@ -140,6 +140,15 @@ class Wrangler:
         self._ingest_log = None
         self.history = SnapshotHistory()
         self._recorded_verifications = -1
+        #: ER and fusion work one run leaves for the next (see
+        #: docs/INCREMENTAL.md): the scoring context the last resolve
+        #: decided with, the context ``refit`` opened for the next
+        #: resolve with the inputs it was opened on, and the last fuser.
+        self._resolved_scores: ScoringContext | None = None
+        self._open_scores: (
+            tuple[Table, WranglePlan, ScoringContext] | None
+        ) = None
+        self._fuser: EntityFuser | None = None
 
     # -- source management ------------------------------------------------
 
@@ -520,13 +529,24 @@ class Wrangler:
         self.working.put("table", "translated", translated)
         return translated
 
-    def _comparator(self, translated: Table, plan: WranglePlan):
-        """The comparator ER decides with over ``translated``."""
-        return profiled_comparator(
-            self.user.target_schema,
-            translated,
-            attributes=list(plan.er_attributes) or None,
-        )
+    def _scoring(self, translated: Table, plan: WranglePlan) -> ScoringContext:
+        """The one scoring context ``refit`` and ``resolve`` share over
+        ``translated``: the comparator ER decides with, read through to
+        the tables the last resolve left."""
+        opened = self._open_scores
+        if (
+            opened is None
+            or opened[0] is not translated
+            or opened[1] is not plan
+        ):
+            comparator = profiled_comparator(
+                self.user.target_schema,
+                translated,
+                attributes=list(plan.er_attributes) or None,
+            )
+            scores = ScoringContext(comparator, previous=self._resolved_scores)
+            opened = self._open_scores = (translated, plan, scores)
+        return opened[2]
 
     def _stage_refit(self, inputs: dict[str, Any]):
         """The plan's ER threshold refitted on the duplicate-labelled
@@ -536,19 +556,24 @@ class Wrangler:
         translated, plan = inputs["translate"], inputs["plan"]
         return refit_rule(
             plan.er_threshold,
-            self._comparator(translated, plan),
+            self._scoring(translated, plan),
             translated,
             self.feedback.duplicate_labels(),
         )
 
     def _stage_resolve(self, inputs: dict[str, Any]):
         translated, plan = inputs["translate"], inputs["plan"]
+        scores = self._scoring(translated, plan)
         resolver = EntityResolver(
-            comparator=self._comparator(translated, plan),
+            comparator=scores,
             rule=inputs["refit"],
             metrics=self.telemetry.metrics,
         )
         result = resolver.resolve(translated)
+        # The next run's context reads through to this one, which keeps
+        # only what this run touched.
+        scores.detach()
+        self._resolved_scores, self._open_scores = scores, None
         self.working.put("entity", "clusters", result)
         return result
 
@@ -573,13 +598,13 @@ class Wrangler:
             recency_attribute=self.date_attribute,
             precedence=inputs["rank"],
         )
+        fused = fuser.fuse(resolution.clusters, previous=self._fuser)
+        self._fuser = fuser
         # Value feedback is folded into the fused data itself: a cell its
         # judges rejected takes their correction, or is re-fused without
         # the rejected claims.
         return fuser.apply_verdicts(
-            fuser.fuse(resolution.clusters),
-            resolution.clusters,
-            self.feedback.rejected_values(),
+            fused, resolution.clusters, self.feedback.rejected_values()
         )
 
     def _stage_repair(self, inputs: dict[str, Any]):

@@ -50,6 +50,9 @@ class EntityFuser:
         self.strategy_overrides = dict(strategy_overrides or {})
         self.recency_attribute = recency_attribute
         self.precedence = {source: i for i, source in enumerate(precedence)}
+        #: Per cluster id of the last :meth:`fuse`: the records in
+        #: precedence order and the record they fused to.
+        self._fused: dict[str, tuple[list[Record], Record]] = {}
 
     def _ordered(self, records: Sequence[Record]) -> list[Record]:
         """``records`` by source precedence, stably."""
@@ -104,7 +107,12 @@ class EntityFuser:
 
     def fuse_cluster(self, cluster: EntityCluster) -> Record:
         """Fuse one cluster into a single record."""
-        records = self._ordered(cluster.records)
+        return self._fuse_ordered(
+            cluster.cluster_id, self._ordered(cluster.records)
+        )
+
+    def _fuse_ordered(self, cluster_id: str, records: list[Record]) -> Record:
+        """Fuse one cluster's records, already in precedence order."""
         recencies = self._recencies(records)
         cells: dict[str, Value] = {}
         for attribute in self.target_schema:
@@ -121,7 +129,7 @@ class EntityFuser:
             ] or list(candidates)
             provenance = Provenance.combine(
                 Step.FUSION,
-                f"{self._strategy_for(attribute.name)}:{cluster.cluster_id}",
+                f"{self._strategy_for(attribute.name)}:{cluster_id}",
                 tuple(c.value.provenance for c in supporting),
             )
             cells[attribute.name] = Value(
@@ -139,17 +147,53 @@ class EntityFuser:
         if truth_ids:
             majority_truth = Counter(truth_ids).most_common(1)[0][0]
             cells["_truth"] = Value.of(majority_truth)
-        return Record.of(
-            cells, source="fused", rid=cluster.cluster_id
+        return Record.of(cells, source="fused", rid=cluster_id)
+
+    def _settings(self) -> tuple:
+        """Everything besides a cluster's ordered records that its fused
+        record depends on."""
+        return (
+            self.target_schema,
+            self.default_strategy,
+            self.strategy_overrides,
+            self.recency_attribute,
+            self.reliabilities,
         )
 
     def fuse(
-        self, clusters: Sequence[EntityCluster], name: str = "wrangled"
+        self,
+        clusters: Sequence[EntityCluster],
+        name: str = "wrangled",
+        previous: "EntityFuser | None" = None,
     ) -> Table:
-        """Fuse all clusters into the wrangled table."""
+        """Fuse all clusters into the wrangled table.
+
+        ``previous`` is the fuser of an earlier pass.  When it had the
+        same schema, strategies, recency attribute and source
+        reliabilities, a cluster it fused from the very same record
+        objects, in the same precedence order, keeps the record it fused:
+        fusion reads nothing else, so the record is the one fusing again
+        would build.  This fuser remembers the clusters of this call only.
+        """
+        same_settings = (
+            previous is not None and previous._settings() == self._settings()
+        )
+        reusable = previous._fused if same_settings else {}
+        self._fused = {}
         table = Table(name, self.target_schema)
         for cluster in clusters:
-            table.append(self.fuse_cluster(cluster))
+            records = self._ordered(cluster.records)
+            kept = reusable.get(cluster.cluster_id)
+            if (
+                kept is not None
+                and len(kept[0]) == len(records)
+                and all(a is b for a, b in zip(kept[0], records))
+            ):
+                fused = kept[1]
+            else:
+                fused = self._fuse_ordered(cluster.cluster_id, records)
+            self._fused[cluster.cluster_id] = (records, fused)
+            table.append(fused)
         return table
 
     def apply_verdicts(

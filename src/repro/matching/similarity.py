@@ -42,8 +42,9 @@ _STOPWORDS = frozenset(
 #: value is re-tokenised once *per pair* instead of once per resolver
 #: pass (the regression test pins the once-per-record contract).  FIFO
 #: eviction at a fixed bound keeps long-running processes flat.  (The
-#: Monge–Elkan name tokens are not cached here: one resolve owns them,
-#: unbounded and for its own lifetime only, in :class:`NameScores`.)
+#: Monge–Elkan name tokens are not cached here: the resolve that tokenised
+#: them owns them, in :class:`NameScores`, and hands the next resolve only
+#: what it touched.)
 _CACHE_LIMIT = 4096
 _token_set_cache: dict[str, frozenset[str]] = {}
 
@@ -252,20 +253,39 @@ class NameScores:
     only symmetric to the last few bits, and every score must stay the
     float the unshared computation returns, so ``(a, b)`` never answers
     for ``(b, a)``.  The tables only ever grow; their owner decides how
-    long they live (the resolver drops them with the resolve call —
-    there is deliberately no module-level instance).
+    long they live (there is deliberately no module-level instance).
+
+    An instance built on ``previous`` reads through to that instance's
+    own tables: a miss is looked up there before it is computed, and is
+    entered in this instance's tables either way.  Every entry is a pure
+    function of its key, so a carried entry is the float a fresh
+    computation returns.  After :meth:`detach` the instance holds
+    exactly what was asked of it, and ``previous`` can be collected.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, previous: "NameScores | None" = None) -> None:
         self._tokens: dict[str, tuple[str, ...]] = {}
         self._codes: dict[str, bool] = {}
         self._pairs: dict[tuple[str, str], float] = {}
+        self._previous = previous
+
+    def detach(self) -> None:
+        """Stop reading through to the instance this one was built on."""
+        self._previous = None
+
+    def _carried(self, table: str, key):
+        """``key``'s entry in the previous instance's ``table``, or None."""
+        previous = self._previous
+        return None if previous is None else getattr(previous, table).get(key)
 
     def tokens(self, text: str) -> tuple[str, ...]:
         """The name tokens of ``text`` (see :func:`_name_tokens`)."""
         tokens = self._tokens.get(text)
         if tokens is None:
-            tokens = self._tokens[text] = _name_tokens(text)
+            tokens = self._carried("_tokens", text)
+            if tokens is None:
+                tokens = _name_tokens(text)
+            self._tokens[text] = tokens
         return tokens
 
     def is_code(self, token: str) -> bool:
@@ -273,7 +293,10 @@ class NameScores:
         number, a postcode fragment) and so only ever matches itself."""
         code = self._codes.get(token)
         if code is None:
-            code = self._codes[token] = any(c.isdigit() for c in token)
+            code = self._carried("_codes", token)
+            if code is None:
+                code = any(c.isdigit() for c in token)
+            self._codes[token] = code
         return code
 
     def token_score(self, left: str, right: str) -> float:
@@ -281,20 +304,23 @@ class NameScores:
         pair = (left, right)
         score = self._pairs.get(pair)
         if score is None:
-            if self.is_code(left) or self.is_code(right):
-                # Two different codes are different things, however
-                # many characters they share.
-                score = 1.0 if left == right else 0.0
-            else:
-                score = jaro_winkler(left, right)
-                # A word either IS the other word (with typos — scores
-                # near 1) or it is a different word; mid-range Jaro
-                # between distinct words ("engineer"/"scientist" ≈ 0.55)
-                # is noise, not half a match.
-                if score < 0.85:
-                    score = 0.3 * score
+            score = self._carried("_pairs", pair)
+            if score is None:
+                score = self._align(left, right)
             self._pairs[pair] = score
         return score
+
+    def _align(self, left: str, right: str) -> float:
+        """The score :meth:`token_score` tables, computed."""
+        if self.is_code(left) or self.is_code(right):
+            # Two different codes are different things, however many
+            # characters they share.
+            return 1.0 if left == right else 0.0
+        score = jaro_winkler(left, right)
+        # A word either IS the other word (with typos — scores near 1) or
+        # it is a different word; mid-range Jaro between distinct words
+        # ("engineer"/"scientist" ≈ 0.55) is noise, not half a match.
+        return 0.3 * score if score < 0.85 else score
 
     def score(self, a: str, b: str, combine: str = "mean") -> float:
         """:func:`monge_elkan` of ``a`` and ``b`` off the shared tables."""

@@ -93,13 +93,28 @@ def full_pairs(table: Table) -> np.ndarray:
     return np.column_stack((left, right)).astype(np.intp, copy=False)
 
 
-def _pairs_within(members: np.ndarray) -> np.ndarray:
-    """All index pairs inside one block (members need not be sorted)."""
-    m = members.shape[0]
-    if m < 2:
+def _pairs_of_blocks(blocks: Iterable[Sequence[int]], n: int) -> np.ndarray:
+    """Every index pair inside any of ``blocks``, in canonical array form.
+
+    Each block lists the indices (below ``n``) of its members in
+    ascending order.  Blocks of one size are stacked into one matrix and
+    paired by one ``triu_indices``; each pair ``(low, high)`` is encoded
+    as ``low * n + high``, so one 1-D ``np.unique`` over every size's
+    codes both deduplicates the pairs and sorts them lexicographically.
+    """
+    by_size: dict[int, list[Sequence[int]]] = {}
+    for members in blocks:
+        if len(members) >= 2:
+            by_size.setdefault(len(members), []).append(members)
+    if not by_size:
         return _EMPTY_PAIRS
-    i, j = np.triu_indices(m, k=1)
-    return np.column_stack((members[i], members[j]))
+    codes = []
+    for size, same_size in by_size.items():
+        matrix = np.asarray(same_size, dtype=np.intp)
+        low, high = np.triu_indices(size, k=1)
+        codes.append((matrix[:, low] * n + matrix[:, high]).ravel())
+    unique = np.unique(np.concatenate(codes))
+    return np.column_stack((unique // n, unique % n))
 
 
 def _emit_dropped(
@@ -155,7 +170,7 @@ def token_blocking(
         for token in _blocking_tokens(record, attributes, min_token_length):
             blocks.setdefault(token, []).append(index)
 
-    chunks: list[np.ndarray] = []
+    kept: list[list[int]] = []
     dropped_blocks = 0
     dropped_members = 0
     for members in blocks.values():
@@ -163,11 +178,9 @@ def token_blocking(
             dropped_blocks += 1
             dropped_members += len(members)
             continue
-        chunks.append(_pairs_within(np.asarray(members, dtype=np.intp)))
+        kept.append(members)
     _emit_dropped(metrics, dropped_blocks, dropped_members)
-    if not chunks:
-        return _EMPTY_PAIRS
-    return pair_array(np.concatenate(chunks))
+    return _pairs_of_blocks(kept, len(table))
 
 
 def sorted_neighbourhood(
@@ -330,7 +343,7 @@ def minhash_lsh(
     # tokens after it.
 
     rows_per_band = num_perm // bands
-    chunks: list[np.ndarray] = []
+    buckets: list[np.ndarray] = []
     dropped_blocks = 0
     dropped_members = 0
     for band in range(bands):
@@ -338,6 +351,7 @@ def minhash_lsh(
         __, inverse, bucket_sizes = np.unique(
             view, axis=0, return_inverse=True, return_counts=True
         )
+        # Stable, so each bucket's members stay ascending.
         order = np.argsort(inverse, kind="stable")
         boundaries = np.cumsum(bucket_sizes)[:-1]
         for members in np.split(populated[order], boundaries):
@@ -350,11 +364,9 @@ def minhash_lsh(
                 dropped_blocks += 1
                 dropped_members += members.shape[0]
                 continue
-            chunks.append(_pairs_within(members))
+            buckets.append(members)
     _emit_dropped(metrics, dropped_blocks, dropped_members)
-    if not chunks:
-        return _EMPTY_PAIRS
-    return pair_array(np.concatenate(chunks))
+    return _pairs_of_blocks(buckets, len(table))
 
 
 def recall_of(

@@ -202,7 +202,7 @@ class RecordComparator:
 
 
 class ScoringContext:
-    """One resolve's score tables around a comparator: the scalar compare
+    """A resolve's score tables around a comparator: the scalar compare
     loop computes each thing once and looks it up after.
 
     Candidate pairs are scored field by field, but the *values* repeat
@@ -221,25 +221,44 @@ class ScoringContext:
     symmetric only to ``approx``.
 
     Whoever builds the context owns its lifetime: ``EntityResolver.
-    resolve`` wraps a plain comparator in a fresh one per call; a caller
-    scoring more pairs for the same resolve builds it first and passes it
-    wherever the comparator goes.  The wrangler's ``refit`` and
-    ``resolve`` nodes each get a fresh one: they run on different ticks.
-    Nothing is module-level.  Only the plain classes are tabled (the
-    rule the kernels compile by): a ``RecordComparator`` subclass or
-    duck-typed comparator keeps its own ``vector``, a ``FieldComparator``
-    subclass its own ``compare``.
+    resolve`` wraps a plain comparator in a fresh one per call, dropped
+    on return; a caller scoring more pairs for the same resolve builds it
+    first and passes it wherever the comparator goes.  Nothing is
+    module-level.  Only the plain classes are tabled (the rule the
+    kernels compile by): a ``RecordComparator`` subclass or duck-typed
+    comparator keeps its own ``vector``, a ``FieldComparator`` subclass
+    its own ``compare``.
 
-    The tables never evict: a value-pair table gains one key (about
-    200 bytes) per *distinct* value pair scored, so it is bounded by the
-    pairs the scalar loop sees — the prune kernels' survivors on the
-    default path, every candidate with ``use_kernels=False`` — and pays
-    back only when value pairs repeat.
+    A context built on ``previous`` reads through to that context's
+    tables — the value-pair tables by measure, and its ``NameScores`` —
+    and enters what it finds in its own, so after :meth:`detach` it
+    holds exactly the entries its own pass touched and ``previous`` can
+    be collected.  Carrying is exact because a table entry depends on
+    nothing but its measure and its ordered ``str`` pair: not on the
+    weights (which ``profiled_comparator`` re-derives from every table
+    it profiles), the threshold, or which records carry the values.  The
+    wrangler builds one context per run that re-resolves, shared by its
+    ``refit`` and ``resolve`` nodes, on the last resolve's context, and
+    detaches it once it has resolved.
+
+    A table gains one key (about 200 bytes) per *distinct* value pair
+    scored, so it is bounded by the pairs the scalar loop sees — the
+    prune kernels' survivors on the default path, every candidate with
+    ``use_kernels=False`` — and pays back when value pairs repeat,
+    within a resolve or from one to the next.
     """
 
-    def __init__(self, comparator: RecordComparator) -> None:
+    def __init__(
+        self,
+        comparator: RecordComparator,
+        previous: "ScoringContext | None" = None,
+    ) -> None:
         self.comparator = comparator
-        self.names = NameScores()
+        self.names = NameScores(
+            previous.names if previous is not None else None
+        )
+        self._tables: dict[str, dict[tuple[str, str], float]] = {}
+        self._carried = previous._tables if previous is not None else {}
         self._fields: list[tuple] | None = None
         if type(comparator) is RecordComparator:
             names = self.names
@@ -248,12 +267,11 @@ class ScoringContext:
                 tokens=names.score,
                 tokens_strict=lambda a, b: names.score(a, b, "min"),
             )
-            tables: dict[str, dict[tuple[str, str], float]] = {}
             self._fields = [
                 (
                     field,
                     measures[field.measure],
-                    tables.setdefault(field.measure, {})
+                    self._tables.setdefault(field.measure, {})
                     if type(field) is FieldComparator
                     and MEASURE_DOMAINS[field.measure] is None
                     else None,
@@ -266,6 +284,11 @@ class ScoringContext:
         """``comparator`` itself when it already is a context (its
         builder shares it), else a fresh context around it."""
         return comparator if isinstance(comparator, cls) else cls(comparator)
+
+    def detach(self) -> None:
+        """Stop reading through to the context this one was built on."""
+        self._carried = {}
+        self.names.detach()
 
     def vector(self, left: Record, right: Record) -> list[float | None]:
         """``comparator.vector(left, right)``, off the tables."""
@@ -284,7 +307,12 @@ class ScoringContext:
             pair = (str(value_left.raw), str(value_right.raw))
             score = table.get(pair)
             if score is None:
-                score = table[pair] = measure(*pair)
+                carried = self._carried.get(field.measure)
+                if carried is not None:
+                    score = carried.get(pair)
+                if score is None:
+                    score = measure(*pair)
+                table[pair] = score
             vector.append(score)
         return vector
 

@@ -1,8 +1,9 @@
 """The entity resolution pipeline: block, compare, decide, cluster.
 
 Matched pairs are closed under transitivity by connected-component
-clustering (networkx), so the output is a partition of the input records
-into entities — ready for the fusion component to reconcile.
+clustering (a union-find over the match edges), so the output is a
+partition of the input records into entities — ready for the fusion
+component to reconcile.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import (
     Sequence,
 )
 
-import networkx as nx
 import numpy as np
 
 from repro.model.records import Record, Table
@@ -151,16 +151,31 @@ def clusters_of(
     their content-derived id.
 
     The one cluster builder: single-node and partitioned ER both end
-    here, so an entity gets the same id in every execution mode.
+    here, so an entity gets the same id in every execution mode.  The
+    components come from a union-find with path halving; a component's
+    members are in sorted node order, and components enter the (stable)
+    sort by id in the order of their first node in ``records``.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(records)
-    graph.add_edges_from(edges)
+    parent = {node: node for node in records}
+
+    def root(node: Hashable) -> Hashable:
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for left, right in edges:
+        left, right = root(left), root(right)
+        if left != right:
+            parent[right] = left
+    components: dict[Hashable, list[Hashable]] = {}
+    for node in records:
+        components.setdefault(root(node), []).append(node)
     clusters = [
         EntityCluster.from_records(
-            [records[node] for node in sorted(component)]
+            [records[node] for node in sorted(members)]
         )
-        for component in nx.connected_components(graph)
+        for members in components.values()
     ]
     clusters.sort(key=lambda c: c.cluster_id)
     return clusters
@@ -224,7 +239,8 @@ class EntityResolver:
         One call scores off one :class:`ScoringContext`: a fresh one
         around the comparator, dropped on return — unless the resolver
         was built on a context, whose builder then shares it with the
-        other pairs it scores for this resolve (:func:`refit_rule`).
+        other pairs it scores for this resolve (:func:`refit_rule`) and
+        may build the next resolve's context on it.
         """
         scores = ScoringContext.around(
             self.comparator or default_comparator(table.schema)

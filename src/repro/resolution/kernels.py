@@ -41,7 +41,9 @@ measure                   upper bound
                           the other side has any)/|tokens|``, counted with
                           multiplicity via a digit-token CSR matrix off the
                           scoring context's name tokens and digit classes
-                          (tokenised here once, read by the scalar loop)
+                          (tokenised once — here, or by the earlier
+                          resolve the context reads through to — and read
+                          again by the scalar loop)
 ========================  ====================================================
 
 Compilation is conservative: anything but a plain ``ThresholdRule`` over a
@@ -53,7 +55,10 @@ and the resolver runs the scalar loop for every pair, exactly as before.
 The scoring methods mutate nothing — no caches, no globals, no self
 state; the resolver runs the prefilter once per table, ahead of the
 scalar decide loop, and hands that loop the surviving pairs in their
-original sorted order.
+original sorted order.  A compiled comparator lives for one resolve;
+the name tokens compiling reads live in the scoring context's
+``NameScores``, which is what carries them to the next resolve
+(:class:`~repro.resolution.comparison.ScoringContext`).
 """
 
 from __future__ import annotations
@@ -62,6 +67,7 @@ from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+from scipy import sparse as _sparse
 
 from repro.matching.similarity import NameScores, token_set
 from repro.model.records import Table
@@ -74,11 +80,6 @@ from repro.resolution.comparison import (
     parse_point,
 )
 from repro.resolution.rules import ThresholdRule
-
-try:  # scipy ships with the toolchain, but the kernels must degrade, not die
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover - exercised only without scipy
-    _sparse = None
 
 if TYPE_CHECKING:
     from repro.obs import MetricsRegistry
@@ -480,8 +481,7 @@ def compile_comparator(
     scores = ScoringContext.around(comparator)
     comparator = scores.comparator
     eligible = (
-        _sparse is not None
-        and type(rule) is ThresholdRule
+        type(rule) is ThresholdRule
         and type(comparator) is RecordComparator
         and all(type(field) is FieldComparator for field in comparator.fields)
     )

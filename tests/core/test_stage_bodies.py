@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import repro.core.wrangler as wrangler_module
+import repro.matching.similarity as similarity
 import repro.resolution.er as er
 
 from repro.context.data_context import DataContext
@@ -352,28 +353,35 @@ class TestStageBodiesComposeLayersDecide:
         assert nested == ["acquire_durable"]
 
 
-class TestRefitAndResolveEachBuildOneScoringContext:
-    """``_stage_refit`` scores the labelled pairs the threshold is
-    refitted on and ``_stage_resolve`` the candidates; each builds one
-    :class:`ScoringContext` for its own pairs, and neither keeps it."""
+class TestRefitAndResolveShareOneScoringContextPerTick:
+    """A tick that re-resolves builds one :class:`ScoringContext`:
+    ``_stage_refit`` scores the labelled pairs off it, ``_stage_resolve``
+    the candidates.  The next tick's context reads through to it, so it
+    lives until the next resolve and no longer."""
 
-    def test_each_stage_scores_off_its_own_context_and_drops_it(
+    def test_one_context_per_tick_is_shared_and_collected_after_the_next_resolve(
         self, monkeypatch
     ):
-        built, scored = [], []
+        built, scored, aligned = [], [], []
         real_init, real_score = ScoringContext.__init__, er._score_pair
+        real_jaro = similarity.jaro
 
-        def init(self, comparator):
+        def init(self, comparator, previous=None):
             built.append(weakref.ref(self))
-            real_init(self, comparator)
+            real_init(self, comparator, previous)
 
         def score(scores, left, right):
             which = [ref() for ref in built].index(scores)
             scored.append((which, left.rid, right.rid))
             return real_score(scores, left, right)
 
+        def jaro(a, b):
+            aligned.append((a, b))
+            return real_jaro(a, b)
+
         monkeypatch.setattr(ScoringContext, "__init__", init)
         monkeypatch.setattr(er, "_score_pair", score)
+        monkeypatch.setattr(similarity, "jaro", jaro)
 
         wrangler = make_wrangler()
         inputs = {"plan": PLAN, "acquire:shop": raw_table()}
@@ -383,24 +391,34 @@ class TestRefitAndResolveEachBuildOneScoringContext:
             )
         inputs["select"] = wrangler._stage_select(inputs)
         inputs["rank"] = wrangler._stage_rank(inputs)
-        inputs["translate"] = wrangler._stage_translate(inputs)
-        anvil, rope = (record.rid for record in inputs["translate"])
+
+        def tick():
+            # A re-run translate: an equal table, but a new object.
+            inputs["translate"] = wrangler._stage_translate(inputs)
+            inputs["refit"] = wrangler._stage_refit(inputs)
+            result = wrangler._stage_resolve(inputs)
+            assert len(result.clusters) == 2
+
+        anvil, rope = (
+            record.rid for record in wrangler._stage_translate(inputs)
+        )
         wrangler.feedback.add(
             DuplicateFeedback(rid_a=anvil, rid_b=rope, is_duplicate=False)
         )
-        del built[:], scored[:]
-
-        inputs["refit"] = wrangler._stage_refit(inputs)
+        tick()
         assert len(built) == 1
-        assert scored == [(0, anvil, rope)]   # the labelled pair
+        # the labelled pair, then the one candidate pair, off one context
+        assert scored == [(0, anvil, rope), (0, anvil, rope)]
+        assert aligned
 
-        result = wrangler._stage_resolve(inputs)
-        assert len(result.clusters) == 2
+        del scored[:], aligned[:]
+        tick()
         assert len(built) == 2
-        # then the one candidate pair, off the resolve's own context
-        assert scored == [(0, anvil, rope), (1, anvil, rope)]
+        assert scored == [(1, anvil, rope), (1, anvil, rope)]
+        assert aligned == []   # every score read through to the first tick's
         gc.collect()
-        assert [ref() for ref in built] == [None, None]
+        assert built[0]() is None
+        assert built[1]() is wrangler._resolved_scores
 
 
 class TestValueFeedbackBindsAcrossReResolves:

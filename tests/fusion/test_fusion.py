@@ -245,6 +245,34 @@ class TestEntityFuser:
         assert table.name == "wrangled"
         assert {r.rid for r in table} == {"e1", "e2"}
 
+    def test_a_previous_fuser_lends_only_records_nothing_would_change(self):
+        tie = EntityCluster("e1", [
+            record("a", "Acme TV", 300.0, "2016-01-01"),
+            record("b", "Acme TV", 350.0, "2016-01-01"),
+        ])
+        alone = EntityCluster("e2", [record("c", "Globex Cam", 99.0, "2016-01-01")])
+
+        def fuse(previous=None, clusters=(tie, alone), **options):
+            fuser = EntityFuser(SCHEMA, **options)
+            return fuser, {r.rid: r for r in fuser.fuse(clusters, previous=previous)}
+
+        first, fused = fuse(precedence=("a", "b"))
+        # Same records, order and settings: the very record comes back.
+        __, again = fuse(first, precedence=("a", "b"))
+        assert again["e1"] is fused["e1"] and again["e2"] is fused["e2"]
+        # A re-rank that reorders a cluster re-fuses it (the tie moves),
+        # and only it.
+        __, reranked = fuse(first, precedence=("b", "a"))
+        assert reranked["e1"].raw("price") == 350.0
+        assert reranked["e2"] is fused["e2"]
+        # Moved trust, or other records, re-fuse.
+        __, trusted = fuse(first, precedence=("a", "b"), reliabilities={"c": 0.9})
+        assert trusted["e2"] is not fused["e2"]
+        copy = EntityCluster("e2", [record("c", "Globex Cam", 99.0, "2016-01-01")])
+        __, refetched = fuse(first, clusters=(tie, copy), precedence=("a", "b"))
+        assert refetched["e2"] is not fused["e2"]
+        assert refetched["e1"] is fused["e1"]
+
     def test_precedence_breaks_ties_whatever_the_cluster_order(self):
         # Equal reliability, equal weight: the tie goes to the source
         # listed first, not to the record that happens to come first.

@@ -3,10 +3,12 @@
 The candidate-pair representation changed from ``set[tuple[int, int]]``
 to sorted index arrays; these tests pin the normalisation contract, the
 sorted-neighbourhood rewrite against a reference implementation of the
-old per-comparison-key sort, MinHash-LSH's determinism and validation,
-and the ``blocking.dropped_*`` accounting for recall silently traded
-away.
+old per-comparison-key sort, token blocking against the old per-block
+pair loop, MinHash-LSH's determinism and validation, and the
+``blocking.dropped_*`` accounting for recall silently traded away.
 """
+
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +19,9 @@ from repro.errors import ResolutionError
 from repro.model.records import Table
 from repro.obs import MetricsRegistry
 from repro.resolution.blocking import (
+    MAX_BLOCK_SIZE,
+    _blocking_tokens,
+    _pairs_of_blocks,
     as_pair_set,
     full_pairs,
     minhash_lsh,
@@ -208,6 +213,98 @@ class TestMinhashLSH:
         # Identical token sets have identical signatures under *every*
         # permutation, so they collide in every band regardless of seed.
         assert (0, 1) in pairs
+
+
+def per_block_token_blocking(table, attributes, max_block_size, metrics):
+    """The per-block pair loop ``token_blocking`` used before it paired
+    every block of one size at once: kept here as the oracle."""
+    blocks = {}
+    for index, record in enumerate(table.records):
+        for token in _blocking_tokens(record, attributes, 3):
+            blocks.setdefault(token, []).append(index)
+    chunks, dropped_blocks, dropped_members = [], 0, 0
+    for members in blocks.values():
+        if len(members) > max_block_size:
+            dropped_blocks += 1
+            dropped_members += len(members)
+            continue
+        members = np.asarray(members, dtype=np.intp)
+        if members.shape[0] < 2:
+            continue
+        i, j = np.triu_indices(members.shape[0], k=1)
+        chunks.append(np.column_stack((members[i], members[j])))
+    if dropped_blocks:
+        metrics.counter("blocking.dropped_blocks").increment(dropped_blocks)
+        metrics.counter("blocking.dropped_members").increment(dropped_members)
+    if not chunks:
+        return np.empty((0, 2), dtype=np.intp)
+    return pair_array(np.concatenate(chunks))
+
+
+class TestTokenBlockingMatchesThePerBlockLoop:
+    """One ``triu_indices`` per block size and one 1-D ``np.unique``
+    give the per-block loop's array exactly, and the same drop counts."""
+
+    @staticmethod
+    def check(table, max_block_size=MAX_BLOCK_SIZE):
+        fast, slow = MetricsRegistry(), MetricsRegistry()
+        produced = token_blocking(
+            table, ["name"], max_block_size=max_block_size, metrics=fast
+        )
+        expected = per_block_token_blocking(
+            table, ["name"], max_block_size, slow
+        )
+        assert produced.dtype == expected.dtype == np.intp
+        assert produced.shape == expected.shape
+        assert np.array_equal(produced, expected)
+        for name in ("blocking.dropped_blocks", "blocking.dropped_members"):
+            assert fast.counter(name).value == slow.counter(name).value
+        return produced, fast
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_tables(self, seed):
+        rng = random.Random(seed)
+        vocabulary = [f"word{k}" for k in range(rng.randrange(5, 40))]
+        rows = [
+            {"name": " ".join(rng.sample(vocabulary, rng.randrange(0, 5)))
+             or None}
+            for __ in range(rng.randrange(2, 300))
+        ]
+        self.check(Table.from_rows("t", rows), max_block_size=rng.choice(
+            (2, 5, 17, MAX_BLOCK_SIZE)
+        ))
+
+    @pytest.mark.parametrize("size, dropped", [
+        (MAX_BLOCK_SIZE, 0), (MAX_BLOCK_SIZE + 1, 1),
+    ])
+    def test_a_block_at_and_just_past_the_cap(self, size, dropped):
+        rows = [{"name": f"shared unique{i}"} for i in range(size)]
+        pairs, metrics = self.check(Table.from_rows("t", rows))
+        assert pairs.shape[0] == (0 if dropped else size * (size - 1) // 2)
+        assert metrics.counter("blocking.dropped_blocks").value == dropped
+
+    def test_singleton_tokens_pair_nothing(self):
+        rows = [{"name": f"alone{i} solo{i}"} for i in range(20)]
+        pairs, __ = self.check(Table.from_rows("t", rows))
+        assert pairs.shape == (0, 2)
+
+    def test_an_empty_table(self):
+        pairs, __ = self.check(Table.from_rows("t", []))
+        assert pairs.shape == (0, 2)
+
+    @given(st.lists(
+        st.lists(st.integers(min_value=0, max_value=30), max_size=8),
+        max_size=12,
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_pairs_of_blocks_equals_pairing_each_block(self, blocks):
+        blocks = [sorted(set(members)) for members in blocks]
+        chunks = [
+            [(a, b) for k, a in enumerate(members) for b in members[k + 1:]]
+            for members in blocks
+        ]
+        expected = pair_array([pair for chunk in chunks for pair in chunk])
+        assert np.array_equal(_pairs_of_blocks(blocks, 31), expected)
 
 
 class TestRecallOf:

@@ -6,9 +6,10 @@ pair re-aligns every token against every token, both directions, with
 the digit test re-run per call.  The properties assert that the
 table-backed path (``NameScores.score``, and ``monge_elkan`` on top of
 it) returns the ``==``-identical float — not ``approx`` — on digit
-tokens, stopword-only names, empty strings and repeated tokens, warm or
-cold, in either argument order; and that a whole ``resolve()`` off a
-``ScoringContext`` decides exactly what the oracle comparator decides.
+tokens, stopword-only names, empty strings and repeated tokens, warm,
+cold or read through from an earlier resolve's tables, in either
+argument order; and that a whole ``resolve()`` off a ``ScoringContext``
+decides exactly what the oracle comparator decides.
 """
 
 import importlib.util
@@ -110,6 +111,24 @@ class TestTableBackedMongeElkanEqualsTheOracle:
                 expected = old_monge_elkan(a, b, combine)
                 assert shared.score(a, b, combine) == expected
                 assert monge_elkan(a, b, combine) == expected
+
+    @given(
+        st.lists(st.tuples(names, names), min_size=1, max_size=8),
+        st.lists(st.tuples(names, names), min_size=1, max_size=8),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_tables_read_through_return_the_identical_float(
+        self, earlier, later
+    ):
+        previous = NameScores()
+        for a, b in earlier:
+            previous.score(a, b)
+        carried = NameScores(previous)
+        for combine in ("mean", "min"):
+            for a, b in later + earlier + [(b, a) for a, b in earlier]:
+                assert carried.score(a, b, combine) == (
+                    old_monge_elkan(a, b, combine)
+                )
 
     @pytest.mark.parametrize("a, b", [
         ("", ""),
@@ -220,6 +239,31 @@ class TestValuePairKeysAreTheStrFormsTheMeasureSees:
                     assert scores.vector(left, right) == (
                         comparator.vector(left, right)
                     ), (measure, left.raw("v"), right.raw("v"))
+
+    def test_a_carried_pair_answers_only_for_its_own_measure(self):
+        # A context built on the previous resolve's reads its tables
+        # through; the same value pair under another measure is another
+        # entry.
+        rows = [{"v": "acme pro 15"}, {"v": "Acme Pro"}, {"v": "pro acme"},
+                {"v": "acme pro 15a"}, {"v": 15}]
+        table = Table.from_rows("t", rows)
+        measures = ("exact", "jaro", "levenshtein", "jaccard", "dice",
+                    "tokens", "tokens_strict")
+        for before in measures:
+            previous = ScoringContext(
+                RecordComparator((FieldComparator("v", before),))
+            )
+            for left in table.records:
+                for right in table.records:
+                    previous.vector(left, right)
+            for after in measures:
+                comparator = RecordComparator((FieldComparator("v", after),))
+                scores = ScoringContext(comparator, previous=previous)
+                for left in table.records:
+                    for right in table.records:
+                        assert scores.vector(left, right) == (
+                            comparator.vector(left, right)
+                        ), (before, after)
 
     def test_numeric_and_geo_are_not_tabled(self):
         # They read their operands' types, not their str() forms.

@@ -256,8 +256,10 @@ class NameScores:
     long they live (there is deliberately no module-level instance).
 
     An instance built on ``previous`` reads through to that instance's
-    own tables: a miss is looked up there before it is computed, and is
-    entered in this instance's tables either way.  Every entry is a pure
+    name-token and token-pair tables: a miss is looked up there before it
+    is computed, and is entered in this instance's tables either way (the
+    digit test is cheaper than the look-up, so it is never carried).
+    Every entry is a pure
     function of its key, so a carried entry is the float a fresh
     computation returns.  After :meth:`detach` the instance holds
     exactly what was asked of it, and ``previous`` can be collected.
@@ -293,10 +295,7 @@ class NameScores:
         number, a postcode fragment) and so only ever matches itself."""
         code = self._codes.get(token)
         if code is None:
-            code = self._carried("_codes", token)
-            if code is None:
-                code = any(c.isdigit() for c in token)
-            self._codes[token] = code
+            code = self._codes[token] = any(c.isdigit() for c in token)
         return code
 
     def token_score(self, left: str, right: str) -> float:

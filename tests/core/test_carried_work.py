@@ -201,7 +201,7 @@ def test_carried_state_holds_only_what_the_latest_run_touched(tmp_path):
         assert table == fresh._tables[measure]
     # Name tables: a value pair read from the last run's table never
     # reaches the token tables, so they hold at most what fresh work does.
-    for name in ("_tokens", "_codes", "_pairs"):
+    for name in ("_tokens", "_pairs"):
         kept, needed = getattr(carried.names, name), getattr(fresh.names, name)
         assert set(kept) <= set(needed)
         assert all(kept[key] == needed[key] for key in kept)

@@ -1,13 +1,13 @@
 """Alternating parent/change benchmark pairs for one workload.
 
     python3 tools/bench_pairs.py --workload NAME [--seed N] [--pairs 10]
-                                 [--ref HEAD] [--seconds 30]
+                                 [--ref HEAD]
 
 (``make bench-pairs WORKLOAD=… SEED=… PAIRS=10 REF=HEAD`` runs the
 same.)  ``--ref`` is checked out into a temporary ``git worktree``: that
 is the *parent* side.  The *change* side is this working tree, edits
-included.  Each pair runs ``bench/run.py`` in gate mode (``--trace 0``)
-once per side, one run at a time — two runs at once slow each other
+included.  Each pair runs ``bench/run.py`` in gate mode (``--trace 0``,
+its default measuring time) once per side, one run at a time — two runs at once slow each other
 unevenly — and flips which side goes first from one pair to the next,
 so a slow spell of the machine lands on both sides alike.
 
@@ -32,12 +32,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def gate_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def gate_run(checkout: Path, workload: str, seed: int) -> dict:
     """One ``bench/run.py`` gate run in ``checkout``: its last-line JSON."""
     done = subprocess.run(
         [
             sys.executable, "bench/run.py", "--workload", workload,
-            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+            "--seed", str(seed), "--trace", "0",
         ],
         cwd=checkout, capture_output=True, text=True,
     )
@@ -94,11 +94,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=2016)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--ref", default="HEAD", help="the parent side")
-    parser.add_argument("--seconds", type=float,
-                        help="measuring time per run (default: run_seconds)")
     args = parser.parse_args()
-    contract = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or contract["run_seconds"]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
 
     commit = subprocess.run(
         ["git", "rev-parse", "--verify", f"{args.ref}^{{commit}}"],
@@ -117,7 +114,7 @@ def main() -> int:
             order = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]
             outcome = {}
             for side in order:
-                report = gate_run(sides[side], args.workload, args.seed, seconds)
+                report = gate_run(sides[side], args.workload, args.seed)
                 failed += report["failed"] + (not report["correct"])
                 outcome[side] = {
                     name: cell["value"]
@@ -142,7 +139,7 @@ def main() -> int:
     print(f"{'metric':20s} {'better':6s} {'parent median [q1, q3]':>36s} "
           f"{'change median [q1, q3]':>36s} {'delta':>8s} {'wins':>6s} "
           f"{'>IQR':>5s}")
-    for row in summarise(pairs, contract["end_to_end"]):
+    for row in summarise(pairs, declared):
         parent, change = (
             f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
             for q in (row["parent"], row["change"])

@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-json typecheck cost-check bench bench-pairs bench-gate bench-smoke chaos chaos-crash check
+.PHONY: test lint lint-json typecheck gate-draws cost-check bench bench-pairs bench-gate bench-smoke chaos chaos-crash check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -16,10 +16,16 @@ lint:
 lint-json:
 	$(PYTHON) -m repro.analysis lint src/repro --format json
 
-# The pre-execution gate (structure + schema-flow types + cost) over
+# The pre-execution gate (contexts + types + cost) over
 # every shipped example plan; exits 1 on any error-severity finding.
 typecheck:
 	$(PYTHON) -m repro.analysis typecheck examples
+
+# The rule-arm tally over N seeded composed plans, each run through
+# Wrangler.preflight(): the table docs/ANALYSIS.md carries (N=500, ~30 s).
+N ?= 500
+gate-draws:
+	$(PYTHON) tools/gate_draws.py --draws $(N)
 
 # Cost & cardinality certification of every shipped example plan (exits
 # 1 on any error-severity CC finding), then the snapshot test pinning the

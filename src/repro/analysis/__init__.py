@@ -3,16 +3,16 @@
 Three legs share one diagnostics engine and one driver,
 ``python -m repro.analysis <lint|typecheck|cost|ratchet>``:
 
-* :mod:`repro.analysis.validator` — static validation of wrangle plans,
-  dataflow graphs, mappings, and contexts (rule ids ``PV0xx``), wired
-  into :class:`~repro.core.wrangler.Wrangler` as a pre-flight check;
+* :mod:`repro.analysis.validator` — static validation of the contexts a
+  user writes (rule ids ``PV0xx``), wired into
+  :class:`~repro.core.wrangler.Wrangler` as a pre-flight check;
 * :mod:`repro.analysis.lint` — an AST-based framework linter (rule ids
   ``REP0xx``), the driver's ``lint src/repro``;
-* :mod:`repro.analysis.typecheck` — the operator table and the one plan
-  walk behind the schema-flow type checker (rule ids ``TC0xx``) and the
-  cost certifier of :mod:`repro.analysis.cost` (``CC0xx``), folded into
-  the wrangler's pre-execution gate and rendered by the driver's
-  ``typecheck examples`` / ``cost examples``.
+* :mod:`repro.analysis.typecheck` — the type rules over the probe
+  artifacts (rule ids ``TC0xx``), and the operator table and the one
+  plan walk behind the cost certifier of :mod:`repro.analysis.cost`
+  (``CC0xx``), folded into the wrangler's pre-execution gate and
+  rendered by the driver's ``typecheck examples`` / ``cost examples``.
 
 All emit :class:`~repro.analysis.diagnostics.Diagnostic` values and
 render through :mod:`repro.analysis.report`.

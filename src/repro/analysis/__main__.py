@@ -2,7 +2,7 @@
 
 * ``lint [paths]`` — the framework linter (:mod:`repro.analysis.lint`)
   over Python sources (default ``src/repro``);
-* ``typecheck [paths]`` — the full pre-execution gate (structure + types
+* ``typecheck [paths]`` — the full pre-execution gate (contexts + types
   + cost, :func:`~repro.analysis.typecheck.run_preflight` via
   ``Wrangler.preflight()``) over plan-building modules (default
   ``examples``);
@@ -74,8 +74,8 @@ def _parser() -> argparse.ArgumentParser:
 
     for name, what, description in (
         ("typecheck", "TC",
-         "repro schema-flow type checker: runs the pre-execution gate "
-         "(structure + types + cost) over plan-building modules"),
+         "repro type checker: runs the pre-execution gate "
+         "(contexts + types + cost) over plan-building modules"),
         ("cost", "CC",
          "repro cost & cardinality certifier: propagates row and cost "
          "estimates through each plan's dataflow"),

@@ -1,7 +1,7 @@
 """Cost & cardinality certification: how much will this plan spend?
 
 The cost leg of the analysis subsystem (beside the plan validator, the
-framework linter and the schema-flow typechecker): a static cost model
+framework linter and the type rules): a static cost model
 that propagates a :class:`~repro.analysis.cost.model.CardinalityEstimate`
 — rows, per-stage work, access cost in ``cost_per_access`` units —
 through a plan's dataflow topology, flags statically-predictable
@@ -12,7 +12,7 @@ findings flow through the shared
 :class:`~repro.analysis.diagnostics.Diagnostic` engine and into
 ``run_preflight``, whose single plan walk
 (:mod:`repro.analysis.typecheck.operators`) runs the cost halves defined
-here next to the schema halves.
+here.
 
 ``python -m repro.analysis cost examples`` renders the certificate;
 ``python -m repro.analysis ratchet`` gates fresh ``BENCH_*.json`` runs

@@ -2,15 +2,15 @@
 
 :func:`~repro.analysis.typecheck.operators.walk_plan` threads a
 :class:`~repro.analysis.cost.model.CardinalityEstimate` from node to
-node of a plan's dataflow topology, exactly as it threads
-:class:`~repro.model.schema.Schema`; each node's
+node of a plan's dataflow topology; each node's
 :class:`~repro.analysis.typecheck.operators.Operator` row estimates and
 checks it.  This module turns that walk into the certificate: the
 plan-level budget rule (``CC006``) and the :class:`PlanCostReport`, so a
 pooled cross-source resolve or a plan no budget bounds surfaces as
 ``CC`` diagnostics *before* any source is fully accessed.  The budget
-itself is the user context's, and ``PV008`` is the rule that refuses a
-plan whose acquisitions exceed it.
+itself is the user context's, and the planner's source selection spends
+within it: a composed plan never costs more than its budget
+(``tests/analysis/test_gate_draws.py`` states that as a property).
 
 Everything is duck-typed (plans, registries, dataflows), matching the
 plan validator's contract: tests can feed hand-built stand-ins, and this
@@ -102,7 +102,7 @@ def _budget_findings(
                 f"estimated access cost {total:.2f} is bounded by no "
                 "budget (the user context's budget is unbounded)",
                 "give the user context a budget: source selection spends "
-                "against it and PV008 refuses a plan over it",
+                "within it",
             )
         ]
     return []

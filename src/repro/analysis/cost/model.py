@@ -10,18 +10,16 @@ the same ``cost_per_access`` units as
 budget.  Each dataflow node kind the wrangler composes gets an
 ``*_estimate`` function declaring — *without executing anything* — how it
 transforms an incoming estimate (and, where a ``CC`` rule guards the
-kind, a ``*_check``), exactly as
-:mod:`repro.analysis.typecheck.signatures` declares schema transforms;
-:data:`repro.analysis.typecheck.operators.OPERATORS` joins the two
-halves into one row per kind.
+kind, a ``*_check``); :data:`repro.analysis.typecheck.operators.OPERATORS`
+gives each its own row.
 
 Work units convert to predicted compute-seconds through per-stage
 :data:`UNIT_COSTS`, order-of-magnitude constants pinned by the committed
 plan→cost snapshot.
 
-Everything is duck-typed like the plan validator and schema checker:
-the estimators read declared structure (plans, registries, user
-contexts) and never touch live data — probing is the caller's business.
+Everything is duck-typed like the plan validator: the estimators read
+declared structure (plans, registries, user contexts) and never touch
+live data — probing is the caller's business.
 """
 
 from __future__ import annotations
@@ -194,8 +192,6 @@ def source_facts(registry: Any) -> dict[str, SourceFacts]:
     degrade to ``None``.
     """
     facts: dict[str, SourceFacts] = {}
-    if registry is None or not hasattr(registry, "names"):
-        return facts
     for name in registry.names():
         source = registry.get(name)
         metadata = getattr(source, "metadata", None)

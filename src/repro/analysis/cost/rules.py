@@ -12,8 +12,8 @@ validator, linter, typechecker, and cost findings render uniformly.
 
 Severity doubles as admission pressure: ``warning`` rules flag cost
 smells worth fixing but admit the plan; ``info`` rules record where the
-estimate degraded to an assumption.  Refusing a plan over budget is
-``PV008``'s job: the one budget is the user context's.
+estimate degraded to an assumption.  The one budget is the user
+context's, and the planner's source selection never spends past it.
 """
 
 from __future__ import annotations
@@ -60,13 +60,5 @@ COST_RULES: Mapping[str, Rule] = catalogue(
         "large enough that approximate-FD mining (rows x width^2 "
         "candidate dependencies) dominates the repair stage — mine "
         "constraints offline or cap the discovery scope.",
-    ),
-    Rule(
-        "CC009",
-        "unestimable-node",
-        Severity.WARNING,
-        "A dataflow node's kind has no registered cost signature, so no "
-        "estimate can propagate through it: everything downstream of the "
-        "node inherits an assumed cardinality.",
     ),
 )

@@ -21,7 +21,6 @@ __all__ = [
     "catalogue",
     "count_by_severity",
     "finding",
-    "dedupe_diagnostics",
     "has_errors",
     "sort_diagnostics",
 ]
@@ -151,20 +150,6 @@ def sort_diagnostics(diagnostics: Iterable[Diagnostic]) -> list[Diagnostic]:
             d.rule,
         ),
     )
-
-
-def dedupe_diagnostics(
-    diagnostics: Iterable[Diagnostic],
-) -> list[Diagnostic]:
-    """Drop exact duplicates, keeping first occurrence order.
-
-    Several gates (``PV``, ``TC``, ``CC``) can legitimately find the
-    same defect on the same node; a combined report should say it once.
-    Diagnostics are frozen dataclasses, so "exact duplicate" is full
-    field equality — two findings differing only in message or hint both
-    survive.
-    """
-    return list(dict.fromkeys(diagnostics))
 
 
 def count_by_severity(

@@ -465,7 +465,6 @@ LAYER_RANKS: Mapping[str, int] = {
     "ingest": 3,
     "matching": 3,
     "extraction": 3,
-    "kb": 3,
     "selection": 3,
     "resolution": 4,
     "quality": 4,

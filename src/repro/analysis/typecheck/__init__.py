@@ -1,21 +1,19 @@
-"""Plan-level static analysis: schema flow, cost, and the gate.
+"""Plan-level static analysis: types, cost, and the gate.
 
 The plan leg of :mod:`repro.analysis`, alongside the plan validator and
 the framework linter:
 
 * :mod:`~repro.analysis.typecheck.operators` — the operator table (one
-  row per dataflow node kind: stage, schema half, cost half),
+  row per dataflow node kind: stage and cost half),
   :func:`pipeline_shape` (the one declaration of the pipeline's wiring,
   which the wrangler composes its dataflow from) and the one walk that
-  threads schemas and cost estimates through a plan's dataflow topology
-  without executing it;
-* :mod:`~repro.analysis.typecheck.signatures` — the schema halves (rule
-  ids ``TC001``–``TC009``); the cost halves live in
+  threads cost estimates through a plan's dataflow topology without
+  executing it;
+* :mod:`~repro.analysis.typecheck.rules` — the ``TC`` rules, checked
+  once per plan over the probe artifacts; the cost halves live in
   :mod:`repro.analysis.cost.model`;
-* :mod:`~repro.analysis.typecheck.checker` — the context the schema
-  halves consult, built from the probe artifacts;
 * :mod:`~repro.analysis.typecheck.gate` — :func:`run_preflight`, the
-  combined structure + types + cost gate behind ``Wrangler.run()`` /
+  combined contexts + types + cost gate behind ``Wrangler.run()`` /
   ``Wrangler.preflight()`` and ``python -m repro.analysis typecheck`` /
   ``cost``, and the only way into that walk.
 """
@@ -27,7 +25,6 @@ from repro.analysis.typecheck.operators import (
     pipeline_shape,
 )
 from repro.analysis.typecheck.rules import TYPECHECK_RULES
-from repro.analysis.typecheck.signatures import CheckContext
 
 __all__ = [
     "probe_artifacts",
@@ -36,5 +33,4 @@ __all__ = [
     "OPERATORS",
     "Operator",
     "pipeline_shape",
-    "CheckContext",
 ]

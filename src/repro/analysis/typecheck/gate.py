@@ -1,18 +1,14 @@
-"""The pre-execution gate: structure + types + cost.
+"""The pre-execution gate: contexts + types + cost.
 
 Every ``Wrangler.run()`` that composes a plan, and every
-``Wrangler.preflight()``, funnels through :func:`run_preflight` — the
-only way into the plan walk — which folds the plan validator's
-structural findings (``PV0xx``) and — from one walk over the plan's
-dataflow (:func:`~repro.analysis.typecheck.operators.walk_plan`) — the
-schema-flow type findings (``TC001``–``TC009``) and the cost
-certifier's cardinality findings (``CC0xx``) into one
-:class:`~repro.analysis.validator.ValidationReport` — so a plan is
-refused for an unregistered source, an untypable mapping, or
-acquisitions over the user's budget through exactly the same
-machinery.  The combined
-report is deduplicated and stably ordered: three gates can flag one
-node, but each exact finding appears once.
+``Wrangler.preflight()``, funnels through :func:`run_preflight`, which
+folds the plan validator's context findings (``PV0xx``), the type
+findings over the probe artifacts (``TC0xx``) and — from one walk over
+the plan's dataflow (:func:`~repro.analysis.typecheck.operators.walk_plan`)
+— the cost certifier's findings (``CC0xx``) into one
+:class:`~repro.analysis.validator.ValidationReport`, stably ordered.
+A plan is refused for a declared master table that is missing or a
+recency key that is not a date through exactly the same machinery.
 """
 
 from __future__ import annotations
@@ -21,14 +17,9 @@ from typing import Any
 
 from repro.analysis.cost.certifier import certify_walk
 from repro.analysis.cost.model import CostContext, source_facts
-from repro.analysis.diagnostics import (
-    Diagnostic,
-    Severity,
-    dedupe_diagnostics,
-    sort_diagnostics,
-)
-from repro.analysis.typecheck.checker import check_context
+from repro.analysis.diagnostics import Severity, sort_diagnostics
 from repro.analysis.typecheck.operators import walk_plan
+from repro.analysis.typecheck.rules import check_types
 from repro.analysis.validator import PlanValidator, ValidationReport
 
 __all__ = ["run_preflight", "probe_artifacts"]
@@ -47,16 +38,14 @@ def probe_artifacts(
     the ``probe/`` prefix (the wrangler's convention for statically
     usable probe artifacts) and stripping it.
     """
-    schemas: dict[str, Any] = {}
-    mappings: dict[str, Any] = {}
-    if working is None or not hasattr(working, "items"):
-        return schemas, mappings
-    for key, value in working.items("schema"):
-        if key.startswith(PROBE_PREFIX):
-            schemas[key[len(PROBE_PREFIX):]] = value
-    for key, value in working.items("mapping"):
-        if key.startswith(PROBE_PREFIX):
-            mappings[key[len(PROBE_PREFIX):]] = value
+    schemas, mappings = (
+        {
+            key[len(PROBE_PREFIX):]: value
+            for key, value in working.items(category)
+            if key.startswith(PROBE_PREFIX)
+        }
+        for category in ("schema", "mapping")
+    )
     return schemas, mappings
 
 
@@ -75,45 +64,29 @@ def run_preflight(
 
     The parameters are exactly what ``Wrangler._compose`` hands over:
     probe artifacts are the ``probe/``-prefixed entries of ``working``,
-    and ``dataflow`` supplies the walk order.  The one budget is the user
-    context's: a plan whose acquisitions exceed it is refused by
-    ``PV008``.  When both a plan and a registry are supplied, the walk
-    also runs the cost halves: per-node estimates are propagated through
-    the dataflow (annotating it for telemetry), ``CC`` findings at
-    warning severity or worse join the report, and the full
-    :class:`~repro.analysis.cost.PlanCostReport` rides on its ``cost``.
+    and ``dataflow`` supplies the walk order.  The walk propagates
+    per-node cost estimates through the dataflow (annotating it for
+    telemetry); ``CC`` findings at warning severity or worse join the
+    report, and the full :class:`~repro.analysis.cost.PlanCostReport`
+    rides on its ``cost``.
     """
-    source_schemas, mappings = probe_artifacts(working)
-
-    validator_report = PlanValidator().validate(
+    schemas, mappings = probe_artifacts(working)
+    costs = CostContext(
         plan=plan,
         user=user,
-        data=data,
-        registry=registry,
-        master_key=master_key,
-        date_attribute=date_attribute,
+        sources=source_facts(registry),
+        discover_constraints=discover_constraints,
     )
-    findings: list[Diagnostic] = list(validator_report.diagnostics)
-
-    types = check_context(plan, user, source_schemas, mappings, date_attribute)
-    costs = None
-    if plan is not None and registry is not None:
-        costs = CostContext(
-            plan=plan,
-            user=user,
-            sources=source_facts(registry),
-            discover_constraints=discover_constraints,
-        )
-    walk = walk_plan(dataflow, types=types, costs=costs)
-    findings.extend(walk.type_findings)
-    cost_report = None
-    if costs is not None:
-        cost_report = certify_walk(costs, walk, dataflow)
-        findings.extend(
-            cost_report.diagnostics(min_severity=Severity.WARNING)
-        )
-
+    cost_report = certify_walk(costs, walk_plan(dataflow, costs), dataflow)
+    findings = [
+        *PlanValidator()
+        .validate(plan, user, data, master_key, date_attribute)
+        .diagnostics,
+        *check_types(
+            plan, user, registry.names(), schemas, mappings, date_attribute
+        ),
+        *cost_report.diagnostics(min_severity=Severity.WARNING),
+    ]
     return ValidationReport(
-        tuple(sort_diagnostics(dedupe_diagnostics(findings))),
-        cost=cost_report,
+        tuple(sort_diagnostics(findings)), cost=cost_report
     )

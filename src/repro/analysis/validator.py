@@ -1,27 +1,23 @@
-"""Static validation of wrangle plans and contexts.
+"""Static validation of the contexts a user writes.
 
-The autonomic planner composes the pipeline; this module checks the
-composition *before* any data is touched, in the spirit of Koehler et
-al.'s context-informed validation: a plan derived from contexts must be
-checkable against the contexts that produced it.  Defects that would
-otherwise surface at runtime deep inside ``Dataflow.pull`` —
-unregistered sources, out-of-range thresholds, fusion strategies whose
-data-context prerequisites are absent, budget contradictions — become
-:class:`~repro.analysis.diagnostics.Diagnostic` findings with stable
-rule ids (``PV0xx``).  The graph itself needs no rule: ``Dataflow.add``
-refuses a dependency on an undefined node, so every dataflow is a DAG
-by construction.
-
-Inputs are duck-typed on purpose: the validator never executes plan
-machinery, it only reads declared structure, so tests can feed it plain
-dicts and hand-built plans.
+The autonomic planner composes the pipeline from the user and data
+contexts (§4.2), so what the plan itself guarantees — registered
+sources, thresholds in ``[0, 1]``, known fusion strategies, a spend
+within the budget — holds by construction; ``tests/analysis/
+test_gate_draws.py`` states each guarantee as a property over seeded
+draws of composed plans.  What the gate can still catch is what a user
+writes: the criteria weights and floors, the ``master_key`` and the
+``date_attribute``.  This module checks those before any data is
+touched, in the spirit of Koehler et al.'s context-informed validation,
+as :class:`~repro.analysis.diagnostics.Diagnostic` findings with stable
+rule ids (``PV0xx``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -33,25 +29,19 @@ from repro.analysis.diagnostics import (
     sort_diagnostics,
 )
 from repro.analysis.report import render_text
-from repro.errors import PlanValidationError, WranglingError
-from repro.fusion.strategies import STRATEGIES
+from repro.errors import PlanValidationError
 
 __all__ = ["ValidationReport", "PlanValidator"]
 
 #: Rule catalogue for the validator half (mirrored in docs/ANALYSIS.md).
-#: Every rule is an error by default; the degraded-but-runnable cases of
-#: PV007/PV008 override to warning at the call site.
+#: PV007's recency arm overrides to warning at the call site.
 VALIDATOR_RULES: Mapping[str, Rule] = catalogue(
-    Rule("PV003", "unregistered-source", Severity.ERROR,
-         "plan selects a source that is not registered"),
-    Rule("PV005", "threshold-out-of-range", Severity.ERROR,
-         "plan threshold outside [0, 1]"),
     Rule("PV006", "weight-out-of-range", Severity.ERROR,
-         "criteria weight or floor outside [0, 1]"),
+         "criteria weight outside [0, 1] after normalisation"),
     Rule("PV007", "fusion-prerequisite-missing", Severity.ERROR,
-         "fusion strategy unknown or its prerequisite is missing"),
-    Rule("PV008", "budget-contradiction", Severity.ERROR,
-         "budget/floor contradiction in the user context"),
+         "a fusion prerequisite the contexts declare is missing"),
+    Rule("PV008", "floor-without-weight", Severity.WARNING,
+         "a hard floor on a dimension the user context does not weigh"),
 )
 
 pv = partial(finding, VALIDATOR_RULES)
@@ -103,290 +93,107 @@ class ValidationReport:
         return self
 
 
-def _in_unit_interval(value: object) -> bool:
-    return isinstance(value, (int, float)) and 0.0 <= float(value) <= 1.0
-
-
 class PlanValidator:
-    """Static checker for plans and contexts.
+    """Static checker for the user-written half of a plan's inputs."""
 
-    Every ``check_*`` method returns diagnostics; :meth:`validate` runs
-    all checks applicable to the artifacts it was given and folds the
-    findings into one :class:`ValidationReport`.
-    """
-
-    # -- plan vs registry (PV003, PV005) --------------------------------
-
-    def check_plan_sources(
-        self, plan: Any, registry: Any
-    ) -> list[Diagnostic]:
-        """Every source the plan selects must actually be registered."""
-        registered = self._registered_names(registry)
+    def check_user_context(self, user: Any) -> list[Diagnostic]:
+        """PV006 (a weight outside ``[0, 1]``) and PV008 (a floor on an
+        unweighted dimension).  ``UserContext`` itself refuses floors
+        outside ``[0, 1]``, but normalisation only needs a positive sum,
+        so a negative raw weight survives it."""
         findings = []
-        for name in getattr(plan, "sources", ()):
-            if name not in registered:
+        for dimension, weight in sorted(
+            user.weights.items(), key=lambda kv: kv[0].value
+        ):
+            if not 0.0 <= weight <= 1.0:
                 findings.append(
                     pv(
-                        "PV003",
-                        "plan",
-                        name,
-                        f"plan selects unregistered source {name!r} "
-                        f"(registered: {sorted(registered) or 'none'})",
-                        "register the source before planning, or re-plan",
+                        "PV006",
+                        "user-context",
+                        dimension.value,
+                        f"criteria weight for {dimension.value} must be in "
+                        f"[0, 1] after normalisation, got {weight:.3f}",
+                        "remove negative raw weights before normalising",
+                    )
+                )
+        for dimension, floor in sorted(
+            user.floors.items(), key=lambda kv: kv[0].value
+        ):
+            if floor > 0 and user.weight(dimension) == 0.0:
+                findings.append(
+                    pv(
+                        "PV008",
+                        "user-context",
+                        dimension.value,
+                        f"hard floor {floor:.2f} on {dimension.value} but the "
+                        "dimension carries zero weight: candidates are "
+                        "filtered on a criterion the ranking never optimises",
+                        "give the dimension a non-zero weight",
                     )
                 )
         return findings
-
-    @staticmethod
-    def _registered_names(registry: Any) -> set[str]:
-        if registry is None:
-            return set()
-        if hasattr(registry, "names"):
-            return set(registry.names())
-        return set(registry)
-
-    def check_plan_thresholds(self, plan: Any) -> list[Diagnostic]:
-        """Match and ER thresholds must be probabilities."""
-        findings = []
-        for field_name in ("match_threshold", "er_threshold"):
-            value = getattr(plan, field_name, None)
-            if value is None:
-                continue
-            if not _in_unit_interval(value):
-                findings.append(
-                    pv(
-                        "PV005",
-                        "plan",
-                        field_name,
-                        f"{field_name} must be in [0, 1], got {value!r}",
-                        "clamp the threshold into the unit interval",
-                    )
-                )
-        return findings
-
-    # -- fusion prerequisites (PV007) -----------------------------------
 
     def check_fusion(
         self,
         plan: Any,
-        user: Any = None,
-        data: Any = None,
-        master_key: str | None = None,
-        date_attribute: str | None = None,
+        user: Any,
+        data: Any,
+        master_key: str | None,
+        date_attribute: str | None,
     ) -> list[Diagnostic]:
-        """Fusion strategies and the data-context support they assume."""
+        """PV007: the data-context support the declared fusion assumes."""
         findings = []
-        strategy = getattr(plan, "fusion_strategy", None)
-        known = set(STRATEGIES)
-        if strategy is not None and strategy not in known:
+        if (
+            plan.fusion_strategy == "recent"
+            and date_attribute is None
+            and not any(
+                attribute.dtype.value == "date"
+                for attribute in user.target_schema
+            )
+        ):
             findings.append(
                 pv(
                     "PV007",
                     "plan",
                     "fusion_strategy",
-                    f"unknown fusion strategy {strategy!r} "
-                    f"(known: {sorted(known)})",
-                    "pick one of the registered strategies",
+                    "recency fusion selected but no date attribute is "
+                    "declared anywhere: all claims tie at default recency",
+                    "declare date_attribute or add a DATE column",
+                    severity=Severity.WARNING,
                 )
             )
-        target_schema = getattr(user, "target_schema", None)
-        for attribute, override in sorted(
-            (getattr(plan, "fusion_overrides", None) or {}).items()
-        ):
-            if override not in known:
-                findings.append(
-                    pv(
-                        "PV007",
-                        "plan",
-                        f"fusion_overrides.{attribute}",
-                        f"fusion override for {attribute!r} names unknown "
-                        f"strategy {override!r}",
-                        "pick one of the registered strategies",
-                    )
+        if master_key is not None and master_key not in data.master_data:
+            findings.append(
+                pv(
+                    "PV007",
+                    "data-context",
+                    master_key,
+                    f"master-data key {master_key!r} is declared but the "
+                    "data context holds no such master table: accuracy "
+                    "anchoring and master fusion cannot run",
+                    "add_master() the table or drop master_key",
                 )
-            if target_schema is not None and attribute not in target_schema:
-                findings.append(
-                    pv(
-                        "PV007",
-                        "plan",
-                        f"fusion_overrides.{attribute}",
-                        f"fusion override targets attribute {attribute!r} "
-                        "absent from the target schema",
-                        "drop the override or fix the attribute name",
-                    )
-                )
-            elif override == "median" and target_schema is not None:
-                attr = target_schema.get(attribute)
-                if attr is not None and not attr.dtype.is_numeric():
-                    findings.append(
-                        pv(
-                            "PV007",
-                            "plan",
-                            f"fusion_overrides.{attribute}",
-                            f"median fusion on non-numeric attribute "
-                            f"{attribute!r} ({attr.dtype.value}) degrades to "
-                            "majority vote",
-                            "use a categorical strategy for this attribute",
-                            severity=Severity.WARNING,
-                        )
-                    )
-        if strategy == "recent" and date_attribute is None:
-            has_date = target_schema is not None and any(
-                attribute.dtype.value == "date" for attribute in target_schema
             )
-            if not has_date:
-                findings.append(
-                    pv(
-                        "PV007",
-                        "plan",
-                        "fusion_strategy",
-                        "recency fusion selected but no date attribute is "
-                        "declared anywhere: all claims tie at default recency",
-                        "declare date_attribute or add a DATE column",
-                        severity=Severity.WARNING,
-                    )
-                )
-        if master_key is not None:
-            master_data = getattr(data, "master_data", {}) if data else {}
-            if master_key not in master_data:
-                findings.append(
-                    pv(
-                        "PV007",
-                        "data-context",
-                        master_key,
-                        f"master-data key {master_key!r} is declared but the "
-                        "data context holds no such master table: accuracy "
-                        "anchoring and master fusion cannot run",
-                        "add_master() the table or drop master_key",
-                    )
-                )
         return findings
-
-    # -- user context (PV006, PV008) ------------------------------------
-
-    def check_user_context(
-        self, user: Any, plan: Any = None, registry: Any = None
-    ) -> list[Diagnostic]:
-        """Weight ranges and budget/floor contradictions."""
-        findings = []
-        for dimension, weight in sorted(
-            (getattr(user, "weights", None) or {}).items(),
-            key=lambda kv: str(kv[0]),
-        ):
-            if not _in_unit_interval(weight):
-                findings.append(
-                    pv(
-                        "PV006",
-                        "user-context",
-                        getattr(dimension, "value", str(dimension)),
-                        f"criteria weight for {getattr(dimension, 'value', dimension)} "
-                        f"must be in [0, 1] after normalisation, got {weight:.3f}",
-                        "remove negative raw weights before normalising",
-                    )
-                )
-        floors = getattr(user, "floors", None) or {}
-        weights = getattr(user, "weights", None) or {}
-        for dimension, floor in sorted(
-            floors.items(), key=lambda kv: str(kv[0])
-        ):
-            name = getattr(dimension, "value", str(dimension))
-            if not _in_unit_interval(floor):
-                findings.append(
-                    pv(
-                        "PV006",
-                        "user-context",
-                        name,
-                        f"floor for {name} must be in [0, 1], got {floor!r}",
-                        "use a probability floor",
-                    )
-                )
-            elif floor > 0 and weights.get(dimension, 0.0) == 0.0:
-                findings.append(
-                    pv(
-                        "PV008",
-                        "user-context",
-                        name,
-                        f"hard floor {floor:.2f} on {name} but the dimension "
-                        "carries zero weight: candidates are filtered on a "
-                        "criterion the ranking never optimises",
-                        "give the dimension a non-zero weight",
-                        severity=Severity.WARNING,
-                    )
-                )
-        budget = getattr(user, "budget", None)
-        if budget is not None and plan is not None:
-            selected = list(getattr(plan, "sources", ()) or ())
-            if budget == 0 and selected:
-                findings.append(
-                    pv(
-                        "PV008",
-                        "user-context",
-                        "budget",
-                        f"budget is 0 but the plan selects "
-                        f"{len(selected)} source(s): acquisition cannot be "
-                        "paid for",
-                        "raise the budget or expect an empty plan",
-                    )
-                )
-            elif budget not in (None, float("inf")) and registry is not None:
-                cost = self._plan_cost(selected, registry)
-                if cost is not None and cost > budget:
-                    findings.append(
-                        pv(
-                            "PV008",
-                            "user-context",
-                            "budget",
-                            f"plan's acquisition cost {cost:.1f} exceeds the "
-                            f"budget {budget:.1f}",
-                            "re-plan under the budget or raise it",
-                        )
-                    )
-        return findings
-
-    @staticmethod
-    def _plan_cost(selected: Sequence[str], registry: Any) -> float | None:
-        if not hasattr(registry, "get"):
-            return None
-        total = 0.0
-        for name in selected:
-            try:
-                source = registry.get(name)
-            except WranglingError:
-                return None  # unknown source: PV003's finding, not a cost
-            metadata = getattr(source, "metadata", None)
-            if metadata is None:
-                return None
-            total += metadata.cost_per_access
-        return total
-
-    # -- the one-call entry point ----------------------------------------
 
     def validate(
         self,
-        plan: Any = None,
-        user: Any = None,
-        data: Any = None,
-        registry: Any = None,
+        plan: Any,
+        user: Any,
+        data: Any,
         master_key: str | None = None,
         date_attribute: str | None = None,
     ) -> ValidationReport:
-        """Run every check applicable to the artifacts provided."""
-        findings: list[Diagnostic] = []
-        if plan is not None:
-            findings.extend(self.check_plan_thresholds(plan))
-            if registry is not None:
-                findings.extend(self.check_plan_sources(plan, registry))
-            findings.extend(
-                self.check_fusion(
-                    plan,
-                    user=user,
-                    data=data,
-                    master_key=master_key,
-                    date_attribute=date_attribute,
+        """Every check, folded into one report."""
+        return ValidationReport(
+            tuple(
+                sort_diagnostics(
+                    [
+                        *self.check_fusion(
+                            plan, user, data, master_key, date_attribute
+                        ),
+                        *self.check_user_context(user),
+                    ]
                 )
             )
-        if user is not None:
-            findings.extend(
-                self.check_user_context(user, plan=plan, registry=registry)
-            )
-        return ValidationReport(tuple(sort_diagnostics(findings)))
+        )

@@ -633,9 +633,9 @@ class Wrangler:
         """Plan from the current beliefs and statically gate the plan:
         ``(plan, report)`` — the one gate call site.
 
-        Structure validation (``PV0xx``), schema-flow type checking over
-        the probe artifacts (``TC001``–``TC009``) and cost certification
-        (``CC0xx``) run as one gate:
+        Context validation (``PV0xx``), type checking over the probe
+        artifacts (``TC0xx``) and cost certification (``CC0xx``) run as
+        one gate:
         :func:`repro.analysis.typecheck.run_preflight`.
         """
         plan = self.planner.plan(
@@ -664,7 +664,7 @@ class Wrangler:
         raising, so callers (e.g. ``python -m repro.analysis typecheck`` /
         ``cost``) can render every finding.  The one way to inspect the
         gate, or — ``preflight().raise_on_error()`` — to re-gate after
-        changing :attr:`flow` by hand under a memoised plan.
+        changing what a memoised plan was gated against.
         """
         self.flow.pull("probe")
         return self._compose()[1]

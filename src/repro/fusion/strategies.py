@@ -16,14 +16,12 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from repro.errors import FusionError
-from repro.model.schema import DataType
 from repro.model.values import Value
 
 __all__ = [
     "Candidate",
     "FusedChoice",
     "STRATEGIES",
-    "STRATEGY_VALUE_DOMAINS",
     "resolve",
     "majority_vote",
     "weighted_vote",
@@ -154,21 +152,6 @@ STRATEGIES: Mapping[str, Callable[[Sequence[Candidate]], FusedChoice]] = {
     "recent": most_recent,
     "confident": highest_confidence,
     "median": numeric_median,
-}
-
-#: The DataTypes whose values a strategy can genuinely operate on
-#: (``None`` = any).  ``median`` orders candidates numerically, so it
-#: needs numeric-capable values; the vote/recency strategies compare raw
-#: values for equality and work on anything.  The static type checker
-#: reports strategies whose domain no target attribute can satisfy.
-STRATEGY_VALUE_DOMAINS: Mapping[str, frozenset[DataType] | None] = {
-    "majority": None,
-    "weighted": None,
-    "recent": None,
-    "confident": None,
-    "median": frozenset(
-        {DataType.INTEGER, DataType.FLOAT, DataType.CURRENCY}
-    ),
 }
 
 

@@ -26,20 +26,11 @@ __all__ = ["Transform", "TRANSFORMS", "get_transform", "suggest_transform"]
 
 @dataclass(frozen=True)
 class Transform:
-    """A named, documented value transform.
-
-    ``input_dtypes`` declares which :class:`DataType` columns the transform
-    is meaningful on (``None`` = any), and ``output_dtype`` the type of the
-    values it produces (``None`` = same shape as its input).  The static
-    type checker uses both to flag transforms applied to the wrong type
-    before any value flows.
-    """
+    """A named, documented value transform."""
 
     name: str
     fn: Callable[[object], object]
     description: str
-    input_dtypes: tuple[DataType, ...] | None = None
-    output_dtype: DataType | None = None
 
     def __call__(self, value: object) -> object:
         if value is None:
@@ -97,53 +88,26 @@ def _thousands(value: object) -> object:
         return value
 
 
-_NUMERIC_INPUTS = (
-    DataType.INTEGER,
-    DataType.FLOAT,
-    DataType.CURRENCY,
-    DataType.STRING,
-)
-
 TRANSFORMS: dict[str, Transform] = {
     t.name: t
     for t in (
-        Transform("titlecase", _titlecase, "Title-Case The Words",
-                  input_dtypes=(DataType.STRING,),
-                  output_dtype=DataType.STRING),
-        Transform("lowercase", _lowercase, "lowercase the value",
-                  input_dtypes=(DataType.STRING,),
-                  output_dtype=DataType.STRING),
-        Transform("strip_html", _strip_html, "remove HTML tags",
-                  input_dtypes=(DataType.STRING,),
-                  output_dtype=DataType.STRING),
+        Transform("titlecase", _titlecase, "Title-Case The Words"),
+        Transform("lowercase", _lowercase, "lowercase the value"),
+        Transform("strip_html", _strip_html, "remove HTML tags"),
         Transform("collapse_whitespace", _collapse_whitespace,
-                  "normalise runs of whitespace",
-                  input_dtypes=(DataType.STRING,),
-                  output_dtype=DataType.STRING),
+                  "normalise runs of whitespace"),
         Transform("extract_price", _extract_price,
-                  "pull the price out of surrounding text",
-                  input_dtypes=(DataType.STRING, DataType.CURRENCY),
-                  output_dtype=DataType.CURRENCY),
+                  "pull the price out of surrounding text"),
         Transform("extract_date", _extract_date,
-                  "pull the date out of surrounding text",
-                  input_dtypes=(DataType.STRING, DataType.DATE),
-                  output_dtype=DataType.DATE),
+                  "pull the date out of surrounding text"),
         Transform("extract_url", _extract_url,
-                  "pull the URL out of surrounding text",
-                  input_dtypes=(DataType.STRING, DataType.URL),
-                  output_dtype=DataType.URL),
+                  "pull the URL out of surrounding text"),
         Transform("extract_geo", _extract_geo,
-                  "pull the lat/lon pair out of surrounding text",
-                  input_dtypes=(DataType.STRING, DataType.GEO),
-                  output_dtype=DataType.GEO),
+                  "pull the lat/lon pair out of surrounding text"),
         Transform("pennies_to_pounds", _pennies_to_pounds,
-                  "divide a minor-unit integer amount by 100",
-                  input_dtypes=_NUMERIC_INPUTS,
-                  output_dtype=DataType.FLOAT),
+                  "divide a minor-unit integer amount by 100"),
         Transform("thousands", _thousands,
-                  "multiply by 1000 (salary given in k)",
-                  input_dtypes=_NUMERIC_INPUTS,
-                  output_dtype=DataType.FLOAT),
+                  "multiply by 1000 (salary given in k)"),
     )
 }
 

@@ -27,8 +27,6 @@ __all__ = [
     "infer_types",
     "infer_column_type",
     "coerce",
-    "Coercibility",
-    "static_coercibility",
 ]
 
 
@@ -278,63 +276,6 @@ def coerce(value: Any, dtype: DataType) -> Any:
             f"cannot coerce {value!r} to {dtype.value}"
         ) from exc
     raise TypeInferenceError(f"unknown data type: {dtype!r}")
-
-
-class Coercibility(str, Enum):
-    """How a :func:`coerce` from one :class:`DataType` to another can go.
-
-    The static counterpart of :func:`coerce`'s runtime behaviour, used by
-    the schema-flow type checker: ``ALWAYS`` means every well-typed value
-    of the source type coerces, ``NEVER`` means no such value can (the
-    coercion is a guaranteed :class:`TypeInferenceError`), and ``MAYBE``
-    means the outcome depends on the individual value — statically silent.
-    """
-
-    ALWAYS = "always"
-    MAYBE = "maybe"
-    NEVER = "never"
-
-
-#: Cross-type coercions that succeed for every well-typed source value.
-_ALWAYS_COERCIBLE = frozenset(
-    {
-        (DataType.INTEGER, DataType.FLOAT),
-        (DataType.INTEGER, DataType.CURRENCY),
-        (DataType.FLOAT, DataType.CURRENCY),
-    }
-)
-
-#: Cross-type coercions whose outcome depends on the individual value
-#: (e.g. a CURRENCY column may hold plain numbers alongside "$1,200").
-_MAYBE_COERCIBLE = frozenset(
-    {
-        (DataType.CURRENCY, DataType.FLOAT),
-        (DataType.CURRENCY, DataType.INTEGER),
-    }
-)
-
-
-def static_coercibility(src: DataType, dst: DataType) -> Coercibility:
-    """Whether values of type ``src`` can :func:`coerce` to ``dst``.
-
-    Identity and coercion *to* STRING always succeed (``str()`` accepts
-    anything); coercion *from* STRING is value-dependent; the numeric
-    widenings INTEGER→FLOAT/CURRENCY and FLOAT→CURRENCY always succeed.
-    Everything else is a guaranteed failure — ``coerce`` raises on e.g.
-    BOOLEAN→INTEGER and FLOAT→INTEGER by design, so the type checker can
-    report those pairings before a single value flows.
-    """
-    if src is dst:
-        return Coercibility.ALWAYS
-    if dst is DataType.STRING:
-        return Coercibility.ALWAYS
-    if src is DataType.STRING:
-        return Coercibility.MAYBE
-    if (src, dst) in _ALWAYS_COERCIBLE:
-        return Coercibility.ALWAYS
-    if (src, dst) in _MAYBE_COERCIBLE:
-        return Coercibility.MAYBE
-    return Coercibility.NEVER
 
 
 @dataclass(frozen=True)

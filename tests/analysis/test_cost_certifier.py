@@ -1,12 +1,17 @@
-"""The cost certifier over hand-built stand-ins, through the gate that
-runs it: estimate propagation, the CC blow-up rules, and the note on a
-plan no budget bounds."""
+"""The cost certifier through the gate that runs it: estimate propagation
+over hand-built stand-ins, the CC blow-up rules on composed worlds at a
+scale that fires them, and the note on a plan no budget bounds."""
 
 from types import SimpleNamespace
 
 import pytest
 
+from conftest import TARGET, assert_never_fires, good_plan
+from repro import DataContext, MemorySource, UserContext, Wrangler
 from repro.analysis.diagnostics import Severity
+from repro.datagen import TARGET_SCHEMA, generate_world
+from repro.model.annotations import Dimension
+from repro.model.schema import Attribute, DataType, Schema
 from repro.sources.base import PROBE_COST_FRACTION
 
 
@@ -35,7 +40,7 @@ class StubRegistry:
 
 
 def plan_over(*names, er_attributes=("name",)):
-    return SimpleNamespace(sources=list(names), er_attributes=er_attributes)
+    return good_plan(*names, er_attributes=er_attributes)
 
 
 @pytest.fixture
@@ -119,16 +124,10 @@ class TestEstimatePropagation:
         assert costs["probe"] is not None
         assert costs["plan"] is not None
 
-    def test_unknown_node_kind_gets_cc009_and_a_passthrough(self, certify):
-        from repro.core.dataflow import Dataflow
-
-        flow = Dataflow()
-        flow.add("mystery", lambda inputs: None)
-        report = certify(
-            plan_over("a"), StubRegistry(a=StubSource(10)), dataflow=flow
-        )
-        assert "CC009" in rules(report)
-        assert report.estimates["mystery"].confidence == "assumed"
+    def test_every_composed_kind_has_an_estimate(self, draws):
+        """CC009 is retired with the ``input`` row: every node kind the
+        wrangler composes has an operator row with an estimate."""
+        assert_never_fires(draws, "CC009", "node kind with no estimate")
 
 
 class TestBlowUpRules:
@@ -139,36 +138,56 @@ class TestBlowUpRules:
         assert "(token)" in report.estimates["resolve"].detail
         assert report.ok
 
-    def test_cc004_cross_source_join_warns_at_scale(self, certify):
-        sources = {
-            f"s{i}": StubSource(600) for i in range(4)
-        }
-        report = certify(plan_over(*sources), StubRegistry(**sources))
-        assert "CC004" in rules(report)
+    def test_cc004_cross_source_join_warns_at_scale(self):
+        # 800 products over 6 retailers, every one selected: ~3,150 rows
+        # pooled into one resolve.
+        world = generate_world(n_products=800, n_sources=6, seed=2016)
+        user = UserContext(
+            "u", TARGET_SCHEMA, weights={Dimension.COMPLETENESS: 1.0}
+        )
+        wrangler = Wrangler(user, DataContext())
+        for name, rows in world.source_rows.items():
+            wrangler.add_source(MemorySource(name, rows))
+        report = wrangler.preflight()
+        assert "CC004" in report.rule_ids()
+        assert report.ok  # a warning: the plan still runs
 
     def test_few_small_sources_pool_without_complaint(self, certify):
         sources = {f"s{i}": StubSource(50) for i in range(3)}
         report = certify(plan_over(*sources), StubRegistry(**sources))
         assert "CC004" not in rules(report)
 
-    def test_cc008_constraint_discovery_dominating_repair(self, certify):
-        report = certify(
-            plan_over("a"),
-            StubRegistry(a=StubSource(20_000)),
-            discover_constraints=True,
+    def test_cc008_constraint_discovery_dominating_repair(self):
+        # A wide table: 1,700 rows x 25 attributes is ~1.06M candidate
+        # dependencies for constraint discovery to mine.
+        schema = Schema(
+            (Attribute("sensor", DataType.STRING, required=True),)
+            + tuple(
+                Attribute(f"reading_{k:02d}", DataType.INTEGER)
+                for k in range(1, 25)
+            )
         )
-        assert "CC008" in rules(report)
-        without = certify(
-            plan_over("a"),
-            StubRegistry(a=StubSource(20_000)),
-            discover_constraints=False,
-        )
-        assert "CC008" not in rules(without)
+        rows = [
+            {"sensor": f"sensor {i}",
+             **{f"reading_{k:02d}": (i * k) % 97 for k in range(1, 25)}}
+            for i in range(1_700)
+        ]
+
+        def rule_ids(discover):
+            wrangler = Wrangler(
+                UserContext("u", schema), DataContext(),
+                discover_constraints=discover,
+            )
+            wrangler.add_source(MemorySource("sensors", rows))
+            return wrangler.preflight().rule_ids()
+
+        assert "CC008" in rule_ids(True)
+        assert "CC008" not in rule_ids(False)
 
 
 class TestBudgetAdmission:
     def test_cc006_unbounded_budget_is_an_advisory(self, certify):
-        user = SimpleNamespace(budget=float("inf"), target_schema=None)
+        user = UserContext("u", TARGET)
         report = certify(
             plan_over("a"), StubRegistry(a=StubSource(10)), user=user
         )
@@ -177,7 +196,7 @@ class TestBudgetAdmission:
         assert "CC006" not in rules(report, min_severity=Severity.WARNING)
 
     def test_finite_user_budget_suppresses_cc006(self, certify):
-        user = SimpleNamespace(budget=25.0, target_schema=None)
+        user = UserContext("u", TARGET, budget=25.0)
         report = certify(
             plan_over("a"), StubRegistry(a=StubSource(10)), user=user
         )

@@ -40,9 +40,9 @@ class TestPreflightFoldsCostFindings:
         assert report.ok
 
     def test_cost_certifier_needs_plan_and_registry(self, gate):
-        # Gate callers that validate bare plans (no registry) get the
-        # PV/TC checks only — no cost estimates can exist without
-        # registered sources to estimate from.
+        # The gate always has both (every ``run_preflight`` argument up
+        # to ``working`` is required), so every report carries a cost
+        # certificate estimated from the registered sources.
         plan = WranglePlan(
             sources=["shop"],
             matcher_channels=("name",),
@@ -52,6 +52,8 @@ class TestPreflightFoldsCostFindings:
         )
         user = UserContext("u", SCHEMA)
         report = gate(plan=plan, user=user)
+        assert report.cost is not None
+        assert report.cost.estimates["acquire:shop"].access_cost == 1.0
         assert not any(r.startswith("CC") for r in report.rule_ids())
 
     def test_preflight_annotates_dataflow_with_predicted_seconds(self):

@@ -124,8 +124,7 @@ class TestSourceFacts:
         assert facts["refusing"].rows is None
 
     def test_registry_less_call_is_empty(self):
-        assert source_facts(None) == {}
-        assert source_facts(object()) == {}
+        assert source_facts(SourceRegistry()) == {}
 
     def test_default_rows_is_the_probe_sample_size(self):
         # The assumed cardinality and the probe sample agree: an

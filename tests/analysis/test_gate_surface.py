@@ -1,9 +1,11 @@
 """The gate's surface is what a ``Wrangler`` hands it, and the rule
 catalogues are what ``docs/ANALYSIS.md`` documents.
 
-Two things nothing else checks: a parameter of ``run_preflight`` that
-``Wrangler._compose`` does not pass can only be set by a test, and the
-catalogues' "mirrored in docs/ANALYSIS.md" is a promise.
+Three things nothing else checks: a parameter of ``run_preflight`` that
+``Wrangler._compose`` does not pass can only be set by a test, the
+catalogues' "mirrored in docs/ANALYSIS.md" is a promise, and so is the
+retirement table's "one row per rule arm ``tools/gate_draws.py``
+tallies".
 """
 
 import ast
@@ -12,6 +14,7 @@ import re
 import textwrap
 from pathlib import Path
 
+from conftest import gate_draws
 from repro.analysis.cost import COST_RULES
 from repro.analysis.rules import RULES
 from repro.analysis.typecheck import TYPECHECK_RULES, run_preflight
@@ -26,8 +29,9 @@ GATE_PARAMETERS = [
 ]
 
 RETIRED = {
-    "PV001", "PV002", "PV004", "TC010",
-    "CC002", "CC003", "CC005", "CC007", "CC010",
+    "PV001", "PV002", "PV003", "PV004", "PV005",
+    "TC002", "TC003", "TC004", "TC005", "TC006", "TC010",
+    "CC002", "CC003", "CC005", "CC007", "CC009", "CC010",
 }
 
 
@@ -75,3 +79,23 @@ class TestCataloguesAreMirroredInTheDocs:
             assert naming, f"{rule_id}: retirement is not recorded"
             for paragraph in naming:
                 assert "retired" in paragraph, (rule_id, paragraph)
+
+
+class TestRetirementTable:
+    def test_one_row_per_tallied_arm(self):
+        """The table is ``make gate-draws N=500``'s output: one row per
+        arm, in :data:`ARMS` order, over 500 draws; a retired arm fires
+        on none of them."""
+        rows = re.findall(
+            r"^\| ([A-Z]{2}\d{3} [^|]+) \| (\d+) \| (\d+) \| ([^|]+) \|",
+            ANALYSIS_MD.read_text(),
+            re.M,
+        )
+        assert [name for name, *_ in rows] == [
+            f"{arm.rule} {arm.arm}" for arm in gate_draws.ARMS
+        ]
+        for (name, draws, fired, verdict), arm in zip(rows, gate_draws.ARMS):
+            assert draws == "500", name
+            assert verdict.startswith("stays" if arm.live else "retired")
+            if not arm.live:
+                assert fired == "0", name

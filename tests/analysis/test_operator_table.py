@@ -3,20 +3,14 @@
 ``pipeline_shape`` spells the wiring (pinned here as a literal, in
 insertion order); every kind it emits has one ``OPERATORS`` row and one
 ``Wrangler._stage_<kind>`` body, and vice versa; each node of the
-dataflow the wrangler composes from it carries its row's stage label;
-and ``input`` — the one kind with a schema half only — still surfaces
-as ``CC009``.
+dataflow the wrangler composes from it carries its row's stage label.
 """
-
-from types import SimpleNamespace
 
 from repro import DataContext, UserContext, Wrangler
 from repro.analysis.typecheck import OPERATORS, pipeline_shape
-from repro.core.dataflow import Dataflow
 from repro.model.annotations import Dimension
 from repro.model.schema import Attribute, DataType, Schema
 from repro.sources.memory import MemoryDocumentSource, MemorySource
-from repro.sources.registry import SourceRegistry
 
 SCHEMA = Schema(
     (
@@ -82,28 +76,10 @@ class TestTableCompleteness:
         emitted = {
             node.partition(":")[0] for node in pipeline_shape(["shop"])
         }
-        # ``input`` is the one row the shape never emits: an externally
-        # set value a user adds to the flow by hand.
-        assert emitted == set(OPERATORS) - {"input"}
+        assert emitted == set(OPERATORS)
         bodies = {
             name[len("_stage_"):]
             for name in vars(Wrangler)
             if name.startswith("_stage_")
         }
         assert bodies == emitted
-
-    def test_input_kind_has_a_schema_half_only_and_yields_cc009(self, gate):
-        row = OPERATORS["input"]
-        assert row.stage == "input"
-        assert row.estimate is None
-        flow = Dataflow()
-        flow.add_input("feedback", value=[])
-        report = gate(
-            plan=SimpleNamespace(sources=[]),
-            registry=SourceRegistry(),
-            dataflow=flow,
-        ).cost
-        (finding,) = report.findings
-        assert finding.rule == "CC009"
-        assert finding.location.node == "feedback"
-        assert report.estimates["feedback"].confidence == "assumed"

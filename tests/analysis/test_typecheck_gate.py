@@ -41,12 +41,13 @@ class TestRunPreflight:
             sources=["shop"],
             matcher_channels=("name",),
             match_threshold=0.6,
-            er_threshold=2.0,  # PV005
+            er_threshold=0.8,
             fusion_strategy="weighted",
         )
         user = UserContext("u", SCHEMA)
-        report = gate(plan=plan, user=user)  # no probes: TC001
-        assert {"PV005", "TC001"} <= report.rule_ids()
+        # A missing master table (PV007) and no probes (TC001).
+        report = gate(plan=plan, user=user, master_key="catalog")
+        assert {"PV007", "TC001"} <= report.rule_ids()
         assert not report.ok
 
     def test_reads_probe_artifacts_from_working_data(self):

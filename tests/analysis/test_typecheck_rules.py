@@ -1,60 +1,54 @@
-"""The schema-flow type checker: every TC defect class caught by rule id.
+"""The type rules: every surviving TC rule fired by a defect a user can
+write, through ``Wrangler.preflight()``, and every retired rule's defect
+absent from composed plans (the ``draws`` fixture).
 
-Each test seeds one defect the runtime would either crash on deep inside
-the pipeline or silently degrade through, and asserts the gate (the
-``gate`` fixture: ``run_preflight`` over hand-built artifacts) reports
-it — with the right rule id and severity — before any record flows.
+Each surviving rule leaves a column of the wrangled table unfed or
+misread and is reported before any source is fully accessed.
 """
 
+from conftest import TARGET, assert_never_fires, good_plan
 from repro.analysis.diagnostics import Severity
 from repro.analysis.typecheck import TYPECHECK_RULES
-from repro.core.planner import WranglePlan
-from repro.mapping.mapping import AttributeMap, Mapping
+from repro.context.data_context import DataContext
+from repro.context.user_context import UserContext
+from repro.core.dataflow import Dataflow
+from repro.core.wrangler import Wrangler
+from repro.model.annotations import Dimension
 from repro.model.schema import Attribute, DataType, Schema
+from repro.resilience.chaos import ChaosSource, FaultPlan
+from repro.sources.memory import MemorySource
 
-TARGET = Schema(
-    (
-        Attribute("product", DataType.STRING, required=True),
-        Attribute("price", DataType.CURRENCY),
-        Attribute("updated", DataType.DATE),
+#: Rows with no date column: nothing feeds the target's ``updated``.
+ROWS = [
+    {"product": "anvil", "price": "$12.00"},
+    {"product": "rope", "price": "$3.50"},
+]
+
+#: Recency fusion (timeliness dominates) over every source (completeness
+#: carries at least 0.3 of the weight under an unbounded budget).
+TIMELY = {
+    Dimension.TIMELINESS: 0.5,
+    Dimension.COMPLETENESS: 0.4,
+    Dimension.ACCURACY: 0.1,
+}
+
+
+def preflight(*sources, schema=TARGET, weights=TIMELY, **options):
+    """The gate's findings for a wrangler over ``sources``."""
+    wrangler = Wrangler(
+        UserContext("u", schema, weights=weights), DataContext(), **options
     )
-)
+    for source in sources:
+        wrangler.add_source(source)
+    return wrangler.preflight().diagnostics
 
 
-class FakeUser:
-    """A user-context stand-in carrying only the target schema."""
-
-    def __init__(self, target_schema=TARGET):
-        self.target_schema = target_schema
+def shop(rows=ROWS):
+    return MemorySource("shop", rows)
 
 
-class CurrencyToFloat:
-    """A transform stand-in with declared type metadata."""
-
-    name = "currency_to_float"
-    input_dtypes = (DataType.CURRENCY, DataType.STRING)
-    output_dtype = DataType.FLOAT
-
-    def __call__(self, value):
-        return value
-
-
-def plan_for(*sources, **overrides):
-    base = dict(
-        sources=list(sources),
-        matcher_channels=("name",),
-        match_threshold=0.6,
-        er_threshold=0.85,
-        fusion_strategy="weighted",
-    )
-    base.update(overrides)
-    return WranglePlan(**base)
-
-
-def shop_artifacts(source_schema, attribute_maps):
-    """Probe artifacts for one source named ``shop``."""
-    mapping = Mapping("shop", TARGET, tuple(attribute_maps))
-    return {"shop": source_schema}, {"shop": mapping}
+def dead():
+    return ChaosSource(MemorySource("dead", ROWS), FaultPlan(dead=True))
 
 
 def fired(findings, rule_id):
@@ -62,243 +56,110 @@ def fired(findings, rule_id):
 
 
 class TestSourceSchemaRules:
-    def test_tc001_selected_source_without_schema_warns(self, gate):
-        findings = gate(
-            plan=plan_for("shop"), user=FakeUser(), schemas={}
-        ).diagnostics
+    def test_tc001_selected_source_without_schema_warns(self):
+        findings = preflight(shop(), dead())
         (finding,) = fired(findings, "TC001")
         assert finding.severity is Severity.WARNING
-        assert "shop" in finding.message
+        assert finding.location.node == "dead"
 
-    def test_tc001_silent_when_schema_known(self, gate):
-        schemas, mappings = shop_artifacts(
-            Schema.of("product"), [AttributeMap("product", "product")]
-        )
-        findings = gate(
-            plan=plan_for("shop"),
-            user=FakeUser(),
-            schemas=schemas,
-            mappings=mappings,
-        ).diagnostics
-        assert not fired(findings, "TC001")
+    def test_tc001_silent_when_schema_known(self):
+        assert not fired(preflight(shop()), "TC001")
 
-    def test_tc002_mapping_reads_missing_attribute(self, gate):
-        schemas, mappings = shop_artifacts(
-            Schema.of("product"), [AttributeMap("price", "cost")]
+    def test_tc002_mapping_reads_missing_attribute(self, draws):
+        """TC002 is retired: a probe mapping is built from the sample's
+        own columns."""
+        assert_never_fires(
+            draws, "TC002", "mapping reads an attribute the probe schema lacks"
         )
-        findings = gate(
-            plan=plan_for("shop"),
-            user=FakeUser(),
-            schemas=schemas,
-            mappings=mappings,
-        ).diagnostics
-        (finding,) = fired(findings, "TC002")
-        assert finding.severity is Severity.ERROR
-        assert "cost" in finding.message
-        assert finding.location.node == "shop.cost"
 
 
 class TestCoercibilityRules:
-    def test_tc003_never_coercible_correspondence(self, gate):
-        schemas, mappings = shop_artifacts(
-            Schema.of(("in_stock", DataType.BOOLEAN)),
-            [AttributeMap("price", "in_stock")],
-        )
-        findings = gate(
-            plan=plan_for("shop"),
-            user=FakeUser(),
-            schemas=schemas,
-            mappings=mappings,
-        ).diagnostics
-        (finding,) = fired(findings, "TC003")
-        assert finding.severity is Severity.ERROR
-        assert "boolean" in finding.message and "currency" in finding.message
+    def test_tc003_never_coercible_correspondence(self, draws):
+        """TC003 is retired: the matcher never pairs types no value can
+        cross."""
+        assert_never_fires(draws, "TC003", "matched types never coerce")
 
-    def test_tc003_silent_when_a_transform_intervenes(self, gate):
-        schemas, mappings = shop_artifacts(
-            Schema.of(("in_stock", DataType.BOOLEAN)),
-            [AttributeMap("price", "in_stock", transform=CurrencyToFloat())],
+    def test_tc004_transform_outside_its_input_domain(self, draws):
+        """TC004 is retired with the transforms' declared domains: the
+        probe's bootstrap mappings carry no transform to mistype."""
+        assert_never_fires(
+            draws, "TC004", "probe mapping carries a transform to mistype"
         )
-        findings = gate(
-            plan=plan_for("shop"),
-            user=FakeUser(),
-            schemas=schemas,
-            mappings=mappings,
-        ).diagnostics
-        assert not fired(findings, "TC003")
-
-    def test_tc004_transform_outside_its_input_domain(self, gate):
-        schemas, mappings = shop_artifacts(
-            Schema.of(("in_stock", DataType.BOOLEAN)),
-            [AttributeMap("price", "in_stock", transform=CurrencyToFloat())],
-        )
-        findings = gate(
-            plan=plan_for("shop"),
-            user=FakeUser(),
-            schemas=schemas,
-            mappings=mappings,
-        ).diagnostics
-        findings = fired(findings, "TC004")
-        assert findings and findings[0].severity is Severity.ERROR
-        assert "currency_to_float" in findings[0].message
-
-    def test_tc004_transform_output_never_reaches_target(self, gate):
-        dated_target = Schema(
-            (Attribute("product", DataType.STRING), Attribute("when", DataType.DATE))
-        )
-        mapping = Mapping(
-            "shop",
-            dated_target,
-            (AttributeMap("when", "price", transform=CurrencyToFloat()),),
-        )
-        findings = gate(
-            plan=plan_for("shop"),
-            user=FakeUser(dated_target),
-            schemas={"shop": Schema.of(("price", DataType.CURRENCY))},
-            mappings={"shop": mapping},
-        ).diagnostics
-        (finding,) = fired(findings, "TC004")
-        assert "float" in finding.message and "date" in finding.message
 
 
 class TestResolutionRules:
-    def test_tc005_er_attribute_missing_from_schema(self, gate):
-        findings = gate(
-            plan=plan_for("shop", er_attributes=("colour",)),
-            user=FakeUser(),
-        ).diagnostics
-        (finding,) = fired(findings, "TC005")
-        assert finding.severity is Severity.ERROR
-        assert "colour" in finding.message
+    def test_tc005_er_attribute_missing_from_schema(self, draws):
+        """TC005 is retired: the planner takes ``er_attributes`` from the
+        target schema."""
+        assert_never_fires(draws, "TC005", "ER attribute absent from the target")
 
-    def test_tc006_er_keyed_on_transient_type(self, gate):
-        findings = gate(
-            plan=plan_for("shop", er_attributes=("updated",)),
-            user=FakeUser(),
-        ).diagnostics
-        (finding,) = fired(findings, "TC006")
-        assert finding.severity is Severity.ERROR
-        assert "updated" in finding.message
+    def test_tc006_er_keyed_on_transient_type(self, draws):
+        """TC006 is retired: the planner leaves transient types out of
+        ``er_attributes``."""
+        assert_never_fires(draws, "TC006", "ER keyed on a transient type")
 
 
 class TestFusionRules:
-    def test_tc007_override_on_unproduced_attribute(self, gate):
-        schemas, mappings = shop_artifacts(
-            Schema.of("product"), [AttributeMap("product", "product")]
+    def test_tc007_override_on_unproduced_attribute(self, draws):
+        """TC007's override arm is retired: no composed median override
+        lands on an attribute the probe mappings leave unfed."""
+        assert_never_fires(
+            draws, "TC007", "override on an attribute no mapping produces"
         )
-        findings = gate(
-            plan=plan_for("shop", fusion_overrides={"price": "median"}),
-            user=FakeUser(),
-            schemas=schemas,
-            mappings=mappings,
-        ).diagnostics
-        (finding,) = fired(findings, "TC007")
-        assert finding.severity is Severity.ERROR
-        assert finding.location.node == "fusion_overrides.price"
 
-    def test_tc007_unproduced_recency_attribute_warns(self, gate):
-        schemas, mappings = shop_artifacts(
-            Schema.of("product"), [AttributeMap("product", "product")]
-        )
-        findings = gate(
-            plan=plan_for("shop", fusion_strategy="recent"),
-            user=FakeUser(),
-            schemas=schemas,
-            mappings=mappings,
-            date_attribute="updated",
-        ).diagnostics
-        warnings = [
-            d for d in fired(findings, "TC007")
-            if d.severity is Severity.WARNING
-        ]
-        assert warnings and "updated" in warnings[0].message
+    def test_tc007_unproduced_recency_attribute_warns(self):
+        # The target's ``updated`` keys recency, but no source has dates.
+        (finding,) = fired(preflight(shop()), "TC007")
+        assert finding.severity is Severity.WARNING
+        assert finding.location.node == "date_attribute.updated"
 
-    def test_tc007_silent_without_full_probe_coverage(self, gate):
-        # Source "other" was planned but never probed: the produced set is
+    def test_tc007_silent_without_full_probe_coverage(self):
+        # Source "dead" was planned but never probed: the produced set is
         # an under-approximation, so the rule must stay quiet.
-        schemas, mappings = shop_artifacts(
-            Schema.of("product"), [AttributeMap("product", "product")]
-        )
-        findings = gate(
-            plan=plan_for("shop", "other", fusion_overrides={"price": "median"}),
-            user=FakeUser(),
-            schemas=schemas,
-            mappings=mappings,
-        ).diagnostics
-        assert not fired(findings, "TC007")
+        assert not fired(preflight(shop(), dead()), "TC007")
 
-    def test_tc008_median_default_with_no_numeric_attribute(self, gate):
-        text_only = Schema(
+    def test_tc008_median_default_with_no_numeric_attribute(self, draws):
+        """TC008's domain arm is retired: the planner's default strategy
+        is never median."""
+        assert_never_fires(
+            draws, "TC008", "default strategy's value domain unsatisfiable"
+        )
+
+    def test_tc008_recency_keyed_on_non_date_attribute(self):
+        findings = preflight(shop(), date_attribute="product")
+        (finding,) = fired(findings, "TC008")
+        assert finding.severity is Severity.ERROR
+        assert "product" in finding.message
+
+    def test_tc009_required_attribute_unproduced(self):
+        schema = Schema(
             (
                 Attribute("product", DataType.STRING, required=True),
-                Attribute("brand", DataType.STRING),
+                Attribute("warranty", DataType.GEO, required=True),
+                Attribute("price", DataType.CURRENCY),
             )
         )
-        findings = gate(
-            plan=plan_for("shop", fusion_strategy="median"),
-            user=FakeUser(text_only),
-        ).diagnostics
-        (finding,) = fired(findings, "TC008")
-        assert finding.severity is Severity.ERROR
-        assert "median" in finding.message
-
-    def test_tc008_recency_keyed_on_non_date_attribute(self, gate):
-        findings = gate(
-            plan=plan_for("shop", fusion_strategy="recent"),
-            user=FakeUser(),
-            date_attribute="product",
-        ).diagnostics
-        (finding,) = fired(findings, "TC008")
-        assert "product" in finding.message
-
-    def test_tc009_required_attribute_unproduced(self, gate):
-        schemas, mappings = shop_artifacts(
-            Schema.of(("amount", DataType.CURRENCY)),
-            [AttributeMap("price", "amount")],
-        )
-        findings = gate(
-            plan=plan_for("shop"),
-            user=FakeUser(),
-            schemas=schemas,
-            mappings=mappings,
-        ).diagnostics
-        (finding,) = fired(findings, "TC009")
+        (finding,) = fired(preflight(shop(), schema=schema), "TC009")
         assert finding.severity is Severity.WARNING
-        assert "product" in finding.message
+        assert finding.location.node == "warranty"
 
 
 class TestCheckerMechanics:
-    def test_clean_plan_has_no_findings(self, gate):
-        schemas, mappings = shop_artifacts(
-            Schema.of("product", ("price", DataType.CURRENCY),
-                      ("updated", DataType.DATE)),
-            [
-                AttributeMap("product", "product"),
-                AttributeMap("price", "price"),
-                AttributeMap("updated", "updated"),
-            ],
-        )
-        findings = gate(
-            plan=plan_for("shop", er_attributes=("product",)),
-            user=FakeUser(),
-            schemas=schemas,
-            mappings=mappings,
-        ).diagnostics
-        assert not findings, [str(d) for d in findings]
+    def test_clean_plan_has_no_findings(self):
+        rows = [dict(row, updated="2016-03-15") for row in ROWS]
+        findings = preflight(shop(rows))
+        assert not findings, [d.render() for d in findings]
 
     def test_walks_a_real_dataflow_topology_when_given(self, gate):
-        from repro.core.dataflow import Dataflow
-
         flow = Dataflow()
         flow.add("probe", lambda inputs: None)
         flow.add("plan", lambda inputs: None, ("probe",))
         flow.add("acquire:shop", lambda inputs: None, ("plan",))
-        findings = gate(
-            plan=plan_for("shop"), user=FakeUser(), dataflow=flow
-        ).diagnostics
-        assert fired(findings, "TC001")  # reached via the real graph
+        report = gate(plan=good_plan("shop"), dataflow=flow)
+        assert fired(report.diagnostics, "TC001")
+        assert set(report.cost.estimates) == {"probe", "plan", "acquire:shop"}
 
     def test_every_tc_rule_is_catalogued(self):
-        assert set(TYPECHECK_RULES) == {f"TC{n:03d}" for n in range(1, 10)}
+        assert set(TYPECHECK_RULES) == {"TC001", "TC007", "TC008", "TC009"}
         for rule in TYPECHECK_RULES.values():
             assert rule.description

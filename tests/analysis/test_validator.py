@@ -1,46 +1,21 @@
-"""The static plan validator: every defect class caught with its rule id,
-through the gate that runs it (the ``gate`` fixture)."""
+"""The static context validator: every user-written defect caught with its
+rule id, through the gate that runs it (the ``gate`` fixture), and every
+retired rule arm's defect absent from composed plans (the ``draws``
+fixture)."""
 
 import pytest
 
+from conftest import TARGET, assert_never_fires, good_plan, registry_with
 from repro.analysis.diagnostics import Severity
 from repro.analysis.validator import PlanValidator
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
 from repro.core.dataflow import Dataflow
-from repro.core.planner import WranglePlan
-from repro.errors import DataflowError, PlanValidationError
+from repro.core.wrangler import Wrangler
+from repro.errors import ContextError, DataflowError, PlanValidationError
 from repro.model.annotations import Dimension
 from repro.model.schema import Attribute, DataType, Schema
 from repro.sources.memory import MemorySource
-from repro.sources.registry import SourceRegistry
-
-TARGET = Schema(
-    (
-        Attribute("product", DataType.STRING, required=True),
-        Attribute("price", DataType.CURRENCY),
-        Attribute("updated", DataType.DATE),
-    )
-)
-
-
-def good_plan(**overrides):
-    base = dict(
-        sources=["shop"],
-        matcher_channels=("name", "instance"),
-        match_threshold=0.6,
-        er_threshold=0.85,
-        fusion_strategy="weighted",
-    )
-    base.update(overrides)
-    return WranglePlan(**base)
-
-
-def registry_with(*names):
-    registry = SourceRegistry()
-    for name in names:
-        registry.register(MemorySource(name, [{"product": "a", "price": 1.0}]))
-    return registry
 
 
 def fired(report, rule_id):
@@ -63,29 +38,31 @@ class TestDataflowChecks:
 
 
 class TestPlanChecks:
-    def test_unregistered_source_pv003(self, gate):
-        report = gate(
-            plan=good_plan(sources=["shop", "ghost"]),
-            registry=registry_with("shop"),
-        )
-        (finding,) = fired(report, "PV003")
-        assert finding.severity is Severity.ERROR
-        assert "ghost" in finding.message
+    def test_unregistered_source_pv003(self, draws):
+        """PV003 is retired: the planner selects from the registry, so
+        it never selects an unregistered source."""
+        assert_never_fires(draws, "PV003", "plan selects an unregistered source")
 
-    def test_out_of_range_thresholds_pv005(self, gate):
-        report = gate(
-            plan=good_plan(match_threshold=1.4, er_threshold=-0.1)
+    def test_out_of_range_thresholds_pv005(self, draws):
+        """PV005 is retired: ``match_threshold = 0.5 + 0.2 * w`` and the
+        ER threshold is clamped to [0.75, 0.95], so a plan leaves [0, 1]
+        only under an accuracy weight PV006 already refuses."""
+        assert_never_fires(draws, "PV005", "plan threshold outside [0, 1]")
+        extreme = UserContext(
+            "u", TARGET,
+            weights={Dimension.ACCURACY: -3.0, Dimension.COST: 4.0},
         )
-        findings = fired(report, "PV005")
-        assert {d.location.node for d in findings} == {
-            "match_threshold",
-            "er_threshold",
+        wrangler = Wrangler(extreme, DataContext())
+        wrangler.add_source(MemorySource("shop", [{"product": "a"}]))
+        report = wrangler.preflight()
+        assert {d.location.node for d in fired(report, "PV006")} == {
+            "accuracy", "cost",
         }
-        assert all(d.severity is Severity.ERROR for d in findings)
+        assert not report.ok
 
     def test_well_formed_plan_is_clean(self, gate):
         report = gate(
-            plan=good_plan(),
+            plan=good_plan("shop"),
             registry=registry_with("shop"),
             user=UserContext("u", TARGET),
             data=DataContext(),
@@ -94,44 +71,31 @@ class TestPlanChecks:
 
 
 class TestFusionChecks:
-    def test_unknown_strategy_pv007(self, gate):
-        report = gate(plan=good_plan(fusion_strategy="quorum"))
-        findings = fired(report, "PV007")
-        assert findings and findings[0].severity is Severity.ERROR
-        assert "quorum" in findings[0].message
+    def test_unknown_strategy_pv007(self, draws):
+        """PV007's strategy arm is retired: the planner picks "recent"
+        or "weighted"."""
+        assert_never_fires(draws, "PV007", "unknown fusion strategy")
 
-    def test_unknown_override_strategy_pv007(self, gate):
-        report = gate(
-            plan=good_plan(fusion_overrides={"price": "bogus"})
+    def test_unknown_override_strategy_pv007(self, draws):
+        assert_never_fires(
+            draws, "PV007", "override names an unknown strategy"
         )
-        findings = fired(report, "PV007")
-        assert findings
-        # Override findings name the exact override, not just the plan.
-        assert findings[0].location.node == "fusion_overrides.price"
 
-    def test_override_on_unknown_attribute_pv007(self, gate):
-        report = gate(
-            plan=good_plan(fusion_overrides={"colour": "median"}),
-            user=UserContext("u", TARGET),
+    def test_override_on_unknown_attribute_pv007(self, draws):
+        """The planner only overrides attributes of the target schema."""
+        assert_never_fires(
+            draws, "PV007", "override on an attribute absent from the target"
         )
-        findings = fired(report, "PV007")
-        assert any("colour" in d.message for d in findings)
 
-    def test_median_on_non_numeric_attribute_warns_pv007(self, gate):
-        report = gate(
-            plan=good_plan(fusion_overrides={"product": "median"}),
-            user=UserContext("u", TARGET),
+    def test_median_on_non_numeric_attribute_warns_pv007(self, draws):
+        """The planner only overrides numeric attributes with median."""
+        assert any(outcome.plan.fusion_overrides for outcome in draws)
+        assert_never_fires(
+            draws, "PV007", "median override on a non-numeric attribute"
         )
-        (finding,) = fired(report, "PV007")
-        assert finding.severity is Severity.WARNING
-        assert report.ok  # warnings never block execution
 
     def test_missing_master_data_pv007(self, gate):
-        report = gate(
-            plan=good_plan(),
-            data=DataContext("empty"),
-            master_key="catalog",
-        )
+        report = gate(data=DataContext("empty"), master_key="catalog")
         (finding,) = fired(report, "PV007")
         assert finding.severity is Severity.ERROR
         assert "catalog" in finding.message
@@ -159,6 +123,13 @@ class TestUserContextChecks:
         findings = fired(report, "PV006")
         assert findings and findings[0].severity is Severity.ERROR
 
+    def test_floor_outside_unit_interval_is_refused(self, draws):
+        """PV006's floor arm is retired: ``UserContext`` refuses a floor
+        outside [0, 1] when it is written."""
+        assert_never_fires(draws, "PV006", "floor outside [0, 1]")
+        with pytest.raises(ContextError):
+            UserContext("u", TARGET, floors={Dimension.ACCURACY: 1.5})
+
     def test_floor_on_zero_weight_dimension_warns_pv008(self, gate):
         user = UserContext(
             "u",
@@ -170,53 +141,62 @@ class TestUserContextChecks:
         (finding,) = fired(report, "PV008")
         assert finding.severity is Severity.WARNING
 
-    def test_zero_budget_with_selected_sources_pv008(self, gate):
-        user = UserContext("u", TARGET, budget=0.0)
-        report = gate(user=user, plan=good_plan())
-        findings = fired(report, "PV008")
-        assert findings and findings[0].severity is Severity.ERROR
+    def test_zero_budget_with_selected_sources_pv008(self):
+        """Free sources under a zero budget: the spend is 0 <= 0, so the
+        plan runs (PV008's zero-budget arm used to refuse it)."""
+        user = UserContext.precision_first("u", TARGET, budget=0.0)
+        wrangler = Wrangler(user, DataContext())
+        for name in ("shop", "mall"):
+            wrangler.add_source(
+                MemorySource(
+                    name,
+                    [{"product": "anvil", "price": "$12.00"}],
+                    cost_per_access=0.0,
+                )
+            )
+        result = wrangler.run()
+        assert sorted(result.plan.sources) == ["mall", "shop"]
+        assert not fired(wrangler.preflight(), "PV008")
 
-    def test_plan_cost_exceeding_budget_pv008(self, gate):
-        registry = SourceRegistry()
-        registry.register(
-            MemorySource("dear", [{"product": "a"}], cost_per_access=9.0)
+    def test_plan_cost_exceeding_budget_pv008(self, draws):
+        """PV008's budget arms are retired: source selection stops before
+        a source would take the spend past the budget."""
+        assert any(
+            outcome.wrangler.user.budget < float("inf") for outcome in draws
         )
-        user = UserContext("u", TARGET, budget=5.0)
-        report = gate(
-            user=user, plan=good_plan(sources=["dear"]), registry=registry
+        assert_never_fires(
+            draws, "PV008",
+            "plan spends more than the budget (both budget arms)",
         )
-        findings = fired(report, "PV008")
-        assert any("exceeds the budget" in d.message for d in findings)
 
 
 class TestReportBehaviour:
     def test_raise_on_error_carries_diagnostics(self, gate):
-        report = gate(plan=good_plan(er_threshold=2.0))
+        report = gate(master_key="catalog")
         with pytest.raises(PlanValidationError) as failure:
             report.raise_on_error()
         assert failure.value.diagnostics
-        assert failure.value.diagnostics[0].rule == "PV005"
+        assert failure.value.diagnostics[0].rule == "PV007"
 
     def test_raise_on_error_passes_through_when_clean(self, gate):
-        report = gate(plan=good_plan())
+        report = gate()
         assert report.raise_on_error() is report
 
     def test_rule_ids_and_render(self, gate):
-        report = gate(
-            plan=good_plan(er_threshold=2.0, fusion_strategy="bogus"),
-            schemas={"shop": Schema.of("product")},  # probed: no TC001
+        user = UserContext(
+            "u", TARGET,
+            weights={Dimension.ACCURACY: 1.5, Dimension.COST: -0.5},
         )
-        assert report.rule_ids() == {"PV005", "PV007"}
+        report = gate(user=user, master_key="catalog")
+        assert report.rule_ids() == {"PV006", "PV007"}
         text = report.render()
-        assert "PV005" in text and "PV007" in text
+        assert "PV006" in text and "PV007" in text
 
     def test_validator_never_executes_plan_machinery(self):
         """Validation is static: no source access, no node computation."""
         registry = registry_with("shop")
         source = registry.get("shop")
         PlanValidator().validate(
-            plan=good_plan(),
-            registry=registry,
-            user=UserContext("u", TARGET),
+            good_plan("shop"), UserContext("u", TARGET), DataContext()
         )
         assert source.accesses == 0

@@ -2,9 +2,9 @@
 
 import pytest
 
+from conftest import assert_never_fires
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
-from repro.core.planner import AutonomicPlanner, WranglePlan
 from repro.core.wrangler import Wrangler
 from repro.errors import PlanningError, PlanValidationError
 from repro.model.annotations import Dimension
@@ -31,44 +31,23 @@ def make_wrangler(**kwargs):
     return wrangler
 
 
-class BrokenPlanner(AutonomicPlanner):
-    """A planner that selects a source nobody registered.
-
-    The defect is deliberately one the runtime would *silently ignore*
-    (unknown names fall out of every dict lookup): without the static
-    pre-flight check it would go unnoticed rather than crash.
-    """
-
-    def plan(self, user, data, registry, annotations):
-        composed = super().plan(user, data, registry, annotations)
-        return WranglePlan(
-            sources=composed.sources + ["ghost"],
-            matcher_channels=composed.matcher_channels,
-            match_threshold=composed.match_threshold,
-            er_threshold=composed.er_threshold,
-            fusion_strategy=composed.fusion_strategy,
-        )
-
-
 class TestDefaultPreFlight:
     def test_healthy_run_passes_validation(self):
         result = make_wrangler().run()
         assert len(result.table) == 2
 
     def test_defective_plan_raises_before_execution(self):
-        wrangler = make_wrangler()
-        wrangler.planner = BrokenPlanner()
+        # A master-data key the data context holds no table for.
+        wrangler = make_wrangler(master_key="catalog")
         with pytest.raises(PlanValidationError) as failure:
             wrangler.run()
-        assert any(d.rule == "PV003" for d in failure.value.diagnostics)
+        assert any(d.rule == "PV007" for d in failure.value.diagnostics)
         # Static means static: planning failed before any acquisition.
         assert wrangler.registry.get("shop").accesses < 1.0
 
     def test_plan_validation_error_is_a_planning_error(self):
-        wrangler = make_wrangler()
-        wrangler.planner = BrokenPlanner()
         with pytest.raises(PlanningError):
-            wrangler.run()
+            make_wrangler(master_key="catalog").run()
 
     def test_missing_master_data_caught_statically(self):
         user = UserContext("u", SCHEMA)
@@ -78,12 +57,18 @@ class TestDefaultPreFlight:
             wrangler.run()
         assert any(d.rule == "PV007" for d in failure.value.diagnostics)
 
+    def test_planner_never_selects_an_unregistered_source(self, draws):
+        """What a substituted planner once tested (PV003): no example,
+        benchmark or experiment replaces ``Wrangler.planner``, and the
+        autonomic one selects from the registry."""
+        assert_never_fires(draws, "PV003", "plan selects an unregistered source")
+
 
 class TestReplanning:
     def test_invalidated_plan_is_gated_again(self):
         wrangler = make_wrangler()
         wrangler.run()  # a healthy plan, gated and memoised
-        wrangler.planner = BrokenPlanner()
+        wrangler.master_key = "catalog"
         wrangler.flow.invalidate("plan")
         with pytest.raises(PlanValidationError):
             wrangler.run()

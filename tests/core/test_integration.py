@@ -139,7 +139,7 @@ class TestPublicAPI:
             "repro.model", "repro.context", "repro.sources",
             "repro.extraction", "repro.matching", "repro.mapping",
             "repro.resolution", "repro.fusion", "repro.quality",
-            "repro.feedback", "repro.selection", "repro.kb",
+            "repro.feedback", "repro.selection",
             "repro.scale", "repro.core", "repro.baselines",
             "repro.datagen",
         ):

@@ -7,13 +7,11 @@ import pytest
 from repro.errors import SchemaError, TypeInferenceError
 from repro.model.schema import (
     Attribute,
-    Coercibility,
     DataType,
     Schema,
     coerce,
     infer_column_type,
     infer_type,
-    static_coercibility,
 )
 
 
@@ -179,68 +177,6 @@ class TestCoerceRoundTrips:
     def test_geo_wrong_arity_fails(self):
         with pytest.raises(TypeInferenceError):
             coerce("1, 2, 3", DataType.GEO)
-
-
-class TestStaticCoercibility:
-    """The static mirror of coerce(): sound against the runtime."""
-
-    def test_identity_always(self):
-        for dtype in DataType:
-            assert static_coercibility(dtype, dtype) is Coercibility.ALWAYS
-
-    def test_everything_coerces_to_string(self):
-        for dtype in DataType:
-            assert (
-                static_coercibility(dtype, DataType.STRING)
-                is Coercibility.ALWAYS
-            )
-
-    def test_from_string_is_value_dependent(self):
-        assert (
-            static_coercibility(DataType.STRING, DataType.INTEGER)
-            is Coercibility.MAYBE
-        )
-
-    def test_numeric_widening_always(self):
-        assert (
-            static_coercibility(DataType.INTEGER, DataType.FLOAT)
-            is Coercibility.ALWAYS
-        )
-        assert (
-            static_coercibility(DataType.FLOAT, DataType.CURRENCY)
-            is Coercibility.ALWAYS
-        )
-
-    def test_currency_narrowing_maybe(self):
-        assert (
-            static_coercibility(DataType.CURRENCY, DataType.INTEGER)
-            is Coercibility.MAYBE
-        )
-
-    def test_disjoint_types_never(self):
-        assert (
-            static_coercibility(DataType.BOOLEAN, DataType.DATE)
-            is Coercibility.NEVER
-        )
-        assert (
-            static_coercibility(DataType.URL, DataType.GEO)
-            is Coercibility.NEVER
-        )
-
-    def test_always_verdicts_are_sound_against_runtime(self):
-        """ALWAYS means every well-typed native value must coerce."""
-        for src, (native, _, _) in ROUND_TRIPS.items():
-            for dst in DataType:
-                if static_coercibility(src, dst) is Coercibility.ALWAYS:
-                    assert coerce(native, dst) is not None
-
-    def test_never_verdicts_are_sound_against_runtime(self):
-        """NEVER means the canonical native value must fail to coerce."""
-        for src, (native, _, _) in ROUND_TRIPS.items():
-            for dst in DataType:
-                if static_coercibility(src, dst) is Coercibility.NEVER:
-                    with pytest.raises(TypeInferenceError):
-                        coerce(native, dst)
 
 
 class TestSchema:

@@ -3,21 +3,22 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-json typecheck gate-draws cost-check bench bench-pairs bench-gate bench-smoke chaos chaos-crash check
+.PHONY: test lint lint-json typecheck gate-draws bench bench-pairs bench-gate bench-smoke chaos chaos-crash check
 
 test:
 	$(PYTHON) -m pytest -x -q
 
 # Every static pass goes through the one driver,
-# python -m repro.analysis <lint|typecheck|cost|ratchet>.
+# python -m repro.analysis <lint|typecheck|ratchet>.
 lint:
 	$(PYTHON) -m repro.analysis lint src/repro
 
 lint-json:
 	$(PYTHON) -m repro.analysis lint src/repro --format json
 
-# The pre-execution gate (contexts + types + cost) over
-# every shipped example plan; exits 1 on any error-severity finding.
+# The pre-execution gate (contexts + types + cost) over every shipped
+# example plan, info notes included; exits 1 on any error-severity
+# finding.
 typecheck:
 	$(PYTHON) -m repro.analysis typecheck examples
 
@@ -26,13 +27,6 @@ typecheck:
 N ?= 500
 gate-draws:
 	$(PYTHON) tools/gate_draws.py --draws $(N)
-
-# Cost & cardinality certification of every shipped example plan (exits
-# 1 on any error-severity CC finding), then the snapshot test pinning the
-# expected plan→cost map and its byte-for-byte determinism.
-cost-check:
-	$(PYTHON) -m repro.analysis cost examples
-	$(PYTHON) -m pytest tests/analysis/test_cost_snapshot.py -q -p no:cacheprovider
 
 # The contract benchmark (BENCHMARK.json): one workload, untraced —
 # `make bench WORKLOAD=cold_documents` for the extraction front end.
@@ -99,4 +93,4 @@ chaos:
 chaos-crash:
 	$(PYTHON) -m pytest tests/ingest -q -p no:cacheprovider
 
-check: test lint typecheck cost-check bench-smoke bench-gate chaos chaos-crash
+check: test lint typecheck bench-smoke bench-gate chaos chaos-crash

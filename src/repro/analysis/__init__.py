@@ -1,7 +1,7 @@
 """Static analysis for the repro framework: validate before you run.
 
 Three legs share one diagnostics engine and one driver,
-``python -m repro.analysis <lint|typecheck|cost|ratchet>``:
+``python -m repro.analysis <lint|typecheck|ratchet>``:
 
 * :mod:`repro.analysis.validator` — static validation of the contexts a
   user writes (rule ids ``PV0xx``), wired into
@@ -9,10 +9,9 @@ Three legs share one diagnostics engine and one driver,
 * :mod:`repro.analysis.lint` — an AST-based framework linter (rule ids
   ``REP0xx``), the driver's ``lint src/repro``;
 * :mod:`repro.analysis.typecheck` — the type rules over the probe
-  artifacts (rule ids ``TC0xx``), and the operator table and the one
-  plan walk behind the cost certifier of :mod:`repro.analysis.cost`
-  (``CC0xx``), folded into the wrangler's pre-execution gate and
-  rendered by the driver's ``typecheck examples`` / ``cost examples``.
+  artifacts (rule ids ``TC0xx``) and, with the cost checks of
+  :mod:`repro.analysis.cost` (``CC0xx``), the wrangler's pre-execution
+  gate, rendered by the driver's ``typecheck examples``.
 
 All emit :class:`~repro.analysis.diagnostics.Diagnostic` values and
 render through :mod:`repro.analysis.report`.

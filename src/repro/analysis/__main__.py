@@ -5,9 +5,7 @@
 * ``typecheck [paths]`` — the full pre-execution gate (contexts + types
   + cost, :func:`~repro.analysis.typecheck.run_preflight` via
   ``Wrangler.preflight()``) over plan-building modules (default
-  ``examples``);
-* ``cost [paths]`` — the same preflight, rendered as the per-node
-  cost/cardinality certificate plus every ``CC`` finding;
+  ``examples``), every finding info severity included;
 * ``ratchet`` — fresh ``BENCH_*.json`` records against committed
   baselines (:mod:`repro.analysis.cost.ratchet`).
 
@@ -31,19 +29,20 @@ from repro.analysis.cost import COST_RULES, run_ratchet
 from repro.analysis.cost.ratchet import DEFAULT_TOLERANCE, orphan_baselines
 from repro.analysis.diagnostics import has_errors
 from repro.analysis.lint import lint_paths
-from repro.analysis.plans import DEFAULT_ENTRY, PlanChecks, check_paths
+from repro.analysis.plans import DEFAULT_ENTRY, check_paths
 from repro.analysis.report import render, render_rule_catalogue
 from repro.analysis.rules import RULES
 from repro.analysis.typecheck import TYPECHECK_RULES
+from repro.analysis.validator import VALIDATOR_RULES
 from repro.errors import AnalysisError
 
-__all__ = ["main", "render_cost_json"]
+__all__ = ["main"]
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="repro static analysis: lint, typecheck, cost, ratchet",
+        description="repro static analysis: lint, typecheck, ratchet",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -72,24 +71,20 @@ def _parser() -> argparse.ArgumentParser:
     )
     add_listing(lint, "REP")
 
-    for name, what, description in (
-        ("typecheck", "TC",
-         "repro type checker: runs the pre-execution gate "
-         "(contexts + types + cost) over plan-building modules"),
-        ("cost", "CC",
-         "repro cost & cardinality certifier: propagates row and cost "
-         "estimates through each plan's dataflow"),
-    ):
-        plans = add(name, description)
-        plans.add_argument(
-            "paths", nargs="*", default=["examples"],
-            help="plan modules or directories to check (default: examples)",
-        )
-        plans.add_argument(
-            "--entry", default=DEFAULT_ENTRY,
-            help=f"plan-module entry point (default: {DEFAULT_ENTRY})",
-        )
-        add_listing(plans, what)
+    plans = add(
+        "typecheck",
+        "repro type checker: runs the pre-execution gate "
+        "(contexts + types + cost) over plan-building modules",
+    )
+    plans.add_argument(
+        "paths", nargs="*", default=["examples"],
+        help="plan modules or directories to check (default: examples)",
+    )
+    plans.add_argument(
+        "--entry", default=DEFAULT_ENTRY,
+        help=f"plan-module entry point (default: {DEFAULT_ENTRY})",
+    )
+    add_listing(plans, "PV, TC and CC")
 
     ratchet = add(
         "ratchet",
@@ -143,65 +138,13 @@ def _lint(args: argparse.Namespace) -> int:
     return result.exit_code
 
 
-def _check_plans(args: argparse.Namespace) -> PlanChecks:
+def _typecheck(args: argparse.Namespace) -> int:
     result = check_paths(args.paths, entry=args.entry)
     for path in result.skipped:
         sys.stderr.write(f"note: {path}: no {args.entry}(), skipped\n")
-    return result
-
-
-def _typecheck(args: argparse.Namespace) -> int:
-    result = _check_plans(args)
     findings = result.diagnostics
     _write(render(findings, args.format, checked_files=result.checked_plans))
     return 1 if has_errors(findings) else 0
-
-
-def _cost(args: argparse.Namespace) -> int:
-    result = _check_plans(args)
-    findings = result.cost_diagnostics
-    if args.format == "json":
-        _write(render_cost_json(result))
-    else:
-        _write(render(findings, "text", checked_files=result.checked_plans))
-        _write(_cost_block(result))
-    return 1 if has_errors(findings) else 0
-
-
-def _cost_block(result: PlanChecks) -> str:
-    """The per-plan node→estimate table appended to the text report."""
-    lines = ["cost certification:"]
-    for path, report in result.reports:
-        lines.append(f"  {path}")
-        names = sorted(report.estimates)
-        width = max((len(name) for name in names), default=0)
-        for name in names:
-            estimate = report.estimates[name]
-            lines.append(
-                f"    {name:<{width}}  rows={estimate.rows:>8.1f}  "
-                f"work={estimate.work:>10.1f}  "
-                f"access={estimate.access_cost:>7.2f}  "
-                f"[{estimate.confidence}]"
-            )
-        lines.append(
-            f"    total: access={report.total_access_cost:.2f} "
-            f"work={report.total_work:.1f} "
-            f"predicted={report.predicted_seconds:.4f}s"
-        )
-    return "\n".join(lines)
-
-
-def render_cost_json(result: PlanChecks) -> str:
-    """The machine-readable cost certificate (stable key order)."""
-    payload = {
-        "plans": [
-            {"path": path, **report.to_dict()}
-            for path, report in result.reports
-        ],
-        "diagnostics": [d.to_dict() for d in result.cost_diagnostics],
-        "summary": {"checked_plans": result.checked_plans},
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def _ratchet(args: argparse.Namespace) -> int:
@@ -230,15 +173,15 @@ def _ratchet(args: argparse.Namespace) -> int:
 _COMMANDS = {
     "lint": _lint,
     "typecheck": _typecheck,
-    "cost": _cost,
     "ratchet": _ratchet,
 }
 
 #: What ``--list-rules`` prints per subcommand: catalogue, name width.
 _CATALOGUES = {
     "lint": (RULES, 26),
-    "typecheck": (TYPECHECK_RULES, 32),
-    "cost": (COST_RULES, 32),
+    "typecheck": (
+        {**VALIDATOR_RULES, **TYPECHECK_RULES, **COST_RULES}, 32
+    ),
 }
 
 

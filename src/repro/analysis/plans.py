@@ -1,14 +1,11 @@
-"""Plan-module checking behind the driver's ``typecheck`` and ``cost``.
+"""Plan-module checking behind the driver's ``typecheck``.
 
-Both subcommands take files or directories of plan-building Python
-modules (each exposing a zero-argument entry point, ``build_wrangler()``
-by convention).  Each module is imported, its wrangler built, and
+It takes files or directories of plan-building Python modules (each
+exposing a zero-argument entry point, ``build_wrangler()`` by
+convention).  Each module is imported, its wrangler built, and
 ``Wrangler.preflight()`` run once — the probe is the only data access,
-estimates are computed, never measured, so output is deterministic over
-an unchanged tree — and the plan-artifact findings are re-anchored to
-the file that built the plan.  ``typecheck`` renders the gate's findings,
-``cost`` the :class:`~repro.analysis.cost.PlanCostReport` the same
-preflight carries.
+so output is deterministic over an unchanged tree — and the gate's
+findings are re-anchored to the file that built the plan.
 """
 
 from __future__ import annotations
@@ -19,13 +16,11 @@ import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.analysis.cost import PlanCostReport
 from repro.analysis.diagnostics import (
     Diagnostic,
     Location,
-    Severity,
     has_errors,
     sort_diagnostics,
 )
@@ -111,8 +106,8 @@ class PlanCheck:
 
 @dataclass(frozen=True)
 class PlanChecks:
-    """Every checked plan module, and the views the driver renders
-    (each computed once: re-anchoring and sorting are per-finding work)."""
+    """Every checked plan module, and the findings the driver renders
+    (computed once: re-anchoring and sorting are per-finding work)."""
 
     checks: tuple[PlanCheck, ...]
     skipped: tuple[str, ...] = ()
@@ -123,43 +118,19 @@ class PlanChecks:
 
     @cached_property
     def diagnostics(self) -> tuple[Diagnostic, ...]:
-        """The gate's findings (PV + TC + CC at warning or worse),
-        re-anchored to the plan modules."""
-        return _anchored(
-            (check.path, check.report.diagnostics) for check in self.checks
-        )
-
-    @cached_property
-    def reports(self) -> tuple[tuple[str, PlanCostReport], ...]:
-        """``(path, PlanCostReport)`` per plan whose preflight priced it."""
+        """The gate's findings, re-anchored to the plan modules."""
         return tuple(
-            (check.path, check.report.cost)
-            for check in self.checks
-            if check.report.cost is not None
-        )
-
-    @cached_property
-    def cost_diagnostics(self) -> tuple[Diagnostic, ...]:
-        """Every ``CC`` finding, info-severity included, re-anchored."""
-        return _anchored(
-            (path, report.diagnostics(min_severity=Severity.INFO))
-            for path, report in self.reports
+            sort_diagnostics(
+                reanchor(d, check.path)
+                for check in self.checks
+                for d in check.report.diagnostics
+            )
         )
 
     @property
     def ok(self) -> bool:
         """Whether every plan passes the gate (no error finding)."""
         return not has_errors(self.diagnostics)
-
-
-def _anchored(
-    findings: Iterable[tuple[str, Iterable[Diagnostic]]],
-) -> tuple[Diagnostic, ...]:
-    return tuple(
-        sort_diagnostics(
-            reanchor(d, path) for path, found in findings for d in found
-        )
-    )
 
 
 def check_module(path: Path, entry: str = DEFAULT_ENTRY) -> PlanCheck | None:

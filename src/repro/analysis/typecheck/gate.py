@@ -3,22 +3,20 @@
 Every ``Wrangler.run()`` that composes a plan, and every
 ``Wrangler.preflight()``, funnels through :func:`run_preflight`, which
 folds the plan validator's context findings (``PV0xx``), the type
-findings over the probe artifacts (``TC0xx``) and — from one walk over
-the plan's dataflow (:func:`~repro.analysis.typecheck.operators.walk_plan`)
-— the cost certifier's findings (``CC0xx``) into one
+findings over the probe artifacts (``TC0xx``) and the cost findings
+(``CC0xx``) into one
 :class:`~repro.analysis.validator.ValidationReport`, stably ordered.
-A plan is refused for a declared master table that is missing or a
-recency key that is not a date through exactly the same machinery.
+Each pass reads the plan once; none walks the dataflow.  A plan is
+refused for a declared master table that is missing or a recency key
+that is not a date through exactly the same machinery.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.analysis.cost.certifier import certify_walk
-from repro.analysis.cost.model import CostContext, source_facts
-from repro.analysis.diagnostics import Severity, sort_diagnostics
-from repro.analysis.typecheck.operators import walk_plan
+from repro.analysis.cost.rules import check_costs, source_facts
+from repro.analysis.diagnostics import sort_diagnostics
 from repro.analysis.typecheck.rules import check_types
 from repro.analysis.validator import PlanValidator, ValidationReport
 
@@ -54,7 +52,6 @@ def run_preflight(
     user: Any,
     data: Any,
     registry: Any,
-    dataflow: Any,
     working: Any,
     master_key: str | None = None,
     date_attribute: str | None = None,
@@ -63,21 +60,11 @@ def run_preflight(
     """Run the full pre-execution gate and fold findings into one report.
 
     The parameters are exactly what ``Wrangler._compose`` hands over:
-    probe artifacts are the ``probe/``-prefixed entries of ``working``,
-    and ``dataflow`` supplies the walk order.  The walk propagates
-    per-node cost estimates through the dataflow (annotating it for
-    telemetry); ``CC`` findings at warning severity or worse join the
-    report, and the full :class:`~repro.analysis.cost.PlanCostReport`
-    rides on its ``cost``.
+    probe artifacts are the ``probe/``-prefixed entries of ``working``.
+    Every finding joins the report, info severity included; only errors
+    refuse the plan.
     """
     schemas, mappings = probe_artifacts(working)
-    costs = CostContext(
-        plan=plan,
-        user=user,
-        sources=source_facts(registry),
-        discover_constraints=discover_constraints,
-    )
-    cost_report = certify_walk(costs, walk_plan(dataflow, costs), dataflow)
     findings = [
         *PlanValidator()
         .validate(plan, user, data, master_key, date_attribute)
@@ -85,8 +72,8 @@ def run_preflight(
         *check_types(
             plan, user, registry.names(), schemas, mappings, date_attribute
         ),
-        *cost_report.diagnostics(min_severity=Severity.WARNING),
+        *check_costs(
+            plan, user, source_facts(registry), discover_constraints
+        ),
     ]
-    return ValidationReport(
-        tuple(sort_diagnostics(findings)), cost=cost_report
-    )
+    return ValidationReport(tuple(sort_diagnostics(findings)))

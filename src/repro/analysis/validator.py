@@ -49,16 +49,10 @@ pv = partial(finding, VALIDATOR_RULES)
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """The outcome of one static validation pass.
-
-    ``cost`` is the :class:`~repro.analysis.cost.PlanCostReport` the
-    preflight walk produced (``None`` when no cost pass ran): per-node
-    estimates and every ``CC`` finding, including the info-severity ones
-    the gate's ``diagnostics`` leave out.
-    """
+    """The outcome of one static validation pass: every finding, info
+    severity included; only errors refuse the plan."""
 
     diagnostics: tuple[Diagnostic, ...]
-    cost: Any = None
 
     @property
     def ok(self) -> bool:

@@ -108,10 +108,6 @@ class _Node:
     cutoffs: int = 0
     invalidations: int = 0
     seconds: float = 0.0
-    #: Predicted compute-seconds from the static cost model, or ``None``
-    #: before :meth:`Dataflow.annotate_costs` has run.  A deterministic
-    #: estimate (not a measurement), so telemetry scrubbing keeps it.
-    cost: float | None = None
 
 
 class Dataflow:
@@ -308,26 +304,6 @@ class Dataflow:
         if self.telemetry is not None:
             self.telemetry.metrics.counter(metric).increment()
 
-    # -- cost annotation ----------------------------------------------------
-
-    def annotate_costs(self, costs: Mapping[str, float]) -> None:
-        """Record predicted per-node compute-seconds from the cost model.
-
-        The cost certifier (see :mod:`repro.analysis.cost`) calls this
-        after propagating estimates through the topology, so telemetry
-        exports carry the prediction next to the observed ``seconds``.
-        Unknown names are ignored — a synthetic topology may estimate
-        nodes this graph does not carry.
-        """
-        for name, predicted in costs.items():
-            node = self._nodes.get(name)
-            if node is not None:
-                node.cost = float(predicted)
-
-    def cost_map(self) -> dict[str, float | None]:
-        """Every node's predicted seconds (``None`` = unannotated)."""
-        return {name: node.cost for name, node in self._nodes.items()}
-
     # -- introspection ----------------------------------------------------
 
     def _require(self, name: str) -> _Node:
@@ -390,17 +366,6 @@ class Dataflow:
                 "seconds": node.seconds,
                 "stage": node.stage,
                 "clean": node.clean,
-                "cost": node.cost,
             }
             for name, node in self._nodes.items()
-        }
-
-    def dependency_map(self) -> dict[str, tuple[str, ...]]:
-        """Every node's declared dependencies — the static-analysis view.
-
-        The preflight walk consumes this to thread schemas and cost
-        estimates through the graph without executing any node.
-        """
-        return {
-            name: node.dependencies for name, node in self._nodes.items()
         }

@@ -10,10 +10,10 @@ the middle and the user/data contexts informing every step:
 * feedback propagates to all components and invalidates exactly the
   dataflow nodes it affects — re-running is cheap, as Section 2.4 demands.
 
-The pipeline's *shape* is declared once, by
-:func:`~repro.analysis.typecheck.operators.pipeline_shape` next to the
-``OPERATORS`` row of every node kind; the ``Wrangler`` only composes it,
-binding each kind ``k`` to its stage body ``Wrangler._stage_k``.
+The pipeline's *shape* is declared once, by :func:`pipeline_shape` next
+to the :data:`STAGES` label of every node kind; the ``Wrangler`` only
+composes it, binding each kind ``k`` to its stage body
+``Wrangler._stage_k``.
 
 Stage bodies compose, layers decide: a body gathers its inputs, calls the
 layer that owns the algorithm and files the result.  The policies — ER
@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import datetime as _dt
 from functools import partial
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.analysis import typecheck
-from repro.analysis.typecheck.operators import OPERATORS, pipeline_shape
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
 from repro.core.dataflow import Dataflow
@@ -74,13 +73,76 @@ from repro.sources.base import (
 from repro.sources.registry import SourceRegistry
 from repro.model.workingdata import WorkingData, content_digest
 
-__all__ = ["Wrangler"]
+__all__ = ["STAGES", "Wrangler", "pipeline_shape"]
 
 #: The nodes whose bodies read source beliefs — annotations and registry
 #: trust — outside their ``inputs``.  A stage body that writes a belief
 #: forces them (:meth:`Wrangler._beliefs_moved`), so early cutoff never
 #: leaves them on beliefs that have since moved.
 BELIEF_READERS = ("select", "fuse")
+
+#: Each dataflow node kind's pipeline stage, the label its spans and
+#: telemetry carry.  Node names are ``kind`` or ``kind:source``.
+STAGES: Mapping[str, str] = {
+    "probe": "probe",
+    "plan": "planning",
+    "acquire": "extraction",
+    "match": "matching",
+    "mapping": "mapping",
+    "mapped": "mapping",
+    "quality": "quality",
+    "select": "selection",
+    "rank": "selection",
+    "translate": "mapping",
+    "refit": "resolution",
+    "resolve": "resolution",
+    "fuse": "fusion",
+    "repair": "repair",
+}
+
+
+def pipeline_shape(
+    source_names: Sequence[str],
+) -> dict[str, tuple[str, ...]]:
+    """Figure 1's wiring over ``source_names``: ``{node: dependencies}``.
+
+    The one declaration of the pipeline's shape.
+    :meth:`Wrangler._build_flow` adds these nodes in this (insertion, and
+    already topological) order, binding each node's kind to its stage
+    body and its :data:`STAGES` label.  A new stage is one entry here,
+    one ``STAGES`` row and one stage body.
+    """
+    dependencies: dict[str, tuple[str, ...]] = {
+        "probe": (),
+        "plan": ("probe",),
+    }
+    for name in source_names:
+        dependencies[f"acquire:{name}"] = ("plan",)
+        dependencies[f"match:{name}"] = (f"acquire:{name}", "plan")
+        dependencies[f"mapping:{name}"] = (
+            f"match:{name}",
+            f"acquire:{name}",
+        )
+        dependencies[f"mapped:{name}"] = (
+            f"mapping:{name}",
+            f"acquire:{name}",
+        )
+        dependencies[f"quality:{name}"] = (f"mapped:{name}",)
+    dependencies["select"] = (
+        "plan",
+        *(f"mapping:{name}" for name in source_names),
+        *(f"quality:{name}" for name in source_names),
+    )
+    dependencies["rank"] = ("select",)
+    dependencies["translate"] = (
+        "rank",
+        *(f"mapped:{name}" for name in source_names),
+    )
+    dependencies["refit"] = ("translate", "plan")
+    dependencies["resolve"] = ("translate", "plan", "refit")
+    dependencies["fuse"] = ("resolve", "plan", "rank")
+    dependencies["repair"] = ("fuse", "plan")
+    return dependencies
 
 
 class Wrangler:
@@ -634,7 +696,7 @@ class Wrangler:
         ``(plan, report)`` — the one gate call site.
 
         Context validation (``PV0xx``), type checking over the probe
-        artifacts (``TC0xx``) and cost certification (``CC0xx``) run as
+        artifacts (``TC0xx``) and the cost checks (``CC0xx``) run as
         one gate:
         :func:`repro.analysis.typecheck.run_preflight`.
         """
@@ -646,7 +708,6 @@ class Wrangler:
             user=self.user,
             data=self.data,
             registry=self.registry,
-            dataflow=self.flow,
             working=self.working,
             master_key=self.master_key,
             date_attribute=self.date_attribute,
@@ -660,9 +721,8 @@ class Wrangler:
         Probes the sources (the cheap sample pass), composes a plan and
         gates it exactly as :meth:`run` gates the plans it composes.
         Returns the :class:`~repro.analysis.validator.ValidationReport`
-        (its ``cost`` carries the plan's cost certificate) instead of
-        raising, so callers (e.g. ``python -m repro.analysis typecheck`` /
-        ``cost``) can render every finding.  The one way to inspect the
+        instead of raising, so callers (e.g. ``python -m repro.analysis
+        typecheck``) can render every finding.  The one way to inspect the
         gate, or — ``preflight().raise_on_error()`` — to re-gate after
         changing what a memoised plan was gated against.
         """
@@ -672,7 +732,7 @@ class Wrangler:
     def _build_flow(self) -> Dataflow:
         """Compose the declared pipeline: one node per entry of
         :func:`pipeline_shape`, computed by its kind's ``_stage_<kind>``
-        body and labelled with its kind's ``OPERATORS`` stage."""
+        body and labelled with its kind's :data:`STAGES` entry."""
         flow = Dataflow(telemetry=self.telemetry)
         shape = pipeline_shape(self.registry.names())
         for node, dependencies in shape.items():
@@ -680,7 +740,7 @@ class Wrangler:
             body = getattr(self, f"_stage_{kind}")
             if source_name:
                 body = partial(body, source_name)
-            flow.add(node, body, dependencies, stage=OPERATORS[kind].stage)
+            flow.add(node, body, dependencies, stage=STAGES[kind])
         return flow
 
     @property

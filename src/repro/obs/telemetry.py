@@ -16,15 +16,13 @@ Snapshot schema (version 1)::
                   "histograms": {name: {count,total,mean,p50,p95,max}}},
       "spans": [{name,start,end,duration,attributes,children:[...]}],
       "dataflow": {"nodes": {name: {runs,hits,cutoffs,invalidations,
-                                    seconds,stage,clean,cost}}}
+                                    seconds,stage,clean}}}
     }
 
 ``cutoffs`` counts the sweeps that marked the node clean without
-running it (nothing it reads had changed).  ``cost`` is the static cost
-model's predicted seconds for the node (or null before certification) —
-a deterministic estimate, not a measurement.  Unknown per-node keys are
+running it (nothing it reads had changed).  Unknown per-node keys are
 ignored, so snapshots written by older versions, whose nodes carried
-more keys, keep validating.
+more keys (``cost``, ``parallel``, ``purity``), keep validating.
 """
 
 from __future__ import annotations
@@ -182,11 +180,4 @@ def validate_telemetry(payload: Any) -> list[str]:
             stage = stats.get("stage")
             if stage is not None and not isinstance(stage, str):
                 problems.append(f"{where}.stage: expected a string or null")
-            cost = stats.get("cost")
-            if cost is not None and (
-                not isinstance(cost, (int, float)) or isinstance(cost, bool)
-            ):
-                problems.append(
-                    f"{where}.cost: expected a number or null"
-                )
     return problems

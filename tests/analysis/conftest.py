@@ -8,10 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.typecheck import pipeline_shape, run_preflight
+from repro.analysis.typecheck import run_preflight
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
-from repro.core.dataflow import Dataflow
 from repro.core.planner import WranglePlan
 from repro.model.schema import Attribute, DataType, Schema
 from repro.model.workingdata import WorkingData
@@ -63,16 +62,11 @@ def registry_with(*names):
     return registry
 
 
-def _never_run(inputs):
-    raise AssertionError("the gate is static: no node is computed")
-
-
 def run_gate(
     plan=None,
     user=None,
     data=None,
     registry=None,
-    dataflow=None,
     schemas=None,
     mappings=None,
     **options,
@@ -83,9 +77,7 @@ def run_gate(
     context over :data:`TARGET`, an empty data context and a registry of
     the plan's sources.  ``schemas`` / ``mappings`` (keyed by source
     name) are filed the way the wrangler's probe files them, as
-    ``probe/<name>`` entries of a :class:`WorkingData`; without a
-    ``dataflow``, one is composed from :func:`pipeline_shape` over the
-    plan's sources, as ``Wrangler._build_flow`` does.  Returns the
+    ``probe/<name>`` entries of a :class:`WorkingData`.  Returns the
     gate's report.
     """
     plan = good_plan() if plan is None else plan
@@ -94,16 +86,11 @@ def run_gate(
         working.put("schema", f"probe/{name}", schema)
     for name, mapping in (mappings or {}).items():
         working.put("mapping", f"probe/{name}", mapping)
-    if dataflow is None:
-        dataflow = Dataflow()
-        for node, dependencies in pipeline_shape(plan.sources).items():
-            dataflow.add(node, _never_run, dependencies)
     return run_preflight(
         plan=plan,
         user=UserContext("u", TARGET) if user is None else user,
         data=DataContext() if data is None else data,
         registry=registry_with(*plan.sources) if registry is None else registry,
-        dataflow=dataflow,
         working=working,
         **options,
     )

@@ -1,141 +1,94 @@
-"""The cost certifier through the gate that runs it: estimate propagation
-over hand-built stand-ins, the CC blow-up rules on composed worlds at a
-scale that fires them, and the note on a plan no budget bounds."""
-
-from types import SimpleNamespace
-
-import pytest
+"""The cost checks through the gate that runs them: the pooled row bound
+and the spend they read off the registered sources, the CC blow-up rules
+on composed worlds at a scale that fires them, and the note on a plan no
+budget bounds."""
 
 from conftest import TARGET, assert_never_fires, good_plan
 from repro import DataContext, MemorySource, UserContext, Wrangler
+from repro.analysis.cost.rules import (
+    DEFAULT_ROWS,
+    estimated_pairs,
+    planned_rows,
+    source_facts,
+)
 from repro.analysis.diagnostics import Severity
 from repro.datagen import TARGET_SCHEMA, generate_world
 from repro.model.annotations import Dimension
 from repro.model.schema import Attribute, DataType, Schema
 from repro.sources.base import PROBE_COST_FRACTION
+from repro.sources.registry import SourceRegistry
 
 
-class StubSource:
-    def __init__(self, rows, cost=1.0):
-        self._rows = rows
-        self.metadata = SimpleNamespace(
-            cost_per_access=cost, kind="structured"
-        )
-
-    def size_hint(self):
-        if self._rows is None:
-            raise RuntimeError("no hint published")
-        return self._rows
-
-
-class StubRegistry:
-    def __init__(self, **sources):
-        self._sources = sources
-
-    def names(self):
-        return sorted(self._sources)
-
-    def get(self, name):
-        return self._sources[name]
+def source(name, rows, cost=1.0, hinted=True):
+    """A memory source of ``rows`` rows; ``hinted`` memoises its row count
+    the way the preflight probe does, otherwise it stays cold."""
+    built = MemorySource(
+        name, [{"product": f"{name} {i}"} for i in range(rows)],
+        cost_per_access=cost,
+    )
+    if hinted:
+        built.size_hint()
+    return built
 
 
-def plan_over(*names, er_attributes=("name",)):
-    return good_plan(*names, er_attributes=er_attributes)
+def registry_of(*sources):
+    registry = SourceRegistry()
+    for built in sources:
+        registry.register(built)
+    return registry
 
 
-@pytest.fixture
-def certify(gate):
-    """The ``PlanCostReport`` the gate's report carries."""
-
-    def certify(plan, registry, **artifacts):
-        return gate(plan=plan, registry=registry, **artifacts).cost
-
-    return certify
+def plan_over(*names):
+    return good_plan(*names, er_attributes=("name",))
 
 
-def rules(report, min_severity=Severity.INFO):
-    return {d.rule for d in report.diagnostics(min_severity=min_severity)}
+def fired(report, rule_id):
+    return [d for d in report.diagnostics if d.rule == rule_id]
 
 
 class TestEstimatePropagation:
-    def test_synthetic_topology_covers_the_canonical_pipeline(self, certify):
-        report = certify(
-            plan_over("a"), StubRegistry(a=StubSource(100))
-        )
-        names = set(report.estimates)
-        assert {"probe", "plan", "acquire:a", "translate", "resolve",
-                "fuse", "repair"} <= names
+    def test_rows_flow_from_acquire_through_translate(self):
+        registry = registry_of(source("a", 100), source("b", 40))
+        facts = source_facts(registry)
+        assert facts["a"].rows == 100.0
+        assert planned_rows(plan_over("a", "b"), facts) == 140.0
 
-    def test_rows_flow_from_acquire_through_translate(self, certify):
-        registry = StubRegistry(a=StubSource(100), b=StubSource(40))
-        report = certify(plan_over("a", "b"), registry)
-        assert report.estimates["acquire:a"].rows == 100.0
-        assert report.estimates["translate"].rows == 140.0
-        assert report.estimates["translate"].confidence == "exact"
-
-    def test_unselected_source_contributes_nothing(self, certify):
-        from repro.core.dataflow import Dataflow
-
-        # A real dataflow can carry acquire nodes for sources the plan
-        # rejected; those cost nothing and emit no rows.
-        flow = Dataflow()
-        flow.add("acquire:b", lambda inputs: None, stage="extraction")
-        registry = StubRegistry(a=StubSource(100), b=StubSource(40))
-        report = certify(plan_over("a"), registry, dataflow=flow)
-        assert report.estimates["acquire:b"].rows == 0.0
-        assert report.estimates["acquire:b"].access_cost == 0.0
-        # And the synthetic walk only materialises planned sources.
-        synthetic = certify(plan_over("a"), registry)
-        assert "acquire:b" not in synthetic.estimates
-        assert synthetic.estimates["translate"].rows == 100.0
-
-    def test_probe_charges_every_registered_source(self, certify):
-        registry = StubRegistry(
-            a=StubSource(10, cost=2.0), b=StubSource(10, cost=3.0)
-        )
-        report = certify(plan_over("a"), registry)
-        assert report.estimates["probe"].access_cost == pytest.approx(
-            5.0 * PROBE_COST_FRACTION
+    def test_unhinted_source_assumes_the_probe_sample_size(self):
+        registry = registry_of(source("a", 100, hinted=False))
+        assert planned_rows(plan_over("a"), source_facts(registry)) == (
+            DEFAULT_ROWS
         )
 
-    def test_unhinted_source_degrades_to_assumed_with_cc001(self, certify):
-        report = certify(plan_over("a"), StubRegistry(a=StubSource(None)))
-        assert report.estimates["acquire:a"].confidence == "assumed"
-        assert report.estimates["translate"].confidence == "assumed"
-        assert "CC001" in rules(report)
+    def test_unselected_source_contributes_nothing(self, gate):
+        # The rejected source is still probed, so its probe fraction is
+        # spent; its rows never reach the resolve.
+        registry = registry_of(source("a", 100, cost=2.0),
+                               source("b", 40, cost=3.0))
+        assert planned_rows(plan_over("a"), source_facts(registry)) == 100.0
+        (note,) = fired(gate(plan=plan_over("a"), registry=registry), "CC006")
+        spend = 5.0 * PROBE_COST_FRACTION + 2.0
+        assert f"estimated access cost {spend:.2f} " in note.message
 
-    def test_fusion_shrinks_rows_by_the_duplication_factor(self, certify):
-        registry = StubRegistry(a=StubSource(60), b=StubSource(60))
-        report = certify(plan_over("a", "b"), registry)
-        assert report.estimates["fuse"].rows == pytest.approx(60.0)
-
-    def test_real_dataflow_topology_is_reused_not_rederived(self, certify):
-        from repro.core.dataflow import Dataflow
-
-        flow = Dataflow()
-        flow.add("probe", lambda inputs: None, stage="probe")
-        flow.add("plan", lambda inputs: None, ("probe",), stage="planning")
-        report = certify(
-            plan_over("a"), StubRegistry(a=StubSource(10)), dataflow=flow
-        )
-        assert set(report.estimates) == {"probe", "plan"}
-        # And the predicted seconds land back on the dataflow's nodes.
-        costs = flow.cost_map()
-        assert costs["probe"] is not None
-        assert costs["plan"] is not None
+    def test_probe_charges_every_registered_source(self, gate):
+        registry = registry_of(source("a", 10, cost=2.0),
+                               source("b", 10, cost=3.0))
+        plan = plan_over()  # nothing selected: only the probe spends
+        (note,) = fired(gate(plan=plan, registry=registry), "CC006")
+        assert f"{5.0 * PROBE_COST_FRACTION:.2f}" in note.message
 
     def test_every_composed_kind_has_an_estimate(self, draws):
         """CC009 is retired with the ``input`` row: every node kind the
-        wrangler composes has an operator row with an estimate."""
+        wrangler composes has a stage."""
         assert_never_fires(draws, "CC009", "node kind with no estimate")
 
 
 class TestBlowUpRules:
-    def test_blocked_resolve_of_the_same_table_is_clean(self, certify):
-        report = certify(
-            plan_over("a"), StubRegistry(a=StubSource(1_000))
-        )
-        assert "(token)" in report.estimates["resolve"].detail
+    def test_blocked_resolve_of_the_same_table_is_clean(self, gate):
+        registry = registry_of(source("a", 1_000))
+        _, full = estimated_pairs(1_000.0)
+        assert not full  # token blocking, not all pairs
+        report = gate(plan=plan_over("a"), registry=registry)
+        assert not fired(report, "CC004")
         assert report.ok
 
     def test_cc004_cross_source_join_warns_at_scale(self):
@@ -152,10 +105,13 @@ class TestBlowUpRules:
         assert "CC004" in report.rule_ids()
         assert report.ok  # a warning: the plan still runs
 
-    def test_few_small_sources_pool_without_complaint(self, certify):
-        sources = {f"s{i}": StubSource(50) for i in range(3)}
-        report = certify(plan_over(*sources), StubRegistry(**sources))
-        assert "CC004" not in rules(report)
+    def test_few_small_sources_pool_without_complaint(self, gate):
+        sources = [source(f"s{i}", 50) for i in range(3)]
+        report = gate(
+            plan=plan_over(*(s.name for s in sources)),
+            registry=registry_of(*sources),
+        )
+        assert not fired(report, "CC004")
 
     def test_cc008_constraint_discovery_dominating_repair(self):
         # A wide table: 1,700 rows x 25 attributes is ~1.06M candidate
@@ -186,42 +142,33 @@ class TestBlowUpRules:
 
 
 class TestBudgetAdmission:
-    def test_cc006_unbounded_budget_is_an_advisory(self, certify):
-        user = UserContext("u", TARGET)
-        report = certify(
-            plan_over("a"), StubRegistry(a=StubSource(10)), user=user
+    def test_cc006_unbounded_budget_is_an_advisory(self, gate):
+        report = gate(
+            plan=plan_over("a"), registry=registry_of(source("a", 10)),
+            user=UserContext("u", TARGET),
         )
-        assert "CC006" in rules(report)
-        # INFO severity: invisible at the gate's warning floor.
-        assert "CC006" not in rules(report, min_severity=Severity.WARNING)
+        (note,) = fired(report, "CC006")
+        # INFO severity: in the report, but it never refuses the plan.
+        assert note.severity is Severity.INFO
+        assert report.ok
 
-    def test_finite_user_budget_suppresses_cc006(self, certify):
-        user = UserContext("u", TARGET, budget=25.0)
-        report = certify(
-            plan_over("a"), StubRegistry(a=StubSource(10)), user=user
+    def test_finite_user_budget_suppresses_cc006(self, gate):
+        report = gate(
+            plan=plan_over("a"), registry=registry_of(source("a", 10)),
+            user=UserContext("u", TARGET, budget=25.0),
         )
-        assert "CC006" not in rules(report)
+        assert not fired(report, "CC006")
 
 
 class TestReportShape:
-    def test_totals_sum_the_per_node_estimates(self, certify):
-        report = certify(plan_over("a"), StubRegistry(a=StubSource(100)))
-        assert report.total_access_cost == pytest.approx(
-            sum(e.access_cost for e in report.estimates.values())
-        )
-        assert report.total_work == pytest.approx(
-            sum(e.work for e in report.estimates.values())
-        )
-        assert report.predicted_seconds > 0.0
+    def test_findings_are_stably_ordered(self, gate):
+        def report():
+            registry = registry_of(
+                *(source(f"s{i}", 5_000, hinted=i % 2 == 0)
+                  for i in range(4))
+            )
+            return gate(plan=plan_over(*registry.names()), registry=registry)
 
-    def test_to_dict_is_the_snapshot_contract(self, certify):
-        report = certify(plan_over("a"), StubRegistry(a=StubSource(100)))
-        payload = report.to_dict()
-        assert set(payload) == {"nodes", "totals"}
-        assert list(payload["nodes"]) == sorted(payload["nodes"])
-
-    def test_findings_are_stably_ordered(self, certify):
-        registry = StubRegistry(a=StubSource(None), b=StubSource(None))
-        first = certify(plan_over("a", "b"), registry)
-        second = certify(plan_over("a", "b"), registry)
-        assert first.findings == second.findings
+        first, second = report(), report()
+        assert {"CC004", "CC006"} <= first.rule_ids()
+        assert first.diagnostics == second.diagnostics

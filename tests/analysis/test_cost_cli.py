@@ -1,4 +1,5 @@
-"""The driver's ``cost`` and ``ratchet`` subcommands: discovery,
+"""The driver's rendering of the ``CC`` findings (through ``typecheck``,
+the one plan subcommand) and its ``ratchet`` subcommand: discovery,
 formats, and the shared analysis exit-code contract."""
 
 import json
@@ -60,69 +61,74 @@ def refused_module(tmp_path):
 
 
 class TestCertifyMode:
+    """``typecheck`` renders the CC findings with the rest of the gate's."""
+
     def test_affordable_plan_exits_zero(self, plan_module, capsys):
-        assert main(["cost", str(plan_module)]) == 0
+        assert main(["typecheck", str(plan_module)]) == 0
         out = capsys.readouterr().out
-        assert "cost certification:" in out
-        assert "total: access=" in out
+        assert "info [CC006] estimated access cost 2.40 " in out
+        assert "found 1 (0 error, 0 warning, 1 info)" in out
 
     def test_refused_plan_exits_one(self, refused_module, capsys):
         assert main(["typecheck", str(refused_module)]) == 1
         assert "PV007" in capsys.readouterr().out
 
     def test_findings_are_reanchored_to_the_plan_module(
-        self, refused_module, capsys
+        self, plan_module, capsys
     ):
-        main(["cost", str(refused_module)])
-        assert "refused_plan.py::" in capsys.readouterr().out
+        main(["typecheck", str(plan_module)])
+        assert "affordable_plan.py::plan: info [CC006]" in (
+            capsys.readouterr().out
+        )
 
     def test_unknown_path_exits_two(self, capsys):
-        assert main(["cost", "does/not/exist.py"]) == 2
+        assert main(["typecheck", "does/not/exist.py"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_explicit_file_without_entry_exits_two(self, tmp_path, capsys):
         target = tmp_path / "not_a_plan.py"
         target.write_text("x = 1\n")
-        assert main(["cost", str(target)]) == 2
+        assert main(["typecheck", str(target)]) == 2
         assert "build_wrangler" in capsys.readouterr().err
 
     def test_directory_skips_non_plan_modules(self, tmp_path, capsys):
         (tmp_path / "helper.py").write_text("x = 1\n")
         (tmp_path / "plan.py").write_text(PLAN)
-        assert main(["cost", str(tmp_path)]) == 0
+        assert main(["typecheck", str(tmp_path)]) == 0
         err = capsys.readouterr().err
         assert "helper.py" in err and "skipped" in err
 
     def test_json_report_shape(self, plan_module, capsys):
-        assert main(["cost", str(plan_module), "--format", "json"]) == 0
+        assert main(["typecheck", str(plan_module), "--format", "json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        (plan,) = payload["plans"]
-        assert set(plan) == {"path", "nodes", "totals"}
-        assert "acquire:shop" in plan["nodes"]
-        assert payload["summary"] == {"checked_plans": 1}
-        assert any(
-            d["rule"] == "CC006" for d in payload["diagnostics"]
-        )
+        (note,) = payload["diagnostics"]
+        assert (note["rule"], note["severity"]) == ("CC006", "info")
+        assert payload["summary"]["infos"] == 1
+        assert payload["summary"]["checked_files"] == 1
 
     def test_custom_entry_point(self, tmp_path):
         target = tmp_path / "named.py"
         target.write_text(PLAN.replace("build_wrangler", "make_it"))
-        assert main(["cost", str(target), "--entry", "make_it"]) == 0
+        assert main(["typecheck", str(target), "--entry", "make_it"]) == 0
 
     def test_check_paths_counts_and_reports(self, plan_module):
         result = check_paths([str(plan_module)])
         assert result.checked_plans == 1
-        ((path, report),) = result.reports
-        assert path == str(plan_module)
-        assert report.total_access_cost > 0.0
+        assert result.ok
+        assert [d.rule for d in result.diagnostics] == ["CC006"]
 
     def test_list_rules(self, capsys):
-        assert main(["cost", "--list-rules"]) == 0
+        assert main(["typecheck", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (f"CC{n:03d}" for n in (1, 4, 6, 8)):
+        for rule_id in ("PV007", "TC001", "CC004", "CC006", "CC008"):
             assert rule_id in out
-        for retired in ("CC002", "CC003", "CC005", "CC007", "CC009"):
+        for retired in ("CC001", "CC002", "CC003", "CC005", "CC007", "CC009"):
             assert retired not in out
+
+    def test_cost_subcommand_is_gone(self, plan_module, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["cost", str(plan_module)])
+        assert exit_.value.code == 2
 
 
 class TestRatchetMode:

@@ -1,39 +1,18 @@
-"""The cost model's primitives: estimates, pair bounds, and the
-no-load source-facts extraction."""
+"""The cost checks' primitives: pair bounds and the no-load source-facts
+extraction."""
 
 import pytest
 
-from repro.analysis.cost.model import (
+from repro.analysis.cost.rules import (
     DEFAULT_ROWS,
-    UNIT_COSTS,
-    CardinalityEstimate,
     estimated_pairs,
     source_facts,
 )
+from repro.resilience import RetryPolicy, resilient
 from repro.resolution.blocking import MAX_BLOCK_SIZE
 from repro.resolution.er import SMALL_TABLE_CUTOFF
-from repro.sources.memory import MemorySource
+from repro.sources.memory import MemoryDocumentSource, MemorySource
 from repro.sources.registry import SourceRegistry
-
-
-class TestCardinalityEstimate:
-    def test_seconds_uses_the_stage_unit_cost(self):
-        estimate = CardinalityEstimate(rows=10.0, work=1000.0)
-        assert estimate.seconds("resolution") == pytest.approx(
-            1000.0 * UNIT_COSTS["resolution"]
-        )
-
-    def test_unknown_stage_falls_back_to_a_nominal_unit(self):
-        estimate = CardinalityEstimate(work=100.0)
-        assert estimate.seconds(None) > 0.0
-        assert estimate.seconds("no-such-stage") == estimate.seconds(None)
-
-    def test_to_dict_rounds_and_keeps_detail_only_when_set(self):
-        bare = CardinalityEstimate(rows=1.234567, work=2.0).to_dict()
-        assert bare["rows"] == 1.23
-        assert "detail" not in bare
-        rich = CardinalityEstimate(detail="union of 3 sources").to_dict()
-        assert rich["detail"] == "union of 3 sources"
 
 
 class TestEstimatedPairs:
@@ -66,14 +45,16 @@ class TestEstimatedPairs:
 class TestSourceFacts:
     ROWS = [{"product": f"p{i}", "price": "$1.00"} for i in range(7)]
 
-    def registry(self):
+    def registry(self, *sources):
         registry = SourceRegistry()
-        registry.register(MemorySource("shop", self.ROWS,
-                                       cost_per_access=2.5))
+        for source in sources or (
+            MemorySource("shop", self.ROWS, cost_per_access=2.5),
+        ):
+            registry.register(source)
         return registry
 
     def test_cold_source_is_never_loaded_for_a_hint(self):
-        # The certifier is a *static* pass: asking a cold source for its
+        # The gate is a *static* pass: asking a cold source for its
         # size would trigger a full physical load behind the resilience
         # ledger's back.  Cold sources must report unknown rows instead.
         registry = self.registry()
@@ -89,29 +70,21 @@ class TestSourceFacts:
         assert facts["shop"].rows == float(len(self.ROWS))
         assert facts["shop"].cost_per_access == 2.5
 
-    def test_duck_typed_stand_in_with_a_plain_hint_is_honoured(self):
-        class Hinted:
-            class metadata:
-                cost_per_access = 1.0
-                kind = "structured"
-
-            def size_hint(self):
-                return 42
-
-        class Registry:
-            def names(self):
-                return ["hinted"]
-
-            def get(self, name):
-                return Hinted()
-
-        facts = source_facts(Registry())
-        assert facts["hinted"].rows == 42.0
+    def test_wrapped_source_publishes_its_inner_count(self):
+        inner = MemorySource("shop", self.ROWS)
+        inner.probe(limit=3)
+        registry = self.registry(resilient(inner, RetryPolicy()))
+        assert source_facts(registry)["shop"].rows == float(len(self.ROWS))
 
     def test_stand_in_whose_hint_raises_degrades_to_unknown(self):
+        # Only a memoised ``_size_hint`` counts: a stand-in without one
+        # is never asked, so a hint that would raise never runs.
         class Refusing:
+            class metadata:
+                cost_per_access = 1.0
+
             def size_hint(self):
-                raise RuntimeError("not today")
+                raise AssertionError("the static pass asked for a count")
 
         class Registry:
             def names(self):
@@ -120,8 +93,15 @@ class TestSourceFacts:
             def get(self, name):
                 return Refusing()
 
-        facts = source_facts(Registry())
-        assert facts["refusing"].rows is None
+        assert source_facts(Registry())["refusing"].rows is None
+
+    def test_document_source_publishes_no_count(self):
+        site = MemoryDocumentSource(
+            "site", [("http://site/1", "<html><body>anvil</body></html>")]
+        )
+        site.probe(limit=1)
+        facts = source_facts(self.registry(site))
+        assert facts["site"].rows is None
 
     def test_registry_less_call_is_empty(self):
         assert source_facts(SourceRegistry()) == {}

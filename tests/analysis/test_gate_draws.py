@@ -22,7 +22,6 @@ FIRING_DRAWS = {
     "TC007 recency attribute no mapping produces": 117,
     "TC008 recency keyed on a non-DATE attribute": 15,
     "TC009 required attribute no mapping produces": 1,
-    "CC001 selected source without a row count": 2,
     "CC004 pooled cross-source resolve at scale": 449,
     "CC006 spend under an unbounded budget": 1,
 }

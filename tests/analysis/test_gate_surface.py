@@ -24,14 +24,14 @@ from repro.core.wrangler import Wrangler
 ANALYSIS_MD = Path(__file__).resolve().parents[2] / "docs" / "ANALYSIS.md"
 
 GATE_PARAMETERS = [
-    "plan", "user", "data", "registry", "dataflow", "working",
+    "plan", "user", "data", "registry", "working",
     "master_key", "date_attribute", "discover_constraints",
 ]
 
 RETIRED = {
     "PV001", "PV002", "PV003", "PV004", "PV005",
     "TC002", "TC003", "TC004", "TC005", "TC006", "TC010",
-    "CC002", "CC003", "CC005", "CC007", "CC009", "CC010",
+    "CC001", "CC002", "CC003", "CC005", "CC007", "CC009", "CC010",
 }
 
 

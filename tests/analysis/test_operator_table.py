@@ -1,13 +1,13 @@
-"""The operator table and the pipeline shape are the one declaration.
+"""The stage map and the pipeline shape are the one declaration.
 
 ``pipeline_shape`` spells the wiring (pinned here as a literal, in
-insertion order); every kind it emits has one ``OPERATORS`` row and one
+insertion order); every kind it emits has one ``STAGES`` entry and one
 ``Wrangler._stage_<kind>`` body, and vice versa; each node of the
-dataflow the wrangler composes from it carries its row's stage label.
+dataflow the wrangler composes from it carries its kind's stage label.
 """
 
 from repro import DataContext, UserContext, Wrangler
-from repro.analysis.typecheck import OPERATORS, pipeline_shape
+from repro.core.wrangler import STAGES, pipeline_shape
 from repro.model.annotations import Dimension
 from repro.model.schema import Attribute, DataType, Schema
 from repro.sources.memory import MemoryDocumentSource, MemorySource
@@ -38,10 +38,9 @@ class TestTableCompleteness:
     def test_every_built_node_kind_has_one_row_with_its_stage(self):
         stats = mixed_flow().node_stats()
         kinds = {name.partition(":")[0] for name in stats}
-        assert kinds <= set(OPERATORS)
-        assert all(OPERATORS[kind].kind == kind for kind in kinds)
+        assert kinds <= set(STAGES)
         for name, node in stats.items():
-            assert OPERATORS[name.partition(":")[0]].stage == node["stage"]
+            assert STAGES[name.partition(":")[0]] == node["stage"]
 
     def test_pipeline_shape_is_this_literal_in_insertion_order(self):
         shape = pipeline_shape(["shop", "site"])
@@ -76,7 +75,7 @@ class TestTableCompleteness:
         emitted = {
             node.partition(":")[0] for node in pipeline_shape(["shop"])
         }
-        assert emitted == set(OPERATORS)
+        assert emitted == set(STAGES)
         bodies = {
             name[len("_stage_"):]
             for name in vars(Wrangler)

@@ -22,7 +22,9 @@ SCHEMA = Schema((
 
 
 def build_wrangler():
-    user = UserContext("u", SCHEMA, weights={Dimension.ACCURACY: 1.0})
+    user = UserContext(
+        "u", SCHEMA, weights={Dimension.ACCURACY: 1.0}, budget=10.0
+    )
     wrangler = Wrangler(user, DataContext())
     wrangler.add_source(MemorySource("shop", [
         {"product": "anvil", "price": "$12.00"},
@@ -56,7 +58,7 @@ class TestExitCodes:
     def test_clean_plan_exits_zero(self, clean_plan, capsys):
         assert main(["typecheck", str(clean_plan)]) == 0
         out = capsys.readouterr().out
-        assert "clean" in out
+        assert "clean: no findings" in out
 
     def test_gate_errors_exit_one(self, broken_plan, capsys):
         assert main(["typecheck", str(broken_plan)]) == 1

@@ -34,7 +34,7 @@ class TestDataflowChecks:
             flow.add("fuse", lambda inputs: None, ("resolve",))
         with pytest.raises(DataflowError):
             flow.add("loop", lambda inputs: None, ("loop",))
-        assert flow.dependency_map() == {"probe": (), "plan": ("probe",)}
+        assert flow.nodes() == ["probe", "plan"]
 
 
 class TestPlanChecks:

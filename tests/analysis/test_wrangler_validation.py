@@ -5,7 +5,7 @@ import pytest
 from conftest import assert_never_fires
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
-from repro.core.wrangler import Wrangler
+from repro.core.wrangler import Wrangler, pipeline_shape
 from repro.errors import PlanningError, PlanValidationError
 from repro.model.annotations import Dimension
 from repro.model.schema import Attribute, DataType, Schema
@@ -76,8 +76,10 @@ class TestReplanning:
 
 class TestBuiltFlowIsValid:
     def test_wrangler_dataflow_passes_graph_checks(self):
-        flow = make_wrangler().flow
-        order = flow.nodes()
-        for node, dependencies in flow.dependency_map().items():
+        wrangler = make_wrangler()
+        order = wrangler.flow.nodes()
+        shape = pipeline_shape(wrangler.registry.names())
+        assert sorted(order) == sorted(shape)
+        for node, dependencies in shape.items():
             for dependency in dependencies:
                 assert order.index(dependency) < order.index(node)

@@ -190,12 +190,18 @@ class TestGlobalStages:
         assert anvil_price(("shop", "mart")) == (["shop", "shop", "mart"], 12.0)
         assert anvil_price(("mart", "shop")) == (["shop", "shop", "mart"], 11.0)
 
-    def test_plan_stage_gates_what_it_composes(self):
+    def test_plan_stage_gates_what_it_composes(self, monkeypatch):
+        gated = []
+        gate = wrangler_module.typecheck.run_preflight
+        monkeypatch.setattr(
+            wrangler_module.typecheck, "run_preflight",
+            lambda **kwargs: gated.append(kwargs["plan"]) or gate(**kwargs),
+        )
         wrangler = make_wrangler()
         wrangler._stage_probe({})
         plan = wrangler._stage_plan({"probe": {}})
         assert plan.sources == ["shop"]
-        assert all(v is not None for v in wrangler.flow.cost_map().values())
+        assert gated == [plan]
 
 
 class TestProbeRunsTheSameStagesOnASample:

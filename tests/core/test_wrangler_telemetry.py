@@ -53,11 +53,6 @@ class TestRunTelemetry:
             "quality", "selection", "resolution", "fusion", "repair",
         } <= stages
 
-    def test_every_node_carries_certification_verdicts(self, world):
-        result = make_wrangler(world).run()
-        nodes = result.telemetry["dataflow"]["nodes"]
-        assert all(stats["cost"] is not None for stats in nodes.values())
-
     def test_run_span_wraps_per_node_spans(self, world):
         result = make_wrangler(world).run()
         roots = [s for s in result.telemetry["spans"]

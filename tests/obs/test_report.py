@@ -110,11 +110,11 @@ class TestCli:
         self, tmp_path, capsys
     ):
         # Snapshots committed by earlier versions carry per-node
-        # ``parallel`` and ``purity`` keys nothing writes any more;
-        # unknown node keys are ignored, so they keep validating.
+        # ``parallel``, ``purity`` and ``cost`` keys nothing writes any
+        # more; unknown node keys are ignored, so they keep validating.
         snapshot = small_snapshot()
         snapshot["dataflow"]["nodes"]["fuse"].update(
-            parallel="sequential", purity="pure"
+            parallel="sequential", purity="pure", cost=0.0042
         )
         assert validate_telemetry(snapshot) == []
         path = tmp_path / "telemetry.json"

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro import DataContext, MemorySource, UserContext, Wrangler
-from repro.analysis.typecheck import OPERATORS, probe_artifacts
+from repro.analysis.typecheck import probe_artifacts
+from repro.core.wrangler import STAGES
 from repro.datagen import (
     JOB_SCHEMA,
     LOCATION_SCHEMA,
@@ -316,10 +317,9 @@ def run_draws(n: int) -> list[Outcome]:
 
 
 def _found(outcome: Outcome, rule: str, where: Callable = lambda d: True):
-    findings = outcome.report.diagnostics
-    if rule.startswith("CC"):  # info-severity CC findings included
-        findings = outcome.report.cost.findings
-    return any(d.rule == rule and where(d) for d in findings)
+    return any(
+        d.rule == rule and where(d) for d in outcome.report.diagnostics
+    )
 
 
 def _target(outcome: Outcome):
@@ -461,8 +461,6 @@ ARMS: tuple[Arm, ...] = (
           lambda d: d.location.node.startswith("date_attribute.")),
     _live("TC009", "required attribute no mapping produces",
           f"{_DRAWS}, {_TYPES}::test_tc009_required_attribute_unproduced"),
-    _live("CC001", "selected source without a row count",
-          f"{_DRAWS}, {_COST}::test_unhinted_source_degrades_to_assumed_with_cc001"),
     _live("CC004", "pooled cross-source resolve at scale",
           f"{_DRAWS}, {_COST}::test_cc004_cross_source_join_warns_at_scale"),
     _live("CC006", "spend under an unbounded budget",
@@ -544,7 +542,7 @@ ARMS: tuple[Arm, ...] = (
     _retired("CC009", "node kind with no estimate",
              f"{_COST}::test_every_composed_kind_has_an_estimate",
              lambda o: any(
-                 name.partition(":")[0] not in OPERATORS
+                 name.partition(":")[0] not in STAGES
                  for name in o.wrangler.flow.nodes()
              )),
 )

@@ -6,8 +6,8 @@ inform the selection of sources based on their relevance, as an input to
 the matching of sources that supplements syntactic matching, and as a guide
 to the fusion of property values".
 
-An :class:`Ontology` holds a subclass DAG of concepts, per-concept synonym
-sets, and typed properties.  It answers the three questions the wrangler
+An :class:`Ontology` holds a single-parent subclass hierarchy of concepts,
+per-concept synonym sets, and typed properties.  It answers the three questions the wrangler
 asks: *do these two terms name the same concept/property?*, *how related
 are two concepts?*, and *which concept does this value most plausibly
 instantiate?*.
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
-
-import networkx as nx
 
 from repro.errors import ContextError
 from repro.model.schema import DataType
@@ -62,11 +60,14 @@ class Property:
 
 
 class Ontology:
-    """A subclass DAG of concepts with synonyms and typed properties."""
+    """A single-parent subclass hierarchy of concepts with synonyms and
+    typed properties."""
 
     def __init__(self, name: str = "ontology") -> None:
         self.name = name
-        self._graph = nx.DiGraph()  # edge (child -> parent) = subclass-of
+        #: Subclass-of: each concept with a parent maps to it.  A parent is
+        #: defined before its children, so the map can hold no cycle.
+        self._parent: dict[str, str] = {}
         self._concepts: dict[str, Concept] = {}
         self._properties: dict[str, Property] = {}
         self._label_index: dict[str, str] = {}
@@ -84,18 +85,12 @@ class Ontology:
         """Add a concept, optionally as a subclass of ``parent``."""
         if name in self._concepts:
             raise ContextError(f"concept {name!r} already defined")
-        concept = Concept(name, frozenset(synonyms), description)
-        self._concepts[name] = concept
-        self._graph.add_node(name)
         if parent is not None:
             if parent not in self._concepts:
                 raise ContextError(f"unknown parent concept {parent!r}")
-            self._graph.add_edge(name, parent)
-            if not nx.is_directed_acyclic_graph(self._graph):
-                self._graph.remove_edge(name, parent)
-                raise ContextError(
-                    f"subclass edge {name!r} -> {parent!r} creates a cycle"
-                )
+            self._parent[name] = parent
+        concept = Concept(name, frozenset(synonyms), description)
+        self._concepts[name] = concept
         for label in concept.labels():
             self._label_index.setdefault(label, name)
         return concept
@@ -138,15 +133,27 @@ class Ontology:
         """The property whose label matches ``term``, if any."""
         return self._property_label_index.get(_normalise(term))
 
+    def _chain(self, concept: str) -> list[str]:
+        """``concept`` followed by its superclasses, nearest first."""
+        self._require(concept)
+        chain = [concept]
+        while chain[-1] in self._parent:
+            chain.append(self._parent[chain[-1]])
+        return chain
+
     def ancestors(self, concept: str) -> set[str]:
         """All superclasses of ``concept`` (transitively)."""
-        self._require(concept)
-        return set(nx.descendants(self._graph, concept))
+        return set(self._chain(concept)[1:])
 
     def descendants(self, concept: str) -> set[str]:
         """All subclasses of ``concept`` (transitively)."""
         self._require(concept)
-        return set(nx.ancestors(self._graph, concept))
+        # Parents precede their children in definition order.
+        below = {concept}
+        for name in self._concepts:
+            if self._parent.get(name) in below:
+                below.add(name)
+        return below - {concept}
 
     def is_a(self, concept: str, ancestor: str) -> bool:
         """Whether ``concept`` is (a subclass of) ``ancestor``."""
@@ -164,8 +171,9 @@ class Ontology:
         """Ontology-backed similarity of two attribute/term names.
 
         1.0 when both resolve to the same concept or property; otherwise a
-        Wu–Palmer-style score over the subclass DAG; 0.0 when either term is
-        unknown to the ontology (the ontology then contributes no evidence).
+        Wu–Palmer-style score over the subclass hierarchy; 0.0 when either
+        term is unknown to the ontology (the ontology then contributes no
+        evidence).
         """
         prop_a, prop_b = self.property_of(term_a), self.property_of(term_b)
         if prop_a is not None and prop_a == prop_b:
@@ -182,32 +190,17 @@ class Ontology:
         return self.concept_similarity(concept_a, concept_b)
 
     def concept_similarity(self, concept_a: str, concept_b: str) -> float:
-        """Wu–Palmer similarity over the subclass DAG."""
-        self._require(concept_a)
-        self._require(concept_b)
+        """Wu–Palmer similarity over the subclass hierarchy.
+
+        A concept's depth is the length of its chain to the root, so the
+        concepts two chains share are the root path down to their lowest
+        common ancestor, and their number is its depth.
+        """
+        chain_a, chain_b = self._chain(concept_a), self._chain(concept_b)
         if concept_a == concept_b:
             return 1.0
-        up_a = {concept_a} | self.ancestors(concept_a)
-        up_b = {concept_b} | self.ancestors(concept_b)
-        common = up_a & up_b
-        if not common:
-            return 0.0
-        depth = self._depths()
-        lca_depth = max(depth[c] for c in common)
-        return (
-            2.0 * lca_depth / (depth[concept_a] + depth[concept_b])
-            if (depth[concept_a] + depth[concept_b]) > 0
-            else 0.0
-        )
-
-    def _depths(self) -> dict[str, int]:
-        depths: dict[str, int] = {}
-        for node in nx.topological_sort(self._graph.reverse()):
-            parents = list(self._graph.successors(node))
-            depths[node] = 1 + max(
-                (depths[p] for p in parents), default=0
-            )
-        return depths
+        lca_depth = len(set(chain_a) & set(chain_b))
+        return 2.0 * lca_depth / (len(chain_a) + len(chain_b))
 
     def classify_value(self, value: object) -> str | None:
         """The concept a raw value most plausibly instantiates, by label."""

@@ -36,10 +36,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
-
-import networkx as nx
 
 from repro.errors import DataflowError, StaleValueError
 from repro.obs import Telemetry
@@ -94,6 +92,8 @@ class _Node:
     compute: Callable[[Mapping[str, Any]], Any]
     dependencies: tuple[str, ...]
     stage: str | None = None
+    #: The nodes that list this one among their dependencies.
+    dependents: list[str] = field(default_factory=list)
     value: Any = None
     clean: bool = False
     #: Must run on its next sweep (never computed, or invalidated itself);
@@ -114,15 +114,10 @@ class Dataflow:
     """A pull-based, memoising dataflow DAG with early cutoff."""
 
     def __init__(self, telemetry: Telemetry | None = None) -> None:
+        #: Every node; insertion order is topological (see :meth:`add`).
         self._nodes: dict[str, _Node] = {}
         #: Bumped whenever a node's value changes (see :meth:`_settle`).
         self._revision = 0
-        self._graph = nx.DiGraph()
-        #: Cached topological order; recomputed lazily after ``add``.
-        self._order: list[str] | None = None
-        #: How many times the topological order was derived (the
-        #: regression guard for pull_all's single-sweep contract).
-        self.topo_derivations = 0
         self.telemetry = telemetry
 
     # -- construction -----------------------------------------------------
@@ -147,10 +142,8 @@ class Dataflow:
                     f"node {name!r} depends on undefined node {dependency!r}"
                 )
         self._nodes[name] = _Node(name, compute, tuple(dependencies), stage)
-        self._graph.add_node(name)
         for dependency in dependencies:
-            self._graph.add_edge(dependency, name)
-        self._order = None  # topology changed; re-derive on next sweep
+            self._nodes[dependency].dependents.append(name)
         return name
 
     def add_input(self, name: str, value: Any = None) -> str:
@@ -179,8 +172,21 @@ class Dataflow:
             self._count("dataflow.invalidations")
         self._dirty_descendants(name)
 
+    def _cone(self, name: str, upward: bool) -> set[str]:
+        """The nodes reachable from ``name`` (itself excluded) along its
+        dependencies (``upward``) or its dependents."""
+        cone: set[str] = set()
+        stack = [name]
+        while stack:
+            node = self._nodes[stack.pop()]
+            for other in node.dependencies if upward else node.dependents:
+                if other not in cone:
+                    cone.add(other)
+                    stack.append(other)
+        return cone
+
     def _dirty_descendants(self, name: str) -> None:
-        for descendant in nx.descendants(self._graph, name):
+        for descendant in self._cone(name, upward=False):
             node = self._nodes[descendant]
             if node.clean:
                 node.clean = False
@@ -198,13 +204,6 @@ class Dataflow:
                     self._count("dataflow.invalidations")
 
     # -- evaluation ---------------------------------------------------------
-
-    def _topo_order(self) -> list[str]:
-        """The cached topological order (derived once per topology)."""
-        if self._order is None:
-            self._order = list(nx.topological_sort(self._graph))
-            self.topo_derivations += 1
-        return self._order
 
     def _settle(self, node: _Node, value: Any) -> None:
         """Store a node's up-to-date value, recording a change (a new
@@ -267,19 +266,19 @@ class Dataflow:
         """The node's current value, recomputing only the dirty cone.
 
         A clean node is a cache hit and returns immediately.  A dirty
-        node derives its ancestor cone **once** and sweeps it in the
-        (cached) topological order — not once per ancestor, which is what
-        made full refreshes quadratic before.
+        node derives its ancestor cone **once** and sweeps it in insertion
+        order, topological because ``add`` admits only existing
+        dependencies — not once per ancestor, which is what made full
+        refreshes quadratic before.
         """
         node = self._require(name)
         if node.clean:
             node.hits += 1
             self._count("dataflow.hits")
             return node.value
-        cone = nx.ancestors(self._graph, name)
+        cone = self._cone(name, upward=True)
         cone.add(name)
-        ordered = (n for n in self._topo_order() if n in cone)
-        self._sweep(ordered)
+        self._sweep(n for n in self._nodes if n in cone)
         return node.value
 
     def pull_all(self) -> None:
@@ -287,12 +286,11 @@ class Dataflow:
 
         Equivalent to pulling each node in turn — the per-node ``runs``,
         ``hits`` and ``cutoffs`` counters come out identical — but does
-        one pass over the cached order instead of re-deriving ancestors
-        and a fresh topological sort per node.
+        one pass over the insertion order instead of deriving an
+        ancestor cone per node.
         """
         dirty: list[str] = []
-        for name in self._topo_order():
-            node = self._nodes[name]
+        for name, node in self._nodes.items():
             if node.clean:
                 node.hits += 1
                 self._count("dataflow.hits")
@@ -352,8 +350,9 @@ class Dataflow:
         )
 
     def nodes(self) -> list[str]:
-        """All node names in topological order."""
-        return list(self._topo_order())
+        """All node names in insertion order, topological because
+        ``add`` admits only existing dependencies."""
+        return list(self._nodes)
 
     def node_stats(self) -> dict[str, dict[str, Any]]:
         """Per-node observability: the ``dataflow.nodes`` telemetry block."""

@@ -4,9 +4,10 @@ All intermediate results of the wrangling process — extracted tables,
 matches, mappings, wrappers, fused entities — are stored here "for
 on-demand recombination, depending on the user context and the potentially
 continually evolving data context" (Section 4.2).  The store is a typed
-blackboard: artifacts live under ``category/key`` addresses, carry
-versions, and changes are observable so the incremental dataflow engine can
-invalidate exactly the dependent computations.
+blackboard: artifacts live under ``category/key`` addresses.  Deciding what
+a change invalidates is the dataflow's job (:mod:`repro.core.dataflow`,
+whose early cutoff stops where a node's output stops changing), not the
+store's.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 import datetime as _dt
 import hashlib
 import json
-from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Any, Iterator, Mapping
 
 from repro.errors import CheckpointError
 from repro.model.annotations import AnnotationStore
@@ -50,14 +51,8 @@ class ArtifactKey:
         return f"{self.category}:{self.key}"
 
 
-@dataclass
-class _Entry:
-    value: Any
-    version: int = 1
-
-
 class WorkingData:
-    """A versioned blackboard of wrangling artifacts plus quality annotations.
+    """A blackboard of wrangling artifacts plus quality annotations.
 
     Categories used by the framework (others are free for applications):
 
@@ -70,40 +65,25 @@ class WorkingData:
     """
 
     def __init__(self) -> None:
-        self._entries: dict[ArtifactKey, _Entry] = {}
+        self._entries: dict[ArtifactKey, Any] = {}
         self.annotations = AnnotationStore()
-        self._listeners: list[Callable[[ArtifactKey], None]] = []
 
     def put(self, category: str, key: str, value: Any) -> ArtifactKey:
-        """Store (or overwrite) an artifact; bumps its version and notifies
-        change listeners."""
+        """Store (or overwrite) an artifact."""
         akey = ArtifactKey(category, key)
-        entry = self._entries.get(akey)
-        if entry is None:
-            self._entries[akey] = _Entry(value)
-        else:
-            entry.value = value
-            entry.version += 1
-        for listener in self._listeners:
-            listener(akey)
+        self._entries[akey] = value
         return akey
 
     def get(self, category: str, key: str, default: Any = None) -> Any:
         """The artifact at ``category:key``, or ``default``."""
-        entry = self._entries.get(ArtifactKey(category, key))
-        return default if entry is None else entry.value
+        return self._entries.get(ArtifactKey(category, key), default)
 
     def require(self, category: str, key: str) -> Any:
         """The artifact at ``category:key``; raises ``KeyError`` if absent."""
         akey = ArtifactKey(category, key)
         if akey not in self._entries:
             raise KeyError(f"no artifact at {akey}")
-        return self._entries[akey].value
-
-    def version(self, category: str, key: str) -> int:
-        """The artifact's version (0 when absent)."""
-        entry = self._entries.get(ArtifactKey(category, key))
-        return 0 if entry is None else entry.version
+        return self._entries[akey]
 
     def contains(self, category: str, key: str) -> bool:
         """Whether an artifact exists at ``category:key``."""
@@ -112,11 +92,10 @@ class WorkingData:
     def remove(self, category: str, key: str) -> bool:
         """Delete an artifact; returns whether it existed."""
         akey = ArtifactKey(category, key)
-        existed = self._entries.pop(akey, None) is not None
-        if existed:
-            for listener in self._listeners:
-                listener(akey)
-        return existed
+        if akey not in self._entries:
+            return False
+        del self._entries[akey]
+        return True
 
     def keys(self, category: str | None = None) -> list[ArtifactKey]:
         """All artifact keys, optionally restricted to one category."""
@@ -127,11 +106,7 @@ class WorkingData:
     def items(self, category: str) -> Iterator[tuple[str, Any]]:
         """Iterate ``(key, value)`` pairs within one category."""
         for akey in self.keys(category):
-            yield akey.key, self._entries[akey].value
-
-    def on_change(self, listener: Callable[[ArtifactKey], None]) -> None:
-        """Register a callback invoked with the key of every change."""
-        self._listeners.append(listener)
+            yield akey.key, self._entries[akey]
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -1,8 +1,10 @@
 """Tests for the domain ontology."""
 
+import networkx as nx
 import pytest
 
 from repro.context.ontology import Ontology
+from repro.datagen import ontologies
 from repro.errors import ContextError
 from repro.model.schema import DataType
 
@@ -97,3 +99,57 @@ class TestValueServices:
     def test_expected_dtype(self, products):
         assert products.expected_dtype("cost") is DataType.CURRENCY
         assert products.expected_dtype("mystery") is None
+
+
+def recorded(builder, monkeypatch):
+    """``builder()``'s ontology and a networkx graph of the subclass edges
+    it declared (child -> parent), recorded as the builder adds them."""
+    graph = nx.DiGraph()
+
+    class Recording(Ontology):
+        def add_concept(self, name, parent=None, *args, **kwargs):
+            graph.add_node(name)
+            if parent is not None:
+                graph.add_edge(name, parent)
+            return super().add_concept(name, parent, *args, **kwargs)
+
+    monkeypatch.setattr(ontologies, "Ontology", Recording)
+    return builder(), graph
+
+
+def networkx_similarity(graph, a, b):
+    """Wu–Palmer over the graph: depth is 1 + the longest path up."""
+    if a == b:
+        return 1.0
+    depth = {}
+    for node in nx.topological_sort(graph.reverse()):
+        depth[node] = 1 + max(
+            (depth[p] for p in graph.successors(node)), default=0
+        )
+    common = ({a} | nx.descendants(graph, a)) & ({b} | nx.descendants(graph, b))
+    if not common:
+        return 0.0
+    return 2.0 * max(depth[c] for c in common) / (depth[a] + depth[b])
+
+
+class TestAgainstNetworkx:
+    """Every hierarchy query on the shipped ontologies, for every concept
+    pair, against a networkx graph of the same subclass edges."""
+
+    @pytest.mark.parametrize("builder", [
+        ontologies.product_ontology, ontologies.location_ontology,
+    ])
+    def test_every_pair(self, builder, monkeypatch):
+        onto, graph = recorded(builder, monkeypatch)
+        concepts = list(onto.concepts)
+        assert sorted(concepts) == sorted(graph)
+        for a in concepts:
+            assert onto.ancestors(a) == nx.descendants(graph, a)
+            assert onto.descendants(a) == nx.ancestors(graph, a)
+            for b in concepts:
+                assert onto.is_a(a, b) == (
+                    a == b or nx.has_path(graph, a, b)
+                )
+                assert onto.concept_similarity(a, b) == networkx_similarity(
+                    graph, a, b
+                )

@@ -2,7 +2,10 @@
 
 import math
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dataflow import Dataflow, same_value
 from repro.errors import DataflowError, StaleValueError
@@ -183,47 +186,39 @@ def build_chain(length):
     return flow
 
 
+def count_cones(monkeypatch):
+    """Record every cone ``Dataflow`` derives, as ``(name, upward)``."""
+    calls = []
+    original = Dataflow._cone
+
+    def counting(self, name, upward):
+        calls.append((name, upward))
+        return original(self, name, upward)
+
+    monkeypatch.setattr(Dataflow, "_cone", counting)
+    return calls
+
+
 class TestSweepComplexity:
-    """Regression guards for the single-sweep pull_all rewrite."""
+    """Regression guards for the single-sweep pull and pull_all."""
 
-    def test_pull_all_derives_topo_order_once(self, monkeypatch):
-        import repro.core.dataflow as dataflow_module
-
+    def test_pull_derives_its_cone_once(self, monkeypatch):
         flow = build_chain(500)
-        calls = {"count": 0}
-        original = dataflow_module.nx.topological_sort
-
-        def counting(graph):
-            calls["count"] += 1
-            return original(graph)
-
-        monkeypatch.setattr(
-            dataflow_module.nx, "topological_sort", counting
-        )
-        flow.pull_all()
-        # One derivation for the whole refresh — not one per node, which
+        calls = count_cones(monkeypatch)
+        # One ancestor walk for the whole chain — not one per node, which
         # is what made a full 500-node refresh O(V·(V+E)).
-        assert calls["count"] == 1
-        assert flow.topo_derivations == 1
+        assert flow.pull("n499") == 499
+        assert calls == [("n499", True)]
         assert all(flow.runs(f"n{i}") == 1 for i in range(1, 500))
-        # A second refresh with nothing dirty re-sorts nothing.
+
+    def test_pull_all_derives_no_cone(self, monkeypatch):
+        flow = build_chain(500)
+        calls = count_cones(monkeypatch)
         flow.pull_all()
-        assert calls["count"] == 1
-
-    def test_pull_derives_ancestors_once(self, monkeypatch):
-        import repro.core.dataflow as dataflow_module
-
-        flow = build_chain(200)
-        calls = {"count": 0}
-        original = dataflow_module.nx.ancestors
-
-        def counting(graph, node):
-            calls["count"] += 1
-            return original(graph, node)
-
-        monkeypatch.setattr(dataflow_module.nx, "ancestors", counting)
-        assert flow.pull("n199") == 199
-        assert calls["count"] == 1
+        assert calls == []
+        assert all(flow.runs(f"n{i}") == 1 for i in range(1, 500))
+        flow.pull_all()
+        assert calls == []
 
     def test_pull_all_counters_match_per_node_pulls(self):
         """The rewrite is counter-for-counter equivalent to pulling nodes."""
@@ -349,3 +344,56 @@ class TestEarlyCutoff:
     ])
     def test_same_value(self, old, new, same):
         assert same_value(old, new) is same
+
+
+@st.composite
+def dags(draw):
+    """``{node: dependencies}`` in insertion order: each node depends on
+    a random subset of the nodes before it."""
+    shape = {}
+    for i in range(draw(st.integers(1, 12))):
+        earlier = st.sets(st.sampled_from(list(shape))) if shape else st.just(())
+        shape[f"n{i}"] = tuple(sorted(draw(earlier)))
+    return shape
+
+
+def build_logged(shape):
+    """A flow over ``shape`` whose nodes log their runs, and the networkx
+    graph of the same edges (the reference for the flow's own walks)."""
+    log = []
+    flow = Dataflow()
+    graph = nx.DiGraph()
+    for name, dependencies in shape.items():
+        flow.add(name, lambda inputs, name=name: log.append(name),
+                 dependencies)
+        graph.add_node(name)
+        graph.add_edges_from((dependency, name)
+                             for dependency in dependencies)
+    return flow, graph, log
+
+
+class TestWalksAgainstNetworkx:
+    """Insertion order and the dependency/dependent walks, checked against
+    networkx over random DAGs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dags(), st.data())
+    def test_order_and_cones(self, shape, data):
+        flow, graph, log = build_logged(shape)
+        order = flow.nodes()
+        assert order == list(shape)
+        for name, dependencies in shape.items():
+            assert all(order.index(d) < order.index(name)
+                       for d in dependencies)
+
+        pulled = data.draw(st.sampled_from(order))
+        flow.pull(pulled)
+        assert set(log) == nx.ancestors(graph, pulled) | {pulled}
+        assert log == [name for name in order if name in set(log)]
+
+        flow.pull_all()
+        invalidated = data.draw(st.sampled_from(order))
+        flow.invalidate(invalidated)
+        assert set(flow.dirty_nodes()) == (
+            nx.descendants(graph, invalidated) | {invalidated}
+        )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.model.annotations import AnnotationStore, Dimension, QualityAnnotation
-from repro.model.workingdata import ArtifactKey, WorkingData
+from repro.model.workingdata import WorkingData
 
 
 class TestQualityAnnotation:
@@ -64,21 +64,18 @@ class TestWorkingData:
         with pytest.raises(KeyError):
             wd.require("table", "absent")
 
-    def test_versions_bump_on_overwrite(self):
+    def test_put_overwrites(self):
         wd = WorkingData()
-        assert wd.version("table", "t") == 0
         wd.put("table", "t", 1)
-        assert wd.version("table", "t") == 1
         wd.put("table", "t", 2)
-        assert wd.version("table", "t") == 2
+        assert wd.get("table", "t") == 2
+        assert len(wd) == 1
 
-    def test_change_listener_fires(self):
+    def test_remove_present_is_true(self):
         wd = WorkingData()
-        seen: list[ArtifactKey] = []
-        wd.on_change(seen.append)
-        wd.put("mapping", "m", object())
-        wd.remove("mapping", "m")
-        assert [str(k) for k in seen] == ["mapping:m", "mapping:m"]
+        wd.put("mapping", "m", None)
+        assert wd.remove("mapping", "m") is True
+        assert not wd.contains("mapping", "m")
 
     def test_remove_absent_is_false(self):
         assert WorkingData().remove("x", "y") is False

@@ -4,7 +4,7 @@ The scalar compare/decide loop (:func:`repro.resolution.er._decide_pairs`)
 is the quadratic wall of the pipeline: every candidate pair re-runs
 pure-Python per-field measures.  This module compiles a
 :class:`RecordComparator` + :class:`ThresholdRule` against one table into
-columnar numpy/scipy kernels that score whole candidate-pair arrays in
+columnar numpy kernels that score whole candidate-pair arrays in
 batch — but it never *decides* anything.  The kernels compute a provable
 **upper bound** on the pooled similarity of each pair; pairs whose bound
 falls short of the rule's threshold (minus a small float-safety margin)
@@ -20,9 +20,10 @@ are present; missing fields are masked out of the pool exactly as
 ========================  ====================================================
 measure                   upper bound
 ========================  ====================================================
-``jaccard`` / ``dice``    exact, via a vocabulary-interned CSR binary token
-                          matrix built once per table — sparse row products
-                          count intersections for the whole pair batch
+``jaccard`` / ``dice``    exact, via vocabulary-interned token rows built
+                          once per table as sorted ``row * V + token`` keys —
+                          one ``searchsorted`` counts intersections for the
+                          whole pair batch
 ``exact``                 exact, via interned lower-cased value codes
 ``numeric``               exact array arithmetic (NaN-poisoned operands
                           score 0.0, matching the scalar ``max(0.0, nan)``)
@@ -39,7 +40,7 @@ measure                   upper bound
 ``tokens_strict``         (the measure's code rule), so the directed bound
                           is ``(matched digit tokens + non-digit tokens if
                           the other side has any)/|tokens|``, counted with
-                          multiplicity via a digit-token CSR matrix off the
+                          multiplicity via digit-token rows off the
                           scoring context's name tokens and digit classes
                           (tokenised once — here, or by the earlier
                           resolve the context reads through to — and read
@@ -67,7 +68,6 @@ from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from scipy import sparse as _sparse
 
 from repro.matching.similarity import NameScores, token_set
 from repro.model.records import Table
@@ -97,58 +97,63 @@ __all__ = [
 #: drift — while thresholds meaningfully distinct from it stay distinct.
 PRUNE_MARGIN = 1e-7
 
-#: Pair-batch size for scoring: bounds the transient sparse row products
-#: (a batch of 65536 pairs holds two CSR slices + a dozen float64
-#: columns, a few MB) so candidate arrays of millions of pairs stream
-#: through flat memory.
+#: Pair-batch size for scoring: bounds the transient token products
+#: (a batch of 65536 pairs holds the left rows' expanded token entries +
+#: a dozen float64 columns, a few MB) so candidate arrays of millions of
+#: pairs stream through flat memory.
 _BATCH = 1 << 16
 
 
-def _token_matrix(token_sets: Sequence[Counter | frozenset]):
-    """CSR incidence matrix over the interned vocabulary of ``token_sets``.
+class _TokenRows:
+    """Token weights per row as sorted int64 keys ``row * V + token``.
 
-    Counters contribute their multiplicities, frozensets binary rows.
+    The (flat, indptr) layout of ``blocking._token_ids`` over ``V``
+    interned tokens; a Counter row weighs each token by its multiplicity,
+    a frozenset row by 1.  Sums of these small integers are exact.
     """
-    vocabulary: dict[str, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[int] = []
-    for row, tokens in enumerate(token_sets):
-        items = (
-            tokens.items()
-            if isinstance(tokens, Counter)
-            else ((token, 1) for token in sorted(tokens))
-        )
-        for token, count in items:
-            column = vocabulary.setdefault(token, len(vocabulary))
-            rows.append(row)
-            cols.append(column)
-            data.append(count)
-    return _sparse.csr_matrix(
-        (data, (rows, cols)),
-        shape=(len(token_sets), len(vocabulary)),
-        dtype=np.float64,
-    )
 
+    def __init__(self, token_sets: Sequence[Counter | frozenset]) -> None:
+        vocabulary: dict[str, int] = {}
+        entries = np.asarray(
+            [
+                (row, vocabulary.setdefault(token, len(vocabulary)), count)
+                for row, tokens in enumerate(token_sets)
+                for token, count in Counter(tokens).items()
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 3)
+        self.width = max(len(vocabulary), 1)
+        keys = entries[:, 0] * self.width + entries[:, 1]
+        order = np.argsort(keys)
+        self.keys = keys[order]
+        self.weights = entries[order, 2].astype(np.float64)
+        self.lengths = np.asarray([len(t) for t in token_sets], dtype=np.int64)
+        self.starts = np.cumsum(self.lengths) - self.lengths
 
-def _row_products(matrix_a, matrix_b, lefts, rights) -> np.ndarray:
-    """``sum_k A[l,k] * B[r,k]`` for each pair — sparse intersection counts."""
-    products = matrix_a[lefts].multiply(matrix_b[rights]).sum(axis=1)
-    return np.asarray(products).ravel()
+    def held(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
+        """``sum(left[t] for t in left if t in right)`` per pair: each left
+        row's entries, looked up as ``right * V + token`` in the keys."""
+        lengths = self.lengths[lefts]
+        pair = np.repeat(np.arange(len(lefts)), lengths)
+        skip = self.starts[lefts] - (np.cumsum(lengths) - lengths)
+        entry = np.arange(len(pair)) + skip[pair]
+        probe = self.keys[entry] + (rights - lefts)[pair] * self.width
+        found = np.searchsorted(self.keys, probe)
+        hit = self.keys[np.minimum(found, len(self.keys) - 1)] == probe
+        return np.bincount(pair, self.weights[entry] * hit, len(lefts))
 
 
 class _TokenSetKernel:
-    """Exact Jaccard / Dice over the binary token incidence matrix."""
+    """Exact Jaccard / Dice over binary token rows."""
 
-    def __init__(self, matrix, counts: np.ndarray, mode: str) -> None:
-        self.matrix = matrix
-        self.counts = counts
+    def __init__(self, rows: _TokenRows, mode: str) -> None:
+        self.rows = rows
         self.mode = mode
 
     def upper(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        intersection = _row_products(self.matrix, self.matrix, lefts, rights)
-        count_l = self.counts[lefts]
-        count_r = self.counts[rights]
+        intersection = self.rows.held(lefts, rights)
+        count_l = self.rows.lengths[lefts]
+        count_r = self.rows.lengths[rights]
         if self.mode == "dice":
             denominator = count_l + count_r
             scores = 2.0 * intersection
@@ -176,23 +181,17 @@ class _NameTokenKernel:
         self,
         totals: np.ndarray,
         nondigit: np.ndarray,
-        digit_counts,
-        digit_binary,
+        digit_counts: _TokenRows,
         strict: bool,
     ) -> None:
         self.totals = totals
         self.nondigit = nondigit
         self.digit_counts = digit_counts
-        self.digit_binary = digit_binary
         self.strict = strict
 
     def upper(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
-        matched_lr = _row_products(
-            self.digit_counts, self.digit_binary, lefts, rights
-        )
-        matched_rl = _row_products(
-            self.digit_counts, self.digit_binary, rights, lefts
-        )
+        matched_lr = self.digit_counts.held(lefts, rights)
+        matched_rl = self.digit_counts.held(rights, lefts)
         total_l = self.totals[lefts]
         total_r = self.totals[rights]
         nondigit_l = self.nondigit[lefts]
@@ -384,8 +383,7 @@ def _compile_field(field: FieldComparator, table: Table, names: NameScores):
             token_set(str(raw)) if raw is not None else frozenset()
             for raw in raws
         ]
-        counts = np.asarray([len(s) for s in sets], dtype=np.float64)
-        return _TokenSetKernel(_token_matrix(sets), counts, measure), missing
+        return _TokenSetKernel(_TokenRows(sets), measure), missing
 
     if measure in ("tokens", "tokens_strict"):
         token_lists = [
@@ -403,13 +401,10 @@ def _compile_field(field: FieldComparator, table: Table, names: NameScores):
             [sum(counter.values()) for counter in digit_counters],
             dtype=np.float64,
         )
-        counts_matrix = _token_matrix(digit_counters)
-        binary_matrix = counts_matrix.sign()
         return _NameTokenKernel(
             totals,
             totals - digit_totals,
-            counts_matrix,
-            binary_matrix,
+            _TokenRows(digit_counters),
             strict=measure == "tokens_strict",
         ), missing
 

@@ -40,7 +40,7 @@ class TestPreflightFoldsCostFindings:
         assert report.ok
         assert len(wrangler.run().table) == 3
 
-    def test_cost_certifier_needs_plan_and_registry(self, gate):
+    def test_cost_checks_need_plan_and_registry(self, gate):
         # The checks read the plan's sources and the registered sources'
         # costs: one planned source at cost 1.0, probed at its fraction.
         plan = WranglePlan(

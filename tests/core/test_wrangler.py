@@ -1,6 +1,9 @@
 """Integration tests: the autonomic Wrangler end to end."""
 
+import dataclasses
 import datetime
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -21,9 +24,11 @@ from repro.feedback.types import (
     ValueFeedback,
 )
 from repro.model.annotations import Dimension
+from repro.model.workingdata import table_fingerprint
 from repro.sources.memory import MemoryDocumentSource, MemorySource
 
 TODAY = datetime.date(2016, 3, 15)
+QUICKSTART = Path(__file__).resolve().parents[2] / "examples" / "quickstart.py"
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +106,24 @@ class TestRun:
         runs_after_first = wrangler.recompute_count()
         second = wrangler.run()
         assert wrangler.recompute_count() == runs_after_first
-        assert len(second.table) == len(first.table)
+        assert table_fingerprint(second.table) == table_fingerprint(
+            first.table
+        )
+
+    @pytest.mark.parametrize("seed", [2016, 1, 7])
+    def test_source_registration_order_does_not_change_the_table(self, seed):
+        spec = importlib.util.spec_from_file_location("quickstart", QUICKSTART)
+        quickstart = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(quickstart)
+        world = generate_world(n_products=60, n_sources=6, seed=seed)
+        reversed_world = dataclasses.replace(
+            world, source_rows=dict(reversed(world.source_rows.items()))
+        )
+        forward = quickstart.build_wrangler(world).run()
+        backward = quickstart.build_wrangler(reversed_world).run()
+        assert table_fingerprint(backward.table) == table_fingerprint(
+            forward.table
+        )
 
     def test_budget_limits_sources(self, world):
         cheap = make_wrangler(world, budget=2.0)

@@ -10,6 +10,8 @@ any benchmark.  The suite also pins the fallback contract (anything but
 the plain comparator/rule classes compiles to ``None``).
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,10 @@ from repro.resolution.comparison import (
 )
 from repro.resolution.er import EntityResolver
 from repro.resolution.kernels import (
+    _BATCH,
     PRUNE_MARGIN,
     CompiledComparator,
+    _TokenRows,
     compile_comparator,
 )
 from repro.resolution.rules import LearnedRule, ThresholdRule
@@ -266,3 +270,58 @@ class TestCompileEligibility:
         # compared, exactly as the scalar loop reports it.
         assert result.compared == 3
 
+
+
+def oracle_held(left, right):
+    """Pure-Python row product with the right row read as binary, as both
+    token kernels use it: the left weights on the tokens the right holds."""
+    a = left if isinstance(left, Counter) else dict.fromkeys(left, 1)
+    b = dict.fromkeys(right, 1)
+    return sum(a[t] * b.get(t, 0) for t in a)
+
+
+@st.composite
+def token_rows(draw):
+    """Rows over a vocabulary of one to four tokens: frozensets (the
+    Jaccard/Dice rows) or Counters (the digit-token rows), empty ones
+    included."""
+    vocabulary = draw(st.sampled_from(["a", "ab", "abc", "abcd"]))
+    tokens = st.sampled_from(vocabulary)
+    row = st.one_of(
+        st.frozensets(tokens),
+        st.dictionaries(tokens, st.integers(1, 4)).map(Counter),
+    )
+    return draw(st.lists(row, min_size=1, max_size=8))
+
+
+class TestTokenRowProducts:
+    """``_TokenRows.held`` equals the pure-Python oracle exactly."""
+
+    @given(token_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_every_ordered_pair_matches_the_oracle(self, rows):
+        # Every ordered pair: self-pairs and both orders of each pair.
+        lefts, rights = (
+            index.ravel() for index in np.indices((len(rows), len(rows)))
+        )
+        expected = [
+            oracle_held(rows[left], rows[right])
+            for left, right in zip(lefts, rights)
+        ]
+        held = _TokenRows(rows).held(lefts, rights)
+        assert held.tolist() == expected
+
+    def test_a_pair_array_longer_than_a_batch_matches_the_oracle(self):
+        rng = np.random.default_rng(2016)
+        rows = [
+            Counter(rng.choice(list("abcdefgh"), size=rng.integers(0, 6)))
+            for __ in range(40)
+        ]
+        rows[::3] = [frozenset(row) for row in rows[::3]]
+        lefts, rights = rng.integers(0, len(rows), size=(2, _BATCH + 7))
+        expected = [
+            oracle_held(rows[left], rows[right])
+            for left, right in zip(lefts, rights)
+        ]
+        held = _TokenRows(rows).held(lefts, rights)
+        assert held.tolist() == expected

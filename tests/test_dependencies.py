@@ -1,9 +1,10 @@
-"""The package runs on the stdlib plus numpy/scipy.
+"""The package runs on the stdlib plus numpy.
 
 networkx is a test-only oracle (``tests/resolution/test_clusters_of.py``,
-``tests/core/test_dataflow.py``, ``tests/context/test_ontology.py``): a
-cold run and a feedback-driven incremental run over the quickstart world,
-in a fresh interpreter, must never import it.
+``tests/core/test_dataflow.py``, ``tests/context/test_ontology.py``) and
+scipy is not a dependency at all: a cold run and a feedback-driven
+incremental run over the quickstart world, in a fresh interpreter, must
+never import either.
 """
 
 import os
@@ -26,7 +27,8 @@ wrangler.apply_feedback(
     [ValueFeedback(entity=record.rid, attribute="price", is_correct=True)]
 )
 wrangler.run()
-print(sorted(name for name in sys.modules if name.startswith("networkx")))
+forbidden = ("networkx", "scipy")
+print(sorted(name for name in sys.modules if name.startswith(forbidden)))
 """
 
 

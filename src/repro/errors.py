@@ -141,6 +141,14 @@ class CheckpointError(WranglingError):
     """
 
 
+class SnapshotVersionError(CheckpointError):
+    """An intact snapshot written in another encoding version.
+
+    Not corruption: the object verifies and stays where it is; the
+    caller falls back as for a missing snapshot (full fetch, step rerun).
+    """
+
+
 class InjectedCrashError(Exception):
     """A scripted process death from the chaos harness.
 

@@ -29,7 +29,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.errors import CheckpointError, InjectedCrashError
+from repro.errors import (
+    CheckpointError,
+    InjectedCrashError,
+    SnapshotVersionError,
+)
 from repro.ingest.snapshots import SnapshotStore, decode_payload, encode_payload
 from repro.io import atomic_write_bytes
 from repro.model.workingdata import canonical_bytes, content_digest
@@ -261,18 +265,13 @@ class RunLog:
     def restored(self, step: str) -> Any:
         """The payload a prior attempt committed for ``step``, or ``None``.
 
-        A committed step whose snapshot fails verification is treated as
-        not restored (the object is quarantined; the step reruns).
+        A committed step whose snapshot fails verification (the object is
+        quarantined) or predates the encoding version is treated as not
+        restored: the step reruns.
         """
-        entry = self._committed.get(step)
-        if entry is None or entry.get("snapshot") is None:
-            return None
-        try:
-            payload = self._store.replay(entry["snapshot"])
-        except CheckpointError:
-            _count(self._store.telemetry, "ingest.restore.corrupt")
-            return None
-        _count(self._store.telemetry, "ingest.restores")
+        payload = self._replay(self._committed.get(step))
+        if payload is not None:
+            _count(self._store.telemetry, "ingest.restores")
         return payload
 
     def watermark(self, source: str) -> Watermark | None:
@@ -284,17 +283,28 @@ class RunLog:
         """The raw rows of the committed view behind the watermark.
 
         ``None`` when there is no committed view or its snapshot fails
-        verification (in which case delta fetching falls back to full).
+        verification or predates the encoding version (in which case
+        delta fetching falls back to full).
         """
-        entry = self._body.get("watermarks", {}).get(source)
+        table = self._replay(self._body.get("watermarks", {}).get(source))
+        return None if table is None else table.to_rows()
+
+    def _replay(self, entry: Mapping[str, Any] | None) -> Any:
+        """The payload behind a journal entry's snapshot, or ``None``.
+
+        An intact snapshot in another encoding version is counted on
+        ``ingest.restore.stale_version``, any other failure on
+        ``ingest.restore.corrupt``; either way the caller falls back.
+        """
         if entry is None or entry.get("snapshot") is None:
             return None
         try:
-            table = self._store.replay(entry["snapshot"])
+            return self._store.replay(entry["snapshot"])
+        except SnapshotVersionError:
+            _count(self._store.telemetry, "ingest.restore.stale_version")
         except CheckpointError:
             _count(self._store.telemetry, "ingest.restore.corrupt")
-            return None
-        return table.to_rows()
+        return None
 
     # -- writing ----------------------------------------------------------
 

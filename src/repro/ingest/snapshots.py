@@ -17,7 +17,7 @@ import os
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, SnapshotVersionError
 from repro.io import atomic_write_bytes
 from repro.model.records import Table
 from repro.model.workingdata import (
@@ -44,7 +44,7 @@ def _encode_documents(documents: Sequence[Document]) -> dict[str, Any]:
 
 def _decode_documents(payload: Mapping[str, Any]) -> list[Document]:
     if payload.get("version") != SNAPSHOT_VERSION:
-        raise CheckpointError(
+        raise SnapshotVersionError(
             f"document snapshot version {payload.get('version')!r} is not "
             f"the supported version {SNAPSHOT_VERSION}"
         )

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Iterator, Mapping
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, SnapshotVersionError
 from repro.model.annotations import AnnotationStore
 from repro.model.provenance import Provenance, Step
 from repro.model.records import Record, Table
@@ -137,14 +137,15 @@ class WorkingData:
 # -- versioned working-data snapshots ------------------------------------
 #
 # Tables must leave (and re-enter) the process without losing what makes
-# them working data: per-cell dtype, confidence, and the full provenance
-# tree.  The codec below is exact — ``decode_table(encode_table(t))``
-# reproduces every cell byte-for-byte — and content addressing hashes the
-# canonical JSON form, so a snapshot id names the data it stores.
+# them working data: per-cell dtype, confidence, and provenance, written
+# as a provenance node table (each distinct node once).  The codec below
+# is exact — ``decode_table(encode_table(t))`` reproduces every cell
+# byte-for-byte — and content addressing hashes the canonical JSON form,
+# so a snapshot id names the data it stores.
 
 #: Version stamp carried by every encoded snapshot payload; bump on any
 #: change to the encoding so old stores are detected, not misread.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 #: Type tag key for raw payloads JSON cannot express natively.
 _TAG = "__repro__"
@@ -208,114 +209,104 @@ def row_digest(row: Mapping[str, Any]) -> str:
     return content_digest({str(k): tag_raw(v) for k, v in row.items()})
 
 
-def _encode_provenance(node: Provenance) -> dict[str, Any]:
-    return {
-        "step": node.step.value,
-        "ref": node.ref,
-        "inputs": [_encode_provenance(child) for child in node.inputs],
-    }
-
-
-def _decode_provenance(payload: Mapping[str, Any]) -> Provenance:
-    return Provenance(
-        Step(payload["step"]),
-        payload["ref"],
-        tuple(_decode_provenance(child) for child in payload["inputs"]),
-    )
-
-
-def _encode_value(value: Value) -> dict[str, Any]:
-    return {
-        "raw": tag_raw(value.raw),
-        "dtype": value.dtype.value,
-        "confidence": value.confidence,
-        "provenance": _encode_provenance(value.provenance),
-    }
-
-
-def _decode_value(payload: Mapping[str, Any]) -> Value:
-    return Value(
-        untag_raw(payload["raw"]),
-        DataType(payload["dtype"]),
-        payload["confidence"],
-        _decode_provenance(payload["provenance"]),
-    )
-
-
 def encode_table(table: Table) -> dict[str, Any]:
     """The exact, versioned JSON form of a table.
 
     Record ids, sources, schema, and every cell annotation are preserved
-    verbatim: decoding replays the table byte-for-byte.
+    verbatim: decoding replays the table byte-for-byte.  Provenance is
+    hash-consed: each structurally distinct node is written once to the
+    ``provenance`` list, children before parents, and a cell names its
+    node by index.  The list depends only on structure, never on which
+    live nodes happen to be shared, so equal tables encode equally.
     """
+    nodes: list[list[Any]] = []
+    index_of: dict[tuple[str, str, tuple[int, ...]], int] = {}
+    # id() is stable here: the table keeps every node alive for the call.
+    seen: dict[int, int] = {}
+
+    def intern(node: Provenance) -> int:
+        index = seen.get(id(node))
+        if index is None:
+            inputs = tuple(map(intern, node.inputs))
+            key = (node.step.value, node.ref, inputs)
+            index = index_of.get(key)
+            if index is None:
+                index = index_of[key] = len(nodes)
+                nodes.append([key[0], key[1], list(inputs)])
+            seen[id(node)] = index
+        return index
+
+    # Cells are positional lists, not objects: canonical JSON sorts
+    # object keys, and cell insertion order must survive the round trip.
+    records = [
+        [record.rid, record.source, [
+            [name, tag_raw(value.raw), value.dtype.value, value.confidence,
+             intern(value.provenance)]
+            for name, value in record.cells.items()
+        ]]
+        for record in table
+    ]
     return {
         "kind": "table",
         "version": SNAPSHOT_VERSION,
         "name": table.name,
         "schema": [
-            {
-                "name": attr.name,
-                "dtype": attr.dtype.value,
-                "required": attr.required,
-                "description": attr.description,
-            }
+            [attr.name, attr.dtype.value, attr.required, attr.description]
             for attr in table.schema
         ],
-        "records": [
-            {
-                "rid": record.rid,
-                "source": record.source,
-                # Pairs, not an object: canonical JSON sorts object keys,
-                # and cell insertion order must survive the round trip.
-                "cells": [
-                    [name, _encode_value(value)]
-                    for name, value in record.cells.items()
-                ],
-            }
-            for record in table
-        ],
+        "provenance": nodes,
+        "records": records,
     }
 
 
 def decode_table(payload: Mapping[str, Any]) -> Table:
-    """Rebuild a table from :func:`encode_table` output."""
+    """Rebuild a table from :func:`encode_table` output.
+
+    One forward pass over the node list rebuilds the provenance, so the
+    decoded cells share one node per distinct structure.
+    """
     if payload.get("kind") != "table":
         raise CheckpointError(
             f"snapshot payload is not a table: kind={payload.get('kind')!r}"
         )
     if payload.get("version") != SNAPSHOT_VERSION:
-        raise CheckpointError(
+        raise SnapshotVersionError(
             f"table snapshot version {payload.get('version')!r} is not the "
             f"supported version {SNAPSHOT_VERSION}"
         )
     schema = Schema(tuple(
-        Attribute(
-            attr["name"],
-            DataType(attr["dtype"]),
-            attr["required"],
-            attr["description"],
-        )
-        for attr in payload["schema"]
+        Attribute(name, DataType(dtype), required, description)
+        for name, dtype, required, description in payload["schema"]
     ))
+    nodes: list[Provenance] = []
+    for step, ref, inputs in payload["provenance"]:
+        nodes.append(Provenance(
+            Step(step), ref, tuple(nodes[index] for index in inputs)
+        ))
     records = [
-        Record(
-            entry["rid"],
-            entry["source"],
-            {name: _decode_value(cell) for name, cell in entry["cells"]},
-        )
-        for entry in payload["records"]
+        Record(rid, source, {
+            name: Value(
+                untag_raw(raw), DataType(dtype), confidence, nodes[node]
+            )
+            for name, raw, dtype, confidence, node in cells
+        })
+        for rid, source, cells in payload["records"]
     ]
     return Table(payload["name"], schema, records)
 
 
-def _normalised(payload: Any, aliases: dict[str, str]) -> Any:
-    """Rewrite process-local ids in an encoded table to stable ordinals.
+def table_fingerprint(table: Table) -> str:
+    """Cross-run content identity of a table.
 
-    Record ids come from a process-global counter and mapping/wrapper ids
-    from per-class counters, so two runs of identical logical content
-    disagree on them; first-occurrence aliases (``#0``, ``#1``, ...) make
-    the encoding order-stable instead.
+    The digest of the encoded table with counter-minted ids replaced by
+    first-occurrence ordinals (``#0``, ``#1``, ...): record ids, which
+    come from a process-global counter, in record order, then
+    ``mapping-N``/``wrapper-N`` provenance refs, minted by per-class
+    counters, in node-list order.  Equal fingerprints mean logically
+    identical tables, whatever process minted them.
     """
+    payload = encode_table(table)
+    aliases: dict[str, str] = {}
 
     def alias(kind: str, token: str) -> str:
         key = f"{kind}:{token}"
@@ -323,29 +314,13 @@ def _normalised(payload: Any, aliases: dict[str, str]) -> Any:
             aliases[key] = f"{kind}#{len(aliases)}"
         return aliases[key]
 
-    if isinstance(payload, dict):
-        out = {}
-        for key, value in payload.items():
-            if key == "rid":
-                out[key] = alias("rid", value)
-            elif key == "ref" and isinstance(value, str) and (
-                value.startswith("mapping-") or value.startswith("wrapper-")
-            ):
-                out[key] = alias("ref", value)
-            else:
-                out[key] = _normalised(value, aliases)
-        return out
-    if isinstance(payload, list):
-        return [_normalised(item, aliases) for item in payload]
-    return payload
-
-
-def table_fingerprint(table: Table) -> str:
-    """Cross-run content identity of a table.
-
-    The digest of the encoded table with counter-minted ids (record ids,
-    ``mapping-N``/``wrapper-N`` provenance refs) replaced by
-    first-occurrence ordinals: equal fingerprints mean logically
-    identical tables, whatever process minted them.
-    """
-    return content_digest(_normalised(encode_table(table), {}))
+    payload["records"] = [
+        [alias("rid", rid), source, cells]
+        for rid, source, cells in payload["records"]
+    ]
+    minted = ("mapping-", "wrapper-")
+    payload["provenance"] = [
+        [step, alias("ref", ref) if ref.startswith(minted) else ref, inputs]
+        for step, ref, inputs in payload["provenance"]
+    ]
+    return content_digest(payload)

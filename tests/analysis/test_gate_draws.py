@@ -3,7 +3,7 @@
 Each live rule arm keeps the draw that fires it as its test; the retired
 arms' properties live beside the rules they replaced
 (``test_validator.py``, ``test_typecheck_rules.py``,
-``test_cost_certifier.py``), over the same ``draws`` fixture.
+``test_cost_checks.py``), over the same ``draws`` fixture.
 """
 
 import pytest
@@ -12,7 +12,7 @@ from conftest import DRAWS, gate_draws
 
 #: The first of the 500 tallied draws (``make gate-draws N=500``) on
 #: which each live arm fires.  ``CC008`` fires on none: its test is a
-#: composed wide world in ``test_cost_certifier.py``.
+#: composed wide world in ``test_cost_checks.py``.
 FIRING_DRAWS = {
     "PV006 negative criteria weight": 0,
     "PV007 recency fusion without a date attribute": 14,

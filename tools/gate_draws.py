@@ -431,7 +431,7 @@ def _retired(rule, arm, test, predicate):
 
 _VALIDATOR = "test_validator.py"
 _TYPES = "test_typecheck_rules.py"
-_COST = "test_cost_certifier.py"
+_COST = "test_cost_checks.py"
 _DRAWS = "test_gate_draws.py"
 
 ARMS: tuple[Arm, ...] = (

@@ -76,11 +76,14 @@ bench-smoke:
 	$(PYTHON) -m repro.obs.report benchmarks/results/E10-repair.telemetry.json --validate-only
 	$(PYTHON) -m repro.obs.report benchmarks/results/E6-incremental.telemetry.json --validate-only
 
-# The chaos harness end to end: the resilience benchmark (seeded fault
-# injection through a full Wrangler.run), its telemetry schema-checked,
-# then REP013 over sources and tests — nothing outside repro.resilience
-# may sleep on the real clock.
+# The chaos harness end to end: the resilience unit suite (the access
+# guard, breakers, deadlines, quorum) and the chaos e2e test, the way
+# chaos-crash runs tests/ingest; then the resilience benchmark (seeded
+# fault injection through a full Wrangler.run), its telemetry
+# schema-checked, then REP013 over sources and tests — nothing outside
+# repro.resilience may sleep on the real clock.
 chaos:
+	$(PYTHON) -m pytest tests/resilience tests/core/test_degradation.py -q -p no:cacheprovider
 	$(PYTHON) -m pytest benchmarks/bench_e11_resilience.py -q -p no:cacheprovider
 	$(PYTHON) -m repro.obs.report benchmarks/results/E11-resilience.telemetry.json --validate-only
 	$(PYTHON) -m repro.analysis lint src/repro tests benchmarks --select REP013

@@ -4,9 +4,9 @@ Claim (Section 2.3 / Veracity): with "potentially thousands of sources",
 some are down, slow, or corrupt at any moment; wrangling must complete
 and account rather than crash.  We run the full pipeline over registries
 whose sources misbehave at rising fault rates — seeded `ChaosSource`
-plans driven through the resilient wrappers — and measure end-to-end
-success, which sources degrade, how many retries the run spends, and the
-(manual-)clock time burned in backoff.  Expected shape: every run
+plans, every access going through the wrangler's `AccessGuard` — and
+measure end-to-end success, which sources degrade, how many retries the
+run spends, and the (manual-)clock time burned in backoff.  Expected shape: every run
 completes; survival falls only as sources become permanently dead, not
 merely flaky; retry spend grows with the fault rate; all of it byte-
 identical across repeated runs because every fault and every backoff is

@@ -31,12 +31,7 @@ from repro.model import (
     Value,
     WorkingData,
 )
-from repro.resilience import (
-    ChaosSource,
-    FaultPlan,
-    RetryPolicy,
-    resilient,
-)
+from repro.resilience import ChaosSource, FaultPlan, RetryPolicy
 from repro.sources import (
     CSVSource,
     JSONSource,
@@ -81,5 +76,4 @@ __all__ = [
     "WrangleResult",
     "Wrangler",
     "__version__",
-    "resilient",
 ]

@@ -102,17 +102,11 @@ def _peek_rows(source: Any) -> float | None:
     A cold :meth:`~repro.sources.base.StructuredSource.size_hint` loads
     the source to learn its size — an *access* the static pass must not
     cause (it would bypass the resilience ledger and charge nothing).
-    So the peek walks the source and any resilience ``inner`` chain for
-    the ``_size_hint`` a fetch or probe memoised.  Document sources
-    publish none.
+    So the peek reads only the ``_size_hint`` a fetch or probe memoised.
+    Document sources publish none.
     """
-    current = source
-    while current is not None:
-        hint = getattr(current, "_size_hint", None)
-        if hint is not None:
-            return float(hint)
-        current = getattr(current, "inner", None)
-    return None
+    hint = getattr(source, "_size_hint", None)
+    return None if hint is None else float(hint)
 
 
 def source_facts(registry: Any) -> dict[str, SourceFacts]:

@@ -56,12 +56,7 @@ from repro.quality.constraints import Constraint
 from repro.quality.discovery import discover_fds
 from repro.quality.metrics import QualityAnalyser
 from repro.quality.repair import repair_table
-from repro.resilience import (
-    DegradationLedger,
-    RetryPolicy,
-    arm_run_deadline,
-    resilient,
-)
+from repro.resilience import AccessGuard, DegradationLedger, RetryPolicy
 from repro.resolution.comparison import ScoringContext, profiled_comparator
 from repro.resolution.er import EntityResolver, refit_rule
 from repro.sources.base import (
@@ -184,10 +179,10 @@ class Wrangler:
             clock=self.telemetry.clock,
         )
         self._examples: dict[str, list[ExampleAnnotation]] = {}
-        #: Resilience configuration, set by :meth:`resilience`.  When a
-        #: policy is present every registered source is (and every future
-        #: source will be) wrapped, and the ledger records acquisition.
-        self._resilience_policy: RetryPolicy | None = None
+        #: Resilience configuration, set by :meth:`resilience`.  With a
+        #: guard every source access goes through it (:meth:`_access`),
+        #: and the ledger records acquisition.
+        self._guard: AccessGuard | None = None
         self._quorum: float = 0.0
         self.degradation: DegradationLedger | None = None
         self._flow: Dataflow | None = None
@@ -215,18 +210,7 @@ class Wrangler:
     # -- source management ------------------------------------------------
 
     def add_source(self, source: DataSource) -> "Wrangler":
-        """Register a source (structured or document).
-
-        Sources registered after :meth:`resilience` has been called are
-        wrapped under the same policy and ledger as the rest.
-        """
-        if self._resilience_policy is not None:
-            source = resilient(
-                source,
-                self._resilience_policy,
-                telemetry=self.telemetry,
-                ledger=self.degradation,
-            )
+        """Register a source (structured or document)."""
         self.registry.register(source)
         self._flow = None  # topology changed; rebuild on next run
         return self
@@ -236,10 +220,12 @@ class Wrangler:
     ) -> "Wrangler":
         """Guard acquisition with retries, breakers, and deadlines.
 
-        Wraps every registered (and future) source in a
-        :func:`repro.resilience.resilient` wrapper driven by ``policy``
-        (default :class:`RetryPolicy`).  Attempts and outcomes land in the
-        degradation ledger, surfaced as ``WrangleResult.degradation``.
+        Every source access — registered sources and future ones alike —
+        goes through one :class:`~repro.resilience.AccessGuard` driven by
+        ``policy`` (default :class:`RetryPolicy`); a later call replaces
+        the guard, so its policy covers every source.  Attempts and
+        outcomes land in the degradation ledger, surfaced as
+        ``WrangleResult.degradation``.
 
         ``quorum`` is how many sources must survive acquisition for a run
         to count as a success: a fraction of the registry when below 1, an
@@ -248,20 +234,11 @@ class Wrangler:
         raises — the paper's pay-as-you-go stance is to complete with
         downgraded quality annotations rather than fail.
         """
-        self._resilience_policy = policy or RetryPolicy()
         self._quorum = quorum
         if self.degradation is None:
             self.degradation = DegradationLedger()
-        for name in self.registry.names():
-            self.registry.replace(
-                resilient(
-                    self.registry.get(name),
-                    self._resilience_policy,
-                    telemetry=self.telemetry,
-                    ledger=self.degradation,
-                )
-            )
-        self._flow = None  # acquisition re-runs through the wrapped sources
+        self._guard = AccessGuard(policy, self.telemetry, self.degradation)
+        self._flow = None  # acquisition re-runs under the new policy
         return self
 
     def add_sources(self, sources: Sequence[DataSource]) -> "Wrangler":
@@ -315,6 +292,11 @@ class Wrangler:
 
     # -- per-layer helpers (shared by the probe and the per-source nodes) ---
 
+    def _access(self, name: str, op: str, fn):
+        """Run ``fn``, one ``op`` access of source ``name`` — through the
+        resilience guard when :meth:`resilience` set one."""
+        return fn() if self._guard is None else self._guard.call(name, op, fn)
+
     def _payload(self, source: DataSource, step: str):
         """This run's ``probe`` or ``acquire`` payload of ``source`` —
         restored or live.
@@ -329,12 +311,14 @@ class Wrangler:
         """
         log = self._ingest_log
         if log is None:
-            return source.probe() if step == "probe" else source.fetch()
+            if step == "probe":
+                return self._access(source.name, "probe", source.probe)
+            return self._access(source.name, "fetch", source.fetch)
         restored = log.restored(f"{step}:{source.name}")
         if restored is not None:
             return restored
         if step == "probe":
-            value = source.probe()
+            value = self._access(source.name, "probe", source.probe)
             log.commit(
                 f"probe:{source.name}",
                 data={"fraction": PROBE_COST_FRACTION},
@@ -343,7 +327,7 @@ class Wrangler:
             return value
         from repro.ingest.incremental import acquire_durable
 
-        return acquire_durable(source, log, self.telemetry)
+        return acquire_durable(source, log, self.telemetry, self._access)
 
     def _extract(self, source: DataSource, step: str) -> Table | None:
         """One access of ``source`` as a typed table (``None`` for a
@@ -763,9 +747,8 @@ class Wrangler:
         """
         flow = self.flow
         runs_before = flow.total_runs()
-        arm_run_deadline(
-            self.registry, self._resilience_policy, self.telemetry.clock
-        )
+        if self._guard is not None:
+            self._guard.arm()
         if self._checkpoints is not None:
             self._ingest_log = self._checkpoints.begin_run(
                 self._plan_signature()

@@ -14,7 +14,7 @@ the result (payload snapshot + watermark advance) in one checkpoint.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.ingest.checkpoint import RunLog, _count
 from repro.model.records import Table
@@ -47,8 +47,15 @@ def merge_delta(
     return merged
 
 
+def _direct(name: str, op: str, fn: Callable[[], Any]) -> Any:
+    return fn()
+
+
 def acquire_durable(
-    source: DataSource, log: RunLog, telemetry: Any = None
+    source: DataSource,
+    log: RunLog,
+    telemetry: Any = None,
+    access: Callable[[str, str, Callable[[], Any]], Any] = _direct,
 ) -> Any:
     """Fetch one source under the run log and commit the result.
 
@@ -59,10 +66,14 @@ def acquire_durable(
     corrupt previous snapshot) falls back to a full refetch — counted
     on ``ingest.delta.fallbacks`` — so correctness never depends on the
     cursor discipline holding.
+
+    Each source call goes through ``access(name, op, fn)``: the
+    wrangler's :meth:`~repro.resilience.AccessGuard.call` under
+    ``Wrangler.resilience``, a plain ``fn()`` otherwise.
     """
     step = f"acquire:{source.name}"
     if isinstance(source, DocumentSource):
-        documents = source.fetch()
+        documents = access(source.name, "fetch", source.fetch)
         log.commit(
             step,
             data={"mode": "full", "rows_fetched": len(documents),
@@ -75,7 +86,9 @@ def acquire_durable(
     cursor = source.delta_cursor()
     previous = log.previous_rows(source.name) if cursor is not None else None
     watermark = log.watermark(source.name) if previous is not None else None
-    batch = source.fetch_delta(watermark)
+    batch = access(
+        source.name, "fetch_delta", lambda: source.fetch_delta(watermark)
+    )
     mode, table = batch.mode, batch.table
     if watermark is None:
         _count(telemetry, "ingest.full_fetches")
@@ -83,7 +96,9 @@ def acquire_durable(
         merged = merge_delta(previous, batch)
         if merged is None:
             _count(telemetry, "ingest.delta.fallbacks")
-            batch = source.fetch_delta(None)
+            batch = access(
+                source.name, "fetch_delta", lambda: source.fetch_delta(None)
+            )
             mode, table = "fallback-full", batch.table
         else:
             table = Table.from_rows(source.name, merged, source=source.name)

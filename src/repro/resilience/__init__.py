@@ -9,9 +9,9 @@ pieces:
   exponential backoff on the injectable Clock), :class:`Deadline`
   (per-fetch / per-run budgets), :class:`CircuitBreaker`
   (closed/open/half-open per source).
-* :mod:`repro.resilience.wrap` — :func:`resilient`, the transparent
-  source wrapper applying the policy around every physical access, and
-  :func:`arm_run_deadline`, which starts a run's shared time budget.
+* :mod:`repro.resilience.wrap` — :class:`AccessGuard`, which applies the
+  policy around every physical source access the wrangler makes and
+  holds the run's shared time budget.
 * :mod:`repro.resilience.ledger` — the :class:`DegradationLedger`
   recording every attempt/outcome, surfaced as
   ``WrangleResult.degradation``; its ``require_quorum`` is the run's
@@ -38,15 +38,10 @@ from repro.resilience.policy import (
     Deadline,
     RetryPolicy,
 )
-from repro.resilience.wrap import (
-    ResilientDocumentSource,
-    ResilientStructuredSource,
-    arm_run_deadline,
-    is_transient,
-    resilient,
-)
+from repro.resilience.wrap import AccessGuard, is_transient
 
 __all__ = [
+    "AccessGuard",
     "AttemptRecord",
     "BreakerState",
     "ChaosSource",
@@ -58,11 +53,7 @@ __all__ = [
     "DISPOSITION_RECOVERED",
     "DISPOSITION_SHORT_CIRCUITED",
     "FaultPlan",
-    "ResilientDocumentSource",
-    "ResilientStructuredSource",
     "RetryPolicy",
     "SourceDisposition",
-    "arm_run_deadline",
     "is_transient",
-    "resilient",
 ]

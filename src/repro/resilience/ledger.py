@@ -42,7 +42,7 @@ _SURVIVING = {DISPOSITION_OK, DISPOSITION_RECOVERED}
 class AttemptRecord:
     """One physical attempt against one source."""
 
-    op: str  # "fetch" | "probe"
+    op: str  # "probe" | "fetch" | "fetch_delta"
     attempt: int  # 1-based attempt number within the call
     outcome: str  # "success" | "transient-failure" | "permanent-failure"
     #              | "short-circuit" | "deadline"
@@ -87,7 +87,7 @@ class SourceDisposition:
 class DegradationLedger:
     """Per-source attempt/outcome accounting for one wrangler's lifetime.
 
-    Written by the :class:`~repro.resilience.wrap` wrappers, read by
+    Written by the :class:`~repro.resilience.wrap.AccessGuard`, read by
     ``Wrangler`` for quorum enforcement and result reporting.
     """
 

@@ -1,17 +1,18 @@
-"""Transparent resilient wrappers around data sources.
+"""The access guard: resilience at the place a source is touched.
 
-:func:`resilient` wraps any :class:`~repro.sources.base.DataSource` so
-that every ``fetch``/``probe`` runs under a :class:`RetryPolicy`: bounded
+The wrangler touches a source in exactly two places — ``Wrangler._payload``
+(probe and plain fetch) and :func:`~repro.ingest.incremental.acquire_durable`
+(checkpointed ``fetch`` / ``fetch_delta``) — and both route the access
+through :meth:`AccessGuard.call` once ``Wrangler.resilience`` is set.
+There every logical access runs under a :class:`RetryPolicy`: bounded
 attempts, exponential seeded backoff spent through the injected
 :class:`~repro.obs.Clock`, a per-source :class:`CircuitBreaker`, and
-per-fetch/per-run :class:`Deadline` budgets.  The wrapper is shape
-preserving — a wrapped :class:`StructuredSource` *is* a
-``StructuredSource`` — so the wrangler's pipeline needs no changes to run
-over wrapped registries.
+per-fetch/per-run :class:`Deadline` budgets.  The registered sources are
+the caller's own objects; the guard keeps its per-source state (breaker,
+jitter generator) by source name.
 
-Accounting stays honest: each *physical* attempt is delegated to the
-inner source's own ``fetch``/``probe``, so ``cost_per_access`` is charged
-per attempt and the wrapper reports the inner source's accumulated cost.
+Accounting stays honest: each *physical* attempt is the source's own
+``fetch``/``probe``, so ``cost_per_access`` is charged per attempt.
 Every attempt, outcome, backoff, and final disposition lands in the
 shared :class:`~repro.resilience.ledger.DegradationLedger` and in
 ``resilience.*`` metrics and trace spans.
@@ -19,7 +20,8 @@ shared :class:`~repro.resilience.ledger.DegradationLedger` and in
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence, TypeVar
+import random
+from typing import Callable, TypeVar
 
 from repro.errors import (
     CircuitOpenError,
@@ -28,7 +30,7 @@ from repro.errors import (
     TransientSourceError,
     WranglingError,
 )
-from repro.obs import Clock, Telemetry
+from repro.obs import Telemetry
 from repro.resilience.ledger import (
     DISPOSITION_FAILED,
     DISPOSITION_OK,
@@ -38,16 +40,8 @@ from repro.resilience.ledger import (
     DegradationLedger,
 )
 from repro.resilience.policy import BreakerState, CircuitBreaker, Deadline, RetryPolicy
-from repro.sources.base import DataSource, Document, DocumentSource, StructuredSource
-from repro.model.records import Table
 
-__all__ = [
-    "ResilientDocumentSource",
-    "ResilientStructuredSource",
-    "arm_run_deadline",
-    "is_transient",
-    "resilient",
-]
+__all__ = ["AccessGuard", "is_transient"]
 
 T = TypeVar("T")
 
@@ -69,56 +63,75 @@ def is_transient(failure: BaseException) -> bool:
     return isinstance(failure, (TransientSourceError, OSError))
 
 
-class _Resilience:
-    """The retry/breaker/deadline engine shared by both wrapper shapes."""
+class AccessGuard:
+    """The retry/breaker/deadline policy over one wrangler's source
+    accesses: one breaker and one jitter generator per source name, made
+    on its first access, and one run deadline shared by all of them."""
 
     def __init__(
         self,
-        inner: DataSource,
-        policy: RetryPolicy,
+        policy: RetryPolicy | None = None,
         telemetry: Telemetry | None = None,
         ledger: DegradationLedger | None = None,
     ) -> None:
-        self.inner = inner
-        self.policy = policy
+        self.policy = policy or RetryPolicy()
         self.telemetry = telemetry or Telemetry()
         self.ledger = ledger or DegradationLedger()
-        self.rng = policy.rng_for(inner.name)
-        self.breaker = CircuitBreaker(
-            self.telemetry.clock,
-            failure_threshold=policy.breaker_threshold,
-            cooldown=policy.breaker_cooldown,
-            name=inner.name,
-        )
-        #: A shared per-run deadline, set by the wrangler before each run.
+        self._breakers: dict[str, CircuitBreaker] = {}
+        self._rngs: dict[str, random.Random] = {}
+        #: The shared per-run deadline, started by :meth:`arm`.
         self.run_deadline: Deadline | None = None
+
+    def arm(self) -> None:
+        """Start a fresh per-run time budget; none without the policy's
+        ``run_deadline``.  The wrangler arms it at the top of each run."""
+        budget = self.policy.run_deadline
+        self.run_deadline = (
+            None
+            if budget is None
+            else Deadline(self.telemetry.clock, budget, label="wrangle run")
+        )
+
+    def _breaker(self, name: str) -> CircuitBreaker:
+        """Source ``name``'s circuit breaker (made, with its seeded jitter
+        generator, on the first access)."""
+        breaker = self._breakers.get(name)
+        if breaker is None:
+            breaker = self._breakers[name] = CircuitBreaker(
+                self.telemetry.clock,
+                failure_threshold=self.policy.breaker_threshold,
+                cooldown=self.policy.breaker_cooldown,
+                name=name,
+            )
+            self._rngs[name] = self.policy.rng_for(name)
+        return breaker
 
     # -- bookkeeping -------------------------------------------------------
 
-    def _settle(self, disposition: str) -> None:
-        self.ledger.settle(
-            self.inner.name, disposition, self.breaker.state.value
-        )
+    def _settle(self, name: str, disposition: str) -> None:
+        state = self._breakers[name].state
+        self.ledger.settle(name, disposition, state.value)
         self.telemetry.metrics.gauge(
-            f"resilience.breaker.state.{self.inner.name}"
-        ).set(_BREAKER_GAUGE[self.breaker.state])
+            f"resilience.breaker.state.{name}"
+        ).set(_BREAKER_GAUGE[state])
 
     def _record(
-        self, op: str, attempt: int, outcome: str,
+        self, name: str, op: str, attempt: int, outcome: str,
         error: str = "", backoff: float = 0.0,
     ) -> None:
         self.ledger.record_attempt(
-            self.inner.name,
+            name,
             AttemptRecord(op, attempt, outcome, error=error, backoff=backoff),
         )
 
     # -- the engine --------------------------------------------------------
 
-    def execute(self, op: str, call: Callable[[], T]) -> T:
-        """Run one logical access under the policy; raise on final failure."""
+    def call(self, name: str, op: str, fn: Callable[[], T]) -> T:
+        """Run ``fn``, one logical ``op`` access of source ``name``, under
+        the policy; raise on final failure."""
         metrics = self.telemetry.metrics
         clock = self.telemetry.clock
-        name = self.inner.name
+        breaker = self._breaker(name)
         fetch_deadline = (
             Deadline(clock, self.policy.fetch_deadline, label=f"{op} {name}")
             if self.policy.fetch_deadline is not None
@@ -128,32 +141,32 @@ class _Resilience:
             f"resilience.{op}", source=name
         ) as span:
             try:
-                self.breaker.admit()
+                breaker.admit()
             except CircuitOpenError as refusal:
                 metrics.counter("resilience.short_circuits").increment()
-                self._record(op, 0, "short-circuit", error=str(refusal))
-                self._settle(DISPOSITION_SHORT_CIRCUITED)
+                self._record(name, op, 0, "short-circuit", error=str(refusal))
+                self._settle(name, DISPOSITION_SHORT_CIRCUITED)
                 span.set_attribute("outcome", "short-circuit")
                 raise
             failures = 0
             while True:
                 attempt = failures + 1
-                self._check_deadlines(op, attempt, fetch_deadline)
+                self._check_deadlines(name, op, attempt, fetch_deadline)
                 metrics.counter("resilience.attempts").increment()
                 if attempt > 1:
                     metrics.counter("resilience.retries").increment()
                 try:
-                    value = call()
+                    value = fn()
                 except (WranglingError, OSError) as failure:
                     failures += 1
                     self._on_failure(
-                        op, failures, failure, fetch_deadline, span
+                        name, op, failures, failure, fetch_deadline, span
                     )
                     continue
-                self.breaker.record_success()
-                self._record(op, attempt, "success")
+                breaker.record_success()
+                self._record(name, op, attempt, "success")
                 self._settle(
-                    DISPOSITION_RECOVERED if failures else DISPOSITION_OK
+                    name, DISPOSITION_RECOVERED if failures else DISPOSITION_OK
                 )
                 metrics.counter("resilience.successes").increment()
                 span.set_attribute("outcome", "success")
@@ -161,20 +174,22 @@ class _Resilience:
                 return value
 
     def _check_deadlines(
-        self, op: str, attempt: int, fetch_deadline: Deadline | None
+        self, name: str, op: str, attempt: int,
+        fetch_deadline: Deadline | None,
     ) -> None:
         for deadline in (self.run_deadline, fetch_deadline):
             if deadline is None or not deadline.expired:
                 continue
-            self._record(op, attempt, "deadline")
-            self._settle(DISPOSITION_FAILED)
+            self._record(name, op, attempt, "deadline")
+            self._settle(name, DISPOSITION_FAILED)
             self.telemetry.metrics.counter(
                 "resilience.deadline_exceeded"
             ).increment()
-            deadline.check(f"{op} of source {self.inner.name!r}")
+            deadline.check(f"{op} of source {name!r}")
 
     def _on_failure(
         self,
+        name: str,
         op: str,
         failures: int,
         failure: BaseException,
@@ -183,19 +198,25 @@ class _Resilience:
     ) -> None:
         """Classify one failed attempt; backoff or raise."""
         metrics = self.telemetry.metrics
-        name = self.inner.name
-        opened_before = self.breaker.times_opened
-        self.breaker.record_failure()
-        if self.breaker.times_opened > opened_before:
+        breaker = self._breakers[name]
+        opened_before = breaker.times_opened
+        breaker.record_failure()
+        if breaker.times_opened > opened_before:
             metrics.counter("resilience.breaker.opened").increment()
         transient = is_transient(failure)
         retryable = transient and failures < self.policy.max_attempts
-        backoff = self.policy.backoff(failures, self.rng) if retryable else 0.0
+        backoff = (
+            self.policy.backoff(failures, self._rngs[name])
+            if retryable
+            else 0.0
+        )
         outcome = "transient-failure" if transient else "permanent-failure"
-        self._record(op, failures, outcome, error=str(failure), backoff=backoff)
+        self._record(
+            name, op, failures, outcome, error=str(failure), backoff=backoff
+        )
         metrics.counter(f"resilience.failures.{outcome}").increment()
         if not retryable:
-            self._settle(DISPOSITION_FAILED)
+            self._settle(name, DISPOSITION_FAILED)
             span.set_attribute("outcome", outcome)
             span.set_attribute("attempts", failures)
             if isinstance(failure, WranglingError):
@@ -208,8 +229,8 @@ class _Resilience:
         # remaining budget, the retry could not run anyway — stop now.
         for deadline in (self.run_deadline, fetch_deadline):
             if deadline is not None and backoff >= deadline.remaining():
-                self._record(op, failures, "deadline")
-                self._settle(DISPOSITION_FAILED)
+                self._record(name, op, failures, "deadline")
+                self._settle(name, DISPOSITION_FAILED)
                 metrics.counter("resilience.deadline_exceeded").increment()
                 span.set_attribute("outcome", "deadline")
                 raise DeadlineExceededError(
@@ -218,137 +239,3 @@ class _Resilience:
                 ) from failure
         metrics.histogram("resilience.backoff.seconds").observe(backoff)
         self.telemetry.clock.wait(backoff)
-
-
-class ResilientStructuredSource(StructuredSource):
-    """A :class:`StructuredSource` guarded by a resilience policy.
-
-    Delegates every physical attempt to the inner source (which charges
-    its own ``cost_per_access``), and reports the inner source's access
-    accounting as its own.
-    """
-
-    def __init__(
-        self,
-        inner: StructuredSource,
-        policy: RetryPolicy,
-        telemetry: Telemetry | None = None,
-        ledger: DegradationLedger | None = None,
-    ) -> None:
-        super().__init__(inner.metadata)
-        self.engine = _Resilience(inner, policy, telemetry, ledger)
-
-    @property
-    def inner(self) -> StructuredSource:
-        """The wrapped source."""
-        return self.engine.inner  # type: ignore[return-value]
-
-    @property
-    def accesses(self) -> float:
-        return self.inner.accesses
-
-    @property
-    def total_cost(self) -> float:
-        return self.inner.total_cost
-
-    def _load(self) -> Table:
-        return self.inner.fetch()
-
-    def fetch(self) -> Table:
-        return self.engine.execute("fetch", self.inner.fetch)
-
-    def probe(self, limit: int = 25) -> Table:
-        return self.engine.execute("probe", lambda: self.inner.probe(limit))
-
-    def size_hint(self) -> int:
-        return self.inner.size_hint()
-
-    def delta_cursor(self) -> str | None:
-        return self.inner.delta_cursor()
-
-    def with_cursor(self, attribute: str) -> "ResilientStructuredSource":
-        self.inner.with_cursor(attribute)
-        return self
-
-    def _content_token(self) -> object:
-        return self.inner._content_token()
-
-    def fetch_delta(self, watermark=None):
-        return self.engine.execute(
-            "fetch_delta", lambda: self.inner.fetch_delta(watermark)
-        )
-
-
-class ResilientDocumentSource(DocumentSource):
-    """A :class:`DocumentSource` guarded by a resilience policy."""
-
-    def __init__(
-        self,
-        inner: DocumentSource,
-        policy: RetryPolicy,
-        telemetry: Telemetry | None = None,
-        ledger: DegradationLedger | None = None,
-    ) -> None:
-        super().__init__(inner.metadata)
-        self.engine = _Resilience(inner, policy, telemetry, ledger)
-
-    @property
-    def inner(self) -> DocumentSource:
-        """The wrapped source."""
-        return self.engine.inner  # type: ignore[return-value]
-
-    @property
-    def accesses(self) -> float:
-        return self.inner.accesses
-
-    @property
-    def total_cost(self) -> float:
-        return self.inner.total_cost
-
-    def _load(self) -> Sequence[Document]:
-        return self.inner.fetch()
-
-    def fetch(self) -> list[Document]:
-        return self.engine.execute("fetch", self.inner.fetch)
-
-    def probe(self, limit: int = 2) -> list[Document]:
-        return self.engine.execute("probe", lambda: self.inner.probe(limit))
-
-
-_RESILIENT = (ResilientStructuredSource, ResilientDocumentSource)
-
-
-def resilient(
-    source: DataSource,
-    policy: RetryPolicy,
-    telemetry: Telemetry | None = None,
-    ledger: DegradationLedger | None = None,
-) -> DataSource:
-    """Wrap ``source`` in the resilient wrapper matching its shape.
-
-    Idempotent: an already-wrapped source is returned unchanged, so a
-    registry can be re-wrapped safely.
-    """
-    if isinstance(source, _RESILIENT):
-        return source
-    if isinstance(source, StructuredSource):
-        return ResilientStructuredSource(source, policy, telemetry, ledger)
-    if isinstance(source, DocumentSource):
-        return ResilientDocumentSource(source, policy, telemetry, ledger)
-    raise SourceError(
-        f"cannot wrap source of type {type(source).__name__}: expected a "
-        "StructuredSource or DocumentSource"
-    )
-
-
-def arm_run_deadline(
-    sources: Iterable[DataSource], policy: RetryPolicy | None, clock: Clock
-) -> None:
-    """Start ``policy``'s per-run time budget, shared by every resilient
-    source among ``sources`` (a no-op without a ``run_deadline``)."""
-    if policy is None or policy.run_deadline is None:
-        return
-    deadline = Deadline(clock, policy.run_deadline, label="wrangle run")
-    for source in sources:
-        if isinstance(source, _RESILIENT):
-            source.engine.run_deadline = deadline

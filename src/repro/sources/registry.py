@@ -33,18 +33,6 @@ class SourceRegistry:
         self._reliability[source.name] = BetaReliability(2.0, 1.0)
         return source
 
-    def replace(self, source: DataSource) -> DataSource:
-        """Swap the source registered under ``source.name`` for ``source``.
-
-        The reliability posterior carries over — wrapping a source (e.g.
-        in a resilient wrapper) must not reset what feedback has learned
-        about it.
-        """
-        if source.name not in self._sources:
-            raise SourceError(f"no source registered under {source.name!r}")
-        self._sources[source.name] = source
-        return source
-
     def __len__(self) -> int:
         return len(self._sources)
 

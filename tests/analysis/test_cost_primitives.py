@@ -8,7 +8,11 @@ from repro.analysis.cost.rules import (
     estimated_pairs,
     source_facts,
 )
-from repro.resilience import RetryPolicy, resilient
+from repro.context.data_context import DataContext
+from repro.context.user_context import UserContext
+from repro.core.wrangler import Wrangler
+from repro.datagen.products import TARGET_SCHEMA
+from repro.resilience import ChaosSource, FaultPlan, RetryPolicy
 from repro.resolution.blocking import MAX_BLOCK_SIZE
 from repro.resolution.er import SMALL_TABLE_CUTOFF
 from repro.sources.memory import MemoryDocumentSource, MemorySource
@@ -70,11 +74,24 @@ class TestSourceFacts:
         assert facts["shop"].rows == float(len(self.ROWS))
         assert facts["shop"].cost_per_access == 2.5
 
-    def test_wrapped_source_publishes_its_inner_count(self):
-        inner = MemorySource("shop", self.ROWS)
-        inner.probe(limit=3)
-        registry = self.registry(resilient(inner, RetryPolicy()))
-        assert source_facts(registry)["shop"].rows == float(len(self.ROWS))
+    def test_guarded_source_publishes_its_probed_count(self):
+        # Under resilience the registry holds the caller's own source, so
+        # the count the guarded preflight probe memoised is read straight
+        # off it — and reading it loads nothing.
+        source = ChaosSource(MemorySource("shop", self.ROWS), FaultPlan())
+        wrangler = Wrangler(
+            UserContext.precision_first("u", TARGET_SCHEMA),
+            DataContext("products"),
+        )
+        wrangler.add_source(source).resilience(RetryPolicy())
+        wrangler.preflight()
+        assert wrangler.registry.get("shop") is source
+        loads = source.loads
+        facts = source_facts(wrangler.registry)
+        assert facts["shop"].rows == float(len(self.ROWS))
+        assert source.loads == loads
+        probes = wrangler.degradation.export()["shop"]["attempts"]
+        assert [a["op"] for a in probes] == ["probe"]
 
     def test_stand_in_whose_hint_raises_degrades_to_unknown(self):
         # Only a memoised ``_size_hint`` counts: a stand-in without one

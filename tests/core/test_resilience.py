@@ -10,6 +10,8 @@ from repro.datagen.products import TARGET_SCHEMA, generate_world
 from repro.errors import SourceError
 from repro.model.annotations import Dimension
 from repro.model.records import Table
+from repro.obs import Telemetry
+from repro.resilience import ChaosSource, FaultPlan, RetryPolicy
 from repro.sources.base import SourceMetadata, StructuredSource
 from repro.sources.memory import MemorySource
 
@@ -98,3 +100,57 @@ class TestBrokenSources:
         raw = wrangler.working.get("table", "raw/flaky")
         assert raw is not None
         assert len(second.table) >= len(first.table)
+
+
+class TestResiliencePolicy:
+    """``Wrangler.resilience`` guards the accesses, not the sources."""
+
+    def chaotic(self, world, telemetry):
+        name = sorted(world.source_rows)[0]
+        return ChaosSource(
+            MemorySource(name, world.source_rows[name]),
+            FaultPlan(fail_first=2),
+            clock=telemetry.clock,
+        )
+
+    def test_the_registry_keeps_the_callers_source(self, world):
+        telemetry = Telemetry.manual()
+        wrangler = Wrangler(
+            UserContext.completeness_first("r", TARGET_SCHEMA),
+            DataContext("p"),
+            telemetry=telemetry,
+        )
+        early = self.chaotic(world, telemetry)
+        wrangler.add_source(early).resilience(RetryPolicy())
+        late = MemorySource("late", [{"product": "x"}])
+        wrangler.add_source(late)
+        assert wrangler.registry.get(early.name) is early
+        assert wrangler.registry.get("late") is late
+
+    def test_a_later_policy_covers_sources_already_registered(self, world):
+        # Regression: each source used to keep the policy in force when
+        # it was registered, so raising max_attempts after registration
+        # left the flaky source failing on its first attempt.
+        telemetry = Telemetry.manual()
+        wrangler = Wrangler(
+            UserContext.completeness_first("r", TARGET_SCHEMA),
+            DataContext("p"),
+            telemetry=telemetry,
+        )
+        source = self.chaotic(world, telemetry)
+        wrangler.add_source(source)
+        wrangler.resilience(RetryPolicy(max_attempts=1))
+        wrangler.resilience(RetryPolicy(max_attempts=3))
+        wrangler.flow.pull("probe")
+        assert wrangler.degradation.disposition(source.name).disposition == (
+            "recovered"
+        )
+        result = wrangler.run()
+        entry = result.degradation[source.name]
+        assert entry["survived"] is True
+        assert [(a["op"], a["outcome"]) for a in entry["attempts"]] == [
+            ("probe", "transient-failure"),
+            ("probe", "transient-failure"),
+            ("probe", "success"),
+            ("fetch", "success"),
+        ]

@@ -336,8 +336,7 @@ class TestStageBodiesComposeLayersDecide:
 
     LAYER_NAMES = (
         "fit_threshold", "ThresholdRule", "Candidate", "SourceSelector",
-        "Counter", "Step", "Deadline", "ResilientStructuredSource",
-        "ResilientDocumentSource",
+        "Counter", "Step", "Deadline", "CircuitBreaker",
     )
 
     def test_the_wrangler_module_binds_no_layer_internals(self):

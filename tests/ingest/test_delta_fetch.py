@@ -18,7 +18,7 @@ from repro.ingest.incremental import acquire_durable, merge_delta
 from repro.model.workingdata import row_digest
 from repro.resilience.chaos import ChaosSource, FaultPlan
 from repro.resilience.policy import RetryPolicy
-from repro.resilience.wrap import ResilientStructuredSource
+from repro.resilience.wrap import AccessGuard
 from repro.sources.cursor import (
     DELTA_COST_FLOOR,
     Watermark,
@@ -240,16 +240,6 @@ class TestSizeHintInvalidation:
 
 
 class TestWrapperPassthrough:
-    def test_resilient_wrapper_forwards_the_delta_protocol(self):
-        inner = make_source()
-        wrapped = ResilientStructuredSource(inner, RetryPolicy())
-        assert wrapped.supports_delta()
-        assert wrapped.delta_cursor() == "seq"
-        batch = wrapped.fetch_delta(None)
-        assert batch.mode == "full"
-        mark = batch.watermark
-        assert wrapped.fetch_delta(mark).mode == "unchanged"
-
     def test_chaos_wrapper_forwards_the_cursor(self):
         inner = make_source()
         chaotic = ChaosSource(inner, FaultPlan())
@@ -268,7 +258,8 @@ class TestWrapperPassthrough:
 class TestAcquireDurableParity:
     """``acquire_durable`` makes one ``fetch_delta`` call per source
     shape; what it commits and charges is pinned to the values the
-    four-branch version produced, for every wrapper the registry uses."""
+    four-branch version produced, for a bare source, a chaos source and
+    an access through the resilience guard."""
 
     APPENDED = BASE_ROWS + [{"product": "watch", "price": 199.0, "seq": 4}]
     EDITED = [dict(APPENDED[0], price=1.0)] + APPENDED[1:]
@@ -289,24 +280,26 @@ class TestAcquireDurableParity:
             ("full", 4, 1.0, 4.0),
         ],
     }
+    #: Per variant: the source acquired and ``acquire_durable``'s
+    #: keyword arguments (the default access is a direct call).
     WRAPPERS = {
-        "bare": lambda source: source,
-        "resilient": lambda source: ResilientStructuredSource(
-            source, RetryPolicy()
+        "bare": lambda source: (source, {}),
+        "resilient": lambda source: (
+            source, {"access": AccessGuard(RetryPolicy()).call}
         ),
-        "chaos": lambda source: ChaosSource(source, FaultPlan()),
+        "chaos": lambda source: (ChaosSource(source, FaultPlan()), {}),
     }
 
     @pytest.mark.parametrize("wrapper", sorted(WRAPPERS))
     @pytest.mark.parametrize("cursor", ["seq", None])
     def test_mode_charge_and_watermark(self, tmp_path, cursor, wrapper):
         inner = make_source(cursor=cursor)
-        source = self.WRAPPERS[wrapper](inner)
+        source, options = self.WRAPPERS[wrapper](inner)
         for rows, expected in zip(self.TICKS, self.EXPECTED[cursor]):
             inner.replace_rows(rows)
             store = CheckpointStore(tmp_path)
             log = store.begin_run("sig")
-            table = acquire_durable(source, log)
+            table = acquire_durable(source, log, **options)
             log.complete()
             mode, fetched, fraction, accesses = expected
             assert log.export()["acquisitions"]["feed"] == {

@@ -1,8 +1,8 @@
 """The run-level resilience policies on their own: quorum and deadline.
 
 ``DegradationLedger.require_quorum`` decides whether enough sources
-survived; ``arm_run_deadline`` starts one shared time budget on the
-resilient sources of a run.  Neither needs a ``Wrangler``.
+survived; ``AccessGuard.arm`` starts one time budget shared by every
+guarded access of a run.  Neither needs a ``Wrangler``.
 """
 
 import pytest
@@ -13,10 +13,9 @@ from repro.resilience import (
     DISPOSITION_FAILED,
     DISPOSITION_RECOVERED,
     DISPOSITION_SHORT_CIRCUITED,
+    AccessGuard,
     DegradationLedger,
     RetryPolicy,
-    arm_run_deadline,
-    resilient,
 )
 from repro.sources.memory import MemoryDocumentSource, MemorySource
 
@@ -75,45 +74,35 @@ class TestRequireQuorum:
 
 
 class TestArmRunDeadline:
-    def sources(self, policy, telemetry):
-        plain = MemorySource("plain", [{"id": "1"}])
-        table = resilient(
-            MemorySource("table", [{"id": "1"}]), policy, telemetry=telemetry
-        )
-        pages = resilient(
-            MemoryDocumentSource("pages", []), policy, telemetry=telemetry
-        )
-        return plain, table, pages
-
     @pytest.mark.parametrize("policy", [None, RetryPolicy()])
     def test_no_op_without_a_run_deadline(self, policy):
         telemetry = Telemetry.manual()
-        plain, table, pages = self.sources(RetryPolicy(), telemetry)
-        arm_run_deadline([plain, table, pages], policy, telemetry.clock)
-        assert table.engine.run_deadline is None
-        assert pages.engine.run_deadline is None
+        guard = AccessGuard(policy, telemetry)
+        guard.arm()
+        assert guard.run_deadline is None
 
     def test_arms_one_shared_deadline_on_resilient_sources_only(self):
         telemetry = Telemetry.manual()
-        policy = RetryPolicy(run_deadline=5.0)
-        plain, table, pages = self.sources(policy, telemetry)
-        arm_run_deadline([plain, table, pages], policy, telemetry.clock)
-        deadline = table.engine.run_deadline
-        assert deadline is not None and deadline is pages.engine.run_deadline
-        assert deadline.remaining() == 5.0
-        assert not hasattr(plain, "engine")
+        guard = AccessGuard(RetryPolicy(run_deadline=5.0), telemetry)
+        guard.arm()
+        assert guard.run_deadline.remaining() == 5.0
+        table = MemorySource("table", [{"id": "1"}])
+        pages = MemoryDocumentSource("pages", [])
 
-        assert len(table.fetch()) == 1
+        assert len(guard.call("table", "fetch", table.fetch)) == 1
         telemetry.clock.wait(5.0)
-        with pytest.raises(DeadlineExceededError, match="wrangle run|fetch"):
-            table.fetch()
+        # Every guarded access shares the one spent budget ...
+        for source in (table, pages):
+            with pytest.raises(DeadlineExceededError, match=source.name):
+                guard.call(source.name, "fetch", source.fetch)
+        # ... and an access that bypasses the guard is not bound by it.
+        assert len(table.fetch()) == 1
 
     def test_each_run_gets_a_fresh_budget(self):
         telemetry = Telemetry.manual()
-        policy = RetryPolicy(run_deadline=5.0)
-        __, table, __ = self.sources(policy, telemetry)
-        arm_run_deadline([table], policy, telemetry.clock)
+        guard = AccessGuard(RetryPolicy(run_deadline=5.0), telemetry)
+        guard.arm()
         telemetry.clock.wait(9.0)
-        assert table.engine.run_deadline.expired
-        arm_run_deadline([table], policy, telemetry.clock)
-        assert table.engine.run_deadline.remaining() == 5.0
+        assert guard.run_deadline.expired
+        guard.arm()
+        assert guard.run_deadline.remaining() == 5.0

@@ -1,8 +1,8 @@
 """Source failure taxonomy and size-hint memoisation.
 
 File-backed sources must translate raw I/O and decoding failures into
-:class:`~repro.errors.SourceError` — the taxonomy the resilient wrappers
-classify — instead of leaking ``OSError``/``UnicodeDecodeError`` into the
+:class:`~repro.errors.SourceError` — the taxonomy the resilience guard
+classifies — instead of leaking ``OSError``/``UnicodeDecodeError`` into the
 pipeline.  And ``size_hint()`` must reuse the last fetch instead of
 silently re-reading the whole source.
 """

@@ -67,14 +67,18 @@ bench-gate:
 	$(PYTHON) -m repro.analysis ratchet --baseline benchmarks/.ratchet --fresh benchmarks/results --tolerance 0.5 --check-baselines benchmarks
 	$(PYTHON) -m repro.analysis lint benchmarks --select REP015
 
-# Two small benchmarks end to end, then schema-check the telemetry they
+# Three small benchmarks end to end, then schema-check the telemetry they
 # emitted: catches drift between the benchmarks and the repro.obs schema.
 # E6 also asserts that relevance and duplicate feedback which move
-# nothing are cut off after at most three recomputed nodes.
+# nothing are cut off after at most three recomputed nodes.  E9 (truth
+# discovery: voting, TruthFinder, AccuEM, copy-weighted AccuEM) must
+# rewrite its committed accuracy table byte for byte.
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_e10_repair.py benchmarks/bench_e6_incremental.py -q -p no:cacheprovider
+	$(PYTHON) -m pytest benchmarks/bench_e10_repair.py benchmarks/bench_e6_incremental.py benchmarks/bench_e9_fusion.py -q -p no:cacheprovider
 	$(PYTHON) -m repro.obs.report benchmarks/results/E10-repair.telemetry.json --validate-only
 	$(PYTHON) -m repro.obs.report benchmarks/results/E6-incremental.telemetry.json --validate-only
+	$(PYTHON) -m repro.obs.report benchmarks/results/E9-fusion.telemetry.json --validate-only
+	git diff --exit-code benchmarks/results/E9-fusion.txt
 
 # The chaos harness end to end: the resilience unit suite (the access
 # guard, breakers, deadlines, quorum) and the chaos e2e test, the way

@@ -10,14 +10,20 @@ initialisation.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.errors import FeedbackError
 from repro.model.uncertainty import clamp
 
 __all__ = ["Judgment", "ReliabilityEstimate", "estimate_reliability"]
+
+_MAX_ITERATIONS = 50
+_TOLERANCE = 1e-5
+_PRIOR_STRENGTH = 2.0
+_PRIOR_MEAN = 0.8
 
 
 @dataclass(frozen=True)
@@ -45,13 +51,7 @@ class ReliabilityEstimate:
         }
 
 
-def estimate_reliability(
-    judgments: Sequence[Judgment],
-    max_iterations: int = 50,
-    tolerance: float = 1e-5,
-    prior_strength: float = 2.0,
-    prior_mean: float = 0.8,
-) -> ReliabilityEstimate:
+def estimate_reliability(judgments: Sequence[Judgment]) -> ReliabilityEstimate:
     """Jointly estimate worker accuracy and item truth by EM.
 
     E-step: item truth probability from current worker accuracies (log-odds
@@ -77,10 +77,8 @@ def estimate_reliability(
     }
     accuracy = {worker: 0.7 for worker in by_worker}
 
-    import math
-
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         # M-step: worker accuracy = expected agreement with current truths.
         new_accuracy = {}
         for worker, votes in by_worker.items():
@@ -88,8 +86,8 @@ def estimate_reliability(
                 probability[j.item] if j.answer else 1.0 - probability[j.item]
                 for j in votes
             )
-            smoothed = (agreement + prior_mean * prior_strength) / (
-                len(votes) + prior_strength
+            smoothed = (agreement + _PRIOR_MEAN * _PRIOR_STRENGTH) / (
+                len(votes) + _PRIOR_STRENGTH
             )
             new_accuracy[worker] = clamp(smoothed, 0.05, 0.95)
 
@@ -108,7 +106,7 @@ def estimate_reliability(
             max(abs(new_probability[i] - probability[i]) for i in probability),
         )
         accuracy, probability = new_accuracy, new_probability
-        if delta < tolerance:
+        if delta < _TOLERANCE:
             break
 
     return ReliabilityEstimate(accuracy, probability, iterations)

@@ -10,6 +10,7 @@ propagation layer can route to every component that can learn from it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from repro.errors import FeedbackError
@@ -37,8 +38,9 @@ class Feedback:
     fid: int = field(default_factory=lambda: next(_feedback_counter))
 
     def __post_init__(self) -> None:
-        if self.cost < 0:
-            raise FeedbackError("feedback cost must be non-negative")
+        # NaN passes ``< 0`` and would turn the ledger's total into NaN.
+        if not math.isfinite(self.cost) or self.cost < 0:
+            raise FeedbackError("feedback cost must be finite and non-negative")
 
     @property
     def question(self) -> str | None:
@@ -71,6 +73,11 @@ class ValueFeedback(Feedback):
         super().__post_init__()
         if not self.entity or not self.attribute:
             raise FeedbackError("value feedback needs an entity and attribute")
+        # Fusion tallies corrections as dictionary keys.
+        try:
+            hash(self.correction)
+        except TypeError:
+            raise FeedbackError("a value correction must be hashable") from None
 
     @property
     def question(self) -> str:

@@ -1,7 +1,6 @@
 """Data fusion and truth discovery: conflict resolution, TruthFinder,
-source-accuracy EM, and entity fusion."""
+source-accuracy EM (with copy-detection vote weights), and entity fusion."""
 
-from repro.fusion.copying import CopyReport, copy_aware_em, detect_copying
 from repro.fusion.fuse import EntityFuser
 from repro.fusion.strategies import (
     STRATEGIES,
@@ -12,8 +11,10 @@ from repro.fusion.strategies import (
 from repro.fusion.truth import (
     AccuEM,
     Claim,
+    CopyReport,
     TruthFinder,
     TruthResult,
+    detect_copying,
     majority_baseline,
 )
 
@@ -23,7 +24,6 @@ __all__ = [
     "Claim",
     "CopyReport",
     "EntityFuser",
-    "copy_aware_em",
     "detect_copying",
     "FusedChoice",
     "STRATEGIES",

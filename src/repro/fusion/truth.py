@@ -11,10 +11,19 @@ represented explicitly and reasoned with systematically".  Two models:
 
 Both consume the same :class:`Claim` triples, so benchmarks can compare
 them and naive voting on identical inputs (experiment E9).
+
+E9 also shows where plain accuracy-EM fails: once several sources *copy*
+the same stale feed, their agreement looks like independent confirmation
+and the EM locks onto the copied error.  :func:`detect_copying` scores
+that dependence (after Dong, Berti-Équille & Srivastava) and gives each
+source an independence weight in ``(0, 1]``; passed to
+:meth:`AccuEM.run` as vote weights, they make a copier bloc vote like
+one source.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -22,7 +31,29 @@ from typing import Mapping, Sequence
 
 from repro.errors import FusionError
 
-__all__ = ["Claim", "TruthResult", "TruthFinder", "AccuEM", "majority_baseline"]
+__all__ = [
+    "Claim",
+    "CopyReport",
+    "TruthResult",
+    "TruthFinder",
+    "AccuEM",
+    "detect_copying",
+    "majority_baseline",
+]
+
+_TF_DAMPENING = 0.3
+_TF_TOLERANCE = 1e-4
+
+# AccuEM's schedule.  Laplace-style smoothing toward 0.5 and a hard cap
+# keep the EM from becoming overconfident on few items, where a couple
+# of coincidentally shared errors can otherwise flip the ranking.
+_EM_MAX_ITERATIONS = 30
+_EM_TOLERANCE = 1e-5
+_EM_PRIOR_STRENGTH = 2.0
+_EM_ACCURACY_CAP = 0.95
+
+# A source's accuracy when no trusted item checks it.
+_COPY_DEFAULT_ACCURACY = 0.7
 
 
 @dataclass(frozen=True)
@@ -101,16 +132,10 @@ class TruthFinder:
     """
 
     def __init__(
-        self,
-        dampening: float = 0.3,
-        implication_weight: float = 0.5,
-        max_iterations: int = 20,
-        tolerance: float = 1e-4,
+        self, implication_weight: float = 0.5, max_iterations: int = 20
     ) -> None:
-        self.dampening = dampening
         self.implication_weight = implication_weight
         self.max_iterations = max_iterations
-        self.tolerance = tolerance
 
     def run(self, claims: Sequence[Claim]) -> TruthResult:
         """Resolve all data items in ``claims``."""
@@ -127,7 +152,7 @@ class TruthFinder:
                 raw_scores: dict[object, float] = {}
                 for value, sources in value_sources.items():
                     score = -sum(
-                        math.log(max(1e-9, 1.0 - self.dampening * trust[s]))
+                        math.log(max(1e-9, 1.0 - _TF_DAMPENING * trust[s]))
                         for s in sources
                     )
                     raw_scores[value] = score
@@ -155,7 +180,7 @@ class TruthFinder:
                 abs(new_trust[s] - trust[s]) for s in trust
             )
             trust = new_trust
-            if delta < self.tolerance:
+            if delta < _TF_TOLERANCE:
                 break
 
         values: dict[str, object] = {}
@@ -179,31 +204,29 @@ class AccuEM:
     wrangling-sized inputs.
     """
 
-    def __init__(
+    def run(
         self,
-        max_iterations: int = 30,
-        tolerance: float = 1e-5,
-        prior_strength: float = 2.0,
-        accuracy_cap: float = 0.95,
-    ) -> None:
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        # Laplace-style smoothing toward 0.5 and a hard cap keep the EM from
-        # becoming overconfident on few items, where a couple of
-        # coincidentally shared errors can otherwise flip the ranking.
-        self.prior_strength = prior_strength
-        self.accuracy_cap = accuracy_cap
+        claims: Sequence[Claim],
+        weights: Mapping[str, float] | None = None,
+    ) -> TruthResult:
+        """Resolve all data items in ``claims``.
 
-    def run(self, claims: Sequence[Claim]) -> TruthResult:
-        """Resolve all data items in ``claims``."""
+        ``weights`` scales each source's log-likelihood contribution in
+        the E-step (1.0 for a source it does not name).  With
+        :func:`detect_copying`'s independence weights, a bloc of k mutual
+        copiers contributes like ~1 source instead of k, which defuses
+        experiment E9's coherent-stale-feed trap.
+        """
         if not claims:
             raise FusionError("no claims to resolve")
         by_item, by_source = _index(claims)
+        weights = weights or {}
+        weight = {source: weights.get(source, 1.0) for source in by_source}
         accuracy = {source: 0.8 for source in by_source}
 
         item_probs: dict[str, dict[object, float]] = {}
         iterations = 0
-        for iterations in range(1, self.max_iterations + 1):
+        for iterations in range(1, _EM_MAX_ITERATIONS + 1):
             # E-step: value probabilities per item.
             for item, value_sources in by_item.items():
                 n_values = len(value_sources)
@@ -214,10 +237,11 @@ class AccuEM:
                         for source in sources:
                             acc = min(max(accuracy[source], 1e-6), 1 - 1e-6)
                             if other_value == value:
-                                log_score += math.log(acc)
+                                term = math.log(acc)
                             else:
                                 spread = (1.0 - acc) / max(1, n_values - 1)
-                                log_score += math.log(max(spread, 1e-9))
+                                term = math.log(max(spread, 1e-9))
+                            log_score += weight[source] * term
                     scores[value] = log_score
                 peak = max(scores.values())
                 exp_scores = {
@@ -235,13 +259,13 @@ class AccuEM:
                     item_probs[claim.data_item][claim.value]
                     for claim in source_claims
                 ]
-                smoothed = (sum(probs) + 0.5 * self.prior_strength) / (
-                    len(probs) + self.prior_strength
+                smoothed = (sum(probs) + 0.5 * _EM_PRIOR_STRENGTH) / (
+                    len(probs) + _EM_PRIOR_STRENGTH
                 )
-                new_accuracy[source] = min(smoothed, self.accuracy_cap)
+                new_accuracy[source] = min(smoothed, _EM_ACCURACY_CAP)
             delta = max(abs(new_accuracy[s] - accuracy[s]) for s in accuracy)
             accuracy = new_accuracy
-            if delta < self.tolerance:
+            if delta < _EM_TOLERANCE:
                 break
 
         values: dict[str, object] = {}
@@ -251,3 +275,99 @@ class AccuEM:
             values[item] = best
             confidences[item] = probs[best]
         return TruthResult(values, confidences, accuracy, iterations)
+
+
+@dataclass
+class CopyReport:
+    """Pairwise dependence scores and per-source independence weights."""
+
+    dependence: dict[tuple[str, str], float]
+    independence_weight: dict[str, float]
+
+    def suspects(self, threshold: float = 0.5) -> list[tuple[str, str]]:
+        """Source pairs whose dependence exceeds ``threshold``."""
+        return sorted(
+            pair
+            for pair, score in self.dependence.items()
+            if score > threshold
+        )
+
+
+def detect_copying(
+    claims: Sequence[Claim],
+    trusted: Mapping[str, object] | None = None,
+) -> CopyReport:
+    """Estimate which sources copy one another.
+
+    Two coherent blocs of sources are *unidentifiable* from claims alone —
+    a lying majority looks exactly like an honest one (this is why
+    experiment E9's plain EM collapses).  The wrangler therefore anchors
+    on whatever trusted items exist: ``trusted`` maps a few data items to
+    verified values (from master data or consolidated user feedback —
+    Section 2.3's "use all the available information").
+
+    A pair's dependence is its mutual agreement rate scaled by both
+    sources' *untrustworthiness* on the anchored items: high agreement
+    between two demonstrably inaccurate sources can only be copying,
+    while agreement between accurate sources is just both being right.
+    Each source's independence weight is ``1 / (1 + Σ dependence)``, so a
+    bloc of k mutual copiers votes with roughly the strength of one.
+
+    Without ``trusted``, all accuracies fall back to a default of 0.7
+    and the detector degrades to a mild agreement-based discount —
+    honest, but unable to break a coherent majority.
+    """
+    by_item: dict[str, dict[str, object]] = defaultdict(dict)
+    for claim in claims:
+        by_item[claim.data_item][claim.source] = claim.value
+
+    sources = sorted({claim.source for claim in claims})
+
+    anchored_accuracy: dict[str, float] = {}
+    for source in sources:
+        if not trusted:
+            anchored_accuracy[source] = _COPY_DEFAULT_ACCURACY
+            continue
+        checked = 0
+        correct = 0
+        for item, value in trusted.items():
+            claimed = by_item.get(item, {}).get(source)
+            if claimed is None:
+                continue
+            checked += 1
+            if claimed == value:
+                correct += 1
+        anchored_accuracy[source] = (
+            (correct + 1) / (checked + 2) if checked else _COPY_DEFAULT_ACCURACY
+        )
+
+    dependence: dict[tuple[str, str], float] = {}
+    for left, right in itertools.combinations(sources, 2):
+        co_covered = 0
+        agreed = 0
+        for votes in by_item.values():
+            if left not in votes or right not in votes:
+                continue
+            co_covered += 1
+            if votes[left] == votes[right]:
+                agreed += 1
+        if co_covered == 0:
+            dependence[(left, right)] = 0.0
+            continue
+        agreement = agreed / co_covered
+        untrustworthiness = (1.0 - anchored_accuracy[left]) * (
+            1.0 - anchored_accuracy[right]
+        )
+        # Independent sources agree through shared *truth*; agreement in
+        # excess of what their accuracies predict is dependence.
+        expected = anchored_accuracy[left] * anchored_accuracy[right]
+        excess = max(0.0, agreement - expected)
+        dependence[(left, right)] = min(1.0, 4.0 * excess * untrustworthiness ** 0.5)
+
+    independence_weight: dict[str, float] = {}
+    for source in sources:
+        total_dependence = sum(
+            score for pair, score in dependence.items() if source in pair
+        )
+        independence_weight[source] = 1.0 / (1.0 + total_dependence)
+    return CopyReport(dependence, independence_weight)

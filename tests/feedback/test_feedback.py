@@ -40,6 +40,18 @@ class TestTypes:
         with pytest.raises(FeedbackError):
             ValueFeedback(entity="e", attribute="a", cost=-1)
 
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf")])
+    def test_non_finite_cost_rejected(self, cost):
+        # A NaN or infinite cost would make FeedbackStore.total_cost() NaN.
+        with pytest.raises(FeedbackError):
+            ValueFeedback(entity="e", attribute="price", cost=cost)
+
+    def test_unhashable_correction_rejected(self):
+        # EntityFuser.apply_verdicts tallies corrections in a Counter.
+        with pytest.raises(FeedbackError):
+            ValueFeedback(entity="e", attribute="price", is_correct=False,
+                          correction=[19.99])
+
     def test_pair_normalised(self):
         fb = DuplicateFeedback(rid_a="z", rid_b="a")
         assert fb.pair == ("a", "z")

@@ -5,8 +5,7 @@ import random
 import pytest
 
 from repro.errors import FusionError
-from repro.fusion.copying import copy_aware_em, detect_copying
-from repro.fusion.truth import AccuEM, Claim
+from repro.fusion.truth import AccuEM, Claim, detect_copying
 
 
 def copier_world(n_items=60, n_copiers=4, seed=3):
@@ -64,14 +63,14 @@ class TestDetectCopying:
 class TestCopyAwareEM:
     def test_empty_claims_rejected(self):
         with pytest.raises(FusionError):
-            copy_aware_em([])
+            AccuEM().run([], {})
 
     def test_recovers_where_plain_em_collapses(self):
         claims, truth = copier_world(n_copiers=4)
         plain = AccuEM().run(claims).accuracy_against(truth)
         trusted = dict(list(truth.items())[:10])
         weights = detect_copying(claims, trusted).independence_weight
-        aware = copy_aware_em(claims, weights=weights).accuracy_against(truth)
+        aware = AccuEM().run(claims, weights).accuracy_against(truth)
         assert aware > 0.8
         assert aware > plain + 0.3
 
@@ -85,12 +84,14 @@ class TestCopyAwareEM:
                     Claim(source, item,
                           value if rng.random() < accuracy else value + rng.randint(1, 5))
                 )
-        result = copy_aware_em(claims)
+        weights = detect_copying(claims).independence_weight
+        result = AccuEM().run(claims, weights)
         assert result.accuracy_against(truth) > 0.85
 
     def test_result_structure(self):
         claims, __ = copier_world(n_items=10, n_copiers=2)
-        result = copy_aware_em(claims)
+        weights = detect_copying(claims).independence_weight
+        result = AccuEM().run(claims, weights)
         assert set(result.values) == {f"i{i}" for i in range(10)}
         assert all(0.0 <= c <= 1.0 for c in result.confidences.values())
         assert all(0.0 < a <= 0.95 for a in result.source_trust.values())

@@ -27,13 +27,14 @@ are unit-tested, behind those layers.
 from __future__ import annotations
 
 import datetime as _dt
+from dataclasses import replace
 from functools import partial
 from typing import Any, Mapping, Sequence
 
 from repro.analysis import typecheck
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
-from repro.core.dataflow import Dataflow
+from repro.core.dataflow import Dataflow, same_value
 from repro.core.history import SnapshotHistory
 from repro.core.planner import AutonomicPlanner, WranglePlan
 from repro.core.result import WrangleResult
@@ -206,6 +207,9 @@ class Wrangler:
             tuple[Table, WranglePlan, ScoringContext] | None
         ) = None
         self._fuser: EntityFuser | None = None
+        #: Per source, the last ``mapped`` apply:
+        #: ``(mapping, acquired table, translated table)``.
+        self._mapped: dict[str, tuple[Mapping, Table, Table]] = {}
 
     # -- source management ------------------------------------------------
 
@@ -521,15 +525,28 @@ class Wrangler:
         return correspondences
 
     def _stage_mapping(self, name: str, inputs: dict[str, Any]) -> Mapping:
+        """The source's mapping — the previous one, when the recomputed
+        mapping differs from it only in its minted id: ``mapped`` then
+        reuses what that mapping translated."""
         mapping = Mapping.from_correspondences(
             name, self.user.target_schema, inputs[f"match:{name}"],
             sample_table=inputs[f"acquire:{name}"],
         )
+        previous = self.working.get("mapping", name)
+        if previous is not None and same_value(
+            previous, replace(mapping, mapping_id=previous.mapping_id)
+        ):
+            mapping = previous
         self.working.put("mapping", name, mapping)
         return mapping
 
     def _stage_mapped(self, name: str, inputs: dict[str, Any]) -> Table:
-        mapped = inputs[f"mapping:{name}"].apply(inputs[f"acquire:{name}"])
+        mapping, table = inputs[f"mapping:{name}"], inputs[f"acquire:{name}"]
+        mapped = mapping.apply(
+            table, previous=self._mapped.get(name),
+            metrics=self.telemetry.metrics,
+        )
+        self._mapped[name] = (mapping, table, mapped)
         self.working.put("table", f"mapped/{name}", mapped)
         return mapped
 
@@ -615,7 +632,9 @@ class Wrangler:
             rule=inputs["refit"],
             metrics=self.telemetry.metrics,
         )
-        result = resolver.resolve(translated)
+        result = resolver.resolve(
+            translated, previous=self.working.get("entity", "clusters")
+        )
         # The next run's context reads through to this one, which keeps
         # only what this run touched.
         scores.detach()
@@ -643,6 +662,7 @@ class Wrangler:
             strategy_overrides=plan.fusion_overrides,
             recency_attribute=self.date_attribute,
             precedence=inputs["rank"],
+            metrics=self.telemetry.metrics,
         )
         fused = fuser.fuse(resolution.clusters, previous=self._fuser)
         self._fuser = fuser

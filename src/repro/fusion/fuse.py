@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from collections import Counter
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.fusion.strategies import Candidate, resolve
 from repro.model.provenance import Provenance, Step
@@ -18,6 +18,9 @@ from repro.model.records import Record, Table
 from repro.model.schema import DataType, Schema
 from repro.model.values import MISSING, Value
 from repro.resolution.er import EntityCluster
+
+if TYPE_CHECKING:  # typing only
+    from repro.obs import MetricsRegistry
 
 __all__ = ["EntityFuser"]
 
@@ -43,6 +46,7 @@ class EntityFuser:
         strategy_overrides: Mapping[str, str] | None = None,
         recency_attribute: str | None = None,
         precedence: Sequence[str] = (),
+        metrics: "MetricsRegistry | None" = None,
     ) -> None:
         self.target_schema = target_schema
         self.reliabilities = dict(reliabilities or {})
@@ -50,6 +54,8 @@ class EntityFuser:
         self.strategy_overrides = dict(strategy_overrides or {})
         self.recency_attribute = recency_attribute
         self.precedence = {source: i for i, source in enumerate(precedence)}
+        #: Optional registry for the ``fusion.clusters_reused`` counter.
+        self.metrics = metrics
         #: Per cluster id of the last :meth:`fuse`: the records in
         #: precedence order and the record they fused to.
         self._fused: dict[str, tuple[list[Record], Record]] = {}
@@ -174,6 +180,7 @@ class EntityFuser:
         objects, in the same precedence order, keeps the record it fused:
         fusion reads nothing else, so the record is the one fusing again
         would build.  This fuser remembers the clusters of this call only.
+        Kept records are counted on ``fusion.clusters_reused``.
         """
         same_settings = (
             previous is not None and previous._settings() == self._settings()
@@ -181,6 +188,7 @@ class EntityFuser:
         reusable = previous._fused if same_settings else {}
         self._fused = {}
         table = Table(name, self.target_schema)
+        reused = 0
         for cluster in clusters:
             records = self._ordered(cluster.records)
             kept = reusable.get(cluster.cluster_id)
@@ -190,10 +198,13 @@ class EntityFuser:
                 and all(a is b for a, b in zip(kept[0], records))
             ):
                 fused = kept[1]
+                reused += 1
             else:
                 fused = self._fuse_ordered(cluster.cluster_id, records)
             self._fused[cluster.cluster_id] = (records, fused)
             table.append(fused)
+        if self.metrics is not None:
+            self.metrics.counter("fusion.clusters_reused").increment(reused)
         return table
 
     def apply_verdicts(

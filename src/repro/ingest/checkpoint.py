@@ -98,7 +98,10 @@ class CheckpointStore:
 
     Layout under ``root``: ``journal.json`` (the single mutable file),
     ``objects/`` (content-addressed snapshots), ``quarantine/`` (corrupt
-    files moved aside).
+    files moved aside).  In memory the object also keeps, per source,
+    the last view it committed behind a watermark
+    (:meth:`RunLog.live_view`), so a delta tick can keep that view's
+    records.
     """
 
     def __init__(
@@ -111,6 +114,10 @@ class CheckpointStore:
         self.telemetry = telemetry
         self.crash_plan = crash_plan
         self.snapshots = SnapshotStore(self.root)
+        #: Per source, the in-process table a run of this object committed
+        #: behind the source's watermark, under that commit's snapshot id:
+        #: one view per source, replaced on each advance.
+        self._views: dict[str, tuple[str, Any]] = {}
 
     # -- journal I/O ------------------------------------------------------
 
@@ -289,6 +296,22 @@ class RunLog:
         table = self._replay(self._body.get("watermarks", {}).get(source))
         return None if table is None else table.to_rows()
 
+    def live_view(self, source: str) -> Any:
+        """The in-process table :meth:`previous_rows` replays, or ``None``.
+
+        That is the table this store object committed behind ``source``'s
+        watermark, still held under the watermark's snapshot id.  Snapshot
+        ids are content addresses that cover record ids, so the live
+        table and the replayed one agree row for row.  A new process, a
+        resume whose acquisition was restored, or a watermark another
+        store object advanced finds no live view.
+        """
+        entry = self._body.get("watermarks", {}).get(source)
+        held = self._store._views.get(source)
+        if entry is None or held is None or held[0] != entry.get("snapshot"):
+            return None
+        return held[1]
+
     def _replay(self, entry: Mapping[str, Any] | None) -> Any:
         """The payload behind a journal entry's snapshot, or ``None``.
 
@@ -347,6 +370,8 @@ class RunLog:
             self._current["output_snapshot"] = snapshot_id
             self._body["runs_completed"] = int(self._body["runs_completed"]) + 1
         self._store._store_state(self._body, step)
+        if watermark is not None:
+            self._store._views[watermark.source] = (snapshot_id, payload)
         return snapshot_id
 
     def commit(

@@ -10,6 +10,11 @@ digest nobody can supply) instead of silently missed.
 :class:`~repro.ingest.checkpoint.CheckpointStore` is attached: fetch
 delta when the committed watermark allows, full otherwise, and commit
 the result (payload snapshot + watermark advance) in one checkpoint.
+A merged view keeps the records of the view the same store object
+committed before (:meth:`~repro.ingest.checkpoint.RunLog.live_view`),
+so the rows a tick did not change keep their objects and record ids
+and only the new rows are typed: every layer downstream that carries
+work by record identity then reuses it.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from repro.ingest.checkpoint import RunLog, _count
-from repro.model.records import Table
+from repro.model.records import Record, Table
 from repro.model.workingdata import row_digest
 from repro.sources.base import DataSource, DocumentSource
 from repro.sources.cursor import DeltaBatch
@@ -37,14 +42,38 @@ def merge_delta(
     means a row changed behind the cursor, and the caller must fall back
     to a full refetch.
     """
-    pool = {row_digest(row): row for row in (*previous_rows, *batch.rows)}
-    merged = []
+    merged = _merge(previous_rows, (), batch)
+    return None if merged is None else merged[0]
+
+
+def _merge(
+    previous_rows: Sequence[dict[str, Any]],
+    live: Sequence[Record],
+    batch: DeltaBatch,
+) -> tuple[list[dict[str, Any]], list[Record | None]] | None:
+    """:func:`merge_delta`'s rows, each with the record it carries.
+
+    ``live`` is empty or holds the records ``previous_rows`` were read
+    from, in order.  A row of the current view takes the next unused
+    live record of its digest, so the digests form a multiset: two
+    identical rows stay two records.  A row no live record is left for
+    carries ``None`` and is built afresh.
+    """
+    digests = [row_digest(row) for row in previous_rows]
+    pool = dict(zip(digests, previous_rows))
+    pool.update((row_digest(row), row) for row in batch.rows)
+    unused: dict[str, list[Record]] = {}
+    for digest, record in zip(reversed(digests), reversed(live)):
+        unused.setdefault(digest, []).append(record)
+    merged, carried = [], []
     for digest in batch.order:
         row = pool.get(digest)
         if row is None:
             return None
         merged.append(dict(row))
-    return merged
+        kept = unused.get(digest)
+        carried.append(kept.pop() if kept else None)
+    return merged, carried
 
 
 def _direct(name: str, op: str, fn: Callable[[], Any]) -> Any:
@@ -65,7 +94,10 @@ def acquire_durable(
     fetch) otherwise.  An unmergeable delta (edit behind the cursor,
     corrupt previous snapshot) falls back to a full refetch — counted
     on ``ingest.delta.fallbacks`` — so correctness never depends on the
-    cursor discipline holding.
+    cursor discipline holding.  A merged view is built from the rows
+    replayed off the committed snapshot (integrity-checked as ever); the
+    rows the live view held keep its records, counted on
+    ``ingest.delta.records_reused``.
 
     Each source call goes through ``access(name, op, fn)``: the
     wrangler's :meth:`~repro.resilience.AccessGuard.call` under
@@ -93,7 +125,10 @@ def acquire_durable(
     if watermark is None:
         _count(telemetry, "ingest.full_fetches")
     else:
-        merged = merge_delta(previous, batch)
+        live = log.live_view(source.name)
+        merged = _merge(
+            previous, live.records if live is not None else (), batch
+        )
         if merged is None:
             _count(telemetry, "ingest.delta.fallbacks")
             batch = access(
@@ -101,9 +136,16 @@ def acquire_durable(
             )
             mode, table = "fallback-full", batch.table
         else:
-            table = Table.from_rows(source.name, merged, source=source.name)
+            rows, carried = merged
+            table = Table.from_rows(
+                source.name, rows, source=source.name, carried=carried
+            )
             _count(telemetry, "ingest.delta.fetches")
             _count(telemetry, "ingest.delta.rows", len(batch.rows))
+            _count(
+                telemetry, "ingest.delta.records_reused",
+                sum(record is not None for record in carried),
+            )
     info = {
         "mode": mode,
         "rows_fetched": len(batch.rows),

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.errors import MappingError, TypeInferenceError
 from repro.matching.schema_matching import Correspondence
@@ -20,6 +20,9 @@ from repro.model.provenance import Step
 from repro.model.records import Record, Table
 from repro.model.schema import Schema, coerce
 from repro.model.values import MISSING, Value
+
+if TYPE_CHECKING:  # typing only
+    from repro.obs import MetricsRegistry
 
 __all__ = ["AttributeMap", "Mapping"]
 
@@ -162,18 +165,41 @@ class Mapping:
                 cells[name] = value
         return Record(record.rid, record.source, cells)
 
-    def apply(self, table: Table) -> Table:
-        """Translate a whole table into the target schema."""
+    def apply(
+        self,
+        table: Table,
+        previous: "tuple[Mapping, Table, Table] | None" = None,
+        metrics: "MetricsRegistry | None" = None,
+    ) -> Table:
+        """Translate a whole table into the target schema.
+
+        ``previous`` is an earlier apply: ``(mapping, table, translated)``.
+        When its mapping is this very object, a record of ``table`` that
+        is an object of the earlier input keeps the record translated
+        from it — translation reads nothing but the mapping and the
+        record.  Kept records are counted on ``mapping.records_reused``.
+        """
         if table.name != self.source_name:
             raise MappingError(
                 f"mapping {self.mapping_id} is for source "
                 f"{self.source_name!r}, not {table.name!r}"
             )
-        return Table(
-            self.source_name,
-            self.target_schema,
-            [self.apply_record(record) for record in table.records],
-        )
+        kept: dict[int, Record] = {}
+        if previous is not None and previous[0] is self:
+            # id() is safe: ``previous`` keeps the earlier input alive.
+            kept = {
+                id(record): translated
+                for record, translated in zip(previous[1], previous[2])
+            }
+        records = [
+            kept.get(id(record)) or self.apply_record(record)
+            for record in table.records
+        ]
+        if metrics is not None:
+            metrics.counter("mapping.records_reused").increment(
+                sum(id(record) in kept for record in table.records)
+            )
+        return Table(self.source_name, self.target_schema, records)
 
     def describe(self) -> str:
         """A readable ``target <- source`` summary."""

@@ -129,16 +129,26 @@ class Table:
         schema: Schema | None = None,
         source: str | None = None,
         confidence: float = 1.0,
+        carried: Sequence[Record | None] = (),
     ) -> "Table":
         """Build a table from dict rows, inferring the schema when absent.
 
         Cells take their dtypes from the same per-column pass that votes
         the schema (:meth:`Schema.infer`): nothing is typed twice.
+
+        ``carried`` lines up with ``rows``: a record in it is one an
+        earlier ``from_rows`` built from that row, under the same source
+        and confidence.  It is kept, rid included, and votes with its
+        cells' dtypes; only the other rows are typed and minted.
         """
-        inferred, dtypes = Schema.infer(rows)
+        inferred, dtypes = Schema.infer(rows, carried)
         src = source or name
         records = []
         for index, row in enumerate(rows):
+            kept = carried[index] if carried else None
+            if kept is not None:
+                records.append(kept)
+                continue
             provenance = Provenance.source(src)
             cells = {
                 key: value if isinstance(value, Value) else Value(

@@ -15,9 +15,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import SchemaError, TypeInferenceError
+
+if TYPE_CHECKING:  # typing only
+    from repro.model.records import Record
 
 __all__ = [
     "DataType",
@@ -188,6 +191,12 @@ def infer_types(
     return dtypes, dict(Counter(d for d in dtypes if d is not None))
 
 
+def _held_dtype(record: "Record", name: str) -> DataType | None:
+    """The dtype :func:`infer_types` gave the cell a record holds."""
+    cell = record.cells.get(name)
+    return None if cell is None or cell.is_missing else cell.dtype
+
+
 def _majority_type(counts: Mapping[DataType, int], threshold: float = 0.8) -> DataType:
     """The column type a dtype histogram of non-null cells votes for.
 
@@ -340,14 +349,31 @@ class Schema:
 
     @classmethod
     def infer(
-        cls, rows: Sequence[Mapping[str, Any]]
+        cls,
+        rows: Sequence[Mapping[str, Any]],
+        carried: Sequence["Record | None"] = (),
     ) -> tuple["Schema", dict[str, list[DataType | None]]]:
         """The voted schema of dict rows and the dtype of every cell, from
-        one :func:`infer_types` pass per column (an absent key is ``None``)."""
-        columns = {
-            name: infer_types(row.get(name) for row in rows)
-            for name in dict.fromkeys(name for row in rows for name in row)
-        }
+        one :func:`infer_types` pass per column (an absent key is ``None``).
+
+        ``carried`` lines up with ``rows``: a record in it was built from
+        its row, and its cells' dtypes stand for the row's (a missing
+        cell's as ``None``) — only the other rows are typed.
+        """
+        fresh = rows
+        if carried:
+            fresh = [row for row, kept in zip(rows, carried) if kept is None]
+        columns = {}
+        for name in dict.fromkeys(name for row in rows for name in row):
+            dtypes, counts = infer_types(row.get(name) for row in fresh)
+            if len(fresh) < len(rows):
+                typed = iter(dtypes)
+                dtypes = [
+                    next(typed) if record is None else _held_dtype(record, name)
+                    for record in carried
+                ]
+                counts = dict(Counter(d for d in dtypes if d is not None))
+            columns[name] = dtypes, counts
         attrs = (Attribute(n, _majority_type(c)) for n, (_, c) in columns.items())
         return cls(tuple(attrs)), {n: dtypes for n, (dtypes, _) in columns.items()}
 

@@ -145,6 +145,7 @@ class ResolutionResult:
 def clusters_of(
     records: Mapping[Hashable, Record],
     edges: Iterable[tuple[Hashable, Hashable]],
+    previous: Sequence[EntityCluster] = (),
 ) -> list[EntityCluster]:
     """Close matches under transitivity: the connected components of the
     match graph over ``records`` (node → record) as clusters sorted by
@@ -155,6 +156,10 @@ def clusters_of(
     components come from a union-find with path halving; a component's
     members are in sorted node order, and components enter the (stable)
     sort by id in the order of their first node in ``records``.
+
+    A component whose members are the very records of a cluster in
+    ``previous``, in the same order, is that cluster: its id hashes
+    nothing but those records.
     """
     parent = {node: node for node in records}
 
@@ -171,12 +176,19 @@ def clusters_of(
     components: dict[Hashable, list[Hashable]] = {}
     for node in records:
         components.setdefault(root(node), []).append(node)
-    clusters = [
-        EntityCluster.from_records(
-            [records[node] for node in sorted(members)]
-        )
-        for members in components.values()
-    ]
+    # id() is safe: ``previous`` keeps every first member alive.
+    kept = {
+        id(cluster.records[0]): cluster for cluster in previous if cluster.records
+    }
+    clusters = []
+    for members in components.values():
+        component = [records[node] for node in sorted(members)]
+        cluster = kept.get(id(component[0]))
+        if cluster is None or len(cluster.records) != len(component) or any(
+            a is not b for a, b in zip(cluster.records, component)
+        ):
+            cluster = EntityCluster.from_records(component)
+        clusters.append(cluster)
     clusters.sort(key=lambda c: c.cluster_id)
     return clusters
 
@@ -233,7 +245,9 @@ class EntityResolver:
             )[:2]
         return token_blocking(table, attributes, metrics=self.metrics)
 
-    def resolve(self, table: Table) -> ResolutionResult:
+    def resolve(
+        self, table: Table, previous: ResolutionResult | None = None
+    ) -> ResolutionResult:
         """Partition ``table`` into entity clusters.
 
         One call scores off one :class:`ScoringContext`: a fresh one
@@ -241,6 +255,9 @@ class EntityResolver:
         was built on a context, whose builder then shares it with the
         other pairs it scores for this resolve (:func:`refit_rule`) and
         may build the next resolve's context on it.
+
+        ``previous`` is an earlier result: a cluster of the very same
+        records is kept, id and all (:func:`clusters_of`).
         """
         scores = ScoringContext.around(
             self.comparator or default_comparator(table.schema)
@@ -252,6 +269,7 @@ class EntityResolver:
             clusters_of(
                 dict(enumerate(table.records)),
                 [(left, right) for left, right, __, __ in matches],
+                previous.clusters if previous is not None else (),
             ),
             matched_pairs={
                 key: confidence for __, __, key, confidence in matches

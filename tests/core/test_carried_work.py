@@ -2,25 +2,32 @@
 
 A run leaves its resolve's score tables and its fuser's fused records
 for the next run (``Wrangler._scoring``, ``EntityFuser.fuse(previous=)``);
-the next run reads them instead of scoring or fusing again.  The oracle:
-after every tick of a refresh script and of feedback sessions, a fresh
-``EntityResolver`` and ``EntityFuser`` on the same inputs — nothing
-carried — give the same clusters, the same matched pairs with their
-confidences and the same fused table.  And the carried state is bounded
-by the last run: it holds nothing the latest resolve or fuse did not
-touch.
+the next run reads them instead of scoring or fusing again.  A delta
+refresh keeps the records of the rows it did not change, so the mapped
+records, the clusters and the fused records of those rows carry too.
+The oracle: after every tick of a refresh script and of feedback
+sessions, a fresh ``EntityResolver`` and ``EntityFuser`` on the same
+inputs — nothing carried — give the same clusters, the same matched
+pairs with their confidences and the same fused table.  And the carried
+state is bounded by the last run: it holds nothing the latest resolve or
+fuse did not touch, and the checkpoint store holds one live view per
+source.
 """
 
 import csv
 import datetime
+import gc
 import importlib.util
 import random
+import weakref
 from pathlib import Path
 
 import pytest
 
 from repro import CSVSource, DataContext, UserContext, Wrangler
+import repro.resolution.er
 from repro.datagen import TARGET_SCHEMA, generate_world, product_ontology
+from repro.feedback import DuplicateFeedback
 from repro.fusion.fuse import EntityFuser
 from repro.ingest.checkpoint import CheckpointStore
 from repro.model.workingdata import table_fingerprint
@@ -90,29 +97,36 @@ class RefreshScript:
     CSV sources under a zero-padded cursor and a checkpoint store, five
     appended rows and a delta refresh of one source per tick."""
 
-    def __init__(self, root: Path) -> None:
-        world = generate_world(n_products=60, n_sources=6, seed=2016)
-        user = UserContext.precision_first("analyst", TARGET_SCHEMA, budget=40.0)
-        data = (
-            DataContext("products")
-            .with_ontology(product_ontology())
-            .add_master("catalog", world.ground_truth)
-        )
-        self.wrangler = Wrangler(user, data, today=TODAY)
+    def __init__(self, root: Path, cursor: str | None = "seq") -> None:
+        self.world = generate_world(n_products=60, n_sources=6, seed=2016)
         self.paths, self.held_back, self.seq = {}, {}, 0
-        for name, rows in world.source_rows.items():
+        root.mkdir(parents=True, exist_ok=True)
+        for name, rows in self.world.source_rows.items():
             cut = int(0.6 * len(rows))
             self.paths[name] = root / f"{name}.csv"
             self.held_back[name] = rows[cut:]
             self.append(name, rows[:cut], header=True)
-            spec = world.specs[name]
-            self.wrangler.add_source(CSVSource(
-                name, self.paths[name], cursor="seq",
+        self.store = CheckpointStore(root / "checkpoints")
+        self.wrangler = self.fresh_wrangler(cursor).checkpointing(self.store)
+        self.result = self.wrangler.run()
+
+    def fresh_wrangler(self, cursor="seq"):
+        """A wrangler over the script's files, nothing run yet."""
+        user = UserContext.precision_first("analyst", TARGET_SCHEMA, budget=40.0)
+        data = (
+            DataContext("products")
+            .with_ontology(product_ontology())
+            .add_master("catalog", self.world.ground_truth)
+        )
+        wrangler = Wrangler(user, data, today=TODAY)
+        for name, path in self.paths.items():
+            spec = self.world.specs[name]
+            wrangler.add_source(CSVSource(
+                name, path, cursor=cursor,
                 cost_per_access=spec.cost, change_rate=spec.staleness,
                 domain="products",
             ))
-        self.wrangler.checkpointing(CheckpointStore(root / "checkpoints"))
-        self.result = self.wrangler.run()
+        return wrangler
 
     def append(self, name, rows, header=False):
         columns = list(rows[0]) + ["seq"]
@@ -127,6 +141,8 @@ class RefreshScript:
                 self.seq += 1
 
     def tick(self, index):
+        """Append five rows to one planned source and refresh it; the
+        name of the source."""
         sources = self.result.plan.sources
         name = sources[index % len(sources)]
         rows, self.held_back[name] = (
@@ -135,23 +151,125 @@ class RefreshScript:
         self.append(name, rows)
         self.wrangler.refresh_source(name)
         self.result = self.wrangler.run()
+        return name
+
+    def edit_behind_the_cursor(self, name):
+        """Rewrite one committed row of ``name`` in place and refresh:
+        the delta cannot be merged, and the tick refetches in full."""
+        with self.paths[name].open(newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        column = next(key for key in rows[0] if key not in ("_truth", "seq"))
+        rows[0][column] += " (edited)"
+        with self.paths[name].open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        self.wrangler.refresh_source(name)
+        self.result = self.wrangler.run()
 
 
 def test_a_refresh_script_carries_exactly_what_fresh_work_computes(tmp_path):
     script = RefreshScript(tmp_path)
-    reused = 0
+    flow = script.wrangler.flow
     for index in range(6):
-        resolves = script.wrangler.flow.runs("resolve")
-        fuser = script.wrangler._fuser
-        script.tick(index)
-        assert script.wrangler.flow.runs("resolve") == resolves + 1
+        resolves = flow.runs("resolve")
+        fused = {row.rid: row for row in flow.value("fuse")}
+        name = script.tick(index)
+        assert flow.runs("resolve") == resolves + 1
         assert_carried_equals_fresh(script.wrangler)
-        fused = {row.rid: row for row in script.wrangler.flow.value("fuse")}
-        reused += sum(
-            fused.get(cluster_id) is entry[1]
-            for cluster_id, entry in fuser._fused.items()
+        # A cluster without one of the five appended rows keeps its fused
+        # record, whichever source its rows come from.
+        appended = {record.rid for record in flow.value(f"acquire:{name}")[-5:]}
+        after = {row.rid: row for row in flow.value("fuse")}
+        untouched = [
+            cluster.cluster_id for cluster in flow.value("resolve").clusters
+            if not appended & {record.rid for record in cluster.records}
+        ]
+        assert len(untouched) >= len(after) - 5
+        assert all(after[key] is fused[key] for key in untouched)
+
+
+def test_the_store_holds_one_live_view_per_source(tmp_path):
+    """After ten ticks each source's live view is the view behind its
+    watermark; every superseded view is collected, and after a full
+    refetch so are the records only the superseded view held."""
+    script = RefreshScript(tmp_path)
+    views = {}
+    for index in range(10):
+        name = script.tick(index)
+        views.setdefault(name, []).append(
+            weakref.ref(script.store._views[name][1])
         )
-    assert reused > 0   # the mechanism engaged: some clusters were not re-fused
+    watermarks = script.store.load_state()["watermarks"]
+    assert {name: held[0] for name, held in script.store._views.items()} == {
+        name: watermarks[name]["snapshot"] for name in views
+    }
+    gc.collect()
+    superseded = [ref for refs in views.values() for ref in refs[:-1]]
+    assert superseded and all(ref() is None for ref in superseded)
+
+    name = script.result.plan.sources[0]
+    old = [weakref.ref(record) for record in script.store._views[name][1]]
+    script.edit_behind_the_cursor(name)
+    assert script.result.ingest["acquisitions"][name]["mode"] == "fallback-full"
+    gc.collect()
+    assert all(ref() is None for ref in old)
+
+
+def test_duplicate_feedback_survives_a_delta_refresh(tmp_path, monkeypatch):
+    """A verdict on two records of a source still labels a pair the
+    threshold is refitted on after that source is delta-refreshed: the
+    refresh keeps their record ids."""
+    script = RefreshScript(tmp_path)
+    name = script.result.plan.sources[0]
+    left, right = [
+        record for record in script.wrangler.flow.value("translate")
+        if record.source == name
+    ][:2]
+    fitted = []
+    refit_threshold = repro.resolution.er.refit_threshold
+
+    def spy(prior, similarities, verdicts):
+        fitted.append(list(verdicts))
+        return refit_threshold(prior, similarities, verdicts)
+
+    monkeypatch.setattr(repro.resolution.er, "refit_threshold", spy)
+    script.wrangler.apply_feedback([DuplicateFeedback(
+        rid_a=left.rid, rid_b=right.rid, is_duplicate=False,
+    )])
+    script.result = script.wrangler.run()
+    assert fitted[-1] == [False]
+    assert script.tick(0) == name
+    assert script.result.ingest["acquisitions"][name]["mode"] == "delta"
+    assert fitted[-1] == [False]
+
+
+def test_delta_ticks_equal_full_refetches(tmp_path):
+    """delta∘delta equals full: four delta ticks end on the table a twin
+    script refetching every refresh in full ends on, and every acquired
+    view is the one a fresh wrangler's full run reads off the files."""
+    delta = RefreshScript(tmp_path / "delta")
+    full = RefreshScript(tmp_path / "full", cursor=None)
+    for index in range(4):
+        assert delta.tick(index) == full.tick(index)
+        modes = {entry["mode"] for entry in delta.result.ingest["acquisitions"].values()}
+        assert modes == {"delta"}
+        assert {
+            entry["mode"] for entry in full.result.ingest["acquisitions"].values()
+        } == {"full"}
+    assert table_fingerprint(delta.result.table) == table_fingerprint(
+        full.result.table
+    )
+    assert delta.wrangler.working.table_fingerprints() == (
+        full.wrangler.working.table_fingerprints()
+    )
+    fresh = delta.fresh_wrangler()
+    fresh.run()
+    tables = fresh.working.table_fingerprints()
+    assert {
+        key: value for key, value in delta.wrangler.working.table_fingerprints().items()
+        if key.startswith("raw/")
+    } == {key: value for key, value in tables.items() if key.startswith("raw/")}
 
 
 @pytest.mark.parametrize("seed, reaches", [(5, "refit"), (9, "plan")])

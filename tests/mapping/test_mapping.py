@@ -14,6 +14,7 @@ from repro.model.annotations import AnnotationStore, Dimension, QualityAnnotatio
 from repro.model.provenance import Step
 from repro.model.records import Table
 from repro.model.schema import DataType, Schema
+from repro.obs import MetricsRegistry
 from repro.sources.memory import MemorySource
 from repro.sources.registry import SourceRegistry
 
@@ -95,6 +96,39 @@ class TestMappingExecution:
         record = mapping.apply(table)[0]
         assert record.raw("a") == "1"  # coerced to the declared STRING type
         assert record.get("b").is_missing
+
+
+class TestCarriedTranslation:
+    """``apply(previous=)`` keeps the translated record of every input
+    record that is the same object under the same mapping."""
+
+    def test_same_records_same_mapping_are_kept(self, clean_mapping, clean_table):
+        first = clean_mapping.apply(clean_table)
+        grown = Table(
+            clean_table.name, clean_table.schema,
+            clean_table.records[:-1] + Table.from_rows(
+                "clean", [clean_table[-1].to_dict()], source="clean"
+            ).records,
+        )
+        metrics = MetricsRegistry()
+        second = clean_mapping.apply(
+            grown, previous=(clean_mapping, clean_table, first), metrics=metrics
+        )
+        assert [a is b for a, b in zip(first, second)] == (
+            [True] * (len(first) - 1) + [False]
+        )
+        assert second[-1] == clean_mapping.apply_record(grown[-1])
+        assert metrics.counter("mapping.records_reused").value == len(first) - 1
+
+    def test_another_mapping_translates_afresh(self, world, clean_table):
+        context = DataContext("p").with_ontology(product_ontology())
+        matches = SchemaMatcher(context).match(clean_table, TARGET_SCHEMA)
+        one = Mapping.from_correspondences("clean", TARGET_SCHEMA, matches)
+        other = Mapping.from_correspondences("clean", TARGET_SCHEMA, matches)
+        first = one.apply(clean_table)
+        second = other.apply(clean_table, previous=(one, clean_table, first))
+        assert not any(a is b for a, b in zip(first, second))
+        assert second.to_rows() == first.to_rows()
 
 
 class TestMappingMetadata:

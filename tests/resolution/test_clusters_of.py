@@ -80,3 +80,32 @@ def test_isolated_nodes_are_singletons():
 
 def test_no_records():
     assert clusters_of({}, []) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_previous_cluster_of_the_same_records_is_kept(seed):
+    """A component of the very records (in order) of a previous cluster
+    is that cluster; every other component is built afresh — and the
+    result has the shape a build from nothing has."""
+    rng = random.Random(seed)
+    records = make_records(rng.randrange(2, 40), rng, int)
+    nodes = list(records)
+    edges = [(rng.choice(nodes), rng.choice(nodes)) for __ in range(len(nodes))]
+    previous = clusters_of(records, edges)
+    # One more edge merges two components; a copy of a record splits
+    # its cluster off from what the previous clusters held.
+    edges.append((nodes[0], nodes[-1]))
+    copied = dict(records)
+    copied[nodes[1]] = Record(
+        records[nodes[1]].rid, "s", dict(records[nodes[1]].cells)
+    )
+    clusters = clusters_of(copied, edges, previous)
+    assert shape(clusters) == shape(networkx_clusters_of(copied, edges))
+    kept = {id(cluster) for cluster in previous}
+    for cluster in clusters:
+        same = any(
+            len(old) == len(cluster)
+            and all(a is b for a, b in zip(old.records, cluster.records))
+            for old in previous
+        )
+        assert (id(cluster) in kept) == same

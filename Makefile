@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test lint lint-json typecheck gate-draws bench bench-pairs bench-gate bench-smoke chaos chaos-crash check
+.PHONY: test lint lint-json typecheck gate-draws reach bench bench-pairs bench-gate bench-smoke chaos chaos-crash check
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -27,6 +27,13 @@ typecheck:
 N ?= 500
 gate-draws:
 	$(PYTHON) tools/gate_draws.py --draws $(N)
+
+# Function-level reach of src/repro: the examples, every benchmarks/
+# bench_*.py and each bench/ workload's set-up plus 3 ops, traced in one
+# process; prints the unreached share and the unreached lines per module.
+# Not part of `check` — it reports, it does not gate (a few minutes).
+reach:
+	$(PYTHON) tools/reach.py
 
 # The contract benchmark (BENCHMARK.json): one workload, untraced —
 # `make bench WORKLOAD=cold_documents` for the extraction front end.

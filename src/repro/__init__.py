@@ -11,7 +11,7 @@ guided tour and ``DESIGN.md`` for the architecture.
 """
 
 from repro.baselines import StaticETL
-from repro.context import AHPComparison, DataContext, Ontology, UserContext
+from repro.context import DataContext, Ontology, UserContext
 from repro.core import AutonomicPlanner, Dataflow, WranglePlan, WrangleResult, Wrangler
 from repro.feedback import (
     DuplicateFeedback,
@@ -43,7 +43,6 @@ from repro.sources import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AHPComparison",
     "AutonomicPlanner",
     "CSVSource",
     "ChaosSource",

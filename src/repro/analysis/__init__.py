@@ -14,7 +14,9 @@ Three legs share one diagnostics engine and one driver,
   gate, rendered by the driver's ``typecheck examples``.
 
 All emit :class:`~repro.analysis.diagnostics.Diagnostic` values and
-render through :mod:`repro.analysis.report`.
+render through :mod:`repro.analysis.report`.  The linter and the
+ratchet are dev tooling: this package does not re-export them, so
+``import repro`` never loads them.
 """
 
 from repro.analysis.diagnostics import (
@@ -25,9 +27,6 @@ from repro.analysis.diagnostics import (
     count_by_severity,
     has_errors,
 )
-from repro.analysis.lint import LintResult, lint_paths, lint_source
-from repro.analysis.report import render, render_json, render_text
-from repro.analysis.rules import RULES, ModuleContext
 from repro.analysis.typecheck import TYPECHECK_RULES, run_preflight
 from repro.analysis.validator import PlanValidator, ValidationReport
 
@@ -38,14 +37,6 @@ __all__ = [
     "Severity",
     "count_by_severity",
     "has_errors",
-    "LintResult",
-    "lint_paths",
-    "lint_source",
-    "render",
-    "render_json",
-    "render_text",
-    "RULES",
-    "ModuleContext",
     "PlanValidator",
     "ValidationReport",
     "TYPECHECK_RULES",

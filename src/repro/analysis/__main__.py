@@ -25,8 +25,12 @@ import json
 import sys
 from typing import Sequence
 
-from repro.analysis.cost import COST_RULES, run_ratchet
-from repro.analysis.cost.ratchet import DEFAULT_TOLERANCE, orphan_baselines
+from repro.analysis.cost import COST_RULES
+from repro.analysis.cost.ratchet import (
+    DEFAULT_TOLERANCE,
+    orphan_baselines,
+    run_ratchet,
+)
 from repro.analysis.diagnostics import has_errors
 from repro.analysis.lint import lint_paths
 from repro.analysis.plans import DEFAULT_ENTRY, check_paths

@@ -1,17 +1,15 @@
-"""The cost rules: the ``CC`` catalogue and its three checks.
+"""The cost rules: the ``CC`` catalogue and its two checks.
 
 Each rule names one plan that is statically predictable to cost more
-than it should: a pooled cross-source resolve (``CC004``), spend no
-budget bounds (``CC006``), constraint discovery over a table wide and
-long enough to dominate repair (``CC008``).  Each check needs one or two
+than it should: a pooled cross-source resolve (``CC004``), or spend no
+budget bounds (``CC006``).  Each check needs one or two
 numbers, read straight off the plan, the user context and the
 registered sources' :class:`SourceFacts` — once per plan, from
 :func:`~repro.analysis.typecheck.gate.run_preflight`.
 
 Row counts are *upper bounds*: a source's memoised size hint, or
 :data:`DEFAULT_ROWS` where it publishes none.  The selected sources'
-rows pooled bound the translated table, and so the fused one (scope
-filtering and fusion only shrink it).  The one budget is the user
+rows pooled bound the translated table.  The one budget is the user
 context's, and the planner's source selection never spends past it.
 """
 
@@ -51,8 +49,6 @@ PAIR_WARNING_LIMIT = 50_000.0
 #: Sources pooled into one resolve before CC004 considers it a
 #: cross-source join.
 CROSS_SOURCE_MIN = 4
-#: rows x width^2 above which FD discovery dominates repair (CC008).
-FD_WORK_LIMIT = 1_000_000.0
 
 #: Rule catalogue for the cost checks (mirrored in docs/ANALYSIS.md).
 COST_RULES: Mapping[str, Rule] = catalogue(
@@ -72,15 +68,6 @@ COST_RULES: Mapping[str, Rule] = catalogue(
         "The plan spends access cost but the user context's budget is "
         "unbounded, so source selection spends against no limit and no "
         "plan can be refused for its spend.",
-    ),
-    Rule(
-        "CC008",
-        "superlinear-repair",
-        Severity.WARNING,
-        "Constraint discovery is enabled over a fused table large enough "
-        "that approximate-FD mining (rows x width^2 candidate "
-        "dependencies) dominates the repair stage — mine constraints "
-        "offline or cap the discovery scope.",
     ),
 )
 
@@ -166,7 +153,6 @@ def check_costs(
     plan: Any,
     user: Any,
     facts: Mapping[str, SourceFacts],
-    discover_constraints: bool,
 ) -> list[Diagnostic]:
     """The ``CC`` findings for one plan; ``facts`` are the registered
     sources', in registration order."""
@@ -198,21 +184,6 @@ def check_costs(
                 "budget (the user context's budget is unbounded)",
                 "give the user context a budget: source selection spends "
                 "within it",
-            )
-        )
-    width = float(len(user.target_schema))
-    discovery_work = rows * width * width
-    if discover_constraints and discovery_work > FD_WORK_LIMIT:
-        findings.append(
-            cc(
-                "CC008",
-                "dataflow",
-                "repair",
-                f"constraint discovery over ~{rows:.0f} fused rows "
-                f"x {width:.0f}^2 candidate dependencies "
-                f"(~{discovery_work:.0f} work units) dominates repair",
-                "mine constraints offline on a sample, or disable "
-                "discover_constraints for this plan",
             )
         )
     return findings

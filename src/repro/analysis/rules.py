@@ -563,9 +563,7 @@ _MUST_USE_CALLS = {
     "derive",
     "map_records",
     "pool_evidence",
-    "noisy_or",
     "log_odds_pool",
-    "bayes_update",
     "credible_interval",
 }
 

@@ -55,7 +55,6 @@ def run_preflight(
     working: Any,
     master_key: str | None = None,
     date_attribute: str | None = None,
-    discover_constraints: bool = False,
 ) -> ValidationReport:
     """Run the full pre-execution gate and fold findings into one report.
 
@@ -72,8 +71,6 @@ def run_preflight(
         *check_types(
             plan, user, registry.names(), schemas, mappings, date_attribute
         ),
-        *check_costs(
-            plan, user, source_facts(registry), discover_constraints
-        ),
+        *check_costs(plan, user, source_facts(registry)),
     ]
     return ValidationReport(tuple(sort_diagnostics(findings)))

@@ -2,35 +2,23 @@
 
 "Comprehensive support for context awareness within data wrangling" is one
 of the paper's two headline requirements.  This package provides the user
-context (declarative multi-criteria requirements, elicited directly or via
-AHP), the data context (master data, reference data, domain ontology), and
-the multi-criteria decision machinery every component uses to act on them.
+context (declarative multi-criteria requirements), the data context (master
+data, reference data, domain ontology), and the weighted rank every
+component uses to act on them.
 """
 
-from repro.context.ahp import AHPComparison, ahp_weights, consistency_ratio
 from repro.context.data_context import DataContext
-from repro.context.decision import (
-    Alternative,
-    pareto_front,
-    rank,
-    topsis,
-    weighted_score,
-)
+from repro.context.decision import Alternative, rank, weighted_score
 from repro.context.ontology import Concept, Ontology, Property
 from repro.context.user_context import UserContext
 
 __all__ = [
-    "AHPComparison",
     "Alternative",
     "Concept",
     "DataContext",
     "Ontology",
     "Property",
     "UserContext",
-    "ahp_weights",
-    "consistency_ratio",
-    "pareto_front",
     "rank",
-    "topsis",
     "weighted_score",
 ]

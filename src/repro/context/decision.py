@@ -4,20 +4,18 @@ Section 2.1 argues that "adaptivity and multi-criteria optimisation are of
 paramount importance for cost-effective wrangling processes".  This module
 scores alternatives (candidate sources, mappings, pipeline configurations)
 described by per-criterion scores against the weights of a user context,
-using weighted sums, TOPSIS, and Pareto filtering.
+by weighted sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
-
-import numpy as np
 
 from repro.errors import ContextError
 from repro.model.annotations import Dimension
 
-__all__ = ["Alternative", "weighted_score", "rank", "topsis", "pareto_front"]
+__all__ = ["Alternative", "weighted_score", "rank"]
 
 
 @dataclass(frozen=True)
@@ -63,65 +61,3 @@ def rank(
     scored = [(alt, weighted_score(alt, weights)) for alt in alternatives]
     return sorted(scored, key=lambda pair: -pair[1])
 
-
-def topsis(
-    alternatives: Sequence[Alternative], weights: Mapping[Dimension, float]
-) -> list[tuple[Alternative, float]]:
-    """Rank by TOPSIS: closeness to the ideal / distance from the anti-ideal.
-
-    More discriminating than a weighted sum when criteria conflict, because
-    it penalises alternatives that are extremely bad on any one criterion.
-    """
-    if not alternatives:
-        return []
-    dims = sorted(weights, key=lambda d: d.value)
-    if not dims:
-        raise ContextError("criteria weights must be non-empty")
-    weight_vec = np.array([weights[d] for d in dims], dtype=float)
-    if weight_vec.sum() <= 0:
-        raise ContextError("criteria weights must sum to a positive value")
-    weight_vec = weight_vec / weight_vec.sum()
-    matrix = np.array(
-        [[alt.score_for(d) for d in dims] for alt in alternatives], dtype=float
-    )
-    norms = np.linalg.norm(matrix, axis=0)
-    norms[norms == 0.0] = 1.0
-    weighted = (matrix / norms) * weight_vec
-    ideal = weighted.max(axis=0)
-    anti_ideal = weighted.min(axis=0)
-    dist_ideal = np.linalg.norm(weighted - ideal, axis=1)
-    dist_anti = np.linalg.norm(weighted - anti_ideal, axis=1)
-    denom = dist_ideal + dist_anti
-    closeness = np.where(denom == 0.0, 1.0, dist_anti / np.where(denom == 0, 1, denom))
-    scored = list(zip(alternatives, closeness.tolist()))
-    return sorted(scored, key=lambda pair: -pair[1])
-
-
-def pareto_front(alternatives: Sequence[Alternative]) -> list[Alternative]:
-    """The non-dominated subset of ``alternatives``.
-
-    Alternative A dominates B when A is at least as good on every criterion
-    mentioned by either and strictly better on at least one.  The front is
-    what the wrangler presents when the user context declines to commit to
-    weights.
-    """
-    dims = sorted(
-        {d for alt in alternatives for d in alt.scores}, key=lambda d: d.value
-    )
-
-    def dominates(a: Alternative, b: Alternative) -> bool:
-        at_least_as_good = all(
-            a.score_for(d) >= b.score_for(d) for d in dims
-        )
-        strictly_better = any(a.score_for(d) > b.score_for(d) for d in dims)
-        return at_least_as_good and strictly_better
-
-    front: list[Alternative] = []
-    for candidate in alternatives:
-        if not any(
-            dominates(other, candidate)
-            for other in alternatives
-            if other is not candidate
-        ):
-            front.append(candidate)
-    return front

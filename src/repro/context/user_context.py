@@ -6,18 +6,18 @@ requirements and priorities, both functional (data) and non-functional
 automatically and flexibly composed."
 
 A :class:`UserContext` therefore carries: the target schema (functional
-requirement), criteria weights (elicited directly or through AHP),
-hard floors per quality dimension, a cost budget, and an optional scope
-restricting relevance (e.g. "only the products in our catalog",
+requirement), criteria weights (given directly), hard floors per
+quality dimension, a cost budget, and an optional scope restricting
+relevance (e.g. "only the products in our catalog",
 Example 4).  Components never read user preferences from anywhere else.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
-from repro.context.ahp import AHPComparison
 from repro.errors import ContextError
 from repro.model.annotations import Dimension
 from repro.model.records import Record
@@ -27,6 +27,11 @@ __all__ = ["UserContext"]
 
 
 def _normalised(weights: Mapping[Dimension, float]) -> dict[Dimension, float]:
+    for dim, w in weights.items():
+        if not math.isfinite(w):
+            raise ContextError(
+                f"weight for {dim.value} must be finite, got {w}"
+            )
     total = sum(weights.values())
     if total <= 0:
         raise ContextError("criteria weights must sum to a positive value")
@@ -60,7 +65,6 @@ class UserContext:
     budget: float = float("inf")
     scope_attribute: str | None = None
     scope_predicate: Callable[[object], bool] | None = None
-    decision_method: str = "weighted"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _normalised(dict(self.weights)))
@@ -69,36 +73,13 @@ class UserContext:
                 raise ContextError(
                     f"floor for {dim.value} must be in [0,1], got {floor}"
                 )
-        if self.budget < 0:
-            raise ContextError("budget must be non-negative")
-        if self.decision_method not in ("weighted", "topsis"):
+        # NaN fails every comparison, so a NaN budget would never bind.
+        if not self.budget >= 0:
             raise ContextError(
-                f"unknown decision method {self.decision_method!r}"
+                f"budget must be non-negative, got {self.budget}"
             )
 
     # -- construction helpers -------------------------------------------
-
-    @classmethod
-    def from_ahp(
-        cls,
-        name: str,
-        target_schema: Schema,
-        comparison: AHPComparison,
-        require_consistency: bool = True,
-        **kwargs: object,
-    ) -> "UserContext":
-        """Build a context whose weights come from AHP pairwise judgments."""
-        if require_consistency and not comparison.is_consistent():
-            raise ContextError(
-                "AHP judgments are inconsistent "
-                f"(CR={comparison.consistency():.3f} > 0.1); "
-                "revise the pairwise comparisons"
-            )
-        weights = {
-            Dimension(criterion): weight
-            for criterion, weight in comparison.weights().items()
-        }
-        return cls(name, target_schema, weights=weights, **kwargs)  # type: ignore[arg-type]
 
     @classmethod
     def precision_first(

@@ -54,7 +54,6 @@ from repro.model.records import Table
 from repro.model.schema import Schema
 from repro.obs import Telemetry
 from repro.quality.constraints import Constraint
-from repro.quality.discovery import discover_fds
 from repro.quality.metrics import QualityAnalyser
 from repro.quality.repair import repair_table
 from repro.resilience import AccessGuard, DegradationLedger, RetryPolicy
@@ -153,13 +152,11 @@ class Wrangler:
         join_attribute: str | None = None,
         date_attribute: str | None = None,
         today: _dt.date | None = None,
-        discover_constraints: bool = False,
         telemetry: Telemetry | None = None,
     ) -> None:
         self.user = user
         self.data = data or DataContext()
         self.constraints = list(constraints)
-        self.discover_constraints = discover_constraints
         self.master_key = master_key
         self.join_attribute = join_attribute
         if date_attribute is None and "updated" in user.target_schema:
@@ -243,12 +240,6 @@ class Wrangler:
             self.degradation = DegradationLedger()
         self._guard = AccessGuard(policy, self.telemetry, self.degradation)
         self._flow = None  # acquisition re-runs under the new policy
-        return self
-
-    def add_sources(self, sources: Sequence[DataSource]) -> "Wrangler":
-        """Register several sources."""
-        for source in sources:
-            self.add_source(source)
         return self
 
     def checkpointing(self, store) -> "Wrangler":
@@ -675,23 +666,9 @@ class Wrangler:
 
     def _stage_repair(self, inputs: dict[str, Any]):
         fused, plan = inputs["fuse"], inputs["plan"]
-        constraints = list(self.constraints)
-        if plan.run_repair and self.discover_constraints:
-            # Hand-written constraints do not scale to many sources:
-            # mine near-exact dependencies from the fused data itself and
-            # repair their few violations (approximate FDs are exactly
-            # what dirty-but-mostly-regular data exhibits).
-            mined = discover_fds(fused, max_lhs=1, max_error=0.05)
-            for discovered in mined:
-                if not discovered.is_exact:
-                    constraints.append(discovered.fd)
-            self.working.put(
-                "report", "discovered-constraints",
-                [d.fd.name for d in mined],
-            )
-        if not plan.run_repair or not constraints:
+        if not plan.run_repair or not self.constraints:
             return None
-        return repair_table(fused, constraints)
+        return repair_table(fused, self.constraints)
 
     # -- dataflow assembly ----------------------------------------------------
 
@@ -715,7 +692,6 @@ class Wrangler:
             working=self.working,
             master_key=self.master_key,
             date_attribute=self.date_attribute,
-            discover_constraints=self.discover_constraints,
         )
         return plan, report
 
@@ -923,14 +899,6 @@ class Wrangler:
         (Section 4.2).
         """
         return {key: table for key, table in self.working.items("table")}
-
-    def query(self, cq) -> list[dict[str, object]]:
-        """Run a conjunctive query over the working-data relations.
-
-        Relations resolve by the names :meth:`relations` exposes; the
-        wrangled data is the relation ``"wrangled"``.
-        """
-        return cq.evaluate(self.relations())
 
     def changes_since_last_run(self):
         """Typed diff between the two most recent wrangled snapshots.

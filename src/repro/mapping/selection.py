@@ -6,14 +6,14 @@ for accessing sources, and quality requirements."  Candidate mappings are
 scored on the user's quality dimensions — accuracy, completeness,
 timeliness, cost, relevance — from what the working data currently
 believes (annotations, source reliability), filtered by the context's hard
-floors, and picked under the budget by weighted rank or TOPSIS.
+floors, and picked under the budget by weighted rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.context.decision import Alternative, pareto_front, rank, topsis
+from repro.context.decision import Alternative, rank
 from repro.context.user_context import UserContext
 from repro.mapping.mapping import Mapping
 from repro.model.annotations import AnnotationStore, Dimension
@@ -106,7 +106,7 @@ class MappingSelector:
     ) -> list[ScoredMapping]:
         """Choose the mappings to run for ``context``.
 
-        Floors filter, the context's decision method ranks, and the budget
+        Floors filter, the weighted rank orders, and the budget
         truncates (each mapping costs its source's access cost).  Mappings
         that do not populate the required target attributes are rejected
         outright — they cannot produce fit-for-purpose data.
@@ -124,10 +124,7 @@ class MappingSelector:
             Alternative(mapping.mapping_id, scores, payload=(mapping, scores))
             for mapping, scores in viable
         ]
-        if context.decision_method == "topsis":
-            ranked = topsis(alternatives, dict(context.weights))
-        else:
-            ranked = rank(alternatives, dict(context.weights))
+        ranked = rank(alternatives, dict(context.weights))
 
         selected: list[ScoredMapping] = []
         budget = context.budget
@@ -146,25 +143,3 @@ class MappingSelector:
                 break
         return selected
 
-    def pareto(self, candidates: list[Mapping]) -> list[ScoredMapping]:
-        """The non-dominated mapping set, for users who decline weights.
-
-        Section 2.1 allows that users may not commit to trade-offs up
-        front; the Pareto front presents exactly the alternatives where
-        choosing one thing costs another, with dominated candidates
-        removed.  Utilities are reported as 0 (no weighting happened).
-        """
-        viable = [
-            (mapping, self.score(mapping))
-            for mapping in candidates
-            if mapping.covers_required()
-        ]
-        alternatives = [
-            Alternative(mapping.mapping_id, scores, payload=(mapping, scores))
-            for mapping, scores in viable
-        ]
-        front = pareto_front(alternatives)
-        return [
-            ScoredMapping(alt.payload[0], alt.payload[1], 0.0)  # type: ignore[index]
-            for alt in front
-        ]

@@ -2,31 +2,23 @@
 
 from repro.matching.schema_matching import Correspondence, SchemaMatcher
 from repro.matching.similarity import (
-    dice,
     jaccard,
     jaro,
     jaro_winkler,
-    levenshtein,
-    levenshtein_similarity,
     monge_elkan,
     name_similarity,
     numeric_similarity,
-    tfidf_cosine,
     token_set,
 )
 
 __all__ = [
     "Correspondence",
     "SchemaMatcher",
-    "dice",
     "jaccard",
     "jaro",
     "jaro_winkler",
-    "levenshtein",
-    "levenshtein_similarity",
     "monge_elkan",
     "name_similarity",
     "numeric_similarity",
-    "tfidf_cosine",
     "token_set",
 ]

@@ -228,58 +228,3 @@ class SchemaMatcher:
             used_targets.add(candidate.target_attribute)
         return chosen
 
-    def match_tables(self, source: Table, target: Table) -> list[Correspondence]:
-        """Correspondences between two instance tables.
-
-        Adds a value-overlap channel on top of :meth:`match`'s scoring by
-        comparing actual column contents (token Jaccard of sampled values).
-        """
-        correspondences = []
-        for source_attribute in source.schema.names:
-            if source_attribute.startswith("_"):
-                continue
-            source_tokens = frozenset().union(
-                *(
-                    token_set(str(v.raw))
-                    for v in source.column(source_attribute)[:100]
-                    if not v.is_missing
-                )
-            ) if len(source) else frozenset()
-            instance = self._instance_sample(source, source_attribute)
-            for target_attr in target.schema:
-                base = self._score(source_attribute, target_attr, instance)
-                target_tokens = frozenset().union(
-                    *(
-                        token_set(str(v.raw))
-                        for v in target.column(target_attr.name)[:100]
-                        if not v.is_missing
-                    )
-                ) if len(target) else frozenset()
-                overlap = jaccard(source_tokens, target_tokens)
-                evidence = base.evidence + (
-                    Evidence("value-overlap", 0.1 + 0.85 * overlap, weight=0.8),
-                )
-                correspondences.append(
-                    Correspondence(
-                        source_attribute,
-                        target_attr.name,
-                        pool_evidence(list(evidence), prior=0.5),
-                        evidence,
-                    )
-                )
-        correspondences.sort(key=lambda c: -c.confidence)
-        chosen: list[Correspondence] = []
-        used_sources: set[str] = set()
-        used_targets: set[str] = set()
-        for candidate in correspondences:
-            if candidate.confidence < self.threshold:
-                break
-            if (
-                candidate.source_attribute in used_sources
-                or candidate.target_attribute in used_targets
-            ):
-                continue
-            chosen.append(candidate)
-            used_sources.add(candidate.source_attribute)
-            used_targets.add(candidate.target_attribute)
-        return chosen

@@ -9,20 +9,14 @@ bits between ``(a, b)`` and ``(b, a)``) — so they can be pooled as evidence
 
 from __future__ import annotations
 
-import math
 import re
-from collections import Counter
 from typing import Iterable, Sequence
 
 __all__ = [
-    "levenshtein",
-    "levenshtein_similarity",
     "jaro",
     "jaro_winkler",
     "jaccard",
-    "dice",
     "token_set",
-    "tfidf_cosine",
     "monge_elkan",
     "NameScores",
     "numeric_similarity",
@@ -55,31 +49,6 @@ def _cache_put(cache: dict, key: str, value) -> None:
     cache[key] = value
 
 
-#: Memoised document frequencies keyed by corpus identity.  A matching
-#: pass calls :func:`tfidf_cosine` once per candidate pair against the
-#: *same* corpus object, and recomputing the document-frequency Counter
-#: is O(corpus) per call — quadratic overall.  Each entry keeps a strong
-#: reference to the corpus itself so a recycled ``id()`` can never alias
-#: a dead corpus to a live one's table; the bound is small because a
-#: pass compares against a handful of corpora, not thousands.
-_IDF_CACHE_LIMIT = 8
-_idf_cache: dict[int, tuple[object, Counter]] = {}
-
-
-def _doc_frequencies(corpus: Sequence[Sequence[str]]) -> Counter:
-    """Document frequency of every token in ``corpus`` (memoised)."""
-    entry = _idf_cache.get(id(corpus))
-    if entry is not None and entry[0] is corpus:
-        return entry[1]
-    doc_freq: Counter[str] = Counter()
-    for doc in corpus:
-        doc_freq.update(set(doc))
-    if len(_idf_cache) >= _IDF_CACHE_LIMIT:
-        _idf_cache.pop(next(iter(_idf_cache)))
-    _idf_cache[id(corpus)] = (corpus, doc_freq)
-    return doc_freq
-
-
 def token_set(text: str) -> frozenset[str]:
     """Lower-cased alphanumeric tokens of ``text`` (memoised)."""
     cached = _token_set_cache.get(text)
@@ -99,40 +68,6 @@ def _name_tokens(text: str) -> tuple[str, ...]:
     tokens = _TOKEN_RE.findall(text.lower())
     kept = [t for t in tokens if t not in _STOPWORDS]
     return tuple(kept or tokens)
-
-
-def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance (insert / delete / substitute, unit costs)."""
-    if a == b:
-        return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    if len(a) < len(b):
-        a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            cost = 0 if char_a == char_b else 1
-            current.append(
-                min(
-                    previous[j] + 1,        # deletion
-                    current[j - 1] + 1,     # insertion
-                    previous[j - 1] + cost,  # substitution
-                )
-            )
-        previous = current
-    return previous[-1]
-
-
-def levenshtein_similarity(a: str, b: str) -> float:
-    """Edit distance normalised to a ``[0, 1]`` similarity."""
-    if not a and not b:
-        return 1.0
-    longest = max(len(a), len(b))
-    return 1.0 - levenshtein(a, b) / longest
 
 
 def jaro(a: str, b: str) -> float:
@@ -193,51 +128,6 @@ def jaccard(a: Iterable[str], b: Iterable[str]) -> float:
     if not union:
         return 1.0
     return len(set_a & set_b) / len(union)
-
-
-def dice(a: Iterable[str], b: Iterable[str]) -> float:
-    """Sørensen–Dice coefficient of two token collections."""
-    set_a, set_b = frozenset(a), frozenset(b)
-    if not set_a and not set_b:
-        return 1.0
-    if not set_a or not set_b:
-        return 0.0
-    return 2.0 * len(set_a & set_b) / (len(set_a) + len(set_b))
-
-
-def tfidf_cosine(
-    doc_a: Sequence[str], doc_b: Sequence[str], corpus: Sequence[Sequence[str]]
-) -> float:
-    """Cosine similarity of two token sequences under corpus IDF weights.
-
-    ``corpus`` is the collection of token sequences the IDF is computed
-    over (typically all values of the two columns being compared); rare
-    tokens dominate, so shared brand/model tokens count more than shared
-    stop words.  The IDF table is memoised per corpus *identity* — pass
-    the same corpus object for a whole matching pass (and a fresh object
-    after mutating it) to get one O(corpus) scan instead of one per pair.
-    """
-    if not doc_a and not doc_b:
-        return 1.0
-    if not doc_a or not doc_b:
-        return 0.0
-    n_docs = max(len(corpus), 1)
-    doc_freq = _doc_frequencies(corpus)
-
-    def vectorise(doc: Sequence[str]) -> dict[str, float]:
-        counts = Counter(doc)
-        return {
-            token: count * math.log((1 + n_docs) / (1 + doc_freq.get(token, 0)))
-            for token, count in counts.items()
-        }
-
-    vec_a, vec_b = vectorise(doc_a), vectorise(doc_b)
-    dot = sum(weight * vec_b.get(token, 0.0) for token, weight in vec_a.items())
-    norm_a = math.sqrt(sum(w * w for w in vec_a.values()))
-    norm_b = math.sqrt(sum(w * w for w in vec_b.values()))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 1.0 if vec_a == vec_b else 0.0
-    return max(0.0, min(1.0, dot / (norm_a * norm_b)))
 
 
 class NameScores:

@@ -20,10 +20,8 @@ from repro.model.schema import (
 from repro.model.uncertainty import (
     BetaReliability,
     Evidence,
-    bayes_update,
     clamp,
     log_odds_pool,
-    noisy_or,
     pool_evidence,
 )
 from repro.model.values import MISSING, Value
@@ -46,12 +44,10 @@ __all__ = [
     "Table",
     "Value",
     "WorkingData",
-    "bayes_update",
     "clamp",
     "coerce",
     "infer_column_type",
     "infer_type",
     "log_odds_pool",
-    "noisy_or",
     "pool_evidence",
 ]

@@ -6,9 +6,7 @@ are tentative, ontologies are approximate, and feedback itself may be wrong.
 This module provides the shared algebra every component uses:
 
 * confidences are probabilities in ``[0, 1]``;
-* independent supporting evidence combines by *noisy-or*;
 * weighted, possibly conflicting evidence combines by *log-odds pooling*;
-* Bayes updates fold a likelihood-ratio observation into a prior;
 * :class:`BetaReliability` tracks the reliability of a source, wrapper, or
   crowd worker as a Beta posterior over observed successes/failures.
 """
@@ -17,13 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
     "clamp",
-    "noisy_or",
     "log_odds_pool",
-    "bayes_update",
     "Evidence",
     "pool_evidence",
     "BetaReliability",
@@ -37,19 +33,6 @@ _EPSILON = 1e-6
 def clamp(p: float, low: float = 0.0, high: float = 1.0) -> float:
     """Clamp ``p`` into ``[low, high]``."""
     return max(low, min(high, p))
-
-
-def noisy_or(probabilities: Iterable[float]) -> float:
-    """Combine independent supporting evidence.
-
-    Each probability is the chance that one piece of evidence alone
-    establishes the fact; the result is the chance that at least one does.
-    An empty iterable yields 0.0 (no evidence, no belief).
-    """
-    survival = 1.0
-    for p in probabilities:
-        survival *= 1.0 - clamp(p)
-    return 1.0 - survival
 
 
 def _logit(p: float) -> float:
@@ -86,20 +69,6 @@ def log_odds_pool(
     return _sigmoid(total)
 
 
-def bayes_update(prior: float, likelihood_true: float, likelihood_false: float) -> float:
-    """Posterior of a fact after observing evidence with the given likelihoods.
-
-    ``likelihood_true`` is P(observation | fact holds) and
-    ``likelihood_false`` is P(observation | fact does not hold).
-    """
-    prior = clamp(prior, _EPSILON, 1.0 - _EPSILON)
-    numerator = likelihood_true * prior
-    denominator = numerator + likelihood_false * (1.0 - prior)
-    if denominator <= 0.0:
-        return prior
-    return numerator / denominator
-
-
 @dataclass(frozen=True)
 class Evidence:
     """One piece of evidence about a proposition.
@@ -123,28 +92,16 @@ class Evidence:
             raise ValueError(f"evidence weight must be >= 0, got {self.weight}")
 
 
-def pool_evidence(
-    evidence: Sequence[Evidence],
-    prior: float = 0.5,
-    method: str = "log-odds",
-) -> float:
-    """Combine a bag of :class:`Evidence` into a single confidence.
-
-    ``method`` is ``"log-odds"`` (default; handles conflict) or
-    ``"noisy-or"`` (supporting evidence only, ignores weights below 1 by
-    scaling confidences).
-    """
+def pool_evidence(evidence: Sequence[Evidence], prior: float = 0.5) -> float:
+    """Combine a bag of :class:`Evidence` into a single confidence by
+    log-odds pooling (which handles conflicting evidence)."""
     if not evidence:
         return prior
-    if method == "log-odds":
-        return log_odds_pool(
-            [e.confidence for e in evidence],
-            [e.weight for e in evidence],
-            prior=prior,
-        )
-    if method == "noisy-or":
-        return noisy_or(e.confidence * min(e.weight, 1.0) for e in evidence)
-    raise ValueError(f"unknown pooling method: {method!r}")
+    return log_odds_pool(
+        [e.confidence for e in evidence],
+        [e.weight for e in evidence],
+        prior=prior,
+    )
 
 
 @dataclass

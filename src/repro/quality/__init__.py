@@ -7,7 +7,6 @@ from repro.quality.constraints import (
     Violation,
     violations,
 )
-from repro.quality.discovery import DiscoveredFD, discover_fds
 from repro.quality.metrics import QualityAnalyser, QualityReport
 from repro.quality.profiling import ColumnProfile, TableProfile, profile_table
 from repro.quality.repair import CellRepair, RepairResult, repair_table
@@ -16,7 +15,6 @@ __all__ = [
     "CellRepair",
     "ColumnProfile",
     "ConditionalFD",
-    "DiscoveredFD",
     "Constraint",
     "FunctionalDependency",
     "QualityAnalyser",
@@ -24,7 +22,6 @@ __all__ = [
     "RepairResult",
     "TableProfile",
     "Violation",
-    "discover_fds",
     "profile_table",
     "repair_table",
     "violations",

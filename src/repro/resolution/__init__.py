@@ -1,4 +1,4 @@
-"""Entity resolution: blocking, comparison, learned match rules, clustering."""
+"""Entity resolution: blocking, comparison, match rules, clustering."""
 
 from repro.resolution.blocking import (
     as_pair_set,
@@ -6,7 +6,6 @@ from repro.resolution.blocking import (
     minhash_lsh,
     pair_array,
     recall_of,
-    sorted_neighbourhood,
     token_blocking,
 )
 from repro.resolution.comparison import (
@@ -24,19 +23,13 @@ from repro.resolution.er import (
     stable_cluster_id,
 )
 from repro.resolution.kernels import CompiledComparator, compile_comparator
-from repro.resolution.rules import (
-    LearnedRule,
-    MatchDecision,
-    ThresholdRule,
-    fit_threshold,
-)
+from repro.resolution.rules import MatchDecision, ThresholdRule, fit_threshold
 
 __all__ = [
     "CompiledComparator",
     "EntityCluster",
     "EntityResolver",
     "FieldComparator",
-    "LearnedRule",
     "MatchDecision",
     "RecordComparator",
     "ResolutionResult",
@@ -52,7 +45,6 @@ __all__ = [
     "minhash_lsh",
     "pair_array",
     "recall_of",
-    "sorted_neighbourhood",
     "stable_cluster_id",
     "token_blocking",
 ]

@@ -1,8 +1,8 @@
 """Blocking: cheap candidate-pair generation for entity resolution.
 
 Comparing all record pairs is quadratic; blocking keeps ER tractable at
-big-data Volume.  Three classic strategies are provided — token blocking,
-sorted neighbourhood, and MinHash-LSH — all returning **sorted candidate
+big-data Volume.  Two classic strategies are provided — token blocking
+and MinHash-LSH — both returning **sorted candidate
 index arrays** for the comparator: a ``(n, 2)`` ``numpy`` array with
 ``pairs[:, 0] < pairs[:, 1]``, rows unique and lexicographically sorted.
 The array form replaces the old ``set[tuple[int, int]]`` representation:
@@ -36,7 +36,6 @@ __all__ = [
     "minhash_lsh",
     "pair_array",
     "recall_of",
-    "sorted_neighbourhood",
     "token_blocking",
 ]
 
@@ -182,60 +181,6 @@ def token_blocking(
     _emit_dropped(metrics, dropped_blocks, dropped_members)
     return _pairs_of_blocks(kept, len(table))
 
-
-def sorted_neighbourhood(
-    table: Table, attribute: str, window: int = 5
-) -> np.ndarray:
-    """Candidate pairs within a sliding window over the sorted key attribute.
-
-    The candidate set is exactly the pairs at sorted-rank distance below
-    ``window``.  The generation loop only pairs each record with the
-    ``window - 1`` records *following* it, which looks like trailing
-    records get truncated windows — but pairing is symmetric: a trailing
-    record already met every earlier neighbour as that neighbour's
-    right-hand partner, so every record (first and last included) gets
-    ``min(window - 1, len(table) - 1)``-bounded partners on each side and
-    no rank-adjacent pair is ever dropped.  ``window >= len(table)``
-    therefore degenerates to :func:`full_pairs`.
-
-    Records missing the key are appended at the end in stable input
-    order (they still meet their window neighbours, so a missing key
-    does not exempt a record from ER).
-
-    Sort keys are computed **once per record** (decorate-sort-undecorate)
-    rather than inside the comparison callback: Python's sort invokes the
-    key function once per element either way, but the old lambda paid a
-    ``records[index]`` load, a cell lookup, *and* a raw extraction per
-    call on the hot path — precomputing keeps the sort touching plain
-    tuples only, with identical ordering (timsort is stable over the same
-    keys).
-
-    ``window < 2`` is refused: a window that cannot hold two records
-    generates no candidates at all, which is a configuration defect, not
-    a blocking strategy.
-    """
-    if window < 2:
-        raise ResolutionError(
-            f"sorted_neighbourhood window must be at least 2, got {window}: "
-            "a smaller window generates no candidate pairs"
-        )
-    keys = [
-        (
-            record.get(attribute).is_missing,
-            str(record.raw(attribute) or "").lower(),
-        )
-        for record in table.records
-    ]
-    keyed = np.asarray(
-        sorted(range(len(table)), key=keys.__getitem__), dtype=np.intp
-    )
-    if keyed.shape[0] < 2:
-        return _EMPTY_PAIRS
-    chunks = [
-        np.column_stack((keyed[:-offset], keyed[offset:]))
-        for offset in range(1, min(window, keyed.shape[0]))
-    ]
-    return pair_array(np.concatenate(chunks))
 
 
 #: Modulus for the affine MinHash permutations: arithmetic is done in

@@ -9,10 +9,8 @@ from typing import Callable, Sequence
 from repro.errors import ResolutionError
 from repro.matching.similarity import (
     NameScores,
-    dice,
     jaccard,
     jaro_winkler,
-    levenshtein_similarity,
     monge_elkan,
     numeric_similarity,
     token_set,
@@ -72,11 +70,7 @@ def geo_similarity(
 
 _MEASURES: dict[str, Callable[[object, object], float]] = {
     "jaro": lambda a, b: jaro_winkler(str(a).lower(), str(b).lower()),
-    "levenshtein": lambda a, b: levenshtein_similarity(
-        str(a).lower(), str(b).lower()
-    ),
     "jaccard": lambda a, b: jaccard(token_set(str(a)), token_set(str(b))),
-    "dice": lambda a, b: dice(token_set(str(a)), token_set(str(b))),
     "tokens": lambda a, b: monge_elkan(str(a), str(b)),
     "tokens_strict": lambda a, b: monge_elkan(str(a), str(b), combine="min"),
     "numeric": lambda a, b: (
@@ -104,9 +98,7 @@ def _is_number(value: object) -> bool:
 #: configuration defect, not evidence.
 MEASURE_DOMAINS: dict[str, frozenset[DataType] | None] = {
     "jaro": None,
-    "levenshtein": None,
     "jaccard": None,
-    "dice": None,
     "tokens": None,
     "tokens_strict": None,
     "exact": None,
@@ -157,7 +149,7 @@ class RecordComparator:
 
     ``similarity`` is the weighted mean over comparable fields; pairs with
     no comparable field score 0 (nothing supports a match).  ``vector``
-    exposes the raw per-field similarities for the learned match rules.
+    exposes the raw per-field similarities a match rule is handed.
     """
 
     fields: tuple[FieldComparator, ...]
@@ -179,8 +171,8 @@ class RecordComparator:
     ) -> float:
         """The weighted mean the already-computed ``vector`` pools to.
 
-        The resolver needs both the vector (for learned rules) and the
-        pooled similarity (for threshold rules) per candidate pair;
+        The resolver needs both the vector (handed to the match rule) and
+        the pooled similarity (which the threshold rule reads) per pair;
         computing them independently ran every ``field.compare`` twice on
         the quadratic hot path.  Same arithmetic, same accumulation
         order as :meth:`similarity` — bit-identical results.

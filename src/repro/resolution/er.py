@@ -330,7 +330,7 @@ def _score_pair(
     threshold is always fitted on the scale the resolver decides on —
     and off the one context, so a value pair or token pair either of
     them has scored is not scored again.  The similarity is derived from
-    the vector the learned rules need anyway (``similarity_from_vector``),
+    the vector a match rule is handed anyway (``similarity_from_vector``),
     so each field is compared exactly once per pair.
     """
     vector = scores.vector(left, right)

@@ -20,7 +20,7 @@ are present; missing fields are masked out of the pool exactly as
 ========================  ====================================================
 measure                   upper bound
 ========================  ====================================================
-``jaccard`` / ``dice``    exact, via vocabulary-interned token rows built
+``jaccard``               exact, via vocabulary-interned token rows built
                           once per table as sorted ``row * V + token`` keys —
                           one ``searchsorted`` counts intersections for the
                           whole pair batch
@@ -34,8 +34,6 @@ measure                   upper bound
                           ``>= 0``: ``jaro <= (min/|a| + min/|b| + 1)/3``;
                           Winkler boost bounded by the max prefix (4):
                           ``jw <= 0.6*jaro_ub + 0.4``
-``levenshtein``           distance ``>= |len(a)-len(b)|``, so similarity
-                          ``<= 1 - |len(a)-len(b)|/max(len)``
 ``tokens`` (Monge–Elkan)  digit-bearing tokens score 1.0 iff exactly equal
 ``tokens_strict``         (the measure's code rule), so the directed bound
                           is ``(matched digit tokens + non-digit tokens if
@@ -48,7 +46,7 @@ measure                   upper bound
 ========================  ====================================================
 
 Compilation is conservative: anything but a plain ``ThresholdRule`` over a
-plain ``RecordComparator`` of plain ``FieldComparator`` fields (a learned
+plain ``RecordComparator`` of plain ``FieldComparator`` fields (another
 rule, a subclass overriding ``decide``/``compare``, a measure this table
 of bounds does not know) makes :func:`compile_comparator` return ``None``
 and the resolver runs the scalar loop for every pair, exactly as before.
@@ -144,26 +142,20 @@ class _TokenRows:
 
 
 class _TokenSetKernel:
-    """Exact Jaccard / Dice over binary token rows."""
+    """Exact Jaccard over binary token rows."""
 
-    def __init__(self, rows: _TokenRows, mode: str) -> None:
+    def __init__(self, rows: _TokenRows) -> None:
         self.rows = rows
-        self.mode = mode
 
     def upper(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         intersection = self.rows.held(lefts, rights)
         count_l = self.rows.lengths[lefts]
         count_r = self.rows.lengths[rights]
-        if self.mode == "dice":
-            denominator = count_l + count_r
-            scores = 2.0 * intersection
-        else:
-            denominator = count_l + count_r - intersection
-            scores = intersection
+        denominator = count_l + count_r - intersection
         with np.errstate(invalid="ignore", divide="ignore"):
-            ratio = scores / denominator
+            ratio = intersection / denominator
         # Empty denominator means both token sets are empty: the scalar
-        # measures define that as 1.0 (no evidence of difference).
+        # measure defines that as 1.0 (no evidence of difference).
         return np.where(denominator == 0.0, 1.0, ratio)
 
 
@@ -215,21 +207,16 @@ class _NameTokenKernel:
 
 
 class _EditKernel:
-    """Length-derived bounds for Jaro–Winkler and Levenshtein."""
+    """Length-derived bound for Jaro–Winkler."""
 
-    def __init__(self, lengths: np.ndarray, winkler: bool) -> None:
+    def __init__(self, lengths: np.ndarray) -> None:
         self.lengths = lengths
-        self.winkler = winkler
 
     def upper(self, lefts: np.ndarray, rights: np.ndarray) -> np.ndarray:
         length_l = self.lengths[lefts]
         length_r = self.lengths[rights]
         longest = np.maximum(length_l, length_r)
         shortest = np.minimum(length_l, length_r)
-        safe_longest = np.maximum(longest, 1.0)
-        if not self.winkler:
-            bound = 1.0 - (longest - shortest) / safe_longest
-            return np.where(longest == 0.0, 1.0, bound)
         jaro_bound = (
             shortest / np.maximum(length_l, 1.0)
             + shortest / np.maximum(length_r, 1.0)
@@ -378,12 +365,12 @@ def _compile_field(field: FieldComparator, table: Table, names: NameScores):
     raws, missing = _column(table, field.attribute)
     measure = field.measure
 
-    if measure in ("jaccard", "dice"):
+    if measure == "jaccard":
         sets = [
             token_set(str(raw)) if raw is not None else frozenset()
             for raw in raws
         ]
-        return _TokenSetKernel(_TokenRows(sets), measure), missing
+        return _TokenSetKernel(_TokenRows(sets)), missing
 
     if measure in ("tokens", "tokens_strict"):
         token_lists = [
@@ -408,7 +395,7 @@ def _compile_field(field: FieldComparator, table: Table, names: NameScores):
             strict=measure == "tokens_strict",
         ), missing
 
-    if measure in ("jaro", "levenshtein"):
+    if measure == "jaro":
         lengths = np.asarray(
             [
                 len(str(raw).lower()) if raw is not None else 0
@@ -416,7 +403,7 @@ def _compile_field(field: FieldComparator, table: Table, names: NameScores):
             ],
             dtype=np.float64,
         )
-        return _EditKernel(lengths, winkler=measure == "jaro"), missing
+        return _EditKernel(lengths), missing
 
     if measure == "numeric":
         values = np.full(len(raws), np.nan, dtype=np.float64)

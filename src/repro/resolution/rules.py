@@ -1,11 +1,11 @@
-"""Match rules: from a fixed threshold to feedback-trained classifiers.
+"""Match rules: a threshold, refitted from feedback.
 
 Example 5 asks for crowdsourcing "to identify duplicates, and thereby to
 refine the automatically generated rules that determine when two records
 represent the same real-world object" (Corleone-style, [20]).  The
-:class:`ThresholdRule` is the bootstrap; :class:`LearnedRule` is a tiny
-logistic regression over the per-field similarity vector, retrained from
-labelled pairs whenever new duplicate/non-duplicate feedback arrives.
+:class:`ThresholdRule` is the bootstrap; :func:`refit_threshold` moves
+its threshold from labelled pairs whenever new duplicate/non-duplicate
+feedback arrives.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from repro.errors import ResolutionError
 
 __all__ = [
     "MatchDecision",
     "ThresholdRule",
-    "LearnedRule",
     "fit_threshold",
     "refit_threshold",
 ]
@@ -113,67 +110,3 @@ def refit_threshold(
     ceiling = max(0.5, min(similarities) - 0.01)
     return ThresholdRule(min(prior, ceiling))
 
-
-class LearnedRule:
-    """Logistic regression over the per-field similarity vector.
-
-    Missing similarities are imputed with 0.5 plus a per-field missingness
-    indicator, so "both records lack the phone number" is information the
-    model can use rather than a hole.
-    """
-
-    def __init__(self, n_fields: int, learning_rate: float = 0.5, epochs: int = 300) -> None:
-        if n_fields <= 0:
-            raise ResolutionError("n_fields must be positive")
-        self.n_fields = n_fields
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        # weights over [similarities..., missing-indicators..., bias]
-        self.weights = np.zeros(2 * n_fields + 1)
-        self.trained = False
-
-    def _features(self, vector: Sequence[float | None]) -> np.ndarray:
-        if len(vector) != self.n_fields:
-            raise ResolutionError(
-                f"expected {self.n_fields} field similarities, got {len(vector)}"
-            )
-        sims = np.array(
-            [0.5 if value is None else float(value) for value in vector]
-        )
-        missing = np.array([1.0 if value is None else 0.0 for value in vector])
-        return np.concatenate([sims, missing, [1.0]])
-
-    def fit(
-        self,
-        vectors: Sequence[Sequence[float | None]],
-        labels: Sequence[bool],
-    ) -> "LearnedRule":
-        """Train on labelled pairs (full-batch gradient descent)."""
-        if len(vectors) != len(labels):
-            raise ResolutionError("vectors and labels must align")
-        if not vectors:
-            return self
-        features = np.stack([self._features(v) for v in vectors])
-        targets = np.array([1.0 if label else 0.0 for label in labels])
-        weights = np.zeros(features.shape[1])
-        n = len(targets)
-        for __ in range(self.epochs):
-            logits = features @ weights
-            predictions = 1.0 / (1.0 + np.exp(-logits))
-            gradient = features.T @ (predictions - targets) / n
-            weights -= self.learning_rate * gradient
-        self.weights = weights
-        self.trained = True
-        return self
-
-    def probability(self, vector: Sequence[float | None]) -> float:
-        """P(match) for one candidate pair."""
-        logit = float(self._features(vector) @ self.weights)
-        return 1.0 / (1.0 + np.exp(-logit))
-
-    def decide(self, similarity: float, vector: Sequence[float | None]) -> MatchDecision:
-        """Verdict; falls back to a 0.8 threshold until trained."""
-        if not self.trained:
-            return ThresholdRule().decide(similarity, vector)
-        probability = self.probability(vector)
-        return MatchDecision(probability >= 0.5, max(probability, 1 - probability))

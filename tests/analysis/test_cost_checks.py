@@ -1,5 +1,5 @@
 """The cost checks through the gate that runs them: the pooled row bound
-and the spend they read off the registered sources, the CC blow-up rules
+and the spend they read off the registered sources, the CC blow-up rule
 on composed worlds at a scale that fires them, and the note on a plan no
 budget bounds."""
 
@@ -14,7 +14,6 @@ from repro.analysis.cost.rules import (
 from repro.analysis.diagnostics import Severity
 from repro.datagen import TARGET_SCHEMA, generate_world
 from repro.model.annotations import Dimension
-from repro.model.schema import Attribute, DataType, Schema
 from repro.sources.base import PROBE_COST_FRACTION
 from repro.sources.registry import SourceRegistry
 
@@ -112,33 +111,6 @@ class TestBlowUpRules:
             registry=registry_of(*sources),
         )
         assert not fired(report, "CC004")
-
-    def test_cc008_constraint_discovery_dominating_repair(self):
-        # A wide table: 1,700 rows x 25 attributes is ~1.06M candidate
-        # dependencies for constraint discovery to mine.
-        schema = Schema(
-            (Attribute("sensor", DataType.STRING, required=True),)
-            + tuple(
-                Attribute(f"reading_{k:02d}", DataType.INTEGER)
-                for k in range(1, 25)
-            )
-        )
-        rows = [
-            {"sensor": f"sensor {i}",
-             **{f"reading_{k:02d}": (i * k) % 97 for k in range(1, 25)}}
-            for i in range(1_700)
-        ]
-
-        def rule_ids(discover):
-            wrangler = Wrangler(
-                UserContext("u", schema), DataContext(),
-                discover_constraints=discover,
-            )
-            wrangler.add_source(MemorySource("sensors", rows))
-            return wrangler.preflight().rule_ids()
-
-        assert "CC008" in rule_ids(True)
-        assert "CC008" not in rule_ids(False)
 
 
 class TestBudgetAdmission:

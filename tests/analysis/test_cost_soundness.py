@@ -89,7 +89,7 @@ class TestEstimatesBoundReality:
 
     def test_fused_rows_bound_the_output_table(self, executed):
         _, plan, facts, result, _ = executed
-        # The rows CC008 reads: fusion shrinks toward distinct entities,
+        # The rows CC004 pools: fusion shrinks toward distinct entities,
         # so the pooled rows bound the fused cardinality from above.
         assert planned_rows(plan, facts) >= len(result.table)
 

@@ -25,13 +25,13 @@ ANALYSIS_MD = Path(__file__).resolve().parents[2] / "docs" / "ANALYSIS.md"
 
 GATE_PARAMETERS = [
     "plan", "user", "data", "registry", "working",
-    "master_key", "date_attribute", "discover_constraints",
+    "master_key", "date_attribute",
 ]
 
 RETIRED = {
     "PV001", "PV002", "PV003", "PV004", "PV005",
     "TC002", "TC003", "TC004", "TC005", "TC006", "TC010",
-    "CC001", "CC002", "CC003", "CC005", "CC007", "CC009", "CC010",
+    "CC001", "CC002", "CC003", "CC005", "CC007", "CC008", "CC009", "CC010",
 }
 
 

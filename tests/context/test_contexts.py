@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.context.ahp import AHPComparison
 from repro.context.data_context import DataContext
 from repro.context.ontology import Ontology
 from repro.context.user_context import UserContext
@@ -34,9 +33,21 @@ class TestUserContext:
         with pytest.raises(ContextError):
             UserContext("u", SCHEMA, budget=-1)
 
-    def test_unknown_decision_method_rejected(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"budget": float("nan")},
+            {"weights": {Dimension.ACCURACY: float("nan"), Dimension.COST: 1.0}},
+            {"weights": {Dimension.ACCURACY: float("inf"), Dimension.COST: 1.0}},
+            {"weights": {Dimension.ACCURACY: 1.0, Dimension.COST: float("-inf")}},
+        ],
+        ids=["nan-budget", "nan-weight", "inf-weight", "minus-inf-weight"],
+    )
+    def test_non_finite_input_rejected(self, kwargs):
+        """A NaN budget never binds (every ``cost > budget`` is false), and
+        a non-finite weight normalises every weight to NaN."""
         with pytest.raises(ContextError):
-            UserContext("u", SCHEMA, decision_method="coin-flip")
+            UserContext("u", SCHEMA, **kwargs)
 
     def test_meets_floors(self):
         ctx = UserContext("u", SCHEMA, floors={Dimension.ACCURACY: 0.7})
@@ -53,26 +64,6 @@ class TestUserContext:
         assert completeness.weight(Dimension.COMPLETENESS) > precision.weight(
             Dimension.COMPLETENESS
         )
-
-    def test_from_ahp(self):
-        comparison = (
-            AHPComparison(["accuracy", "completeness", "cost"])
-            .prefer("accuracy", "completeness", 3)
-            .prefer("accuracy", "cost", 5)
-            .prefer("completeness", "cost", 2)
-        )
-        ctx = UserContext.from_ahp("u", SCHEMA, comparison)
-        assert ctx.weight(Dimension.ACCURACY) > ctx.weight(Dimension.COMPLETENESS)
-
-    def test_from_ahp_rejects_inconsistent(self):
-        comparison = (
-            AHPComparison(["accuracy", "completeness", "cost"])
-            .prefer("accuracy", "completeness", 9)
-            .prefer("completeness", "cost", 9)
-            .prefer("cost", "accuracy", 9)
-        )
-        with pytest.raises(ContextError):
-            UserContext.from_ahp("u", SCHEMA, comparison)
 
     def test_scope(self):
         ctx = UserContext(

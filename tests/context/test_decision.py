@@ -4,13 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.context.decision import (
-    Alternative,
-    pareto_front,
-    rank,
-    topsis,
-    weighted_score,
-)
+from repro.context.decision import Alternative, rank, weighted_score
 from repro.errors import ContextError
 from repro.model.annotations import Dimension
 
@@ -54,72 +48,3 @@ class TestWeightedScore:
         score = weighted_score(alt("x", a, c), {ACC: wa, COMP: wc})
         assert 0.0 <= score <= 1.0
 
-
-class TestTopsis:
-    def test_clear_winner(self):
-        best = alt("best", 0.9, 0.9)
-        worst = alt("worst", 0.1, 0.1)
-        ranked = topsis([best, worst], {ACC: 0.5, COMP: 0.5})
-        assert ranked[0][0].key == "best"
-        assert ranked[0][1] > ranked[1][1]
-
-    def test_empty_input(self):
-        assert topsis([], {ACC: 1.0}) == []
-
-    def test_penalises_extreme_weakness(self):
-        balanced = alt("balanced", 0.7, 0.7)
-        spiky = alt("spiky", 1.0, 0.05)
-        ranked = topsis([balanced, spiky], {ACC: 0.5, COMP: 0.5})
-        assert ranked[0][0].key == "balanced"
-
-    def test_requires_weights(self):
-        with pytest.raises(ContextError):
-            topsis([alt("a", 1, 1)], {})
-
-
-class TestParetoFront:
-    def test_dominated_removed(self):
-        a = alt("a", 0.9, 0.9)
-        b = alt("b", 0.5, 0.5)
-        assert pareto_front([a, b]) == [a]
-
-    def test_tradeoffs_survive(self):
-        a = alt("a", 0.9, 0.2)
-        b = alt("b", 0.2, 0.9)
-        front = pareto_front([a, b])
-        assert set(x.key for x in front) == {"a", "b"}
-
-    def test_duplicates_both_kept(self):
-        a = alt("a", 0.5, 0.5)
-        b = alt("b", 0.5, 0.5)
-        assert len(pareto_front([a, b])) == 2
-
-    def test_empty(self):
-        assert pareto_front([]) == []
-
-    @given(
-        st.lists(
-            st.tuples(st.floats(0, 1), st.floats(0, 1)),
-            min_size=1,
-            max_size=12,
-        )
-    )
-    def test_property_front_nonempty_and_mutually_nondominated(self, points):
-        alts = [alt(str(i), p[0], p[1]) for i, p in enumerate(points)]
-        front = pareto_front(alts)
-        assert front
-        for a in front:
-            for b in front:
-                if a is b:
-                    continue
-                better_everywhere = (
-                    a.score_for(ACC) >= b.score_for(ACC)
-                    and a.score_for(COMP) >= b.score_for(COMP)
-                    and a.score_for(COST) >= b.score_for(COST)
-                    and (
-                        a.score_for(ACC) > b.score_for(ACC)
-                        or a.score_for(COMP) > b.score_for(COMP)
-                        or a.score_for(COST) > b.score_for(COST)
-                    )
-                )
-                assert not better_everywhere

@@ -1,4 +1,4 @@
-"""Tests for the Pareto mapping front and Velocity refresh extensions."""
+"""Tests for the Velocity refresh extension."""
 
 import datetime
 
@@ -7,67 +7,11 @@ import pytest
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
 from repro.core.wrangler import Wrangler
-from repro.datagen.ontologies import product_ontology
-from repro.datagen.products import TARGET_SCHEMA, SourceSpec, generate_world
+from repro.datagen.products import TARGET_SCHEMA
 from repro.errors import PlanningError
-from repro.mapping.mapping import Mapping
-from repro.mapping.selection import MappingSelector
-from repro.matching.schema_matching import SchemaMatcher
-from repro.model.annotations import AnnotationStore, Dimension, QualityAnnotation
-from repro.model.records import Table
 from repro.sources.memory import MemorySource, VolatileSource
-from repro.sources.registry import SourceRegistry
 
 TODAY = datetime.date(2016, 3, 15)
-
-
-class TestParetoMappings:
-    @pytest.fixture
-    def setup(self):
-        world = generate_world(
-            n_products=20,
-            seed=808,
-            specs=[
-                SourceSpec("accurate", coverage=0.5, error_rate=0.0,
-                           staleness=0.0, missing_rate=0.0, cost=5.0),
-                SourceSpec("complete", coverage=1.0, error_rate=0.3,
-                           staleness=0.3, missing_rate=0.0, cost=1.0),
-                SourceSpec("dominated", coverage=0.4, error_rate=0.4,
-                           staleness=0.4, missing_rate=0.3, cost=5.0),
-            ],
-        )
-        registry = SourceRegistry()
-        annotations = AnnotationStore()
-        context = DataContext("p").with_ontology(product_ontology())
-        mappings = []
-        for name, rows in world.source_rows.items():
-            spec = world.specs[name]
-            registry.register(
-                MemorySource(name, rows, cost_per_access=spec.cost)
-            )
-            table = Table.from_rows(name, rows)
-            matches = SchemaMatcher(context).match(table, TARGET_SCHEMA)
-            mappings.append(
-                Mapping.from_correspondences(name, TARGET_SCHEMA, matches)
-            )
-        # annotate what quality analysis would have found
-        annotations.add(QualityAnnotation("source:accurate", Dimension.ACCURACY, 0.95))
-        annotations.add(QualityAnnotation("source:accurate", Dimension.COMPLETENESS, 0.5))
-        annotations.add(QualityAnnotation("source:complete", Dimension.ACCURACY, 0.5))
-        annotations.add(QualityAnnotation("source:complete", Dimension.COMPLETENESS, 0.95))
-        annotations.add(QualityAnnotation("source:dominated", Dimension.ACCURACY, 0.3))
-        annotations.add(QualityAnnotation("source:dominated", Dimension.COMPLETENESS, 0.3))
-        return registry, annotations, mappings
-
-    def test_front_keeps_tradeoffs_drops_dominated(self, setup):
-        registry, annotations, mappings = setup
-        selector = MappingSelector(registry, annotations)
-        front = {
-            s.mapping.source_name for s in selector.pareto(mappings)
-        }
-        assert "accurate" in front
-        assert "complete" in front
-        assert "dominated" not in front
 
 
 class TestVelocityRefresh:

@@ -1,17 +1,11 @@
-"""Cross-feature integration tests: AHP contexts, dataspace queries,
-jobs-world wrangling, and the public API surface."""
+"""Cross-feature integration tests: dataspace queries, jobs-world
+wrangling, and the public API surface."""
 
 import datetime
 
 import pytest
 
-from repro import (
-    AHPComparison,
-    DataContext,
-    MemorySource,
-    UserContext,
-    Wrangler,
-)
+from repro import DataContext, MemorySource, UserContext, Wrangler
 from repro.datagen import (
     JOB_SCHEMA,
     TARGET_SCHEMA,
@@ -25,30 +19,6 @@ from repro.model.annotations import Dimension
 from repro.scale.queries import Atom, ConjunctiveQuery, Variable
 
 TODAY = datetime.date(2016, 3, 15)
-
-
-class TestAHPDrivenWrangling:
-    def test_ahp_context_runs_end_to_end(self):
-        comparison = (
-            AHPComparison(["accuracy", "completeness", "timeliness", "cost"])
-            .prefer("accuracy", "completeness", 3)
-            .prefer("accuracy", "timeliness", 3)
-            .prefer("accuracy", "cost", 5)
-            .prefer("completeness", "cost", 2)
-            .prefer("timeliness", "cost", 2)
-        )
-        user = UserContext.from_ahp("ahp-user", TARGET_SCHEMA, comparison)
-        assert user.weight(Dimension.ACCURACY) > user.weight(Dimension.COST)
-
-        world = generate_world(n_products=20, n_sources=3, seed=555)
-        data = DataContext("p").with_ontology(product_ontology())
-        wrangler = Wrangler(user, data, today=TODAY)
-        for name, rows in world.source_rows.items():
-            wrangler.add_source(MemorySource(name, rows))
-        result = wrangler.run()
-        assert len(result.table) > 0
-        # accuracy-heavy AHP weights push the ER threshold up
-        assert result.plan.er_threshold > 0.8
 
 
 class TestDataspaceQueries:
@@ -76,7 +46,7 @@ class TestDataspaceQueries:
             (Atom("wrangled", {"product": Variable("p"),
                                "brand": Variable("b")}),),
         )
-        rows = wrangler.query(query)
+        rows = query.evaluate(wrangler.relations())
         assert rows
         assert all("p" in row and "b" in row for row in rows)
 
@@ -92,7 +62,7 @@ class TestDataspaceQueries:
                 Atom(raw_name, {"brand": Variable("b")}),
             ),
         )
-        rows = wrangler.query(query)
+        rows = query.evaluate(wrangler.relations())
         assert rows  # overlap must exist: wrangled derives from that source
 
 

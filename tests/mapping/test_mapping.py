@@ -208,12 +208,6 @@ class TestMappingSelection:
         ctx = UserContext("u", TARGET_SCHEMA)
         assert len(selector.select(mappings, ctx, limit=1)) == 1
 
-    def test_topsis_method_runs(self, setup):
-        registry, annotations, mappings = setup
-        selector = MappingSelector(registry, annotations)
-        ctx = UserContext("u", TARGET_SCHEMA, decision_method="topsis")
-        assert selector.select(mappings, ctx)
-
     def test_mapping_missing_required_rejected(self, setup):
         registry, annotations, __ = setup
         partial = Mapping("clean", TARGET_SCHEMA, (AttributeMap("brand", "b"),))

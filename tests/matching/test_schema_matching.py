@@ -157,19 +157,3 @@ class TestAssignment:
             }
             missing = expected - got
             assert not missing, f"variant {variant} missed {missing}"
-
-
-class TestMatchTables:
-    def test_value_overlap_channel(self, context):
-        left = Table.from_rows(
-            "l", [{"nm": "Acme TV 100"}, {"nm": "Globex Radio 7"}]
-        )
-        right = Table.from_rows(
-            "r", [{"label": "Acme TV 100"}, {"label": "Globex Radio 7"}]
-        )
-        matcher = SchemaMatcher(context, channels=("name",), threshold=0.3)
-        matches = matcher.match_tables(left, right)
-        assert matches
-        top = matches[0]
-        assert (top.source_attribute, top.target_attribute) == ("nm", "label")
-        assert "value-overlap" in top.evidence_kinds()

@@ -5,38 +5,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.matching.similarity import (
-    dice,
     jaccard,
     jaro,
     jaro_winkler,
-    levenshtein,
-    levenshtein_similarity,
     name_similarity,
     numeric_similarity,
-    tfidf_cosine,
     token_set,
 )
 
 words = st.text(alphabet="abcdefgh ", max_size=12)
-
-
-class TestLevenshtein:
-    def test_known_distances(self):
-        assert levenshtein("kitten", "sitting") == 3
-        assert levenshtein("", "abc") == 3
-        assert levenshtein("abc", "abc") == 0
-
-    def test_similarity_bounds(self):
-        assert levenshtein_similarity("", "") == 1.0
-        assert levenshtein_similarity("a", "b") == 0.0
-
-    @given(words, words)
-    def test_property_symmetry(self, a, b):
-        assert levenshtein(a, b) == levenshtein(b, a)
-
-    @given(words, words, words)
-    def test_property_triangle_inequality(self, a, b, c):
-        assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
 
 
 class TestJaro:
@@ -66,53 +43,6 @@ class TestTokenMeasures:
     def test_jaccard(self):
         assert jaccard({"a", "b"}, {"b", "c"}) == pytest.approx(1 / 3)
         assert jaccard(set(), set()) == 1.0
-
-    def test_dice(self):
-        assert dice({"a", "b"}, {"b", "c"}) == pytest.approx(0.5)
-        assert dice({"a"}, set()) == 0.0
-
-    @given(st.sets(st.text(alphabet="abc", min_size=1, max_size=2)),
-           st.sets(st.text(alphabet="abc", min_size=1, max_size=2)))
-    def test_property_jaccard_le_dice(self, a, b):
-        assert jaccard(a, b) <= dice(a, b) + 1e-12
-
-
-class TestTfidfCosine:
-    def test_identical_docs(self):
-        corpus = [["tv", "acme"], ["radio", "globex"]]
-        assert tfidf_cosine(["tv", "acme"], ["tv", "acme"], corpus) == pytest.approx(1.0)
-
-    def test_rare_tokens_dominate(self):
-        corpus = [["the", "acme", "tv"], ["the", "globex", "radio"],
-                  ["the", "initech", "laptop"]]
-        shared_rare = tfidf_cosine(["the", "acme"], ["acme"], corpus)
-        shared_common = tfidf_cosine(["the", "acme"], ["the", "globex"], corpus)
-        assert shared_rare > shared_common
-
-    def test_empty(self):
-        assert tfidf_cosine([], [], []) == 1.0
-        assert tfidf_cosine(["a"], [], [["a"]]) == 0.0
-
-    def test_document_frequencies_memoised_per_corpus_identity(self):
-        from repro.matching.similarity import _doc_frequencies
-
-        corpus = [["tv", "acme"], ["radio", "acme"]]
-        first = _doc_frequencies(corpus)
-        assert _doc_frequencies(corpus) is first
-        # An equal but distinct corpus object gets its own entry — the
-        # memo keys on identity, never content.
-        clone = [list(doc) for doc in corpus]
-        assert _doc_frequencies(clone) is not first
-        assert _doc_frequencies(clone) == first
-
-    def test_memoised_scores_match_fresh_corpus_scores(self):
-        corpus = [["the", "acme", "tv"], ["the", "globex", "radio"]]
-        warm = tfidf_cosine(["the", "acme"], ["acme"], corpus)
-        again = tfidf_cosine(["the", "acme"], ["acme"], corpus)
-        cold = tfidf_cosine(
-            ["the", "acme"], ["acme"], [list(doc) for doc in corpus]
-        )
-        assert warm == again == cold
 
 
 class TestNumericSimilarity:

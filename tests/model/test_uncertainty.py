@@ -1,7 +1,5 @@
 """Tests (incl. property-based) for the uncertainty algebra."""
 
-import math
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,33 +7,12 @@ from hypothesis import strategies as st
 from repro.model.uncertainty import (
     BetaReliability,
     Evidence,
-    bayes_update,
     clamp,
     log_odds_pool,
-    noisy_or,
     pool_evidence,
 )
 
 probs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-
-
-class TestNoisyOr:
-    def test_empty_is_zero(self):
-        assert noisy_or([]) == 0.0
-
-    def test_single(self):
-        assert noisy_or([0.3]) == pytest.approx(0.3)
-
-    def test_two_independent(self):
-        assert noisy_or([0.5, 0.5]) == pytest.approx(0.75)
-
-    @given(st.lists(probs, max_size=8))
-    def test_bounds(self, ps):
-        assert 0.0 <= noisy_or(ps) <= 1.0
-
-    @given(st.lists(probs, min_size=1, max_size=8), probs)
-    def test_monotone_in_added_evidence(self, ps, extra):
-        assert noisy_or(ps + [extra]) >= noisy_or(ps) - 1e-12
 
 
 class TestLogOddsPool:
@@ -67,21 +44,6 @@ class TestLogOddsPool:
         assert result < 1.0
 
 
-class TestBayesUpdate:
-    def test_uninformative_likelihoods_keep_prior(self):
-        assert bayes_update(0.4, 0.5, 0.5) == pytest.approx(0.4)
-
-    def test_supporting_observation(self):
-        assert bayes_update(0.5, 0.9, 0.1) == pytest.approx(0.9)
-
-    def test_refuting_observation(self):
-        assert bayes_update(0.5, 0.1, 0.9) == pytest.approx(0.1)
-
-    @given(probs, probs, probs)
-    def test_bounds(self, prior, lt, lf):
-        assert 0.0 <= bayes_update(prior, lt, lf) <= 1.0
-
-
 class TestEvidence:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -97,16 +59,6 @@ class TestEvidence:
             [Evidence("name", 0.8), Evidence("ontology", 0.7)]
         )
         assert pooled > 0.8
-
-    def test_pool_noisy_or(self):
-        pooled = pool_evidence(
-            [Evidence("a", 0.5), Evidence("b", 0.5)], method="noisy-or"
-        )
-        assert pooled == pytest.approx(0.75)
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            pool_evidence([Evidence("a", 0.5)], method="mystery")
 
 
 class TestBetaReliability:

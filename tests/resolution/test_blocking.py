@@ -1,11 +1,10 @@
 """Blocking-layer tests: pair arrays, MinHash-LSH, and the metrics hooks.
 
 The candidate-pair representation changed from ``set[tuple[int, int]]``
-to sorted index arrays; these tests pin the normalisation contract, the
-sorted-neighbourhood rewrite against a reference implementation of the
-old per-comparison-key sort, token blocking against the old per-block
-pair loop, MinHash-LSH's determinism and validation, and the
-``blocking.dropped_*`` accounting for recall silently traded away.
+to sorted index arrays; these tests pin the normalisation contract,
+token blocking against the old per-block pair loop, MinHash-LSH's
+determinism and validation, and the ``blocking.dropped_*`` accounting
+for recall silently traded away.
 """
 
 import random
@@ -27,7 +26,6 @@ from repro.resolution.blocking import (
     minhash_lsh,
     pair_array,
     recall_of,
-    sorted_neighbourhood,
     token_blocking,
 )
 
@@ -60,44 +58,6 @@ class TestPairArray:
     def test_as_pair_set_round_trip(self):
         original = {(0, 3), (1, 2)}
         assert as_pair_set(pair_array(original)) == original
-
-
-class TestSortedNeighbourhoodRegression:
-    """The decorate-sort-undecorate rewrite vs the old per-call key sort."""
-
-    @staticmethod
-    def reference(table, attribute, window):
-        # The pre-rewrite behaviour, reimplemented verbatim: keys pulled
-        # from the record inside the sort's key callback, window pairs
-        # collected into a set.
-        order = sorted(
-            range(len(table)),
-            key=lambda index: (
-                table.records[index].get(attribute).is_missing,
-                str(table.records[index].raw(attribute) or "").lower(),
-            ),
-        )
-        pairs = set()
-        for position, left in enumerate(order):
-            for right in order[position + 1:position + window]:
-                pairs.add((min(left, right), max(left, right)))
-        return pairs
-
-    @given(
-        st.lists(st.fixed_dictionaries({"name": names}),
-                 min_size=0, max_size=12),
-        st.integers(min_value=2, max_value=8),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_identical_to_reference(self, rows, window):
-        table = Table.from_rows("t", rows)
-        produced = as_pair_set(sorted_neighbourhood(table, "name", window))
-        assert produced == self.reference(table, "name", window)
-
-    def test_rejects_degenerate_window(self):
-        table = Table.from_rows("t", [{"name": "a"}, {"name": "b"}])
-        with pytest.raises(ResolutionError):
-            sorted_neighbourhood(table, "name", window=1)
 
 
 class TestDroppedMetrics:

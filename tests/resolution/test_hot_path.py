@@ -7,12 +7,10 @@ These tests pin the fix: ``field.compare`` runs exactly once per
 bit-identical to the direct similarity.
 """
 
-import numpy as np
 import pytest
 
-from repro.errors import ResolutionError
 from repro.model.records import Table
-from repro.resolution.blocking import full_pairs, sorted_neighbourhood
+from repro.resolution.blocking import full_pairs
 from repro.resolution.comparison import FieldComparator, RecordComparator
 from repro.resolution.er import EntityResolver, stable_cluster_id
 from repro.resolution.rules import ThresholdRule
@@ -118,54 +116,6 @@ class TestStableClusterIds:
             list(reversed(table.records[:2]))
         )
         assert cluster_id != stable_cluster_id(table.records[3:5])
-
-
-class TestSortedNeighbourhoodEdges:
-    def test_window_spanning_table_degenerates_to_full_pairs(self, table):
-        assert np.array_equal(
-            sorted_neighbourhood(table, "name", window=len(table)),
-            full_pairs(table),
-        )
-        assert np.array_equal(
-            sorted_neighbourhood(table, "name", window=len(table) + 5),
-            full_pairs(table),
-        )
-
-    def test_every_record_pairs_with_rank_neighbours(self, table):
-        # Symmetry check: the trailing record in sort order still meets
-        # its window - 1 predecessors (it met them as their right-hand
-        # partner), so no truncated-window pair is dropped.
-        window = 3
-        pairs = sorted_neighbourhood(table, "name", window=window)
-        counts = {i: 0 for i in range(len(table))}
-        for left, right in pairs:
-            counts[left] += 1
-            counts[right] += 1
-        for index, count in counts.items():
-            assert count >= window - 1, (
-                f"record {index} met only {count} neighbours"
-            )
-
-    def test_all_missing_key_records_still_windowed(self):
-        rows = [{"other": i} for i in range(5)]
-        table = Table.from_rows("t", rows)
-        pairs = sorted_neighbourhood(table, "name", window=3)
-        # Missing keys sort to the end in stable input order; they still
-        # meet window neighbours rather than being exempt from ER.
-        assert np.array_equal(
-            pairs, sorted_neighbourhood(table, "name", window=3)
-        )
-        counts = {i: 0 for i in range(len(table))}
-        for left, right in pairs:
-            counts[left] += 1
-            counts[right] += 1
-        assert all(count >= 2 for count in counts.values())
-
-    def test_window_below_two_rejected(self, table):
-        with pytest.raises(ResolutionError):
-            sorted_neighbourhood(table, "name", window=1)
-        with pytest.raises(ResolutionError):
-            sorted_neighbourhood(table, "name", window=0)
 
 
 class _CountingPattern:

@@ -33,7 +33,7 @@ from repro.resolution.kernels import (
     _TokenRows,
     compile_comparator,
 )
-from repro.resolution.rules import LearnedRule, ThresholdRule
+from repro.resolution.rules import MatchDecision, ThresholdRule
 
 #: Deliberately nasty text: repeated tokens, digit-bearing tokens mixed
 #: with words, short tokens, unicode, leading/trailing space.
@@ -89,7 +89,7 @@ def compiled_for(measure, table, threshold=0.5):
 
 
 #: Measures whose kernel computes the *exact* score, not just a bound.
-EXACT_MEASURES = frozenset({"jaccard", "dice", "exact", "numeric"})
+EXACT_MEASURES = frozenset({"jaccard", "exact", "numeric"})
 
 
 class TestBoundSoundness:
@@ -212,11 +212,18 @@ class TestCompileEligibility:
         )
         assert isinstance(compiled, CompiledComparator)
 
-    def test_learned_rule_falls_back(self, table):
+    def test_custom_rule_falls_back(self, table):
+        class FirstFieldRule:
+            """Decides on the field vector, not the pooled similarity."""
+
+            def decide(self, similarity, vector):
+                score = vector[0] or 0.0
+                return MatchDecision(score >= 0.5, 1.0)
+
         comparator = RecordComparator(
             fields=(FieldComparator("name", measure="jaccard"),)
         )
-        rule = LearnedRule(n_fields=1)
+        rule = FirstFieldRule()
         metrics = MetricsRegistry()
         assert compile_comparator(
             comparator, rule, table, metrics=metrics

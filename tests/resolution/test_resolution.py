@@ -11,7 +11,6 @@ from repro.resolution.blocking import (
     as_pair_set,
     full_pairs,
     recall_of,
-    sorted_neighbourhood,
     token_blocking,
 )
 from repro.resolution.comparison import (
@@ -21,7 +20,7 @@ from repro.resolution.comparison import (
     geo_similarity,
 )
 from repro.resolution.er import EntityResolver
-from repro.resolution.rules import LearnedRule, ThresholdRule, fit_threshold
+from repro.resolution.rules import ThresholdRule, fit_threshold
 
 ROWS = [
     {"name": "Acme Laptop Pro 15", "price": 999.0},   # 0
@@ -54,11 +53,6 @@ class TestBlocking:
             Table.from_rows("t", rows), ["name"], max_block_size=10
         )
         assert as_pair_set(pairs) == set()
-
-    def test_sorted_neighbourhood_window(self, table):
-        pairs = as_pair_set(sorted_neighbourhood(table, "name", window=2))
-        assert (0, 1) in pairs or (0, 2) in pairs
-        assert len(pairs) <= 5 * 2
 
     def test_recall_of(self):
         assert recall_of([(0, 1)], [(0, 1), (2, 3)]) == 0.5
@@ -159,34 +153,6 @@ class TestRules:
     def test_fit_threshold_mismatched(self):
         with pytest.raises(ResolutionError):
             fit_threshold([0.5], [])
-
-    def test_learned_rule_trains(self):
-        # Matches have high field-1 similarity; field 2 is noise.
-        vectors = [[0.9, 0.1], [0.95, 0.9], [0.85, 0.5],
-                   [0.2, 0.9], [0.3, 0.1], [0.1, 0.5]]
-        labels = [True, True, True, False, False, False]
-        rule = LearnedRule(n_fields=2).fit(vectors, labels)
-        assert rule.decide(0.0, [0.9, 0.2]).is_match
-        assert not rule.decide(0.0, [0.2, 0.9]).is_match
-
-    def test_learned_rule_handles_missing(self):
-        rule = LearnedRule(n_fields=2).fit(
-            [[0.9, None], [0.1, None]], [True, False]
-        )
-        assert rule.decide(0.0, [0.95, None]).is_match
-
-    def test_learned_rule_untrained_falls_back(self):
-        rule = LearnedRule(n_fields=1)
-        assert rule.decide(0.9, [None]).is_match
-
-    def test_learned_rule_validation(self):
-        with pytest.raises(ResolutionError):
-            LearnedRule(0)
-        with pytest.raises(ResolutionError):
-            LearnedRule(2).fit([[0.5, 0.5]], [])
-        rule = LearnedRule(2).fit([[0.5, 0.5]], [True])
-        with pytest.raises(ResolutionError):
-            rule.probability([0.5])
 
 
 class TestEntityResolver:

@@ -1,4 +1,4 @@
-"""Tests for the XML source and the CLI demo runner."""
+"""Tests for the XML source."""
 
 import pytest
 
@@ -54,23 +54,3 @@ class TestXMLSource:
         with pytest.raises(SourceError):
             XMLSource("x", feed_path, "nonexistent").fetch()
 
-
-class TestCLI:
-    def test_products_world_runs(self, capsys):
-        from repro.__main__ import main
-        assert main(["products", "--entities", "10", "--sources", "3",
-                     "--show", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "wrangle plan" in out
-        assert "scorecard" in out
-
-    def test_locations_world_runs(self, capsys):
-        from repro.__main__ import main
-        assert main(["locations", "--entities", "12", "--show", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "business" in out
-
-    def test_bad_world_rejected(self):
-        from repro.__main__ import main
-        with pytest.raises(SystemExit):
-            main(["narnia"])

@@ -4,7 +4,8 @@ networkx is a test-only oracle (``tests/resolution/test_clusters_of.py``,
 ``tests/core/test_dataflow.py``, ``tests/context/test_ontology.py``) and
 scipy is not a dependency at all: a cold run and a feedback-driven
 incremental run over the quickstart world, in a fresh interpreter, must
-never import either.
+never import either.  Nor may they load the linter or the benchmark
+ratchet, which are dev tooling.
 """
 
 import os
@@ -27,7 +28,13 @@ wrangler.apply_feedback(
     [ValueFeedback(entity=record.rid, attribute="price", is_correct=True)]
 )
 wrangler.run()
-forbidden = ("networkx", "scipy")
+forbidden = (
+    "networkx",
+    "scipy",
+    "repro.analysis.lint",
+    "repro.analysis.rules",
+    "repro.analysis.cost.ratchet",
+)
 print(sorted(name for name in sys.modules if name.startswith(forbidden)))
 """
 

@@ -270,7 +270,6 @@ def draw(index: int) -> tuple[str, dict, Wrangler]:
         weights=_weights(rng, knobs),
         floors=_floors(rng),
         budget=_budget(rng, costs, knobs),
-        decision_method=rng.choice(("weighted", "weighted", "topsis")),
     )
     roll = rng.random()
     date_attribute = None
@@ -280,12 +279,9 @@ def draw(index: int) -> tuple[str, dict, Wrangler]:
     elif roll < 0.3:
         date_attribute = rng.choice(schema.names)
     knobs["date_attribute"] = date_attribute
-    discover = rng.random() < 0.2
-    knobs["discover_constraints"] = discover
 
     wrangler = Wrangler(
-        user, data, master_key=master_key, date_attribute=date_attribute,
-        discover_constraints=discover,
+        user, data, master_key=master_key, date_attribute=date_attribute
     )
     for source, examples in sources:
         wrangler.add_source(source)
@@ -465,9 +461,6 @@ ARMS: tuple[Arm, ...] = (
           f"{_DRAWS}, {_COST}::test_cc004_cross_source_join_warns_at_scale"),
     _live("CC006", "spend under an unbounded budget",
           f"{_DRAWS}, {_COST}::test_cc006_unbounded_budget_is_an_advisory"),
-    _live("CC008", "constraint discovery dominating repair",
-          f"{_COST}::test_cc008_constraint_discovery_dominating_repai"
-          "r (composed world)"),
     _retired("PV003", "plan selects an unregistered source",
              f"{_VALIDATOR}::test_unregistered_source_pv003",
              lambda o: bool(

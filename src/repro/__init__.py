@@ -34,7 +34,6 @@ from repro.model import (
 from repro.resilience import ChaosSource, FaultPlan, RetryPolicy
 from repro.sources import (
     CSVSource,
-    JSONSource,
     MemoryDocumentSource,
     MemorySource,
     SourceRegistry,
@@ -54,7 +53,6 @@ __all__ = [
     "ExtractionFeedback",
     "FaultPlan",
     "FeedbackStore",
-    "JSONSource",
     "MatchFeedback",
     "MemoryDocumentSource",
     "MemorySource",

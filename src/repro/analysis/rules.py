@@ -882,8 +882,7 @@ def _check_bench_telemetry_required(
 # -- REP016 ---------------------------------------------------------------
 
 #: Layers sanctioned to perform raw file writes: ``io`` owns the atomic
-#: primitive (and the explicit CSV/JSON exporters built on the same
-#: contract), ``ingest`` persists only through it.
+#: primitive, ``ingest`` persists only through it.
 _ATOMIC_WRITE_EXEMPT_LAYERS = {"io", "ingest"}
 
 #: open() modes that persist (write, append, exclusive-create).
@@ -950,6 +949,5 @@ def _check_atomic_writes_only(context: ModuleContext) -> Iterator[Diagnostic]:
                 node,
                 "raw open() in a write mode outside the io/ingest layers "
                 "is not crash-atomic",
-                "write through repro.io.atomic_write_bytes (or an io/ "
-                "exporter built on it)",
+                "write through repro.io.atomic_write_bytes",
             )

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.context.user_context import UserContext
 from repro.errors import PlanningError
 from repro.extraction.induction import auto_induce
 from repro.extraction.wrapper import Pages
@@ -86,8 +85,3 @@ class StaticETL:
         resolution = resolver.resolve(translated)
         fuser = EntityFuser(self.target_schema, default_strategy="majority")
         return fuser.fuse(resolution.clusters, name="etl-output")
-
-    def run_for(self, user: UserContext) -> Table:
-        """The context is accepted — and ignored.  That is the point."""
-        del user
-        return self.run()

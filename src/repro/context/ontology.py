@@ -202,12 +202,6 @@ class Ontology:
         lca_depth = len(set(chain_a) & set(chain_b))
         return 2.0 * lca_depth / (len(chain_a) + len(chain_b))
 
-    def classify_value(self, value: object) -> str | None:
-        """The concept a raw value most plausibly instantiates, by label."""
-        if value is None:
-            return None
-        return self.concept_of(str(value))
-
     def expected_dtype(self, term: str) -> DataType | None:
         """The declared dtype of the property matching ``term``, if any."""
         prop = self.property_of(term)

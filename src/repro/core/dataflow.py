@@ -146,19 +146,6 @@ class Dataflow:
             self._nodes[dependency].dependents.append(name)
         return name
 
-    def add_input(self, name: str, value: Any = None) -> str:
-        """Add a leaf node holding an externally supplied value."""
-        self.add(name, lambda inputs: None, stage="input")
-        self._settle(self._nodes[name], value)
-        return name
-
-    def set_input(self, name: str, value: Any) -> None:
-        """Replace an input's value and dirty everything downstream; the
-        dependents re-run on their next pull only if ``value`` differs
-        from the old one (:func:`same_value`)."""
-        self._settle(self._require(name), value)
-        self._dirty_descendants(name)
-
     # -- invalidation ------------------------------------------------------
 
     def invalidate(self, name: str) -> None:
@@ -192,16 +179,6 @@ class Dataflow:
                 node.clean = False
                 node.invalidations += 1
                 self._count("dataflow.invalidations")
-
-    def invalidate_all(self) -> None:
-        """Force every non-input node (full recompute on next pull)."""
-        for node in self._nodes.values():
-            if node.dependencies:
-                node.forced = True
-                if node.clean:
-                    node.clean = False
-                    node.invalidations += 1
-                    self._count("dataflow.invalidations")
 
     # -- evaluation ---------------------------------------------------------
 
@@ -281,23 +258,6 @@ class Dataflow:
         self._sweep(n for n in self._nodes if n in cone)
         return node.value
 
-    def pull_all(self) -> None:
-        """Bring every node up to date in a single topological sweep.
-
-        Equivalent to pulling each node in turn — the per-node ``runs``,
-        ``hits`` and ``cutoffs`` counters come out identical — but does
-        one pass over the insertion order instead of deriving an
-        ancestor cone per node.
-        """
-        dirty: list[str] = []
-        for name, node in self._nodes.items():
-            if node.clean:
-                node.hits += 1
-                self._count("dataflow.hits")
-            else:
-                dirty.append(name)
-        self._sweep(dirty)
-
     def _count(self, metric: str) -> None:
         if self.telemetry is not None:
             self.telemetry.metrics.counter(metric).increment()
@@ -342,12 +302,6 @@ class Dataflow:
     def total_runs(self) -> int:
         """Total node computations across the graph's lifetime."""
         return sum(node.runs for node in self._nodes.values())
-
-    def dirty_nodes(self) -> list[str]:
-        """All currently stale nodes."""
-        return sorted(
-            name for name, node in self._nodes.items() if not node.clean
-        )
 
     def nodes(self) -> list[str]:
         """All node names in insertion order, topological because

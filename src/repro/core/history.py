@@ -2,7 +2,7 @@
 
 Velocity is not just a nuisance to tolerate — it is the *product* in the
 paper's running example: price intelligence exists to notice price moves.
-The :class:`SnapshotHistory` keeps successive wrangled tables (keyed by
+The :class:`SnapshotHistory` keeps the latest wrangled tables (keyed by
 the stable entity ids) and diffs consecutive runs into typed
 :class:`Change` events: new entities, disappeared entities, and per-cell
 value changes with both provenances attached, so every alert is
@@ -12,6 +12,7 @@ explainable.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -94,13 +95,11 @@ class ChangeReport:
 
 
 class SnapshotHistory:
-    """Keeps wrangled snapshots and diffs consecutive ones."""
+    """Keeps the two latest wrangled snapshots and diffs them: all that
+    :meth:`latest` and :meth:`diff_latest` ever read."""
 
-    def __init__(self, max_snapshots: int = 50) -> None:
-        if max_snapshots < 2:
-            raise ValueError("history needs room for at least two snapshots")
-        self.max_snapshots = max_snapshots
-        self._snapshots: list[tuple[int, Table]] = []
+    def __init__(self) -> None:
+        self._snapshots: deque[tuple[int, Table]] = deque(maxlen=2)
 
     def __len__(self) -> int:
         return len(self._snapshots)
@@ -109,8 +108,6 @@ class SnapshotHistory:
         """Store a snapshot; returns its id."""
         snapshot_id = next(_snapshot_counter)
         self._snapshots.append((snapshot_id, table))
-        if len(self._snapshots) > self.max_snapshots:
-            self._snapshots.pop(0)
         return snapshot_id
 
     def latest(self) -> Table | None:

@@ -62,16 +62,6 @@ class RepairReport:
     validity_before: dict[str, float]
     validity_after: dict[str, float]
 
-    @property
-    def improved(self) -> bool:
-        """Whether overall validity went up."""
-        if not self.validity_before:
-            return False
-        before = sum(self.validity_before.values()) / len(self.validity_before)
-        after_map = self.validity_after or self.validity_before
-        after = sum(after_map.values()) / len(after_map)
-        return after > before
-
 
 class WrapperRepairer:
     """Diagnoses and repairs a wrapper against the data context."""

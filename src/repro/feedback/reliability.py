@@ -43,13 +43,6 @@ class ReliabilityEstimate:
     item_probability: dict[str, float]
     iterations: int
 
-    def item_truths(self, threshold: float = 0.5) -> dict[str, bool]:
-        """Hard item labels at the given probability threshold."""
-        return {
-            item: probability >= threshold
-            for item, probability in self.item_probability.items()
-        }
-
 
 def estimate_reliability(judgments: Sequence[Judgment]) -> ReliabilityEstimate:
     """Jointly estimate worker accuracy and item truth by EM.

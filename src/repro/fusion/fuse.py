@@ -111,12 +111,6 @@ class EntityFuser:
             if not value.is_missing
         ]
 
-    def fuse_cluster(self, cluster: EntityCluster) -> Record:
-        """Fuse one cluster into a single record."""
-        return self._fuse_ordered(
-            cluster.cluster_id, self._ordered(cluster.records)
-        )
-
     def _fuse_ordered(self, cluster_id: str, records: list[Record]) -> Record:
         """Fuse one cluster's records, already in precedence order."""
         recencies = self._recencies(records)

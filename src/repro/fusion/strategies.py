@@ -26,7 +26,6 @@ __all__ = [
     "majority_vote",
     "weighted_vote",
     "most_recent",
-    "highest_confidence",
     "numeric_median",
 ]
 
@@ -105,19 +104,6 @@ def most_recent(candidates: Sequence[Candidate]) -> FusedChoice:
     )
 
 
-def highest_confidence(candidates: Sequence[Candidate]) -> FusedChoice:
-    """The single claim with the best reliability x confidence product."""
-    best = max(
-        candidates, key=lambda c: c.reliability * c.value.confidence
-    )
-    agreeing = [c for c in candidates if c.value.raw == best.value.raw]
-    return FusedChoice(
-        best.value,
-        best.reliability * best.value.confidence,
-        tuple(sorted(c.source for c in agreeing)),
-    )
-
-
 def numeric_median(candidates: Sequence[Candidate]) -> FusedChoice:
     """The reliability-weighted median of numeric claims — robust to the
     magnitude errors cheap aggregators make."""
@@ -150,7 +136,6 @@ STRATEGIES: Mapping[str, Callable[[Sequence[Candidate]], FusedChoice]] = {
     "majority": majority_vote,
     "weighted": weighted_vote,
     "recent": most_recent,
-    "confident": highest_confidence,
     "median": numeric_median,
 }
 

@@ -284,14 +284,6 @@ class CopyReport:
     dependence: dict[tuple[str, str], float]
     independence_weight: dict[str, float]
 
-    def suspects(self, threshold: float = 0.5) -> list[tuple[str, str]]:
-        """Source pairs whose dependence exceeds ``threshold``."""
-        return sorted(
-            pair
-            for pair, score in self.dependence.items()
-            if score > threshold
-        )
-
 
 def detect_copying(
     claims: Sequence[Claim],

@@ -1,138 +1,35 @@
-"""Exporting wrangled data: CSV and JSON with optional lineage.
+"""Durable file writes: the one way a run persists bytes.
 
-The wrangled data's consumers live outside the wrangler (the "exploration
-and analysis" of the paper's opening definition), so tables must leave the
-system without losing what makes them trustworthy — per-cell confidence
-and provenance travel along in the JSON form.
+Lint rule REP016 forbids raw ``open(..., "w")`` persistence outside
+``repro.io`` and ``repro.ingest``; every such write goes through
+:func:`atomic_write_bytes`.
 """
 
 from __future__ import annotations
 
-import csv
-import datetime as _dt
-import json
 import os
 from pathlib import Path
-from typing import Any
 
-from repro.model.provenance import Provenance
-from repro.model.records import Table
-
-__all__ = ["atomic_write_bytes", "write_csv", "write_json", "read_json_table"]
+__all__ = ["atomic_write_bytes"]
 
 
 def atomic_write_bytes(path: str | Path, payload: bytes) -> Path:
     """Write a file so readers see the old content or the new — never half.
 
-    The durable-persistence primitive (lint rule REP016 forbids raw
-    ``open(..., "w")`` persistence elsewhere): the payload lands in a
-    sibling temp file, is fsynced, and is renamed over the target.
-    ``os.replace`` is atomic on POSIX and Windows, so a crash at any
-    instant leaves either the previous file or the complete new one.
+    The payload lands in a sibling temp file, is fsynced, and is renamed
+    over the target.  ``os.replace`` is atomic on POSIX and Windows, so a
+    crash at any instant leaves either the previous file or the complete
+    new one.  A write, fsync or rename that raises (a full disk, say)
+    removes the temp file and re-raises; the target is untouched.
     """
     path = Path(path)
     temp = path.with_name(f"{path.name}.tmp-{os.getpid()}")
-    with temp.open("wb") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(temp, path)
+    try:
+        with temp.open("wb") as handle:
+            handle.write(payload)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)  # gone already after a replace
     return path
-
-
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, (_dt.date, _dt.datetime)):
-        return value.isoformat()
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
-def _provenance_tree(node: Provenance) -> dict[str, Any]:
-    return {
-        "step": node.step.value,
-        "ref": node.ref,
-        "inputs": [_provenance_tree(child) for child in node.inputs],
-    }
-
-
-def write_csv(table: Table, path: str | Path, include_hidden: bool = False) -> Path:
-    """Write the table's raw values as CSV (schema order).
-
-    Evaluation-only columns (leading underscore) are dropped unless
-    ``include_hidden``.
-    """
-    path = Path(path)
-    names = [
-        name
-        for name in table.schema.names
-        if include_hidden or not name.startswith("_")
-    ]
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(names)
-        for record in table:
-            writer.writerow(
-                ["" if record.raw(name) is None else _jsonable(record.raw(name))
-                 for name in names]
-            )
-    return path
-
-
-def write_json(
-    table: Table,
-    path: str | Path,
-    with_confidence: bool = True,
-    with_provenance: bool = False,
-) -> Path:
-    """Write the table as JSON, optionally with per-cell annotations.
-
-    With ``with_provenance`` each cell becomes an object carrying its full
-    lineage tree; otherwise cells are raw values (plus confidence when
-    ``with_confidence``).
-    """
-    path = Path(path)
-    rows = []
-    for record in table:
-        row: dict[str, Any] = {"_id": record.rid, "_source": record.source}
-        for name in table.schema.names:
-            if name.startswith("_"):
-                continue
-            value = record.get(name)
-            if not with_confidence and not with_provenance:
-                row[name] = _jsonable(value.raw)
-                continue
-            cell: dict[str, Any] = {"value": _jsonable(value.raw)}
-            if with_confidence:
-                cell["confidence"] = round(value.confidence, 4)
-            if with_provenance and not value.is_missing:
-                cell["provenance"] = _provenance_tree(value.provenance)
-            row[name] = cell
-        rows.append(row)
-    payload = {
-        "table": table.name,
-        "schema": [
-            {"name": a.name, "type": a.dtype.value, "required": a.required}
-            for a in table.schema
-            if not a.name.startswith("_")
-        ],
-        "rows": rows,
-    }
-    path.write_text(json.dumps(payload, indent=2), encoding="utf-8")
-    return path
-
-
-def read_json_table(path: str | Path) -> Table:
-    """Read back a table written by :func:`write_json` (values only —
-    provenance rehydration is intentionally out of scope: re-imported data
-    is new evidence, not the original observations)."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    rows = []
-    for row in payload["rows"]:
-        flat = {}
-        for name, cell in row.items():
-            if name.startswith("_"):
-                continue
-            flat[name] = cell["value"] if isinstance(cell, dict) else cell
-        rows.append(flat)
-    return Table.from_rows(payload.get("table", "imported"), rows)

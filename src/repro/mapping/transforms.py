@@ -12,16 +12,15 @@ low-confidence raw values behind.
 
 from __future__ import annotations
 
-import datetime as _dt
 import re
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.errors import MappingError, TypeInferenceError
+from repro.errors import TypeInferenceError
 from repro.extraction.patterns import recogniser
 from repro.model.schema import Attribute, DataType, coerce
 
-__all__ = ["Transform", "TRANSFORMS", "get_transform", "suggest_transform"]
+__all__ = ["Transform", "TRANSFORMS", "suggest_transform"]
 
 
 @dataclass(frozen=True)
@@ -36,14 +35,6 @@ class Transform:
         if value is None:
             return None
         return self.fn(value)
-
-
-def _titlecase(value: object) -> object:
-    return str(value).title()
-
-
-def _lowercase(value: object) -> object:
-    return str(value).lower()
 
 
 def _strip_html(value: object) -> object:
@@ -74,13 +65,6 @@ def _extract_geo(value: object) -> object:
     return found if found is not None else value
 
 
-def _pennies_to_pounds(value: object) -> object:
-    try:
-        return float(value) / 100.0  # type: ignore[arg-type]
-    except (TypeError, ValueError):
-        return value
-
-
 def _thousands(value: object) -> object:
     try:
         return float(value) * 1000.0  # type: ignore[arg-type]
@@ -91,8 +75,6 @@ def _thousands(value: object) -> object:
 TRANSFORMS: dict[str, Transform] = {
     t.name: t
     for t in (
-        Transform("titlecase", _titlecase, "Title-Case The Words"),
-        Transform("lowercase", _lowercase, "lowercase the value"),
         Transform("strip_html", _strip_html, "remove HTML tags"),
         Transform("collapse_whitespace", _collapse_whitespace,
                   "normalise runs of whitespace"),
@@ -104,21 +86,10 @@ TRANSFORMS: dict[str, Transform] = {
                   "pull the URL out of surrounding text"),
         Transform("extract_geo", _extract_geo,
                   "pull the lat/lon pair out of surrounding text"),
-        Transform("pennies_to_pounds", _pennies_to_pounds,
-                  "divide a minor-unit integer amount by 100"),
         Transform("thousands", _thousands,
                   "multiply by 1000 (salary given in k)"),
     )
 }
-
-
-def get_transform(name: str) -> Transform:
-    """The built-in transform called ``name``."""
-    if name not in TRANSFORMS:
-        raise MappingError(
-            f"unknown transform {name!r}; known: {sorted(TRANSFORMS)}"
-        )
-    return TRANSFORMS[name]
 
 
 _EXTRACTOR_FOR_DTYPE = {

@@ -47,10 +47,6 @@ class Correspondence:
         default_factory=lambda: f"match-{next(_match_counter)}"
     )
 
-    def evidence_kinds(self) -> frozenset[str]:
-        """The evidence channels that contributed."""
-        return frozenset(e.kind for e in self.evidence)
-
 
 class SchemaMatcher:
     """Evidence-pooling schema matcher.

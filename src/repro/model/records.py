@@ -200,14 +200,6 @@ class Table:
             [record.project(names) for record in self.records],
         )
 
-    def filter(self, predicate: Callable[[Record], bool]) -> "Table":
-        """A new table keeping only records where ``predicate`` holds."""
-        return Table(
-            self.name,
-            self.schema,
-            [record for record in self.records if predicate(record)],
-        )
-
     def map_records(self, fn: Callable[[Record], Record]) -> "Table":
         """A new table with ``fn`` applied to each record."""
         return Table(self.name, self.schema, [fn(record) for record in self.records])

@@ -305,10 +305,6 @@ class Attribute:
         if not self.name:
             raise SchemaError("attribute name must be non-empty")
 
-    def renamed(self, name: str) -> "Attribute":
-        """Return a copy of this attribute under a new name."""
-        return Attribute(name, self.dtype, self.required, self.description)
-
 
 @dataclass(frozen=True)
 class Schema:
@@ -411,15 +407,6 @@ class Schema:
     def extend(self, *attrs: Attribute) -> "Schema":
         """Return a schema with ``attrs`` appended."""
         return Schema(self.attributes + tuple(attrs))
-
-    def rename(self, renames: Mapping[str, str]) -> "Schema":
-        """Return a schema with attributes renamed per ``renames``."""
-        return Schema(
-            tuple(
-                attr.renamed(renames.get(attr.name, attr.name))
-                for attr in self.attributes
-            )
-        )
 
     def merge(self, other: "Schema") -> "Schema":
         """Union of two schemas; shared names must agree on dtype."""

@@ -72,15 +72,6 @@ class Value:
             self.provenance.derive(step, ref),
         )
 
-    def derived(self, step: Step, ref: str, confidence: float | None = None) -> "Value":
-        """A copy whose provenance records one more wrangling step."""
-        return Value(
-            self.raw,
-            self.dtype,
-            self.confidence if confidence is None else confidence,
-            self.provenance.derive(step, ref),
-        )
-
     def __str__(self) -> str:
         return "" if self.raw is None else str(self.raw)
 

@@ -103,17 +103,6 @@ class Histogram:
         with self._lock:
             return len(self._values)
 
-    def percentile(self, q: float) -> float:
-        """The nearest-rank ``q``-th percentile (``0 < q <= 100``)."""
-        if not 0 < q <= 100:
-            raise TelemetryError(f"percentile must be in (0, 100], got {q}")
-        with self._lock:
-            if not self._values:
-                return 0.0
-            ordered = sorted(self._values)
-            rank = max(1, -(-len(ordered) * q // 100))  # ceil without math
-            return ordered[int(rank) - 1]
-
     def summary(self) -> dict[str, float]:
         """count/total/mean/p50/p95/max — the exported shape."""
         with self._lock:

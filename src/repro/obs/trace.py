@@ -19,7 +19,6 @@ appended under a lock.
 
 from __future__ import annotations
 
-import json
 import sys
 import threading
 from contextlib import contextmanager
@@ -131,10 +130,6 @@ class Tracer:
     def to_dicts(self) -> list[dict[str, Any]]:
         """Every finished root span as a plain dict tree."""
         return [span.to_dict() for span in self.spans]
-
-    def export_json(self) -> str:
-        """The finished spans as a JSON document."""
-        return json.dumps(self.to_dicts(), indent=2, sort_keys=True)
 
     def reset(self) -> None:
         """Drop finished spans (open spans are unaffected)."""

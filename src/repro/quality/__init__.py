@@ -1,7 +1,6 @@
 """Quality analyses: profiling, dimension metrics, constraints, repair."""
 
 from repro.quality.constraints import (
-    ConditionalFD,
     Constraint,
     FunctionalDependency,
     Violation,
@@ -14,7 +13,6 @@ from repro.quality.repair import CellRepair, RepairResult, repair_table
 __all__ = [
     "CellRepair",
     "ColumnProfile",
-    "ConditionalFD",
     "Constraint",
     "FunctionalDependency",
     "QualityAnalyser",

@@ -1,22 +1,21 @@
-"""Integrity constraints: functional and conditional functional dependencies.
+"""Integrity constraints: functional dependencies.
 
 Section 4.3 points at Bohannon et al.'s cost-based repair of constraint
 violations [7]; this module supplies the constraints themselves — FDs
-(``postcode -> city``) and CFDs (FDs with a pattern tableau, e.g.
-``country='UK' and postcode -> city``) — and the violation detector the
-repair module and the consistency metric share.
+(``postcode -> city``) — and the violation detector the repair module and
+the consistency metric share.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import RepairError
 from repro.model.records import Record, Table
 
-__all__ = ["Constraint", "FunctionalDependency", "ConditionalFD", "Violation", "violations"]
+__all__ = ["Constraint", "FunctionalDependency", "Violation", "violations"]
 
 
 @dataclass(frozen=True)
@@ -74,81 +73,8 @@ class FunctionalDependency:
         return found
 
 
-@dataclass(frozen=True)
-class ConditionalFD:
-    """An FD that holds only where the pattern tableau matches.
-
-    ``pattern`` maps attributes to required constants; records not matching
-    the pattern are exempt.  ``rhs_value`` optionally forces a constant on
-    the right-hand side (a constant CFD).
-    """
-
-    lhs: tuple[str, ...]
-    rhs: str
-    pattern: Mapping[str, object] = field(default_factory=dict)
-    rhs_value: object | None = None
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.lhs and not self.pattern:
-            raise RepairError("CFD needs a left-hand side or a pattern")
-        if not self.name:
-            condition = ",".join(f"{k}={v}" for k, v in self.pattern.items())
-            object.__setattr__(
-                self,
-                "name",
-                f"[{condition}] {','.join(self.lhs)}->{self.rhs}",
-            )
-
-    def applies_to(self, record: Record) -> bool:
-        """Whether the pattern tableau matches the record."""
-        for attribute, constant in self.pattern.items():
-            if record.raw(attribute) != constant:
-                return False
-        return all(not record.get(a).is_missing for a in self.lhs)
-
-    def key_of(self, record: Record) -> tuple[object, ...]:
-        """The LHS value tuple of a record."""
-        return tuple(record.raw(a) for a in self.lhs)
-
-    def check(self, table: Table) -> list[Violation]:
-        """All violating record groups in ``table``."""
-        found: list[Violation] = []
-        applicable = [r for r in table if self.applies_to(r)]
-        if self.rhs_value is not None:
-            bad = tuple(
-                record
-                for record in applicable
-                if not record.get(self.rhs).is_missing
-                and record.raw(self.rhs) != self.rhs_value
-            )
-            if bad:
-                found.append(
-                    Violation(
-                        self,
-                        bad,
-                        f"{self.name}: expected {self.rhs}={self.rhs_value!r}",
-                    )
-                )
-            return found
-        groups: dict[tuple[object, ...], list[Record]] = defaultdict(list)
-        for record in applicable:
-            if not record.get(self.rhs).is_missing:
-                groups[self.key_of(record)].append(record)
-        for key, records in groups.items():
-            rhs_values = {record.raw(self.rhs) for record in records}
-            if len(rhs_values) > 1:
-                found.append(
-                    Violation(
-                        self,
-                        tuple(records),
-                        f"{self.name}: lhs={key} has rhs values {sorted(map(str, rhs_values))}",
-                    )
-                )
-        return found
-
-
-Constraint = FunctionalDependency | ConditionalFD
+#: The constraint language: functional dependencies.
+Constraint = FunctionalDependency
 
 
 def violations(table: Table, constraints: Sequence[Constraint]) -> list[Violation]:

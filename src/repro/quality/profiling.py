@@ -26,11 +26,6 @@ class ColumnProfile:
     mean: float | None
 
     @property
-    def null_ratio(self) -> float:
-        """Fraction of missing cells."""
-        return self.nulls / self.total if self.total else 0.0
-
-    @property
     def distinctness(self) -> float:
         """Distinct values over non-null cells (1.0 = key-like)."""
         populated = self.total - self.nulls
@@ -63,16 +58,6 @@ class TableProfile:
     def column(self, attribute: str) -> ColumnProfile:
         """The profile of one column."""
         return self.columns[attribute]
-
-    def candidate_keys(self, min_distinctness: float = 1.0) -> list[str]:
-        """Columns whose distinctness qualifies them as candidate keys."""
-        return [
-            name
-            for name, profile in self.columns.items()
-            if profile.nulls == 0
-            and profile.total > 0
-            and profile.distinctness >= min_distinctness
-        ]
 
 
 def profile_column(table: Table, attribute: str) -> ColumnProfile:

@@ -47,11 +47,6 @@ class RepairResult:
         """Confidence-weighted cost of all modifications."""
         return sum(repair.cost for repair in self.repairs)
 
-    @property
-    def is_consistent(self) -> bool:
-        """Set by :func:`repair_table` when no violations remain."""
-        return getattr(self, "_consistent", False)
-
 
 def repair_table(
     table: Table,
@@ -74,26 +69,22 @@ def repair_table(
     for rounds in range(1, max_rounds + 1):
         found = violations(current, constraints)
         if not found:
-            result = RepairResult(current, repairs, rounds - 1)
-            result._consistent = True  # type: ignore[attr-defined]
-            return result
+            return RepairResult(current, repairs, rounds - 1)
         records_by_rid = {record.rid: record for record in current.records}
         for violation in found:
             constraint = violation.constraint
             rhs = constraint.rhs
-            target_value = getattr(constraint, "rhs_value", None)
-            if target_value is None:
-                # Confidence-weighted support per candidate RHS value.
-                support: dict[object, float] = {}
-                for record in violation.records:
-                    record = records_by_rid[record.rid]
-                    value = record.get(rhs)
-                    if value.is_missing:
-                        continue
-                    support[value.raw] = support.get(value.raw, 0.0) + value.confidence
-                if not support:
+            # Confidence-weighted support per candidate RHS value.
+            support: dict[object, float] = {}
+            for record in violation.records:
+                record = records_by_rid[record.rid]
+                value = record.get(rhs)
+                if value.is_missing:
                     continue
-                target_value = max(support, key=lambda v: support[v])
+                support[value.raw] = support.get(value.raw, 0.0) + value.confidence
+            if not support:
+                continue
+            target_value = max(support, key=lambda v: support[v])
             for record in violation.records:
                 record = records_by_rid[record.rid]
                 value = record.get(rhs)
@@ -117,6 +108,4 @@ def repair_table(
         raise RepairError(
             f"no consistent repair found within {max_rounds} rounds"
         )
-    result = RepairResult(current, repairs, rounds)
-    result._consistent = True  # type: ignore[attr-defined]
-    return result
+    return RepairResult(current, repairs, rounds)

@@ -99,10 +99,6 @@ class ChaosSource(StructuredSource):
     def delta_cursor(self) -> str | None:
         return self._inner.delta_cursor()
 
-    def with_cursor(self, attribute: str) -> "ChaosSource":
-        self._inner.with_cursor(attribute)
-        return self
-
     def _content_token(self) -> object:
         return self._inner._content_token()
 

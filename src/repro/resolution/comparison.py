@@ -188,10 +188,6 @@ class RecordComparator:
             return 0.0
         return total / weight_sum
 
-    def attribute_names(self) -> tuple[str, ...]:
-        """The attributes this comparator inspects."""
-        return tuple(field.attribute for field in self.fields)
-
 
 class ScoringContext:
     """A resolve's score tables around a comparator: the scalar compare

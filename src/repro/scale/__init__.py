@@ -11,7 +11,7 @@ from repro.scale.approximation import (
     approximate_count,
     sample_table,
 )
-from repro.scale.partition import hash_partition, map_reduce, partitioned_resolve
+from repro.scale.partition import hash_partition, partitioned_resolve
 from repro.scale.queries import Atom, ConjunctiveQuery, Variable
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Variable",
     "approximate_count",
     "hash_partition",
-    "map_reduce",
     "partitioned_resolve",
     "sample_table",
 ]

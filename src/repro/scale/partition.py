@@ -5,27 +5,22 @@ ETL workflows into big data platforms, such as map/reduce.  In the
 architecture of Figure 1, it will be necessary for extraction, integration
 and data querying tasks to be able to be executed using such platforms."
 
-This module provides the execution shape — hash partitioning, a per-
-partition map, a cross-partition reduce — as plain deterministic Python,
-plus the two instantiations the benchmarks exercise: partitioned profiling
-and partitioned entity resolution (partition-local ER with a merge step,
-the standard blocking-respecting parallelisation).
+This module provides the execution shape as plain deterministic Python:
+stable hash partitioning, and partitioned entity resolution on top of it
+(partition-local ER with a merge step, the standard blocking-respecting
+parallelisation) that experiment E7 measures against single-node ER.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Sequence, TypeVar
+from typing import Callable
 
 from repro.errors import WranglingError
 from repro.model.records import Record, Table
 from repro.resolution.er import EntityResolver, ResolutionResult, clusters_of
 
-__all__ = ["hash_partition", "map_reduce", "partitioned_resolve", "stable_digest"]
-
-M = TypeVar("M")
-R = TypeVar("R")
-
+__all__ = ["hash_partition", "partitioned_resolve", "stable_digest"]
 
 def stable_digest(key: object) -> int:
     """A process-stable 32-bit digest of ``key``'s string form.
@@ -60,21 +55,6 @@ def hash_partition(
         Table(f"{table.name}/part-{index}", table.schema, records)
         for index, records in enumerate(partitions)
     ]
-
-
-def map_reduce(
-    table: Table,
-    n_partitions: int,
-    map_fn: Callable[[Table], M],
-    reduce_fn: Callable[[Sequence[M]], R],
-    key: Callable[[Record], object] | None = None,
-) -> R:
-    """Hash-partition, map each partition, reduce the partials."""
-    partials = [
-        map_fn(partition)
-        for partition in hash_partition(table, n_partitions, key)
-    ]
-    return reduce_fn(partials)
 
 
 def partitioned_resolve(

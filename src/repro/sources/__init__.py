@@ -1,4 +1,4 @@
-"""Data sources: files, in-memory tables, and document (web) sources."""
+"""Data sources: CSV files, in-memory tables, and document (web) sources."""
 
 from repro.sources.base import (
     DataSource,
@@ -7,23 +7,19 @@ from repro.sources.base import (
     SourceMetadata,
     StructuredSource,
 )
-from repro.sources.files import CSVSource, JSONSource, flatten_object
+from repro.sources.files import CSVSource
 from repro.sources.memory import MemoryDocumentSource, MemorySource, VolatileSource
 from repro.sources.registry import SourceRegistry
-from repro.sources.xmlfile import XMLSource
 
 __all__ = [
     "CSVSource",
     "DataSource",
     "Document",
     "DocumentSource",
-    "JSONSource",
     "MemoryDocumentSource",
     "MemorySource",
     "SourceMetadata",
     "SourceRegistry",
     "StructuredSource",
     "VolatileSource",
-    "XMLSource",
-    "flatten_object",
 ]

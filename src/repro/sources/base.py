@@ -4,7 +4,7 @@ Sources are "potentially heterogeneous ... files, databases, documents, web
 pages".  Two abstract shapes cover them all:
 
 * :class:`StructuredSource` — yields a :class:`~repro.model.records.Table`
-  directly (CSV, JSON, databases, APIs);
+  directly (CSV files, in-memory tables);
 * :class:`DocumentSource` — yields :class:`Document` objects (web pages)
   that must pass through the extraction component first.
 
@@ -117,24 +117,16 @@ class StructuredSource(DataSource):
         the source cannot tell, and memoised state is kept."""
         return None
 
-    def with_cursor(self, attribute: str) -> "StructuredSource":
-        """Declare the monotone cursor attribute enabling delta fetches.
+    def delta_cursor(self) -> str | None:
+        """The cursor attribute given at construction (``cursor=``), or
+        ``None`` (no delta support).
 
         The attribute's values must only ever grow for rows the source
         appends (sequence numbers, updated-at timestamps); rows edited
         *behind* the cursor are still caught by the watermark
         fingerprint and degrade the next fetch to a full refetch.
         """
-        self._cursor_attribute = attribute
-        return self
-
-    def delta_cursor(self) -> str | None:
-        """The declared cursor attribute, or ``None`` (no delta support)."""
         return self._cursor_attribute
-
-    def supports_delta(self) -> bool:
-        """Whether :meth:`fetch_delta` can do better than a full fetch."""
-        return self.delta_cursor() is not None
 
     def _memoise_size(self, count: int) -> None:
         self._size_hint = count

@@ -1,17 +1,15 @@
-"""File-backed sources: CSV and JSON (the "files" of Figure 1)."""
+"""The file-backed source: CSV (the "files" of Figure 1)."""
 
 from __future__ import annotations
 
 import csv
-import json
 from pathlib import Path
-from typing import Any
 
 from repro.errors import SourceError
 from repro.model.records import Table
 from repro.sources.base import SourceMetadata, StructuredSource
 
-__all__ = ["CSVSource", "JSONSource", "file_token", "flatten_object"]
+__all__ = ["CSVSource", "file_token"]
 
 
 def file_token(path: Path) -> tuple[int, int] | None:
@@ -28,13 +26,18 @@ def file_token(path: Path) -> tuple[int, int] | None:
 
 
 class CSVSource(StructuredSource):
-    """A structured source reading a delimited text file on every fetch."""
+    """A structured source reading a comma-separated file on every fetch.
+
+    The first row names the columns.  A header with an empty or repeated
+    name, or a row wider than the header, is a :class:`SourceError`
+    naming the file and line: either would otherwise drop or misplace
+    values.  A shorter row leaves its trailing cells missing.
+    """
 
     def __init__(
         self,
         name: str,
         path: str | Path,
-        delimiter: str = ",",
         cost_per_access: float = 1.0,
         change_rate: float = 0.0,
         domain: str = "",
@@ -51,7 +54,6 @@ class CSVSource(StructuredSource):
             )
         )
         self._path = Path(path)
-        self._delimiter = delimiter
         self._cursor_attribute = cursor
 
     def _content_token(self) -> object:
@@ -62,11 +64,23 @@ class CSVSource(StructuredSource):
             raise SourceError(f"CSV file not found: {self._path}")
         try:
             with self._path.open(newline="", encoding="utf-8") as handle:
-                reader = csv.DictReader(handle, delimiter=self._delimiter)
-                rows = [
-                    {key: (value if value != "" else None) for key, value in row.items()}
-                    for row in reader
-                ]
+                reader = csv.reader(handle)
+                header = next(reader, [])
+                self._check_header(header, reader.line_num)
+                width = len(header)
+                rows = []
+                for cells in reader:
+                    if not cells:
+                        continue
+                    if len(cells) > width:
+                        raise SourceError(
+                            f"CSV file {self._path}, line {reader.line_num}: "
+                            f"{len(cells)} fields under a {width}-column header"
+                        )
+                    cells += [""] * (width - len(cells))
+                    rows.append(
+                        {name: cell or None for name, cell in zip(header, cells)}
+                    )
         except UnicodeDecodeError as failure:
             raise SourceError(
                 f"CSV source {self.name!r} is not valid UTF-8: {failure}"
@@ -77,87 +91,16 @@ class CSVSource(StructuredSource):
             ) from failure
         return Table.from_rows(self.name, rows, source=self.name)
 
-
-def flatten_object(obj: Any, prefix: str = "") -> dict[str, Any]:
-    """Flatten a nested JSON object into dotted-path keys.
-
-    Lists of scalars are joined with ``"; "``; lists of objects are indexed
-    (``items.0.price``).  This gives deep-web API payloads a relational
-    shape without losing information.
-    """
-    flat: dict[str, Any] = {}
-    if isinstance(obj, dict):
-        for key, value in obj.items():
-            path = f"{prefix}.{key}" if prefix else str(key)
-            flat.update(flatten_object(value, path))
-    elif isinstance(obj, list):
-        if all(not isinstance(item, (dict, list)) for item in obj):
-            flat[prefix] = "; ".join(str(item) for item in obj)
-        else:
-            for index, item in enumerate(obj):
-                flat.update(flatten_object(item, f"{prefix}.{index}"))
-    else:
-        flat[prefix or "value"] = obj
-    return flat
-
-
-class JSONSource(StructuredSource):
-    """A structured source reading a JSON file holding a list of objects."""
-
-    def __init__(
-        self,
-        name: str,
-        path: str | Path,
-        records_key: str | None = None,
-        cost_per_access: float = 1.0,
-        change_rate: float = 0.0,
-        domain: str = "",
-        cursor: str | None = None,
-    ) -> None:
-        super().__init__(
-            SourceMetadata(
-                name,
-                kind="json",
-                cost_per_access=cost_per_access,
-                change_rate=change_rate,
-                domain=domain,
-                url=str(path),
-            )
-        )
-        self._path = Path(path)
-        self._records_key = records_key
-        self._cursor_attribute = cursor
-
-    def _content_token(self) -> object:
-        return file_token(self._path)
-
-    def _load(self) -> Table:
-        if not self._path.exists():
-            raise SourceError(f"JSON file not found: {self._path}")
-        try:
-            with self._path.open(encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except UnicodeDecodeError as failure:
-            raise SourceError(
-                f"JSON source {self.name!r} is not valid UTF-8: {failure}"
-            ) from failure
-        except json.JSONDecodeError as failure:
-            raise SourceError(
-                f"JSON source {self.name!r} is malformed: {failure}"
-            ) from failure
-        except OSError as failure:
-            raise SourceError(
-                f"JSON source {self.name!r} could not be read: {failure}"
-            ) from failure
-        if self._records_key is not None:
-            if not isinstance(payload, dict) or self._records_key not in payload:
+    def _check_header(self, header: list[str], line: int) -> None:
+        seen: set[str] = set()
+        for name in header:
+            if not name:
                 raise SourceError(
-                    f"JSON file {self._path} has no key {self._records_key!r}"
+                    f"CSV file {self._path}, line {line}: empty column name"
                 )
-            payload = payload[self._records_key]
-        if not isinstance(payload, list):
-            raise SourceError(
-                f"JSON source {self.name!r} expects a list of objects"
-            )
-        rows = [flatten_object(item) for item in payload]
-        return Table.from_rows(self.name, rows, source=self.name)
+            if name in seen:
+                raise SourceError(
+                    f"CSV file {self._path}, line {line}: "
+                    f"column {name!r} named twice"
+                )
+            seen.add(name)

@@ -13,7 +13,7 @@ from typing import Iterator
 from repro.errors import SourceError
 from repro.model.annotations import AnnotationStore, Dimension
 from repro.model.uncertainty import BetaReliability
-from repro.sources.base import DataSource, DocumentSource, StructuredSource
+from repro.sources.base import DataSource, DocumentSource
 
 __all__ = ["SourceRegistry"]
 
@@ -51,14 +51,6 @@ class SourceRegistry:
     def names(self) -> list[str]:
         """All registered source names, sorted."""
         return sorted(self._sources)
-
-    def structured(self) -> list[StructuredSource]:
-        """All registered structured sources."""
-        return [
-            source
-            for source in self._sources.values()
-            if isinstance(source, StructuredSource)
-        ]
 
     def documents(self) -> list[DocumentSource]:
         """All registered document sources."""
@@ -103,7 +95,3 @@ class SourceRegistry:
     def total_cost(self) -> float:
         """Total access cost spent across all sources."""
         return sum(source.total_cost for source in self._sources.values())
-
-    def cost_of(self, names: list[str]) -> float:
-        """Projected cost of accessing each of ``names`` once."""
-        return sum(self.get(name).metadata.cost_per_access for name in names)

@@ -92,10 +92,6 @@ class TestSimilarity:
 
 
 class TestValueServices:
-    def test_classify_value(self, products):
-        assert products.classify_value("tv set") == "Television"
-        assert products.classify_value(None) is None
-
     def test_expected_dtype(self, products):
         assert products.expected_dtype("cost") is DataType.CURRENCY
         assert products.expected_dtype("mystery") is None

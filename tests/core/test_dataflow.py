@@ -14,10 +14,28 @@ from repro.model.values import Value
 from repro.obs import ManualClock, Telemetry
 
 
+class Fed(Dataflow):
+    """A flow whose leaves read settable cells.  A leaf is built with
+    ``add`` like any node; :meth:`feed` moves its cell and forces it, so
+    the next pull re-runs the leaf and, past it, only what changed."""
+
+    def __init__(self, telemetry=None):
+        super().__init__(telemetry)
+        self.cells = {}
+
+    def leaf(self, name, value):
+        self.cells[name] = value
+        return self.add(name, lambda inputs: self.cells[name])
+
+    def feed(self, name, value):
+        self.cells[name] = value
+        self.invalidate(name)
+
+
 def build_diamond():
     """a -> b, a -> c, (b, c) -> d, with run counters."""
-    flow = Dataflow()
-    flow.add_input("a", 1)
+    flow = Fed()
+    flow.leaf("a", 1)
     flow.add("b", lambda inputs: inputs["a"] + 1, ("a",))
     flow.add("c", lambda inputs: inputs["a"] * 10, ("a",))
     flow.add("d", lambda inputs: inputs["b"] + inputs["c"], ("b", "c"))
@@ -27,9 +45,9 @@ def build_diamond():
 class TestConstruction:
     def test_duplicate_node_rejected(self):
         flow = Dataflow()
-        flow.add_input("a")
+        flow.add("a", lambda inputs: None)
         with pytest.raises(DataflowError):
-            flow.add_input("a")
+            flow.add("a", lambda inputs: None)
 
     def test_unknown_dependency_rejected(self):
         flow = Dataflow()
@@ -57,7 +75,7 @@ class TestEvaluation:
     def test_set_input_recomputes_only_downstream(self):
         flow = build_diamond()
         flow.pull("d")
-        flow.set_input("a", 2)
+        flow.feed("a", 2)
         assert not flow.is_clean("d")
         assert flow.pull("d") == (2 + 1) + (2 * 10)
         assert flow.runs("b") == 2
@@ -65,8 +83,8 @@ class TestEvaluation:
 
     def test_invalidate_single_node_recomputes_cone_only(self):
         scale = {"c": 10}
-        flow = Dataflow()
-        flow.add_input("a", 1)
+        flow = Fed()
+        flow.leaf("a", 1)
         flow.add("b", lambda inputs: inputs["a"] + 1, ("a",))
         flow.add("c", lambda inputs: inputs["a"] * scale["c"], ("a",))
         flow.add("d", lambda inputs: inputs["b"] + inputs["c"], ("b", "c"))
@@ -90,17 +108,11 @@ class TestEvaluation:
         assert flow.node_stats()["d"]["cutoffs"] == 1
         assert flow.is_clean("d")
 
-    def test_pull_all_and_dirty_nodes(self):
+    def test_pull_cleans_the_whole_ancestor_cone(self):
         flow = build_diamond()
-        assert set(flow.dirty_nodes()) == {"b", "c", "d"}
-        flow.pull_all()
-        assert flow.dirty_nodes() == []
-
-    def test_invalidate_all(self):
-        flow = build_diamond()
-        flow.pull_all()
-        flow.invalidate_all()
-        assert set(flow.dirty_nodes()) == {"b", "c", "d"}
+        assert not any(flow.is_clean(name) for name in "abcd")
+        flow.pull("d")
+        assert all(flow.is_clean(name) for name in "abcd")
 
     def test_nodes_topological(self):
         flow = build_diamond()
@@ -111,7 +123,7 @@ class TestEvaluation:
     def test_value_raises_on_dirty_node(self):
         flow = build_diamond()
         flow.pull("d")
-        flow.set_input("a", 5)
+        flow.feed("a", 5)
         with pytest.raises(StaleValueError):
             flow.value("d")
         assert flow.pull("d") == 56
@@ -120,7 +132,7 @@ class TestEvaluation:
     def test_value_allow_stale_reads_previous_run(self):
         flow = build_diamond()
         flow.pull("d")
-        flow.set_input("a", 5)
+        flow.feed("a", 5)
         assert flow.value("d", allow_stale=True) == 12
         # The explicit stale read does not recompute anything.
         assert not flow.is_clean("d")
@@ -157,13 +169,12 @@ class TestObservability:
         clock = ManualClock()
         telemetry = Telemetry(clock=clock)
         flow = Dataflow(telemetry=telemetry)
-        flow.add_input("a", 1)
 
         def slow(inputs):
             clock.advance(0.25)
-            return inputs["a"] + 1
+            return 2
 
-        flow.add("b", slow, ("a",), stage="demo")
+        flow.add("b", slow, stage="demo")
         flow.pull("b")
         assert flow.node_stats()["b"]["seconds"] == pytest.approx(0.25)
         spans = telemetry.tracer.find("dataflow:b")
@@ -179,7 +190,7 @@ class TestObservability:
 
 def build_chain(length):
     flow = Dataflow()
-    flow.add_input("n0", 0)
+    flow.add("n0", lambda inputs: 0)
     for i in range(1, length):
         flow.add(f"n{i}", lambda inputs, p=f"n{i - 1}": inputs[p] + 1,
                  (f"n{i - 1}",))
@@ -200,7 +211,7 @@ def count_cones(monkeypatch):
 
 
 class TestSweepComplexity:
-    """Regression guards for the single-sweep pull and pull_all."""
+    """Regression guard for the single-sweep pull."""
 
     def test_pull_derives_its_cone_once(self, monkeypatch):
         flow = build_chain(500)
@@ -211,36 +222,11 @@ class TestSweepComplexity:
         assert calls == [("n499", True)]
         assert all(flow.runs(f"n{i}") == 1 for i in range(1, 500))
 
-    def test_pull_all_derives_no_cone(self, monkeypatch):
-        flow = build_chain(500)
-        calls = count_cones(monkeypatch)
-        flow.pull_all()
-        assert calls == []
-        assert all(flow.runs(f"n{i}") == 1 for i in range(1, 500))
-        flow.pull_all()
-        assert calls == []
-
-    def test_pull_all_counters_match_per_node_pulls(self):
-        """The rewrite is counter-for-counter equivalent to pulling nodes."""
-        swept = build_diamond()
-        pulled = build_diamond()
-        swept.pull_all()
-        for name in pulled.nodes():
-            pulled.pull(name)
-        assert swept.node_stats() == pulled.node_stats()
-
-        swept.invalidate("c")
-        pulled.invalidate("c")
-        swept.pull_all()
-        for name in pulled.nodes():
-            pulled.pull(name)
-        assert swept.node_stats() == pulled.node_stats()
-
 
 def build_echo(value):
     """a -> b (echoes a) -> c (wraps b), with run counters."""
-    flow = Dataflow()
-    flow.add_input("a", value)
+    flow = Fed()
+    flow.leaf("a", value)
     flow.add("b", lambda inputs: inputs["a"], ("a",))
     flow.add("c", lambda inputs: ("seen", inputs["b"]), ("b",))
     flow.pull("c")
@@ -258,7 +244,7 @@ class TestEarlyCutoff:
     ):
         assert old == new  # plain equality would have cut it off
         flow = build_echo(old)
-        flow.set_input("a", new)
+        flow.feed("a", new)
         assert flow.pull("c") == ("seen", new)
         assert flow.runs("b") == 2
         assert flow.runs("c") == 2
@@ -266,20 +252,20 @@ class TestEarlyCutoff:
     def test_the_same_moves_inside_a_value_cell_are_changes(self):
         assert Value(1, DataType.INTEGER) == Value(1.0, DataType.INTEGER)
         flow = build_echo([Value(1, DataType.INTEGER)])
-        flow.set_input("a", [Value(1.0, DataType.INTEGER)])
+        flow.feed("a", [Value(1.0, DataType.INTEGER)])
         flow.pull("c")
         assert flow.runs("c") == 2
 
     def test_nan_always_recomputes(self):
         flow = build_echo(math.nan)
         for runs in (2, 3):
-            flow.set_input("a", math.nan)   # the very same object
+            flow.feed("a", flow.cells["a"])   # the very same NaN object
             flow.pull("c")
             assert flow.runs("c") == runs
 
     def test_an_equal_value_is_cut_off(self):
         flow = build_echo([1, "x", {"k": 2.5}])
-        flow.set_input("a", [1, "x", {"k": 2.5}])
+        flow.feed("a", [1, "x", {"k": 2.5}])
         flow.pull("c")
         stats = flow.node_stats()
         assert [stats[n]["runs"] for n in "bc"] == [1, 1]
@@ -299,35 +285,32 @@ class TestEarlyCutoff:
     def test_a_change_pulled_earlier_still_reaches_a_node_pulled_later(self):
         flow = build_diamond()
         flow.pull("d")
-        flow.set_input("a", 2)
+        flow.feed("a", 2)
         assert flow.pull("b") == 3     # a's change is consumed here ...
         assert flow.pull("d") == 3 + 20  # ... and still re-runs c and d
         assert flow.runs("c") == 2
         assert flow.runs("d") == 2
         assert flow.node_stats()["d"]["cutoffs"] == 0
 
-    def test_pull_all_and_pull_cut_off_the_same_nodes(self):
-        swept, pulled = build_diamond(), build_diamond()
-        swept.pull_all()
-        for name in pulled.nodes():
-            pulled.pull(name)
-        for flow in (swept, pulled):
-            flow.invalidate("b")
-            flow.invalidate("c")
-        swept.pull_all()
-        for name in pulled.nodes():
-            pulled.pull(name)
-        assert swept.node_stats() == pulled.node_stats()
-        assert swept.node_stats()["d"]["cutoffs"] == 1
+    def test_two_forced_nodes_rerun_to_their_values_and_cut_off_d(self):
+        flow = build_diamond()
+        flow.pull("d")
+        flow.invalidate("b")
+        flow.invalidate("c")
+        assert flow.pull("d") == 12
+        stats = flow.node_stats()
+        assert [stats[n]["runs"] for n in "abcd"] == [1, 2, 2, 1]
+        assert [stats[n]["cutoffs"] for n in "abcd"] == [0, 0, 0, 1]
+        assert [stats[n]["hits"] for n in "abcd"] == [0, 0, 0, 0]
 
     def test_cutoffs_are_counted_in_telemetry(self):
         telemetry = Telemetry(clock=ManualClock())
-        flow = Dataflow(telemetry=telemetry)
-        flow.add_input("a", 1)
+        flow = Fed(telemetry=telemetry)
+        flow.leaf("a", 1)
         flow.add("b", lambda inputs: inputs["a"] % 2, ("a",))
         flow.add("c", lambda inputs: inputs["b"] + 1, ("b",))
         flow.pull("c")
-        flow.set_input("a", 3)
+        flow.feed("a", 3)
         assert flow.pull("c") == 2
         counters = telemetry.metrics.snapshot()["counters"]
         assert counters["dataflow.nodes_cutoff"] == 1
@@ -391,9 +374,10 @@ class TestWalksAgainstNetworkx:
         assert set(log) == nx.ancestors(graph, pulled) | {pulled}
         assert log == [name for name in order if name in set(log)]
 
-        flow.pull_all()
+        for name in order:
+            flow.pull(name)
         invalidated = data.draw(st.sampled_from(order))
         flow.invalidate(invalidated)
-        assert set(flow.dirty_nodes()) == (
+        assert {name for name in order if not flow.is_clean(name)} == (
             nx.descendants(graph, invalidated) | {invalidated}
         )

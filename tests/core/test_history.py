@@ -78,15 +78,18 @@ class TestHistory:
         assert report.for_attribute("price")[0].new_value == 80.0
 
     def test_bounded_retention(self):
-        history = SnapshotHistory(max_snapshots=2)
+        history = SnapshotHistory()
         for price in (1.0, 2.0, 3.0):
             history.record(snapshot([("e1", "TV", price)]))
         assert len(history) == 2
         assert history.latest()[0].raw("price") == 3.0
 
-    def test_min_size_validated(self):
-        with pytest.raises(ValueError):
-            SnapshotHistory(max_snapshots=1)
+    def test_diff_latest_reads_the_last_two_kept(self):
+        history = SnapshotHistory()
+        for price in (1.0, 2.0, 3.0):
+            history.record(snapshot([("e1", "TV", price)]))
+        (change,) = history.diff_latest().for_attribute("price")
+        assert (change.old_value, change.new_value) == (2.0, 3.0)
 
 
 class TestWranglerIntegration:

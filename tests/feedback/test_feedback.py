@@ -156,7 +156,10 @@ class TestReliabilityEstimation:
         estimate = estimate_reliability(judgments)
         assert estimate.worker_accuracy["good"] > estimate.worker_accuracy["meh"]
         assert estimate.worker_accuracy["meh"] > estimate.worker_accuracy["bad"]
-        truths_hat = estimate.item_truths()
+        truths_hat = {
+            item: probability >= 0.5
+            for item, probability in estimate.item_probability.items()
+        }
         agreement = sum(
             1 for item, truth in truths.items() if truths_hat[item] == truth
         ) / len(truths)

@@ -39,7 +39,9 @@ class TestDetectCopying:
             w for s, w in report.independence_weight.items() if "indep" in s
         ]
         assert max(copier_weights) < min(indep_weights)
-        suspects = report.suspects(threshold=0.3)
+        suspects = [
+            pair for pair, score in report.dependence.items() if score > 0.3
+        ]
         assert any("copier" in a and "copier" in b for a, b in suspects)
         assert not any("indep" in a and "indep" in b for a, b in suspects)
 

@@ -46,13 +46,6 @@ class TestStrategies:
         )
         assert choice.value.raw == 105
 
-    def test_confident(self):
-        choice = resolve(
-            "confident",
-            [cand(1, "a", 0.99, confidence=1.0), cand(2, "b", 0.5, confidence=0.9)],
-        )
-        assert choice.value.raw == 1
-
     def test_median_resists_magnitude_errors(self):
         choice = resolve(
             "median",
@@ -185,7 +178,7 @@ class TestEntityFuser:
         fuser = EntityFuser(
             SCHEMA, reliabilities={"good": 0.95, "bad": 0.2, "bad2": 0.2}
         )
-        fused = fuser.fuse_cluster(cluster)
+        fused = fuser.fuse([cluster])[0]
         assert fused.raw("price") == 399.0
 
     def test_recent_strategy_follows_freshness(self):
@@ -201,7 +194,7 @@ class TestEntityFuser:
             strategy_overrides={"price": "recent"},
             recency_attribute="updated",
         )
-        assert fuser.fuse_cluster(cluster).raw("price") == 350.0
+        assert fuser.fuse([cluster])[0].raw("price") == 350.0
 
     def test_fusion_provenance_combines_sources(self):
         cluster = EntityCluster(
@@ -211,7 +204,7 @@ class TestEntityFuser:
                 record("b", "Acme TV", 300.0, "2016-02-01"),
             ],
         )
-        fused = EntityFuser(SCHEMA).fuse_cluster(cluster)
+        fused = EntityFuser(SCHEMA).fuse([cluster])[0]
         provenance = fused["price"].provenance
         assert provenance.step.value == "fusion"
         assert provenance.sources() == {"a", "b"}
@@ -220,7 +213,7 @@ class TestEntityFuser:
         cluster = EntityCluster(
             "e1", [Record.of({"product": "Acme TV"}, source="a")]
         )
-        fused = EntityFuser(SCHEMA).fuse_cluster(cluster)
+        fused = EntityFuser(SCHEMA).fuse([cluster])[0]
         assert fused.get("price").is_missing
 
     def test_truth_column_majority(self):
@@ -232,7 +225,7 @@ class TestEntityFuser:
                 record("c", "Acme TV", 1.0, "2016-01-01", truth="P2"),
             ],
         )
-        fused = EntityFuser(SCHEMA).fuse_cluster(cluster)
+        fused = EntityFuser(SCHEMA).fuse([cluster])[0]
         assert fused.raw("_truth") == "P9"
 
     def test_fuse_builds_table(self):
@@ -283,9 +276,9 @@ class TestEntityFuser:
                 record("b", "Acme TV", 350.0, "2016-01-01"),
             ],
         )
-        assert EntityFuser(SCHEMA).fuse_cluster(cluster).raw("price") == 300.0
+        assert EntityFuser(SCHEMA).fuse([cluster])[0].raw("price") == 300.0
         fuser = EntityFuser(SCHEMA, precedence=("b", "a"))
-        assert fuser.fuse_cluster(cluster).raw("price") == 350.0
+        assert fuser.fuse([cluster])[0].raw("price") == 350.0
         # Unlisted sources follow the listed ones, in cluster order.
         fuser = EntityFuser(SCHEMA, precedence=("b",))
-        assert fuser.fuse_cluster(cluster).raw("price") == 350.0
+        assert fuser.fuse([cluster])[0].raw("price") == 350.0

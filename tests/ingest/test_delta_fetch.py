@@ -109,7 +109,7 @@ class TestFetchDelta:
 
     def test_cursorless_source_always_fetches_full(self):
         source = make_source(cursor=None)
-        assert not source.supports_delta()
+        assert source.delta_cursor() is None
         batch = source.fetch_delta(None)
         assert batch.mode == "full" and batch.fraction == 1.0
 
@@ -243,7 +243,6 @@ class TestWrapperPassthrough:
     def test_chaos_wrapper_forwards_the_cursor(self):
         inner = make_source()
         chaotic = ChaosSource(inner, FaultPlan())
-        assert chaotic.supports_delta()
         assert chaotic.delta_cursor() == "seq"
 
     def test_die_at_step_kills_the_scripted_load(self):

@@ -111,7 +111,7 @@ class TestChannels:
             context, feedback={("dept", "category"): [True] * 5}
         ).score_pair(marketplace_table, "dept", target)
         assert with_feedback.confidence > without.confidence
-        assert "feedback" in with_feedback.evidence_kinds()
+        assert "feedback" in {e.kind for e in with_feedback.evidence}
 
 
 class TestAssignment:

@@ -40,13 +40,6 @@ class TestValue:
         assert repaired.provenance.step is Step.REPAIR
         assert repaired.provenance.sources() == {"shop"}
 
-    def test_derived_keeps_raw(self):
-        v = Value.of("x", Provenance.source("s"))
-        d = v.derived(Step.MAPPING, "m1", confidence=0.7)
-        assert d.raw == "x"
-        assert d.confidence == 0.7
-        assert d.provenance.depth() == 2
-
     def test_str(self):
         assert str(Value.of(None)) == ""
         assert str(Value.of(5)) == "5"
@@ -100,11 +93,6 @@ class TestTable:
         projected = table.project(["name"])
         assert projected.schema.names == ("name",)
         assert projected[0].raw("price") is None
-
-    def test_filter(self, table):
-        cheap = table.filter(lambda r: r.raw("price") == "$25")
-        assert len(cheap) == 1
-        assert len(table) == 3
 
     def test_union_merges_schemas(self, table):
         other = Table.from_rows("extra", [{"name": "Mouse", "colour": "black"}])

@@ -215,10 +215,6 @@ class TestSchema:
         with pytest.raises(SchemaError):
             Schema.of("a")["zzz"]
 
-    def test_rename(self):
-        schema = Schema.of("a", "b").rename({"a": "x"})
-        assert schema.names == ("x", "b")
-
     def test_merge_disjoint(self):
         merged = Schema.of("a").merge(Schema.of("b"))
         assert merged.names == ("a", "b")

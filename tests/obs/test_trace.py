@@ -74,11 +74,11 @@ class TestSpans:
         assert len(tracer.find("run")) == 1
         assert tracer.find("missing") == []
 
-    def test_export_json(self):
+    def test_to_dicts(self):
         tracer, clock = manual_tracer()
         with tracer.span("run", label="x"):
             clock.advance(1.0)
-        payload = json.loads(tracer.export_json())
+        payload = json.loads(json.dumps(tracer.to_dicts()))
         assert payload[0]["name"] == "run"
         assert payload[0]["duration"] == 1.0
         assert payload[0]["children"] == []

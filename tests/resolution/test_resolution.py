@@ -116,7 +116,7 @@ class TestComparison:
             )
         )
         comparator = default_comparator(schema)
-        names = comparator.attribute_names()
+        names = [field.attribute for field in comparator.fields]
         assert "_truth" not in names
         # transient observations are not identity evidence
         assert "price" not in names

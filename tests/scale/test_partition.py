@@ -1,5 +1,5 @@
 """Partitioning: the stable CRC-32 digest, skew, edge cases, co-location,
-and map/reduce determinism."""
+and partition determinism under permuted input."""
 
 import random
 import subprocess
@@ -10,11 +10,7 @@ import pytest
 
 from repro.errors import WranglingError
 from repro.model.records import Table
-from repro.scale.partition import (
-    hash_partition,
-    map_reduce,
-    stable_digest,
-)
+from repro.scale.partition import hash_partition, stable_digest
 
 OFFERS = Table.from_rows(
     "offers",
@@ -122,7 +118,8 @@ class TestHashPartitionEdges:
 
 class TestMapReduceDeterminism:
     def test_counts(self):
-        assert map_reduce(OFFERS, 4, len, sum) == len(OFFERS)
+        parts = hash_partition(OFFERS, 4)
+        assert sum(len(part) for part in parts) == len(OFFERS)
 
     def test_result_invariant_under_permuted_input(self):
         rows = [{"k": f"key-{i}", "v": i} for i in range(60)]
@@ -132,15 +129,10 @@ class TestMapReduceDeterminism:
             shuffled = list(rows)
             rng.shuffle(shuffled)
             table = Table.from_rows("t", shuffled)
+            parts = hash_partition(table, 7, key=lambda r: str(r.raw("k")))
             outputs.append(
-                map_reduce(
-                    table, 7,
-                    lambda part: sorted(r.raw("v") for r in part.records),
-                    lambda partials: sorted(
-                        value for partial in partials for value in partial
-                    ),
-                    key=lambda r: str(r.raw("k")),
-                )
+                [sorted(r.raw("v") for r in part.records) for part in parts]
             )
-        assert outputs[0] == outputs[1] == outputs[2] == list(range(60))
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert sorted(v for part in outputs[0] for v in part) == list(range(60))
 

@@ -14,7 +14,7 @@ from repro.scale.access import (
     BoundedEvaluator,
 )
 from repro.scale.approximation import approximate_count, sample_table
-from repro.scale.partition import hash_partition, map_reduce, partitioned_resolve
+from repro.scale.partition import hash_partition, partitioned_resolve
 from repro.scale.queries import Atom, ConjunctiveQuery, Variable
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -186,10 +186,6 @@ class TestPartitioning:
         from repro.errors import WranglingError
         with pytest.raises(WranglingError):
             hash_partition(OFFERS, 0)
-
-    def test_map_reduce_counts(self):
-        total = map_reduce(OFFERS, 4, len, sum)
-        assert total == len(OFFERS)
 
     def test_partitioned_resolve_matches_colocated_duplicates(self):
         words = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot",

@@ -1,9 +1,10 @@
 """Source failure taxonomy and size-hint memoisation.
 
-File-backed sources must translate raw I/O and decoding failures into
+The CSV source must translate raw I/O and decoding failures, and a
+header that would drop or misplace values, into
 :class:`~repro.errors.SourceError` — the taxonomy the resilience guard
-classifies — instead of leaking ``OSError``/``UnicodeDecodeError`` into the
-pipeline.  And ``size_hint()`` must reuse the last fetch instead of
+classifies — instead of leaking ``OSError``/``UnicodeDecodeError`` or a
+schema error into the pipeline.  And ``size_hint()`` must reuse the last fetch instead of
 silently re-reading the whole source.
 """
 
@@ -12,8 +13,7 @@ import pytest
 from repro.errors import SourceError
 from repro.model.records import Table
 from repro.sources.base import SourceMetadata, StructuredSource
-from repro.sources.files import CSVSource, JSONSource
-from repro.sources.xmlfile import XMLSource
+from repro.sources.files import CSVSource
 
 
 class TestFailureTaxonomy:
@@ -27,26 +27,31 @@ class TestFailureTaxonomy:
         with pytest.raises(SourceError, match="not valid UTF-8"):
             CSVSource("latin", path).fetch()
 
-    def test_json_directory_path_is_a_source_error(self, tmp_path):
-        with pytest.raises(SourceError, match="could not be read"):
-            JSONSource("dir", tmp_path / ".").fetch()
+    def test_csv_duplicate_header_name_is_a_source_error(self, tmp_path):
+        # A repeated name used to keep only the last column's values.
+        path = tmp_path / "dup.csv"
+        path.write_text("name,price,price\nA,1,2\n", encoding="utf-8")
+        with pytest.raises(SourceError, match=r"dup\.csv, line 1: column 'price'"):
+            CSVSource("dup", path).fetch()
 
-    def test_json_invalid_utf8_is_a_source_error(self, tmp_path):
-        path = tmp_path / "latin.json"
-        path.write_bytes(b'[{"name": "caf\xe9"}]')
-        with pytest.raises(SourceError, match="not valid UTF-8"):
-            JSONSource("latin", path).fetch()
+    def test_csv_empty_header_name_is_a_source_error(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("name,,price\nA,x,1\n", encoding="utf-8")
+        with pytest.raises(SourceError, match=r"blank\.csv, line 1: empty column"):
+            CSVSource("blank", path).fetch()
 
-    def test_json_malformed_payload_is_a_source_error(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("[{truncated")
-        with pytest.raises(SourceError, match="malformed"):
-            JSONSource("broken", path).fetch()
+    def test_csv_row_wider_than_header_is_a_source_error(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("name,price\nA,1\nB,2,extra\n", encoding="utf-8")
+        with pytest.raises(SourceError, match=r"wide\.csv, line 3: 3 fields"):
+            CSVSource("wide", path).fetch()
 
-    def test_xml_directory_path_is_a_source_error(self, tmp_path):
-        (tmp_path / "feed.xml").mkdir()
-        with pytest.raises(SourceError):
-            XMLSource("dir", tmp_path / "feed.xml", "item").fetch()
+    def test_csv_short_row_leaves_trailing_cells_missing(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("name,price\nA\n\nB,2\n", encoding="utf-8")
+        table = CSVSource("short", path).fetch()
+        assert table.raw_column("name") == ["A", "B"]
+        assert table[0].get("price").is_missing
 
 
 class CountingSource(StructuredSource):

@@ -1,13 +1,11 @@
 """Tests for data sources and the source registry."""
 
-import json
-
 import pytest
 
 from repro.errors import SourceError
 from repro.model.schema import DataType
 from repro.sources.base import SourceMetadata
-from repro.sources.files import CSVSource, JSONSource, flatten_object
+from repro.sources.files import CSVSource
 from repro.sources.memory import MemoryDocumentSource, MemorySource, VolatileSource
 from repro.sources.registry import SourceRegistry
 
@@ -70,44 +68,6 @@ class TestFileSources:
         with pytest.raises(SourceError):
             CSVSource("x", tmp_path / "absent.csv").fetch()
 
-    def test_json_list(self, tmp_path):
-        path = tmp_path / "items.json"
-        path.write_text(json.dumps(ROWS), encoding="utf-8")
-        table = JSONSource("json-shop", path).fetch()
-        assert len(table) == 2
-
-    def test_json_records_key_and_nesting(self, tmp_path):
-        payload = {
-            "items": [
-                {"name": "TV", "offer": {"price": 399, "currency": "USD"}},
-            ]
-        }
-        path = tmp_path / "nested.json"
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        table = JSONSource("nested", path, records_key="items").fetch()
-        assert table[0].raw("offer.price") == 399
-
-    def test_json_requires_list(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"a": 1}), encoding="utf-8")
-        with pytest.raises(SourceError):
-            JSONSource("bad", path).fetch()
-        with pytest.raises(SourceError):
-            JSONSource("bad2", path, records_key="missing").fetch()
-
-
-class TestFlattenObject:
-    def test_nested_paths(self):
-        flat = flatten_object({"a": {"b": 1}, "c": 2})
-        assert flat == {"a.b": 1, "c": 2}
-
-    def test_scalar_lists_joined(self):
-        assert flatten_object({"tags": ["x", "y"]}) == {"tags": "x; y"}
-
-    def test_object_lists_indexed(self):
-        flat = flatten_object({"offers": [{"p": 1}, {"p": 2}]})
-        assert flat == {"offers.0.p": 1, "offers.1.p": 2}
-
 
 class TestDocumentSource:
     def test_fetch_documents(self):
@@ -127,7 +87,6 @@ class TestRegistry:
         assert len(registry) == 2
         assert "a" in registry
         assert registry.get("a").name == "a"
-        assert [s.name for s in registry.structured()] == ["a"]
         assert [s.name for s in registry.documents()] == ["b"]
 
     def test_duplicate_name_rejected(self):
@@ -155,4 +114,3 @@ class TestRegistry:
         registry.register(MemorySource("b", ROWS, cost_per_access=1.0))
         registry.get("a").fetch()
         assert registry.total_cost() == 3.0
-        assert registry.cost_of(["a", "b"]) == 4.0

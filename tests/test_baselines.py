@@ -3,7 +3,6 @@
 import pytest
 
 from repro.baselines.static_etl import StaticETL
-from repro.context.user_context import UserContext
 from repro.datagen.htmlgen import random_listings, render_site
 from repro.datagen.products import TARGET_SCHEMA, SourceSpec, generate_world
 from repro.errors import PlanningError
@@ -33,14 +32,6 @@ class TestStaticETL:
         output = etl.run()
         assert len(output) > 0
         assert output.schema is TARGET_SCHEMA
-
-    def test_context_is_ignored(self, world):
-        etl = StaticETL(TARGET_SCHEMA)
-        for name, rows in world.source_rows.items():
-            etl.add_source(MemorySource(name, rows))
-        a = etl.run_for(UserContext.precision_first("p", TARGET_SCHEMA))
-        b = etl.run_for(UserContext.completeness_first("c", TARGET_SCHEMA))
-        assert a.to_rows() == b.to_rows()
 
     def test_handles_document_sources(self):
         import random

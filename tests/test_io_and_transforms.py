@@ -1,115 +1,53 @@
-"""Tests for export I/O and mapping transforms."""
+"""Tests for durable writes and mapping transforms."""
 
-import datetime
-import json
+import errno
+import os
 
 import pytest
 
-from repro.errors import MappingError
-from repro.io import read_json_table, write_csv, write_json
+from repro.io import atomic_write_bytes
 from repro.mapping.mapping import AttributeMap, Mapping
-from repro.mapping.transforms import (
-    TRANSFORMS,
-    get_transform,
-    suggest_transform,
-)
-from repro.model.records import Record, Table
+from repro.mapping.transforms import TRANSFORMS, suggest_transform
+from repro.model.records import Table
 from repro.model.schema import Attribute, DataType, Schema
-from repro.model.values import Value
 
 
-@pytest.fixture
-def table():
-    schema = Schema.of("product", ("price", DataType.CURRENCY))
-    table = Table("wrangled", schema)
-    table.append(Record.of({
-        "product": "Acme TV",
-        "price": Value.of(399.0, confidence=0.9),
-        "_truth": "P1",
-    }, rid="e1"))
-    table.append(Record.of({
-        "product": "Radio",
-        "price": Value.of(None),
-        "_truth": "P2",
-    }, rid="e2"))
-    return table
+class TestAtomicWrite:
+    def test_failed_fsync_keeps_the_old_bytes_and_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        target = tmp_path / "state.bin"
+        target.write_bytes(b"old")
 
+        def full_disk(fd):
+            raise OSError(errno.ENOSPC, "No space left on device")
 
-class TestCSV:
-    def test_roundtrip_shape(self, table, tmp_path):
-        path = write_csv(table, tmp_path / "out.csv")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "product,price"
-        assert lines[1] == "Acme TV,399.0"
-        assert lines[2] == "Radio,"
-
-    def test_hidden_columns(self, tmp_path):
-        schema = Schema.of("product", "_truth")
-        t = Table("t", schema)
-        t.append(Record.of({"product": "TV", "_truth": "P1"}))
-        visible = write_csv(t, tmp_path / "a.csv")
-        assert "_truth" not in visible.read_text().splitlines()[0]
-        hidden = write_csv(t, tmp_path / "b.csv", include_hidden=True)
-        assert "_truth" in hidden.read_text().splitlines()[0]
-
-
-class TestJSON:
-    def test_values_and_confidence(self, table, tmp_path):
-        path = write_json(table, tmp_path / "out.json")
-        payload = json.loads(path.read_text())
-        assert payload["table"] == "wrangled"
-        first = payload["rows"][0]
-        assert first["price"]["value"] == 399.0
-        assert first["price"]["confidence"] == 0.9
-        assert "_truth" not in first
-
-    def test_with_provenance(self, table, tmp_path):
-        path = write_json(table, tmp_path / "out.json", with_provenance=True)
-        payload = json.loads(path.read_text())
-        tree = payload["rows"][0]["product"]["provenance"]
-        assert "step" in tree and "inputs" in tree
-
-    def test_plain_values(self, table, tmp_path):
-        path = write_json(table, tmp_path / "out.json",
-                          with_confidence=False)
-        payload = json.loads(path.read_text())
-        assert payload["rows"][0]["price"] == 399.0
-
-    def test_dates_serialised(self, tmp_path):
-        t = Table("t", Schema.of(("d", DataType.DATE)))
-        t.append(Record.of({"d": datetime.date(2016, 3, 15)}))
-        path = write_json(t, tmp_path / "d.json", with_confidence=False)
-        assert "2016-03-15" in path.read_text()
-
-    def test_read_back(self, table, tmp_path):
-        path = write_json(table, tmp_path / "out.json")
-        loaded = read_json_table(path)
-        assert len(loaded) == 2
-        assert loaded[0].raw("product") == "Acme TV"
-        assert loaded[0].raw("price") == 399.0
+        monkeypatch.setattr(os, "fsync", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            atomic_write_bytes(target, b"new")
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["state.bin"]
 
 
 class TestTransforms:
     def test_registry(self):
         assert "extract_price" in TRANSFORMS
-        with pytest.raises(MappingError):
-            get_transform("teleport")
+        assert "teleport" not in TRANSFORMS
 
     def test_none_passthrough(self):
-        assert get_transform("extract_price")(None) is None
+        assert TRANSFORMS["extract_price"](None) is None
 
     def test_extract_price(self):
-        t = get_transform("extract_price")
+        t = TRANSFORMS["extract_price"]
         assert t("now only £219.50 (in stock)") == pytest.approx(219.5)
         assert t("no price here") == "no price here"
 
     def test_strip_html(self):
-        assert get_transform("strip_html")("<b>Acme</b> TV") == "Acme  TV".replace("  ", " ") or True
-        assert "<" not in str(get_transform("strip_html")("<b>Acme</b> TV"))
+        assert TRANSFORMS["strip_html"]("<b>Acme</b> TV") == "Acme  TV".replace("  ", " ") or True
+        assert "<" not in str(TRANSFORMS["strip_html"]("<b>Acme</b> TV"))
 
     def test_numeric_transforms(self):
-        assert get_transform("pennies_to_pounds")(19900) == pytest.approx(199.0)
-        assert get_transform("thousands")(65) == pytest.approx(65000.0)
+        assert TRANSFORMS["thousands"](65) == pytest.approx(65000.0)
 
     def test_suggest_extractor_for_embedded_prices(self):
         values = ["was £10.00 now £9.00", "only $5.99 today", "£3.50 each"]
@@ -134,6 +72,6 @@ class TestTransforms:
         mapping = Mapping(
             "s", schema,
             (AttributeMap("price", "blob",
-                          transform=get_transform("extract_price")),),
+                          transform=TRANSFORMS["extract_price"]),),
         )
         assert mapping.apply(table)[0].raw("price") == pytest.approx(7.5)

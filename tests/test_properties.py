@@ -43,9 +43,10 @@ class TestDataflowEquivalence:
     """Incremental recomputation must equal a from-scratch evaluation."""
 
     @staticmethod
-    def build(chain_values):
+    def build(cell):
+        """The chain x0 -> x1 -> x2 -> x3 -> sum; x0 reads ``cell[0]``."""
         flow = Dataflow()
-        flow.add_input("x0", chain_values[0])
+        flow.add("x0", lambda inputs: cell[0])
         for index in range(1, 4):
             flow.add(
                 f"x{index}",
@@ -65,18 +66,18 @@ class TestDataflowEquivalence:
     )
     @settings(max_examples=50)
     def test_incremental_equals_fresh(self, inputs, invalidations):
-        flow = self.build([inputs[0]])
+        cell = [inputs[0]]
+        flow = self.build(cell)
         flow.pull("sum")
-        final_input = inputs[0]
         for value, node in zip(inputs[1:], invalidations):
-            flow.set_input("x0", value)
-            final_input = value
+            cell[0] = value
+            flow.invalidate("x0")
             flow.invalidate(node)
             flow.pull("sum")
         for node in invalidations:
             flow.invalidate(node)
         incremental = flow.pull("sum")
-        fresh = self.build([final_input])
+        fresh = self.build(list(cell))
         assert incremental == fresh.pull("sum")
 
 

@@ -79,12 +79,13 @@ bench-gate:
 # catches drift between the benchmarks and the repro.obs schema.  E6
 # also asserts that relevance and duplicate feedback which move nothing
 # are cut off after at most three recomputed nodes.  Every result table
-# without a timing column must then be rewritten byte for byte (E6, E10
-# and E7a carry milliseconds or seconds; E11-resilience is `make
-# chaos`'s, E14 `make bench-gate`'s).
+# without a timing column must then be rewritten byte for byte (E7a
+# carries seconds; E6 and E10 print theirs and keep them in their
+# telemetry files; E11-resilience is `make chaos`'s, E14 `make
+# bench-gate`'s).
 DETERMINISTIC_TABLES := E1-automation E2-user-context E3-extraction E4-evidence \
-	E5-payg E7b-approximation E7c-access-bounded E8-source-selection E9-fusion \
-	E11-kbc E12-autonomic E13-ablation
+	E5-payg E6-incremental E7b-approximation E7c-access-bounded \
+	E8-source-selection E9-fusion E10-repair E11-kbc E12-autonomic E13-ablation
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e1_automation.py benchmarks/bench_e2_user_context.py benchmarks/bench_e3_extraction.py benchmarks/bench_e4_evidence.py benchmarks/bench_e5_payg.py benchmarks/bench_e6_incremental.py benchmarks/bench_e7_scale.py benchmarks/bench_e8_source_selection.py benchmarks/bench_e9_fusion.py benchmarks/bench_e10_repair.py benchmarks/bench_e11_kbc.py benchmarks/bench_e12_autonomic.py benchmarks/bench_e13_ablation.py -q -p no:cacheprovider
 	$(PYTHON) -m repro.obs.report benchmarks/results/E10-repair.telemetry.json --validate-only

@@ -10,7 +10,9 @@ the known optimal (corruptions are injected, so the oracle cost is the
 number of corrupted low-confidence cells), and how many corrupted cells
 does it actually fix back to the truth?  Expected shape: 100% consistency,
 cost within a small factor of optimal, restoration well above the
-violation rate.
+violation rate.  The table holds deterministic counts and costs only;
+each repair's wall-clock goes to stdout and to the telemetry file (the
+``repair`` spans and the ``repair.seconds`` histogram).
 """
 
 import random
@@ -78,8 +80,9 @@ def test_e10_repair_quality(benchmark):
         rows.append(
             [f"{rate:.2f}", corrupted, len(result.repairs),
              f"{result.total_cost:.1f}", f"{oracle_cost:.1f}",
-             f"{restored / len(truth):.3f}", f"{elapsed * 1000:.0f}"]
+             f"{restored / len(truth):.3f}"]
         )
+        print(f"E10 violation rate {rate:.2f}: {elapsed * 1000:.0f} ms")
         # cost within 2x of the oracle, and most of the truth restored
         if corrupted:
             assert result.total_cost <= 2.0 * oracle_cost + 1.0
@@ -95,7 +98,7 @@ def test_e10_repair_quality(benchmark):
         "E10-repair",
         format_table(
             ["violation rate", "corrupted cells", "cells repaired",
-             "repair cost", "oracle cost", "truth restored", "ms"],
+             "repair cost", "oracle cost", "truth restored"],
             rows,
         ),
     )

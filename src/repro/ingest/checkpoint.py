@@ -27,23 +27,42 @@ import json
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from repro.errors import (
     CheckpointError,
     InjectedCrashError,
     SnapshotVersionError,
 )
-from repro.ingest.snapshots import SnapshotStore, decode_payload, encode_payload
+from repro.ingest.snapshots import (
+    SnapshotStore,
+    apply_table_delta,
+    decode_payload,
+    encode_payload,
+    encode_table_delta,
+)
 from repro.io import atomic_write_bytes
-from repro.model.workingdata import canonical_bytes, content_digest
+from repro.model.records import Record, Table
+from repro.model.workingdata import canonical_bytes, content_digest, row_digest
 from repro.sources.cursor import Watermark
 
-__all__ = ["CheckpointStore", "CrashPlan", "JOURNAL_VERSION", "RunLog"]
+__all__ = [
+    "CheckpointStore",
+    "CrashPlan",
+    "JOURNAL_VERSION",
+    "MAX_CHAIN_DEPTH",
+    "RunLog",
+]
 
 #: Version stamp of the journal layout; bump on any change so old stores
 #: are detected, not misread.
 JOURNAL_VERSION = 1
+
+#: The most deltas a snapshot chain stacks on its full snapshot; the
+#: commit after that is written full.  Deep enough that a full rewrite
+#: of a refresh tick's output lands once in sixteen ticks, shallow
+#: enough that replaying a chain decodes at most seventeen objects.
+MAX_CHAIN_DEPTH = 16
 
 _JOURNAL_SCHEMA = "repro.ingest/journal"
 
@@ -93,6 +112,20 @@ def _count(telemetry: Any, name: str, amount: int = 1) -> None:
         telemetry.metrics.counter(name).increment(amount)
 
 
+class _Held(NamedTuple):
+    """A table this store object committed: the base the next commit of
+    its lineage (a source's view, the run's output) is a delta over."""
+
+    snapshot: str
+    table: Table
+    #: The table's records as committed, kept apart from its mutable list.
+    records: tuple[Record, ...]
+    #: ``snapshot``, then its base, ..., down to the full snapshot.
+    chain: tuple[str, ...]
+    #: A view's row digests, in order (empty for the output).
+    digests: tuple[str, ...] = ()
+
+
 class CheckpointStore:
     """Durable per-run progress plus committed per-source watermarks.
 
@@ -100,8 +133,9 @@ class CheckpointStore:
     ``objects/`` (content-addressed snapshots), ``quarantine/`` (corrupt
     files moved aside).  In memory the object also keeps, per source,
     the last view it committed behind a watermark
-    (:meth:`RunLog.live_view`), so a delta tick can keep that view's
-    records.
+    (:meth:`RunLog.previous_view`), so a delta tick can keep that view's
+    records, and the last output it committed; each is the base the
+    next commit of its lineage is written as a delta over.
     """
 
     def __init__(
@@ -117,7 +151,9 @@ class CheckpointStore:
         #: Per source, the in-process table a run of this object committed
         #: behind the source's watermark, under that commit's snapshot id:
         #: one view per source, replaced on each advance.
-        self._views: dict[str, tuple[str, Any]] = {}
+        self._views: dict[str, _Held] = {}
+        #: The output the last run of this object completed with.
+        self._output: _Held | None = None
 
     # -- journal I/O ------------------------------------------------------
 
@@ -218,8 +254,56 @@ class CheckpointStore:
         return log
 
     def replay(self, snapshot_id: str) -> Any:
-        """Decode any committed snapshot back into its live payload."""
-        return decode_payload(self.snapshots.get(snapshot_id))
+        """Decode any committed snapshot back into its live payload.
+
+        A delta is applied over its replayed base, so a chain decodes
+        from its full snapshot up; every object is digest-checked.
+        """
+        payload = self.snapshots.get(snapshot_id)
+        if payload.get("kind") == "table-delta":
+            return apply_table_delta(self.replay(payload["base"]), payload)
+        return decode_payload(payload)
+
+    def _intact(self, chain: Sequence[str]) -> bool:
+        """Whether every object of a chain still hashes to its id.
+
+        Bytes only, nothing decoded.  A bad link is quarantined and
+        counted on ``ingest.restore.corrupt``.
+        """
+        if all(self.snapshots.verify(snapshot_id) for snapshot_id in chain):
+            return True
+        _count(self.telemetry, "ingest.restore.corrupt")
+        return False
+
+    def _put(
+        self, payload: Any, base: _Held | None
+    ) -> tuple[str, tuple[str, ...]]:
+        """Store one payload; returns its snapshot id and chain.
+
+        A table is written as a delta over ``base`` unless the base's
+        chain is already :data:`MAX_CHAIN_DEPTH` deltas deep, more than
+        half the rows are new, or a link of the chain fails its check.
+        """
+        if base is not None and isinstance(payload, Table) and (
+            len(base.chain) <= MAX_CHAIN_DEPTH
+        ):
+            delta = encode_table_delta(payload, base.snapshot, base.records)
+            if delta is not None and self._intact(base.chain):
+                snapshot_id = self.snapshots.put(delta)
+                _count(self.telemetry, "ingest.snapshots.delta")
+                _count(
+                    self.telemetry, "ingest.snapshots.records_encoded",
+                    len(delta["new"]["records"]),
+                )
+                return snapshot_id, (snapshot_id, *base.chain)
+        snapshot_id = self.snapshots.put(encode_payload(payload))
+        _count(self.telemetry, "ingest.snapshots.full")
+        if isinstance(payload, Table):
+            _count(
+                self.telemetry, "ingest.snapshots.records_encoded",
+                len(payload),
+            )
+        return snapshot_id, (snapshot_id,)
 
     def watermarks(self) -> dict[str, Watermark]:
         """Every committed per-source watermark."""
@@ -296,21 +380,47 @@ class RunLog:
         table = self._replay(self._body.get("watermarks", {}).get(source))
         return None if table is None else table.to_rows()
 
-    def live_view(self, source: str) -> Any:
-        """The in-process table :meth:`previous_rows` replays, or ``None``.
-
-        That is the table this store object committed behind ``source``'s
-        watermark, still held under the watermark's snapshot id.  Snapshot
-        ids are content addresses that cover record ids, so the live
-        table and the replayed one agree row for row.  A new process, a
-        resume whose acquisition was restored, or a watermark another
-        store object advanced finds no live view.
+    def _live(self, source: str) -> _Held | None:
+        """The view this store object committed behind ``source``'s
+        watermark, still held under the watermark's snapshot id, or
+        ``None``.  Snapshot ids are content addresses that cover record
+        ids, so the live table and the replayed one agree row for row.
+        A new process, a resume whose acquisition was restored, or a
+        watermark another store object advanced finds no live view.
         """
         entry = self._body.get("watermarks", {}).get(source)
         held = self._store._views.get(source)
-        if entry is None or held is None or held[0] != entry.get("snapshot"):
+        if held is None or entry is None or held.snapshot != entry.get("snapshot"):
             return None
-        return held[1]
+        return held
+
+    def previous_view(
+        self, source: str
+    ) -> tuple[list[dict[str, Any]], Sequence[str], Sequence[Record]] | None:
+        """The committed view behind ``source``'s watermark, as a delta
+        merges into it: its raw rows, their row digests and the records
+        they carry (empty when the view was replayed).
+
+        With a live view held, it is read from memory, not replayed,
+        once its snapshot chain verifies by bytes.  A chain that fails
+        (the bad link quarantined and counted on
+        ``ingest.restore.corrupt``) drops the live view and offers no
+        rows, so the delta cannot merge and the source is refetched in
+        full.  Without a live view the snapshot is replayed; ``None``
+        when there is none, or it is stale or corrupt.
+        """
+        held = self._live(source)
+        if held is not None:
+            if not self._store._intact(held.chain):
+                del self._store._views[source]
+                return [], (), ()
+            rows = [record.to_dict() for record in held.records]
+            digests = held.digests or [row_digest(row) for row in rows]
+            return rows, digests, held.records
+        rows = self.previous_rows(source)
+        if rows is None:
+            return None
+        return rows, [row_digest(row) for row in rows], ()
 
     def _replay(self, entry: Mapping[str, Any] | None) -> Any:
         """The payload behind a journal entry's snapshot, or ``None``.
@@ -337,16 +447,24 @@ class RunLog:
         data: Mapping[str, Any] | None,
         payload: Any,
         watermark: Watermark | None = None,
+        digests: Sequence[str] = (),
     ) -> str | None:
         """Record one step, then store the journal: the snapshot object
         lands first, then one atomic rewrite makes the step (with any
         watermark advance; ``complete`` closes the run) visible — a crash
         between the two leaves an unreferenced object, never a dangling
-        reference.
+        reference.  A view behind a watermark and the run's output are
+        each written as a delta over the one this store object last
+        committed in their lineage.
         """
-        snapshot_id = None
+        store = self._store
+        if watermark is not None:
+            base = store._views.get(watermark.source)
+        else:
+            base = store._output if step == "complete" else None
+        snapshot_id, chain = None, ()
         if payload is not None:
-            snapshot_id = self._store.snapshots.put(encode_payload(payload))
+            snapshot_id, chain = store._put(payload, base)
         entry = {
             "step": step,
             "snapshot": snapshot_id,
@@ -369,9 +487,20 @@ class RunLog:
             self._current["complete"] = True
             self._current["output_snapshot"] = snapshot_id
             self._body["runs_completed"] = int(self._body["runs_completed"]) + 1
-        self._store._store_state(self._body, step)
+        store._store_state(self._body, step)
+        held = None
+        if isinstance(payload, Table):
+            held = _Held(
+                snapshot_id, payload, tuple(payload.records), chain,
+                tuple(digests),
+            )
         if watermark is not None:
-            self._store._views[watermark.source] = (snapshot_id, payload)
+            if held is None:
+                store._views.pop(watermark.source, None)
+            else:
+                store._views[watermark.source] = held
+        elif step == "complete":
+            store._output = held
         return snapshot_id
 
     def commit(
@@ -380,9 +509,15 @@ class RunLog:
         data: Mapping[str, Any] | None = None,
         payload: Any = None,
         watermark: Watermark | None = None,
+        digests: Sequence[str] = (),
     ) -> str | None:
-        """Durably commit one step; returns the payload's snapshot id."""
-        return self._write(step, data, payload, watermark)
+        """Durably commit one step; returns the payload's snapshot id.
+
+        ``digests`` are the row digests of a view committed behind
+        ``watermark``, in order: a later :meth:`previous_view` reads
+        them instead of digesting the rows again.
+        """
+        return self._write(step, data, payload, watermark, digests)
 
     def complete(self, payload: Any = None) -> str | None:
         """Mark the run complete (one atomic write with the final step)."""

@@ -11,10 +11,12 @@ digest nobody can supply) instead of silently missed.
 delta when the committed watermark allows, full otherwise, and commit
 the result (payload snapshot + watermark advance) in one checkpoint.
 A merged view keeps the records of the view the same store object
-committed before (:meth:`~repro.ingest.checkpoint.RunLog.live_view`),
-so the rows a tick did not change keep their objects and record ids
-and only the new rows are typed: every layer downstream that carries
-work by record identity then reuses it.
+committed before (:meth:`~repro.ingest.checkpoint.RunLog.previous_view`),
+read from memory once its snapshot chain verifies, not replayed, so
+the rows a tick did not change keep their objects and record ids and
+only the new rows are typed: every layer downstream that carries work
+by record identity then reuses it, the delta snapshot the commit
+writes among them.
 """
 
 from __future__ import annotations
@@ -42,24 +44,26 @@ def merge_delta(
     means a row changed behind the cursor, and the caller must fall back
     to a full refetch.
     """
-    merged = _merge(previous_rows, (), batch)
+    digests = [row_digest(row) for row in previous_rows]
+    merged = _merge(previous_rows, digests, (), batch)
     return None if merged is None else merged[0]
 
 
 def _merge(
     previous_rows: Sequence[dict[str, Any]],
+    digests: Sequence[str],
     live: Sequence[Record],
     batch: DeltaBatch,
 ) -> tuple[list[dict[str, Any]], list[Record | None]] | None:
     """:func:`merge_delta`'s rows, each with the record it carries.
 
-    ``live`` is empty or holds the records ``previous_rows`` were read
-    from, in order.  A row of the current view takes the next unused
-    live record of its digest, so the digests form a multiset: two
-    identical rows stay two records.  A row no live record is left for
-    carries ``None`` and is built afresh.
+    ``digests`` are the row digests of ``previous_rows``.  ``live`` is
+    empty or holds the records ``previous_rows`` were read from, in
+    order.  A row of the current view takes the next unused live record
+    of its digest, so the digests form a multiset: two identical rows
+    stay two records.  A row no live record is left for carries ``None``
+    and is built afresh.
     """
-    digests = [row_digest(row) for row in previous_rows]
     pool = dict(zip(digests, previous_rows))
     pool.update((row_digest(row), row) for row in batch.rows)
     unused: dict[str, list[Record]] = {}
@@ -90,14 +94,15 @@ def acquire_durable(
 
     Document sources are always full fetches.  Structured sources make
     one ``fetch_delta`` call: with the committed watermark when it, its
-    snapshot, and a declared cursor all line up, with ``None`` (a full
-    fetch) otherwise.  An unmergeable delta (edit behind the cursor,
-    corrupt previous snapshot) falls back to a full refetch — counted
-    on ``ingest.delta.fallbacks`` — so correctness never depends on the
-    cursor discipline holding.  A merged view is built from the rows
-    replayed off the committed snapshot (integrity-checked as ever); the
-    rows the live view held keep its records, counted on
-    ``ingest.delta.records_reused``.
+    view, and a declared cursor all line up, with ``None`` (a full
+    fetch) otherwise.  An unmergeable delta (edit behind the cursor, a
+    live view whose snapshot chain failed its check) falls back to a
+    full refetch — counted on ``ingest.delta.fallbacks`` — so
+    correctness never depends on the cursor discipline holding.  The
+    committed view comes from :meth:`~repro.ingest.checkpoint.RunLog.previous_view`:
+    the live view with its row digests when this store object holds
+    it, the replayed snapshot otherwise; the rows the live view held
+    keep its records, counted on ``ingest.delta.records_reused``.
 
     Each source call goes through ``access(name, op, fn)``: the
     wrangler's :meth:`~repro.resilience.AccessGuard.call` under
@@ -116,7 +121,7 @@ def acquire_durable(
         return documents
 
     cursor = source.delta_cursor()
-    previous = log.previous_rows(source.name) if cursor is not None else None
+    previous = log.previous_view(source.name) if cursor is not None else None
     watermark = log.watermark(source.name) if previous is not None else None
     batch = access(
         source.name, "fetch_delta", lambda: source.fetch_delta(watermark)
@@ -125,10 +130,7 @@ def acquire_durable(
     if watermark is None:
         _count(telemetry, "ingest.full_fetches")
     else:
-        live = log.live_view(source.name)
-        merged = _merge(
-            previous, live.records if live is not None else (), batch
-        )
+        merged = _merge(*previous, batch)
         if merged is None:
             _count(telemetry, "ingest.delta.fallbacks")
             batch = access(
@@ -151,5 +153,8 @@ def acquire_durable(
         "rows_fetched": len(batch.rows),
         "fraction": batch.fraction,
     }
-    log.commit(step, data=info, payload=table, watermark=batch.watermark)
+    log.commit(
+        step, data=info, payload=table, watermark=batch.watermark,
+        digests=batch.order,
+    )
     return table

@@ -7,6 +7,13 @@ past run replays byte-for-byte from its id, and identical payloads across
 runs share one object.  Reads verify the digest; a mismatch means disk
 corruption, and the object is quarantined (moved aside, never trusted)
 with a :class:`~repro.errors.CheckpointError` raised to the caller.
+
+A table may also be stored as a *delta* over a base snapshot
+(:func:`encode_table_delta`): the base's id, an ``order`` vector that
+names each row as a base position or a new record, and the new records
+as an ordinary :func:`~repro.model.workingdata.encode_table` payload.
+A snapshot id therefore names a payload, not a logical table: one table
+may be stored under a full id and under a delta id.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from typing import Any, Mapping, Sequence
 
 from repro.errors import CheckpointError, SnapshotVersionError
 from repro.io import atomic_write_bytes
-from repro.model.records import Table
+from repro.model.records import Record, Table
 from repro.model.workingdata import (
     SNAPSHOT_VERSION,
     canonical_bytes,
@@ -28,7 +35,13 @@ from repro.model.workingdata import (
 )
 from repro.sources.base import Document
 
-__all__ = ["SnapshotStore", "decode_payload", "encode_payload"]
+__all__ = [
+    "SnapshotStore",
+    "apply_table_delta",
+    "decode_payload",
+    "encode_payload",
+    "encode_table_delta",
+]
 
 
 def _encode_documents(documents: Sequence[Document]) -> dict[str, Any]:
@@ -77,6 +90,53 @@ def decode_payload(payload: Mapping[str, Any]) -> Any:
     raise CheckpointError(f"unknown snapshot payload kind {kind!r}")
 
 
+def encode_table_delta(
+    table: Table, base_id: str, base: Sequence[Record]
+) -> dict[str, Any] | None:
+    """``table`` as a delta over the snapshot ``base_id``, or ``None``.
+
+    ``base`` holds the records the base snapshot encodes, in order; a
+    record of ``table`` that *is* one of them (object identity: records
+    are frozen, so the same object is the same row) is written as its
+    base position, any other as ``~j``, the ``j``-th new record.  ``None``
+    when more than half the rows are new: a full snapshot is then about
+    as small and starts a fresh chain.
+    """
+    position = {id(record): index for index, record in enumerate(base)}
+    order: list[int] = []
+    new: list[Record] = []
+    for record in table:
+        index = position.get(id(record))
+        if index is None:
+            index = ~len(new)
+            new.append(record)
+        order.append(index)
+    if 2 * len(new) > len(order):
+        return None
+    return {
+        "kind": "table-delta",
+        "version": SNAPSHOT_VERSION,
+        "base": base_id,
+        "order": order,
+        "new": encode_table(Table(table.name, table.schema, new)),
+    }
+
+
+def apply_table_delta(base: Table, payload: Mapping[str, Any]) -> Table:
+    """Invert :func:`encode_table_delta` over the decoded base table."""
+    if payload.get("version") != SNAPSHOT_VERSION:
+        raise SnapshotVersionError(
+            f"table delta version {payload.get('version')!r} is not the "
+            f"supported version {SNAPSHOT_VERSION}"
+        )
+    new = decode_table(payload["new"])
+    records = [
+        base.records[index] if index >= 0 else new.records[~index]
+        for index in payload["order"]
+    ]
+    return Table(new.name, new.schema, records)
+
+
 class SnapshotStore:
     """A content-addressed object store under one directory.
 
@@ -102,17 +162,32 @@ class SnapshotStore:
     def put(self, payload: Mapping[str, Any]) -> str:
         """Store a JSON payload; returns its content address.
 
-        Idempotent: an object that already exists is left untouched, so
-        re-committing after a resume never rewrites (or re-corrupts)
-        history.
+        Idempotent: an intact object that already exists is left
+        untouched, so re-committing after a resume never rewrites
+        history.  An existing object whose bytes no longer hash to its
+        id is quarantined and written afresh, so a commit never names a
+        rotten object.
         """
         data = canonical_bytes(payload)
         snapshot_id = hashlib.sha256(data).hexdigest()
-        path = self._object_path(snapshot_id)
-        if not path.exists():
+        if not self.verify(snapshot_id):
+            path = self._object_path(snapshot_id)
             path.parent.mkdir(parents=True, exist_ok=True)
             atomic_write_bytes(path, data)
         return snapshot_id
+
+    def verify(self, snapshot_id: str) -> bool:
+        """Whether the object is present and hashes to its id.
+
+        Bytes only: nothing is parsed.  A mismatch quarantines the object.
+        """
+        path = self._object_path(snapshot_id)
+        if not path.exists():
+            return False
+        if hashlib.sha256(path.read_bytes()).hexdigest() == snapshot_id:
+            return True
+        self.quarantine(path)
+        return False
 
     def get(self, snapshot_id: str) -> dict[str, Any]:
         """Load and verify the payload stored under ``snapshot_id``.

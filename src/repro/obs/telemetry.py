@@ -59,7 +59,7 @@ class Telemetry:
 
     def __post_init__(self) -> None:
         if self.tracer is None:
-            self.tracer = Tracer(self.clock)
+            self.tracer = Tracer(self.clock, self.metrics)
 
     @classmethod
     def manual(cls, start: float = 0.0) -> "Telemetry":

@@ -11,6 +11,11 @@ Spans close even when the body raises (the exception is recorded as the
 ``error`` attribute and re-raised), so a failing pipeline still exports a
 complete trace.
 
+A long-lived tracer keeps only the latest :data:`MAX_ROOT_SPANS`
+finished roots: a wrangler that runs tick after tick would otherwise
+export every run it ever made in each snapshot.  Evicted roots are
+counted on ``obs.spans_dropped`` when the tracer has a metrics registry.
+
 The tracer is thread-compatible: the open-span stack is
 **thread-local**, so spans opened on another thread nest under that
 thread's context, never under this one's, and finished roots are
@@ -26,8 +31,14 @@ from typing import Any, Iterator
 
 from repro.errors import TelemetryError
 from repro.obs.clock import Clock, system_clock
+from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["Span", "Tracer"]
+__all__ = ["MAX_ROOT_SPANS", "Span", "Tracer"]
+
+#: Finished root spans a tracer keeps; the oldest is evicted past it.
+#: A run opens one or two roots (``wrangle.run``, ``feedback.apply``),
+#: so this is the latest few dozen runs.
+MAX_ROOT_SPANS = 64
 
 
 class Span:
@@ -66,10 +77,14 @@ class Span:
 
 
 class Tracer:
-    """Issues spans, nests them by context, and keeps the finished roots."""
+    """Issues spans, nests them by context, and keeps the latest
+    :data:`MAX_ROOT_SPANS` finished roots."""
 
-    def __init__(self, clock: Clock | None = None) -> None:
+    def __init__(
+        self, clock: Clock | None = None, metrics: MetricsRegistry | None = None
+    ) -> None:
         self.clock = clock or system_clock
+        self.metrics = metrics
         self.spans: list[Span] = []
         self._local = threading.local()
         self._roots_lock = threading.Lock()
@@ -109,6 +124,10 @@ class Tracer:
             if not stack:
                 with self._roots_lock:
                     self.spans.append(opened)
+                    if len(self.spans) > MAX_ROOT_SPANS:
+                        del self.spans[0]
+                        if self.metrics is not None:
+                            self.metrics.counter("obs.spans_dropped").increment()
 
     @property
     def active(self) -> Span | None:
@@ -117,7 +136,7 @@ class Tracer:
         return stack[-1] if stack else None
 
     def find(self, name: str) -> list[Span]:
-        """Every finished span (at any depth) with the given name."""
+        """Every retained finished span (at any depth) with the given name."""
 
         def walk(span: Span) -> Iterator[Span]:
             if span.name == name:
@@ -128,7 +147,7 @@ class Tracer:
         return [hit for root in self.spans for hit in walk(root)]
 
     def to_dicts(self) -> list[dict[str, Any]]:
-        """Every finished root span as a plain dict tree."""
+        """Every retained finished root span as a plain dict tree."""
         return [span.to_dict() for span in self.spans]
 
     def reset(self) -> None:

@@ -15,6 +15,7 @@ from repro.feedback.types import (
     ValueFeedback,
 )
 from repro.obs import validate_telemetry
+from repro.obs.trace import MAX_ROOT_SPANS
 from repro.sources.memory import MemorySource
 
 TODAY = datetime.date(2016, 3, 15)
@@ -142,6 +143,34 @@ class TestFeedbackTelemetry:
             rid_a=translated[0].rid, rid_b=translated[1].rid,
             is_duplicate=False,
         )]) == {"refit"}
+
+    def test_a_long_feedback_session_keeps_span_retention_flat(self, world):
+        """300 feedback ticks: the tracer keeps the latest roots only, so
+        each run's snapshot stays the size it was after 50 ticks; the
+        evicted roots are counted."""
+
+        def span_count(spans):
+            return sum(1 + span_count(span["children"]) for span in spans)
+
+        wrangler = make_wrangler(world)
+        wrangler.run()
+        sizes = {}
+        for tick in range(1, 301):
+            wrangler.apply_feedback([ValueFeedback(
+                entity="x", attribute="price", is_correct=tick % 2 == 0,
+            )])
+            result = wrangler.run()
+            if tick in (50, 300):
+                sizes[tick] = span_count(result.telemetry["spans"])
+        roots = result.telemetry["spans"]
+        assert len(roots) == MAX_ROOT_SPANS
+        assert [span["name"] for span in roots[-2:]] == [
+            "feedback.apply", "wrangle.run",
+        ]
+        assert sizes[300] == sizes[50]
+        # One cold run, then two roots a tick.
+        dropped = result.telemetry["metrics"]["counters"]["obs.spans_dropped"]
+        assert dropped == 1 + 2 * 300 - MAX_ROOT_SPANS
 
     def test_bounded_evaluator_reports_against_budget(self, world):
         from repro.model.records import Table

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.obs import ManualClock, Tracer
+from repro.obs import ManualClock, MetricsRegistry, Tracer
+from repro.obs.trace import MAX_ROOT_SPANS
 
 
 def manual_tracer():
@@ -96,3 +97,26 @@ class TestSpans:
             clock.advance(5.0)
             assert span.duration == 0.0
         assert span.duration == 5.0
+
+
+class TestRetention:
+    def test_the_oldest_roots_are_evicted_and_counted(self):
+        metrics = MetricsRegistry()
+        tracer = Tracer(ManualClock(), metrics)
+        for index in range(MAX_ROOT_SPANS + 5):
+            with tracer.span("run", index=index):
+                with tracer.span("node"):
+                    pass
+        assert len(tracer.spans) == MAX_ROOT_SPANS
+        assert [root.attributes["index"] for root in tracer.spans] == list(
+            range(5, MAX_ROOT_SPANS + 5)
+        )
+        assert len(tracer.find("node")) == MAX_ROOT_SPANS
+        assert metrics.counter("obs.spans_dropped").value == 5
+
+    def test_a_tracer_without_metrics_still_evicts(self):
+        tracer, _ = manual_tracer()
+        for __ in range(MAX_ROOT_SPANS + 1):
+            with tracer.span("run"):
+                pass
+        assert len(tracer.spans) == MAX_ROOT_SPANS

@@ -8,19 +8,20 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Every static pass goes through the one driver,
-# python -m repro.analysis <lint|typecheck|ratchet>.
+# The framework linter (tools/lint.py) over the package and the dev tools
+# that import it, every rule; lint-json is the report CI consumes.
+LINTED := src/repro tools/lint.py tools/typecheck.py tools/ratchet.py
 lint:
-	$(PYTHON) -m repro.analysis lint src/repro
+	$(PYTHON) tools/lint.py $(LINTED)
 
 lint-json:
-	$(PYTHON) -m repro.analysis lint src/repro --format json
+	$(PYTHON) tools/lint.py $(LINTED) --format json
 
 # The pre-execution gate (contexts + types + cost) over every shipped
 # example plan, info notes included; exits 1 on any error-severity
 # finding.
 typecheck:
-	$(PYTHON) -m repro.analysis typecheck examples
+	$(PYTHON) tools/typecheck.py examples
 
 # The rule-arm tally over N seeded composed plans, each run through
 # Wrangler.preflight(): the table docs/ANALYSIS.md carries (N=500, ~30 s).
@@ -53,17 +54,18 @@ REF ?= HEAD
 bench-pairs:
 	python3 tools/bench_pairs.py --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS) --ref $(REF)
 
-# The perf ratchet: copy the committed BENCH_* baselines aside (so the
-# fresh run cannot overwrite what it is compared against), re-run the
-# ratcheted benchmarks (ER scale, incremental ingestion, the type-
-# inference load path), and fail on any lower-is-better metric
-# regressing past the tolerance.  The live gate runs at 50% rather
-# than the CLI's 15% default: wall-clock minima on a shared runner
-# still swing ~30% run-to-run even best-of-3, while a real algorithmic
-# regression (losing blocking, an accidental n² stage) is a multi-x
-# blow-up that 50% still catches.  The strict 15% contract is pinned
-# machine-independently by tests/analysis/test_cost_ratchet.py over
-# the committed fixture pair.  --check-baselines fails the gate on any
+# The perf ratchet (tools/ratchet.py): copy the committed BENCH_*
+# baselines aside (so the fresh run cannot overwrite what it is compared
+# against), re-run the ratcheted benchmarks (ER scale, incremental
+# ingestion, the type-inference load path), and fail on any
+# lower-is-better metric regressing past the tolerance or missing from
+# its fresh record.  The live gate runs at 50% rather than the tool's
+# 15% default: wall-clock minima on a shared runner still swing ~30%
+# run-to-run even best-of-3, while a real algorithmic regression
+# (losing blocking, an accidental n² stage) is a multi-x blow-up that
+# 50% still catches.  The strict 15% contract is pinned
+# machine-independently by tests/analysis/test_cost_ratchet.py over the
+# committed fixture pair.  --check-baselines fails the gate on any
 # committed baseline no bench_*.py can regenerate.  REP015 keeps every
 # benchmark on the shared telemetry helpers the ratchet feeds from.
 bench-gate:
@@ -71,8 +73,8 @@ bench-gate:
 	mkdir -p benchmarks/.ratchet
 	cp benchmarks/results/BENCH_*.json benchmarks/.ratchet/
 	$(PYTHON) -m pytest benchmarks/bench_er_scale.py benchmarks/bench_e14_velocity.py benchmarks/bench_type_inference.py -q -p no:cacheprovider
-	$(PYTHON) -m repro.analysis ratchet --baseline benchmarks/.ratchet --fresh benchmarks/results --tolerance 0.5 --check-baselines benchmarks
-	$(PYTHON) -m repro.analysis lint benchmarks --select REP015
+	$(PYTHON) tools/ratchet.py --baseline benchmarks/.ratchet --fresh benchmarks/results --tolerance 0.5 --check-baselines benchmarks
+	$(PYTHON) tools/lint.py benchmarks --select REP015
 
 # The paper-claim benchmarks end to end (~30 s), each asserting its
 # claim's shape, then schema-check three of their telemetry files:
@@ -103,7 +105,7 @@ chaos:
 	$(PYTHON) -m pytest tests/resilience tests/core/test_degradation.py -q -p no:cacheprovider
 	$(PYTHON) -m pytest benchmarks/bench_e11_resilience.py -q -p no:cacheprovider
 	$(PYTHON) -m repro.obs.report benchmarks/results/E11-resilience.telemetry.json --validate-only
-	$(PYTHON) -m repro.analysis lint src/repro tests benchmarks --select REP013
+	$(PYTHON) tools/lint.py src/repro tests benchmarks --select REP013
 
 # Crash chaos: the kill-at-every-checkpoint matrix (every commit point,
 # both sides of the journal write, byte-identical recovery with exact

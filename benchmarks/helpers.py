@@ -31,7 +31,7 @@ T = TypeVar("T")
 
 
 #: Benchmark-suite artifact names must be ``BENCH_<snake_case>`` so the
-#: perf ratchet (``python -m repro.analysis ratchet``) can pair
+#: perf ratchet (``tools/ratchet.py``) can pair
 #: fresh ``BENCH_*.json`` records with committed baselines by glob.
 _BENCH_NAME_RE = re.compile(r"BENCH_[a-z0-9_]+")
 

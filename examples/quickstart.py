@@ -23,8 +23,8 @@ TODAY = datetime.date(2016, 3, 15)
 def build_wrangler(world=None):
     """The quickstart pipeline: 60 products, 6 retailers, one analyst.
 
-    Zero-argument by convention so ``python -m repro.analysis typecheck``
-    can build and statically check the plan without running it.
+    Zero-argument by convention so ``tools/typecheck.py`` can build and
+    statically check the plan without running it.
     """
     # -- 1. a world: 60 products, 6 retailers with the 4 V's dialled in ----
     if world is None:

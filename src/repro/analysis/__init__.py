@@ -1,22 +1,21 @@
-"""Static analysis for the repro framework: validate before you run.
+"""The pre-execution gate: validate a plan before it runs.
 
-Three legs share one diagnostics engine and one driver,
-``python -m repro.analysis <lint|typecheck|ratchet>``:
+Every ``Wrangler.run()`` / ``Wrangler.preflight()`` calls
+:func:`~repro.analysis.typecheck.run_preflight`, which folds three
+rule families into one report:
 
-* :mod:`repro.analysis.validator` — static validation of the contexts a
-  user writes (rule ids ``PV0xx``), wired into
-  :class:`~repro.core.wrangler.Wrangler` as a pre-flight check;
-* :mod:`repro.analysis.lint` — an AST-based framework linter (rule ids
-  ``REP0xx``), the driver's ``lint src/repro``;
-* :mod:`repro.analysis.typecheck` — the type rules over the probe
-  artifacts (rule ids ``TC0xx``) and, with the cost checks of
-  :mod:`repro.analysis.cost` (``CC0xx``), the wrangler's pre-execution
-  gate, rendered by the driver's ``typecheck examples``.
+* :mod:`repro.analysis.validator` — the contexts a user writes (rule
+  ids ``PV0xx``);
+* :mod:`repro.analysis.typecheck` — the types threaded through the probe
+  artifacts (``TC0xx``);
+* :mod:`repro.analysis.cost` — the statically predictable cost
+  (``CC0xx``).
 
-All emit :class:`~repro.analysis.diagnostics.Diagnostic` values and
-render through :mod:`repro.analysis.report`.  The linter and the
-ratchet are dev tooling: this package does not re-export them, so
-``import repro`` never loads them.
+All emit :class:`~repro.analysis.diagnostics.Diagnostic` values.  The
+dev tooling built on the same vocabulary lives outside the package, in
+``tools/``: the framework linter (``tools/lint.py``, ``REP0xx``), the
+plan checker over example modules (``tools/typecheck.py``) and the
+benchmark ratchet (``tools/ratchet.py``).
 """
 
 from repro.analysis.diagnostics import (

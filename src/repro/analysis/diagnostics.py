@@ -1,10 +1,11 @@
 """The shared diagnostics vocabulary of the analysis subsystem.
 
-Both halves of :mod:`repro.analysis` — the static plan validator and the
-AST framework linter — emit the same currency: a :class:`Diagnostic`
-carrying a rule id, a severity, a location, a human-readable message, and
-(where one exists) a fix hint.  Reporters render collections of them;
-callers decide policy from :func:`has_errors`.
+Every rule family — the gate's ``PV``/``TC``/``CC`` checks and the
+framework linter's ``REP`` rules (``tools/lint.py``) — emits the same
+currency: a :class:`Diagnostic` carrying a rule id, a severity, a
+location, a human-readable message, and (where one exists) a fix hint.
+:func:`render_text` renders a collection of them; callers decide policy
+from :func:`has_errors`.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "count_by_severity",
     "finding",
     "has_errors",
+    "render_text",
     "sort_diagnostics",
 ]
 
@@ -29,7 +31,7 @@ __all__ = [
 class Severity(enum.Enum):
     """How bad a finding is — drives exit codes and raise policy.
 
-    ``ERROR`` findings make the lint CLI exit non-zero and make the plan
+    ``ERROR`` findings make the tools exit non-zero and make the plan
     validator raise; ``WARNING`` findings are reported but never fatal;
     ``INFO`` findings are advisory style notes.
     """
@@ -37,11 +39,6 @@ class Severity(enum.Enum):
     ERROR = "error"
     WARNING = "warning"
     INFO = "info"
-
-    @property
-    def rank(self) -> int:
-        """Numeric badness (higher is worse), for sorting and thresholds."""
-        return {"info": 0, "warning": 1, "error": 2}[self.value]
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ class Location:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    """One finding from either analysis half."""
+    """One finding of any rule family."""
 
     rule: str
     severity: Severity
@@ -85,19 +82,6 @@ class Diagnostic:
             f"{self.location.render()}: {self.severity.value} "
             f"[{self.rule}] {self.message}{hint}"
         )
-
-    def to_dict(self) -> dict[str, object]:
-        """A JSON-serialisable form (the JSON reporter's row format)."""
-        return {
-            "rule": self.rule,
-            "severity": self.severity.value,
-            "file": self.location.file,
-            "line": self.location.line,
-            "column": self.location.column,
-            "node": self.location.node,
-            "message": self.message,
-            "fix_hint": self.fix_hint,
-        }
 
 
 @dataclass(frozen=True)
@@ -165,3 +149,22 @@ def count_by_severity(
 def has_errors(diagnostics: Sequence[Diagnostic]) -> bool:
     """Whether any finding is error-severity."""
     return any(d.severity is Severity.ERROR for d in diagnostics)
+
+
+def render_text(
+    diagnostics: Sequence[Diagnostic], checked_files: int = 0
+) -> str:
+    """The human-readable report: findings then a severity summary."""
+    ordered = sort_diagnostics(diagnostics)
+    lines = [diagnostic.render() for diagnostic in ordered]
+    counts = count_by_severity(ordered)
+    summary = ", ".join(
+        f"{counts[severity]} {severity.value}"
+        for severity in (Severity.ERROR, Severity.WARNING, Severity.INFO)
+    )
+    scope = f" across {checked_files} files" if checked_files else ""
+    if not ordered:
+        lines.append(f"clean: no findings{scope}")
+    else:
+        lines.append(f"found {len(ordered)} ({summary}){scope}")
+    return "\n".join(lines)

@@ -26,9 +26,9 @@ from repro.analysis.diagnostics import (
     catalogue,
     finding,
     has_errors,
+    render_text,
     sort_diagnostics,
 )
-from repro.analysis.report import render_text
 from repro.errors import PlanValidationError
 
 __all__ = ["ValidationReport", "PlanValidator"]

@@ -520,8 +520,7 @@ class Wrangler:
         mapping differs from it only in its minted id: ``mapped`` then
         reuses what that mapping translated."""
         mapping = Mapping.from_correspondences(
-            name, self.user.target_schema, inputs[f"match:{name}"],
-            sample_table=inputs[f"acquire:{name}"],
+            name, self.user.target_schema, inputs[f"match:{name}"]
         )
         previous = self.working.get("mapping", name)
         if previous is not None and same_value(
@@ -701,10 +700,10 @@ class Wrangler:
         Probes the sources (the cheap sample pass), composes a plan and
         gates it exactly as :meth:`run` gates the plans it composes.
         Returns the :class:`~repro.analysis.validator.ValidationReport`
-        instead of raising, so callers (e.g. ``python -m repro.analysis
-        typecheck``) can render every finding.  The one way to inspect the
-        gate, or — ``preflight().raise_on_error()`` — to re-gate after
-        changing what a memoised plan was gated against.
+        instead of raising, so callers (e.g. ``tools/typecheck.py``) can
+        render every finding.  The one way to inspect the gate, or —
+        ``preflight().raise_on_error()`` — to re-gate after changing what
+        a memoised plan was gated against.
         """
         self.flow.pull("probe")
         return self._compose()[1]

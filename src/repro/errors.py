@@ -103,10 +103,6 @@ class QueryError(WranglingError):
     """A conjunctive query is malformed or references unknown relations."""
 
 
-class AnalysisError(WranglingError):
-    """The static-analysis tooling was misused (bad path, unknown rule)."""
-
-
 class TelemetryError(WranglingError):
     """The observability layer was misused (bad metric kind, clock abuse)."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import MappingError, TypeInferenceError
 from repro.matching.schema_matching import Correspondence
@@ -36,7 +36,6 @@ class AttributeMap:
     target: str
     source: str
     confidence: float = 1.0
-    transform: Callable[[object], object] | None = None
 
 
 @dataclass(frozen=True)
@@ -57,42 +56,17 @@ class Mapping:
         source_name: str,
         target_schema: Schema,
         correspondences: Sequence[Correspondence],
-        sample_table: Table | None = None,
     ) -> "Mapping":
         """Build a mapping from matcher output.
 
         The mapping's confidence is the mean correspondence confidence over
         the *required* target attributes it covers (uncovered required
         attributes pull it down to reflect incompleteness).
-
-        With a ``sample_table``, each attribute map also gets a suggested
-        value transform when the source values only fit the target type
-        after reshaping (e.g. prices embedded in text) — Variety handled
-        at mapping-generation time rather than left as low-confidence
-        cells.
         """
-        from repro.mapping.transforms import suggest_transform
-
-        maps = []
-        for c in correspondences:
-            transform = None
-            if (
-                sample_table is not None
-                and c.source_attribute in sample_table.schema
-            ):
-                samples = sample_table.raw_column(c.source_attribute)[:50]
-                target_attribute = target_schema.get(c.target_attribute)
-                if target_attribute is not None:
-                    transform = suggest_transform(samples, target_attribute)
-            maps.append(
-                AttributeMap(
-                    c.target_attribute,
-                    c.source_attribute,
-                    c.confidence,
-                    transform=transform,
-                )
-            )
-        maps = tuple(maps)
+        maps = tuple(
+            AttributeMap(c.target_attribute, c.source_attribute, c.confidence)
+            for c in correspondences
+        )
         covered = {m.target for m in maps}
         required = [a.name for a in target_schema if a.required]
         scores = [m.confidence for m in maps]
@@ -139,8 +113,6 @@ class Mapping:
                 cells[attribute.name] = MISSING
                 continue
             raw = value.raw
-            if attribute_map.transform is not None:
-                raw = attribute_map.transform(raw)
             confidence_penalty = 1.0
             try:
                 raw = coerce(raw, attribute.dtype)

@@ -12,9 +12,9 @@ instrument kinds, chosen for the questions the experiments ask:
 All instruments are thread-safe: the registry serialises creation and
 each instrument serialises its own updates, so feedback workers and
 concurrent pulls can record without corrupting totals.  Snapshots are
-plain dicts; :func:`render_text` / :func:`render_json` mirror the
-reporter contract of :mod:`repro.analysis.report` (pure functions from
-data to a string — callers own all I/O).
+plain dicts; :func:`render_text` / :func:`render_json` are pure
+functions from data to a string, like
+:func:`repro.analysis.diagnostics.render_text` — callers own all I/O.
 """
 
 from __future__ import annotations

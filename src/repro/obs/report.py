@@ -2,7 +2,7 @@
 
 Renders a telemetry snapshot (the schema of
 :mod:`repro.obs.telemetry`) as a human text report or as validated
-JSON, mirroring the reporter contract of :mod:`repro.analysis.report`.
+JSON, mirroring :func:`repro.analysis.diagnostics.render_text`.
 
 CLI usage::
 

@@ -1,7 +1,9 @@
 """The ways rule tests reach the gate: ``run_preflight`` handed what a
 ``Wrangler`` would hand it, and seeded draws of composed plans through
-``Wrangler.preflight()`` (``tools/gate_draws.py``)."""
+``Wrangler.preflight()`` (``tools/gate_draws.py``); and how they load the
+dev tools under ``tools/``, which are scripts, not package modules."""
 
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ from repro.model.workingdata import WorkingData
 from repro.sources.memory import MemorySource
 from repro.sources.registry import SourceRegistry
 
-TOOL = Path(__file__).resolve().parents[2] / "tools" / "gate_draws.py"
+TOOLS = Path(__file__).resolve().parents[2] / "tools"
 
 #: Draws every property test ranges over: the generator's first ``DRAWS``
 #: (``make gate-draws N=500`` runs the full tally).
@@ -32,15 +34,17 @@ TARGET = Schema(
 )
 
 
-def load_gate_draws():
-    spec = importlib.util.spec_from_file_location("gate_draws", TOOL)
+@functools.cache
+def load_tool(name):
+    """``tools/<name>.py``, imported once as the module ``name``."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve through it
     spec.loader.exec_module(module)
     return module
 
 
-gate_draws = load_gate_draws()
+gate_draws = load_tool("gate_draws")
 
 
 def good_plan(*sources, **overrides):

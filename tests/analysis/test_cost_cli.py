@@ -1,14 +1,17 @@
-"""The driver's rendering of the ``CC`` findings (through ``typecheck``,
-the one plan subcommand) and its ``ratchet`` subcommand: discovery,
-formats, and the shared analysis exit-code contract."""
+"""The ``CC`` findings as ``tools/typecheck.py`` renders them, and
+``tools/ratchet.py``'s command line: discovery, the reports, and the
+shared exit-code contract."""
 
-import json
+import shutil
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.__main__ import main
-from repro.analysis.plans import check_paths
+from conftest import load_tool
+
+typecheck = load_tool("typecheck")
+ratchet = load_tool("ratchet")
+check_paths = typecheck.check_paths
 
 FIXTURES = Path(__file__).with_name("ratchet_fixtures")
 BASELINE = FIXTURES / "baseline"
@@ -64,52 +67,39 @@ class TestCertifyMode:
     """``typecheck`` renders the CC findings with the rest of the gate's."""
 
     def test_affordable_plan_exits_zero(self, plan_module, capsys):
-        assert main(["typecheck", str(plan_module)]) == 0
+        assert typecheck.main([str(plan_module)]) == 0
         out = capsys.readouterr().out
         assert "info [CC006] estimated access cost 2.40 " in out
         assert "found 1 (0 error, 0 warning, 1 info)" in out
 
     def test_refused_plan_exits_one(self, refused_module, capsys):
-        assert main(["typecheck", str(refused_module)]) == 1
+        assert typecheck.main([str(refused_module)]) == 1
         assert "PV007" in capsys.readouterr().out
 
     def test_findings_are_reanchored_to_the_plan_module(
         self, plan_module, capsys
     ):
-        main(["typecheck", str(plan_module)])
+        typecheck.main([str(plan_module)])
         assert "affordable_plan.py::plan: info [CC006]" in (
             capsys.readouterr().out
         )
 
     def test_unknown_path_exits_two(self, capsys):
-        assert main(["typecheck", "does/not/exist.py"]) == 2
+        assert typecheck.main(["does/not/exist.py"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_explicit_file_without_entry_exits_two(self, tmp_path, capsys):
         target = tmp_path / "not_a_plan.py"
         target.write_text("x = 1\n")
-        assert main(["typecheck", str(target)]) == 2
+        assert typecheck.main([str(target)]) == 2
         assert "build_wrangler" in capsys.readouterr().err
 
     def test_directory_skips_non_plan_modules(self, tmp_path, capsys):
         (tmp_path / "helper.py").write_text("x = 1\n")
         (tmp_path / "plan.py").write_text(PLAN)
-        assert main(["typecheck", str(tmp_path)]) == 0
+        assert typecheck.main([str(tmp_path)]) == 0
         err = capsys.readouterr().err
         assert "helper.py" in err and "skipped" in err
-
-    def test_json_report_shape(self, plan_module, capsys):
-        assert main(["typecheck", str(plan_module), "--format", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        (note,) = payload["diagnostics"]
-        assert (note["rule"], note["severity"]) == ("CC006", "info")
-        assert payload["summary"]["infos"] == 1
-        assert payload["summary"]["checked_files"] == 1
-
-    def test_custom_entry_point(self, tmp_path):
-        target = tmp_path / "named.py"
-        target.write_text(PLAN.replace("build_wrangler", "make_it"))
-        assert main(["typecheck", str(target), "--entry", "make_it"]) == 0
 
     def test_check_paths_counts_and_reports(self, plan_module):
         result = check_paths([str(plan_module)])
@@ -117,104 +107,87 @@ class TestCertifyMode:
         assert result.ok
         assert [d.rule for d in result.diagnostics] == ["CC006"]
 
-    def test_list_rules(self, capsys):
-        assert main(["typecheck", "--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule_id in ("PV007", "TC001", "CC004", "CC006"):
-            assert rule_id in out
-        for retired in (
-            "CC001", "CC002", "CC003", "CC005", "CC007", "CC008", "CC009",
-        ):
-            assert retired not in out
 
-    def test_cost_subcommand_is_gone(self, plan_module, capsys):
-        with pytest.raises(SystemExit) as exit_:
-            main(["cost", str(plan_module)])
-        assert exit_.value.code == 2
+@pytest.fixture()
+def unchanged(tmp_path):
+    """A fresh-results directory holding the baseline's records as they
+    are: the ratchet refuses to compare a directory with itself."""
+    return shutil.copytree(BASELINE, tmp_path / "fresh")
 
 
 class TestRatchetMode:
-    def test_passing_ratchet_exits_zero(self, capsys):
-        code = main(
-            ["ratchet", "--baseline", str(BASELINE),
-             "--fresh", str(BASELINE)]
+    def test_baseline_and_fresh_must_name_two_directories(self, capsys):
+        with pytest.raises(SystemExit) as usage:
+            ratchet.main([])  # neither flag defaults to a directory
+        assert usage.value.code == 2
+        capsys.readouterr()
+        assert ratchet.main(
+            ["--baseline", str(BASELINE), "--fresh", f"{BASELINE}/."]
+        ) == 2
+        assert "both name" in capsys.readouterr().err
+
+    def test_passing_ratchet_exits_zero(self, unchanged, capsys):
+        code = ratchet.main(
+            ["--baseline", str(BASELINE),
+             "--fresh", str(unchanged)]
         )
         assert code == 0
         assert "OK" in capsys.readouterr().out
 
     def test_regression_exits_one(self, capsys):
-        code = main(
-            ["ratchet", "--baseline", str(BASELINE),
+        code = ratchet.main(
+            ["--baseline", str(BASELINE),
              "--fresh", str(REGRESSED)]
         )
         assert code == 1
         assert "regressed" in capsys.readouterr().out
 
     def test_tolerance_flag_loosens_the_gate(self):
-        assert main(
-            ["ratchet", "--baseline", str(BASELINE),
+        assert ratchet.main(
+            ["--baseline", str(BASELINE),
              "--fresh", str(REGRESSED), "--tolerance", "0.25"]
         ) == 0
 
     def test_missing_baseline_dir_exits_two(self, tmp_path, capsys):
-        assert main(
-            ["ratchet", "--baseline", str(tmp_path / "nope"),
+        assert ratchet.main(
+            ["--baseline", str(tmp_path / "nope"),
              "--fresh", str(tmp_path)]
         ) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_json_format(self, capsys):
-        main(
-            ["ratchet", "--baseline", str(BASELINE),
-             "--fresh", str(REGRESSED), "--format", "json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is False
-
     def test_check_baselines_passes_when_benchmarks_exist(
-        self, tmp_path
+        self, tmp_path, unchanged
     ):
         benches = tmp_path / "benchmarks"
         benches.mkdir()
         (benches / "bench_synthetic.py").write_text(
             'emit("BENCH_synthetic", "...")\n', encoding="utf-8"
         )
-        assert main(
-            ["ratchet", "--baseline", str(BASELINE),
-             "--fresh", str(BASELINE),
+        assert ratchet.main(
+            ["--baseline", str(BASELINE),
+             "--fresh", str(unchanged),
              "--check-baselines", str(benches)]
         ) == 0
 
-    def test_orphan_baseline_fails_the_gate(self, tmp_path, capsys):
+    def test_orphan_baseline_fails_the_gate(
+        self, tmp_path, unchanged, capsys
+    ):
         benches = tmp_path / "benchmarks"
         benches.mkdir()  # no bench_*.py mentions BENCH_synthetic
-        code = main(
-            ["ratchet", "--baseline", str(BASELINE),
-             "--fresh", str(BASELINE),
+        code = ratchet.main(
+            ["--baseline", str(BASELINE),
+             "--fresh", str(unchanged),
              "--check-baselines", str(benches)]
         )
         assert code == 1
         assert "orphan baseline" in capsys.readouterr().out
 
-    def test_orphans_surface_in_json_output(self, tmp_path, capsys):
-        benches = tmp_path / "benchmarks"
-        benches.mkdir()
-        main(
-            ["ratchet", "--baseline", str(BASELINE),
-             "--fresh", str(BASELINE),
-             "--check-baselines", str(benches),
-             "--format", "json"]
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"] is False
-        assert payload["orphan_baselines"] == ["BENCH_synthetic.json"]
-
     def test_missing_benchmarks_dir_is_a_usage_error(
-        self, tmp_path, capsys
+        self, tmp_path, unchanged, capsys
     ):
-        assert main(
-            ["ratchet", "--baseline", str(BASELINE),
-             "--fresh", str(BASELINE),
+        assert ratchet.main(
+            ["--baseline", str(BASELINE),
+             "--fresh", str(unchanged),
              "--check-baselines", str(tmp_path / "nowhere")]
         ) == 2
-        assert "error:" in capsys.readouterr().err
+        assert "no such benchmarks directory" in capsys.readouterr().err

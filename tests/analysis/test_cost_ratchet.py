@@ -1,17 +1,17 @@
-"""The perf ratchet: committed baselines vs fresh runs, the committed
-synthetic-regression fixture pair, and the gate's exit-code contract."""
+"""The perf ratchet (``tools/ratchet.py``): committed baselines vs fresh
+runs, the committed synthetic-regression fixture pair, and the gate's
+exit-code contract."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.cost.ratchet import (
-    DEFAULT_TOLERANCE,
-    orphan_baselines,
-    run_ratchet,
-)
-from repro.errors import AnalysisError
+from conftest import load_tool
+
+ratchet = load_tool("ratchet")
+DEFAULT_TOLERANCE = ratchet.DEFAULT_TOLERANCE
+orphan_baselines, run_ratchet = ratchet.orphan_baselines, ratchet.run_ratchet
 
 FIXTURES = Path(__file__).with_name("ratchet_fixtures")
 BASELINE = FIXTURES / "baseline"
@@ -92,14 +92,17 @@ class TestRatchetMechanics:
         )
         assert not run_ratchet(tmp_path / "fresh", tmp_path / "base").ok
 
-    def test_metric_absent_from_fresh_record_is_skipped(self, tmp_path):
+    def test_metric_absent_from_fresh_record_fails(self, tmp_path):
         write_bench(tmp_path / "base",
                     timings_seconds={"kept": 1.0, "dropped": 1.0})
         write_bench(tmp_path / "fresh", timings_seconds={"kept": 1.0})
         report = run_ratchet(tmp_path / "fresh", tmp_path / "base")
-        assert [e.metric for e in report.entries] == [
-            "timings_seconds.kept"
+        assert not report.ok
+        assert [(e.metric, e.status) for e in report.entries] == [
+            ("timings_seconds.dropped", "missing"),
+            ("timings_seconds.kept", "ok"),
         ]
+        assert "no fresh timings_seconds.dropped" in report.render()
 
     def test_telemetry_snapshots_are_not_baselines(self, tmp_path):
         base = tmp_path / "base"
@@ -109,21 +112,14 @@ class TestRatchetMechanics:
         assert len(report.entries) == 1
 
     def test_no_baseline_directory_is_a_usage_error(self, tmp_path):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ratchet.UsageError):
             run_ratchet(tmp_path, tmp_path / "nowhere")
 
     def test_no_baselines_at_all_is_a_usage_error(self, tmp_path):
         empty = tmp_path / "base"
         empty.mkdir()
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ratchet.UsageError):
             run_ratchet(tmp_path, empty)
-
-    def test_report_serialises_for_ci(self):
-        payload = run_ratchet(REGRESSED, BASELINE).to_dict()
-        assert payload["ok"] is False
-        assert payload["tolerance"] == DEFAULT_TOLERANCE
-        statuses = {e["status"] for e in payload["entries"]}
-        assert "regressed" in statuses
 
     def test_render_names_the_verdict(self):
         text = run_ratchet(REGRESSED, BASELINE).render()
@@ -173,7 +169,7 @@ class TestOrphanBaselines:
         assert orphan_baselines(base, benches) == []
 
     def test_missing_benchmarks_dir_is_a_usage_error(self, tmp_path):
-        with pytest.raises(AnalysisError):
+        with pytest.raises(ratchet.UsageError):
             orphan_baselines(tmp_path, tmp_path / "nowhere")
 
     def test_repo_baselines_all_have_generating_benchmarks(self):

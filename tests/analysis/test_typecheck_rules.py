@@ -6,12 +6,15 @@ Each surviving rule leaves a column of the wrangled table unfed or
 misread and is reported before any source is fully accessed.
 """
 
+from dataclasses import fields
+
 from conftest import TARGET, assert_never_fires
 from repro.analysis.diagnostics import Severity
 from repro.analysis.typecheck import TYPECHECK_RULES
 from repro.context.data_context import DataContext
 from repro.context.user_context import UserContext
 from repro.core.wrangler import Wrangler
+from repro.mapping.mapping import AttributeMap
 from repro.model.annotations import Dimension
 from repro.model.schema import Attribute, DataType, Schema
 from repro.resilience.chaos import ChaosSource, FaultPlan
@@ -83,8 +86,9 @@ class TestCoercibilityRules:
         assert_never_fires(draws, "TC003", "matched types never coerce")
 
     def test_tc004_transform_outside_its_input_domain(self, draws):
-        """TC004 is retired with the transforms' declared domains: the
-        probe's bootstrap mappings carry no transform to mistype."""
+        """TC004 is retired with the transforms themselves: an attribute
+        map has no value transform to mistype."""
+        assert "transform" not in {f.name for f in fields(AttributeMap)}
         assert_never_fires(
             draws, "TC004", "probe mapping carries a transform to mistype"
         )

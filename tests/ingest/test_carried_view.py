@@ -2,13 +2,14 @@
 
 ``acquire_durable`` builds a merged view from the records of the view
 the same :class:`~repro.ingest.checkpoint.CheckpointStore` object
-committed before (``RunLog.live_view``), matched by row digest as a
-multiset; only the new rows are typed and minted.  The oracle for the
-merged view is ``Table.from_rows`` over the merged rows: the carried
-table must fingerprint the same.  A store object that did not commit
-the view (a new process) finds no live view and builds every row.  And
-a crash on either side of a delta tick's ``acquire:`` commit, resumed on
-the same store object, ends where the uninterrupted script ends.
+committed before (``RunLog.previous_view`` reads them from memory),
+matched by row digest as a multiset; only the new rows are typed and
+minted.  The oracle for the merged view is ``Table.from_rows`` over the
+merged rows: the carried table must fingerprint the same.  A store
+object that did not commit the view (a new process) finds no live view
+and builds every row.  And a crash on either side of a delta tick's
+``acquire:`` commit, resumed on the same store object, ends where the
+uninterrupted script ends.
 """
 
 import csv

@@ -80,15 +80,6 @@ class TestMappingExecution:
         assert value.raw == "not-a-price"
         assert value.confidence == pytest.approx(0.9 * 0.5)
 
-    def test_transform_applied(self):
-        schema = Schema.of(("price", DataType.CURRENCY))
-        table = Table.from_rows("s", [{"pennies": 19900}])
-        mapping = Mapping(
-            "s", schema,
-            (AttributeMap("price", "pennies", transform=lambda v: v / 100),),
-        )
-        assert mapping.apply(table)[0].raw("price") == pytest.approx(199.0)
-
     def test_unmapped_attribute_missing(self):
         schema = Schema.of("a", "b")
         table = Table.from_rows("s", [{"x": 1}])

@@ -371,8 +371,7 @@ def _never_coerces(src: DataType, dst: DataType) -> bool:
 def _tc003(outcome: Outcome) -> bool:
     target = _target(outcome)
     return any(
-        m.transform is None
-        and m.source in schema
+        m.source in schema
         and m.target in target
         and _never_coerces(schema[m.source].dtype, target[m.target].dtype)
         for schema, m in _matched_pairs(outcome)
@@ -511,7 +510,7 @@ ARMS: tuple[Arm, ...] = (
     _retired("TC004", "probe mapping carries a transform to mistype",
              f"{_TYPES}::test_tc004_transform_outside_its_input_domain",
              lambda o: any(
-                 m.transform is not None
+                 getattr(m, "transform", None) is not None
                  for mapping in o.mappings.values()
                  for m in mapping.attribute_maps
              )),

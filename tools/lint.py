@@ -1,31 +1,53 @@
-"""The framework lint rules: AST checks for repro's own invariants.
+"""The framework linter: AST checks for repro's own invariants.
 
-Each rule inspects one module's AST (stdlib :mod:`ast` only — the linter
-adds no runtime dependencies) and yields
+    python tools/lint.py src/repro                 # or: make lint
+    python tools/lint.py src/repro --format json   # what CI consumes
+    python tools/lint.py benchmarks --select REP015
+
+Each rule inspects one module's AST (stdlib :mod:`ast` only) and yields
 :class:`~repro.analysis.diagnostics.Diagnostic` findings.  Rules register
-themselves in :data:`RULES` via the :func:`rule` decorator; the engine in
-:mod:`repro.analysis.lint` handles file discovery and ``# repro: noqa``
-suppression, the driver (``python -m repro.analysis lint``) reporting
-and exit codes.
+themselves in :data:`RULES` via the :func:`rule` decorator; the engine
+below discovers files and honours ``# repro: noqa`` line suppressions.
 
 The invariants are the framework's, not generic style: confidences are
 probabilities, the model/quality layers are deterministic, provenance-
 carrying return values must not be dropped, and imports must respect the
 layer order of the architecture (Figure 1 flows left to right; code must
 not flow back).
+
+Exit codes: ``0`` no error-severity finding, ``1`` at least one
+survived suppression, ``2`` misuse (unknown path or rule, a file that
+does not parse).
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
+import json
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Mapping
+from pathlib import Path
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.analysis.diagnostics import Diagnostic, Location, Rule, Severity
+from repro.analysis.diagnostics import (
+    Diagnostic,
+    Location,
+    Rule,
+    Severity,
+    count_by_severity,
+    has_errors,
+    render_text,
+    sort_diagnostics,
+)
 
-__all__ = ["ModuleContext", "RULES", "noqa_pragmas", "rule", "run_rules"]
+
+class UsageError(Exception):
+    """The tool was misused: an unknown path or rule id, or a file that
+    does not parse.  Exit code 2."""
+
 
 #: The ``# repro: noqa[RULE,...]`` pragma grammar.
 _NOQA_RE = re.compile(
@@ -37,9 +59,9 @@ def noqa_pragmas(
     source: str,
 ) -> Iterator[tuple[int, int, tuple[str, ...] | None]]:
     """Every ``# repro: noqa`` pragma in ``source``, parsed once for both
-    its readers — the suppression machinery in :mod:`repro.analysis.lint`
-    and REP012's audit: ``(line, column, rule ids)``, the ids upper-cased
-    in written order, ``None`` for a blanket pragma."""
+    its readers — the suppression machinery below and REP012's audit:
+    ``(line, column, rule ids)``, the ids upper-cased in written order,
+    ``None`` for a blanket pragma."""
     for number, line in enumerate(source.splitlines(), start=1):
         match = _NOQA_RE.search(line)
         if match is None:
@@ -951,3 +973,189 @@ def _check_atomic_writes_only(context: ModuleContext) -> Iterator[Diagnostic]:
                 "is not crash-atomic",
                 "write through repro.io.atomic_write_bytes",
             )
+
+
+# -- engine ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LintResult:
+    """Findings plus the bookkeeping reporters need."""
+
+    diagnostics: tuple[Diagnostic, ...]
+    checked_files: int
+    suppressed: int
+
+    @property
+    def exit_code(self) -> int:
+        """``0`` when no error-severity finding survived, else ``1``."""
+        return 1 if has_errors(self.diagnostics) else 0
+
+
+def _apply_suppressions(
+    diagnostics: Iterable[Diagnostic], source: str
+) -> tuple[list[Diagnostic], int]:
+    """Drop the findings a ``# repro: noqa`` pragma on their line names
+    (a blanket pragma names every rule); count what was dropped."""
+    table = {line: rules for line, _, rules in noqa_pragmas(source)}
+    kept: list[Diagnostic] = []
+    suppressed = 0
+    for diagnostic in diagnostics:
+        line = diagnostic.location.line
+        if line in table and (
+            table[line] is None or diagnostic.rule in table[line]
+        ):
+            suppressed += 1
+        else:
+            kept.append(diagnostic)
+    return kept, suppressed
+
+
+def _module_identity(path: Path) -> tuple[str, bool]:
+    """Architectural layer and CLI-ness of a file: the package under the
+    last ``repro`` directory of its path (``repro`` itself for the
+    package root), else the first dotted segment of its stem."""
+    if path.stem == "__main__":
+        return "__main__", True
+    parts = path.parts
+    if "repro" not in parts:
+        return path.stem.split(".")[0], False
+    below = parts[len(parts) - parts[::-1].index("repro"):]
+    if not below or below[0] == "__init__.py":
+        return "repro", False
+    return below[0].split(".")[0], False
+
+
+def lint_source(
+    source: str,
+    path: str = "<string>",
+    select: Iterable[str] | None = None,
+) -> LintResult:
+    """Lint one module given as a string; its layer comes from ``path``."""
+    layer, is_main = _module_identity(Path(path))
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as failure:
+        raise UsageError(f"cannot parse {path}: {failure}") from failure
+    context = ModuleContext(
+        path=path,
+        layer=layer,
+        tree=tree,
+        source=source,
+        is_main=is_main,
+    )
+    kept, suppressed = _apply_suppressions(
+        run_rules(context, select=select), source
+    )
+    return LintResult(tuple(sort_diagnostics(kept)), 1, suppressed)
+
+
+def _discover(paths: Sequence[str]) -> list[Path]:
+    files: list[Path] = []
+    for raw in paths:
+        path = Path(raw)
+        if path.is_dir():
+            files.extend(sorted(path.rglob("*.py")))
+        elif path.is_file():
+            files.append(path)
+        else:
+            raise UsageError(f"no such file or directory: {raw}")
+    return files
+
+
+def lint_paths(
+    paths: Sequence[str], select: Iterable[str] | None = None
+) -> LintResult:
+    """Lint every ``.py`` file under the given paths."""
+    if select is not None:
+        unknown = set(select) - set(RULES)
+        if unknown:
+            raise UsageError(
+                f"unknown rule id(s): {', '.join(sorted(unknown))} "
+                f"(known: {', '.join(sorted(RULES))})"
+            )
+    diagnostics: list[Diagnostic] = []
+    suppressed = 0
+    files = _discover(paths)
+    for file in files:
+        result = lint_source(
+            file.read_text(encoding="utf-8"), path=str(file), select=select
+        )
+        diagnostics.extend(result.diagnostics)
+        suppressed += result.suppressed
+    return LintResult(
+        tuple(sort_diagnostics(diagnostics)), len(files), suppressed
+    )
+
+
+# -- report ---------------------------------------------------------------
+
+
+def render_json(
+    diagnostics: Sequence[Diagnostic], checked_files: int = 0
+) -> str:
+    """The machine-readable report (stable key order, sorted findings)."""
+    ordered = sort_diagnostics(diagnostics)
+    counts = count_by_severity(ordered)
+    payload = {
+        "diagnostics": [
+            {
+                "rule": d.rule,
+                "severity": d.severity.value,
+                "file": d.location.file,
+                "line": d.location.line,
+                "column": d.location.column,
+                "node": d.location.node,
+                "message": d.message,
+                "fix_hint": d.fix_hint,
+            }
+            for d in ordered
+        ],
+        "summary": {
+            "total": len(ordered),
+            "errors": counts[Severity.ERROR],
+            "warnings": counts[Severity.WARNING],
+            "infos": counts[Severity.INFO],
+            "checked_files": checked_files,
+        },
+    }
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Lint, print the report, return the exit code."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "paths", nargs="*", default=["src/repro"],
+        help="files or directories to lint (default: src/repro)",
+    )
+    parser.add_argument(
+        "--select", default=None,
+        help="comma-separated rule ids to run (default: all)",
+    )
+    parser.add_argument(
+        "--format", choices=("text", "json"), default="text",
+        help="report format",
+    )
+    args = parser.parse_args(argv)
+    select = None
+    if args.select:
+        select = [
+            token.strip().upper()
+            for token in args.select.split(",")
+            if token.strip()
+        ]
+    try:
+        result = lint_paths(args.paths, select=select)
+    except UsageError as failure:
+        sys.stderr.write(f"error: {failure}\n")
+        return 2
+    render = render_json if args.format == "json" else render_text
+    sys.stdout.write(
+        render(result.diagnostics, checked_files=result.checked_files) + "\n"
+    )
+    return result.exit_code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

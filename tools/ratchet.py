@@ -1,37 +1,41 @@
 """The perf ratchet: fresh ``BENCH_*.json`` runs vs committed baselines.
 
-ROADMAP item 2's "benchmark suite becomes a ratchet instead of a
-report": every committed ``benchmarks/results/BENCH_<name>.json``
-baseline is compared metric-by-metric against a freshly emitted run of
-the same benchmark, and any wall-clock or cost metric that regressed by
-more than the tolerance fails the gate (exit non-zero from
-``python -m repro.analysis ratchet``, wired into ``make
-bench-gate`` / ``make check`` / CI).
+    python tools/ratchet.py --baseline benchmarks/.ratchet \
+        --fresh benchmarks/results --tolerance 0.5 \
+        --check-baselines benchmarks          # what make bench-gate runs
+
+Every ``BENCH_<name>.json`` baseline is compared metric by metric
+against a freshly emitted run of the same benchmark, and any wall-clock
+or cost metric that regressed by more than the tolerance fails the gate.
 
 Only *lower-is-better* metrics are ratcheted: the numeric leaves under a
 baseline's ``timings_seconds`` and ``costs`` objects plus any top-level
 ``cost`` field.  Throughput-style numbers (speedups, cluster counts)
 are carried in the baselines for the record but are machine-dependent,
-so they do not gate.  A baseline whose fresh counterpart is missing
-fails the gate too — deleting a benchmark must be an explicit decision,
-not a silent skip.
+so they do not gate.  A baseline file or metric with no fresh
+counterpart fails the gate too — deleting a benchmark or a measurement
+must be an explicit decision, not a silent skip.
+
+Exit codes: ``0`` no regression, nothing missing and no orphan
+baseline; ``1`` any of those; ``2`` misuse (a directory that does not
+exist or holds no baseline, ``--baseline`` and ``--fresh`` naming the
+same directory).
 """
 
 from __future__ import annotations
 
+import argparse
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
-from repro.errors import AnalysisError
 
-__all__ = [
-    "RatchetEntry",
-    "RatchetReport",
-    "orphan_baselines",
-    "run_ratchet",
-]
+class UsageError(Exception):
+    """The tool was misused: a missing directory, no baseline, or
+    ``--baseline`` and ``--fresh`` naming one directory.  Exit code 2."""
+
 
 #: Allowed relative regression before a metric fails the gate.
 DEFAULT_TOLERANCE = 0.15
@@ -43,7 +47,7 @@ _RATCHETED_SCALARS = ("cost",)
 
 @dataclass(frozen=True)
 class RatchetEntry:
-    """One compared metric (or one missing-file failure)."""
+    """One compared metric, or one missing fresh file or metric."""
 
     benchmark: str
     metric: str
@@ -104,25 +108,6 @@ class RatchetReport:
         )
         return "\n".join(lines)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "tolerance": self.tolerance,
-            "baseline_dir": self.baseline_dir,
-            "fresh_dir": self.fresh_dir,
-            "entries": [
-                {
-                    "benchmark": e.benchmark,
-                    "metric": e.metric,
-                    "baseline": e.baseline,
-                    "fresh": e.fresh,
-                    "delta": None if e.delta is None else round(e.delta, 4),
-                    "status": e.status,
-                }
-                for e in self.entries
-            ],
-            "ok": self.ok,
-        }
-
 
 def _baseline_files(directory: Path) -> list[Path]:
     return [
@@ -136,11 +121,11 @@ def _load(path: Path) -> Mapping[str, Any]:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as failure:
-        raise AnalysisError(
+        raise UsageError(
             f"cannot read benchmark baseline {path}: {failure}"
         ) from failure
     if not isinstance(payload, Mapping):
-        raise AnalysisError(f"{path}: expected a JSON object")
+        raise UsageError(f"{path}: expected a JSON object")
     return payload
 
 
@@ -171,19 +156,19 @@ def run_ratchet(
     """Compare fresh benchmark records against committed baselines.
 
     Every ``BENCH_*.json`` in ``baseline_dir`` must have a fresh
-    counterpart of the same name in ``fresh_dir``; each lower-is-better
-    metric present in *both* records is compared, and a fresh value more
-    than ``tolerance`` above the baseline is a regression.  Metrics with
-    a non-positive baseline are skipped (nothing meaningful to ratchet
-    against); having no baselines at all is a usage error.
+    counterpart of the same name in ``fresh_dir``, and every
+    lower-is-better metric of a baseline a fresh value in it; a fresh
+    value more than ``tolerance`` above the baseline is a regression.
+    Metrics with a non-positive baseline are skipped (nothing meaningful
+    to ratchet against); having no baselines at all is a usage error.
     """
     baseline_path = Path(baseline_dir)
     fresh_path = Path(fresh_dir)
     if not baseline_path.is_dir():
-        raise AnalysisError(f"no such baseline directory: {baseline_dir}")
+        raise UsageError(f"no such baseline directory: {baseline_dir}")
     baselines = _baseline_files(baseline_path)
     if not baselines:
-        raise AnalysisError(
+        raise UsageError(
             f"no BENCH_*.json baselines under {baseline_dir}"
         )
     entries: list[RatchetEntry] = []
@@ -200,7 +185,12 @@ def run_ratchet(
         fresh_metrics = _ratcheted_metrics(_load(fresh_file))
         for metric in sorted(baseline_metrics):
             base = baseline_metrics[metric]
-            if base <= 0 or metric not in fresh_metrics:
+            if base <= 0:
+                continue
+            if metric not in fresh_metrics:
+                entries.append(
+                    RatchetEntry(name, metric, base, None, None, "missing")
+                )
                 continue
             fresh = fresh_metrics[metric]
             delta = (fresh - base) / base
@@ -239,7 +229,7 @@ def orphan_baselines(
     baseline_path = Path(baseline_dir)
     benchmarks_path = Path(benchmarks_dir)
     if not benchmarks_path.is_dir():
-        raise AnalysisError(
+        raise UsageError(
             f"no such benchmarks directory: {benchmarks_dir}"
         )
     sources = "\n".join(
@@ -251,3 +241,59 @@ def orphan_baselines(
         for baseline in _baseline_files(baseline_path)
         if baseline.stem not in sources
     ]
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    """Ratchet, print the report, return the exit code."""
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--baseline", required=True, help="baseline directory",
+    )
+    parser.add_argument(
+        "--fresh", required=True, help="fresh-results directory",
+    )
+    parser.add_argument(
+        "--tolerance", type=float, default=DEFAULT_TOLERANCE,
+        help=(
+            "relative regression allowed before the ratchet fails "
+            f"(default: {DEFAULT_TOLERANCE})"
+        ),
+    )
+    parser.add_argument(
+        "--check-baselines", metavar="BENCHMARKS_DIR", default=None,
+        help=(
+            "additionally fail if any baseline under --baseline has no "
+            "generating benchmark (its experiment name appears in no "
+            "bench_*.py under BENCHMARKS_DIR)"
+        ),
+    )
+    args = parser.parse_args(argv)
+    try:
+        if Path(args.baseline).resolve() == Path(args.fresh).resolve():
+            raise UsageError(
+                f"--baseline and --fresh both name {args.fresh}: "
+                "a directory compared with itself always passes"
+            )
+        report = run_ratchet(
+            args.fresh, args.baseline, tolerance=args.tolerance
+        )
+        orphans = (
+            orphan_baselines(args.baseline, args.check_baselines)
+            if args.check_baselines is not None
+            else []
+        )
+    except UsageError as failure:
+        sys.stderr.write(f"error: {failure}\n")
+        return 2
+    lines = [report.render()]
+    lines.extend(
+        f"orphan baseline: {orphan} has no generating "
+        f"benchmark under {args.check_baselines}"
+        for orphan in orphans
+    )
+    sys.stdout.write("\n".join(lines) + "\n")
+    return 1 if orphans else report.exit_code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

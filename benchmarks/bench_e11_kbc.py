@@ -18,7 +18,7 @@ to the stale majority and recency dominates.
 import datetime
 import random
 
-from repro.fusion.strategies import Candidate, resolve
+from repro.fusion.strategies import AttributeClaims, resolve
 from repro.model.values import Value
 
 from helpers import bench_telemetry, emit, emit_telemetry, format_table, timed
@@ -49,14 +49,15 @@ def observations(n_entities: int, seed: int):
 def fuse_population(per_entity, attribute: str, strategy: str) -> float:
     correct = 0
     for new_price, old_price, brand, claims in per_entity:
-        candidates = []
-        for source, price, claimed_brand, recency in claims:
-            raw = price if attribute == "price" else claimed_brand
-            candidates.append(
-                Candidate(Value.of(raw), source, reliability=0.6,
-                          recency=recency)
-            )
-        choice = resolve(strategy, candidates)
+        choice = resolve(strategy, AttributeClaims(
+            [
+                Value.of(price if attribute == "price" else claimed_brand)
+                for __, price, claimed_brand, __ in claims
+            ],
+            [source for source, __, __, __ in claims],
+            [0.6] * len(claims),
+            [recency for __, __, __, recency in claims],
+        ))
         expected = new_price if attribute == "price" else brand
         if choice.value.raw == expected:
             correct += 1

@@ -54,7 +54,7 @@ from repro.model.records import Table
 from repro.model.schema import Schema
 from repro.obs import Telemetry
 from repro.quality.constraints import Constraint
-from repro.quality.metrics import QualityAnalyser
+from repro.quality.metrics import QualityAnalyser, QualityReport
 from repro.quality.repair import repair_table
 from repro.resilience import AccessGuard, DegradationLedger, RetryPolicy
 from repro.resolution.comparison import ScoringContext, profiled_comparator
@@ -114,10 +114,7 @@ def pipeline_shape(
     for name in source_names:
         dependencies[f"acquire:{name}"] = ("plan",)
         dependencies[f"match:{name}"] = (f"acquire:{name}", "plan")
-        dependencies[f"mapping:{name}"] = (
-            f"match:{name}",
-            f"acquire:{name}",
-        )
+        dependencies[f"mapping:{name}"] = (f"match:{name}",)
         dependencies[f"mapped:{name}"] = (
             f"mapping:{name}",
             f"acquire:{name}",
@@ -138,6 +135,13 @@ def pipeline_shape(
     dependencies["fuse"] = ("resolve", "plan", "rank")
     dependencies["repair"] = ("fuse", "plan")
     return dependencies
+
+
+def _copy_report(report: QualityReport) -> QualityReport:
+    """``report`` with dicts of its own."""
+    return replace(
+        report, scores=dict(report.scores), details=dict(report.details)
+    )
 
 
 class Wrangler:
@@ -170,6 +174,7 @@ class Wrangler:
         #: of this wrangler; pass a manual-clock bundle for deterministic
         #: timings (see :mod:`repro.obs`).
         self.telemetry = telemetry or Telemetry()
+        self.planner.selector.metrics = self.telemetry.metrics
         self.analyser = QualityAnalyser(
             self.data,
             self.working.annotations,
@@ -207,6 +212,9 @@ class Wrangler:
         #: Per source, the last ``mapped`` apply:
         #: ``(mapping, acquired table, translated table)``.
         self._mapped: dict[str, tuple[Mapping, Table, Table]] = {}
+        #: The last run's output assessment: ``(objects read, compared by
+        #: identity; values read; report)`` — see :meth:`_assess_wrangled`.
+        self._assessed: tuple[tuple, tuple, QualityReport] | None = None
 
     # -- source management ------------------------------------------------
 
@@ -386,6 +394,51 @@ class Wrangler:
             constraints=constraints,
             annotate_as=annotate_as,
         )
+
+    def _assess_wrangled(self, wrangled: Table) -> QualityReport:
+        """The quality report of the run's output, annotated onto
+        ``table:wrangled``.
+
+        A run whose fuse and repair were cut off hands back the very
+        table the last run assessed; when everything the analysis reads
+        is also unchanged — constraints, user, master table, join and
+        date attributes, the analyser's ``today`` — the last report is
+        filed again instead of measured again (counted on
+        ``quality.reports_reused``), so the annotation store grows
+        exactly as a fresh analysis would grow it.
+        """
+        analyser = self.analyser
+        context = analyser.context
+        master = (
+            context.master_data.get(self.master_key)
+            if context is not None and self.master_key is not None
+            else None
+        )
+        held = (wrangled, self.user, master, analyser, analyser.annotations)
+        read = (
+            len(wrangled),
+            None if master is None else len(master),
+            tuple(self.constraints),
+            self.master_key,
+            self.join_attribute,
+            self.date_attribute,
+            analyser.today,
+            analyser.staleness_horizon_days,
+        )
+        last = self._assessed
+        if (
+            last is not None
+            and all(a is b for a, b in zip(last[0], held))
+            and last[1] == read
+        ):
+            analyser.annotate(last[2])
+            self.telemetry.metrics.counter("quality.reports_reused").increment()
+            return _copy_report(last[2])
+        report = self._assess(
+            wrangled, "table:wrangled", self.constraints or None
+        )
+        self._assessed = (held, read, _copy_report(report))
+        return report
 
     def _annotate_source(
         self, name: str, dimension: Dimension, score: float,
@@ -761,9 +814,7 @@ class Wrangler:
                 with self.telemetry.tracer.span(
                     "quality:wrangled", stage="quality"
                 ):
-                    quality = self._assess(
-                        wrangled, "table:wrangled", self.constraints or None
-                    )
+                    quality = self._assess_wrangled(wrangled)
                 run_span.set_attribute(
                     "nodes_recomputed", flow.total_runs() - runs_before
                 )

@@ -4,7 +4,7 @@ source-accuracy EM (with copy-detection vote weights), and entity fusion."""
 from repro.fusion.fuse import EntityFuser
 from repro.fusion.strategies import (
     STRATEGIES,
-    Candidate,
+    AttributeClaims,
     FusedChoice,
     resolve,
 )
@@ -20,7 +20,7 @@ from repro.fusion.truth import (
 
 __all__ = [
     "AccuEM",
-    "Candidate",
+    "AttributeClaims",
     "Claim",
     "CopyReport",
     "EntityFuser",

@@ -12,7 +12,7 @@ import datetime as _dt
 from collections import Counter
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from repro.fusion.strategies import Candidate, resolve
+from repro.fusion.strategies import AttributeClaims, resolve
 from repro.model.provenance import Provenance, Step
 from repro.model.records import Record, Table
 from repro.model.schema import DataType, Schema
@@ -22,7 +22,45 @@ from repro.resolution.er import EntityCluster
 if TYPE_CHECKING:  # typing only
     from repro.obs import MetricsRegistry
 
-__all__ = ["EntityFuser"]
+__all__ = ["EntityFuser", "REFUSE_REASONS"]
+
+#: Why :meth:`EntityFuser.fuse` fused a cluster its ``previous`` fuser
+#: had fused: the fusion settings (schema, strategies, recency attribute,
+#: source reliabilities) moved; the cluster's record objects moved (a
+#: record joined or left, or was re-translated — a new cluster id counts
+#: here too); or only their precedence order moved.
+REFUSE_REASONS = ("settings", "membership", "precedence")
+
+
+def _refuse_reason(
+    same_settings: bool,
+    kept: "tuple[list[Record], Record] | None",
+    records: Sequence[Record],
+) -> str:
+    """The :data:`REFUSE_REASONS` entry for a cluster fused again."""
+    if not same_settings:
+        return "settings"
+    if (
+        kept is not None
+        and len(kept[0]) == len(records)
+        and {id(record) for record in kept[0]}
+        == {id(record) for record in records}
+    ):
+        return "precedence"
+    return "membership"
+
+
+def _claims_on(
+    attribute: str, records: Sequence[Record], columns: AttributeClaims
+) -> AttributeClaims:
+    """The claims on ``attribute`` among ``records`` — the one place a
+    missing cell is dropped.  ``columns`` holds the records' sources,
+    reliabilities and recencies; an attribute no record misses shares
+    them as they are."""
+    values = [record.cells.get(attribute, MISSING) for record in records]
+    kept = [i for i, value in enumerate(values) if not value.is_missing]
+    claims = AttributeClaims(values, *columns[1:])
+    return claims if len(kept) == len(values) else claims.select(kept)
 
 
 class EntityFuser:
@@ -94,55 +132,50 @@ class EntityFuser:
             for d in dates
         ]
 
-    def _candidates(
-        self, records: Sequence[Record], recencies: Sequence[float],
-        attribute: str,
-    ) -> list[Candidate]:
-        """Every non-missing claim for ``attribute`` among ``records``."""
-        return [
-            Candidate(
-                value,
-                record.source,
-                self.reliabilities.get(record.source, 0.5),
-                recency,
-            )
-            for record, recency in zip(records, recencies)
-            for value in (record.get(attribute),)
-            if not value.is_missing
-        ]
+    def _columns(self, records: Sequence[Record]) -> AttributeClaims:
+        """Per record: its source, the source's reliability and the
+        record's recency (no values yet) — looked up once per cluster,
+        shared by every attribute's claims (:func:`_claims_on`)."""
+        sources = [record.source for record in records]
+        return AttributeClaims(
+            (),
+            sources,
+            [self.reliabilities.get(source, 0.5) for source in sources],
+            self._recencies(records),
+        )
 
     def _fuse_ordered(self, cluster_id: str, records: list[Record]) -> Record:
         """Fuse one cluster's records, already in precedence order."""
-        recencies = self._recencies(records)
+        columns = self._columns(records)
         cells: dict[str, Value] = {}
         for attribute in self.target_schema:
-            candidates = self._candidates(records, recencies, attribute.name)
-            if not candidates:
+            claims = _claims_on(attribute.name, records, columns)
+            if not claims.values:
                 cells[attribute.name] = MISSING
                 continue
-            choice = resolve(self._strategy_for(attribute.name), candidates)
-            # Provenance covers the supporting claims only: feedback on the
-            # fused value then credits/blames exactly the sources that put
-            # it there.
+            strategy = self._strategy_for(attribute.name)
+            choice = resolve(strategy, claims)
+            # Provenance covers the supporting sources' claims only:
+            # feedback on the fused value then credits/blames exactly the
+            # sources that put it there.
             supporting = [
-                c for c in candidates if c.source in choice.supporters
-            ] or list(candidates)
-            provenance = Provenance.combine(
-                Step.FUSION,
-                f"{self._strategy_for(attribute.name)}:{cluster_id}",
-                tuple(c.value.provenance for c in supporting),
-            )
+                value.provenance
+                for value, source in zip(claims.values, claims.sources)
+                if source in choice.supporters
+            ] or [value.provenance for value in claims.values]
             cells[attribute.name] = Value(
                 choice.value.raw,
                 attribute.dtype,
                 min(1.0, choice.confidence),
-                provenance,
+                Provenance.combine(
+                    Step.FUSION, f"{strategy}:{cluster_id}", tuple(supporting)
+                ),
             )
         # Evaluation-only lineage: carry the majority truth id, if present.
         truth_ids = [
-            record.raw("_truth")
-            for record in records
-            if record.raw("_truth") is not None
+            truth
+            for truth in (record.raw("_truth") for record in records)
+            if truth is not None
         ]
         if truth_ids:
             majority_truth = Counter(truth_ids).most_common(1)[0][0]
@@ -174,7 +207,9 @@ class EntityFuser:
         objects, in the same precedence order, keeps the record it fused:
         fusion reads nothing else, so the record is the one fusing again
         would build.  This fuser remembers the clusters of this call only.
-        Kept records are counted on ``fusion.clusters_reused``.
+        Kept records are counted on ``fusion.clusters_reused``; with a
+        ``previous`` fuser, each cluster fused again is counted on
+        ``fusion.refused.<reason>`` (:data:`REFUSE_REASONS`).
         """
         same_settings = (
             previous is not None and previous._settings() == self._settings()
@@ -183,6 +218,7 @@ class EntityFuser:
         self._fused = {}
         table = Table(name, self.target_schema)
         reused = 0
+        refused = dict.fromkeys(REFUSE_REASONS, 0)
         for cluster in clusters:
             records = self._ordered(cluster.records)
             kept = reusable.get(cluster.cluster_id)
@@ -195,10 +231,17 @@ class EntityFuser:
                 reused += 1
             else:
                 fused = self._fuse_ordered(cluster.cluster_id, records)
+                if previous is not None:
+                    refused[_refuse_reason(same_settings, kept, records)] += 1
             self._fused[cluster.cluster_id] = (records, fused)
             table.append(fused)
         if self.metrics is not None:
             self.metrics.counter("fusion.clusters_reused").increment(reused)
+            if previous is not None:
+                for reason, count in refused.items():
+                    self.metrics.counter(f"fusion.refused.{reason}").increment(
+                        count
+                    )
         return table
 
     def apply_verdicts(
@@ -245,14 +288,14 @@ class EntityFuser:
                     )
                     continue
                 records = members.get(record.rid, ())
-                alternatives = [
-                    candidate
-                    for candidate in self._candidates(
-                        records, self._recencies(records), attribute
-                    )
-                    if candidate.value.raw != current.raw
-                ]
-                if alternatives:
+                claims = _claims_on(
+                    attribute, records, self._columns(records)
+                )
+                alternatives = claims.select([
+                    i for i, value in enumerate(claims.values)
+                    if value.raw != current.raw
+                ])
+                if alternatives.values:
                     choice = resolve("weighted", alternatives)
                     updates[attribute] = current.with_raw(
                         choice.value.raw, Step.FEEDBACK, "rejected-value"

@@ -3,23 +3,20 @@
 The paper's Veracity: sources disagree, and "a guide to the fusion of
 property values from records that have been obtained from different
 sources" must pick (or construct) the value to publish, with an explicit
-confidence.  Strategies receive the candidate values with their cell
+confidence.  Strategies receive the claimed values with their cell
 confidences and per-source reliabilities, so context (e.g. reliabilities
 learned from feedback) flows into every decision.
 """
 
 from __future__ import annotations
 
-import datetime as _dt
-from collections import defaultdict
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from repro.errors import FusionError
 from repro.model.values import Value
 
 __all__ = [
-    "Candidate",
+    "AttributeClaims",
     "FusedChoice",
     "STRATEGIES",
     "resolve",
@@ -30,18 +27,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Candidate:
-    """One source's claim for an attribute value."""
+class AttributeClaims(NamedTuple):
+    """The claims on one attribute of one entity, column by column.
 
-    value: Value
-    source: str
-    reliability: float = 0.5
-    recency: float = 0.5  # 1.0 = freshest observation in the cluster
+    Claim ``i`` is the non-missing value ``values[i]`` from source
+    ``sources[i]``, whose reliability is ``reliabilities[i]``; its
+    ``recencies[i]`` is 1.0 for the freshest observation in the cluster.
+    Columns, not one object per claim: fusion re-votes every claim of
+    every entity whenever a verdict moves a source's reliability.
+    """
+
+    values: Sequence[Value]
+    sources: Sequence[str]
+    reliabilities: Sequence[float]
+    recencies: Sequence[float]
+
+    def select(self, keep: Sequence[int]) -> "AttributeClaims":
+        """The claims at positions ``keep``, in that order."""
+        return AttributeClaims(*([column[i] for i in keep] for column in self))
 
 
-@dataclass(frozen=True)
-class FusedChoice:
+class FusedChoice(NamedTuple):
     """The chosen value and the support behind it."""
 
     value: Value
@@ -49,90 +55,121 @@ class FusedChoice:
     supporters: tuple[str, ...]
 
 
-def _group_by_raw(candidates: Sequence[Candidate]) -> dict[object, list[Candidate]]:
-    groups: dict[object, list[Candidate]] = defaultdict(list)
-    for candidate in candidates:
-        groups[candidate.value.raw].append(candidate)
-    return dict(groups)
+def _groups(values: Sequence[Value]) -> dict[object, list[int]]:
+    """Claim positions by raw value, values in first-claimed order."""
+    groups: dict[object, list[int]] = {}
+    for i, value in enumerate(values):
+        members = groups.get(value.raw)
+        if members is None:
+            groups[value.raw] = [i]
+        else:
+            members.append(i)
+    return groups
 
 
-def majority_vote(candidates: Sequence[Candidate]) -> FusedChoice:
+def majority_vote(claims: AttributeClaims) -> FusedChoice:
     """The most frequently claimed value; ties break on total reliability."""
-    groups = _group_by_raw(candidates)
+    groups = _groups(claims.values)
+    reliabilities = claims.reliabilities
     best_raw = max(
         groups,
         key=lambda raw: (
             len(groups[raw]),
-            sum(c.reliability for c in groups[raw]),
+            sum(reliabilities[i] for i in groups[raw]),
         ),
     )
-    supporters = groups[best_raw]
+    members = groups[best_raw]
     return FusedChoice(
-        supporters[0].value,
-        len(supporters) / len(candidates),
-        tuple(sorted(c.source for c in supporters)),
+        claims.values[members[0]],
+        len(members) / len(claims.values),
+        tuple(sorted([claims.sources[i] for i in members])),
     )
 
 
-def weighted_vote(candidates: Sequence[Candidate]) -> FusedChoice:
-    """Votes weighted by source reliability x cell confidence."""
-    groups = _group_by_raw(candidates)
-    weights = {
-        raw: sum(c.reliability * c.value.confidence for c in group)
-        for raw, group in groups.items()
-    }
+def weighted_vote(claims: AttributeClaims) -> FusedChoice:
+    """Votes weighted by source reliability x cell confidence.
+
+    One pass over the claims: a value's weight accumulates in claim order
+    from ``0``, as ``sum`` would; the total adds the weights in
+    first-claimed order, and a tie goes to the value claimed first.
+    """
+    values, reliabilities = claims.values, claims.reliabilities
+    weights: dict[object, float] = {}
+    members: dict[object, list[int]] = {}
+    for i, value in enumerate(values):
+        raw = value.raw
+        weights[raw] = weights.get(raw, 0) + reliabilities[i] * value.confidence
+        group = members.get(raw)
+        if group is None:
+            members[raw] = [i]
+        else:
+            group.append(i)
     total = sum(weights.values())
-    best_raw = max(weights, key=lambda raw: weights[raw])
-    supporters = groups[best_raw]
-    confidence = weights[best_raw] / total if total > 0 else 0.0
+    best_raw = max(weights, key=weights.__getitem__)
+    chosen = members[best_raw]
     return FusedChoice(
-        supporters[0].value,
-        confidence,
-        tuple(sorted(c.source for c in supporters)),
+        values[chosen[0]],
+        weights[best_raw] / total if total > 0 else 0.0,
+        tuple(sorted([claims.sources[i] for i in chosen])),
     )
 
 
-def most_recent(candidates: Sequence[Candidate]) -> FusedChoice:
+def most_recent(claims: AttributeClaims) -> FusedChoice:
     """The freshest claim wins — the right call for transient data like
     prices (Section 3.1's critique of KBC's redundancy assumption)."""
-    best = max(candidates, key=lambda c: (c.recency, c.reliability))
-    agreeing = [c for c in candidates if c.value.raw == best.value.raw]
+    values, recencies, reliabilities = (
+        claims.values, claims.recencies, claims.reliabilities
+    )
+    best = max(
+        range(len(values)), key=lambda i: (recencies[i], reliabilities[i])
+    )
+    raw = values[best].raw
     return FusedChoice(
-        best.value,
-        0.5 + 0.5 * best.recency * best.reliability,
-        tuple(sorted(c.source for c in agreeing)),
+        values[best],
+        0.5 + 0.5 * recencies[best] * reliabilities[best],
+        tuple(sorted([
+            source
+            for value, source in zip(values, claims.sources)
+            if value.raw == raw
+        ])),
     )
 
 
-def numeric_median(candidates: Sequence[Candidate]) -> FusedChoice:
+def numeric_median(claims: AttributeClaims) -> FusedChoice:
     """The reliability-weighted median of numeric claims — robust to the
     magnitude errors cheap aggregators make."""
-    numeric: list[tuple[float, Candidate]] = []
-    for candidate in candidates:
+    values, reliabilities = claims.values, claims.reliabilities
+    numeric: list[tuple[float, int]] = []
+    for i, value in enumerate(values):
         try:
-            numeric.append((float(candidate.value.raw), candidate))  # type: ignore[arg-type]
+            numeric.append((float(value.raw), i))  # type: ignore[arg-type]
         except (TypeError, ValueError):
             continue
     if not numeric:
-        return majority_vote(candidates)
+        return majority_vote(claims)
     numeric.sort(key=lambda pair: pair[0])
-    total_weight = sum(c.reliability for __, c in numeric)
+    total_weight = sum(reliabilities[i] for __, i in numeric)
     cumulative = 0.0
     chosen = numeric[-1][1]
-    for number, candidate in numeric:
-        cumulative += candidate.reliability
+    for __, i in numeric:
+        cumulative += reliabilities[i]
         if cumulative >= total_weight / 2:
-            chosen = candidate
+            chosen = i
             break
-    agreeing = [c for c in candidates if c.value.raw == chosen.value.raw]
+    raw = values[chosen].raw
+    agreeing = [
+        source
+        for value, source in zip(values, claims.sources)
+        if value.raw == raw
+    ]
     return FusedChoice(
-        chosen.value,
-        len(agreeing) / len(candidates),
-        tuple(sorted(c.source for c in agreeing)),
+        values[chosen],
+        len(agreeing) / len(values),
+        tuple(sorted(agreeing)),
     )
 
 
-STRATEGIES: Mapping[str, Callable[[Sequence[Candidate]], FusedChoice]] = {
+STRATEGIES: Mapping[str, Callable[[AttributeClaims], FusedChoice]] = {
     "majority": majority_vote,
     "weighted": weighted_vote,
     "recent": most_recent,
@@ -140,13 +177,12 @@ STRATEGIES: Mapping[str, Callable[[Sequence[Candidate]], FusedChoice]] = {
 }
 
 
-def resolve(strategy: str, candidates: Sequence[Candidate]) -> FusedChoice:
-    """Apply a named strategy to non-empty candidates."""
+def resolve(strategy: str, claims: AttributeClaims) -> FusedChoice:
+    """Apply a named strategy to a non-empty set of claims."""
     if strategy not in STRATEGIES:
         raise FusionError(
             f"unknown fusion strategy {strategy!r}; known: {sorted(STRATEGIES)}"
         )
-    cleaned = [c for c in candidates if not c.value.is_missing]
-    if not cleaned:
-        raise FusionError("cannot fuse an empty candidate set")
-    return STRATEGIES[strategy](cleaned)
+    if not claims.values:
+        raise FusionError("cannot fuse an empty claim set")
+    return STRATEGIES[strategy](claims)

@@ -20,9 +20,9 @@ from repro.context.user_context import UserContext
 from repro.matching.similarity import name_similarity
 from repro.model.annotations import AnnotationStore, Dimension, QualityAnnotation
 from repro.model.records import Table
+from repro.model.schema import infer_types
 from repro.obs.clock import Clock, system_clock
 from repro.quality.constraints import Constraint, violations as constraint_violations
-from repro.quality.profiling import profile_table
 
 __all__ = ["QualityReport", "QualityAnalyser"]
 
@@ -150,14 +150,28 @@ class QualityAnalyser:
     def consistency(
         self, table: Table, constraints: list[Constraint] | None = None
     ) -> float:
-        """Type agreement blended with constraint satisfaction."""
-        profile = profile_table(table)
-        if profile.columns:
-            type_score = sum(
-                column.type_consistency for column in profile.columns.values()
-            ) / len(profile.columns)
-        else:
-            type_score = 1.0
+        """Type agreement blended with constraint satisfaction.
+
+        A column's type agreement is the share of its non-missing cells
+        that have its most frequent inferred type (1.0 for an empty
+        column); the type score is their mean over the non-evaluation
+        columns.
+        """
+        agreements = []
+        for name in table.schema.names:
+            if name.startswith("_"):
+                continue
+            counts = infer_types(
+                value.raw for value in table.column(name)
+                if not value.is_missing
+            )[1]
+            populated = sum(counts.values())
+            agreements.append(
+                max(counts.values()) / populated if populated else 1.0
+            )
+        type_score = (
+            sum(agreements) / len(agreements) if agreements else 1.0
+        )
         if not constraints or not len(table):
             return type_score
         violating = constraint_violations(table, constraints)
@@ -220,12 +234,20 @@ class QualityAnalyser:
         if user is not None:
             scores[Dimension.RELEVANCE] = self.relevance(table, user)
 
-        target = annotate_as or f"table:{table.name}"
-        for dimension, score in scores.items():
+        report = QualityReport(
+            annotate_as or f"table:{table.name}", scores, details
+        )
+        self.annotate(report)
+        return report
+
+    def annotate(self, report: QualityReport) -> None:
+        """File ``report``'s scores as annotations on its target — what
+        :meth:`analyse` files, so a caller holding a report of an
+        unchanged table can file it again without re-measuring."""
+        for dimension, score in report.scores.items():
             self.annotations.add(
                 QualityAnnotation(
-                    target, dimension, max(0.0, min(1.0, score)),
+                    report.target, dimension, max(0.0, min(1.0, score)),
                     confidence=0.8, origin="quality-analysis",
                 )
             )
-        return QualityReport(target, scores, details)

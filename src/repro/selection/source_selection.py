@@ -14,11 +14,15 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.errors import SourceError
 from repro.model.annotations import AnnotationStore, Dimension
 from repro.sources.registry import SourceRegistry
+
+if TYPE_CHECKING:  # typing only
+    from repro.obs import MetricsRegistry
 
 __all__ = ["SourceProfile", "SelectionStep", "SelectionResult", "SourceSelector"]
 
@@ -77,6 +81,16 @@ class SelectionResult:
         return self.final_gain - self.total_cost
 
 
+def _copy(result: SelectionResult) -> SelectionResult:
+    """``result`` with lists of its own (its steps are immutable)."""
+    return replace(
+        result,
+        selected=list(result.selected),
+        steps=list(result.steps),
+        rejected=list(result.rejected),
+    )
+
+
 class SourceSelector:
     """Greedy marginal-profit source selection with a fusion-aware gain.
 
@@ -98,6 +112,10 @@ class SourceSelector:
         self.gain_per_item = gain_per_item
         self.n_samples = n_samples
         self.seed = seed
+        #: Optional registry for the ``selection.memo_hits`` counter.
+        self.metrics: "MetricsRegistry | None" = None
+        #: The last :meth:`select`: ``(everything it read, its result)``.
+        self._last: tuple[tuple, SelectionResult] | None = None
 
     # -- gain model ------------------------------------------------------
 
@@ -109,23 +127,54 @@ class SourceSelector:
         accuracy (errors are spread over a small wrong-value space, as in
         the synthetic worlds).  The fused answer is the reliability-
         weighted vote; an uncovered item contributes nothing.
+
+        Each call replays ``random.Random(seed)`` from the start: per
+        source a coverage draw, then for a covering source an accuracy
+        draw and, for a wrong claim, ``randint(1, 3)``'s two-bit rejection
+        draw.  The vote is four running tallies (the truth and three wrong
+        values), each with the position of its first claim: a tie goes to
+        the value claimed first.
         """
         if not profiles:
             return 0.0
         rng = random.Random(self.seed)
+        draw, bits = rng.random, rng.getrandbits
+        sources = [
+            (position, profile.coverage, profile.accuracy,
+             max(profile.accuracy, 0.05))
+            for position, profile in enumerate(profiles, 1)
+        ]
         correct = 0
         for __ in range(self.n_samples):
-            votes: dict[object, float] = {}
-            for profile in profiles:
-                if rng.random() >= profile.coverage:
+            truth = wrong0 = wrong1 = wrong2 = 0.0
+            truth_at = at0 = at1 = at2 = 0  # 0: not claimed yet
+            for position, coverage, accuracy, weight in sources:
+                if draw() >= coverage:
                     continue
-                weight = max(profile.accuracy, 0.05)
-                if rng.random() < profile.accuracy:
-                    claim: object = "truth"
+                if draw() < accuracy:
+                    truth += weight
+                    truth_at = truth_at or position
+                    continue
+                wrong = bits(2)
+                while wrong == 3:
+                    wrong = bits(2)
+                if wrong == 0:
+                    wrong0 += weight
+                    at0 = at0 or position
+                elif wrong == 1:
+                    wrong1 += weight
+                    at1 = at1 or position
                 else:
-                    claim = f"wrong-{rng.randint(1, 3)}"
-                votes[claim] = votes.get(claim, 0.0) + weight
-            if votes and max(votes, key=lambda v: votes[v]) == "truth":
+                    wrong2 += weight
+                    at2 = at2 or position
+            # Every weight is at least 0.05, so a claimed truth beats an
+            # unclaimed value outright.
+            if (
+                truth_at
+                and (truth > wrong0 or truth == wrong0 and truth_at < at0)
+                and (truth > wrong1 or truth == wrong1 and truth_at < at1)
+                and (truth > wrong2 or truth == wrong2 and truth_at < at2)
+            ):
                 correct += 1
         expected_fraction = correct / self.n_samples
         return expected_fraction * self.n_items * self.gain_per_item
@@ -148,7 +197,33 @@ class SourceSelector:
         third creates a majority — so up to ``patience`` unprofitable
         steps are taken *tentatively*; they are kept only if a later step
         turns profitable again, and rolled back otherwise.
+
+        The selection is a function of the ordered profiles, the arguments
+        and the gain model's settings (``gain_per_item`` among them, which
+        the planner sets per user): when all of them equal the last call's,
+        a copy of its result is returned without re-estimating a gain
+        (counted on ``selection.memo_hits``).
         """
+        key = (
+            tuple(profiles), budget, force_all, patience,
+            self.n_items, self.gain_per_item, self.n_samples, self.seed,
+        )
+        if self._last is not None and self._last[0] == key:
+            if self.metrics is not None:
+                self.metrics.counter("selection.memo_hits").increment()
+            return _copy(self._last[1])
+        result = self._select(profiles, budget, force_all, patience)
+        self._last = (key, _copy(result))
+        return result
+
+    def _select(
+        self,
+        profiles: list[SourceProfile],
+        budget: float,
+        force_all: bool,
+        patience: int,
+    ) -> SelectionResult:
+        """The greedy selection :meth:`select` documents, uncached."""
         remaining = list(profiles)
         chosen: list[SourceProfile] = []
         steps: list[SelectionStep] = []

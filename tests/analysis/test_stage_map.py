@@ -49,12 +49,12 @@ class TestTableCompleteness:
             "plan": ("probe",),
             "acquire:shop": ("plan",),
             "match:shop": ("acquire:shop", "plan"),
-            "mapping:shop": ("match:shop", "acquire:shop"),
+            "mapping:shop": ("match:shop",),
             "mapped:shop": ("mapping:shop", "acquire:shop"),
             "quality:shop": ("mapped:shop",),
             "acquire:site": ("plan",),
             "match:site": ("acquire:site", "plan"),
-            "mapping:site": ("match:site", "acquire:site"),
+            "mapping:site": ("match:site",),
             "mapped:site": ("mapping:site", "acquire:site"),
             "quality:site": ("mapped:site",),
             "select": (

@@ -337,7 +337,7 @@ class TestStageBodiesComposeLayersDecide:
     ``core/wrangler.py``.  A PR that puts it back fails here."""
 
     LAYER_NAMES = (
-        "fit_threshold", "ThresholdRule", "Candidate", "SourceSelector",
+        "fit_threshold", "ThresholdRule", "AttributeClaims", "SourceSelector",
         "Counter", "Step", "Deadline", "CircuitBreaker",
     )
 

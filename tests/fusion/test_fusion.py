@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import FusionError
 from repro.fusion.fuse import EntityFuser
-from repro.fusion.strategies import Candidate, resolve
+from repro.fusion.strategies import AttributeClaims, resolve
 from repro.fusion.truth import AccuEM, Claim, TruthFinder, majority_baseline
 from repro.model.records import Record, Table
 from repro.model.schema import Attribute, DataType, Schema
@@ -15,55 +15,58 @@ from repro.resolution.er import EntityCluster
 
 
 def cand(raw, source, reliability=0.5, recency=0.5, confidence=1.0):
-    return Candidate(Value.of(raw, confidence=confidence), source, reliability, recency)
+    return (Value.of(raw, confidence=confidence), source, reliability, recency)
+
+
+def vote(strategy, *cands):
+    """``resolve`` over ``cand`` tuples, turned into the column-wise
+    claims strategies take."""
+    columns = [list(column) for column in zip(*cands)] or [[], [], [], []]
+    return resolve(strategy, AttributeClaims(*columns))
 
 
 class TestStrategies:
     def test_majority(self):
-        choice = resolve("majority", [cand(1, "a"), cand(1, "b"), cand(2, "c")])
+        choice = vote("majority", cand(1, "a"), cand(1, "b"), cand(2, "c"))
         assert choice.value.raw == 1
         assert choice.confidence == pytest.approx(2 / 3)
         assert choice.supporters == ("a", "b")
 
     def test_majority_tie_breaks_on_reliability(self):
-        choice = resolve(
-            "majority",
-            [cand(1, "a", 0.2), cand(2, "b", 0.9)],
-        )
+        choice = vote("majority", cand(1, "a", 0.2), cand(2, "b", 0.9))
         assert choice.value.raw == 2
 
     def test_weighted_vote(self):
-        choice = resolve(
-            "weighted",
-            [cand(1, "a", 0.9), cand(2, "b", 0.2), cand(2, "c", 0.2)],
+        choice = vote(
+            "weighted", cand(1, "a", 0.9), cand(2, "b", 0.2), cand(2, "c", 0.2)
         )
         assert choice.value.raw == 1
 
     def test_recent(self):
-        choice = resolve(
+        choice = vote(
             "recent",
-            [cand(100, "old", 0.9, recency=0.1), cand(105, "new", 0.9, recency=1.0)],
+            cand(100, "old", 0.9, recency=0.1),
+            cand(105, "new", 0.9, recency=1.0),
         )
         assert choice.value.raw == 105
 
     def test_median_resists_magnitude_errors(self):
-        choice = resolve(
-            "median",
-            [cand(100.0, "a"), cand(102.0, "b"), cand(1000.0, "c")],
+        choice = vote(
+            "median", cand(100.0, "a"), cand(102.0, "b"), cand(1000.0, "c")
         )
         assert choice.value.raw in (100.0, 102.0)
 
     def test_median_non_numeric_falls_back(self):
-        choice = resolve("median", [cand("x", "a"), cand("x", "b")])
+        choice = vote("median", cand("x", "a"), cand("x", "b"))
         assert choice.value.raw == "x"
 
     def test_unknown_strategy(self):
         with pytest.raises(FusionError):
-            resolve("oracle", [cand(1, "a")])
+            vote("oracle", cand(1, "a"))
 
     def test_empty_candidates(self):
         with pytest.raises(FusionError):
-            resolve("majority", [])
+            vote("majority")
 
 
 def build_claims(n_items, sources_accuracy, rng_seed=13):

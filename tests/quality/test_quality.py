@@ -118,6 +118,28 @@ class TestMetrics:
         without = analyser.consistency(table)
         assert with_constraints < without
 
+    @given(
+        st.lists(
+            st.fixed_dictionaries({
+                "price": st.sampled_from(["10.0", "oops", None, " ", "7", 3]),
+                "city": st.sampled_from(["Oxford", None, "12", "2016-03-15"]),
+                "empty": st.none(),
+                "_truth": st.sampled_from(["x", 1.5]),
+            }),
+            max_size=12,
+        )
+    )
+    def test_consistency_type_score_is_the_column_profiles_mean(self, rows):
+        """Type agreement per column from one type pass equals the mean
+        of the column profiles' ``type_consistency``, to the bit."""
+        table = Table.from_rows(
+            "t", rows, schema=Schema.of("price", "city", "empty", "_truth")
+        )
+        columns = profile_table(table).columns.values()
+        expected = sum(c.type_consistency for c in columns) / len(columns)
+        analyser = QualityAnalyser(today=TODAY)
+        assert analyser.consistency(table) == expected
+
     def test_relevance_scope(self, analyser):
         user = UserContext(
             "u",

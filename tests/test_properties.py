@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dataflow import Dataflow
-from repro.fusion.strategies import Candidate, STRATEGIES, resolve
+from repro.fusion.strategies import STRATEGIES, AttributeClaims, resolve
 from repro.matching.similarity import monge_elkan
 from repro.model.records import Record, Table
 from repro.model.values import Value
@@ -131,25 +131,26 @@ class TestFusionProperties:
     )
     @settings(max_examples=80)
     def test_fused_value_is_a_candidate(self, strategy, spec):
-        candidates = [
-            Candidate(Value.of(raw), f"s{i}", reliability, recency)
-            for i, (raw, reliability, recency) in enumerate(spec)
-        ]
-        choice = resolve(strategy, candidates)
-        assert choice.value.raw in {c.value.raw for c in candidates}
+        claims = AttributeClaims(
+            [Value.of(raw) for raw, __, __ in spec],
+            [f"s{i}" for i in range(len(spec))],
+            [reliability for __, reliability, __ in spec],
+            [recency for __, __, recency in spec],
+        )
+        choice = resolve(strategy, claims)
+        assert choice.value.raw in {value.raw for value in claims.values}
         assert 0.0 <= choice.confidence <= 1.0
         assert choice.supporters
-        assert all(
-            any(c.source == s for c in candidates) for s in choice.supporters
-        )
+        assert set(choice.supporters) <= set(claims.sources)
 
     @given(st.integers(0, 100), st.integers(1, 8))
     def test_unanimous_candidates_fuse_to_that_value(self, raw, n):
-        candidates = [
-            Candidate(Value.of(raw), f"s{i}", 0.5, 0.5) for i in range(n)
-        ]
+        claims = AttributeClaims(
+            [Value.of(raw)] * n, [f"s{i}" for i in range(n)], [0.5] * n,
+            [0.5] * n,
+        )
         for strategy in STRATEGIES:
-            choice = resolve(strategy, candidates)
+            choice = resolve(strategy, claims)
             assert choice.value.raw == raw
 
 

@@ -9,12 +9,18 @@ this process:
   helpers' results directory pointed at a temporary one, so no
   committed result is rewritten;
 * each ``bench/`` workload's set-up plus three ops (seed 2016), with
-  its working files in a temporary directory.
+  its working files in a temporary directory;
+* the package entry points CI steps run in child processes:
+  ``python -m repro.obs.report FILE --validate-only`` over the committed
+  telemetry files ``make bench-smoke`` and ``make chaos`` check, and
+  ``tools/typecheck.py examples`` (``make typecheck``), which reaches
+  ``Wrangler.preflight``.
 
 The unit is the outermost function or method: a ``def`` at module or
 class level, counted from its first decorator to its last line (a
 nested function is part of the one that encloses it).  It is reached
-when its code object was entered.  Child processes are not traced.
+when its code object was entered.  Child processes are not traced,
+which is why the CI steps' entry points are called here in-process.
 
 Prints the unreached share of ``src/repro``'s function lines, then per
 module its unreached lines and the functions they belong to.
@@ -141,6 +147,34 @@ def run_bench_workloads(tmp_root: Path) -> None:
             workload.check(prepared, wrangler, result)
 
 
+#: The telemetry files CI schema-checks with ``python -m repro.obs.report
+#: FILE --validate-only`` (``make bench-smoke``, ``make chaos``).
+VALIDATED_TELEMETRY = (
+    "E10-repair", "E6-incremental", "E9-fusion", "E11-resilience",
+)
+
+
+def run_ci_entry_points() -> int:
+    """The CI steps' child-process entry points, in this process: the
+    report CLI's schema check and the plan gate over the examples.
+    Returns the first non-zero exit code (0 when all pass)."""
+    from repro.obs import report as obs_report
+
+    import typecheck  # tools/, on sys.path
+
+    results = ROOT / "benchmarks" / "results"
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        codes = [
+            obs_report.main(
+                [str(results / f"{name}.telemetry.json"), "--validate-only"]
+            )
+            for name in VALIDATED_TELEMETRY
+        ]
+        codes.append(typecheck.main(["examples"]))
+    return next((code for code in codes if code), 0)
+
+
 # -- report ------------------------------------------------------------------
 
 
@@ -175,7 +209,7 @@ def report(keys: set[tuple[str, int]]) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.parse_args(argv)
-    for directory in ("src", "benchmarks", "bench", "examples"):
+    for directory in ("src", "benchmarks", "bench", "examples", "tools"):
         sys.path.insert(0, str(ROOT / directory))
     os.chdir(ROOT)
     with tempfile.TemporaryDirectory(prefix="reach-") as tmp:
@@ -184,10 +218,13 @@ def main(argv: list[str] | None = None) -> int:
             run_examples()
             status = run_benchmarks(tmp_root)
             run_bench_workloads(tmp_root)
+            ci_status = run_ci_entry_points()
     sys.stdout.write(report(probe.keys()) + "\n")
     if status != 0:
         sys.stderr.write(f"benchmarks exited {status}: reach is partial\n")
-    return status
+    if ci_status != 0:
+        sys.stderr.write(f"a CI entry point exited {ci_status}\n")
+    return status or ci_status
 
 
 if __name__ == "__main__":

@@ -144,9 +144,11 @@ def build_wrangler(
     world: ProductWorld | None = None,
     user: UserContext | None = None,
     with_master: bool = True,
+    cursor: str | None = None,
 ) -> Wrangler:
     """A ready-to-run Wrangler over a generated world (default: the
-    standard one, so the static typechecker can build the plan)."""
+    standard one, so the static typechecker can build the plan); every
+    source declares ``cursor`` as its delta cursor when one is given."""
     world = world or standard_world()
     user = user or UserContext.precision_first(
         "bench", TARGET_SCHEMA, budget=60.0
@@ -165,6 +167,6 @@ def build_wrangler(
         spec = world.specs[name]
         wrangler.add_source(
             MemorySource(name, rows, cost_per_access=spec.cost,
-                         change_rate=spec.staleness)
+                         change_rate=spec.staleness, cursor=cursor)
         )
     return wrangler

@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # typing only: blocking never requires a live registry
 __all__ = [
     "MAX_BLOCK_SIZE",
     "as_pair_set",
+    "blocked_pairs",
     "full_pairs",
     "minhash_lsh",
     "pair_array",
@@ -164,9 +165,31 @@ def token_blocking(
     Dropped blocks are counted on ``metrics`` (``blocking.dropped_blocks``
     / ``blocking.dropped_members``) so the recall loss is observable.
     """
+    return blocked_pairs(
+        [
+            _blocking_tokens(record, attributes, min_token_length)
+            for record in table.records
+        ],
+        max_block_size,
+        metrics,
+    )
+
+
+def blocked_pairs(
+    tokens: Sequence[Iterable[str]],
+    max_block_size: int = MAX_BLOCK_SIZE,
+    metrics: "MetricsRegistry | None" = None,
+) -> np.ndarray:
+    """The candidate pairs of :func:`token_blocking` from each record's
+    blocking tokens (``tokens[i]`` for the record at index ``i``).
+
+    The blocks are a function of the tokens alone, so a caller that
+    kept a record's tokens from an earlier blocking of the same record
+    hands them in again instead of re-tokenising it.
+    """
     blocks: dict[str, list[int]] = {}
-    for index, record in enumerate(table.records):
-        for token in _blocking_tokens(record, attributes, min_token_length):
+    for index, held in enumerate(tokens):
+        for token in held:
             blocks.setdefault(token, []).append(index)
 
     kept: list[list[int]] = []
@@ -179,7 +202,7 @@ def token_blocking(
             continue
         kept.append(members)
     _emit_dropped(metrics, dropped_blocks, dropped_members)
-    return _pairs_of_blocks(kept, len(table))
+    return _pairs_of_blocks(kept, len(tokens))
 
 
 

@@ -23,17 +23,30 @@ from typing import (
 import numpy as np
 
 from repro.model.records import Record, Table
-from repro.resolution.blocking import full_pairs, pair_array, token_blocking
+from repro.resolution.blocking import (
+    _blocking_tokens,
+    blocked_pairs,
+    full_pairs,
+    pair_array,
+)
 from repro.resolution.comparison import (
     TRANSIENT_DTYPES,
+    FieldComparator,
     RecordComparator,
     ScoringContext,
     default_comparator,
 )
-from repro.resolution.kernels import compile_comparator
+from repro.resolution.kernels import (
+    PRUNE_MARGIN,
+    compilable,
+    compile_entries,
+    pooled_bounds,
+    record_entries,
+)
 from repro.resolution.rules import MatchDecision, ThresholdRule, refit_threshold
 
 if TYPE_CHECKING:  # typing only
+    from repro.matching.similarity import NameScores
     from repro.obs import MetricsRegistry
 
 __all__ = [
@@ -123,6 +136,9 @@ class ResolutionResult:
     matched_pairs: dict[tuple[str, str], float] = field(default_factory=dict)
     compared: int = 0
     candidate_pairs: int = 0
+    #: The work behind this result, which a resolve passed this result
+    #: as ``previous`` does not do again (:class:`_Work`).
+    _work: "_Work | None" = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.clusters)
@@ -228,22 +244,35 @@ class EntityResolver:
         #: (``blocking.dropped_*``, ``kernels.*``).
         self.metrics = metrics
 
-    def _candidate_pairs(self, table: Table) -> np.ndarray:
+    def _blocking_attributes(self, table: Table) -> tuple[str, ...]:
+        """The attributes token blocking reads: the configured ones, else
+        the schema's required non-underscore attributes, else its first
+        two non-underscore attributes."""
+        if self.blocking_attributes is not None:
+            return self.blocking_attributes
+        return tuple(
+            a.name
+            for a in table.schema
+            if a.required and not a.name.startswith("_")
+        ) or tuple(
+            name for name in table.schema.names if not name.startswith("_")
+        )[:2]
+
+    def _candidate_pairs(
+        self, table: Table, attributes: tuple[str, ...], work: "_Work"
+    ) -> np.ndarray:
         if self.blocker is not None:
             # Custom blockers may still return legacy pair sets.
             return pair_array(self.blocker(table))
         if len(table) <= self.small_table_cutoff:
             return full_pairs(table)
-        attributes = self.blocking_attributes
-        if attributes is None:
-            attributes = tuple(
-                a.name
-                for a in table.schema
-                if a.required and not a.name.startswith("_")
-            ) or tuple(
-                name for name in table.schema.names if not name.startswith("_")
-            )[:2]
-        return token_blocking(table, attributes, metrics=self.metrics)
+        tokens = work.tokens
+        for index, held in enumerate(tokens):
+            if held is None:
+                tokens[index] = _blocking_tokens(
+                    table.records[index], attributes, min_token_length=3
+                )
+        return blocked_pairs(tokens, metrics=self.metrics)
 
     def resolve(
         self, table: Table, previous: ResolutionResult | None = None
@@ -257,13 +286,24 @@ class EntityResolver:
         may build the next resolve's context on it.
 
         ``previous`` is an earlier result: a cluster of the very same
-        records is kept, id and all (:func:`clusters_of`).
+        records is kept, id and all (:func:`clusters_of`), and the work
+        it did on the very same records and candidate pairs is not done
+        again (:class:`_Work`).  What depends on this resolve's weights
+        and rule — pooling, pruning and every decision — always is.
         """
         scores = ScoringContext.around(
             self.comparator or default_comparator(table.schema)
         )
-        pairs = self._candidate_pairs(table)
-        matches = self._decide(table, scores, pairs)
+        attributes = self._blocking_attributes(table)
+        work = _Work(
+            table.records,
+            _work_key(scores.comparator, attributes),
+            previous._work if previous is not None else None,
+        )
+        pairs = self._candidate_pairs(table, attributes, work)
+        work.pair_up(pairs)
+        matches = self._decide(scores, work, self._prefilter(scores, work))
+        work.settle(self.metrics)
 
         return ResolutionResult(
             clusters_of(
@@ -276,24 +316,34 @@ class EntityResolver:
             },
             compared=int(pairs.shape[0]),
             candidate_pairs=int(pairs.shape[0]),
+            _work=work,
         )
 
-    def _prefilter(
-        self, table: Table, scores: ScoringContext, pairs: np.ndarray
-    ) -> np.ndarray:
-        """Prune pairs the compiled kernels prove cannot match.
+    def _prefilter(self, scores: ScoringContext, work: "_Work") -> np.ndarray:
+        """The positions of the candidate pairs the compiled kernels
+        cannot prove hopeless.
 
         Every survivor is re-decided by the exact scalar path; the
         kernels never decide, only discard the provably hopeless.
         """
+        pairs = work.pairs
+        everything = np.arange(pairs.shape[0])
         if not self.use_kernels or pairs.shape[0] == 0:
-            return pairs
-        compiled = compile_comparator(
-            scores, self.rule, table, metrics=self.metrics
+            return everything
+        comparator = scores.comparator
+        if not compilable(comparator, self.rule):
+            if self.metrics is not None:
+                self.metrics.counter("kernels.fallback").increment()
+            return everything
+        work.bound(comparator, scores.names)
+        survivors = np.flatnonzero(
+            pooled_bounds(
+                work.bounds,
+                work.comparable,
+                [field.weight for field in comparator.fields],
+            )
+            >= self.rule.threshold - PRUNE_MARGIN
         )
-        if compiled is None:
-            return pairs
-        survivors = compiled.survivors(pairs)
         if self.metrics is not None:
             self.metrics.counter("kernels.candidates").increment(
                 int(pairs.shape[0])
@@ -308,16 +358,189 @@ class EntityResolver:
 
     def _decide(
         self,
-        table: Table,
         scores: ScoringContext,
-        pairs: np.ndarray,
+        work: "_Work",
+        survivors: np.ndarray,
     ) -> list[tuple[int, int, tuple[str, str], float | None]]:
-        """Compare and decide every candidate pair the kernels keep."""
-        ordered_pairs = self._prefilter(table, scores, pairs).tolist()
-        records_by_index = dict(enumerate(table.records))
-        return _decide_pairs(
-            scores, self.rule, records_by_index, ordered_pairs
+        """Compare and decide every candidate pair the kernels keep: the
+        quadratic hot path of the whole pipeline.
+
+        A pair the last resolve scored keeps its field vector, which is
+        pooled under this resolve's weights; any other is scored by
+        :func:`_score_pair`.  The rule decides every survivor afresh.
+        """
+        records = work.records
+        vectors = work.vectors
+        # Only the plain comparator carries vectors (``_work_key``).
+        from_vector = getattr(
+            scores.comparator, "similarity_from_vector", None
         )
+        decide = self.rule.decide
+        matches: list[tuple[int, int, tuple[str, str], float | None]] = []
+        for position, (left_index, right_index) in zip(
+            survivors.tolist(), work.pairs[survivors].tolist()
+        ):
+            left = records[left_index]
+            right = records[right_index]
+            vector = vectors[position]
+            if vector is None:
+                vector, similarity = _score_pair(scores, left, right)
+                vectors[position] = vector
+                work.fresh[position] = True
+            else:
+                similarity = from_vector(vector)
+            decision = decide(similarity, vector)
+            if decision.is_match:
+                key = tuple(sorted((left.rid, right.rid)))
+                matches.append(
+                    (left_index, right_index, key, decision.confidence)
+                )
+        return matches
+
+
+def _work_key(
+    comparator: object, blocking_attributes: tuple[str, ...]
+) -> tuple | None:
+    """What carried work depends on besides the records themselves: the
+    comparator's (attribute, measure) list and the blocking attributes.
+    ``None`` — nothing carries — for a comparator whose field vector is
+    not the plain classes' pure function of the two records' values."""
+    if type(comparator) is not RecordComparator or any(
+        type(field) is not FieldComparator for field in comparator.fields
+    ):
+        return None
+    return (
+        tuple((field.attribute, field.measure) for field in comparator.fields),
+        blocking_attributes,
+    )
+
+
+class _Work:
+    """The work one resolve did, by record identity, for the next.
+
+    Per record of the resolved table (``records``, in table order): its
+    blocking ``tokens`` and its kernel column ``entries``
+    (:func:`~repro.resolution.kernels.record_entries`), ``None`` where
+    never computed.  Per candidate pair (``pairs``: rows of record
+    indices, canonical order): its per-field kernel upper ``bounds`` and
+    ``comparable`` mask (one row per field; ``None`` when the kernels did
+    not run) and, where the scalar loop scored it, its field vector
+    (``vectors``).  None of it depends on the weights or the rule.
+
+    A resolve built on ``previous`` — the work of the last resolve, under
+    the same ``key`` (:func:`_work_key`) — takes from it whatever belongs
+    to a record or candidate pair it resolves again: the *same* record
+    objects, a pair in the *same* left/right order (a vector is ordered,
+    and the string measures are symmetric only to ``approx``).  It drops
+    ``previous`` once the candidate pairs are settled, so work holds only
+    the records and candidate pairs of its own resolve.
+    """
+
+    def __init__(
+        self,
+        records: Sequence[Record],
+        key: tuple | None,
+        previous: "_Work | None",
+    ) -> None:
+        self.records = list(records)
+        self.key = key
+        count = len(self.records)
+        self.tokens: list = [None] * count
+        self.entries: list = [None] * count
+        self.pairs = np.empty((0, 2), dtype=np.intp)
+        self.bounds: np.ndarray | None = None
+        self.comparable: np.ndarray | None = None
+        self.vectors = np.empty(0, dtype=object)
+        #: Per candidate pair: whether this resolve computed any of its
+        #: work from scratch (``resolution.pairs_scored``).
+        self.fresh = np.empty(0, dtype=bool)
+        self._previous = (
+            previous if previous is not None and previous.key == key
+            and key is not None else None
+        )
+        #: Per record, its index in the previous resolve's records, or -1.
+        self._before = np.full(count, -1, dtype=np.intp)
+        #: Per candidate pair, its row in the previous resolve's, or -1.
+        self._carried = np.empty(0, dtype=np.intp)
+        if self._previous is not None:
+            index = {
+                id(record): position
+                for position, record in enumerate(self._previous.records)
+            }
+            tokens, entries = self._previous.tokens, self._previous.entries
+            for position, record in enumerate(self.records):
+                before = index.get(id(record), -1)
+                if before >= 0:
+                    self._before[position] = before
+                    self.tokens[position] = tokens[before]
+                    self.entries[position] = entries[before]
+
+    def pair_up(self, pairs: np.ndarray) -> None:
+        """Settle the candidate pairs; carry the vectors of those the
+        previous resolve had too."""
+        self.pairs = pairs
+        self.vectors = np.full(pairs.shape[0], None, dtype=object)
+        self._carried = np.full(pairs.shape[0], -1, dtype=np.intp)
+        previous = self._previous
+        if previous is None or pairs.shape[0] == 0 or previous.pairs.shape[0] == 0:
+            self.fresh = self._carried < 0
+            return
+        # (left, right) as one code over the previous resolve's indices:
+        # its pairs are in canonical order, so their codes ascend.
+        width = len(previous.records)
+        lefts = self._before[pairs[:, 0]]
+        rights = self._before[pairs[:, 1]]
+        codes = lefts * width + rights
+        known = previous.pairs[:, 0] * width + previous.pairs[:, 1]
+        found = np.minimum(np.searchsorted(known, codes), known.shape[0] - 1)
+        hit = (lefts >= 0) & (rights >= 0) & (known[found] == codes)
+        self._carried[hit] = found[hit]
+        self.vectors[hit] = previous.vectors[found[hit]]
+        self.fresh = ~hit
+
+    def bound(self, comparator: RecordComparator, names: "NameScores") -> None:
+        """Per-field kernel bounds for every candidate pair: carried for
+        a pair the previous resolve bounded, computed for the rest over
+        just the records they touch."""
+        pairs = self.pairs
+        fields = len(comparator.fields)
+        self.bounds = np.empty((fields, pairs.shape[0]), dtype=np.float64)
+        self.comparable = np.empty(self.bounds.shape, dtype=bool)
+        hit = self._carried >= 0
+        if self._previous is None or self._previous.bounds is None:
+            hit[:] = False
+        if hit.any():
+            rows = self._carried[hit]
+            self.bounds[:, hit] = self._previous.bounds[:, rows]
+            self.comparable[:, hit] = self._previous.comparable[:, rows]
+        missed = ~hit
+        if not missed.any():
+            return
+        self.fresh |= missed
+        touched, local = np.unique(pairs[missed], return_inverse=True)
+        entries = self.entries
+        for index in touched.tolist():
+            if entries[index] is None:
+                entries[index] = record_entries(
+                    comparator.fields, self.records[index], names
+                )
+        compiled = compile_entries(
+            comparator, [entries[index] for index in touched.tolist()]
+        )
+        bounds, comparable = compiled.field_bounds(local.reshape(-1, 2))
+        self.bounds[:, missed] = bounds
+        self.comparable[:, missed] = comparable
+
+    def settle(self, metrics: "MetricsRegistry | None") -> None:
+        """Drop the previous resolve's work and count what was reused."""
+        self._previous = None
+        self._before = self._carried = None
+        if metrics is not None:
+            scored = int(np.count_nonzero(self.fresh))
+            metrics.counter("resolution.pairs_scored").increment(scored)
+            metrics.counter("resolution.pairs_carried").increment(
+                int(self.pairs.shape[0]) - scored
+            )
 
 
 def _score_pair(
@@ -325,7 +548,7 @@ def _score_pair(
 ) -> tuple[list[float | None], float]:
     """One pair's field vector and the pooled similarity it pools to.
 
-    The one scoring function: candidate pairs (:func:`_decide_pairs`) and
+    The one scoring function: candidate pairs (``EntityResolver._decide``) and
     feedback-labelled pairs (:func:`refit_rule`) both go through it, so a
     threshold is always fitted on the scale the resolver decides on —
     and off the one context, so a value pair or token pair either of
@@ -340,28 +563,6 @@ def _score_pair(
         return vector, from_vector(vector)
     # custom comparator predating similarity_from_vector
     return vector, comparator.similarity(left, right)
-
-
-def _decide_pairs(
-    scores: ScoringContext,
-    rule: _Rule,
-    records_by_index: dict[int, Record],
-    pairs: Sequence[tuple[int, int]],
-) -> list[tuple[int, int, tuple[str, str], float | None]]:
-    """The compare/decide kernel: one :func:`_score_pair` per candidate —
-    this loop is the quadratic hot path of the whole pipeline."""
-    matches: list[tuple[int, int, tuple[str, str], float | None]] = []
-    for left_index, right_index in pairs:
-        left = records_by_index[left_index]
-        right = records_by_index[right_index]
-        vector, similarity = _score_pair(scores, left, right)
-        decision = rule.decide(similarity, vector)
-        if decision.is_match:
-            key = tuple(sorted((left.rid, right.rid)))
-            matches.append(
-                (left_index, right_index, key, decision.confidence)
-            )
-    return matches
 
 
 def refit_rule(

@@ -1,6 +1,6 @@
 """Vectorised comparison kernels: a sound prefilter for the ER hot path.
 
-The scalar compare/decide loop (:func:`repro.resolution.er._decide_pairs`)
+The scalar compare/decide loop (``repro.resolution.er.EntityResolver._decide``)
 is the quadratic wall of the pipeline: every candidate pair re-runs
 pure-Python per-field measures.  This module compiles a
 :class:`RecordComparator` + :class:`ThresholdRule` against one table into
@@ -47,17 +47,21 @@ measure                   upper bound
 
 Compilation is conservative: anything but a plain ``ThresholdRule`` over a
 plain ``RecordComparator`` of plain ``FieldComparator`` fields (another
-rule, a subclass overriding ``decide``/``compare``, a measure this table
-of bounds does not know) makes :func:`compile_comparator` return ``None``
-and the resolver runs the scalar loop for every pair, exactly as before.
+rule, a subclass overriding ``decide``/``compare``) is not
+:func:`compilable`, and the resolver runs the scalar loop for every
+pair, exactly as before.
 
+What a kernel reads of a record is its column entries
+(:func:`record_entries`: a token set, name-token and digit-token
+counts, a length, a parsed number or point, a lower-cased code — or
+``None`` for a missing value), and a pair's per-field bounds depend on
+its two records' entries alone, never on the weights or the threshold.
+So the resolver carries entries and per-field bounds from one resolve to
+the next by record identity, compiles (:func:`compile_entries`) only
+over the records of the candidate pairs it has no bounds for, and pools
+every pair's bounds under the current weights (:func:`pooled_bounds`).
 The scoring methods mutate nothing — no caches, no globals, no self
-state; the resolver runs the prefilter once per table, ahead of the
-scalar decide loop, and hands that loop the surviving pairs in their
-original sorted order.  A compiled comparator lives for one resolve;
-the name tokens compiling reads live in the scoring context's
-``NameScores``, which is what carries them to the next resolve
-(:class:`~repro.resolution.comparison.ScoringContext`).
+state — and a compiled comparator lives for one compile.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.matching.similarity import NameScores, token_set
-from repro.model.records import Table
+from repro.model.records import Record, Table
 from repro.resolution.comparison import (
     GEO_SCALE_DEGREES,
     FieldComparator,
@@ -85,7 +89,11 @@ if TYPE_CHECKING:
 __all__ = [
     "PRUNE_MARGIN",
     "CompiledComparator",
+    "compilable",
     "compile_comparator",
+    "compile_entries",
+    "pooled_bounds",
+    "record_entries",
 ]
 
 #: Subtracted from the threshold before pruning: the bounds for ``geo``
@@ -286,159 +294,208 @@ class _ExactKernel:
 
 
 class _FieldKernel:
-    """One compiled field: measure kernel + weight + missingness mask."""
+    """One compiled field: measure kernel + missingness mask."""
 
-    def __init__(self, kernel, weight: float, missing: np.ndarray) -> None:
+    def __init__(self, kernel, missing: np.ndarray) -> None:
         self.kernel = kernel
-        self.weight = weight
         self.missing = missing
 
-    def contribution(
+    def bounds(
         self, lefts: np.ndarray, rights: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(weighted bound, weight) per pair, zero where incomparable.
-
-        Mirrors ``similarity_from_vector``: a missing side removes the
-        field from both the numerator and the weight sum.
-        """
+        """(bound, comparable) per pair: a missing side makes the field
+        incomparable, whatever its bound reads."""
         comparable = ~(self.missing[lefts] | self.missing[rights])
-        bound = self.kernel.upper(lefts, rights)
-        return (
-            np.where(comparable, self.weight * bound, 0.0),
-            np.where(comparable, self.weight, 0.0),
-        )
+        return self.kernel.upper(lefts, rights), comparable
+
+
+def pooled_bounds(
+    bounds: np.ndarray, comparable: np.ndarray, weights: Sequence[float]
+) -> np.ndarray:
+    """The pooled similarity upper bound of each pair, from its per-field
+    ``bounds`` and ``comparable`` rows (one row per field, one column per
+    pair) under ``weights``.
+
+    Mirrors ``similarity_from_vector``: an incomparable field leaves both
+    the numerator and the weight sum.  The bounds never depend on the
+    weights, so bounds computed under one comparator's weights pool
+    under another's with the same fields.
+    """
+    numerator = np.sum(
+        [
+            np.where(mask, weight * bound, 0.0)
+            for bound, mask, weight in zip(bounds, comparable, weights)
+        ],
+        axis=0,
+    )
+    weight_sum = np.sum(
+        [np.where(mask, weight, 0.0) for mask, weight in zip(comparable, weights)],
+        axis=0,
+    )
+    with np.errstate(invalid="ignore", divide="ignore"):
+        pooled = numerator / weight_sum
+    # No comparable field: similarity_from_vector scores the pair 0.
+    return np.where(weight_sum == 0.0, 0.0, pooled)
 
 
 class CompiledComparator:
-    """A comparator + threshold rule compiled against one table.
+    """A comparator + threshold rule compiled against one list of rows.
 
-    :meth:`survivors` is the only method the resolver needs: the subset
-    of a candidate-pair array whose pooled upper bound clears the
-    threshold (minus :data:`PRUNE_MARGIN`).  Everything pruned is
-    *provably* a non-match under the exact scalar arithmetic.
+    :meth:`survivors` is what pruning needs: the subset of a
+    candidate-pair array whose pooled upper bound clears the threshold
+    (minus :data:`PRUNE_MARGIN`).  Everything pruned is *provably* a
+    non-match under the exact scalar arithmetic.  :meth:`field_bounds`
+    is the per-field half of it, which the resolver carries from one
+    resolve to the next and pools under each resolve's weights.
     """
 
     def __init__(
-        self, fields: Sequence[_FieldKernel], threshold: float
+        self,
+        fields: Sequence[_FieldKernel],
+        weights: Sequence[float],
+        threshold: float,
     ) -> None:
         self.fields = tuple(fields)
+        self.weights = tuple(weights)
         self.cutoff = threshold - PRUNE_MARGIN
+
+    def field_bounds(self, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(bounds, comparable)``: one row per field, one column per
+        pair, computed a batch of pairs at a time."""
+        bounds = np.empty((len(self.fields), pairs.shape[0]), dtype=np.float64)
+        comparable = np.empty(bounds.shape, dtype=bool)
+        for start in range(0, pairs.shape[0], _BATCH):
+            batch = pairs[start:start + _BATCH]
+            for row, field in enumerate(self.fields):
+                bound, mask = field.bounds(batch[:, 0], batch[:, 1])
+                bounds[row, start:start + _BATCH] = bound
+                comparable[row, start:start + _BATCH] = mask
+        return bounds, comparable
 
     def upper_bounds(self, pairs: np.ndarray) -> np.ndarray:
         """Pooled similarity upper bound for each candidate pair."""
-        lefts = pairs[:, 0]
-        rights = pairs[:, 1]
-        parts = [
-            field.contribution(lefts, rights) for field in self.fields
-        ]
-        numerator = np.sum([part[0] for part in parts], axis=0)
-        weight_sum = np.sum([part[1] for part in parts], axis=0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            pooled = numerator / weight_sum
-        # No comparable field: similarity_from_vector scores the pair 0.
-        return np.where(weight_sum == 0.0, 0.0, pooled)
+        return pooled_bounds(*self.field_bounds(pairs), self.weights)
 
     def survivors(self, pairs: np.ndarray) -> np.ndarray:
         """The pairs the exact scalar path could still decide as matches."""
         if pairs.shape[0] == 0:
             return pairs
-        masks = [
-            self.upper_bounds(pairs[start:start + _BATCH]) >= self.cutoff
-            for start in range(0, pairs.shape[0], _BATCH)
-        ]
-        return pairs[np.concatenate(masks)]
+        return pairs[self.upper_bounds(pairs) >= self.cutoff]
 
 
-def _column(table: Table, attribute: str) -> tuple[list, np.ndarray]:
-    """(raw values, missing mask) for one attribute, missing → ``None``."""
-    raws: list = []
-    flags: list[bool] = []
-    for record in table.records:
-        value = record.get(attribute)
-        flags.append(value.is_missing)
-        raws.append(None if value.is_missing else value.raw)
-    return raws, np.asarray(flags, dtype=bool)
-
-
-def _compile_field(field: FieldComparator, table: Table, names: NameScores):
-    """The measure kernel + missing mask for one field, or ``None``."""
-    raws, missing = _column(table, field.attribute)
-    measure = field.measure
-
+def _entry(measure: str, raw: object, names: NameScores) -> object:
+    """What a kernel reads of one present value: its column entry."""
     if measure == "jaccard":
-        sets = [
-            token_set(str(raw)) if raw is not None else frozenset()
-            for raw in raws
-        ]
-        return _TokenSetKernel(_TokenRows(sets)), missing
-
+        return token_set(str(raw))
     if measure in ("tokens", "tokens_strict"):
-        token_lists = [
-            names.tokens(str(raw)) if raw is not None else ()
-            for raw in raws
-        ]
-        digit_counters = [
-            Counter(token for token in tokens if names.is_code(token))
-            for tokens in token_lists
-        ]
-        totals = np.asarray(
-            [len(tokens) for tokens in token_lists], dtype=np.float64
+        tokens = names.tokens(str(raw))
+        return len(tokens), Counter(
+            token for token in tokens if names.is_code(token)
         )
+    if measure == "jaro":
+        return len(str(raw).lower())
+    if measure == "numeric":
+        return (float(raw), False) if _is_number(raw) else (np.nan, True)
+    if measure == "geo":
+        return parse_point(raw) or (np.nan, np.nan)
+    return str(raw).lower()  # exact
+
+
+def record_entries(
+    fields: Sequence[FieldComparator], record: Record, names: NameScores
+) -> tuple:
+    """One record's column entries, one per field, ``None`` where the
+    value is missing: everything :func:`compile_entries` reads of it.
+    A pure function of the record's values and the fields' measures."""
+    entries = []
+    for field in fields:
+        value = record.get(field.attribute)
+        entries.append(
+            None if value.is_missing
+            else _entry(field.measure, value.raw, names)
+        )
+    return tuple(entries)
+
+
+def _field_kernel(measure: str, column: Sequence[object]):
+    """The measure kernel over one field's column of entries."""
+    if measure == "jaccard":
+        return _TokenSetKernel(_TokenRows(
+            [frozenset() if entry is None else entry for entry in column]
+        ))
+    if measure in ("tokens", "tokens_strict"):
+        present = [(0, Counter()) if entry is None else entry for entry in column]
+        totals = np.asarray([total for total, __ in present], dtype=np.float64)
         digit_totals = np.asarray(
-            [sum(counter.values()) for counter in digit_counters],
-            dtype=np.float64,
+            [sum(digits.values()) for __, digits in present], dtype=np.float64
         )
         return _NameTokenKernel(
             totals,
             totals - digit_totals,
-            _TokenRows(digit_counters),
+            _TokenRows([digits for __, digits in present]),
             strict=measure == "tokens_strict",
-        ), missing
-
-    if measure == "jaro":
-        lengths = np.asarray(
-            [
-                len(str(raw).lower()) if raw is not None else 0
-                for raw in raws
-            ],
-            dtype=np.float64,
         )
-        return _EditKernel(lengths), missing
-
+    if measure == "jaro":
+        return _EditKernel(np.asarray(
+            [0 if entry is None else entry for entry in column],
+            dtype=np.float64,
+        ))
     if measure == "numeric":
-        values = np.full(len(raws), np.nan, dtype=np.float64)
-        nonnumeric = np.zeros(len(raws), dtype=bool)
-        for index, raw in enumerate(raws):
-            if raw is None:
-                continue
-            if _is_number(raw):
-                values[index] = float(raw)
-            else:
-                nonnumeric[index] = True
-        return _NumericKernel(values, nonnumeric), missing
-
+        present = [(np.nan, False) if entry is None else entry for entry in column]
+        return _NumericKernel(
+            np.asarray([value for value, __ in present], dtype=np.float64),
+            np.asarray([bad for __, bad in present], dtype=bool),
+        )
     if measure == "geo":
-        lat = np.full(len(raws), np.nan, dtype=np.float64)
-        lon = np.full(len(raws), np.nan, dtype=np.float64)
-        for index, raw in enumerate(raws):
-            if raw is None:
-                continue
-            point = parse_point(raw)
-            if point is not None:
-                lat[index], lon[index] = point
-        return _GeoKernel(lat, lon), missing
+        points = np.asarray(
+            [(np.nan, np.nan) if entry is None else entry for entry in column],
+            dtype=np.float64,
+        ).reshape(-1, 2)
+        return _GeoKernel(points[:, 0], points[:, 1])
+    interned: dict[str, int] = {}  # exact
+    return _ExactKernel(np.asarray(
+        [
+            -1 if entry is None else interned.setdefault(entry, len(interned))
+            for entry in column
+        ],
+        dtype=np.int64,
+    ))
 
-    if measure == "exact":
-        interned: dict[str, int] = {}
-        codes = np.full(len(raws), -1, dtype=np.int64)
-        for index, raw in enumerate(raws):
-            if raw is None:
-                continue
-            text = str(raw).lower()
-            codes[index] = interned.setdefault(text, len(interned))
-        return _ExactKernel(codes), missing
 
-    return None  # a measure this table of bounds does not know
+def compilable(comparator: object, rule: object) -> bool:
+    """Whether the bound proofs hold for ``comparator`` + ``rule``.
+
+    Deliberately exact-type: a subclass overriding ``decide``,
+    ``vector`` or ``compare`` voids them, so only a plain
+    :class:`ThresholdRule` over a plain :class:`RecordComparator` of
+    plain :class:`FieldComparator` fields compiles.
+    """
+    return (
+        type(rule) is ThresholdRule
+        and type(comparator) is RecordComparator
+        and all(type(field) is FieldComparator for field in comparator.fields)
+    )
+
+
+def compile_entries(
+    comparator: RecordComparator, rows: Sequence[tuple], threshold: float = 0.0
+) -> CompiledComparator:
+    """Compile ``comparator`` over ``rows`` of :func:`record_entries`
+    (pair indices then index ``rows``); :meth:`~CompiledComparator.
+    survivors` prunes below ``threshold``."""
+    fields = comparator.fields
+    columns = list(zip(*rows)) if rows else [()] * len(fields)
+    return CompiledComparator(
+        [
+            _FieldKernel(
+                _field_kernel(field.measure, column),
+                np.asarray([entry is None for entry in column], dtype=bool),
+            )
+            for field, column in zip(fields, columns)
+        ],
+        [field.weight for field in fields],
+        threshold,
+    )
 
 
 def compile_comparator(
@@ -447,39 +504,25 @@ def compile_comparator(
     table: Table,
     metrics: "MetricsRegistry | None" = None,
 ) -> CompiledComparator | None:
-    """Compile ``comparator`` + ``rule`` against ``table``, if eligible.
-
-    Eligibility is deliberately exact-type: a subclass overriding
-    ``decide``, ``vector``, or ``compare`` voids the bound proofs, so
-    anything but the plain classes falls back to the scalar loop
-    (returning ``None``).  Ineligibility is counted on ``metrics``
+    """Compile ``comparator`` + ``rule`` against ``table``, if
+    :func:`compilable`; ``None`` otherwise, counted on ``metrics``
     (``kernels.fallback``) so a silently-scalar resolver is visible in
     telemetry.
 
-    ``comparator`` may be the resolve's :class:`ScoringContext`: the
-    name tokens compiled here then stay in its tables for the scalar
-    loop that re-decides the survivors.
+    ``comparator`` may be a :class:`ScoringContext`: the name tokens
+    compiled here then stay in its tables for a scalar loop off it.
     """
     scores = ScoringContext.around(comparator)
     comparator = scores.comparator
-    eligible = (
-        type(rule) is ThresholdRule
-        and type(comparator) is RecordComparator
-        and all(type(field) is FieldComparator for field in comparator.fields)
-    )
-    compiled_fields: list[_FieldKernel] = []
-    if eligible:
-        for field in comparator.fields:
-            compiled = _compile_field(field, table, scores.names)
-            if compiled is None:
-                eligible = False
-                break
-            kernel, missing = compiled
-            compiled_fields.append(
-                _FieldKernel(kernel, field.weight, missing)
-            )
-    if not eligible:
+    if not compilable(comparator, rule):
         if metrics is not None:
             metrics.counter("kernels.fallback").increment()
         return None
-    return CompiledComparator(compiled_fields, rule.threshold)
+    return compile_entries(
+        comparator,
+        [
+            record_entries(comparator.fields, record, scores.names)
+            for record in table.records
+        ],
+        rule.threshold,
+    )

@@ -112,10 +112,15 @@ class SourceSelector:
         self.gain_per_item = gain_per_item
         self.n_samples = n_samples
         self.seed = seed
-        #: Optional registry for the ``selection.memo_hits`` counter.
+        #: Optional registry for the ``selection.memo_hits`` and
+        #: ``selection.gain_memo_hits`` counters.
         self.metrics: "MetricsRegistry | None" = None
         #: The last :meth:`select`: ``(everything it read, its result)``.
         self._last: tuple[tuple, SelectionResult] | None = None
+        #: :meth:`gain` by everything it reads: the gains asked for since
+        #: the last selection :meth:`select` computed, and before it.
+        self._gains: dict[tuple, float] = {}
+        self._gains_before: dict[tuple, float] = {}
 
     # -- gain model ------------------------------------------------------
 
@@ -134,9 +139,33 @@ class SourceSelector:
         draw.  The vote is four running tallies (the truth and three wrong
         values), each with the position of its first claim: a tie goes to
         the value claimed first.
+
+        So the gain is a function of the ordered profiles and the gain
+        model's settings alone, and a gain asked for again — within one
+        selection, by the next one or by the planner pricing a re-plan —
+        is looked up (counted on ``selection.gain_memo_hits``).  The memo
+        keeps the gains asked for since the last selection :meth:`select`
+        computed and during it; each computed selection drops the rest.
         """
         if not profiles:
             return 0.0
+        key = (
+            tuple(profiles),
+            self.n_items, self.gain_per_item, self.n_samples, self.seed,
+        )
+        gain = self._gains.get(key)
+        if gain is None:
+            gain = self._gains_before.get(key)
+            if gain is None:
+                gain = self._gains[key] = self._estimate(profiles)
+                return gain
+            self._gains[key] = gain
+        if self.metrics is not None:
+            self.metrics.counter("selection.gain_memo_hits").increment()
+        return gain
+
+    def _estimate(self, profiles: list[SourceProfile]) -> float:
+        """The Monte-Carlo gain :meth:`gain` documents, unmemoised."""
         rng = random.Random(self.seed)
         draw, bits = rng.random, rng.getrandbits
         sources = [
@@ -212,6 +241,7 @@ class SourceSelector:
             if self.metrics is not None:
                 self.metrics.counter("selection.memo_hits").increment()
             return _copy(self._last[1])
+        self._gains_before, self._gains = self._gains, {}
         result = self._select(profiles, budget, force_all, patience)
         self._last = (key, _copy(result))
         return result

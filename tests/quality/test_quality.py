@@ -1,4 +1,4 @@
-"""Tests for profiling, quality metrics, constraints, and repair."""
+"""Tests for quality metrics, constraints, and repair."""
 
 import datetime
 
@@ -11,49 +11,13 @@ from repro.context.user_context import UserContext
 from repro.errors import RepairError
 from repro.model.annotations import Dimension
 from repro.model.records import Record, Table
-from repro.model.schema import DataType, Schema
+from repro.model.schema import DataType, Schema, infer_types
 from repro.model.values import Value
 from repro.quality.constraints import FunctionalDependency, violations
 from repro.quality.metrics import QualityAnalyser
-from repro.quality.profiling import profile_table
 from repro.quality.repair import repair_table
 
 TODAY = datetime.date(2016, 3, 15)
-
-
-class TestProfiling:
-    @pytest.fixture
-    def table(self):
-        return Table.from_rows(
-            "t",
-            [
-                {"id": "a", "price": "10.0", "city": "Oxford", "_truth": "x"},
-                {"id": "b", "price": "20.0", "city": None},
-                {"id": "c", "price": "oops", "city": "Oxford"},
-            ],
-        )
-
-    def test_profile_basics(self, table):
-        profile = profile_table(table)
-        assert profile.row_count == 3
-        city = profile.column("city")
-        assert city.nulls == 1
-        assert city.distinct == 1
-
-    def test_underscore_columns_skipped(self, table):
-        assert "_truth" not in profile_table(table).columns
-
-    def test_type_consistency(self, table):
-        price = profile_table(table).column("price")
-        assert price.dominant_type is DataType.FLOAT
-        assert price.type_consistency == pytest.approx(2 / 3)
-
-    def test_numeric_stats(self):
-        table = Table.from_rows("t", [{"n": 1}, {"n": 3}])
-        profile = profile_table(table).column("n")
-        assert profile.mean == pytest.approx(2.0)
-        assert profile.min_value == 1
-        assert profile.max_value == 3
 
 
 class TestMetrics:
@@ -131,12 +95,26 @@ class TestMetrics:
     )
     def test_consistency_type_score_is_the_column_profiles_mean(self, rows):
         """Type agreement per column from one type pass equals the mean
-        of the column profiles' ``type_consistency``, to the bit."""
+        of the columns' type consistency as a column profile measured it
+        (the share of non-null cells of the dominant type, 1.0 for an
+        empty column), to the bit."""
         table = Table.from_rows(
             "t", rows, schema=Schema.of("price", "city", "empty", "_truth")
         )
-        columns = profile_table(table).columns.values()
-        expected = sum(c.type_consistency for c in columns) / len(columns)
+
+        def type_consistency(name):
+            raws = [v.raw for v in table.column(name) if not v.is_missing]
+            counts = infer_types(raws)[1]
+            populated = sum(counts.values())
+            if populated == 0:
+                return 1.0
+            return counts[max(counts, key=lambda t: counts[t])] / populated
+
+        columns = [
+            type_consistency(name) for name in table.schema.names
+            if not name.startswith("_")
+        ]
+        expected = sum(columns) / len(columns)
         analyser = QualityAnalyser(today=TODAY)
         assert analyser.consistency(table) == expected
 

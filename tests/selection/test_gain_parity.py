@@ -1,5 +1,5 @@
 """The selector's gain loop against the dict-and-``max`` loop it replaced,
-and the selection memo.
+the selection memo and the gain memo.
 
 The oracle below is the replaced ``SourceSelector.gain`` verbatim: a
 ``votes`` dict per sample, ``randint(1, 3)`` for a wrong value, the
@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.selection.source_selection import SourceProfile, SourceSelector
 
 
@@ -158,3 +159,64 @@ class TestSelectionMemo:
         asked = selector.gains
         selector.select(PROFILES)
         assert selector.gains > asked
+
+
+class TestGainMemo:
+    """``gain`` replays ``random.Random(seed)`` from the start, so a memo
+    keyed on the ordered profiles and the gain settings answers exactly
+    what a fresh selector computes."""
+
+    def test_a_memoised_gain_equals_a_fresh_selectors(self):
+        rng = random.Random(44)
+        metrics = MetricsRegistry()
+        selector = SourceSelector(n_items=80, n_samples=50)
+        selector.metrics = metrics
+        pool = [draw_profiles(rng) for __ in range(12)]
+        for step in range(300):
+            if step % 50 == 25:
+                selector.gain_per_item = rng.choice((1.0, 1.5))
+                selector.seed = rng.choice((17, 18))
+            profiles = rng.choice(pool)
+            if step % 7 == 0:
+                selector.select(profiles)
+                continue
+            fresh = SourceSelector(
+                n_items=80, n_samples=50, gain_per_item=selector.gain_per_item,
+                seed=selector.seed,
+            )
+            assert selector.gain(list(profiles)) == fresh.gain(profiles), (
+                profiles
+            )
+        assert 0 < metrics.counter("selection.gain_memo_hits").value
+
+    def test_the_memo_holds_what_the_last_two_selections_asked_for(self):
+        class Asking(SourceSelector):
+            def gain(self, profiles):
+                self.asked[-1].add(tuple(profiles))
+                return super().gain(profiles)
+
+        selector = Asking(n_items=60)
+        selector.asked = []
+        for profiles in (PROFILES, PROFILES[1:], PROFILES[:2]):
+            selector.asked.append(set())
+            selector.select(profiles)
+        held = set(selector._gains) | set(selector._gains_before)
+        assert {key[0] for key in held} == selector.asked[1] | selector.asked[2]
+        assert {key[0] for key in selector._gains} == selector.asked[2]
+
+    def test_a_replan_prices_its_source_sets_once_per_belief_state(self):
+        metrics = MetricsRegistry()
+        selector = SourceSelector(n_items=60)
+        selector.metrics = metrics
+        selector.select(PROFILES)
+        hits = metrics.counter("selection.gain_memo_hits").value
+        for __ in range(2):
+            selector.gain(PROFILES[:2])
+            selector.gain(PROFILES[1:])
+        assert metrics.counter("selection.gain_memo_hits").value == hits + 3
+        assert selector.select(PROFILES) is not None
+        assert metrics.counter("selection.memo_hits").value == 1
+        # A served selection keeps the memo: the next replan hits twice.
+        selector.gain(PROFILES[:2])
+        selector.gain(PROFILES[1:])
+        assert metrics.counter("selection.gain_memo_hits").value == hits + 5

@@ -49,7 +49,7 @@ from repro.feedback.types import DIRTIES, Feedback
 from repro.fusion.fuse import EntityFuser
 from repro.mapping.mapping import Mapping
 from repro.mapping.selection import MappingSelector
-from repro.matching.schema_matching import SchemaMatcher
+from repro.matching.schema_matching import SchemaMatcher, instance_sample
 from repro.model.records import Table
 from repro.model.schema import Schema
 from repro.obs import Telemetry
@@ -57,7 +57,11 @@ from repro.quality.constraints import Constraint
 from repro.quality.metrics import QualityAnalyser, QualityReport
 from repro.quality.repair import repair_table
 from repro.resilience import AccessGuard, DegradationLedger, RetryPolicy
-from repro.resolution.comparison import ScoringContext, profiled_comparator
+from repro.resolution.comparison import (
+    DistinctCounts,
+    ScoringContext,
+    profiled_comparator,
+)
 from repro.resolution.er import EntityResolver, refit_rule
 from repro.sources.base import (
     PROBE_COST_FRACTION,
@@ -203,11 +207,13 @@ class Wrangler:
         #: ER and fusion work one run leaves for the next (see
         #: docs/INCREMENTAL.md): the scoring context the last resolve
         #: decided with, the context ``refit`` opened for the next
-        #: resolve with the inputs it was opened on, and the last fuser.
+        #: resolve with the inputs it was opened on, the distinct-value
+        #: counts its comparator was profiled from, and the last fuser.
         self._resolved_scores: ScoringContext | None = None
         self._open_scores: (
             tuple[Table, WranglePlan, ScoringContext] | None
         ) = None
+        self._distinct = DistinctCounts()
         self._fuser: EntityFuser | None = None
         #: Per source, the last ``mapped`` apply:
         #: ``(mapping, acquired table, translated table)``.
@@ -215,6 +221,10 @@ class Wrangler:
         #: The last run's output assessment: ``(objects read, compared by
         #: identity; values read; report)`` — see :meth:`_assess_wrangled`.
         self._assessed: tuple[tuple, tuple, QualityReport] | None = None
+        #: Per source, the last match: ``(objects read, compared by
+        #: identity; values read; correspondences)`` — see
+        #: :meth:`_stage_match`.
+        self._matched: dict[str, tuple[tuple, tuple, list]] = {}
 
     # -- source management ------------------------------------------------
 
@@ -341,9 +351,14 @@ class Wrangler:
         ``"probe"``.  Probing must stay cheap: the bootstrap wrapper is
         induced from the documents the probe already paid for — examples
         pointing at pages outside the sample simply don't constrain it.
+
+        A structured table's schema is voted from the dtypes its cells
+        took when its rows were typed — held ones for the records a delta
+        tick carried, fresh ones for its new rows — so no cell is typed
+        twice; an extracted table's is inferred again.
         """
         if isinstance(source, StructuredSource):
-            return self._payload(source, step).infer_schema()
+            return self._payload(source, step).counted_schema()
         if not isinstance(source, DocumentSource):
             return None
         # One page set for the call: induction, extraction and repair
@@ -563,8 +578,52 @@ class Wrangler:
         return table
 
     def _stage_match(self, name: str, inputs: dict[str, Any]) -> list:
-        table = inputs[f"acquire:{name}"]
-        correspondences = self._correspond(table, inputs["plan"])
+        """The source's correspondences under the plan's matcher.
+
+        When nothing the matcher reads has moved since the source's last
+        match — its column names in order, each column's raw instance
+        sample, the plan's channels and threshold, the match feedback on
+        its columns, the target schema, and the data context's ontology
+        and reference tables (by identity and size) — the last
+        correspondences are returned again (counted on
+        ``matching.reused``): an append past every column's sample
+        types and scores nothing, and ``mapping:`` is cut off.
+        """
+        table, plan = inputs[f"acquire:{name}"], inputs["plan"]
+        context = self.data
+        ontology = context.ontology
+        names = table.schema.names
+        held = (context, ontology, *context.reference_data.values())
+        read = (
+            names,
+            tuple(tuple(instance_sample(table, column)) for column in names),
+            tuple(plan.matcher_channels),
+            plan.match_threshold,
+            tuple(sorted(
+                (pair, tuple(verdicts))
+                for pair, verdicts in self._match_evidence.items()
+                if pair[0] in names
+            )),
+            self.user.target_schema,
+            None if ontology is None
+            else (len(ontology.concepts), len(ontology.properties)),
+            tuple(
+                (key, len(reference))
+                for key, reference in context.reference_data.items()
+            ),
+        )
+        last = self._matched.get(name)
+        if (
+            last is not None
+            and len(last[0]) == len(held)
+            and all(a is b for a, b in zip(last[0], held))
+            and same_value(last[1], read)
+        ):
+            correspondences = last[2]
+            self.telemetry.metrics.counter("matching.reused").increment()
+        else:
+            correspondences = self._correspond(table, plan)
+            self._matched[name] = (held, read, correspondences)
         self.working.put("match", table.name, correspondences)
         return correspondences
 
@@ -649,6 +708,7 @@ class Wrangler:
                 self.user.target_schema,
                 translated,
                 attributes=list(plan.er_attributes) or None,
+                counts=self._distinct,
             )
             scores = ScoringContext(comparator, previous=self._resolved_scores)
             opened = self._open_scores = (translated, plan, scores)

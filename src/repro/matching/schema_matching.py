@@ -30,9 +30,20 @@ from repro.model.schema import Attribute, DataType, Schema, coerce, infer_types
 from repro.model.uncertainty import Evidence, pool_evidence
 from repro.matching.similarity import name_similarity, token_set, jaccard
 
-__all__ = ["Correspondence", "SchemaMatcher"]
+__all__ = ["Correspondence", "SchemaMatcher", "instance_sample"]
 
 _match_counter = itertools.count(1)
+
+#: How many populated values of a source column the instance channel reads.
+SAMPLE_SIZE = 50
+
+
+def instance_sample(table: Table, source_attribute: str) -> list[object]:
+    """The first :data:`SAMPLE_SIZE` populated raw values of a column, in
+    record order: all the instance channel reads of it."""
+    raws = (record.raw(source_attribute) for record in table.records)
+    populated = (v for v in raws if v is not None and str(v).strip())
+    return list(itertools.islice(populated, SAMPLE_SIZE))
 
 
 @dataclass(frozen=True)
@@ -93,14 +104,12 @@ class SchemaMatcher:
     def _instance_sample(
         self, table: Table, source_attribute: str
     ) -> tuple[list[object], set[DataType]] | None:
-        """A column's first 50 populated values and the dtypes among them
-        (``None`` when the channel is off); every target attribute of a
-        match is scored against the one sample."""
+        """A column's :func:`instance_sample` and the dtypes among its
+        values (``None`` when the channel is off); every target attribute
+        of a match is scored against the one sample."""
         if "instance" not in self.channels:
             return None
-        raws = (v.raw for v in table.column(source_attribute))
-        populated = (v for v in raws if v is not None and str(v).strip())
-        sample = list(itertools.islice(populated, 50))
+        sample = instance_sample(table, source_attribute)
         return sample, set(infer_types(sample)[1])
 
     def _instance_evidence(

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Any
 
 from repro.datagen.corrupt import maybe, misspell
 from repro.errors import InjectedCrashError, SourceError, TransientSourceError
@@ -101,6 +102,12 @@ class ChaosSource(StructuredSource):
 
     def _content_token(self) -> object:
         return self._inner._content_token()
+
+    def _rows(self) -> list[dict[str, Any]]:
+        """The rows of one load: corruption is injected into the typed
+        table (its cells record the corrupting step), so the raw rows
+        are that table's."""
+        return self._load().to_rows()
 
     def _load(self) -> Table:
         self._loads += 1

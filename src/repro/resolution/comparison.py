@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -15,10 +16,11 @@ from repro.matching.similarity import (
     numeric_similarity,
     token_set,
 )
-from repro.model.records import Record
+from repro.model.records import Record, Table
 from repro.model.schema import DataType, Schema
 
 __all__ = [
+    "DistinctCounts",
     "FieldComparator",
     "RecordComparator",
     "ScoringContext",
@@ -356,8 +358,76 @@ def default_comparator(
     return RecordComparator(tuple(fields))
 
 
+class DistinctCounts:
+    """Per attribute, how many populated cells each distinct ``str(raw)``
+    fills over the records of the last table counted — the distinctness
+    :func:`profiled_comparator` weighs by, carried by record identity.
+
+    Counting the next table visits only the records it does not share
+    with the last one, and every record for an attribute not counted
+    last time; a delta tick, whose translated table keeps the records of
+    the rows it did not change, counts its appended records.  Records
+    are immutable, so a held record's cells are the ones it was counted
+    with.  A table holding one record object twice is counted afresh,
+    the record twice, and carries nothing to the next.
+    """
+
+    def __init__(self) -> None:
+        self._held: dict[int, Record] = {}
+        self._counts: dict[str, Counter[str]] = {}
+
+    def count(
+        self, table: Table, names: Sequence[str]
+    ) -> dict[str, tuple[int, int]]:
+        """Move to ``table``'s records; per name of ``names`` in its
+        schema, ``(distinct, populated)`` — distinct ``str(raw)`` forms
+        and non-missing cells of that column."""
+        records = table.records
+        held = dict(zip(map(id, records), records))
+        once = len(held) == len(records)
+        carried = self._counts if once else {}
+        gained = [held[key] for key in held.keys() - self._held.keys()]
+        lost = [self._held[key] for key in self._held.keys() - held.keys()]
+        counted = {}
+        for name in dict.fromkeys(names):
+            if name not in table.schema:
+                continue
+            counts = carried.get(name)
+            if counts is None:
+                counts = _tally(Counter(), records, name, 1)
+            else:
+                _tally(_tally(counts, lost, name, -1), gained, name, 1)
+            counted[name] = counts
+        self._held, self._counts = (held, counted) if once else ({}, {})
+        return {
+            name: (len(counts), sum(counts.values()))
+            for name, counts in counted.items()
+        }
+
+
+def _tally(
+    counts: Counter[str], records: Sequence[Record], name: str, sign: int
+) -> Counter[str]:
+    """Add (``sign`` 1) or take away (-1) each of ``records`` to the
+    ``str(raw)`` counts of column ``name``."""
+    for record in records:
+        value = record.get(name)
+        if value.is_missing:
+            continue
+        text = str(value.raw)
+        left = counts[text] + sign
+        if left:
+            counts[text] = left
+        else:
+            del counts[text]
+    return counts
+
+
 def profiled_comparator(
-    schema: Schema, table: "object", attributes: Sequence[str] | None = None
+    schema: Schema,
+    table: Table,
+    attributes: Sequence[str] | None = None,
+    counts: DistinctCounts | None = None,
 ) -> RecordComparator:
     """A comparator whose weights follow measured attribute selectivity.
 
@@ -369,22 +439,21 @@ def profiled_comparator(
     String attributes with distinctness >= 0.3 compare token-wise.
     Exclusions (URL/DATE/CURRENCY, leading underscore) are as in
     :func:`default_comparator`.
+
+    ``counts``, when given, carries the distinct-value counts from the
+    table it last profiled (:class:`DistinctCounts`); the comparator is
+    the one a fresh profile of ``table`` gives.
     """
     names = list(attributes) if attributes is not None else [
         a.name
         for a in schema
         if not a.name.startswith("_") and a.dtype not in TRANSIENT_DTYPES
     ]
+    counted = (counts or DistinctCounts()).count(table, names)
     distinctness: dict[str, float] = {}
     for name in names:
-        raws = [
-            value.raw
-            for value in table.column(name)  # type: ignore[attr-defined]
-            if not value.is_missing
-        ] if name in getattr(table, "schema", Schema(())) else []
-        distinctness[name] = (
-            len(set(map(str, raws))) / len(raws) if raws else 0.5
-        )
+        distinct, populated = counted.get(name, (0, 0))
+        distinctness[name] = distinct / populated if populated else 0.5
     # Duplicated entities depress the raw distinctness of the identity key
     # itself (that is why ER is running!), so selectivity is *relative*:
     # the most selective attribute anchors the scale.

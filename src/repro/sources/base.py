@@ -3,8 +3,9 @@
 Sources are "potentially heterogeneous ... files, databases, documents, web
 pages".  Two abstract shapes cover them all:
 
-* :class:`StructuredSource` — yields a :class:`~repro.model.records.Table`
-  directly (CSV files, in-memory tables);
+* :class:`StructuredSource` — yields raw dict rows, typed into a
+  :class:`~repro.model.records.Table` on fetch (CSV files, in-memory
+  tables);
 * :class:`DocumentSource` — yields :class:`Document` objects (web pages)
   that must pass through the extraction component first.
 
@@ -17,10 +18,12 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.errors import SourceError
 from repro.model.records import Table
+from repro.model.schema import Attribute, Schema, infer_column_type
+from repro.model.values import Value
 from repro.model.workingdata import row_digest
 from repro.sources.cursor import (
     DELTA_COST_FLOOR,
@@ -30,7 +33,14 @@ from repro.sources.cursor import (
     watermark_for,
 )
 
-__all__ = ["SourceMetadata", "Document", "DataSource", "StructuredSource", "DocumentSource"]
+__all__ = [
+    "SourceMetadata",
+    "Document",
+    "DataSource",
+    "StructuredSource",
+    "DocumentSource",
+    "raw_row",
+]
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,39 @@ class Document:
 PROBE_COST_FRACTION = 0.2
 
 
+def raw_row(row: Mapping[str, Any]) -> dict[str, Any]:
+    """``row`` with every :class:`~repro.model.values.Value` cell
+    replaced by its raw payload — the row a table built from ``row``
+    gives back through ``to_rows()``."""
+    return {
+        name: value.raw if isinstance(value, Value) else value
+        for name, value in row.items()
+    }
+
+
+def _probe_schema(
+    rows: Sequence[Mapping[str, Any]], sampled: int, voted: Schema
+) -> Schema:
+    """The schema of a probe of the first ``sampled`` of ``rows``, whose
+    own vote is ``voted``.
+
+    Every column any row holds, in first-seen order.  A column with a
+    value in the sample keeps the sample's vote (the wrangler re-votes
+    it from the sample's cells anyway); a column that is ``None``
+    throughout the sample takes the vote of all rows, which only that
+    column's cells are typed for.
+    """
+    attributes = []
+    for name in dict.fromkeys(name for row in rows for name in row):
+        held = voted.get(name)
+        if held is None or all(row.get(name) is None for row in rows[:sampled]):
+            held = Attribute(
+                name, infer_column_type(row.get(name) for row in rows)
+            )
+        attributes.append(held)
+    return Schema(tuple(attributes))
+
+
 class DataSource(abc.ABC):
     """Common behaviour of all sources: metadata plus access accounting."""
 
@@ -99,7 +142,12 @@ class DataSource(abc.ABC):
 
 
 class StructuredSource(DataSource):
-    """A source that yields relational data directly."""
+    """A source that yields relational data directly.
+
+    A subclass supplies one hook, :meth:`_rows`; the table a fetch
+    returns is typed from those rows (:meth:`_load`), while a delta
+    fetch and a probe read them raw and type only what they keep.
+    """
 
     def __init__(self, metadata: SourceMetadata) -> None:
         super().__init__(metadata)
@@ -108,8 +156,13 @@ class StructuredSource(DataSource):
         self._cursor_attribute: str | None = None
 
     @abc.abstractmethod
+    def _rows(self) -> list[dict[str, Any]]:
+        """The source's current rows, raw payloads only (subclass hook);
+        one call is one read of the source."""
+
     def _load(self) -> Table:
-        """Produce the source's current table (subclass hook)."""
+        """The source's current table: :meth:`_rows`, typed."""
+        return Table.from_rows(self.name, self._rows(), source=self.name)
 
     def _content_token(self) -> object:
         """A cheap token that changes whenever the backing content may
@@ -151,12 +204,14 @@ class StructuredSource(DataSource):
         :data:`~repro.sources.cursor.DELTA_COST_FLOOR` floor; a matching
         content fingerprint short-circuits to ``"unchanged"`` at the
         floor price.  Each current row is digested once: the digests are
-        the batch's ``order`` and the watermark's fingerprint input.
+        the batch's ``order`` and the watermark's fingerprint input.  A
+        local read takes the raw rows (:meth:`_rows`) and types nothing:
+        whoever merges the delta types the rows it keeps.
         """
         cursor_attribute = self.delta_cursor()
         full = watermark is None or cursor_attribute is None
-        table = self.fetch() if full else self._load()
-        rows = table.to_rows()
+        table = self.fetch() if full else None
+        rows = self._rows() if table is None else table.to_rows()
         order = tuple(row_digest(row) for row in rows)
         advanced = watermark_for(
             self.name, rows, cursor_attribute,
@@ -184,19 +239,23 @@ class StructuredSource(DataSource):
             order=order,
             watermark=advanced,
             fraction=fraction,
-            table=table if full else None,
+            table=table,
         )
 
     def probe(self, limit: int = 25) -> Table:
         """Fetch a cheap sample (``PROBE_COST_FRACTION`` of a full access).
 
         Probes are how the planner learns what a source is worth *before*
-        committing budget to it — the "Less is More" bootstrap.
+        committing budget to it — the "Less is More" bootstrap.  Only the
+        first ``limit`` rows are typed (see :func:`_probe_schema` for the
+        schema); the size hint is memoised from the full read.
         """
         self._record_access(PROBE_COST_FRACTION)
-        table = self._load()
-        self._memoise_size(len(table))
-        return Table(self.name, table.schema, list(table.records[:limit]))
+        rows = self._rows()
+        self._memoise_size(len(rows))
+        sample = Table.from_rows(self.name, rows[:limit], source=self.name)
+        schema = _probe_schema(rows, limit, sample.schema)
+        return Table(self.name, schema, sample.records)
 
     def size_hint(self) -> int:
         """The source's advertised record count (catalogs publish item
@@ -210,7 +269,7 @@ class StructuredSource(DataSource):
         """
         token = self._content_token()
         if self._size_hint is None or token != self._size_token:
-            self._size_hint = len(self._load())
+            self._size_hint = len(self._rows())
             self._size_token = token
         return self._size_hint
 

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
+from typing import Any
 
 from repro.errors import SourceError
-from repro.model.records import Table
 from repro.sources.base import SourceMetadata, StructuredSource
 
 __all__ = ["CSVSource", "file_token"]
@@ -59,7 +59,7 @@ class CSVSource(StructuredSource):
     def _content_token(self) -> object:
         return file_token(self._path)
 
-    def _load(self) -> Table:
+    def _rows(self) -> list[dict[str, Any]]:
         if not self._path.exists():
             raise SourceError(f"CSV file not found: {self._path}")
         try:
@@ -89,7 +89,7 @@ class CSVSource(StructuredSource):
             raise SourceError(
                 f"CSV source {self.name!r} could not be read: {failure}"
             ) from failure
-        return Table.from_rows(self.name, rows, source=self.name)
+        return rows
 
     def _check_header(self, header: list[str], line: int) -> None:
         seen: set[str] = set()

@@ -4,14 +4,23 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.model.records import Table
-from repro.sources.base import Document, DocumentSource, SourceMetadata, StructuredSource
+from repro.sources.base import (
+    Document,
+    DocumentSource,
+    SourceMetadata,
+    StructuredSource,
+    raw_row,
+)
 
 __all__ = ["MemorySource", "MemoryDocumentSource", "VolatileSource"]
 
 
 class MemorySource(StructuredSource):
-    """A structured source backed by rows held in memory."""
+    """A structured source backed by rows held in memory.
+
+    A :class:`~repro.model.values.Value` cell is held as its raw payload
+    and typed on fetch like any other cell.
+    """
 
     def __init__(
         self,
@@ -31,19 +40,19 @@ class MemorySource(StructuredSource):
                 domain=domain,
             )
         )
-        self._rows = [dict(row) for row in rows]
+        self._held = [raw_row(row) for row in rows]
         self._cursor_attribute = cursor
         self._generation = 0
 
-    def _load(self) -> Table:
-        return Table.from_rows(self.name, self._rows, source=self.name)
+    def _rows(self) -> list[dict[str, Any]]:
+        return [dict(row) for row in self._held]
 
     def _content_token(self) -> object:
         return self._generation
 
     def replace_rows(self, rows: Sequence[Mapping[str, Any]]) -> None:
         """Swap the backing rows (models source-side updates / Velocity)."""
-        self._rows = [dict(row) for row in rows]
+        self._held = [raw_row(row) for row in rows]
         self._generation += 1
 
 
@@ -71,10 +80,10 @@ class VolatileSource(StructuredSource):
         self._producer = producer
         self._fetch_index = 0
 
-    def _load(self) -> Table:
+    def _rows(self) -> list[dict[str, Any]]:
         rows = self._producer(self._fetch_index)
         self._fetch_index += 1
-        return Table.from_rows(self.name, [dict(r) for r in rows], source=self.name)
+        return [raw_row(row) for row in rows]
 
 
 class MemoryDocumentSource(DocumentSource):

@@ -43,6 +43,7 @@ from repro.model.workingdata import table_fingerprint
 from repro.obs import MetricsRegistry
 from repro.resolution.blocking import MAX_BLOCK_SIZE
 from repro.resolution.comparison import (
+    DistinctCounts,
     FieldComparator,
     RecordComparator,
     ScoringContext,
@@ -319,6 +320,60 @@ def test_delta_ticks_equal_full_refetches(tmp_path):
         key: value for key, value in delta.wrangler.working.table_fingerprints().items()
         if key.startswith("raw/")
     } == {key: value for key, value in tables.items() if key.startswith("raw/")}
+
+
+def test_carried_distinct_counts_profile_what_a_fresh_profile_does(tmp_path):
+    """After every refresh tick, and after a full refetch, the comparator
+    the resolve decided with — profiled from distinct-value counts carried
+    by record identity — has a fresh ``profiled_comparator``'s fields,
+    measures and weights."""
+    script = RefreshScript(tmp_path)
+    flow = script.wrangler.flow
+
+    def assert_fresh_profile():
+        translated, plan = flow.value("translate"), flow.value("plan")
+        fresh = profiled_comparator(
+            script.wrangler.user.target_schema, translated,
+            attributes=list(plan.er_attributes) or None,
+        )
+        assert script.wrangler._resolved_scores.comparator.fields == fresh.fields
+
+    assert_fresh_profile()
+    for index in range(6):
+        script.tick(index)
+        assert_fresh_profile()
+    script.edit_behind_the_cursor(script.result.plan.sources[1])
+    assert_fresh_profile()
+
+
+def test_distinct_counts_follow_any_table_they_are_moved_to():
+    """Hand-built moves: records dropped, added and shared; a record held
+    twice; an attribute leaving and entering the schema and the names."""
+    schema = Schema.of("name", "brand")
+    base = [
+        Record.of({"name": f"item {i % 7}", "brand": ["A", "B", None, ""][i % 4]})
+        for i in range(20)
+    ]
+    counts = DistinctCounts()
+
+    def check(table, names):
+        expected = {}
+        for name in names:
+            if name not in table.schema:
+                continue
+            raws = [v.raw for v in table.column(name) if not v.is_missing]
+            expected[name] = (len(set(map(str, raws))), len(raws))
+        assert counts.count(table, names) == expected
+
+    check(Table("t", schema, base), ["name", "brand"])
+    check(Table("t", schema, base[3:] + [Record.of({"name": "new"})]), ["name", "brand"])
+    check(Table("t", schema, base[:10] + base[:4]), ["name", "brand"])
+    check(Table("t", schema, base[5:]), ["name", "brand"])
+    check(Table("t", Schema.of("name"), base[5:]), ["name", "brand"])
+    check(Table("t", schema, base[2:]), ["brand"])
+    check(Table("t", schema, base), ["name", "brand", "name"])
+    check(Table("t", schema, []), ["name", "brand"])
+    check(Table("t", schema, base[1:]), ["name", "brand"])
 
 
 @pytest.mark.parametrize("seed, reaches", [(5, "refit"), (9, "plan")])

@@ -9,7 +9,6 @@ from repro.datagen.ontologies import product_ontology
 from repro.datagen.products import TARGET_SCHEMA, generate_world
 from repro.errors import SourceError
 from repro.model.annotations import Dimension
-from repro.model.records import Table
 from repro.obs import Telemetry
 from repro.resilience import ChaosSource, FaultPlan, RetryPolicy
 from repro.sources.base import SourceMetadata, StructuredSource
@@ -24,7 +23,7 @@ class BrokenSource(StructuredSource):
         self.fail_probes = fail_probes
         self._loads = 0
 
-    def _load(self) -> Table:
+    def _rows(self):
         self._loads += 1
         raise SourceError(f"{self.name} is down (load #{self._loads})")
 
@@ -34,14 +33,14 @@ class FlakySource(StructuredSource):
 
     def __init__(self, name: str, rows, failures: int = 1) -> None:
         super().__init__(SourceMetadata(name, cost_per_access=0.5))
-        self._rows = rows
+        self._held = rows
         self._remaining_failures = failures
 
-    def _load(self) -> Table:
+    def _rows(self):
         if self._remaining_failures > 0:
             self._remaining_failures -= 1
             raise SourceError(f"{self.name} transient failure")
-        return Table.from_rows(self.name, self._rows, source=self.name)
+        return [dict(row) for row in self._held]
 
 
 def build_wrangler(world, extra_sources):

@@ -152,3 +152,60 @@ class TestWholeRunBudget:
         assert len(typed) <= 40 * source_rows
         assert all(schema_module._DATE_SHAPE.fullmatch(t.strip()) for t in parsed)
         assert len(parsed) < 0.2 * len(typed)
+
+
+CARRIED_WORK = Path(__file__).resolve().parents[1] / "core" / "test_carried_work.py"
+
+
+class TestDeltaTick:
+    def test_a_delta_tick_types_only_its_appended_rows(self, tmp_path, monkeypatch):
+        """A 5-row refresh tick types on its acquire path at most each
+        distinct string of the five appended rows once (it used to type
+        the whole file twice: the delta read built a table, the schema
+        vote typed the view again); its instance samples did not move, so
+        its match is cut off and no column is sampled."""
+        spec = importlib.util.spec_from_file_location("carried_work", CARRIED_WORK)
+        carried_work = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(carried_work)
+        script = carried_work.RefreshScript(tmp_path, n_products=200)
+        wrangler = script.wrangler
+        name = script.result.plan.sources[0]
+        appended = script.held_back[name][:5]
+        reused = wrangler.telemetry.metrics.counter("matching.reused").value
+
+        typed, sampled, acquiring = [], [], []
+        real_type = schema_module.infer_type
+        real_extract = type(wrangler)._extract
+        real_sample = SchemaMatcher._instance_sample
+
+        def spy_type(value):
+            if acquiring:
+                typed.append(value)
+            return real_type(value)
+
+        def spy_extract(self, *args, **kwargs):
+            acquiring.append(True)
+            try:
+                return real_extract(self, *args, **kwargs)
+            finally:
+                acquiring.pop()
+
+        def spy_sample(self, *args, **kwargs):
+            sampled.append(args)
+            return real_sample(self, *args, **kwargs)
+
+        monkeypatch.setattr(schema_module, "infer_type", spy_type)
+        monkeypatch.setattr(values_module, "infer_type", spy_type)
+        monkeypatch.setattr(type(wrangler), "_extract", spy_extract)
+        monkeypatch.setattr(SchemaMatcher, "_instance_sample", spy_sample)
+
+        assert script.tick(0) == name
+        assert script.result.ingest["acquisitions"][name]["mode"] == "delta"
+        strings = {
+            value for row in appended for value in row.values()
+            if isinstance(value, str) and value.strip()
+        } | {f"{seq:06d}" for seq in range(script.seq - 5, script.seq)}
+        assert 0 < len(typed) <= len(strings)
+        assert set(typed) <= strings
+        assert wrangler.telemetry.metrics.counter("matching.reused").value == reused + 1
+        assert sampled == []

@@ -11,7 +11,6 @@ silently re-reading the whole source.
 import pytest
 
 from repro.errors import SourceError
-from repro.model.records import Table
 from repro.sources.base import SourceMetadata, StructuredSource
 from repro.sources.files import CSVSource
 
@@ -62,13 +61,9 @@ class CountingSource(StructuredSource):
         self._n = rows
         self.load_calls = 0
 
-    def _load(self) -> Table:
+    def _rows(self):
         self.load_calls += 1
-        return Table.from_rows(
-            self.name,
-            [{"id": str(i)} for i in range(self._n)],
-            source=self.name,
-        )
+        return [{"id": str(i)} for i in range(self._n)]
 
 
 class TestSizeHintMemoisation:
